@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import EmptySourceSet, Undominatable
 from .graphs import Graph
 from .labels import SchemeBundle, encode_blocks
-from .sim import LISTEN, Heard, NodeProgram, Transmit, frame, unframe
+from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, unframe
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +292,15 @@ class ExecCore:
             or (self._informed_this_stage and not self._fb_sent and bool(self.stay or self.go))
         )
 
-    @property
-    def passive(self) -> bool:
-        """True when this core cannot transmit or change state except through
-        a future reception (dormant, or permanently settled)."""
-        return self._settled or self.offset is None
+    def next_wake(self, abs_rnd: int) -> int | None:
+        """Wake hint after round `abs_rnd`. None while only a reception can
+        change the core (not yet reached by the broadcast, or permanently
+        settled); the start round while a started source is dormant; else
+        the next round, since a live core may change `active` at the end of
+        any stage."""
+        if self._settled or self.offset is None:
+            return None
+        return (self.offset if self.offset > abs_rnd else abs_rnd) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +464,31 @@ class AckMachine:
             return None
         return self.core1.offset + 3 * self.t
 
-    @property
-    def passive(self) -> bool:
-        """No round-scheduled duty left; only receptions can change state."""
-        return (
-            self.core1.passive
-            and self.core2.passive
-            and self._relay_round is None
-            and (not self.is_vp or self._relayed or not self.core1.informed)
+    def _vp_relay_round(self) -> int | None:
+        """Absolute round in which v_p starts the upward relay of t: the
+        round after its stage, t = 3 * (v_p's stage) relative rounds."""
+        if not self.is_vp or self._relayed or not self.core1.informed:
+            return None
+        return self.core1.offset + 3 * ((self.core1.level + 2) // 3) + 1
+
+    def next_wake(self, abs_rnd: int) -> int | None:
+        """Earliest round after `abs_rnd` with a scheduled duty (relay or a
+        core's wake), None if only receptions can change state."""
+        return earliest(
+            self.core1.next_wake(abs_rnd),
+            self.core2.next_wake(abs_rnd),
+            self._relay_round,
+            self._vp_relay_round(),
         )
 
     def action(self, abs_rnd: int):
-        if self.passive:
-            return None
         p = self.core1.action(abs_rnd)
         if p:
             return p
-        if self.is_vp and self.core1.informed and not self._relayed:
-            lvl = self.core1.level
-            t = 3 * ((lvl + 2) // 3)
-            if abs_rnd - self.core1.offset == t + 1:
-                self.t = t
-                self._relayed = True
-                return (self.tag + "a", "r", t, self.core1.parent_level)
+        if abs_rnd == self._vp_relay_round():
+            self.t = abs_rnd - self.core1.offset - 1
+            self._relayed = True
+            return (self.tag + "a", "r", self.t, self.core1.parent_level)
         if self._relay_round is not None and abs_rnd == self._relay_round:
             self._relay_round = None
             return (self.tag + "a", "r", self.t, self.core1.parent_level)
@@ -671,54 +677,39 @@ class PathMessageProgram(NodeProgram):
         self.core3 = ExecCore("pm", int(jsg[0]), int(jsg[1]), int(jsg[2]))
         self.pairs: list[tuple[int, str]] = []
         self._collected = False
-        self._fast = False
-        self._wake = 0
         if self.ack.is_source:
             self.ack.start_source(1, "")
             if self.ack.t == 0:  # single node
                 self.output = self.chunk
 
     def _schedule(self):
-        """(tack, L, my collection round) once t is known, else None."""
+        """(tack, L) once t is known, else None."""
         if self.ack.t is None or self.ack.core1.offset is None:
             return None
         t = self.ack.t
         tack, top = 3 * t, max(t - 2, 0)
         return tack, top
 
-    def _next_wake(self) -> int | None:
-        """Round before which action() cannot do anything, or None if the
-        node has live state; receptions clear the resulting fast path."""
-        if not (self.ack.passive and self.core3.passive):
-            return None
+    def _collect_round(self) -> int | None:
+        """Absolute round of this node's pending collection duty: sending
+        its chunks upward, or assembling the message at the root."""
         sched = self._schedule()
-        if sched is not None:
-            tack, top = sched
-            off = self.ack.core1.offset
-            if self.marked and not self.ack.is_source and not self._collected:
-                return off + tack + top - self.ack.level + 1
-            if self.ack.is_source and self.output is None:
-                return off + tack + top + 1
-        return 1 << 62
+        if sched is None:
+            return None
+        tack, top = sched
+        off = self.ack.core1.offset
+        if self.marked and not self.ack.is_source and not self._collected:
+            return off + tack + top - self.ack.level + 1
+        if self.ack.is_source and self.output is None:
+            return off + tack + top + 1
+        return None
 
     def action(self, rnd: int):
-        if self._fast and rnd < self._wake:
-            return LISTEN
-        self._fast = False
         p = self.ack.action(rnd)
         if p:
             return Transmit(frame(*p))
-        sched = self._schedule()
-        if sched is not None:
-            tack, top = sched
-            rel = rnd - self.ack.core1.offset
-            if self.marked and not self.ack.is_source and not self._collected:
-                lvl = self.ack.level
-                if rel == tack + top - lvl + 1:
-                    self._collected = True
-                    mine = [[lvl, self.chunk]] + [list(x) for x in self.pairs]
-                    return Transmit(frame("pc", "c", mine))
-            if self.ack.is_source and self.output is None and rel == tack + top + 1:
+        if rnd == self._collect_round():
+            if self.ack.is_source:
                 # the deepest collection slot is round tack+top; assemble after
                 got = {0: self.chunk}
                 for l, c in self.pairs:
@@ -726,17 +717,17 @@ class PathMessageProgram(NodeProgram):
                 msg = "".join(got[k] for k in sorted(got))
                 self.output = msg
                 self.core3.start_source(rnd, msg, self.ack.dom1)
+            else:
+                self._collected = True
+                mine = [[self.ack.level, self.chunk]] + [list(x) for x in self.pairs]
+                return Transmit(frame("pc", "c", mine))
         p = self.core3.action(rnd)
         if p:
             return Transmit(frame(*p))
-        wake = self._next_wake()
-        if wake is not None:
-            self._fast, self._wake = True, wake
         return LISTEN
 
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
-            self._fast = False
             parts = unframe(obs.message)
             tag = parts[0]
             if tag.startswith("p") and tag != "pc" and tag != "pm":
@@ -748,10 +739,13 @@ class PathMessageProgram(NodeProgram):
                 self.core3.on_message(rnd, parts)
                 if self.output is None and self.core3.informed:
                     self.output = self.core3.message
-        elif self._fast:
-            return
         self.ack.poststep(rnd)
         self.core3.poststep(rnd)
+
+    def next_wake(self, rnd: int) -> int | None:
+        return earliest(
+            self.ack.next_wake(rnd), self.core3.next_wake(rnd), self._collect_round()
+        )
 
     @property
     def idle(self) -> bool:

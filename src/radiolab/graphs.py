@@ -320,17 +320,26 @@ def write_edge_list(g: Graph, fp: TextIO) -> None:
         fp.write(f"{u} {v}\n")
 
 
+def _int_pair(line: str, what: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise InvalidParams(f"{what} must be two integers, got {line.strip()!r}")
+
+
 def read_edge_list(fp: TextIO) -> Graph:
-    header = fp.readline().split()
-    if len(header) != 2:
-        raise InvalidParams("edge-list header must be 'n m'")
-    n, m = int(header[0]), int(header[1])
-    edges = []
-    for _ in range(m):
-        parts = fp.readline().split()
-        if len(parts) != 2:
-            raise InvalidParams("edge line must be 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
+    """Parse the format of `write_edge_list`: an 'n m' header, exactly m
+    'u v' lines, then nothing but blank lines."""
+    n, m = _int_pair(fp.readline(), "edge-list header 'n m'")
+    if n < 0 or m < 0:
+        raise InvalidParams(f"edge-list header needs n, m >= 0, got {n} {m}")
+    edges = [_int_pair(fp.readline(), "edge line 'u v'") for _ in range(m)]
+    for line in fp:
+        if line.strip():
+            raise InvalidParams(f"line after the {m} edge lines: {line.strip()!r}")
     return build_graph(n, edges)
 
 

@@ -2,7 +2,8 @@
 
 A node program sees only its own label, the global round number, and its own
 observation history; the engine enforces this by interface shape (programs are
-constructed from a label alone and fed one observation per round). Collision
+constructed from a label alone and fed one observation per round in which
+they are awake, see `NodeProgram`). Collision
 semantics with and without collision detection follow the model exactly: a
 listener hears a message iff exactly one neighbor transmits that round.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from heapq import heappop, heappush
 from typing import Callable, Mapping, Sequence, TextIO
 
 from .errors import RoundLimitExceeded
@@ -133,6 +135,19 @@ class NodeProgram:
     `output` is set once, when the node produces its final answer; `idle`
     means the node no longer needs the channel, so the run may stop once all
     outputs are emitted and every node is idle.
+
+    Wake contract. After a node's callbacks for round `rnd` the engine calls
+    `next_wake(rnd)`: the earliest later round in which the node's `action`
+    must run, or None to sleep until the node hears a message. The default,
+    `rnd + 1`, polls every round; a round at or before `rnd` counts as
+    `rnd + 1`. Until its wake round a sleeping node:
+
+    - gets no `action` calls;
+    - gets `receive` only with `Heard`, which wakes it for that round; no
+      `Noise`, `SilenceMark` or `CollisionMark` is delivered while it
+      sleeps (the trace still determines them, see `observation_of`);
+    - must not change `output` or `idle`, which the engine re-reads only
+      for nodes it called.
     """
 
     def __init__(self, label: str):
@@ -145,9 +160,22 @@ class NodeProgram:
     def receive(self, rnd: int, obs: Observation) -> None:
         pass
 
+    def next_wake(self, rnd: int) -> int | None:
+        return rnd + 1
+
     @property
     def idle(self) -> bool:
         return self.output is not None
+
+
+def earliest(*rounds: int | None) -> int | None:
+    """Smallest of the given wake rounds; None if all are None. Combines the
+    hints of the parts a program is built from."""
+    best = None
+    for r in rounds:
+        if r is not None and (best is None or r < best):
+            best = r
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -234,78 +262,147 @@ def run(
 
     All nodes start at round 1 and share the global clock. The engine is a
     pure function of its arguments: identical inputs give identical traces.
+    It calls only the nodes that are awake under the wake contract (see
+    `NodeProgram`) and the nodes that hear a message, and jumps over rounds
+    in which nobody is awake; those rounds still appear in the trace, as
+    rounds without transmitters. If every node sleeps while an output is
+    missing or a node is not idle, the run can never finish, and
+    `RoundLimitExceeded` is raised at once.
     """
     if len(labels) != g.n:
         raise ValueError(f"need one label per node: {len(labels)} != {g.n}")
     if max_rounds is None:
         max_rounds = default_max_rounds(g.n)
-    nodes = [program(labels[v]) for v in range(g.n)]
+    n = g.n
+    nodes = [program(labels[v]) for v in range(n)]
     trace = ExecutionTrace(g, cd)
     adj = g.adj
-    pending_output = set(range(g.n))
+    rounds = trace.rounds
+    outputs, output_round = trace.outputs, trace.output_round
+    quiet = SILENCE if cd else NOISE
+    silent_round = RoundRecord({}, {})
+    # nodes that keep the default hint poll every round without being asked
+    polls = [type(p).next_wake is NodeProgram.next_wake for p in nodes]
 
-    for rnd in range(1, max_rounds + 1):
-        # collect outputs emitted before this round (e.g. degenerate programs)
-        for v in list(pending_output):
-            if nodes[v].output is not None:
-                trace.outputs[v] = nodes[v].output
-                trace.output_round[v] = rnd - 1
-                pending_output.discard(v)
-        if not pending_output and all(p.idle for p in nodes):
+    pending: set[int] = set()  # nodes whose output is not yet collected
+    unidle: set[int] = set()  # nodes with an output that are not idle
+    for v, p in enumerate(nodes):
+        if p.output is None:
+            pending.add(v)
+        else:
+            outputs[v] = p.output
+            output_round[v] = 0
+            if not p.idle:
+                unidle.add(v)
+
+    # Nodes due next round are kept in a list; later wake rounds go to a
+    # heap of (round, node). wake[v] is the round of v's live heap entry,
+    # 0 if it has none; entries that disagree with it are stale.
+    awake = list(range(n))
+    heap: list[tuple[int, int]] = []
+    wake = [0] * n
+    seen = [0] * n  # last round in which the node was called
+    rnd = 1
+    while pending or unidle:
+        if rnd > max_rounds:
             break
+        while heap and heap[0][0] <= rnd:
+            r, v = heappop(heap)
+            if wake[v] == r:
+                wake[v] = 0
+                awake.append(v)
+        if not awake:
+            while heap and wake[heap[0][1]] != heap[0][0]:
+                heappop(heap)
+            if not heap:
+                asleep = sorted(pending | unidle)
+                raise RoundLimitExceeded(
+                    f"every node sleeps at round {rnd} but {len(pending)} "
+                    f"output(s) are missing and {len(unidle)} node(s) are "
+                    f"not idle: {asleep[:10]}"
+                )
+            stop = min(heap[0][0], max_rounds + 1)
+            rounds.extend([silent_round] * (stop - rnd))
+            rnd = stop
+            continue
 
         transmitters: dict[int, bytes] = {}
-        for v, prog in enumerate(nodes):
-            act = prog.action(rnd)
-            if act is LISTEN:
-                continue
-            transmitters[v] = act.message
+        for v in awake:
+            seen[v] = rnd
+            act = nodes[v].action(rnd)
+            if act is not LISTEN:
+                transmitters[v] = act.message
 
-        # count transmitting neighbors only around actual transmitters
-        counts: dict[int, int] = {}
-        src: dict[int, int] = {}
-        for u in transmitters:
-            for w in adj[u]:
-                c = counts.get(w, 0) + 1
-                counts[w] = c
-                if c == 1:
-                    src[w] = u
-        heard: dict[int, bytes] = {}
-        for w, c in counts.items():
-            if c == 1 and w not in transmitters:
-                heard[w] = transmitters[src[w]]
-        trace.rounds.append(RoundRecord(transmitters, heard))
-
-        if cd:
-            for v, prog in enumerate(nodes):
+        touched = awake
+        if transmitters:
+            if len(transmitters) > 1:
+                transmitters = dict(sorted(transmitters.items()))
+            # count transmitting neighbors only around actual transmitters
+            counts: dict[int, int] = {}
+            src: dict[int, int] = {}
+            for u in transmitters:
+                for w in adj[u]:
+                    c = counts.get(w, 0) + 1
+                    counts[w] = c
+                    if c == 1:
+                        src[w] = u
+            heard: dict[int, bytes] = {}
+            for w, c in counts.items():
+                if c == 1 and w not in transmitters:
+                    heard[w] = transmitters[src[w]]
+            rounds.append(RoundRecord(transmitters, heard))
+            for v in awake:
                 if v in transmitters:
-                    prog.receive(rnd, TX)
+                    nodes[v].receive(rnd, TX)
                 elif v in heard:
-                    prog.receive(rnd, Heard(heard[v]))
-                elif counts.get(v, 0) == 0:
-                    prog.receive(rnd, SILENCE)
+                    nodes[v].receive(rnd, Heard(heard[v]))
+                elif cd and v in counts:
+                    nodes[v].receive(rnd, COLLISION)
                 else:
-                    prog.receive(rnd, COLLISION)
+                    nodes[v].receive(rnd, quiet)
+            woken = [w for w in heard if seen[w] != rnd]
+            for w in woken:
+                nodes[w].receive(rnd, Heard(heard[w]))
+            if woken:
+                touched = awake + woken
         else:
-            for v, prog in enumerate(nodes):
-                if v in transmitters:
-                    prog.receive(rnd, TX)
-                elif v in heard:
-                    prog.receive(rnd, Heard(heard[v]))
-                else:
-                    prog.receive(rnd, NOISE)
+            rounds.append(silent_round)
+            for v in awake:
+                nodes[v].receive(rnd, quiet)
 
-        for v in list(pending_output):
-            if nodes[v].output is not None:
-                trace.outputs[v] = nodes[v].output
-                trace.output_round[v] = rnd
-                pending_output.discard(v)
-    else:
-        if pending_output:
-            raise RoundLimitExceeded(
-                f"{len(pending_output)} node(s) produced no output within "
-                f"{max_rounds} rounds: {sorted(pending_output)[:10]}"
-            )
+        nxt = rnd + 1
+        awake = []
+        for v in touched:
+            p = nodes[v]
+            if v in pending:
+                if p.output is not None:
+                    outputs[v] = p.output
+                    output_round[v] = rnd
+                    pending.discard(v)
+                    if not p.idle:
+                        unidle.add(v)
+            elif p.idle:
+                unidle.discard(v)
+            else:
+                unidle.add(v)
+            if polls[v]:
+                awake.append(v)
+                continue
+            w = p.next_wake(rnd)
+            if w is None:
+                wake[v] = 0
+            elif w <= nxt:
+                wake[v] = 0
+                awake.append(v)
+            elif w != wake[v]:
+                wake[v] = w
+                heappush(heap, (w, v))
+        rnd = nxt
+    if pending:
+        raise RoundLimitExceeded(
+            f"{len(pending)} node(s) produced no output within "
+            f"{max_rounds} rounds: {sorted(pending)[:10]}"
+        )
     return trace
 
 

@@ -34,7 +34,7 @@ from .labels import (
     encode_blocks,
     int_to_bits,
 )
-from .sim import LISTEN, Heard, NodeProgram, Transmit, frame, unframe
+from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, unframe
 
 # Documented constant for the encoded compact-label length bound
 # max_bits <= COMPACT_LENGTH_C * (ceil(log2 log2 (Delta+2)) + 1).
@@ -227,17 +227,9 @@ class AuxiliarySDProgram(NodeProgram):
         self._sent_sl = False
         self._started_ack = False
         self._started_final = False
-        self._fast = False
         self.delta: int | None = None
 
     # -- schedule helpers ---------------------------------------------------
-
-    def _k_rounds(self) -> int:
-        if self.is_root:
-            return self.a
-        if self.delta is not None:
-            return self.delta.bit_length()
-        return -1
 
     def _sched(self):
         """(S0, L, K) once the ack part is complete, else None."""
@@ -249,24 +241,21 @@ class AuxiliarySDProgram(NodeProgram):
         s0 = self.ack.core1.offset + 3 * self.ack.t
         return s0, max(self.ack.t - 2, 0), k
 
-    def _passive(self, rnd: int) -> bool:
-        if not (self.ack.passive and self.final.passive):
-            return False
+    def _phase_round(self) -> int | None:
+        """Round of this node's pending size-learning duty, once scheduled:
+        a non-root transmits in slot self.k of phase L - level + 1 (phases
+        are K rounds long); the root assembles n after the last phase."""
+        sched = self._sched()
+        if sched is None:
+            return None
+        s0, levels, k = sched
         if self.is_root:
-            if not self._started_ack:
-                return False
-        elif self.a >= 1 and rnd < self.a:
-            return False
-        if self._sched() is not None:
-            if self.k >= 1 and not self._sent_sl:
-                return False
-            if self.is_root and not self._started_final:
-                return False
-        return True
+            return None if self._started_final else s0 + levels * k + 1
+        if self.k < 1 or self._sent_sl or k == 0:
+            return None
+        return s0 + (levels - self.ack.level) * k + self.k
 
     def action(self, rnd: int):
-        if self._fast:
-            return LISTEN
         # Delta-learning: chosen neighbor i transmits (0, b_i) in round i
         if not self.is_root and self.a >= 1 and rnd == self.a:
             return Transmit(frame("D", "d", self.b))
@@ -278,36 +267,40 @@ class AuxiliarySDProgram(NodeProgram):
         p = self.ack.action(rnd)
         if p:
             return Transmit(frame(*p))
-        sched = self._sched()
-        if sched is not None:
-            s0, levels, k = sched
-            if k > 0 and self.k >= 1 and not self._sent_sl and self.ack.core1.informed:
-                lvl = self.ack.level
-                phase = levels - lvl + 1
-                if rnd == s0 + (phase - 1) * k + self.k:
-                    self._sent_sl = True
-                    return Transmit(frame("S", "s", self.k, lvl, self._assemble()))
-            if self.is_root and not self._started_final and rnd == s0 + levels * k + 1:
-                self._started_final = True
-                m = self._assemble()
-                try:
-                    value = int(m, 2)
-                except ValueError as exc:
-                    raise ProtocolViolation(f"bad assembled message {m!r}") from exc
-                self.output = value
-                self.final.start_source(rnd, m, self.dom1)
+        if rnd == self._phase_round():
+            if not self.is_root:
+                self._sent_sl = True
+                return Transmit(frame("S", "s", self.k, self.ack.level, self._assemble()))
+            self._started_final = True
+            m = self._assemble()
+            try:
+                value = int(m, 2)
+            except ValueError as exc:
+                raise ProtocolViolation(f"bad assembled message {m!r}") from exc
+            self.output = value
+            self.final.start_source(rnd, m, self.dom1)
         p = self.final.action(rnd)
         if p:
             return Transmit(frame(*p))
-        self._fast = self._passive(rnd)
         return LISTEN
+
+    def next_wake(self, rnd: int) -> int | None:
+        if self.is_root:
+            start = None if self._started_ack else self.a + 1
+        else:
+            start = self.a if rnd < self.a else None
+        return earliest(
+            self.ack.next_wake(rnd),
+            self.final.next_wake(rnd),
+            start,
+            self._phase_round(),
+        )
 
     def _assemble(self) -> str:
         return "".join(self._payloads[k] for k in sorted(self._payloads)) + self.msgbits
 
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
-            self._fast = False
             parts = unframe(obs.message)
             tag = parts[0]
             if tag == "D":
@@ -332,8 +325,6 @@ class AuxiliarySDProgram(NodeProgram):
                             f"duplicate subtree index {k_w} from level {lvl_w}"
                         )
                     self._payloads[k_w] = payload
-        elif self._fast:
-            return
         self.ack.poststep(rnd)
         self.final.poststep(rnd)
 
@@ -401,6 +392,9 @@ class GeneralSDProgram(NodeProgram):
     def receive(self, rnd: int, obs) -> None:
         self.inner.receive(rnd, obs)
         self._sync()
+
+    def next_wake(self, rnd: int) -> int | None:
+        return self.inner.next_wake(rnd)
 
     def _sync(self) -> None:
         if self.output is None and self.inner.output is not None:
@@ -694,7 +688,6 @@ class FastSDProgram(NodeProgram):
         self._relay_round: int | None = None
         self._relay_payload = ""
         self._relayed = False
-        self._fast = False
         self.n_value: int | None = None
 
     def _learn(self, bits: str, rnd: int) -> None:
@@ -713,8 +706,6 @@ class FastSDProgram(NodeProgram):
             if self.output is None and self.inner.output is not None:
                 self.output = self.inner.output
             return act
-        if self._fast:
-            return LISTEN
         if self.supergreen and self.on_path and rnd == 1:
             self._relayed = True
             return Transmit(frame("F1", "p", self.m_v))
@@ -728,14 +719,14 @@ class FastSDProgram(NodeProgram):
         p = self.s2core.action(rnd)
         if p:
             return Transmit(frame(*p))
-        if (
-            rnd >= 1
-            and self._relay_round is None
-            and self.bcore.passive
-            and self.s2core.passive
-        ):
-            self._fast = True
         return LISTEN
+
+    def next_wake(self, rnd: int) -> int | None:
+        if self.inner is not None:
+            return self.inner.next_wake(rnd)
+        return earliest(
+            self._relay_round, self.bcore.next_wake(rnd), self.s2core.next_wake(rnd)
+        )
 
     def receive(self, rnd: int, obs) -> None:
         if self.inner is not None:
@@ -744,7 +735,6 @@ class FastSDProgram(NodeProgram):
                 self.output = self.inner.output
             return
         if isinstance(obs, Heard):
-            self._fast = False
             parts = unframe(obs.message)
             tag = parts[0]
             if tag == "F1":
@@ -762,8 +752,6 @@ class FastSDProgram(NodeProgram):
                 self.s2core.on_message(rnd, parts)
                 if self.s2core.informed:
                     self._learn(self.s2core.message, rnd)
-        elif self._fast:
-            return
         self.bcore.poststep(rnd)
         self.s2core.poststep(rnd)
 

@@ -21,7 +21,7 @@ from .labels import (
     encode_blocks,
     int_to_bits,
 )
-from .sim import LISTEN, Heard, NodeProgram, Transmit, frame, unframe
+from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, unframe
 
 # Documented constants for the acceptance bound on the total round count:
 # rounds <= TOPREC_C1 * D * Delta + TOPREC_C2 * min(n, Delta^2 + 1) + TOPREC_C3.
@@ -605,52 +605,82 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
             raise ProtocolViolation("own identifier missing from reports")
         self.output = (sorted(edges), self.my_id)
 
-    def action(self, rnd: int):
-        # Stage 1: broadcast of identifiers
-        if self.my_id is not None and not self._sent1:
-            if self._tx_round(0) == rnd:
-                self._sent1 = True
-                return Transmit(frame("T1", id_to_wire(self.my_id)))
+    # -- pending transmission slots (None once sent or while unknown) -------
+
+    def _id_round(self) -> int | None:
+        """Stage 1: broadcast of identifiers."""
+        if self.my_id is None or self._sent1:
+            return None
+        return self._tx_round(0)
+
+    def _leaf_ack_round(self) -> int | None:
+        """Stage 1: the deepest ack-path leaf starts the TA relay."""
         if self.on_apath and self.is_leaf and not self._relayed and self.layer is not None:
-            if rnd == self.layer * self.width + 1:
-                self._relayed = True
-                self.dstar = self.layer
-                return Transmit(frame("TA", self.layer))
+            return self.layer * self.width + 1
+        return None
+
+    def _total_round(self) -> int | None:
+        """Stage 1: re-broadcast of the total duration (and n in id mode)."""
+        if self.total is None or self._sent2:
+            return None
+        return self._tx_round(self.total - self.width * self.dstar)
+
+    def _scheduled(self) -> bool:
+        """Stages 2-4 are placed once the duration is known and, in id mode,
+        the graph size too: ack-path nodes can know the duration before the
+        second broadcast delivers n."""
+        return self.total is not None and not (self.id_mode and self.n_value is None)
+
+    def _announce_round(self) -> int | None:
+        """Stage 2: announce own identifier in the slot given by color/id."""
+        if self._sent_s2 or not self._scheduled():
+            return None
+        return self._stage2_start() + self._trigger()
+
+    def _gather_round(self) -> int | None:
+        """Stage 3: forward adjacency reports toward the root."""
+        if self.is_root or self._sent_g or self.layer is None or not self._scheduled():
+            return None
+        return self._stage3_start() + (self.dstar - self.layer) * self.delta + self.g + 1
+
+    def _final_round(self) -> int | None:
+        """Stage 4: the root broadcasts the full report set; inner nodes
+        forward it in their BroadcastBFS slot."""
+        if self._sent4 or not self._scheduled():
+            return None
+        if self.is_root:
+            return self._stage4_start() + 1
+        if self._edges is None:
+            return None
+        return self._tx_round(self._stage4_start())
+
+    def action(self, rnd: int):
+        if rnd == self._id_round():
+            self._sent1 = True
+            return Transmit(frame("T1", id_to_wire(self.my_id)))
+        if rnd == self._leaf_ack_round():
+            self._relayed = True
+            self.dstar = self.layer
+            return Transmit(frame("TA", self.layer))
         if self._ack_round == rnd:
             self._ack_round = None
             return Transmit(frame("TA", self.dstar))
-        if self.total is not None and not self._sent2:
-            start2 = self.total - self.width * self.dstar
-            if self._tx_round(start2) == rnd:
-                self._sent2 = True
-                return Transmit(frame("T2", self.total, self.n_value))
-        if self.total is None:
-            return LISTEN
-        if self.id_mode and self.n_value is None:
-            # ack-path nodes can know the duration before the second
-            # broadcast delivers n; stages 2+ still lie in the future
-            return LISTEN
-        # Stage 2: announce own identifier in the slot given by color/id
-        if not self._sent_s2 and rnd == self._stage2_start() + self._trigger():
+        if rnd == self._total_round():
+            self._sent2 = True
+            return Transmit(frame("T2", self.total, self.n_value))
+        if rnd == self._announce_round():
             self._sent_s2 = True
             return Transmit(frame("T3", id_to_wire(self.my_id)))
-        # Stage 3: gather adjacency reports
-        if not self.is_root and not self._sent_g and self.layer is not None:
-            slot = (
-                self._stage3_start()
-                + (self.dstar - self.layer) * self.delta
-                + self.g
-                + 1
-            )
-            if rnd == slot:
-                self._sent_g = True
-                mine = self._own_report()
-                payload = [[id_to_wire(k), [id_to_wire(x) for x in v]]
-                           for k, v in {**self._reports, **mine}.items()]
-                return Transmit(frame("T4", payload))
-        # Stage 4: root broadcasts the full report set
-        if self.is_root and not self._sent4 and rnd == self._stage4_start() + 1:
+        if rnd == self._gather_round():
+            self._sent_g = True
+            mine = self._own_report()
+            payload = [[id_to_wire(k), [id_to_wire(x) for x in v]]
+                       for k, v in {**self._reports, **mine}.items()]
+            return Transmit(frame("T4", payload))
+        if rnd == self._final_round():
             self._sent4 = True
+            if not self.is_root:
+                return Transmit(frame("T5", self._edges))
             all_reports = {**self._reports, **self._own_report()}
             self._finish({k: tuple(v) for k, v in all_reports.items()})
             payload = [[id_to_wire(k), [id_to_wire(x) for x in v]]
@@ -658,11 +688,18 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
             if self.is_leaf:
                 return LISTEN
             return Transmit(frame("T5", payload))
-        if not self.is_root and self._edges is not None and not self._sent4:
-            if self._tx_round(self._stage4_start()) == rnd:
-                self._sent4 = True
-                return Transmit(frame("T5", self._edges))
         return LISTEN
+
+    def next_wake(self, rnd: int) -> int | None:
+        return earliest(
+            self._id_round(),
+            self._leaf_ack_round(),
+            self._ack_round,
+            self._total_round(),
+            self._announce_round(),
+            self._gather_round(),
+            self._final_round(),
+        )
 
     def _own_report(self) -> dict:
         return {self.my_id: sorted(self.nbr_ids)}

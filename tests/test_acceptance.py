@@ -48,13 +48,21 @@ from radiolab.toprec import (
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
 
-def report(line: str) -> None:
-    """One line per criterion: on the terminal (visible with -s) and in the
-    artifacts log, which survives pytest's capture."""
-    print(line, file=sys.__stdout__, flush=True)
+@pytest.fixture(scope="session")
+def report():
+    """Writer of one line per criterion: on the terminal (visible with -s)
+    and in the artifacts log, which survives pytest's capture. The log is
+    truncated when the first criterion of a session starts, so it holds
+    one run."""
     ARTIFACTS.mkdir(exist_ok=True)
-    with (ARTIFACTS / "acceptance_report.txt").open("a") as fp:
-        fp.write(line + "\n")
+    with (ARTIFACTS / "acceptance_report.txt").open("w") as fp:
+
+        def write(line: str) -> None:
+            print(line, file=sys.__stdout__, flush=True)
+            fp.write(line + "\n")
+            fp.flush()
+
+        yield write
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +77,7 @@ def tr_corpus():
     return toprec_corpus()
 
 
-def test_c01_size_discovery_correctness(size_corpus):
+def test_c01_size_discovery_correctness(size_corpus, report):
     """All three size-discovery schemes make every node output n, on the
     whole pinned corpus, under the five-minute budget."""
     t0 = time.time()
@@ -90,7 +98,7 @@ def test_c01_size_discovery_correctness(size_corpus):
     assert elapsed < 300
 
 
-def test_c02_exact_round_formulas(size_corpus):
+def test_c02_exact_round_formulas(size_corpus, report):
     """BroadcastBFS uses exactly the D*(Delta+1) window (deepest delivery in
     the final phase, every slot as scheduled); the GatherBFS gathering part
     is exactly D* x Delta rounds."""
@@ -136,7 +144,7 @@ def test_c02_exact_round_formulas(size_corpus):
            f"on {checked} graphs")
 
 
-def test_c03_toprec_correctness(tr_corpus):
+def test_c03_toprec_correctness(tr_corpus, report):
     bad = []
     for gid, g in tr_corpus:
         bundle = build_toprec_labels(g)
@@ -168,7 +176,7 @@ def test_c03_toprec_correctness(tr_corpus):
     assert not bad
 
 
-def test_c04_label_length_scaling():
+def test_c04_label_length_scaling(report):
     compact_bits = {}
     toprec_bits = {}
     for k in range(2, 13):
@@ -200,7 +208,7 @@ def test_c04_label_length_scaling():
     assert ok
 
 
-def test_c05_subtree_packing_suite():
+def test_c05_subtree_packing_suite(report):
     rng = SplitMix64(0xF00D)
     for i in range(1000):
         n = 1 + rng.randrange(256)
@@ -215,7 +223,7 @@ def test_c05_subtree_packing_suite():
            "per-node <= 3 bits, root <= 2, child bound, post-order concat exact")
 
 
-def test_c06_executor_properties(size_corpus):
+def test_c06_executor_properties(size_corpus, report):
     for gid, g in size_corpus:
         bundle = synthesize_executor(g, 0)
         syn = bundle.meta["synthesis"]
@@ -227,7 +235,7 @@ def test_c06_executor_properties(size_corpus):
            f"stage count <= n, node-local membership, on {len(size_corpus)} graphs")
 
 
-def test_c07_gather_index_properties(size_corpus):
+def test_c07_gather_index_properties(size_corpus, report):
     for gid, g in size_corpus:
         b, parent, la = assign_broadcast_indices(g, 0)
         gv = assign_gather_indices(g, 0, la, parent, b)
@@ -235,7 +243,7 @@ def test_c07_gather_index_properties(size_corpus):
     report(f"[C7] PASS gather-index properties (a)(b)(c) on {len(size_corpus)} graphs")
 
 
-def test_c08_fastsd_structure(size_corpus):
+def test_c08_fastsd_structure(size_corpus, report):
     lgn_checked = 0
     for gid, g in size_corpus:
         bundle = build_fast_sd(g)
@@ -267,7 +275,7 @@ def test_c08_fastsd_structure(size_corpus):
            f"simultaneous phase-1 completion) on {lgn_checked} stripe-mode graphs")
 
 
-def test_c09_lower_bound_audits():
+def test_c09_lower_bound_audits(report):
     total = 0
     for n in (16, 36, 64, 100):
         g, desc = gen_lb_family(n)
@@ -282,7 +290,7 @@ def test_c09_lower_bound_audits():
            f"zero violations")
 
 
-def test_c10_non_reproducible_and_scaling_csv():
+def test_c10_non_reproducible_and_scaling_csv(report):
     """The Omega(log^2 n) time lower bound rests on nonconstructive bipartite
     schedules and the external O(D log n + log^2 n) stage bound belongs to
     the cited construction; neither is reproduced here. Substitute evidence:
@@ -306,6 +314,7 @@ def test_c10_non_reproducible_and_scaling_csv():
         w.writerows(rows)
     report(
         "[C10] PASS non-reproducible items stated (Omega(log^2 n) lower bound, "
-        f"external stage bound); scaling CSV emitted to {out} "
+        f"external stage bound); scaling CSV emitted to "
+        f"{out.relative_to(ARTIFACTS.parent)} "
         f"({len(rows)} rows, paths n=2^6..2^11)"
     )

@@ -62,6 +62,13 @@ class TestRun:
         code, _ = run_cli("run", str(el), "--scheme", "compact")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["-2 0\n", "2 one\n0 1\n", "2 1\n0 1\n0 1\n"])
+    def test_malformed_edge_list_exits_2(self, tmp_path, text):
+        el = tmp_path / "bad.el"
+        el.write_text(text)
+        code, _ = run_cli("run", str(el), "--scheme", "compact")
+        assert code == 2
+
 
 class TestBench:
     def test_labels_suite_monotone(self, tmp_path):

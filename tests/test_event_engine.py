@@ -1,0 +1,221 @@
+"""The event-driven engine against the polling engine it replaced.
+
+`reference_run` is the polling loop `sim.run` used before programs could
+declare wake rounds: every node gets `action` and `receive` in every round.
+The event-driven engine must produce the same trace on every scheme.
+"""
+
+import time
+
+import pytest
+
+from radiolab.corpus import corpus, toprec_corpus
+from radiolab.errors import RoundLimitExceeded
+from radiolab.graphs import build_graph, gen_lb_family, gen_path
+from radiolab.schemes import build_bundle, program_for
+from radiolab.sim import (
+    COLLISION,
+    LISTEN,
+    NOISE,
+    SILENCE,
+    TX,
+    ExecutionTrace,
+    Heard,
+    NodeProgram,
+    RoundRecord,
+    Transmit,
+    default_max_rounds,
+    run,
+)
+
+
+def reference_run(g, labels, program, cd=False, max_rounds=None):
+    """Polling engine: all nodes are called in every round."""
+    if len(labels) != g.n:
+        raise ValueError(f"need one label per node: {len(labels)} != {g.n}")
+    if max_rounds is None:
+        max_rounds = default_max_rounds(g.n)
+    nodes = [program(labels[v]) for v in range(g.n)]
+    trace = ExecutionTrace(g, cd)
+    adj = g.adj
+    pending_output = set(range(g.n))
+
+    for rnd in range(1, max_rounds + 1):
+        # collect outputs emitted before this round (e.g. degenerate programs)
+        for v in list(pending_output):
+            if nodes[v].output is not None:
+                trace.outputs[v] = nodes[v].output
+                trace.output_round[v] = rnd - 1
+                pending_output.discard(v)
+        if not pending_output and all(p.idle for p in nodes):
+            break
+
+        transmitters: dict[int, bytes] = {}
+        for v, prog in enumerate(nodes):
+            act = prog.action(rnd)
+            if act is LISTEN:
+                continue
+            transmitters[v] = act.message
+
+        counts: dict[int, int] = {}
+        src: dict[int, int] = {}
+        for u in transmitters:
+            for w in adj[u]:
+                c = counts.get(w, 0) + 1
+                counts[w] = c
+                if c == 1:
+                    src[w] = u
+        heard: dict[int, bytes] = {}
+        for w, c in counts.items():
+            if c == 1 and w not in transmitters:
+                heard[w] = transmitters[src[w]]
+        trace.rounds.append(RoundRecord(transmitters, heard))
+
+        for v, prog in enumerate(nodes):
+            if v in transmitters:
+                prog.receive(rnd, TX)
+            elif v in heard:
+                prog.receive(rnd, Heard(heard[v]))
+            elif not cd:
+                prog.receive(rnd, NOISE)
+            elif counts.get(v, 0) == 0:
+                prog.receive(rnd, SILENCE)
+            else:
+                prog.receive(rnd, COLLISION)
+
+        for v in list(pending_output):
+            if nodes[v].output is not None:
+                trace.outputs[v] = nodes[v].output
+                trace.output_round[v] = rnd
+                pending_output.discard(v)
+    else:
+        if pending_output:
+            raise RoundLimitExceeded(
+                f"{len(pending_output)} node(s) produced no output within "
+                f"{max_rounds} rounds: {sorted(pending_output)[:10]}"
+            )
+    return trace
+
+
+def assert_same_trace(gid, g, scheme, cd):
+    bundle = build_bundle(scheme, g)
+    program = program_for(scheme)
+    got = run(g, bundle.labels, program, cd=cd)
+    want = reference_run(g, bundle.labels, program, cd=cd)
+    assert got.num_rounds == want.num_rounds, gid
+    assert [r.transmitters for r in got.rounds] == [r.transmitters for r in want.rounds], gid
+    assert [r.heard for r in got.rounds] == [r.heard for r in want.rounds], gid
+    assert got.outputs == want.outputs, gid
+    assert got.output_round == want.output_round, gid
+
+
+def family_sample(graphs, per_family):
+    """The first, last and evenly spaced graphs of each family, in corpus
+    order, so every family and its largest member are covered."""
+    by_family: dict[str, list] = {}
+    for gid, g in graphs:
+        by_family.setdefault(gid.split("-")[0], []).append((gid, g))
+    picked = []
+    for members in by_family.values():
+        step = max(1, (len(members) - 1) // max(1, per_family - 1))
+        chosen = members[::step][: per_family - 1] + [members[-1]]
+        picked.extend(dict.fromkeys(gid for gid, _ in chosen))
+    return [(gid, g) for gid, g in graphs if gid in set(picked)]
+
+
+# toprec's stage-4 messages grow with the edge count times the depth, so
+# its sample stops at n = 65 to keep the polling reference affordable
+SIZE_SAMPLE = family_sample(corpus(), 5)
+TOPREC_SAMPLE = family_sample([(gid, g) for gid, g in toprec_corpus() if g.n <= 65], 3)
+
+
+@pytest.mark.parametrize("cd", [False, True])
+@pytest.mark.parametrize("scheme", ["compact", "general", "fastsd"])
+def test_size_schemes_match_reference(scheme, cd):
+    for gid, g in SIZE_SAMPLE:
+        assert_same_trace(gid, g, scheme, cd)
+
+
+@pytest.mark.parametrize("cd", [False, True])
+def test_toprec_matches_reference(cd):
+    for gid, g in TOPREC_SAMPLE:
+        assert_same_trace(gid, g, "toprec", cd)
+
+
+@pytest.mark.parametrize("n", [16, 36])
+@pytest.mark.parametrize("scheme", ["compact", "general", "fastsd", "toprec"])
+def test_lower_bound_family_with_cd_matches_reference(scheme, n):
+    g, _ = gen_lb_family(n)
+    assert_same_trace(f"G_{n}", g, scheme, True)
+
+
+def test_samples_cover_every_family():
+    families = {gid.split("-")[0] for gid, _ in corpus()}
+    assert {gid.split("-")[0] for gid, _ in SIZE_SAMPLE} == families
+    assert {gid.split("-")[0] for gid, _ in TOPREC_SAMPLE} == families
+
+
+class SleepsBeforeOutput(NodeProgram):
+    def next_wake(self, rnd):
+        return None
+
+
+class TestWakeContract:
+    def test_deadlock_reported_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(RoundLimitExceeded, match=r"every node sleeps.*\[0, 1, 2\]"):
+            run(gen_path(3), ["", "", ""], SleepsBeforeOutput, max_rounds=10**9)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_sleeping_node_gets_only_heard(self):
+        """Node 1 sleeps from round 1 on; node 0 transmits in rounds 3 and 7
+        and node 2 outputs in round 9."""
+        calls = []
+
+        class Prog(NodeProgram):
+            def action(self, rnd):
+                calls.append((self.label, "action", rnd))
+                if self.label == "0" and rnd in (3, 7):
+                    self.output = "sender"
+                    return Transmit(b"m")
+                if self.label == "2" and rnd == 9:
+                    self.output = "done"
+                return LISTEN
+
+            def receive(self, rnd, obs):
+                calls.append((self.label, "receive", rnd, obs))
+                if self.label == "1" and isinstance(obs, Heard):
+                    self.output = rnd
+
+            def next_wake(self, rnd):
+                if self.label == "0":
+                    return {1: 3, 3: 7}.get(rnd)
+                if self.label == "2":
+                    return 9
+                return None
+
+        tr = run(gen_path(3), ["0", "1", "2"], Prog)
+        assert tr.num_rounds == 9
+        assert tr.outputs == ["sender", 3, "done"]
+        assert tr.output_round == [3, 3, 9]
+        asleep = [c for c in calls if c[0] == "1" and c[2] > 1]
+        assert asleep == [("1", "receive", 3, Heard(b"m")),
+                          ("1", "receive", 7, Heard(b"m"))]
+        assert [c[2] for c in calls if c[0] == "2" and c[1] == "action"] == [1, 9]
+        # skipped rounds stay in the trace, as rounds without transmitters
+        assert [sorted(r.transmitters) for r in tr.rounds] == [
+            [], [], [0], [], [], [], [0], [], []
+        ]
+
+    def test_early_hint_polls(self):
+        class Stale(NodeProgram):
+            def action(self, rnd):
+                if rnd == 4:
+                    self.output = rnd
+                return LISTEN
+
+            def next_wake(self, rnd):
+                return rnd - 5
+
+        tr = run(build_graph(1, []), [""], Stale)
+        assert tr.outputs == [4] and tr.num_rounds == 4

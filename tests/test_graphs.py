@@ -9,6 +9,7 @@ from radiolab.errors import (
     Disconnected,
     DuplicateEdge,
     IndexOutOfRange,
+    InvalidParams,
     NotPerfectEvenSquare,
     OddSize,
     SelfLoop,
@@ -232,6 +233,20 @@ class TestFormats:
         buf = io.StringIO()
         write_edge_list(g, buf)
         assert buf.getvalue() == "3 2\n0 1\n1 2\n"
+
+    @pytest.mark.parametrize("text", [
+        "-1 0\n",  # negative n
+        "3 x\n",  # non-integer header token
+        "3 2\n0 1\n1 2.0\n",  # non-integer edge token
+        "3 1\n0 1\n1 2\n",  # a line after the m edges
+        "3 2\n0 1\n",  # fewer edge lines than m
+    ])
+    def test_edge_list_rejects_malformed(self, text):
+        with pytest.raises(InvalidParams):
+            read_edge_list(io.StringIO(text))
+
+    def test_edge_list_allows_trailing_blank_lines(self):
+        assert read_edge_list(io.StringIO("3 2\n0 1\n1 2\n\n  \n")).m() == 2
 
     def test_dot_export(self):
         out = to_dot(gen_path(3))
