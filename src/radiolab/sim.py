@@ -281,8 +281,6 @@ def run(
     outputs, output_round = trace.outputs, trace.output_round
     quiet = SILENCE if cd else NOISE
     silent_round = RoundRecord({}, {})
-    # nodes that keep the default hint poll every round without being asked
-    polls = [type(p).next_wake is NodeProgram.next_wake for p in nodes]
 
     pending: set[int] = set()  # nodes whose output is not yet collected
     unidle: set[int] = set()  # nodes with an output that are not idle
@@ -385,9 +383,6 @@ def run(
                 unidle.discard(v)
             else:
                 unidle.add(v)
-            if polls[v]:
-                awake.append(v)
-                continue
             w = p.next_wake(rnd)
             if w is None:
                 wake[v] = 0
