@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
-from .errors import MalformedCodeword
+from .errors import InvalidParams, MalformedCodeword
 
 LabelBits = str
 
@@ -105,12 +105,28 @@ def dump_labels(bundle: SchemeBundle, fp: TextIO) -> None:
 
 
 def load_labels(fp: TextIO) -> list[LabelBits]:
+    """Inverse of `dump_labels`. A node column that is not 0, 1, 2, ... in
+    order or a bad bit length raises InvalidParams; a hex payload that is not
+    hex or not exactly the bytes the bit length needs raises
+    MalformedCodeword."""
     labels = []
-    for line in fp:
+    for lineno, line in enumerate(fp, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
-        node, bitlen, hexstr = (line.split("\t") + [""])[:3]
-        assert int(node) == len(labels), "label dump must be dense and ordered"
-        labels.append(unpack_bits_hex(hexstr, int(bitlen)))
+        node, bitlen, hexstr = (line.split("\t") + ["", ""])[:3]
+        if node != str(len(labels)):
+            raise InvalidParams(f"line {lineno}: node {node!r}, expected {len(labels)}")
+        if not (bitlen.isascii() and bitlen.isdigit()):
+            raise InvalidParams(f"line {lineno}: bit length {bitlen!r} is not a count")
+        nbits = int(bitlen)
+        try:
+            raw = bytes.fromhex(hexstr)
+        except ValueError:
+            raise MalformedCodeword(f"line {lineno}: {hexstr!r} is not hex") from None
+        if len(raw) != (nbits + 7) // 8:
+            raise MalformedCodeword(
+                f"line {lineno}: {len(raw)} byte(s) of hex for {nbits} bits"
+            )
+        labels.append(unpack_bits_hex(hexstr, nbits))
     return labels

@@ -15,7 +15,7 @@ import os
 from heapq import heappop, heappush
 from typing import Callable, Mapping, Sequence, TextIO
 
-from .errors import RoundLimitExceeded
+from .errors import InvalidParams, RoundLimitExceeded
 from .graphs import Graph
 
 MAX_ROUNDS_ENV = "RADIOLAB_MAX_ROUNDS"
@@ -51,10 +51,27 @@ class Observation:
 
 
 class Heard(Observation):
-    __slots__ = ("message",)
+    """A message received from the only transmitting neighbor.
+
+    Within one `run` every listener of the same bytes gets the same object,
+    so `decode` parses each distinct message once per run.
+    """
+
+    __slots__ = ("message", "_fn", "_decoded")
 
     def __init__(self, message: bytes):
         self.message = message
+        self._fn = None
+        self._decoded = None
+
+    def decode(self, fn: Callable[[bytes], object]):
+        """`fn(self.message)`, computed on the first call and cached. `fn`
+        must be a pure function of the bytes returning an immutable value
+        (tuples, ints, strings); callers must not mutate the result."""
+        if self._fn is not fn:
+            self._decoded = fn(self.message)
+            self._fn = fn
+        return self._decoded
 
     def __eq__(self, other):
         return isinstance(other, Heard) and other.message == self.message
@@ -244,10 +261,17 @@ def verify_trace(trace: ExecutionTrace) -> None:
 
 
 def default_max_rounds(n: int) -> int:
+    """The round cap: `RADIOLAB_MAX_ROUNDS` if set, else 50 n^2."""
     env = os.environ.get(MAX_ROUNDS_ENV)
-    if env:
-        return int(env)
-    return 50 * n * n
+    if not env:
+        return 50 * n * n
+    try:
+        cap = int(env)
+    except ValueError:
+        raise InvalidParams(f"{MAX_ROUNDS_ENV}={env!r} is not an integer") from None
+    if cap < 1:
+        raise InvalidParams(f"{MAX_ROUNDS_ENV}={env!r} must be at least 1")
+    return cap
 
 
 def run(
@@ -281,6 +305,7 @@ def run(
     outputs, output_round = trace.outputs, trace.output_round
     quiet = SILENCE if cd else NOISE
     silent_round = RoundRecord({}, {})
+    shared: dict[bytes, Heard] = {}  # one Heard per distinct message, for this run
 
     pending: set[int] = set()  # nodes whose output is not yet collected
     unidle: set[int] = set()  # nodes with an output that are not idle
@@ -349,18 +374,24 @@ def run(
                 if c == 1 and w not in transmitters:
                     heard[w] = transmitters[src[w]]
             rounds.append(RoundRecord(transmitters, heard))
+            obs: dict[int, Heard] = {}
+            for w, m in heard.items():
+                h = shared.get(m)
+                if h is None:
+                    h = shared[m] = Heard(m)
+                obs[w] = h
             for v in awake:
                 if v in transmitters:
                     nodes[v].receive(rnd, TX)
-                elif v in heard:
-                    nodes[v].receive(rnd, Heard(heard[v]))
+                elif v in obs:
+                    nodes[v].receive(rnd, obs[v])
                 elif cd and v in counts:
                     nodes[v].receive(rnd, COLLISION)
                 else:
                     nodes[v].receive(rnd, quiet)
             woken = [w for w in heard if seen[w] != rnd]
             for w in woken:
-                nodes[w].receive(rnd, Heard(heard[w]))
+                nodes[w].receive(rnd, obs[w])
             if woken:
                 touched = awake + woken
         else:

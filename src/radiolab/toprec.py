@@ -12,7 +12,7 @@ and broadcasts the full edge set back.
 
 from __future__ import annotations
 
-from .errors import InconsistentReports, ProtocolViolation
+from .errors import InconsistentReports, MalformedCodeword, ProtocolViolation
 from .graphs import Graph, LayerAssignment, bfs_layers
 from .labels import (
     SchemeBundle,
@@ -305,6 +305,25 @@ def wire_to_id(wire: str) -> tuple[int, ...]:
     return tuple(bits_to_int(b) for b in decode_blocks(wire))
 
 
+def parse_message(message: bytes) -> tuple:
+    """A TopRec message as an immutable tuple `(tag, ...)`: T1/T3 carry an
+    int-tuple identifier, T4 its reports in wire form
+    `((wire_id, (wire_nbr, ...)), ...)`, T5 the reports decoded; TA/T2 keep
+    their ints. A pure function of the bytes, for `Heard.decode`."""
+    parts = unframe(message)
+    tag = parts[0]
+    if tag in ("T1", "T3"):
+        return tag, wire_to_id(parts[1])
+    if tag == "T4":
+        return tag, tuple((wid, tuple(nbrs)) for wid, nbrs in parts[1])
+    if tag == "T5":
+        return tag, tuple(
+            (wire_to_id(wid), tuple(wire_to_id(x) for x in nbrs))
+            for wid, nbrs in parts[1]
+        )
+    return tuple(parts)
+
+
 # ---------------------------------------------------------------------------
 # Reconstruction
 # ---------------------------------------------------------------------------
@@ -330,6 +349,18 @@ def reconstruct_topology(
 # ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
+
+
+BFS_BLOCKS = 7  # root, leaf, ack-path, b, g, Delta, payload
+TOPREC_BLOCKS = BFS_BLOCKS + 4  # color, id mode, unique id, n at the root
+
+
+def label_blocks(label: str, count: int) -> list[str]:
+    """The blocks of a label that must have exactly `count` of them."""
+    blocks = decode_blocks(label)
+    if len(blocks) != count:
+        raise MalformedCodeword(f"label has {len(blocks)} blocks, expected {count}")
+    return blocks
 
 
 class _BfsScheduleMixin:
@@ -375,7 +406,7 @@ class BroadcastBFSProgram(_BfsScheduleMixin, NodeProgram):
 
     def __init__(self, label: str, message: str = "1"):
         NodeProgram.__init__(self, label)
-        self._init_schedule(decode_blocks(label))
+        self._init_schedule(label_blocks(label, BFS_BLOCKS))
         self.message = message if self.is_root else None
         self._sent = False
         if self.is_root:
@@ -419,7 +450,7 @@ class AckBrBFSProgram(_BfsScheduleMixin, NodeProgram):
 
     def __init__(self, label: str, message: str = "1"):
         NodeProgram.__init__(self, label)
-        self._init_schedule(decode_blocks(label))
+        self._init_schedule(label_blocks(label, BFS_BLOCKS))
         self.message = message if self.is_root else None
         self._sent1 = False
         self._sent2 = False
@@ -553,11 +584,15 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
     """Four stages: identifier distribution over the acknowledged broadcast,
     per-color (or per-id) identifier announcement, adjacency-report
     gathering, and a final broadcast of the edge set. Output per node:
-    (sorted edge list over identifiers, own identifier)."""
+    (sorted edge list over identifiers, own identifier).
+
+    Gathered reports stay in wire form (`_reports` maps a wire identifier to
+    its neighbors' wire identifiers): inner nodes merge and forward them
+    without decoding, and only the root decodes the full set."""
 
     def __init__(self, label: str):
         NodeProgram.__init__(self, label)
-        blocks = decode_blocks(label)
+        blocks = label_blocks(label, TOPREC_BLOCKS)
         self._init_schedule(blocks)
         self.color = bits_to_int(blocks[7])
         self.id_mode = blocks[8] == "1"
@@ -572,10 +607,10 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
         self._ack_round: int | None = None
         self._relayed = False
         self.nbr_ids: set[tuple[int, ...]] = set()
-        self._reports: dict[tuple[int, ...], tuple] = {}
-        self._edges = None
+        self._reports: dict[str, tuple[str, ...]] = {}
+        self._final: bytes | None = None  # the T5 message, as heard
         if self.is_root and self.total == 0:
-            self._finish({(): ()})
+            self._finish([((), ())])
 
     # -- stage boundaries (all computable once `total` is known) ------------
 
@@ -598,8 +633,9 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
     def _trigger(self) -> int:
         return self.uid if self.id_mode else self.color
 
-    def _finish(self, reports: dict) -> None:
-        table = {wid: set(nbrs) for wid, nbrs in reports.items()}
+    def _finish(self, reports) -> None:
+        """Output from decoded `(id, (nbr_id, ...))` pairs."""
+        table = {wid: set(nbrs) for wid, nbrs in reports}
         nodes, edges = reconstruct_topology(table)
         if self.my_id not in nodes:
             raise ProtocolViolation("own identifier missing from reports")
@@ -650,7 +686,7 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
             return None
         if self.is_root:
             return self._stage4_start() + 1
-        if self._edges is None:
+        if self._final is None:
             return None
         return self._tx_round(self._stage4_start())
 
@@ -673,21 +709,19 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
             return Transmit(frame("T3", id_to_wire(self.my_id)))
         if rnd == self._gather_round():
             self._sent_g = True
-            mine = self._own_report()
-            payload = [[id_to_wire(k), [id_to_wire(x) for x in v]]
-                       for k, v in {**self._reports, **mine}.items()]
-            return Transmit(frame("T4", payload))
+            return Transmit(frame("T4", self._all_reports()))
         if rnd == self._final_round():
             self._sent4 = True
             if not self.is_root:
-                return Transmit(frame("T5", self._edges))
-            all_reports = {**self._reports, **self._own_report()}
-            self._finish({k: tuple(v) for k, v in all_reports.items()})
-            payload = [[id_to_wire(k), [id_to_wire(x) for x in v]]
-                       for k, v in all_reports.items()]
+                return Transmit(self._final)
+            reports = self._all_reports()
+            self._finish(
+                (wire_to_id(wid), tuple(wire_to_id(x) for x in nbrs))
+                for wid, nbrs in reports
+            )
             if self.is_leaf:
                 return LISTEN
-            return Transmit(frame("T5", payload))
+            return Transmit(frame("T5", reports))
         return LISTEN
 
     def next_wake(self, rnd: int) -> int | None:
@@ -701,18 +735,21 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
             self._final_round(),
         )
 
-    def _own_report(self) -> dict:
-        return {self.my_id: sorted(self.nbr_ids)}
+    def _all_reports(self) -> list[tuple[str, tuple[str, ...]]]:
+        """The gathered reports plus this node's own, all in wire form; only
+        the own report is encoded here."""
+        nbrs = tuple(id_to_wire(x) for x in sorted(self.nbr_ids))
+        return list({**self._reports, id_to_wire(self.my_id): nbrs}.items())
 
     def receive(self, rnd: int, obs) -> None:
         if not isinstance(obs, Heard):
             return
-        parts = unframe(obs.message)
+        parts = obs.decode(parse_message)
         tag = parts[0]
         if tag == "T1":
             if self.my_id is None:
                 self._learn_layer(rnd)
-                self.my_id = wire_to_id(parts[1]) + (self.g,)
+                self.my_id = parts[1] + (self.g,)
         elif tag == "TA":
             if self.on_apath and not self._relayed:
                 self._relayed = True
@@ -728,21 +765,16 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
                 if parts[2] is not None:
                     self.n_value = parts[2]
         elif tag == "T3":
-            self.nbr_ids.add(wire_to_id(parts[1]))
+            self.nbr_ids.add(parts[1])
         elif tag == "T4":
             for wid, nbrs in parts[1]:
-                key = wire_to_id(wid)
-                if key not in self._reports:
-                    self._reports[key] = tuple(wire_to_id(x) for x in nbrs)
+                if wid not in self._reports:
+                    self._reports[wid] = nbrs
         elif tag == "T5":
-            if self._edges is None:
-                self._edges = parts[1]
-                reports = {
-                    wire_to_id(wid): tuple(wire_to_id(x) for x in nbrs)
-                    for wid, nbrs in parts[1]
-                }
+            if self._final is None:
+                self._final = obs.message
                 if self.output is None:
-                    self._finish(reports)
+                    self._finish(parts[1])
 
     @property
     def idle(self) -> bool:

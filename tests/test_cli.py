@@ -62,6 +62,14 @@ class TestRun:
         code, _ = run_cli("run", str(el), "--scheme", "compact")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_round_cap_exits_2(self, tmp_path, monkeypatch, value):
+        el = tmp_path / "c4.el"
+        run_cli("gen", "--family", "cycle", "--n", "4", "--out", str(el))
+        monkeypatch.setenv("RADIOLAB_MAX_ROUNDS", value)
+        code, _ = run_cli("run", str(el), "--scheme", "toprec")
+        assert code == 2
+
     @pytest.mark.parametrize("text", ["-2 0\n", "2 one\n0 1\n", "2 1\n0 1\n0 1\n"])
     def test_malformed_edge_list_exits_2(self, tmp_path, text):
         el = tmp_path / "bad.el"

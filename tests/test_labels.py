@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radiolab.errors import MalformedCodeword
+from radiolab.errors import InvalidParams, MalformedCodeword
 from radiolab.labels import (
     SchemeBundle,
     bits_to_int,
@@ -89,3 +89,25 @@ class TestDumpFormat:
         buf = io.StringIO()
         dump_labels(bundle, buf)
         assert buf.getvalue() == "0\t4\tb0\n"
+
+    @pytest.mark.parametrize("text", [
+        "1\t4\tb0\n",  # does not start at node 0
+        "0\t4\tb0\n0\t4\tb0\n",  # node 0 twice
+        "x\t4\tb0\n",
+        "0\tfour\tb0\n",
+        "0\t-4\tb0\n",
+        "0\n",
+    ])
+    def test_bad_node_or_length_column(self, text):
+        with pytest.raises(InvalidParams):
+            load_labels(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        "0\t4\tzz\n",  # not hex
+        "0\t20\tff\n",  # 20 bits need 3 bytes, not 1
+        "0\t4\tb0b0\n",  # 4 bits need 1 byte, not 2
+        "0\t4\n",
+    ])
+    def test_payload_must_match_length(self, text):
+        with pytest.raises(MalformedCodeword):
+            load_labels(io.StringIO(text))

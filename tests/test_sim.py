@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiolab.errors import RoundLimitExceeded
+from radiolab.errors import InvalidParams, RoundLimitExceeded
 from radiolab.graphs import build_graph, gen_cycle, gen_path, gen_random_connected
 from radiolab.sim import (
     COLLISION,
@@ -212,6 +212,74 @@ class TestMaxRoundsEnv:
         assert default_max_rounds(10) == 5000
         monkeypatch.setenv("RADIOLAB_MAX_ROUNDS", "123")
         assert default_max_rounds(10) == 123
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-5", "0"])
+    def test_bad_value_is_typed(self, monkeypatch, value):
+        from radiolab.sim import default_max_rounds
+
+        monkeypatch.setenv("RADIOLAB_MAX_ROUNDS", value)
+        with pytest.raises(InvalidParams, match="RADIOLAB_MAX_ROUNDS"):
+            default_max_rounds(10)
+
+
+class TestSharedHeard:
+    """Within one run every listener of the same bytes gets one Heard object,
+    and Heard.decode calls its function once per distinct message."""
+
+    class Hub(NodeProgram):
+        """Node "hub" sends ab, cd, ab in rounds 1-3, each time as a fresh
+        bytes object; the others log what they hear. All output in round 3."""
+
+        def action(self, rnd):
+            if rnd == 3:
+                self.output = rnd
+            if self.label == "hub":
+                return Transmit(bytes(bytearray(b"cd" if rnd == 2 else b"ab")))
+            return LISTEN
+
+        def receive(self, rnd, obs):
+            if isinstance(obs, Heard):
+                self.heard.append((rnd, obs))
+
+    def run_star(self, log):
+        def make(label):
+            p = self.Hub(label)
+            p.heard = log
+            return p
+
+        return run(build_graph(4, [(0, 1), (0, 2), (0, 3)]), ["hub", "a", "b", "c"], make)
+
+    def test_one_object_per_distinct_message(self):
+        log = []
+        self.run_star(log)
+        assert len(log) == 9
+        ab = {id(obs) for rnd, obs in log if rnd in (1, 3)}
+        cd = {id(obs) for rnd, obs in log if rnd == 2}
+        assert len(ab) == 1 and len(cd) == 1 and ab != cd
+
+    def test_decode_once_per_distinct_message(self):
+        log = []
+        self.run_star(log)
+        calls = []
+
+        def parse(message):
+            calls.append(message)
+            return message.decode()
+
+        assert [obs.decode(parse) for _, obs in log] == ["ab"] * 3 + ["cd"] * 3 + ["ab"] * 3
+        assert calls == [b"ab", b"cd"]
+
+    def test_not_shared_across_runs(self):
+        first, second = [], []
+        self.run_star(first)
+        self.run_star(second)
+        assert {id(obs) for _, obs in first}.isdisjoint(id(obs) for _, obs in second)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        h = Heard(b"m")
+        h.decode(bytes.decode)
+        assert h == Heard(b"m") and hash(h) == hash(Heard(b"m"))
+        assert h.decode(len) == 1  # another function is computed afresh
 
 
 class TestTraceDump:

@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from radiolab.errors import InconsistentReports
+from radiolab.errors import InconsistentReports, MalformedCodeword
 from radiolab.graphs import (
     build_graph,
     gen_cycle,
@@ -10,10 +10,12 @@ from radiolab.graphs import (
     gen_random_connected,
     gen_star,
 )
-from radiolab.labels import int_to_bits
+from radiolab.labels import decode_blocks, encode_blocks, int_to_bits
 from radiolab.schemes import run_scheme
 from radiolab.sim import run, unframe
 from radiolab.toprec import (
+    BFS_BLOCKS,
+    TOPREC_BLOCKS,
     TOPREC_LEN_C,
     TOPREC_LEN_C0,
     ack_br_bfs_program,
@@ -24,10 +26,12 @@ from radiolab.toprec import (
     build_toprec_labels,
     distance_two_coloring,
     gather_bfs_program,
+    parse_message,
     reconstruct_topology,
     toprec_program,
     toprec_round_formula,
     verify_gather_indices,
+    wire_to_id,
 )
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -278,6 +282,77 @@ class TestTopRec:
     def test_single_node(self):
         r = run_scheme("toprec", build_graph(1, []))
         assert r.ok
+
+
+class TestParseMessage:
+    @pytest.mark.parametrize("cd", [False, True])
+    @pytest.mark.parametrize(
+        "g", [gen_cycle(4), gen_grid(3, 4), gen_random_connected(20, 0.2, 5)],
+        ids=["c4", "grid3x4", "gnp20"],
+    )
+    def test_every_message_parses_to_a_hashable_value(self, g, cd):
+        tr = run(g, build_toprec_labels(g).labels, toprec_program(), cd=cd)
+        tags = set()
+        for rec in tr.rounds:
+            for m in rec.transmitters.values():
+                parsed = parse_message(m)
+                hash(parsed)  # hashable, so deeply immutable
+                parts = unframe(m)
+                tags.add(parts[0])
+                if parts[0] in ("T1", "T3"):
+                    assert parsed == (parts[0], wire_to_id(parts[1]))
+                elif parts[0] == "T4":
+                    assert parsed[1] == tuple((w, tuple(ns)) for w, ns in parts[1])
+                elif parts[0] == "T5":
+                    assert parsed[1] == tuple(
+                        (wire_to_id(w), tuple(map(wire_to_id, ns))) for w, ns in parts[1]
+                    )
+                else:
+                    assert list(parsed) == parts
+        assert tags == {"T1", "TA", "T2", "T3", "T4", "T5"}
+
+    def test_forwarders_resend_the_heard_bytes(self):
+        g = gen_grid(3, 4)
+        tr = run(g, build_toprec_labels(g).labels, toprec_program())
+        finals = {m for rec in tr.rounds for m in rec.transmitters.values()
+                  if unframe(m)[0] == "T5"}
+        assert len(finals) == 1
+
+
+class TestMalformedLabels:
+    """A label with the wrong number of blocks raises MalformedCodeword when
+    the node program is built, never IndexError or ValueError."""
+
+    @pytest.mark.parametrize("make, blocks", [
+        (toprec_program(), TOPREC_BLOCKS),
+        (broadcast_bfs_program("M"), BFS_BLOCKS),
+        (ack_br_bfs_program("M"), BFS_BLOCKS),
+        (gather_bfs_program(), BFS_BLOCKS),
+    ], ids=["toprec", "broadcast-bfs", "ack-br-bfs", "gather-bfs"])
+    def test_block_count_checked(self, make, blocks):
+        g = gen_cycle(4)
+        bundle = build_toprec_labels(g) if blocks == TOPREC_BLOCKS else build_bfs_labels(g, 0)
+        full = decode_blocks(bundle.labels[1])
+        assert len(full) == blocks
+        make(bundle.labels[1])
+        for k in range(1, blocks):
+            with pytest.raises(MalformedCodeword, match=f"expected {blocks}"):
+                make(encode_blocks(full[:k]))
+        with pytest.raises(MalformedCodeword):
+            make(encode_blocks(full + ["1"]))
+
+    @pytest.mark.parametrize("v", [0, 1, 5])
+    def test_every_truncation_is_typed(self, v):
+        """Cutting a label anywhere either raises MalformedCodeword or only
+        shortens its last block."""
+        g = gen_grid(3, 4)
+        labels = build_toprec_labels(g).labels
+        for cut in range(len(labels[v])):
+            cut_label = labels[v][:cut]
+            if cut % 2 == 0 and len(decode_blocks(cut_label)) == TOPREC_BLOCKS:
+                continue  # only the last block is shorter
+            with pytest.raises(MalformedCodeword):
+                run(g, labels[:v] + [cut_label] + labels[v + 1:], toprec_program())
 
 
 class TestOutputSerialization:
