@@ -1,13 +1,14 @@
-"""Stage-based broadcast engine with 3-bit labels.
+"""Stage-based broadcast engine with 2-bit labels.
 
 Offline synthesis simulates the stage structure (three rounds per stage:
-transmit, feedback, optional go round) and fixes each node's join/stay/go
-bits on first use; the node-side core then reproduces the exact same
-execution from labels and local history alone. The construction maintains,
-per stage, a minimal set DOM of informed nodes dominating the frontier of
-uninformed nodes, which yields the broadcast-tree level structure asserted
-in tests (every DOM member informs at least one uniquely covered node per
-stage, and membership intervals are consecutive).
+transmit, feedback, and a silent round that keeps the mod-3 level
+arithmetic) and fixes each node's join/stay bits on first use; the
+node-side core then reproduces the exact same execution from labels and
+local history alone. The construction maintains, per stage, a minimal set
+DOM of informed nodes dominating the frontier of uninformed nodes, which
+yields the broadcast-tree level structure asserted in tests (every DOM
+member informs at least one uniquely covered node per stage, and
+membership intervals are consecutive).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import EmptySourceSet, Undominatable
 from .graphs import Graph
-from .labels import SchemeBundle, encode_blocks
+from .labels import SchemeBundle, decode_blocks, encode_blocks, fixed_block, label_blocks
 from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, unframe
 
 
@@ -80,7 +81,6 @@ class CoreSynthesis:
     stages: list[StageRecord]
     join: list[int]
     stay: list[int]
-    go: list[int]
     dom1: list[int]
     t: int
 
@@ -90,9 +90,8 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
 
     join is fixed the stage a node is informed (1 iff the greedy minimal
     dominating construction for the next frontier selects it); a feedback
-    node's stay bit is fixed when designated. go is always 0 here: round 3
-    of each stage stays silent but is still counted, preserving the mod-3
-    level arithmetic.
+    node's stay bit is fixed when designated. Round 3 of each stage stays
+    silent but is still counted, preserving the mod-3 level arithmetic.
     """
     if not sources:
         raise EmptySourceSet("need at least one source")
@@ -102,7 +101,6 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
     parent: dict[int, int] = {}
     join = [0] * n
     stay = [0] * n
-    go = [0] * n
     dom1 = [0] * n
 
     frontier = {u for s in sources for u in g.adj[s] if u not in informed}
@@ -162,7 +160,7 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
         sources=tuple(sorted(sources)), parent=parent, level=level, t=t
     )
     return CoreSynthesis(
-        tree=tree, stages=stages, join=join, stay=stay, go=go, dom1=dom1, t=t
+        tree=tree, stages=stages, join=join, stay=stay, dom1=dom1, t=t
     )
 
 
@@ -178,20 +176,21 @@ class ExecCore:
     a node informed at attached round r with global clock a derives the
     instance offset a - r, so no participant needs to know the start round
     in advance. Message kinds: ("b", rel, sender_level, payload) for the
-    broadcast rounds, ("f", rel, stay, go) for feedback.
+    broadcast rounds, ("f", rel, stay) for feedback. `js` is the node's
+    join/stay label block.
     """
 
     __slots__ = (
-        "tag", "join", "stay", "go", "informed", "message", "level",
+        "tag", "join", "stay", "informed", "message", "level",
         "parent_level", "offset", "in_dom", "_stage", "_informed_this_stage",
-        "_heard_stay", "_heard_go", "_fb_sent", "_settled", "tx_rounds",
+        "_heard_stay", "_fb_sent", "_settled", "tx_rounds",
     )
 
-    def __init__(self, tag: str, join: int, stay: int, go: int):
+    def __init__(self, tag: str, js: str):
+        fixed_block(js, 2)
         self.tag = tag
-        self.join = join
-        self.stay = stay
-        self.go = go
+        self.join = int(js[0])
+        self.stay = int(js[1])
         self.informed = False
         self.message = None
         self.level: int | None = None
@@ -201,7 +200,6 @@ class ExecCore:
         self._stage = 1
         self._informed_this_stage = False
         self._heard_stay = False
-        self._heard_go = False
         self._fb_sent = False
         self._settled = False
         self.tx_rounds: list[int] = []
@@ -221,7 +219,6 @@ class ExecCore:
             )
             self._informed_this_stage = False
             self._heard_stay = False
-            self._heard_go = False
             self._stage += 1
 
     def action(self, abs_rnd: int):
@@ -245,14 +242,9 @@ class ExecCore:
         if pos == 1 and self.in_dom:
             self.tx_rounds.append(rel)
             return (self.tag, "b", rel, self.level, self.message)
-        if pos == 2 and self._informed_this_stage and not self._fb_sent and (
-            self.stay or self.go
-        ):
+        if pos == 2 and self._informed_this_stage and not self._fb_sent and self.stay:
             self._fb_sent = True
-            return (self.tag, "f", rel, self.stay, self.go)
-        if pos == 3 and self.in_dom and self._heard_go:
-            self.tx_rounds.append(rel)
-            return (self.tag, "b", rel, self.level, self.message)
+            return (self.tag, "f", rel, self.stay)
         return None
 
     def on_message(self, abs_rnd: int, parts) -> None:
@@ -268,11 +260,8 @@ class ExecCore:
                 self._stage = (rel + 2) // 3
                 self._informed_this_stage = True
         elif kind == "f":
-            if self.in_dom:
-                if parts[3]:
-                    self._heard_stay = True
-                if parts[4]:
-                    self._heard_go = True
+            if self.in_dom and parts[3]:
+                self._heard_stay = True
 
     def poststep(self, abs_rnd: int) -> None:
         """Process the end-of-stage membership update as soon as round 3 ends."""
@@ -289,7 +278,7 @@ class ExecCore:
         return (
             self.in_dom
             or (self._informed_this_stage and bool(self.join))
-            or (self._informed_this_stage and not self._fb_sent and bool(self.stay or self.go))
+            or (self._informed_this_stage and not self._fb_sent and bool(self.stay))
         )
 
     def next_wake(self, abs_rnd: int) -> int | None:
@@ -309,9 +298,10 @@ class ExecCore:
 
 
 def _core_blocks(syn: CoreSynthesis, v: int, src: bool) -> list[str]:
-    jsg = f"{syn.join[v]}{syn.stay[v]}{syn.go[v]}"
+    """The join/stay block and the flags block (source, DOM_1 member)."""
+    js = f"{syn.join[v]}{syn.stay[v]}"
     flags = f"{1 if src else 0}{syn.dom1[v]}"
-    return [jsg, flags]
+    return [js, flags]
 
 
 def synthesize_executor(g: Graph, s: int) -> SchemeBundle:
@@ -347,11 +337,9 @@ class BroadcastProgram(NodeProgram):
 
     def __init__(self, label: str, message="1"):
         super().__init__(label)
-        from .labels import decode_blocks
-
-        jsg, flags = decode_blocks(label)
-        self.core = ExecCore(self.TAG, int(jsg[0]), int(jsg[1]), int(jsg[2]))
-        self.is_source = flags[0] == "1"
+        js, flags = label_blocks(label, 2)
+        self.core = ExecCore(self.TAG, js)
+        self.is_source = fixed_block(flags, 2)[0] == "1"
         if self.is_source:
             self.core.start_source(1, message, flags[1] == "1")
             self.output = message
@@ -368,6 +356,9 @@ class BroadcastProgram(NodeProgram):
                 if self.core.informed and self.output is None:
                     self.output = self.core.message
         self.core.poststep(rnd)
+
+    def next_wake(self, rnd: int) -> int | None:
+        return self.core.next_wake(rnd)
 
     @property
     def idle(self) -> bool:
@@ -424,15 +415,16 @@ class AckMachine:
     Completion is padded to relative round 3t, which every node can compute.
     """
 
-    def __init__(self, tag: str, jsg: str, flags: str, pathbits: str):
-        j, st, go = int(jsg[0]), int(jsg[1]), int(jsg[2])
+    def __init__(self, tag: str, js: str, flags: str, pathbits: str):
+        fixed_block(flags, 2)
+        fixed_block(pathbits, 2)
         self.tag = tag
         self.is_source = flags[0] == "1"
         self.dom1 = flags[1] == "1"
         self.on_path = pathbits[0] == "1"
         self.is_vp = pathbits[1] == "1"
-        self.core1 = ExecCore(tag + "1", j, st, go)
-        self.core2 = ExecCore(tag + "2", j, st, go)
+        self.core1 = ExecCore(tag + "1", js)
+        self.core2 = ExecCore(tag + "2", js)
         self.t: int | None = None
         self._relay_round: int | None = None
         self._relayed = False
@@ -444,18 +436,6 @@ class AckMachine:
         if not self.dom1:
             # no frontier means a single-node graph: t = 0, done immediately
             self.t = 0
-
-    @property
-    def message(self):
-        return self.core1.message
-
-    @property
-    def level(self):
-        return self.core1.level
-
-    @property
-    def parent_level(self):
-        return self.core1.parent_level
 
     @property
     def completion_abs(self) -> int | None:
@@ -531,14 +511,6 @@ class AckMachine:
             or (self.is_vp and self.core1.informed and not self._relayed)
         )
 
-    @property
-    def done(self) -> bool:
-        return (
-            self.t is not None
-            and self.core1.informed
-            and not self.active
-        )
-
 
 class ExecAckProgram(NodeProgram):
     """Standalone acknowledged broadcast; output is (message, t, level,
@@ -546,35 +518,28 @@ class ExecAckProgram(NodeProgram):
 
     def __init__(self, label: str, message="1"):
         super().__init__(label)
-        from .labels import decode_blocks
-
-        jsg, flags, pathbits = decode_blocks(label)
-        self.m = AckMachine("k", jsg, flags, pathbits)
+        self.m = AckMachine("k", *label_blocks(label, 3))
         if self.m.is_source:
             self.m.start_source(1, message)
 
     def action(self, rnd: int):
-        self._maybe_finish(rnd)
         p = self.m.action(rnd)
         return Transmit(frame(*p)) if p else LISTEN
 
     def receive(self, rnd: int, obs) -> None:
+        m = self.m
         if isinstance(obs, Heard):
             parts = unframe(obs.message)
             if parts[0].startswith("k"):
-                self.m.on_message(rnd, parts)
-        self.m.poststep(rnd)
-        self._maybe_finish(rnd)
+                m.on_message(rnd, parts)
+        m.poststep(rnd)
+        if self.output is None and m.completion_abs is not None and rnd >= m.completion_abs:
+            core = m.core1
+            self.output = (core.message, m.t, core.level, core.parent_level)
 
-    def _maybe_finish(self, rnd: int) -> None:
-        if self.output is None and self.m.completion_abs is not None:
-            if rnd >= self.m.completion_abs and self.m.core1.informed:
-                self.output = (
-                    self.m.message,
-                    self.m.t,
-                    self.m.level,
-                    self.m.parent_level,
-                )
+    def next_wake(self, rnd: int) -> int | None:
+        done = None if self.output is not None else self.m.completion_abs
+        return earliest(self.m.next_wake(rnd), done)
 
     @property
     def idle(self) -> bool:
@@ -668,13 +633,11 @@ class PathMessageProgram(NodeProgram):
 
     def __init__(self, label: str):
         super().__init__(label)
-        from .labels import decode_blocks
-
-        jsg, flags, pathbits, markbit, chunk = decode_blocks(label)
-        self.ack = AckMachine("p", jsg, flags, pathbits)
+        js, flags, pathbits, markbit, chunk = label_blocks(label, 5)
+        self.ack = AckMachine("p", js, flags, pathbits)
         self.marked = markbit == "1"
         self.chunk = chunk
-        self.core3 = ExecCore("pm", int(jsg[0]), int(jsg[1]), int(jsg[2]))
+        self.core3 = ExecCore("pm", js)
         self.pairs: list[tuple[int, str]] = []
         self._collected = False
         if self.ack.is_source:
@@ -699,7 +662,7 @@ class PathMessageProgram(NodeProgram):
         tack, top = sched
         off = self.ack.core1.offset
         if self.marked and not self.ack.is_source and not self._collected:
-            return off + tack + top - self.ack.level + 1
+            return off + tack + top - self.ack.core1.level + 1
         if self.ack.is_source and self.output is None:
             return off + tack + top + 1
         return None
@@ -719,7 +682,7 @@ class PathMessageProgram(NodeProgram):
                 self.core3.start_source(rnd, msg, self.ack.dom1)
             else:
                 self._collected = True
-                mine = [[self.ack.level, self.chunk]] + [list(x) for x in self.pairs]
+                mine = [[self.ack.core1.level, self.chunk]] + [list(x) for x in self.pairs]
                 return Transmit(frame("pc", "c", mine))
         p = self.core3.action(rnd)
         if p:
@@ -854,13 +817,13 @@ def check_dom_schedule(syn: CoreSynthesis, g: Graph) -> None:
 
 
 def dom_membership_from_history(
-    label_blocks: list[str], trace, v: int, tag: str = "x", offset: int = 0
+    blocks: list[str], trace, v: int, tag: str = "x", offset: int = 0
 ) -> dict[int, bool]:
     """Recompute a node's per-stage DOM decisions from its label and its own
     observation history alone (the node-locality check: the result must match
     the offline schedule exactly)."""
-    jsg, flags = label_blocks[0], label_blocks[1]
-    core = ExecCore(tag, int(jsg[0]), int(jsg[1]), int(jsg[2]))
+    js, flags = blocks[0], blocks[1]
+    core = ExecCore(tag, js)
     if flags[0] == "1":
         core.start_source(offset + 1, None, flags[1] == "1")
     membership: dict[int, bool] = {}
@@ -883,24 +846,19 @@ def verify_executor_run(g: Graph, bundle: SchemeBundle, trace) -> None:
     """End-to-end check of an Executor/MBroadcast trace against the oracle:
     tree and DOM properties, per-round transmitter sets, and node-local DOM
     decisions equal to the offline schedule."""
-    from .labels import decode_blocks
-
     syn: CoreSynthesis = bundle.meta["synthesis"]
     check_tree_invariants(syn, g)
     check_dom_schedule(syn, g)
-    # transmitters in round 1 of stage s are exactly DOM_s (go = 0 synthesis)
+    # transmitters in round 1 of stage s are exactly DOM_s
     for rec in syn.stages:
         r1 = 3 * rec.stage - 2
         assert set(trace.rounds[r1 - 1].transmitters) == rec.dom
         fb_round = r1 + 1
-        expected_fb = {
-            u for v, u in rec.feedback.items()
-            if bundle.meta["synthesis"].stay[u] or bundle.meta["synthesis"].go[u]
-        }
+        expected_fb = {u for u in rec.feedback.values() if syn.stay[u]}
         actual_fb = set(trace.rounds[fb_round - 1].transmitters)
         assert actual_fb == expected_fb
         if r1 + 2 <= trace.num_rounds:
-            assert not trace.rounds[r1 + 1].transmitters, "go round must be silent"
+            assert not trace.rounds[r1 + 1].transmitters, "round 3 of a stage must be silent"
     # node locality
     dom_by_stage = {rec.stage: rec.dom for rec in syn.stages}
     for v in range(g.n):

@@ -45,6 +45,34 @@ def decode_blocks(bits: LabelBits) -> list[str]:
     return ["".join(b) for b in blocks]
 
 
+def label_blocks(label: LabelBits, count: int) -> list[str]:
+    """The blocks of a label that must have exactly `count` of them."""
+    blocks = decode_blocks(label)
+    if len(blocks) != count:
+        raise MalformedCodeword(f"label has {len(blocks)} blocks, expected {count}")
+    return blocks
+
+
+def fixed_block(block: str, width: int) -> str:
+    """`block`, which must have exactly `width` bits."""
+    if len(block) != width:
+        raise MalformedCodeword(f"block {block!r} has {len(block)} bits, expected {width}")
+    return block
+
+
+def add_mode(bit: str, label: LabelBits) -> LabelBits:
+    """`label` behind a first block holding the one mode bit `bit`: its
+    codeword, then the separator."""
+    return ("10" if bit == "1" else "01") + "00" + label
+
+
+def split_mode(label: LabelBits) -> tuple[str, LabelBits]:
+    """Inverse of `add_mode`: the mode bit and the label behind it."""
+    if label[:4] not in ("1000", "0100"):
+        raise MalformedCodeword(f"no one-bit mode block at the start: {label[:4]!r}")
+    return label[0], label[4:]
+
+
 def int_to_bits(x: int, width: int | None = None) -> str:
     """Binary representation, MSB first; zero-padded to `width` if given."""
     if x < 0:

@@ -29,10 +29,13 @@ from .errors import (
 from .graphs import Graph, LayerAssignment, bfs_layers, build_graph
 from .labels import (
     SchemeBundle,
+    add_mode,
     bits_to_int,
-    decode_blocks,
     encode_blocks,
+    fixed_block,
     int_to_bits,
+    label_blocks,
+    split_mode,
 )
 from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, unframe
 
@@ -212,16 +215,14 @@ class AuxiliarySDProgram(NodeProgram):
 
     def __init__(self, label: str):
         super().__init__(label)
-        (rootbit, a, b, jsg, flags, pathbits, kbits, msg) = decode_blocks(label)
+        (rootbit, a, b, js, flags, pathbits, kbits, msg) = label_blocks(label, 8)
         self.is_root = rootbit == "1"
         self.a = bits_to_int(a)
         self.b = b
         self.k = bits_to_int(kbits)
         self.msgbits = msg
-        self.ack = AckMachine("A", jsg, flags, pathbits)
-        jj, ss, gg = int(jsg[0]), int(jsg[1]), int(jsg[2])
-        self.final = ExecCore("AF", jj, ss, gg)
-        self.dom1 = flags[1] == "1"
+        self.ack = AckMachine("A", js, flags, pathbits)
+        self.final = ExecCore("AF", js)
         self._delta_bits: dict[int, str] = {}
         self._payloads: dict[int, str] = {}
         self._sent_sl = False
@@ -253,7 +254,7 @@ class AuxiliarySDProgram(NodeProgram):
             return None if self._started_final else s0 + levels * k + 1
         if self.k < 1 or self._sent_sl or k == 0:
             return None
-        return s0 + (levels - self.ack.level) * k + self.k
+        return s0 + (levels - self.ack.core1.level) * k + self.k
 
     def action(self, rnd: int):
         # Delta-learning: chosen neighbor i transmits (0, b_i) in round i
@@ -270,7 +271,7 @@ class AuxiliarySDProgram(NodeProgram):
         if rnd == self._phase_round():
             if not self.is_root:
                 self._sent_sl = True
-                return Transmit(frame("S", "s", self.k, self.ack.level, self._assemble()))
+                return Transmit(frame("S", "s", self.k, self.ack.core1.level, self._assemble()))
             self._started_final = True
             m = self._assemble()
             try:
@@ -278,7 +279,7 @@ class AuxiliarySDProgram(NodeProgram):
             except ValueError as exc:
                 raise ProtocolViolation(f"bad assembled message {m!r}") from exc
             self.output = value
-            self.final.start_source(rnd, m, self.dom1)
+            self.final.start_source(rnd, m, self.ack.dom1)
         p = self.final.action(rnd)
         if p:
             return Transmit(frame(*p))
@@ -313,8 +314,8 @@ class AuxiliarySDProgram(NodeProgram):
                         self.output = int(self.final.message, 2)
                 else:
                     self.ack.on_message(rnd, parts)
-                    if self.delta is None and self.ack.message is not None:
-                        self.delta = self.ack.message
+                    if self.delta is None and self.ack.core1.message is not None:
+                        self.delta = self.ack.core1.message
             elif tag == "S":
                 # accept only payloads from nodes this node itself informed:
                 # the sender's level must be one of our own transmit rounds
@@ -360,10 +361,8 @@ def build_general_sd(g: Graph) -> SchemeBundle:
         inner = build_compact_labels(g)
     else:
         inner = synthesize_path_message(g, 0, int_to_bits(n))
-    labels = [
-        encode_blocks((["1"] if use_compact else ["0"]) + decode_blocks(lab))
-        for lab in inner.labels
-    ]
+    mode = "1" if use_compact else "0"
+    labels = [add_mode(mode, lab) for lab in inner.labels]
     return SchemeBundle(
         scheme="general",
         labels=labels,
@@ -375,9 +374,8 @@ def build_general_sd(g: Graph) -> SchemeBundle:
 class GeneralSDProgram(NodeProgram):
     def __init__(self, label: str):
         super().__init__(label)
-        blocks = decode_blocks(label)
-        inner_label = encode_blocks(blocks[1:])
-        if blocks[0] == "1":
+        mode, inner_label = split_mode(label)
+        if mode == "1":
             self.inner: NodeProgram = AuxiliarySDProgram(inner_label)
             self._convert = False
         else:
@@ -570,9 +568,7 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     lgn = n.bit_length()
     if la.depth < lgn:
         general = build_general_sd(g)
-        labels = [
-            encode_blocks(["0"] + decode_blocks(lab)) for lab in general.labels
-        ]
+        labels = [add_mode("0", lab) for lab in general.labels]
         return SchemeBundle(
             scheme="fastsd",
             labels=labels,
@@ -586,7 +582,7 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     cover_flag = [False] * n
     reach_flag = [False] * n
     stripe_meta = {}
-    b_bits: list[tuple[str, str]] = [("000", "00")] * n
+    b_bits: list[tuple[str, str]] = [("00", "00")] * n
     for j, data in sd.stripes.items():
         cover = minimal_bfs_cover(sd, j)
         paths = conflict_free_paths(sd, j, cover)
@@ -616,7 +612,7 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
         for v in xbfs:
             i = sub_index[v]
             b_bits[v] = (
-                f"{syn.join[i]}{syn.stay[i]}{syn.go[i]}",
+                f"{syn.join[i]}{syn.stay[i]}",
                 f"{1 if v in cover else 0}{syn.dom1[i]}",
             )
         stripe_meta[j] = {
@@ -637,15 +633,14 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
             for f in (reach_flag[v], sd.supergreen[v], cover_flag[v], on_paths[v])
         )
         blocks = [
-            "1",
             flags,
             m_bit[v],
             b_bits[v][0],
             b_bits[v][1],
-            f"{s2.join[v]}{s2.stay[v]}{s2.go[v]}",
+            f"{s2.join[v]}{s2.stay[v]}",
             f"{1 if v in sources else 0}{s2.dom1[v]}",
         ]
-        labels.append(encode_blocks(blocks))
+        labels.append(add_mode("1", encode_blocks(blocks)))
     return SchemeBundle(
         scheme="fastsd",
         labels=labels,
@@ -668,23 +663,22 @@ class FastSDProgram(NodeProgram):
 
     def __init__(self, label: str):
         super().__init__(label)
-        blocks = decode_blocks(label)
-        if blocks[0] == "0":
-            self.inner: GeneralSDProgram | None = GeneralSDProgram(
-                encode_blocks(blocks[1:])
-            )
+        mode, rest = split_mode(label)
+        if mode == "0":
+            self.inner: GeneralSDProgram | None = GeneralSDProgram(rest)
             return
         self.inner = None
-        flags, m_v, bjsg, bflags, s2jsg, s2flags = blocks[1:]
+        flags, m_v, bjs, bflags, s2js, s2flags = label_blocks(rest, 6)
+        fixed_block(flags, 4)
         self.reach = flags[0] == "1"
         self.supergreen = flags[1] == "1"
         self.cover = flags[2] == "1"
         self.on_path = flags[3] == "1"
         self.m_v = m_v
-        self.bcore = ExecCore("F2", int(bjsg[0]), int(bjsg[1]), int(bjsg[2]))
-        self.b_dom1 = bflags[1] == "1"
-        self.s2core = ExecCore("F3", int(s2jsg[0]), int(s2jsg[1]), int(s2jsg[2]))
-        self.s2_dom1 = s2flags[1] == "1"
+        self.bcore = ExecCore("F2", bjs)
+        self.b_dom1 = fixed_block(bflags, 2)[1] == "1"
+        self.s2core = ExecCore("F3", s2js)
+        self.s2_dom1 = fixed_block(s2flags, 2)[1] == "1"
         self._relay_round: int | None = None
         self._relay_payload = ""
         self._relayed = False

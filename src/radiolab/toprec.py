@@ -12,7 +12,7 @@ and broadcasts the full edge set back.
 
 from __future__ import annotations
 
-from .errors import InconsistentReports, MalformedCodeword, ProtocolViolation
+from .errors import InconsistentReports, ProtocolViolation
 from .graphs import Graph, LayerAssignment, bfs_layers
 from .labels import (
     SchemeBundle,
@@ -20,6 +20,7 @@ from .labels import (
     decode_blocks,
     encode_blocks,
     int_to_bits,
+    label_blocks,
 )
 from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, unframe
 
@@ -171,59 +172,38 @@ def distance_two_coloring(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_label_blocks(
-    g: Graph,
-    r: int,
-    la: LayerAssignment,
-    parent: list[int | None],
-    b: list[int],
-    gv: list[int],
-    payloads: list[str] | None = None,
-) -> tuple[list[list[str]], list[int]]:
-    n = g.n
-    delta = g.max_degree()
-    wb = max(delta.bit_length(), 1)
-    wg = max((delta - 1).bit_length(), 1) if delta > 1 else 1
-    wd = max(delta.bit_length(), 1)
-    # ack path: one deepest root-to-leaf chain in the BFS tree
-    deepest = min(v for v in range(n) if la.layer[v] == la.depth)
-    path = [deepest]
-    while path[-1] != r:
-        path.append(parent[path[-1]])
-    a_bit = [0] * n
-    for v in path:
-        a_bit[v] = 1
-    leaf = [0] * n
-    for v in range(n):
-        if not any(la.layer[w] == la.layer[v] + 1 for w in g.adj[v]):
-            leaf[v] = 1
-    blocks = []
-    for v in range(n):
-        blocks.append(
-            [
-                "1" if v == r else "0",
-                str(leaf[v]),
-                str(a_bit[v]),
-                int_to_bits(b[v], wb),
-                int_to_bits(gv[v], wg),
-                int_to_bits(delta, wd),
-                payloads[v] if payloads else "",
-            ]
-        )
-    return blocks, path
-
-
 def build_bfs_labels(
     g: Graph, r: int, payloads: list[str] | None = None
 ) -> SchemeBundle:
     """Labels (root, leaf, ack-path, b, g, Delta) for the broadcast/gather
-    primitives; optional per-node payload bits for gather runs."""
+    primitives; optional per-node payload bits for gather runs. The ack path
+    is one deepest root-to-leaf chain of the BFS tree."""
     b, parent, la = assign_broadcast_indices(g, r)
     gv = assign_gather_indices(g, r, la, parent, b)
-    blocks, path = _bfs_label_blocks(g, r, la, parent, b, gv, payloads)
+    n = g.n
+    delta = g.max_degree()
+    wd = max(delta.bit_length(), 1)  # b and Delta
+    wg = max((delta - 1).bit_length(), 1) if delta > 1 else 1
+    path = [min(v for v in range(n) if la.layer[v] == la.depth)]
+    while path[-1] != r:
+        path.append(parent[path[-1]])
+    on_path = set(path)
+    labels = []
+    for v in range(n):
+        leaf = not any(la.layer[w] == la.layer[v] + 1 for w in g.adj[v])
+        blocks = [
+            "1" if v == r else "0",
+            "1" if leaf else "0",
+            "1" if v in on_path else "0",
+            int_to_bits(b[v], wd),
+            int_to_bits(gv[v], wg),
+            int_to_bits(delta, wd),
+            payloads[v] if payloads else "",
+        ]
+        labels.append(encode_blocks(blocks))
     return SchemeBundle(
         scheme="bfs",
-        labels=[encode_blocks(bl) for bl in blocks],
+        labels=labels,
         meta={
             "root": r,
             "layers": la,
@@ -231,7 +211,7 @@ def build_bfs_labels(
             "b": b,
             "g": gv,
             "path": path,
-            "delta": g.max_degree(),
+            "delta": delta,
         },
     )
 
@@ -249,12 +229,13 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
     wu = max(n.bit_length(), 1)
     labels = []
     for v in range(n):
-        blocks = decode_blocks(base.labels[v])
-        blocks.append(int_to_bits(colors[v], wc))
-        blocks.append("1" if id_mode else "0")
-        blocks.append(int_to_bits(v + 1, wu) if id_mode else "")
-        blocks.append(int_to_bits(n) if (id_mode and v == r) else "")
-        labels.append(encode_blocks(blocks))
+        blocks = [
+            int_to_bits(colors[v], wc),
+            "1" if id_mode else "0",
+            int_to_bits(v + 1, wu) if id_mode else "",
+            int_to_bits(n) if (id_mode and v == r) else "",
+        ]
+        labels.append(base.labels[v] + "00" + encode_blocks(blocks))
     ids = _oracle_ids(g.n, base.meta["parent"], base.meta["g"], r)
     return SchemeBundle(
         scheme="toprec",
@@ -353,21 +334,24 @@ def reconstruct_topology(
 
 BFS_BLOCKS = 7  # root, leaf, ack-path, b, g, Delta, payload
 TOPREC_BLOCKS = BFS_BLOCKS + 4  # color, id mode, unique id, n at the root
+ACK_BR_TAGS = ("BB", "BA", "B2")
 
 
-def label_blocks(label: str, count: int) -> list[str]:
-    """The blocks of a label that must have exactly `count` of them."""
-    blocks = decode_blocks(label)
-    if len(blocks) != count:
-        raise MalformedCodeword(f"label has {len(blocks)} blocks, expected {count}")
-    return blocks
+class AckBfsMachine:
+    """The acknowledged layered broadcast AckBrBFS as an embeddable machine,
+    the counterpart of `broadcast.AckMachine`, read from the first
+    `BFS_BLOCKS` label blocks.
 
+    The root's BroadcastBFS of `message` (node v transmits once, in round
+    layer(v)*(Delta+1) + b_v + 1, and learns its layer from the round the
+    message first reaches it); the marked deepest leaf answers with D* after
+    round D*(Delta+1) and ack-path nodes relay it one round apart; the root
+    then runs a BroadcastBFS of the total duration D* + 2D*(Delta+1). `tags`
+    names the three kinds of message. Plain BroadcastBFS uses `broadcast`
+    alone.
+    """
 
-class _BfsScheduleMixin:
-    """Shared state: layer discovery from the first reception round and the
-    acknowledged-broadcast bookkeeping (D*, total duration)."""
-
-    def _init_schedule(self, blocks: list[str]) -> None:
+    def __init__(self, blocks: list[str], tags: tuple):
         self.is_root = blocks[0] == "1"
         self.is_leaf = blocks[1] == "1"
         self.on_apath = blocks[2] == "1"
@@ -376,63 +360,137 @@ class _BfsScheduleMixin:
         self.delta = bits_to_int(blocks[5])
         self.payload = blocks[6]
         self.width = self.delta + 1
+        self.first_tag, self.ack_tag, self.total_tag = tags
+        self.message = None  # what the first BroadcastBFS carries, once known
         self.layer = 0 if self.is_root else None
         self.dstar: int | None = None
         self.total: int | None = None
+        self._sent1 = self._sent2 = self._relayed = False
+        self._ack_round: int | None = None
         if self.is_root and self.is_leaf and self.on_apath:
             # single node: the whole acknowledged broadcast is empty
-            self.dstar = 0
-            self.total = 0
+            self.dstar = self.total = 0
 
-    def _learn_layer(self, rnd: int) -> None:
-        if self.layer is None:
-            self.layer = (rnd - 1) // self.width + 1
+    def reached(self, rnd: int) -> bool:
+        """Learn the layer from the round in which the first BroadcastBFS
+        reaches this node; True only that first time."""
+        if self.layer is not None:
+            return False
+        self.layer = (rnd - 1) // self.width + 1
+        return True
 
-    def _tx_round(self, start: int) -> int | None:
-        """This node's slot in a BroadcastBFS window beginning after `start`."""
+    def slot(self, start: int) -> int | None:
+        """This node's round in a BroadcastBFS window beginning after `start`."""
         if self.layer is None or self.is_leaf:
             return None
         return start + self.layer * self.width + self.b + 1
+
+    def gather_slot(self, start: int) -> int | None:
+        """This node's round in a gathering window beginning after `start`:
+        layer D*-i transmits in phase i of Delta rounds, node v in round
+        g_v + 1 of its phase."""
+        if self.is_root or self.layer is None:
+            return None
+        return start + (self.dstar - self.layer) * self.delta + self.g + 1
+
+    # -- pending transmission slots (None once sent or while unknown) -------
+
+    def first_round(self) -> int | None:
+        if self.message is None or self._sent1:
+            return None
+        return self.slot(0)
+
+    def _leaf_ack_round(self) -> int | None:
+        """The deepest ack-path leaf starts the relay of D*."""
+        if self.on_apath and self.is_leaf and not self._relayed and self.layer is not None:
+            return self.layer * self.width + 1
+        return None
+
+    def _total_round(self) -> int | None:
+        if self.total is None or self._sent2:
+            return None
+        return self.slot(self.total - self.width * self.dstar)
+
+    def next_wake(self) -> int | None:
+        return earliest(
+            self.first_round(), self._leaf_ack_round(), self._ack_round, self._total_round()
+        )
+
+    def broadcast(self, rnd: int) -> Transmit | None:
+        """The first BroadcastBFS, in this node's round of it."""
+        if rnd != self.first_round():
+            return None
+        self._sent1 = True
+        return Transmit(frame(self.first_tag, self.message))
+
+    def action(self, rnd: int, *extra) -> Transmit | None:
+        """This round's transmission, if any; `extra` rides on the total."""
+        if rnd == self.first_round():
+            return self.broadcast(rnd)
+        if rnd == self._leaf_ack_round():
+            self._relayed = True
+            self.dstar = self.layer
+            return Transmit(frame(self.ack_tag, self.layer))
+        if rnd == self._ack_round:
+            self._ack_round = None
+            return Transmit(frame(self.ack_tag, self.dstar))
+        if rnd == self._total_round():
+            self._sent2 = True
+            return Transmit(frame(self.total_tag, self.total, *extra))
+        return None
+
+    def on_message(self, rnd: int, parts) -> None:
+        """A heard message `(tag, value, ...)`; other tags are ignored."""
+        tag = parts[0]
+        if tag == self.first_tag:
+            if self.reached(rnd):
+                self.message = parts[1]
+        elif tag == self.ack_tag:
+            if self.on_apath and not self._relayed:
+                self._relayed = True
+                self.dstar = parts[1]
+                if self.is_root:
+                    self._learn_total(self.dstar * (2 * self.width + 1))
+                else:
+                    self._ack_round = rnd + 1
+        elif tag == self.total_tag:
+            self._learn_total(parts[1])
 
     def _learn_total(self, total: int) -> None:
         if self.total is None:
             self.total = total
             self.dstar = total // (2 * self.width + 1)
 
+    @property
+    def done(self) -> bool:
+        """No relay pending and the total broadcast sent (leaves send none)."""
+        return self._ack_round is None and (self.is_leaf or self._sent2)
 
-class BroadcastBFSProgram(_BfsScheduleMixin, NodeProgram):
+
+class BroadcastBFSProgram(NodeProgram):
     """Plain layered broadcast: node v transmits once, in round
     layer(v)*(Delta+1) + b_v + 1; completes within D*(Delta+1) rounds."""
 
     def __init__(self, label: str, message: str = "1"):
-        NodeProgram.__init__(self, label)
-        self._init_schedule(label_blocks(label, BFS_BLOCKS))
-        self.message = message if self.is_root else None
-        self._sent = False
-        if self.is_root:
-            self.output = message
+        super().__init__(label)
+        self.m = AckBfsMachine(label_blocks(label, BFS_BLOCKS), ("B1", None, None))
+        if self.m.is_root:
+            self.m.message = self.output = message
 
     def action(self, rnd: int):
-        if self.message is not None and not self._sent:
-            slot = self._tx_round(0)
-            if slot == rnd:
-                self._sent = True
-                return Transmit(frame("B1", self.message))
-        return LISTEN
+        return self.m.broadcast(rnd) or LISTEN
 
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
-            parts = unframe(obs.message)
-            if parts[0] == "B1" and self.message is None:
-                self._learn_layer(rnd)
-                self.message = parts[1]
-                self.output = parts[1]
+            self.m.on_message(rnd, unframe(obs.message))
+            self.output = self.m.message
+
+    def next_wake(self, rnd: int) -> int | None:
+        return self.m.first_round()
 
     @property
     def idle(self) -> bool:
-        if self.output is None:
-            return False
-        return self.is_leaf or self._sent
+        return self.output is not None and self.m.first_round() is None
 
 
 def broadcast_bfs_program(message: str = "1"):
@@ -442,70 +500,34 @@ def broadcast_bfs_program(message: str = "1"):
     return make
 
 
-class AckBrBFSProgram(_BfsScheduleMixin, NodeProgram):
-    """Broadcast of (0, M); the marked deepest leaf answers with (1, D*)
-    after round D*(Delta+1); ack-path nodes relay one round apart; the root
-    re-broadcasts the total duration D* + 2D*(Delta+1). Output is
+class AckBrBFSProgram(NodeProgram):
+    """AckBrBFS of a message M (see `AckBfsMachine`). Output is
     (M, D*, total)."""
 
     def __init__(self, label: str, message: str = "1"):
-        NodeProgram.__init__(self, label)
-        self._init_schedule(label_blocks(label, BFS_BLOCKS))
-        self.message = message if self.is_root else None
-        self._sent1 = False
-        self._sent2 = False
-        self._ack_round: int | None = None
-        self._relayed = False
-        if self.is_root and self.total == 0:
-            self.output = (message, 0, 0)
+        super().__init__(label)
+        self.m = AckBfsMachine(label_blocks(label, BFS_BLOCKS), ACK_BR_TAGS)
+        if self.m.is_root:
+            self.m.message = message
+            if self.m.total == 0:
+                self.output = (message, 0, 0)
 
     def action(self, rnd: int):
-        if self.message is not None and not self._sent1:
-            if self._tx_round(0) == rnd:
-                self._sent1 = True
-                return Transmit(frame("BB", self.message))
-        if self.on_apath and self.is_leaf and not self._relayed and self.layer is not None:
-            if rnd == self.layer * self.width + 1:
-                self._relayed = True
-                self.dstar = self.layer
-                return Transmit(frame("BA", self.layer))
-        if self._ack_round == rnd:
-            self._ack_round = None
-            return Transmit(frame("BA", self.dstar))
-        if self.total is not None and not self._sent2:
-            start2 = self.total - self.width * self.dstar
-            if self._tx_round(start2) == rnd:
-                self._sent2 = True
-                return Transmit(frame("B2", self.total))
-        return LISTEN
+        return self.m.action(rnd) or LISTEN
 
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
-            parts = unframe(obs.message)
-            tag = parts[0]
-            if tag == "BB" and self.message is None:
-                self._learn_layer(rnd)
-                self.message = parts[1]
-            elif tag == "BA" and self.on_apath and not self._relayed:
-                self._relayed = True
-                self.dstar = parts[1]
-                total = self.dstar + 2 * self.dstar * self.width
-                if self.is_root:
-                    self._learn_total(total)
-                else:
-                    self._ack_round = rnd + 1
-            elif tag == "B2" and self.total is None:
-                self._learn_total(parts[1])
-        if self.output is None and self.total is not None and self.message is not None:
-            self.output = (self.message, self.dstar, self.total)
+            m = self.m
+            m.on_message(rnd, unframe(obs.message))
+            if self.output is None and m.total is not None and m.message is not None:
+                self.output = (m.message, m.dstar, m.total)
+
+    def next_wake(self, rnd: int) -> int | None:
+        return self.m.next_wake()
 
     @property
     def idle(self) -> bool:
-        if self.output is None:
-            return False
-        if self._ack_round is not None:
-            return False
-        return self.is_leaf or self._sent2
+        return self.output is not None and self.m.done
 
 
 def ack_br_bfs_program(message: str = "1"):
@@ -515,123 +537,142 @@ def ack_br_bfs_program(message: str = "1"):
     return make
 
 
-class GatherBFSProgram(AckBrBFSProgram):
+class GatherBFSProgram(NodeProgram):
     """AckBrBFS, BroadcastBFS of D*, then D* gathering phases of Delta rounds
-    (layer D*-i transmits in phase i, node v in round g_v+1 of its phase,
-    forwarding everything heard). The root outputs the collected payloads,
-    other nodes their own payload."""
+    (see `AckBfsMachine.gather_slot`), each node forwarding everything heard.
+    The root outputs the collected payloads, other nodes their own payload
+    once they know the total duration."""
 
     def __init__(self, label: str):
-        super().__init__(label, "gather")
+        super().__init__(label)
+        self.m = m = AckBfsMachine(label_blocks(label, BFS_BLOCKS), ACK_BR_TAGS)
         self._sent3 = False
         self._sent_g = False
-        self._reports: list[str] = [self.payload] if self.payload else []
-        self._final: int | None = None
-        if self.is_root and self.total == 0:
-            self.output = sorted(self._reports)
+        self._reports: list[str] = [m.payload] if m.payload else []
+        if m.is_root:
+            m.message = "gather"
+            if m.total == 0:
+                self.output = sorted(self._reports)
+
+    # The BroadcastBFS of D* occupies (total, total + width*D*]; gathering
+    # follows it.
+
+    def _dstar_round(self) -> int | None:
+        if self._sent3 or self.m.total is None:
+            return None
+        return self.m.slot(self.m.total)
+
+    def _gather_start(self) -> int:
+        return self.m.total + self.m.width * self.m.dstar
+
+    def _gather_round(self) -> int | None:
+        if self._sent_g or self.m.total is None:
+            return None
+        return self.m.gather_slot(self._gather_start())
+
+    def _output_round(self) -> int | None:
+        """The root outputs right after the last gathering phase."""
+        if not self.m.is_root or self.output is not None or self.m.total is None:
+            return None
+        return self._gather_start() + self.m.dstar * self.m.delta + 1
 
     def action(self, rnd: int):
-        act = super().action(rnd)
-        if act is not LISTEN:
+        act = self.m.action(rnd)
+        if act is not None:
             return act
-        if self.total is None:
-            return LISTEN
-        s3 = self.total  # BroadcastBFS of D* occupies (s3, s3 + width*D*]
-        if self.is_root and not self._sent3 and rnd == s3 + 1 and not self.is_leaf:
+        if rnd == self._dstar_round():
             self._sent3 = True
-            return Transmit(frame("B3", self.dstar))
-        if not self.is_root and not self._sent3 and self._tx_round(s3) == rnd:
-            self._sent3 = True
-            return Transmit(frame("B3", self.dstar))
-        g0 = s3 + self.width * self.dstar
-        if not self.is_root and not self._sent_g and self.layer is not None:
-            slot = g0 + (self.dstar - self.layer) * self.delta + self.g + 1
-            if rnd == slot:
-                self._sent_g = True
-                return Transmit(frame("BG", self._reports))
-        if self.is_root and self.output is None and rnd > g0 + self.dstar * self.delta:
+            return Transmit(frame("B3", self.m.dstar))
+        if rnd == self._gather_round():
+            self._sent_g = True
+            return Transmit(frame("BG", self._reports))
+        if rnd == self._output_round():
             self.output = sorted(self._reports)
         return LISTEN
 
     def receive(self, rnd: int, obs) -> None:
-        super().receive(rnd, obs)
-        # suppress the AckBr tuple output: gather has its own outputs
-        if self.output is not None and not isinstance(self.output, (list, str)):
-            self.output = None if self.is_root else self.payload
-        if isinstance(obs, Heard):
-            parts = unframe(obs.message)
-            if parts[0] == "BG":
-                for item in parts[1]:
-                    if item not in self._reports:
-                        self._reports.append(item)
+        if not isinstance(obs, Heard):
+            return
+        parts = unframe(obs.message)
+        if parts[0] == "BG":
+            for item in parts[1]:
+                if item not in self._reports:
+                    self._reports.append(item)
+        else:
+            self.m.on_message(rnd, parts)
+        if self.output is None and not self.m.is_root and self.m.total is not None:
+            self.output = self.m.payload
+
+    def next_wake(self, rnd: int) -> int | None:
+        return earliest(
+            self.m.next_wake(), self._dstar_round(), self._gather_round(), self._output_round()
+        )
 
     @property
     def idle(self) -> bool:
-        if self.is_root:
-            return self.output is not None
-        if self.output is None or self.total is None:
+        if self.output is None:
             return False
-        done_b2 = self.is_leaf or self._sent2
-        done_b3 = self.is_leaf or self._sent3
-        return done_b2 and done_b3 and self._sent_g and self._ack_round is None
+        if self.m.is_root:
+            return True
+        return self.m.done and (self.m.is_leaf or self._sent3) and self._sent_g
 
 
 def gather_bfs_program():
     return GatherBFSProgram
 
 
-class TopRecProgram(_BfsScheduleMixin, NodeProgram):
+class TopRecProgram(NodeProgram):
     """Four stages: identifier distribution over the acknowledged broadcast,
     per-color (or per-id) identifier announcement, adjacency-report
     gathering, and a final broadcast of the edge set. Output per node:
     (sorted edge list over identifiers, own identifier).
 
-    Gathered reports stay in wire form (`_reports` maps a wire identifier to
-    its neighbors' wire identifiers): inner nodes merge and forward them
-    without decoding, and only the root decodes the full set."""
+    Stage 1 is an `AckBfsMachine` whose first broadcast carries the sender's
+    identifier; a node's identifier is its parent's plus its own gather
+    index. Gathered reports stay in wire form (`_reports` maps a wire
+    identifier to its neighbors' wire identifiers): inner nodes merge and
+    forward them without decoding, and only the root decodes the full set."""
 
     def __init__(self, label: str):
-        NodeProgram.__init__(self, label)
+        super().__init__(label)
         blocks = label_blocks(label, TOPREC_BLOCKS)
-        self._init_schedule(blocks)
+        self.m = m = AckBfsMachine(blocks, ("T1", "TA", "T2"))
         self.color = bits_to_int(blocks[7])
         self.id_mode = blocks[8] == "1"
         self.uid = bits_to_int(blocks[9]) if self.id_mode else None
         self.n_value = bits_to_int(blocks[10]) if blocks[10] else None
-        self.my_id: tuple[int, ...] | None = () if self.is_root else None
-        self._sent1 = False
-        self._sent2 = False
+        self.my_id: tuple[int, ...] | None = None
         self._sent_s2 = False
         self._sent_g = False
         self._sent4 = False
-        self._ack_round: int | None = None
-        self._relayed = False
         self.nbr_ids: set[tuple[int, ...]] = set()
         self._reports: dict[str, tuple[str, ...]] = {}
         self._final: bytes | None = None  # the T5 message, as heard
-        if self.is_root and self.total == 0:
-            self._finish([((), ())])
+        if m.is_root:
+            self._set_id(())
+            if m.total == 0:
+                self._finish([((), ())])
 
-    # -- stage boundaries (all computable once `total` is known) ------------
+    def _set_id(self, node_id: tuple[int, ...]) -> None:
+        """The machine's message is the identifier in wire form."""
+        self.my_id = node_id
+        self.m.message = id_to_wire(node_id)
+
+    # -- stage boundaries (all computable once `total` is known; stage 2
+    # starts when stage 1 ends) ---------------------------------------------
 
     def _window(self) -> int:
         if self.id_mode:
             if self.n_value is None:
                 raise ProtocolViolation("id mode but graph size unknown")
             return self.n_value
-        return self.delta * self.delta + 1
-
-    def _stage2_start(self) -> int:
-        return self.total
+        return self.m.delta * self.m.delta + 1
 
     def _stage3_start(self) -> int:
-        return self.total + self._window()
+        return self.m.total + self._window()
 
     def _stage4_start(self) -> int:
-        return self._stage3_start() + self.dstar * self.delta
-
-    def _trigger(self) -> int:
-        return self.uid if self.id_mode else self.color
+        return self._stage3_start() + self.m.dstar * self.m.delta
 
     def _finish(self, reports) -> None:
         """Output from decoded `(id, (nbr_id, ...))` pairs."""
@@ -641,95 +682,65 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
             raise ProtocolViolation("own identifier missing from reports")
         self.output = (sorted(edges), self.my_id)
 
-    # -- pending transmission slots (None once sent or while unknown) -------
-
-    def _id_round(self) -> int | None:
-        """Stage 1: broadcast of identifiers."""
-        if self.my_id is None or self._sent1:
-            return None
-        return self._tx_round(0)
-
-    def _leaf_ack_round(self) -> int | None:
-        """Stage 1: the deepest ack-path leaf starts the TA relay."""
-        if self.on_apath and self.is_leaf and not self._relayed and self.layer is not None:
-            return self.layer * self.width + 1
-        return None
-
-    def _total_round(self) -> int | None:
-        """Stage 1: re-broadcast of the total duration (and n in id mode)."""
-        if self.total is None or self._sent2:
-            return None
-        return self._tx_round(self.total - self.width * self.dstar)
+    # -- pending transmission slots of stages 2-4 (None once sent or while
+    # unknown) ----------------------------------------------------------------
 
     def _scheduled(self) -> bool:
         """Stages 2-4 are placed once the duration is known and, in id mode,
-        the graph size too: ack-path nodes can know the duration before the
-        second broadcast delivers n."""
-        return self.total is not None and not (self.id_mode and self.n_value is None)
+        the graph size too (the root has n in its label; the total
+        broadcast carries both to the others)."""
+        return self.m.total is not None and not (self.id_mode and self.n_value is None)
 
     def _announce_round(self) -> int | None:
         """Stage 2: announce own identifier in the slot given by color/id."""
         if self._sent_s2 or not self._scheduled():
             return None
-        return self._stage2_start() + self._trigger()
+        return self.m.total + (self.uid if self.id_mode else self.color)
 
     def _gather_round(self) -> int | None:
         """Stage 3: forward adjacency reports toward the root."""
-        if self.is_root or self._sent_g or self.layer is None or not self._scheduled():
+        if self._sent_g or not self._scheduled():
             return None
-        return self._stage3_start() + (self.dstar - self.layer) * self.delta + self.g + 1
+        return self.m.gather_slot(self._stage3_start())
 
     def _final_round(self) -> int | None:
         """Stage 4: the root broadcasts the full report set; inner nodes
         forward it in their BroadcastBFS slot."""
         if self._sent4 or not self._scheduled():
             return None
-        if self.is_root:
+        if self.m.is_root:
             return self._stage4_start() + 1
         if self._final is None:
             return None
-        return self._tx_round(self._stage4_start())
+        return self.m.slot(self._stage4_start())
 
     def action(self, rnd: int):
-        if rnd == self._id_round():
-            self._sent1 = True
-            return Transmit(frame("T1", id_to_wire(self.my_id)))
-        if rnd == self._leaf_ack_round():
-            self._relayed = True
-            self.dstar = self.layer
-            return Transmit(frame("TA", self.layer))
-        if self._ack_round == rnd:
-            self._ack_round = None
-            return Transmit(frame("TA", self.dstar))
-        if rnd == self._total_round():
-            self._sent2 = True
-            return Transmit(frame("T2", self.total, self.n_value))
+        act = self.m.action(rnd, self.n_value)
+        if act is not None:
+            return act
         if rnd == self._announce_round():
             self._sent_s2 = True
-            return Transmit(frame("T3", id_to_wire(self.my_id)))
+            return Transmit(frame("T3", self.m.message))
         if rnd == self._gather_round():
             self._sent_g = True
             return Transmit(frame("T4", self._all_reports()))
         if rnd == self._final_round():
             self._sent4 = True
-            if not self.is_root:
+            if not self.m.is_root:
                 return Transmit(self._final)
             reports = self._all_reports()
             self._finish(
                 (wire_to_id(wid), tuple(wire_to_id(x) for x in nbrs))
                 for wid, nbrs in reports
             )
-            if self.is_leaf:
+            if self.m.is_leaf:
                 return LISTEN
             return Transmit(frame("T5", reports))
         return LISTEN
 
     def next_wake(self, rnd: int) -> int | None:
         return earliest(
-            self._id_round(),
-            self._leaf_ack_round(),
-            self._ack_round,
-            self._total_round(),
+            self.m.next_wake(),
             self._announce_round(),
             self._gather_round(),
             self._final_round(),
@@ -739,7 +750,7 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
         """The gathered reports plus this node's own, all in wire form; only
         the own report is encoded here."""
         nbrs = tuple(id_to_wire(x) for x in sorted(self.nbr_ids))
-        return list({**self._reports, id_to_wire(self.my_id): nbrs}.items())
+        return list({**self._reports, self.m.message: nbrs}.items())
 
     def receive(self, rnd: int, obs) -> None:
         if not isinstance(obs, Heard):
@@ -747,23 +758,8 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
         parts = obs.decode(parse_message)
         tag = parts[0]
         if tag == "T1":
-            if self.my_id is None:
-                self._learn_layer(rnd)
-                self.my_id = parts[1] + (self.g,)
-        elif tag == "TA":
-            if self.on_apath and not self._relayed:
-                self._relayed = True
-                self.dstar = parts[1]
-                total = self.dstar + 2 * self.dstar * self.width
-                if self.is_root:
-                    self._learn_total(total)
-                else:
-                    self._ack_round = rnd + 1
-        elif tag == "T2":
-            if self.total is None:
-                self._learn_total(parts[1])
-                if parts[2] is not None:
-                    self.n_value = parts[2]
+            if self.m.reached(rnd):
+                self._set_id(parts[1] + (self.m.g,))
         elif tag == "T3":
             self.nbr_ids.add(parts[1])
         elif tag == "T4":
@@ -775,18 +771,21 @@ class TopRecProgram(_BfsScheduleMixin, NodeProgram):
                 self._final = obs.message
                 if self.output is None:
                     self._finish(parts[1])
+        else:
+            if tag == "T2" and parts[2] is not None:
+                self.n_value = parts[2]
+            self.m.on_message(rnd, parts)
 
     @property
     def idle(self) -> bool:
         if self.output is None:
             return False
-        if self.is_root:
-            return self._sent4 or self.is_leaf or self.total == 0
-        done = self._sent1 or self.is_leaf
-        done = done and (self._sent2 or self.is_leaf)
-        done = done and self._sent_s2 and self._sent_g
-        done = done and (self._sent4 or self.is_leaf)
-        return done and self._ack_round is None
+        if self.m.is_root:
+            return self._sent4 or self.m.is_leaf or self.m.total == 0
+        return (
+            self.m.done and self._sent_s2 and self._sent_g
+            and (self._sent4 or self.m.is_leaf)
+        )
 
 
 def toprec_program():

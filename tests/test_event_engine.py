@@ -9,6 +9,13 @@ import time
 
 import pytest
 
+from radiolab import broadcast, size_discovery, toprec
+from radiolab.broadcast import (
+    execack_program,
+    executor_program,
+    synthesize_execack,
+    synthesize_executor,
+)
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import RoundLimitExceeded
 from radiolab.graphs import build_graph, gen_lb_family, gen_path
@@ -27,6 +34,7 @@ from radiolab.sim import (
     default_max_rounds,
     run,
 )
+from radiolab.toprec import ack_br_bfs_program, build_bfs_labels
 
 
 def reference_run(g, labels, program, cd=False, max_rounds=None):
@@ -97,9 +105,20 @@ def reference_run(g, labels, program, cd=False, max_rounds=None):
     return trace
 
 
+# programs outside the scheme registry, built through their factories
+FACTORIES = {
+    "ack-br-bfs": (lambda g: build_bfs_labels(g, 0), ack_br_bfs_program("101")),
+    "exec": (lambda g: synthesize_executor(g, 0), executor_program("101")),
+    "execack": (lambda g: synthesize_execack(g, 0), execack_program("101")),
+}
+
+
 def assert_same_trace(gid, g, scheme, cd):
-    bundle = build_bundle(scheme, g)
-    program = program_for(scheme)
+    if scheme in FACTORIES:
+        build, program = FACTORIES[scheme]
+        bundle = build(g)
+    else:
+        bundle, program = build_bundle(scheme, g), program_for(scheme)
     got = run(g, bundle.labels, program, cd=cd)
     want = reference_run(g, bundle.labels, program, cd=cd)
     assert got.num_rounds == want.num_rounds, gid
@@ -142,8 +161,19 @@ def test_toprec_matches_reference(cd):
         assert_same_trace(gid, g, "toprec", cd)
 
 
+@pytest.mark.parametrize("cd", [False, True])
+@pytest.mark.parametrize(
+    "scheme", ["broadcast-bfs", "gather-bfs", "ack-br-bfs", "exec", "execack"]
+)
+def test_primitives_match_reference(scheme, cd):
+    for gid, g in TOPREC_SAMPLE:
+        assert_same_trace(gid, g, scheme, cd)
+
+
 @pytest.mark.parametrize("n", [16, 36])
-@pytest.mark.parametrize("scheme", ["compact", "general", "fastsd", "toprec"])
+@pytest.mark.parametrize(
+    "scheme", ["compact", "general", "fastsd", "toprec", "broadcast-bfs", "gather-bfs"]
+)
 def test_lower_bound_family_with_cd_matches_reference(scheme, n):
     g, _ = gen_lb_family(n)
     assert_same_trace(f"G_{n}", g, scheme, True)
@@ -153,6 +183,17 @@ def test_samples_cover_every_family():
     families = {gid.split("-")[0] for gid, _ in corpus()}
     assert {gid.split("-")[0] for gid, _ in SIZE_SAMPLE} == families
     assert {gid.split("-")[0] for gid, _ in TOPREC_SAMPLE} == families
+
+
+def test_every_program_declares_its_wake_round():
+    programs = {
+        cls
+        for mod in (broadcast, size_discovery, toprec)
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and issubclass(cls, NodeProgram) and cls is not NodeProgram
+    }
+    assert len(programs) == 10
+    assert [c.__name__ for c in programs if c.next_wake is NodeProgram.next_wake] == []
 
 
 class SleepsBeforeOutput(NodeProgram):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from radiolab.errors import InvalidParams, MalformedCodeword
 from radiolab.labels import (
     SchemeBundle,
+    add_mode,
     bits_to_int,
     decode_blocks,
     dump_labels,
@@ -14,6 +15,7 @@ from radiolab.labels import (
     int_to_bits,
     load_labels,
     pack_bits_hex,
+    split_mode,
     unpack_bits_hex,
 )
 
@@ -54,6 +56,19 @@ class TestDecode:
     @given(st.lists(bitstrings, min_size=1, max_size=8))
     def test_round_trip(self, blocks):
         assert decode_blocks(encode_blocks(blocks)) == blocks
+
+
+class TestModePrefix:
+    @given(st.sampled_from("01"), st.lists(bitstrings, min_size=1, max_size=8))
+    def test_same_as_reencoding(self, bit, blocks):
+        label = encode_blocks(blocks)
+        assert add_mode(bit, label) == encode_blocks([bit] + blocks)
+        assert split_mode(add_mode(bit, label)) == (bit, label)
+
+    @pytest.mark.parametrize("label", ["", "10", "1001", "0000", "1010", "0110", "1100"])
+    def test_missing_prefix_rejected(self, label):
+        with pytest.raises(MalformedCodeword):
+            split_mode(label)
 
 
 class TestIntBits:

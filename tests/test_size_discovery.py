@@ -1,15 +1,24 @@
 import pytest
 
-from radiolab.errors import MessageTooLong, TooShallow
+from radiolab.broadcast import (
+    PathMessageProgram,
+    execack_program,
+    executor_program,
+    synthesize_execack,
+    synthesize_executor,
+    synthesize_path_message,
+)
+from radiolab.errors import MalformedCodeword, MessageTooLong, TooShallow
 from radiolab.graphs import (
     build_graph,
+    gen_cycle,
     gen_grid,
     gen_path,
     gen_random_connected,
     gen_star,
     gen_tree,
 )
-from radiolab.labels import decode_blocks
+from radiolab.labels import decode_blocks, encode_blocks
 from radiolab.rng import SplitMix64
 from radiolab.schemes import run_scheme
 from radiolab.sim import run, unframe
@@ -329,3 +338,78 @@ class TestEndToEndSchemes:
     def test_all_nodes_output_n(self, scheme, g):
         r = run_scheme(scheme, g)
         assert r.ok
+
+
+# scheme -> (label builder, program factory, nodes to check, indices of the
+# fixed-width blocks, whether the last block is one of them)
+MALFORMED_CASES = {
+    "compact": (lambda: build_compact_labels(gen_path(6)), auxiliary_sd_program(),
+                range(6), (3, 4, 5), False),
+    "general-pathmsg": (lambda: build_general_sd(gen_path(6)), general_sd_program(),
+                        range(6), (0, 1, 2, 3), False),
+    "general-compact": (lambda: build_general_sd(gen_star(600)), general_sd_program(),
+                        (0, 1, 599), (0, 4, 5, 6), False),
+    "fastsd-stripes": (lambda: build_fast_sd(gen_path(6)), fast_sd_program(),
+                       range(6), (0, 1, 3, 4, 5, 6), True),
+    "fastsd-fallback": (lambda: build_fast_sd(gen_cycle(4)), fast_sd_program(),
+                        range(4), (0, 1, 2, 3, 4), False),
+    "exec": (lambda: synthesize_executor(gen_path(6), 0), executor_program(),
+             range(6), (0, 1), True),
+    "execack": (lambda: synthesize_execack(gen_path(6), 0), execack_program(),
+                range(6), (0, 1, 2), True),
+    "pathmsg": (lambda: synthesize_path_message(gen_path(6), 0, "110"), PathMessageProgram,
+                range(6), (0, 1, 2), False),
+}
+
+
+class TestMalformedLabels:
+    """A size-discovery or broadcast label with the wrong number of blocks, a
+    fixed-width block of the wrong width, or a cut anywhere raises
+    MalformedCodeword when the node program is built, never IndexError or
+    ValueError."""
+
+    def test_cases_cover_both_modes(self):
+        assert MALFORMED_CASES["general-pathmsg"][0]().meta["branch"] == "pathmsg"
+        assert MALFORMED_CASES["general-compact"][0]().meta["branch"] == "compact"
+        assert MALFORMED_CASES["fastsd-stripes"][0]().meta["mode"] == "stripes"
+        assert MALFORMED_CASES["fastsd-fallback"][0]().meta["mode"] == "fallback"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+    def test_block_count_checked(self, case):
+        build, make, nodes, _, _ = MALFORMED_CASES[case]
+        labels = build().labels
+        for v in nodes:
+            full = decode_blocks(labels[v])
+            make(labels[v])
+            for k in range(1, len(full)):
+                with pytest.raises(MalformedCodeword):
+                    make(encode_blocks(full[:k]))
+            with pytest.raises(MalformedCodeword):
+                make(encode_blocks(full + ["1"]))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+    def test_block_width_checked(self, case):
+        build, make, nodes, fixed, _ = MALFORMED_CASES[case]
+        labels = build().labels
+        for v in nodes:
+            full = decode_blocks(labels[v])
+            for i in fixed:
+                for block in (full[i][:-1], full[i] + "0"):
+                    with pytest.raises(MalformedCodeword):
+                        make(encode_blocks(full[:i] + [block] + full[i + 1:]))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+    def test_every_truncation_is_typed(self, case):
+        """Every cut raises, except one that only shortens a last block of
+        variable width."""
+        build, make, nodes, _, last_fixed = MALFORMED_CASES[case]
+        labels = build().labels
+        for v in nodes:
+            count = len(decode_blocks(labels[v]))
+            for cut in range(len(labels[v])):
+                cut_label = labels[v][:cut]
+                if (not last_fixed and cut % 2 == 0
+                        and len(decode_blocks(cut_label)) == count):
+                    continue
+                with pytest.raises(MalformedCodeword):
+                    make(cut_label)
