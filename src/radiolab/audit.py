@@ -15,8 +15,9 @@ import json
 from dataclasses import dataclass, field
 from typing import TextIO
 
+from .errors import InvalidParams
 from .graphs import LBFamilyDescriptor
-from .sim import ExecutionTrace, Heard, TX
+from .sim import ExecutionTrace
 
 CANON_HASH = "#"
 CANON_SILENCE = "eps"
@@ -37,18 +38,62 @@ def canonical_history(trace: ExecutionTrace) -> list:
     return out
 
 
-def _def3_entry(trace: ExecutionTrace, v: int, rnd: int):
-    """Communication-history entry of node v for round rnd (CD semantics:
-    transmitting and collision both append '#')."""
-    obs = trace.observation_of(v, rnd)
-    if obs is TX:
-        return CANON_HASH
-    if isinstance(obs, Heard):
-        return ("m", obs.message.hex())
-    # CD-mode silence/collision; no-CD noise is not a valid audit input
-    from .sim import COLLISION
+def _component_index(
+    trace: ExecutionTrace, partition: LBFamilyDescriptor
+) -> dict[int, int]:
+    """Component of every node; the partition's components must cover
+    exactly the nodes of the trace's graph (G_n does, H_{delta,n} leaves its
+    special nodes out and is not supported)."""
+    n = trace.graph.n
+    if partition.n != n:
+        raise InvalidParams(f"partition is for {partition.n} nodes, the graph has {n}")
+    comp_of = partition.component_of()
+    if comp_of.keys() != set(range(n)):
+        raise InvalidParams(f"partition components do not cover nodes 0..{n - 1} exactly")
+    return comp_of
 
-    return CANON_HASH if obs is COLLISION else CANON_SILENCE
+
+def _departures(trace: ExecutionTrace, comp_of: dict[int, int]) -> dict[int, list[int]]:
+    """Sorted components leaving the canonical history, keyed by round.
+
+    A component leaves in the first round in which one of its nodes' Def-3
+    entry (CD semantics: transmitting and collision both give '#') differs
+    from the canonical entry. Each round is classified once from its
+    transmitter set: a node's entry is '#' if it transmits, its message if it
+    is in `heard`, '#' if under CD a neighbour transmits, else 'eps'. A round
+    with no transmitters and no deliveries gives every node 'eps', the
+    canonical entry, so it is skipped. Only nodes of components still on the
+    canonical history are visited."""
+    adj = trace.graph.adj
+    live = sorted(comp_of)
+    out: dict[int, list[int]] = {}
+    for rnd, rec in enumerate(trace.rounds, start=1):
+        txs, heard = rec.transmitters, rec.heard
+        if not txs and not heard:
+            continue
+        # raw entries: message bytes, or the '#'/'eps' strings
+        if len(txs) == 1:
+            (expected,) = txs.values()
+        else:
+            expected = CANON_HASH if txs else CANON_SILENCE
+        hit: set[int] = set()
+        if trace.cd:
+            for u in txs:
+                hit.update(adj[u])
+        leaving = set()
+        for v in live:
+            if v in txs:
+                entry = CANON_HASH
+            elif v in heard:
+                entry = heard[v]
+            else:
+                entry = CANON_HASH if v in hit else CANON_SILENCE
+            if entry != expected:
+                leaving.add(comp_of[v])
+        if leaving:
+            out[rnd] = sorted(leaving)
+            live = [v for v in live if comp_of[v] not in leaving]
+    return out
 
 
 def canonical_components(
@@ -56,25 +101,16 @@ def canonical_components(
 ) -> list[list[int]]:
     """For each round i, the set (as a sorted list of component indices) of
     components whose every node's history equals the canonical one after
-    round i. Index 0 of the result corresponds to round 0 (all components)."""
-    canon = canonical_history(trace)
-    comp_of = partition.component_of()
-    ncomp = len(partition.components)
-    # first round at which each node's history diverges from the canonical
-    diverge = {v: None for v in comp_of}
+    round i. Index 0 of the result corresponds to round 0 (all components).
+    Raises InvalidParams if the partition does not cover the graph."""
+    departures = _departures(trace, _component_index(trace, partition))
+    current = list(range(len(partition.components)))
+    out = [current]
     for rnd in range(1, trace.num_rounds + 1):
-        expected = canon[rnd - 1]
-        for v in comp_of:
-            if diverge[v] is None and _def3_entry(trace, v, rnd) != expected:
-                diverge[v] = rnd
-    out = [sorted(range(ncomp))]
-    current = set(range(ncomp))
-    for rnd in range(1, trace.num_rounds + 1):
-        leaving = {
-            comp_of[v] for v, d in diverge.items() if d == rnd
-        }
-        current -= leaving
-        out.append(sorted(current))
+        if rnd in departures:
+            leaving = departures[rnd]
+            current = [c for c in current if c not in leaving]
+        out.append(list(current))
     return out
 
 
@@ -135,36 +171,44 @@ def audit_facts(
         and at most one outside transmitter. F4: transmitters in >= 3
         components mean no departures. F5: at most 2 departures per round.
     LBL: the trigger-label multiset has every label at most twice.
+    MONO (a component rejoining the canonical history) stays in the report
+    but cannot occur: a component leaves once and is never visited again.
+
+    Only rounds with a transmitter or a departure are visited. Raises
+    InvalidParams if the partition does not cover the graph.
     """
-    comp_of = partition.component_of()
+    comp_of = _component_index(trace, partition)
+    departures = _departures(trace, comp_of)
     report = AuditReport(graph_n=trace.graph.n, rounds=trace.num_rounds)
-    comp_sets = canonical_components(trace, partition)
-    for rnd in range(1, trace.num_rounds + 1):
-        rec = trace.rounds[rnd - 1]
+    violations = report.violations
+    for rnd, rec in enumerate(trace.rounds, start=1):
+        leaving = departures.get(rnd, [])
+        if not rec.transmitters and not leaving:
+            continue
+        before = {name: len(rows) for name, rows in violations.items()}
         txs = sorted(rec.transmitters)
-        tx_comps = {comp_of[v] for v in txs}
-        before, after = set(comp_sets[rnd - 1]), set(comp_sets[rnd])
-        if not after <= before:
-            report.violations["MONO"].append({"round": rnd, "gained": sorted(after - before)})
-        leaving = sorted(before - after)
-        # F1
+        per_comp: dict[int, list[int]] = {}
+        for u in txs:
+            per_comp.setdefault(comp_of[u], []).append(u)
+        # F1: only a listener that heard a message can violate it
         if len(txs) >= 2:
-            for v in range(trace.graph.n):
-                outside = sum(1 for u in txs if comp_of[u] != comp_of[v])
-                if outside >= 2 and isinstance(trace.observation_of(v, rnd), Heard):
-                    report.violations["F1"].append({"round": rnd, "node": v})
+            for v in sorted(rec.heard):
+                if v in rec.transmitters:
+                    continue
+                if len(txs) - len(per_comp.get(comp_of[v], ())) >= 2:
+                    violations["F1"].append({"round": rnd, "node": v})
         # F4
-        if len(tx_comps) >= 3 and leaving:
-            report.violations["F4"].append({"round": rnd, "leaving": leaving})
+        if len(per_comp) >= 3 and leaving:
+            violations["F4"].append({"round": rnd, "leaving": leaving})
         # F5
         if len(leaving) > 2:
-            report.violations["F5"].append({"round": rnd, "leaving": leaving})
+            violations["F5"].append({"round": rnd, "leaving": leaving})
         # L9 + trigger labels
         for c in leaving:
-            triggers = [v for v in txs if comp_of[v] == c]
+            triggers = per_comp.get(c, [])
             outside = len(txs) - len(triggers)
             if not triggers or outside > 1:
-                report.violations["L9"].append(
+                violations["L9"].append(
                     {"round": rnd, "component": c, "triggers": triggers,
                      "outside": outside}
                 )
@@ -173,24 +217,20 @@ def audit_facts(
                  "outside": outside}
             )
         if leaving and labels is not None:
-            c = leaving[0]
-            triggers = [v for v in txs if comp_of[v] == c]
+            triggers = per_comp.get(leaving[0])
             if triggers:
-                report.trigger_labels.append(labels[min(triggers)])
-        if txs or leaving:
-            hit = [
-                name
-                for name, rows in report.violations.items()
-                if any(r.get("round") == rnd for r in rows)
-            ]
-            report.round_summary.append(
-                {
-                    "round": rnd,
-                    "departures": leaving,
-                    "tx_components": sorted(tx_comps),
-                    "violations": hit,
-                }
-            )
+                report.trigger_labels.append(labels[triggers[0]])
+        report.round_summary.append(
+            {
+                "round": rnd,
+                "departures": leaving,
+                "tx_components": sorted(per_comp),
+                "violations": [
+                    name for name, rows in violations.items()
+                    if len(rows) > before[name]
+                ],
+            }
+        )
     if labels is not None:
         counts: dict[str, int] = {}
         for lab in report.trigger_labels:
@@ -198,5 +238,5 @@ def audit_facts(
         report.distinct_trigger_labels = len(counts)
         for lab, cnt in counts.items():
             if cnt > 2:
-                report.violations["LBL"].append({"label": lab, "count": cnt})
+                violations["LBL"].append({"label": lab, "count": cnt})
     return report

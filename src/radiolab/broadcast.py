@@ -721,10 +721,6 @@ class PathMessageProgram(NodeProgram):
         return True
 
 
-def path_message_program():
-    return PathMessageProgram
-
-
 def bundle_sidecar(bundle: SchemeBundle) -> dict:
     """JSON-able oracle metadata (tree, levels, schedule) accompanying a
     label dump; consumed only by tests, never by node programs."""

@@ -82,9 +82,6 @@ class LayerAssignment:
     layer: tuple[int, ...]
     depth: int
 
-    def nodes_at(self, k: int) -> list[int]:
-        return [v for v, l in enumerate(self.layer) if l == k]
-
 
 @dataclass
 class LBFamilyDescriptor:

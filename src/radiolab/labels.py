@@ -89,11 +89,6 @@ def bits_to_int(bits: str) -> int:
     return int(bits, 2) if bits else 0
 
 
-def bit_length_of(n: int) -> int:
-    """lg n = ceil(log2(n+1)): the length of the binary representation."""
-    return n.bit_length()
-
-
 @dataclass
 class SchemeBundle:
     """Oracle output: per-node labels plus offline metadata.

@@ -236,8 +236,10 @@ class ExecutionTrace:
             return Heard(rec.heard[v])
         if not self.cd:
             return NOISE
-        k = sum(1 for u in self.graph.adj[v] if u in rec.transmitters)
-        return SILENCE if k == 0 else COLLISION
+        txs = rec.transmitters
+        if txs and any(u in txs for u in self.graph.adj[v]):
+            return COLLISION
+        return SILENCE
 
 
 def history_of(trace: ExecutionTrace, v: int) -> list[Observation]:

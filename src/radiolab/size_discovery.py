@@ -432,9 +432,6 @@ class StripeDecomposition:
     stripe_of: list[int | None]
     stripes: dict[int, StripeData]
 
-    def stripe_layers(self, j: int) -> range:
-        return range(j * self.lgn, (j + 1) * self.lgn)
-
 
 def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
     """Layer i is green iff floor(i / lg n) is even; the last layer of each

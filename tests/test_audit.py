@@ -1,16 +1,124 @@
+import dataclasses
 import io
 import json
+import random
+
+import pytest
 
 from radiolab.audit import (
     CANON_HASH,
     CANON_SILENCE,
+    AuditReport,
     audit_facts,
     canonical_components,
     canonical_history,
 )
-from radiolab.graphs import gen_lb_family
+from radiolab.errors import InvalidParams
+from radiolab.graphs import LBFamilyDescriptor, gen_lb_family, gen_lb_general
 from radiolab.schemes import run_scheme
-from radiolab.sim import ExecutionTrace, RoundRecord
+from radiolab.sim import COLLISION, TX, ExecutionTrace, Heard, RoundRecord
+
+
+# ---------------------------------------------------------------------------
+# Per-node reference: the audit before it classified each round once. Every
+# node's Def-3 entry is read from `observation_of` in every round.
+# ---------------------------------------------------------------------------
+
+
+def _reference_entry(trace, v, rnd):
+    obs = trace.observation_of(v, rnd)
+    if obs is TX:
+        return CANON_HASH
+    if isinstance(obs, Heard):
+        return ("m", obs.message.hex())
+    return CANON_HASH if obs is COLLISION else CANON_SILENCE
+
+
+def reference_canonical_components(trace, partition):
+    canon = canonical_history(trace)
+    comp_of = partition.component_of()
+    ncomp = len(partition.components)
+    diverge = {v: None for v in comp_of}
+    for rnd in range(1, trace.num_rounds + 1):
+        expected = canon[rnd - 1]
+        for v in comp_of:
+            if diverge[v] is None and _reference_entry(trace, v, rnd) != expected:
+                diverge[v] = rnd
+    out = [sorted(range(ncomp))]
+    current = set(range(ncomp))
+    for rnd in range(1, trace.num_rounds + 1):
+        current -= {comp_of[v] for v, d in diverge.items() if d == rnd}
+        out.append(sorted(current))
+    return out
+
+
+def reference_audit(trace, partition, labels=None):
+    comp_of = partition.component_of()
+    report = AuditReport(graph_n=trace.graph.n, rounds=trace.num_rounds)
+    comp_sets = reference_canonical_components(trace, partition)
+    for rnd in range(1, trace.num_rounds + 1):
+        rec = trace.rounds[rnd - 1]
+        txs = sorted(rec.transmitters)
+        tx_comps = {comp_of[v] for v in txs}
+        before, after = set(comp_sets[rnd - 1]), set(comp_sets[rnd])
+        if not after <= before:
+            report.violations["MONO"].append({"round": rnd, "gained": sorted(after - before)})
+        leaving = sorted(before - after)
+        if len(txs) >= 2:
+            for v in range(trace.graph.n):
+                outside = sum(1 for u in txs if comp_of[u] != comp_of[v])
+                if outside >= 2 and isinstance(trace.observation_of(v, rnd), Heard):
+                    report.violations["F1"].append({"round": rnd, "node": v})
+        if len(tx_comps) >= 3 and leaving:
+            report.violations["F4"].append({"round": rnd, "leaving": leaving})
+        if len(leaving) > 2:
+            report.violations["F5"].append({"round": rnd, "leaving": leaving})
+        for c in leaving:
+            triggers = [v for v in txs if comp_of[v] == c]
+            outside = len(txs) - len(triggers)
+            if not triggers or outside > 1:
+                report.violations["L9"].append(
+                    {"round": rnd, "component": c, "triggers": triggers,
+                     "outside": outside}
+                )
+            report.departures.append(
+                {"round": rnd, "component": c, "triggers": triggers,
+                 "outside": outside}
+            )
+        if leaving and labels is not None:
+            triggers = [v for v in txs if comp_of[v] == leaving[0]]
+            if triggers:
+                report.trigger_labels.append(labels[min(triggers)])
+        if txs or leaving:
+            hit = [
+                name
+                for name, rows in report.violations.items()
+                if any(r.get("round") == rnd for r in rows)
+            ]
+            report.round_summary.append(
+                {"round": rnd, "departures": leaving,
+                 "tx_components": sorted(tx_comps), "violations": hit}
+            )
+    if labels is not None:
+        counts = {}
+        for lab in report.trigger_labels:
+            counts[lab] = counts.get(lab, 0) + 1
+        report.distinct_trigger_labels = len(counts)
+        for lab, cnt in counts.items():
+            if cnt > 2:
+                report.violations["LBL"].append({"label": lab, "count": cnt})
+    return report
+
+
+def assert_matches_reference(trace, partition, labels):
+    assert canonical_components(trace, partition) == reference_canonical_components(
+        trace, partition
+    )
+    got = audit_facts(trace, partition, labels=labels)
+    ref = reference_audit(trace, partition, labels=labels)
+    for f in dataclasses.fields(AuditReport):
+        assert getattr(got, f.name) == getattr(ref, f.name), f.name
+    return got
 
 
 def make_trace(g, rounds, cd=True):
@@ -111,3 +219,68 @@ class TestNegativeControl:
         assert not rep.ok
         assert rep.violations["F5"]
         assert rep.violations["L9"]
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("cd", [True, False])
+    @pytest.mark.parametrize("n", [16, 36, 64, 100])
+    @pytest.mark.parametrize("scheme", ["compact", "general", "fastsd", "toprec"])
+    def test_lower_bound_runs(self, scheme, n, cd):
+        g, desc = gen_lb_family(n)
+        res = run_scheme(scheme, g, cd=cd)
+        assert res.ok
+        rep = assert_matches_reference(res.trace, desc, res.bundle.labels)
+        assert rep.departures
+        if cd:
+            assert rep.ok, rep.violations
+
+    # G_16: components {0..3}, {4..7}, {8..11}, {12..15}
+    IMPOSSIBLE = {
+        "lone transmitter nobody hears": [({0: b"m"}, {})],
+        "heard without transmitters": [({}, {}), ({}, {5: b"x"}), ({4: b"y"}, {})],
+        "transmitter also in heard": [({0: b"m", 5: b"n"}, {0: b"n", 9: b"m"})],
+        "F1": [({4: b"a", 8: b"b"}, {0: b"a", 5: b"b", 12: b"b"}),
+               ({1: b"c", 2: b"d", 13: b"e"}, {3: b"c", 14: b"e"})],
+    }
+
+    @pytest.mark.parametrize("cd", [True, False])
+    @pytest.mark.parametrize("name", sorted(IMPOSSIBLE))
+    def test_impossible_traces(self, name, cd):
+        g, desc = gen_lb_family(16)
+        tr = make_trace(g, self.IMPOSSIBLE[name], cd=cd)
+        rep = assert_matches_reference(tr, desc, [f"L{v % 3}" for v in range(16)])
+        if name == "F1":
+            assert rep.violations["F1"]
+
+    def test_random_impossible_traces(self):
+        """Random transmitter and delivery sets, most of them impossible."""
+        g, desc = gen_lb_family(16)
+        rng = random.Random(7)
+        msgs = [b"a", b"b", b"c"]
+        for _ in range(200):
+            rounds = []
+            for _ in range(rng.randint(1, 6)):
+                txs = {v: rng.choice(msgs) for v in rng.sample(range(16), rng.randint(0, 3))}
+                heard = {v: rng.choice(msgs) for v in rng.sample(range(16), rng.randint(0, 4))}
+                rounds.append((txs, heard))
+            tr = make_trace(g, rounds, cd=rng.random() < 0.7)
+            assert_matches_reference(tr, desc, [f"L{v % 5}" for v in range(16)])
+
+
+class TestPartitionChecks:
+    def test_lb_general_raises_invalid_params(self):
+        g, desc = gen_lb_general(4, 12)
+        res = run_scheme("general", g, cd=True)
+        with pytest.raises(InvalidParams):
+            audit_facts(res.trace, desc, labels=res.bundle.labels)
+        with pytest.raises(InvalidParams):
+            canonical_components(res.trace, desc)
+
+    def test_partition_size_mismatch(self):
+        g, desc = gen_lb_family(16)
+        tr = make_trace(g, [({0: b"m"}, {})])
+        bad = LBFamilyDescriptor(n=36, components=desc.components)
+        with pytest.raises(InvalidParams):
+            audit_facts(tr, bad)
+        with pytest.raises(InvalidParams):
+            canonical_components(tr, bad)

@@ -138,3 +138,14 @@ class TestAudit:
         code, _ = run_cli("audit", str(el), "--scheme", "general",
                           "--partition", str(part))
         assert code == 0
+
+    def test_partition_missing_nodes_exits_2(self, tmp_path):
+        el = tmp_path / "g16.el"
+        run_cli("gen", "--family", "lbG", "--n", "16", "--out", str(el))
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(
+            {"components": [list(range(i * 4, (i + 1) * 4)) for i in range(3)]}
+        ))
+        code, _ = run_cli("audit", str(el), "--scheme", "general",
+                          "--partition", str(part))
+        assert code == 2
