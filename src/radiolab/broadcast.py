@@ -130,12 +130,11 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
             )
             feedback[v] = min(children[v])
         informed |= set(newly)
-        next_frontier = {
-            u
-            for w in informed
-            for u in g.adj[w]
-            if u not in informed
-        }
+        # the old frontier's still-uninformed nodes plus the newly informed
+        # nodes' uninformed neighbours: every uninformed node next to an
+        # informed one, without rescanning the informed set
+        next_frontier = {u for u in frontier if u not in informed}
+        next_frontier.update(u for w in newly for u in g.adj[w] if u not in informed)
         if next_frontier:
             next_dom = minimal_dominating_subset(dom | set(newly), next_frontier, g)
         else:
@@ -385,10 +384,11 @@ def synthesize_execack(g: Graph, s: int) -> SchemeBundle:
     syn = synthesize_core(g, {s})
     path = _max_level_path(syn.tree, s)
     v_p = path[-1]
+    on_path = set(path)
     labels = []
     for v in range(g.n):
         blocks = _core_blocks(syn, v, v == s)
-        blocks.append(f"{1 if v in path else 0}{1 if v == v_p and g.n > 1 else 0}")
+        blocks.append(f"{1 if v in on_path else 0}{1 if v == v_p and g.n > 1 else 0}")
         labels.append(encode_blocks(blocks))
     return SchemeBundle(
         scheme="execack",
@@ -603,10 +603,11 @@ def synthesize_path_message(g: Graph, s: int, message_bits: str) -> SchemeBundle
         chunks = {levels[i]: pieces[i] for i in range(len(pieces))}
     chunk_of = {marked[k]: chunks.get(k, "") for k in marked}
 
+    on_path = set(path)
     labels = []
     for v in range(g.n):
         blocks = _core_blocks(syn, v, v == s)
-        blocks.append(f"{1 if v in path else 0}{1 if v == v_p and g.n > 1 else 0}")
+        blocks.append(f"{1 if v in on_path else 0}{1 if v == v_p and g.n > 1 else 0}")
         blocks.append("1" if v in chunk_of else "0")
         blocks.append(chunk_of.get(v, ""))
         labels.append(encode_blocks(blocks))

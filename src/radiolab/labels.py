@@ -16,14 +16,22 @@ from .errors import InvalidParams, MalformedCodeword
 LabelBits = str
 
 
+_BIT_CODE = str.maketrans({"0": "01", "1": "10"})
+
+
 def encode_blocks(blocks: Sequence[str]) -> LabelBits:
-    """Separator-encode a block list.
+    """Separator-encode a block list; a block with a character other than
+    '0'/'1' raises MalformedCodeword.
 
     Length is exactly 2*(total payload bits) + 2*(len(blocks)-1).
     """
     pieces = []
     for block in blocks:
-        pieces.append("".join("10" if b == "1" else "01" for b in block))
+        piece = block.translate(_BIT_CODE)
+        # any other character is left as one character, so the piece is short
+        if len(piece) != 2 * len(block):
+            raise MalformedCodeword(f"block {block!r} is not a bit string")
+        pieces.append(piece)
     return "00".join(pieces)
 
 

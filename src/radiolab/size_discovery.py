@@ -60,10 +60,15 @@ class SubtreeAssignment:
         return set(self.bits)
 
     def postorder_concat(self) -> str:
-        def cat(v: int) -> str:
-            return "".join(cat(c) for c in self.children.get(v, [])) + self.bits[v]
-
-        return cat(self.root)
+        # a pre-order that takes the last child first, reversed, is the
+        # post-order that takes the first child first
+        out = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            out.append(self.bits[v])
+            stack.extend(self.children.get(v, []))
+        return "".join(reversed(out))
 
 
 def _rooted_children(tree: Graph, root: int) -> tuple[dict[int, list[int]], dict[int, int]]:
@@ -96,9 +101,12 @@ def assign_subtree_bits(tree: Graph, root: int, message: str) -> SubtreeAssignme
     fanout = max(delta.bit_length(), 1)  # floor(log Delta)+1 for Delta >= 1
     kids, size = _rooted_children(tree, root)
 
-    out = SubtreeAssignment(root=root, bits={}, child_num={}, children={})
-
-    def rec(v: int, piece: str) -> None:
+    # Top-down with an explicit stack (the tree can be deeper than the
+    # recursion limit); each entry carries the extra bit its parent keeps at it.
+    out = SubtreeAssignment(root=root, bits={}, child_num={root: 0}, children={})
+    stack = [(root, message, "")]
+    while stack:
+        v, piece, kept = stack.pop()
         chosen = sorted(kids[v], key=lambda c: (-size[c], c))[:fanout]
         pos = 0
         used: list[int] = []
@@ -110,18 +118,14 @@ def assign_subtree_bits(tree: Graph, root: int, message: str) -> SubtreeAssignme
             pos += len(inner)
             extra = piece[pos : pos + 1]
             pos += len(extra)
-            rec(c, inner)
-            out.bits[c] += extra
+            stack.append((c, inner, extra))
             used.append(c)
         own = piece[pos:]
         assert len(own) <= 2, f"node {v} left with {len(own)} bits (capacity bug)"
-        out.bits[v] = own
+        out.bits[v] = own + kept
         out.children[v] = used
         for i, c in enumerate(used, start=1):
             out.child_num[c] = i
-
-    rec(root, message)
-    out.child_num[root] = 0
     return out
 
 
@@ -178,10 +182,11 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
     asg = assign_subtree_bits(tree_graph, root, message)
     width_k = max(k_rounds.bit_length(), 1)
 
+    on_path = set(path)
     labels = []
     for v in range(n):
         core = _core_blocks(syn, v, v == root)
-        pathbits = f"{1 if v in path else 0}{1 if v == v_p and n > 1 else 0}"
+        pathbits = f"{1 if v in on_path else 0}{1 if v == v_p and n > 1 else 0}"
         k_v = asg.child_num.get(v, 0)
         blocks = [
             "1" if v == root else "0",

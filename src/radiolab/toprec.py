@@ -92,28 +92,26 @@ def assign_gather_indices(
     order gets the smallest value not yet assigned to any neighbor of its
     parent at the child's layer."""
     n = g.n
+    layer = la.layer
     gv: list[int | None] = [None] * n
     gv[r] = 0
-    children: dict[int, list[int]] = {}
+    by_layer: list[list[int]] = [[] for _ in range(la.depth + 1)]
+    children: dict[int, list[int]] = {}  # all one layer below the parent
     for v in range(n):
+        by_layer[layer[v]].append(v)
         if v != r:
             children.setdefault(parent[v], []).append(v)
     for i in range(1, la.depth + 1):
-        layer_parents = sorted(
-            {parent[v] for v in range(n) if la.layer[v] == i},
-            key=lambda p: (b[p], p),
-        )
-        for p in layer_parents:
-            for u in sorted(c for c in children.get(p, []) if la.layer[c] == i):
-                used = {
-                    gv[w]
-                    for w in g.adj[p]
-                    if la.layer[w] == i and gv[w] is not None
-                }
-                x = 0
+        for p in sorted({parent[v] for v in by_layer[i]}, key=lambda p: (b[p], p)):
+            # only p's own children get values while p is served, so `used`
+            # only grows and the smallest free value only moves up
+            used = {gv[w] for w in g.adj[p] if layer[w] == i and gv[w] is not None}
+            x = 0
+            for u in children[p]:
                 while x in used:
                     x += 1
                 gv[u] = x
+                used.add(x)
     assert all(x is not None for x in gv)
     return gv  # type: ignore[return-value]
 
@@ -151,17 +149,19 @@ def distance_two_coloring(g: Graph) -> list[int]:
     colors lie in [1, Delta^2+1]."""
     n = g.n
     colors = [0] * n
+    # Colour sets are bit masks. around[w] has bit c set iff a coloured
+    # neighbour of w has colour c; bit 0, "no colour", is always set. So v's
+    # distance-two colours are the union over its neighbours w of around[w]
+    # and w's own bit, and its colour is the lowest bit that union lacks.
+    around = [1] * n
     for v in range(n):
-        near: set[int] = set()
+        near = 1
         for w in g.adj[v]:
-            near.add(colors[w])
-            for x in g.adj[w]:
-                if x != v:
-                    near.add(colors[x])
-        c = 1
-        while c in near:
-            c += 1
+            near |= around[w] | (1 << colors[w])
+        c = (~near & (near + 1)).bit_length() - 1
         colors[v] = c
+        for w in g.adj[v]:
+            around[w] |= 1 << c
     delta = g.max_degree()
     assert all(1 <= c <= delta * delta + 1 for c in colors)
     return colors
@@ -236,7 +236,7 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
             int_to_bits(n) if (id_mode and v == r) else "",
         ]
         labels.append(base.labels[v] + "00" + encode_blocks(blocks))
-    ids = _oracle_ids(g.n, base.meta["parent"], base.meta["g"], r)
+    ids = _oracle_ids(base.meta["layers"], base.meta["parent"], base.meta["g"])
     return SchemeBundle(
         scheme="toprec",
         labels=labels,
@@ -251,17 +251,15 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
 
 
 def _oracle_ids(
-    n: int, parent: list[int | None], gv: list[int], r: int
+    la: LayerAssignment, parent: list[int | None], gv: list[int]
 ) -> list[tuple[int, ...]]:
-    ids: list[tuple[int, ...] | None] = [None] * n
-    ids[r] = ()
-
-    def get(v: int) -> tuple[int, ...]:
-        if ids[v] is None:
-            ids[v] = get(parent[v]) + (gv[v],)
-        return ids[v]
-
-    return [get(v) for v in range(n)]
+    """Each node's gather indices along its BFS-tree path from the root; in
+    layer order, so a parent's id is ready before its children's."""
+    ids: list[tuple[int, ...]] = [()] * len(parent)
+    for v in sorted(range(len(parent)), key=la.layer.__getitem__):
+        if v != la.root:
+            ids[v] = ids[parent[v]] + (gv[v],)
+    return ids
 
 
 def toprec_round_formula(dstar: int, delta: int, window: int) -> int:

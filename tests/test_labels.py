@@ -37,6 +37,11 @@ class TestEncode:
         total = sum(len(b) for b in blocks)
         assert len(encode_blocks(blocks)) == 2 * total + 2 * (len(blocks) - 1)
 
+    @pytest.mark.parametrize("blocks", [["2a", "1"], ["1", "0 "], ["01x1"], ["", "\u00b9"]])
+    def test_non_bit_block_rejected(self, blocks):
+        with pytest.raises(MalformedCodeword):
+            encode_blocks(blocks)
+
 
 class TestDecode:
     def test_inverse_of_example(self):

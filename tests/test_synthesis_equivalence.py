@@ -1,0 +1,307 @@
+"""Oracle label synthesis against the code it replaced.
+
+The rescanning frontier of `synthesize_core`, the per-child scan of
+`assign_gather_indices`, the per-neighbour loop of `distance_two_coloring`
+and the recursive `assign_subtree_bits` are kept here as test-only
+references. Every bundle built with them patched in must equal the bundle
+the current code builds, label for label and in its meta. The large-n tests
+run under the default recursion limit.
+"""
+
+import math
+import sys
+
+import pytest
+
+from radiolab import broadcast, size_discovery, toprec
+from radiolab.broadcast import (
+    BroadcastTree,
+    CoreSynthesis,
+    StageRecord,
+    minimal_dominating_subset,
+    synthesize_core,
+)
+from radiolab.corpus import corpus, toprec_corpus
+from radiolab.errors import EmptySourceSet, MessageTooLong, Undominatable
+from radiolab.graphs import (
+    build_graph,
+    gen_lb_family,
+    gen_path,
+    gen_random_connected,
+    gen_star,
+    gen_tree,
+)
+from radiolab.rng import SplitMix64
+from radiolab.schemes import build_bundle, run_scheme
+from radiolab.size_discovery import (
+    COMPACT_LENGTH_C,
+    SubtreeAssignment,
+    _rooted_children,
+    assign_subtree_bits,
+    verify_subtree_assignment,
+)
+from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0
+
+SCHEMES = ("compact", "general", "fastsd", "toprec")
+
+
+# ---------------------------------------------------------------------------
+# References: the synthesis helpers before they were made near-linear
+# ---------------------------------------------------------------------------
+
+
+def reference_synthesize_core(g, sources):
+    """`synthesize_core` with the next frontier rebuilt from every informed
+    node's adjacency in every stage."""
+    if not sources:
+        raise EmptySourceSet("need at least one source")
+    n = g.n
+    informed = set(sources)
+    level = {s: 0 for s in sources}
+    parent = {}
+    join = [0] * n
+    stay = [0] * n
+    dom1 = [0] * n
+
+    frontier = {u for s in sources for u in g.adj[s] if u not in informed}
+    dom = minimal_dominating_subset(sources, frontier, g) if frontier else set()
+    for v in dom:
+        dom1[v] = 1
+
+    stages = []
+    stage = 1
+    while len(informed) < n:
+        if not dom:
+            raise Undominatable("no dominators left but nodes remain uninformed")
+        r1 = 3 * stage - 2
+        newly = {}
+        for u in frontier:
+            senders = [w for w in g.adj[u] if w in dom]
+            if len(senders) == 1:
+                newly[u] = senders[0]
+                level[u] = r1
+        children = {v: [] for v in dom}
+        for u, p in newly.items():
+            children[p].append(u)
+        feedback = {}
+        for v in dom:
+            assert children[v]
+            feedback[v] = min(children[v])
+        informed |= set(newly)
+        next_frontier = {u for w in informed for u in g.adj[w] if u not in informed}
+        if next_frontier:
+            next_dom = minimal_dominating_subset(dom | set(newly), next_frontier, g)
+        else:
+            next_dom = set()
+        for u in newly:
+            join[u] = 1 if u in next_dom else 0
+        for v in dom:
+            stay[feedback[v]] = 1 if v in next_dom else 0
+        stages.append(
+            StageRecord(stage=stage, dom=dom, frontier=frontier, newly=newly, feedback=feedback)
+        )
+        dom = next_dom
+        frontier = next_frontier
+        stage += 1
+
+    t = 3 * (stage - 1)
+    for rec in stages:
+        parent.update(rec.newly)
+    tree = BroadcastTree(sources=tuple(sorted(sources)), parent=parent, level=level, t=t)
+    return CoreSynthesis(tree=tree, stages=stages, join=join, stay=stay, dom1=dom1, t=t)
+
+
+def reference_assign_gather_indices(g, r, la, parent, b):
+    """`assign_gather_indices` scanning every node per layer and rebuilding
+    the parent's used set per child."""
+    n = g.n
+    gv = [None] * n
+    gv[r] = 0
+    children = {}
+    for v in range(n):
+        if v != r:
+            children.setdefault(parent[v], []).append(v)
+    for i in range(1, la.depth + 1):
+        layer_parents = sorted(
+            {parent[v] for v in range(n) if la.layer[v] == i}, key=lambda p: (b[p], p)
+        )
+        for p in layer_parents:
+            for u in sorted(c for c in children.get(p, []) if la.layer[c] == i):
+                used = {gv[w] for w in g.adj[p] if la.layer[w] == i and gv[w] is not None}
+                x = 0
+                while x in used:
+                    x += 1
+                gv[u] = x
+    return gv
+
+
+def reference_distance_two_coloring(g):
+    """`distance_two_coloring` with a Python loop over every neighbour's
+    neighbours."""
+    colors = [0] * g.n
+    for v in range(g.n):
+        near = set()
+        for w in g.adj[v]:
+            near.add(colors[w])
+            for x in g.adj[w]:
+                if x != v:
+                    near.add(colors[x])
+        c = 1
+        while c in near:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def reference_assign_subtree_bits(tree, root, message):
+    """`assign_subtree_bits` as a recursion over the tree."""
+    n = tree.n
+    if len(message) > n.bit_length() + 1:
+        raise MessageTooLong("message too long")
+    fanout = max(tree.max_degree().bit_length(), 1)
+    kids, size = _rooted_children(tree, root)
+    out = SubtreeAssignment(root=root, bits={}, child_num={}, children={})
+
+    def rec(v, piece):
+        chosen = sorted(kids[v], key=lambda c: (-size[c], c))[:fanout]
+        pos = 0
+        used = []
+        for c in chosen:
+            if pos >= len(piece):
+                break
+            cap = size[c].bit_length() + 1
+            inner = piece[pos : pos + cap]
+            pos += len(inner)
+            extra = piece[pos : pos + 1]
+            pos += len(extra)
+            rec(c, inner)
+            out.bits[c] += extra
+            used.append(c)
+        own = piece[pos:]
+        assert len(own) <= 2
+        out.bits[v] = own
+        out.children[v] = used
+        for i, c in enumerate(used, start=1):
+            out.child_num[c] = i
+
+    rec(root, message)
+    out.child_num[root] = 0
+    return out
+
+
+def reference_bundle(monkeypatch, scheme, g):
+    with monkeypatch.context() as m:
+        m.setattr(broadcast, "synthesize_core", reference_synthesize_core)
+        m.setattr(size_discovery, "synthesize_core", reference_synthesize_core)
+        m.setattr(size_discovery, "assign_subtree_bits", reference_assign_subtree_bits)
+        m.setattr(toprec, "assign_gather_indices", reference_assign_gather_indices)
+        m.setattr(toprec, "distance_two_coloring", reference_distance_two_coloring)
+        return build_bundle(scheme, g)
+
+
+def check_ids(bundle):
+    """The toprec oracle ids: the root's is empty, every other node's is its
+    parent's plus its own gather index."""
+    ids, parent, gv, root = (bundle.meta[k] for k in ("ids", "parent", "g", "root"))
+    assert ids[root] == ()
+    for v in range(len(ids)):
+        if v != root:
+            assert ids[v] == ids[parent[v]] + (gv[v],)
+
+
+# ---------------------------------------------------------------------------
+# Bundle equivalence
+# ---------------------------------------------------------------------------
+
+
+def _graphs():
+    size_sample = corpus()[::3]
+    picked = {gid for gid, _ in size_sample}
+    out = list(size_sample)
+    out += [(gid, g) for gid, g in toprec_corpus() if gid not in picked]
+    out += [(f"G_{n}", gen_lb_family(n)[0]) for n in (16, 36, 64, 100, 144, 256, 576)]
+    out += [(f"star-{n}", gen_star(n)) for n in (2, 3, 4, 9, 513, 1025)]
+    return out
+
+
+GRAPHS = _graphs()
+
+
+@pytest.mark.parametrize("gid,g", GRAPHS, ids=[gid for gid, _ in GRAPHS])
+def test_bundles_match_reference(monkeypatch, gid, g):
+    for scheme in SCHEMES:
+        new = build_bundle(scheme, g)
+        ref = reference_bundle(monkeypatch, scheme, g)
+        assert new.labels == ref.labels, scheme
+        assert new.meta == ref.meta, scheme
+        if scheme == "toprec":
+            check_ids(new)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_multi_source_core_matches_reference(seed):
+    rng = SplitMix64(0x5EED + seed)
+    n = 8 + rng.randrange(120)
+    g = gen_random_connected(n, 0.02 + rng.randrange(30) / 100, rng.next_u64())
+    sources = {rng.randrange(n) for _ in range(1 + rng.randrange(4))}
+    assert synthesize_core(g, sources) == reference_synthesize_core(g, sources)
+
+
+def test_subtree_bits_match_reference():
+    rng = SplitMix64(0xB175)
+    for _ in range(300):
+        n = 1 + rng.randrange(300)
+        tree = gen_tree(n, rng.next_u64())
+        root = rng.randrange(n)
+        m = "".join("1" if rng.next_u64() & 1 else "0" for _ in range(n.bit_length() + 1))
+        new = assign_subtree_bits(tree, root, m)
+        assert new == reference_assign_subtree_bits(tree, root, m)
+        assert new.postorder_concat() == m
+
+
+# ---------------------------------------------------------------------------
+# Large n under the default recursion limit
+# ---------------------------------------------------------------------------
+
+
+def backwards_path(n):
+    """A path 0, n-1, n-2, ..., 1: BFS from 0 meets the labels in
+    descending order, so each node's parent has the next larger label."""
+    return build_graph(n, [(0, n - 1)] + [(i, i - 1) for i in range(2, n)])
+
+
+def test_path_8192_all_schemes():
+    n = 8192
+    assert sys.getrecursionlimit() < n
+    g = gen_path(n)
+    delta = 2
+    bounds = {
+        "compact": COMPACT_LENGTH_C * (math.ceil(math.log2(math.log2(delta + 2))) + 1),
+        "toprec": TOPREC_LEN_C * (math.ceil(math.log2(delta + 1)) + 1) + TOPREC_LEN_C0,
+    }
+    for scheme in SCHEMES:
+        bundle = build_bundle(scheme, g)
+        assert len(bundle.labels) == n
+        if scheme in bounds:
+            assert bundle.max_label_bits() <= bounds[scheme], scheme
+        if scheme == "compact":
+            syn = bundle.meta["synthesis"]
+            tree = build_graph(n, list(syn.tree.parent.items()))
+            verify_subtree_assignment(tree, bundle.meta["root"], bundle.meta["message"],
+                                      bundle.meta["subtree"])
+        if scheme == "toprec":
+            check_ids(bundle)
+
+
+def test_compact_runs_on_long_path():
+    assert run_scheme("compact", gen_path(1200)).ok
+
+
+def test_backwards_path_toprec():
+    assert sys.getrecursionlimit() < 1500
+    bundle = build_bundle("toprec", backwards_path(1500))
+    check_ids(bundle)
+    assert bundle.meta["ids"][1] == (0,) * 1499
+    # the run is checked on a short copy of the same shape: on a path, a
+    # toprec run's messages total O(n^3) bytes
+    assert run_scheme("toprec", backwards_path(120)).ok
