@@ -89,9 +89,9 @@ def verify_outputs(scheme: str, g: Graph, bundle: SchemeBundle, trace) -> int:
         return sum(1 for out in trace.outputs if out == g.n)
     if scheme == "toprec":
         ids = bundle.meta["ids"]
-        expected_edges = sorted(
+        expected_edges = tuple(sorted(
             (min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()
-        )
+        ))
         return sum(
             1
             for v, out in enumerate(trace.outputs)

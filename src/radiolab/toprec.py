@@ -287,8 +287,10 @@ def wire_to_id(wire: str) -> tuple[int, ...]:
 def parse_message(message: bytes) -> tuple:
     """A TopRec message as an immutable tuple `(tag, ...)`: T1/T3 carry an
     int-tuple identifier, T4 its reports in wire form
-    `((wire_id, (wire_nbr, ...)), ...)`, T5 the reports decoded; TA/T2 keep
-    their ints. A pure function of the bytes, for `Heard.decode`."""
+    `((wire_id, (wire_nbr, ...)), ...)`, T5 the reports decoded and then the
+    finished `topology` of them; TA/T2 keep their ints. A pure function of
+    the bytes, for `Heard.decode`, so every listener of a T5 shares one
+    topology."""
     parts = unframe(message)
     tag = parts[0]
     if tag in ("T1", "T3"):
@@ -296,10 +298,11 @@ def parse_message(message: bytes) -> tuple:
     if tag == "T4":
         return tag, tuple((wid, tuple(nbrs)) for wid, nbrs in parts[1])
     if tag == "T5":
-        return tag, tuple(
+        reports = tuple(
             (wire_to_id(wid), tuple(wire_to_id(x) for x in nbrs))
             for wid, nbrs in parts[1]
         )
+        return tag, reports, topology(reports)
     return tuple(parts)
 
 
@@ -321,8 +324,16 @@ def reconstruct_topology(
                 raise InconsistentReports(f"{bb} listed by {a} but reported nowhere")
             if a not in reports[bb]:
                 raise InconsistentReports(f"one-sided listing {a} -> {bb}")
-            edges.add((min(a, bb), max(a, bb)))
+            edges.add((a, bb) if a < bb else (bb, a))
     return nodes, edges
+
+
+def topology(reports) -> tuple[frozenset, tuple]:
+    """The finished topology of decoded `(id, (nbr_id, ...))` reports: the
+    node set and the sorted edge tuple, checked by `reconstruct_topology`.
+    Immutable, so every node of a run can share it."""
+    nodes, edges = reconstruct_topology({wid: set(nbrs) for wid, nbrs in reports})
+    return frozenset(nodes), tuple(sorted(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +634,8 @@ class TopRecProgram(NodeProgram):
     """Four stages: identifier distribution over the acknowledged broadcast,
     per-color (or per-id) identifier announcement, adjacency-report
     gathering, and a final broadcast of the edge set. Output per node:
-    (sorted edge list over identifiers, own identifier).
+    (sorted edge tuple over identifiers, own identifier); the edge tuple is
+    one object shared by every node that heard the same T5.
 
     Stage 1 is an `AckBfsMachine` whose first broadcast carries the sender's
     identifier; a node's identifier is its parent's plus its own gather
@@ -649,7 +661,7 @@ class TopRecProgram(NodeProgram):
         if m.is_root:
             self._set_id(())
             if m.total == 0:
-                self._finish([((), ())])
+                self._finish(topology([((), ())]))
 
     def _set_id(self, node_id: tuple[int, ...]) -> None:
         """The machine's message is the identifier in wire form."""
@@ -672,13 +684,12 @@ class TopRecProgram(NodeProgram):
     def _stage4_start(self) -> int:
         return self._stage3_start() + self.m.dstar * self.m.delta
 
-    def _finish(self, reports) -> None:
-        """Output from decoded `(id, (nbr_id, ...))` pairs."""
-        table = {wid: set(nbrs) for wid, nbrs in reports}
-        nodes, edges = reconstruct_topology(table)
+    def _finish(self, topo: tuple[frozenset, tuple]) -> None:
+        """Output from a finished `topology`, shared, not copied."""
+        nodes, edges = topo
         if self.my_id not in nodes:
             raise ProtocolViolation("own identifier missing from reports")
-        self.output = (sorted(edges), self.my_id)
+        self.output = (edges, self.my_id)
 
     # -- pending transmission slots of stages 2-4 (None once sent or while
     # unknown) ----------------------------------------------------------------
@@ -727,10 +738,10 @@ class TopRecProgram(NodeProgram):
             if not self.m.is_root:
                 return Transmit(self._final)
             reports = self._all_reports()
-            self._finish(
+            self._finish(topology(
                 (wire_to_id(wid), tuple(wire_to_id(x) for x in nbrs))
                 for wid, nbrs in reports
-            )
+            ))
             if self.m.is_leaf:
                 return LISTEN
             return Transmit(frame("T5", reports))
@@ -768,7 +779,7 @@ class TopRecProgram(NodeProgram):
             if self._final is None:
                 self._final = obs.message
                 if self.output is None:
-                    self._finish(parts[1])
+                    self._finish(parts[2])
         else:
             if tag == "T2" and parts[2] is not None:
                 self.n_value = parts[2]

@@ -150,9 +150,9 @@ def test_c03_toprec_correctness(tr_corpus, report):
         bundle = build_toprec_labels(g)
         tr = run(g, bundle.labels, toprec_program())
         ids = bundle.meta["ids"]
-        expected_edges = sorted(
+        expected_edges = tuple(sorted(
             (min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()
-        )
+        ))
         if not all(
             out == (expected_edges, ids[v]) for v, out in enumerate(tr.outputs)
         ):

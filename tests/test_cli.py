@@ -56,6 +56,18 @@ class TestRun:
         code, out = run_cli("run", str(el), "--scheme", "toprec")
         assert code == 0 and json.loads(out)["correct_outputs"] == 4
 
+    def test_toprec_outputs_json_unchanged(self, tmp_path):
+        """The shared edge tuple serialises exactly as the old edge list did."""
+        el = tmp_path / "c4.el"
+        run_cli("gen", "--family", "cycle", "--n", "4", "--out", str(el))
+        code, out = run_cli("run", str(el), "--scheme", "toprec")
+        assert code == 0
+        edges = '"edges": [[[], [0]], [[], [1]], [[0], [0, 0]], [[0, 0], [1]]]'
+        assert json.dumps(json.loads(out)["outputs"]) == (
+            f'[{{{edges}, "self": []}}, {{{edges}, "self": [0]}}, '
+            f'{{{edges}, "self": [0, 0]}}, {{{edges}, "self": [1]}}]'
+        )
+
     def test_disconnected_rejected(self, tmp_path):
         el = tmp_path / "disc.el"
         el.write_text("4 2\n0 1\n2 3\n")

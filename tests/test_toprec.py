@@ -1,9 +1,11 @@
 import networkx as nx
 import pytest
 
-from radiolab.errors import InconsistentReports, MalformedCodeword
+import radiolab.toprec as toprec_mod
+from radiolab.errors import InconsistentReports, MalformedCodeword, ProtocolViolation
 from radiolab.graphs import (
     build_graph,
+    diameter,
     gen_cycle,
     gen_grid,
     gen_path,
@@ -12,7 +14,7 @@ from radiolab.graphs import (
 )
 from radiolab.labels import decode_blocks, encode_blocks, int_to_bits
 from radiolab.schemes import run_scheme
-from radiolab.sim import run, unframe
+from radiolab.sim import Heard, frame, run, unframe
 from radiolab.toprec import (
     BFS_BLOCKS,
     TOPREC_BLOCKS,
@@ -26,6 +28,7 @@ from radiolab.toprec import (
     build_toprec_labels,
     distance_two_coloring,
     gather_bfs_program,
+    id_to_wire,
     parse_message,
     reconstruct_topology,
     toprec_program,
@@ -227,7 +230,7 @@ class TestTopRec:
         assert b.meta["ids"] == [(), (0,), (0, 0), (1,)]
         tr = run(g, b.labels, toprec_program())
         ids = b.meta["ids"]
-        expected = sorted((min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges())
+        expected = tuple(sorted((min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()))
         for v in range(4):
             assert tr.outputs[v] == (expected, ids[v])
 
@@ -307,6 +310,8 @@ class TestParseMessage:
                     assert parsed[1] == tuple(
                         (wire_to_id(w), tuple(map(wire_to_id, ns))) for w, ns in parts[1]
                     )
+                    nodes, edges = reconstruct_topology({w: set(ns) for w, ns in parsed[1]})
+                    assert parsed[2] == (nodes, tuple(sorted(edges)))
                 else:
                     assert list(parsed) == parts
         assert tags == {"T1", "TA", "T2", "T3", "T4", "T5"}
@@ -317,6 +322,71 @@ class TestParseMessage:
         finals = {m for rec in tr.rounds for m in rec.transmitters.values()
                   if unframe(m)[0] == "T5"}
         assert len(finals) == 1
+
+
+class TestSharedTopology:
+    """The T5 parse builds the topology once per run; every node shares it
+    and checks only its own identifier."""
+
+    def test_one_sided_t5_rejected(self):
+        t5 = frame("T5", [["", [id_to_wire((0,))]], [id_to_wire((0,)), []]])
+        with pytest.raises(InconsistentReports, match="one-sided"):
+            parse_message(t5)
+
+    def test_dangling_t5_rejected(self):
+        t5 = frame("T5", [["", [id_to_wire((9,))]]])
+        with pytest.raises(InconsistentReports, match="reported nowhere"):
+            parse_message(t5)
+
+    def test_own_id_missing_from_shared_topology(self):
+        g = gen_cycle(4)
+        p = toprec_program()(build_toprec_labels(g).labels[1])
+        p.my_id = (0,)
+        with pytest.raises(ProtocolViolation, match="own identifier"):
+            p.receive(1, Heard(frame("T5", [["", []]])))
+
+    @pytest.mark.parametrize("g", [gen_grid(10, 10), gen_star(129)],
+                             ids=["grid10x10", "star129"])
+    def test_at_most_two_reconstructions_per_run(self, g, monkeypatch):
+        calls = []
+        real = toprec_mod.reconstruct_topology
+
+        def counting(reports):
+            calls.append(len(reports))
+            return real(reports)
+
+        monkeypatch.setattr(toprec_mod, "reconstruct_topology", counting)
+        r = run_scheme("toprec", g)
+        assert r.ok
+        assert 1 <= len(calls) <= 2
+
+    @pytest.mark.parametrize("g", [gen_cycle(4), gen_grid(10, 10), gen_star(129)],
+                             ids=["c4", "grid10x10", "star129"])
+    def test_outputs_share_one_immutable_edge_tuple(self, g):
+        r = run_scheme("toprec", g)
+        assert r.ok
+        outs = r.trace.outputs
+        root = r.bundle.meta["root"]
+        shared = outs[1 - root][0]
+        assert isinstance(shared, tuple)
+        assert all(outs[v][0] is shared for v in range(g.n) if v != root)
+        for out in outs:
+            hash(out)
+
+    @pytest.mark.parametrize("g", [gen_star(1025), gen_grid(20, 20)],
+                             ids=["star1025", "grid20x20"])
+    def test_larger_graphs_exact(self, g):
+        """Regression guard for the per-node rebuild: these took seconds when
+        every node rebuilt the topology."""
+        r = run_scheme("toprec", g)
+        assert r.ok and r.correct_outputs == g.n
+        delta = g.max_degree()
+        bound = (
+            toprec_mod.TOPREC_C1 * diameter(g) * delta
+            + toprec_mod.TOPREC_C2 * min(g.n, delta * delta + 1)
+            + toprec_mod.TOPREC_C3
+        )
+        assert r.trace.num_rounds <= bound
 
 
 class TestMalformedLabels:
