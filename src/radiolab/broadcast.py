@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import EmptySourceSet, Undominatable
 from .graphs import Graph
 from .labels import SchemeBundle, decode_blocks, encode_blocks, fixed_block, label_blocks
-from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, unframe
+from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, parse
 
 
 # ---------------------------------------------------------------------------
@@ -32,20 +32,55 @@ def minimal_dominating_subset(
     """Subset of `candidates` dominating `targets` (every target keeps a
     neighbor in the set), minimal under removal; greedy removal in descending
     index order for determinism."""
-    chosen = set(candidates)
+    return _dominate(set(candidates), set(targets), g)[0]
+
+
+def _degree_sum(g: Graph, nodes) -> int:
+    return sum(map(len, map(g.adj.__getitem__, nodes)))
+
+
+def _dominate(
+    candidates: set[int], targets: set[int], g: Graph
+) -> tuple[set[int], dict[int, int]]:
+    """`minimal_dominating_subset`, plus every target with exactly one chosen
+    neighbor mapped to that neighbor: the nodes the chosen set informs.
+
+    Coverage is counted from whichever side has the smaller degree sum, and
+    that one pass records each candidate's adjacent targets, so the greedy
+    removal reads no adjacency. A target whose cover drops to 1 becomes
+    critical; a candidate is removable iff it touches no critical target.
+    """
+    adj = g.adj
     cover: dict[int, int] = {}
-    for u in targets:
-        c = sum(1 for w in g.adj[u] if w in chosen)
-        if c == 0:
-            raise Undominatable(f"target {u} has no candidate neighbor")
-        cover[u] = c
-    for v in sorted(chosen, reverse=True):
-        touched = [u for u in g.adj[v] if u in cover]
-        if all(cover[u] >= 2 for u in touched):
+    if _degree_sum(g, targets) <= _degree_sum(g, candidates):
+        touched: dict[int, list[int] | set[int]] = {v: [] for v in candidates}
+        for u in targets:
+            near = candidates.intersection(adj[u])
+            if near:
+                cover[u] = len(near)
+                for v in near:
+                    touched[v].append(u)
+    else:
+        touched = {v: targets.intersection(adj[v]) for v in candidates}
+        for near in touched.values():
+            for u in near:
+                cover[u] = cover.get(u, 0) + 1
+    if len(cover) < len(targets):
+        u = next(u for u in targets if u not in cover)
+        raise Undominatable(f"target {u} has no candidate neighbor")
+    chosen = set(candidates)
+    critical = {u for u, c in cover.items() if c == 1}
+    for v in sorted(candidates, reverse=True):
+        near = touched[v]
+        if critical.isdisjoint(near):
             chosen.discard(v)
-            for u in touched:
-                cover[u] -= 1
-    return chosen
+            for u in near:
+                c = cover[u] - 1
+                cover[u] = c
+                if c == 1:
+                    critical.add(u)
+    unique = {u: v for v in chosen for u in critical.intersection(touched[v])}
+    return chosen, unique
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +131,7 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
     if not sources:
         raise EmptySourceSet("need at least one source")
     n = g.n
+    adj = g.adj
     informed = set(sources)
     level = {s: 0 for s in sources}
     parent: dict[int, int] = {}
@@ -103,10 +139,14 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
     stay = [0] * n
     dom1 = [0] * n
 
-    frontier = {u for s in sources for u in g.adj[s] if u not in informed}
-    dom = minimal_dominating_subset(sources, frontier, g) if frontier else set()
+    frontier = {u for s in sources for u in adj[s] if u not in informed}
+    # `newly` is who DOM informs this stage: the frontier nodes with exactly
+    # one DOM neighbor, each mapped to it
+    dom, newly = _dominate(set(sources), frontier, g)
     for v in dom:
         dom1[v] = 1
+    uninformed = set(range(n)) - informed
+    uninformed_deg = _degree_sum(g, uninformed)
 
     stages: list[StageRecord] = []
     stage = 1
@@ -114,14 +154,9 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
         if not dom:
             raise Undominatable("no dominators left but nodes remain uninformed")
         r1 = 3 * stage - 2
-        newly: dict[int, int] = {}
-        for u in frontier:
-            senders = [w for w in g.adj[u] if w in dom]
-            if len(senders) == 1:
-                newly[u] = senders[0]
-                level[u] = r1
         children: dict[int, list[int]] = {v: [] for v in dom}
         for u, p in newly.items():
+            level[u] = r1
             children[p].append(u)
         feedback = {}
         for v in dom:
@@ -129,16 +164,22 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
                 f"stage {stage}: DOM member {v} informed nobody (minimality bug)"
             )
             feedback[v] = min(children[v])
-        informed |= set(newly)
-        # the old frontier's still-uninformed nodes plus the newly informed
-        # nodes' uninformed neighbours: every uninformed node next to an
-        # informed one, without rescanning the informed set
-        next_frontier = {u for u in frontier if u not in informed}
-        next_frontier.update(u for w in newly for u in g.adj[w] if u not in informed)
-        if next_frontier:
-            next_dom = minimal_dominating_subset(dom | set(newly), next_frontier, g)
+        informed.update(newly)
+        uninformed.difference_update(newly)
+        newly_deg = _degree_sum(g, newly)
+        uninformed_deg -= newly_deg
+        # every uninformed node next to an informed one, found from the
+        # smaller side: the old frontier's rest plus the newly informed
+        # nodes' neighbors, or the uninformed nodes with an informed neighbor
+        if newly_deg <= uninformed_deg:
+            reached: set[int] = set()
+            for w in newly:
+                reached.update(adj[w])
+            next_frontier = frontier.difference(newly)
+            next_frontier |= reached - informed
         else:
-            next_dom = set()
+            next_frontier = {u for u in uninformed if not informed.isdisjoint(adj[u])}
+        next_dom, next_newly = _dominate(dom.union(newly), next_frontier, g)
         for u in newly:
             join[u] = 1 if u in next_dom else 0
         for v in dom:
@@ -147,8 +188,7 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
             StageRecord(stage=stage, dom=dom, frontier=frontier, newly=newly,
                         feedback=feedback)
         )
-        dom = next_dom
-        frontier = next_frontier
+        dom, newly, frontier = next_dom, next_newly, next_frontier
         stage += 1
         assert stage <= n + 1, "stage count exceeded n"
 
@@ -175,7 +215,8 @@ class ExecCore:
     a node informed at attached round r with global clock a derives the
     instance offset a - r, so no participant needs to know the start round
     in advance. Message kinds: ("b", rel, sender_level, payload) for the
-    broadcast rounds, ("f", rel, stay) for feedback. `js` is the node's
+    broadcast rounds, ("f", rel) for feedback (sent only by a node whose
+    stay bit is 1, so it carries no bit of its own). `js` is the node's
     join/stay label block.
     """
 
@@ -243,7 +284,7 @@ class ExecCore:
             return (self.tag, "b", rel, self.level, self.message)
         if pos == 2 and self._informed_this_stage and not self._fb_sent and self.stay:
             self._fb_sent = True
-            return (self.tag, "f", rel, self.stay)
+            return (self.tag, "f", rel)
         return None
 
     def on_message(self, abs_rnd: int, parts) -> None:
@@ -259,7 +300,7 @@ class ExecCore:
                 self._stage = (rel + 2) // 3
                 self._informed_this_stage = True
         elif kind == "f":
-            if self.in_dom and parts[3]:
+            if self.in_dom:
                 self._heard_stay = True
 
     def poststep(self, abs_rnd: int) -> None:
@@ -349,7 +390,7 @@ class BroadcastProgram(NodeProgram):
 
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
-            parts = unframe(obs.message)
+            parts = obs.decode(parse)
             if parts[0] == self.TAG:
                 self.core.on_message(rnd, parts)
                 if self.core.informed and self.output is None:
@@ -529,7 +570,7 @@ class ExecAckProgram(NodeProgram):
     def receive(self, rnd: int, obs) -> None:
         m = self.m
         if isinstance(obs, Heard):
-            parts = unframe(obs.message)
+            parts = obs.decode(parse)
             if parts[0].startswith("k"):
                 m.on_message(rnd, parts)
         m.poststep(rnd)
@@ -558,11 +599,15 @@ def execack_program(message="1"):
 # ---------------------------------------------------------------------------
 
 
-def synthesize_path_message(g: Graph, s: int, message_bits: str) -> SchemeBundle:
+def synthesize_path_message(
+    g: Graph, s: int, message_bits: str, syn: CoreSynthesis | None = None
+) -> SchemeBundle:
     """Split `message_bits` into chunks stored along marked nodes (one per
     broadcast-tree level), collect them at the root after an acknowledged
-    broadcast, and re-broadcast the assembled message."""
-    syn = synthesize_core(g, {s})
+    broadcast, and re-broadcast the assembled message. `syn`, if given, is
+    the caller's `synthesize_core(g, {s})`."""
+    if syn is None:
+        syn = synthesize_core(g, {s})
     path = _max_level_path(syn.tree, s)
     v_p = path[-1]
     t_exec = syn.t
@@ -629,8 +674,10 @@ def synthesize_path_message(g: Graph, s: int, message_bits: str) -> SchemeBundle
 
 class PathMessageProgram(NodeProgram):
     """ExecAck, upward chunk collection (marked node at level l transmits at
-    relative round 3t + L - l + 1 forwarding everything heard), then the root
-    re-broadcasts the assembled message. Output is the message bit string."""
+    relative round 3t + L - l + 1 forwarding every non-empty chunk it holds
+    or heard, as (level, chunk) pairs), then the root re-broadcasts the
+    assembled message, a missing level reading as empty. Output is the
+    message bit string."""
 
     def __init__(self, label: str):
         super().__init__(label)
@@ -683,8 +730,8 @@ class PathMessageProgram(NodeProgram):
                 self.core3.start_source(rnd, msg, self.ack.dom1)
             else:
                 self._collected = True
-                mine = [[self.ack.core1.level, self.chunk]] + [list(x) for x in self.pairs]
-                return Transmit(frame("pc", "c", mine))
+                mine = [(self.ack.core1.level, self.chunk)] if self.chunk else []
+                return Transmit(frame("pc", "c", mine + self.pairs))
         p = self.core3.action(rnd)
         if p:
             return Transmit(frame(*p))
@@ -692,13 +739,12 @@ class PathMessageProgram(NodeProgram):
 
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
-            parts = unframe(obs.message)
+            parts = obs.decode(parse)
             tag = parts[0]
             if tag.startswith("p") and tag != "pc" and tag != "pm":
                 self.ack.on_message(rnd, parts)
             elif tag == "pc":
-                for l, c in parts[2]:
-                    self.pairs.append((l, c))
+                self.pairs.extend(parts[2])
             elif tag == "pm":
                 self.core3.on_message(rnd, parts)
                 if self.output is None and self.core3.informed:
@@ -832,7 +878,7 @@ def dom_membership_from_history(
                 membership[(rel + 2) // 3] = core.in_dom
         obs = trace.observation_of(v, rnd)
         if isinstance(obs, Heard):
-            parts = unframe(obs.message)
+            parts = obs.decode(parse)
             if parts[0] == tag:
                 core.on_message(rnd, parts)
         core.poststep(rnd)

@@ -449,6 +449,17 @@ def unframe(message: bytes) -> list:
     return json.loads(message.decode())
 
 
+def parse(message: bytes) -> tuple:
+    """`unframe` with every array as a tuple: the immutable parse that the
+    size and broadcast programs read through `Heard.decode`, so all
+    listeners of the same bytes share one parse."""
+    return _frozen(unframe(message))
+
+
+def _frozen(x):
+    return tuple(map(_frozen, x)) if type(x) is list else x
+
+
 def dump_trace_jsonl(trace: ExecutionTrace, fp: TextIO) -> None:
     """One JSON record per round: transmitters with hex payloads plus the
     per-node observation codes."""

@@ -37,7 +37,7 @@ from .labels import (
     label_blocks,
     split_mode,
 )
-from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, unframe
+from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, parse
 
 # Documented constant for the encoded compact-label length bound
 # max_bits <= COMPACT_LENGTH_C * (ceil(log2 log2 (Delta+2)) + 1).
@@ -307,7 +307,7 @@ class AuxiliarySDProgram(NodeProgram):
 
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
-            parts = unframe(obs.message)
+            parts = obs.decode(parse)
             tag = parts[0]
             if tag == "D":
                 if self.is_root:
@@ -365,7 +365,7 @@ def build_general_sd(g: Graph) -> SchemeBundle:
     if use_compact:
         inner = build_compact_labels(g)
     else:
-        inner = synthesize_path_message(g, 0, int_to_bits(n))
+        inner = synthesize_path_message(g, 0, int_to_bits(n), syn)
     mode = "1" if use_compact else "0"
     labels = [add_mode(mode, lab) for lab in inner.labels]
     return SchemeBundle(
@@ -436,6 +436,8 @@ class StripeDecomposition:
     supergreen: list[bool]
     stripe_of: list[int | None]
     stripes: dict[int, StripeData]
+    # the nodes of each BFS layer, derived from `layers`
+    by_layer: list[list[int]] = field(default_factory=list, repr=False, compare=False)
 
 
 def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
@@ -450,6 +452,7 @@ def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
     green = [False] * n
     supergreen = [False] * n
     stripe_of: list[int | None] = [None] * n
+    by_layer: list[list[int]] = [[] for _ in range(la.depth + 1)]
     # a stripe is materialized only if its super-green layer exists
     stripes = {
         jj: StripeData(index=jj, first_layer=jj * lgn)
@@ -458,6 +461,7 @@ def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
     }
     for v in range(n):
         i = la.layer[v]
+        by_layer[i].append(v)
         block = i // lgn
         if block % 2 == 0:
             green[v] = True
@@ -473,6 +477,7 @@ def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
         supergreen=supergreen,
         stripe_of=stripe_of,
         stripes=stripes,
+        by_layer=by_layer,
     )
 
 
@@ -498,10 +503,9 @@ def minimal_bfs_cover(sd: StripeDecomposition, j: int) -> list[int]:
     """Subset of the stripe's first layer from which every super-green node
     of the stripe is BFS-reachable; minimal under inclusion (greedy removal,
     descending index)."""
-    la, lgn = sd.layers, sd.lgn
-    first = j * lgn
-    sg = {v for v in range(sd.graph.n) if sd.supergreen[v] and sd.stripe_of[v] == j}
-    cover = {v for v in range(sd.graph.n) if la.layer[v] == first}
+    first = j * sd.lgn
+    sg = set(sd.by_layer[first + sd.lgn - 1])  # the stripe's super-green nodes
+    cover = set(sd.by_layer[first])
     assert sg <= _forward_reach(sd, j, cover), "super-green layer unreachable"
     for v in sorted(cover, reverse=True):
         trial = cover - {v}
@@ -517,7 +521,7 @@ def conflict_free_paths(
     from no other cover member; verified conflict-free by exhaustive edge
     scan (no edge joins different layers of two distinct paths)."""
     g, la, lgn = sd.graph, sd.layers, sd.lgn
-    sg = {v for v in range(g.n) if sd.supergreen[v] and sd.stripe_of[v] == j}
+    sg = set(sd.by_layer[(j + 1) * lgn - 1])  # the stripe's super-green nodes
     reach = {u: _forward_reach(sd, j, {u}) for u in cover}
     paths: list[list[int]] = []
     for u in cover:
@@ -540,14 +544,15 @@ def conflict_free_paths(
         path.reverse()
         assert path[0] == u and len(path) == lgn
         paths.append(path)
-    # exhaustive conflict scan
+    # exhaustive conflict scan over every edge at a path node
     on_path = {v: idx for idx, p in enumerate(paths) for v in p}
-    for a, b in g.edges():
-        pa, pb = on_path.get(a), on_path.get(b)
-        if pa is not None and pb is not None and pa != pb:
-            assert la.layer[a] == la.layer[b], (
-                f"conflicting edge ({a},{b}) between paths {pa} and {pb}"
-            )
+    for a, pa in on_path.items():
+        for b in g.adj[a]:
+            pb = on_path.get(b)
+            if pb is not None and pb != pa:
+                assert la.layer[a] == la.layer[b], (
+                    f"conflicting edge ({a},{b}) between paths {pa} and {pb}"
+                )
     return paths
 
 
@@ -565,10 +570,9 @@ def fast_sd_barrier(n: int) -> int:
 
 def build_fast_sd(g: Graph) -> SchemeBundle:
     n = g.n
-    root = 0
-    la = bfs_layers(g, root)
-    lgn = n.bit_length()
-    if la.depth < lgn:
+    try:
+        sd = stripe_decomposition(g, 0)
+    except TooShallow:
         general = build_general_sd(g)
         labels = [add_mode("0", lab) for lab in general.labels]
         return SchemeBundle(
@@ -577,7 +581,7 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
             meta={"mode": "fallback", "inner": general},
         )
 
-    sd = stripe_decomposition(g, root)
+    lgn = sd.lgn
     message = int_to_bits(n)
     m_bit = ["0"] * n
     on_paths = [False] * n
@@ -604,8 +608,9 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
         sub_index = {v: i for i, v in enumerate(sub_nodes)}
         sub_edges = [
             (sub_index[a], sub_index[b])
-            for a, b in g.edges()
-            if a in xbfs and b in xbfs
+            for a in sub_nodes
+            for b in g.adj[a]
+            if b > a and b in xbfs
         ]
         sub = build_graph(len(sub_nodes), sub_edges)
         syn = synthesize_core(sub, {sub_index[u] for u in cover})
@@ -731,7 +736,7 @@ class FastSDProgram(NodeProgram):
                 self.output = self.inner.output
             return
         if isinstance(obs, Heard):
-            parts = unframe(obs.message)
+            parts = obs.decode(parse)
             tag = parts[0]
             if tag == "F1":
                 if self.on_path and not self._relayed and self._relay_round is None:

@@ -23,7 +23,9 @@ from radiolab.graphs import (
     gen_random_connected,
     gen_star,
 )
-from radiolab.sim import run
+from radiolab import sim
+from radiolab.schemes import build_bundle, program_for
+from radiolab.sim import parse, run
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -279,3 +281,75 @@ class TestNodeLocality:
             b = synthesize_executor(g, 0)
             tr = run(g, b.labels, executor_program("M"))
             verify_executor_run(g, b, tr)
+
+
+class TestParseOnce:
+    """The size and broadcast programs read messages through `Heard.decode`
+    with the shared `parse`, so each distinct delivered message is parsed
+    once per run, whatever its number of listeners."""
+
+    CASES = [
+        ("exec", gen_grid(6, 7)),
+        ("execack", gen_grid(6, 7)),
+        ("pathmsg", gen_path(40)),
+        ("compact", gen_grid(5, 6)),
+        ("general", gen_path(64)),
+        ("general", gen_star(17)),
+        ("fastsd", gen_path(100)),
+        ("fastsd", gen_grid(4, 4)),
+    ]
+
+    @staticmethod
+    def _run(scheme, g, cd):
+        if scheme == "exec":
+            return run(g, synthesize_executor(g, 0).labels, executor_program(), cd=cd)
+        if scheme == "execack":
+            return run(g, synthesize_execack(g, 0).labels, execack_program(), cd=cd)
+        if scheme == "pathmsg":
+            labels = synthesize_path_message(g, 0, "1011001").labels
+            return run(g, labels, PathMessageProgram, cd=cd)
+        return run(g, build_bundle(scheme, g).labels, program_for(scheme), cd=cd)
+
+    @pytest.mark.parametrize("cd", [False, True])
+    @pytest.mark.parametrize("scheme,g", CASES)
+    def test_one_parse_per_distinct_message(self, monkeypatch, scheme, g, cd):
+        parsed = []
+        real = sim.unframe
+
+        def counted(message):
+            parsed.append(message)
+            return real(message)
+
+        monkeypatch.setattr(sim, "unframe", counted)
+        tr = self._run(scheme, g, cd)
+        heard = {m for rec in tr.rounds for m in rec.heard.values()}
+        deliveries = sum(len(rec.heard) for rec in tr.rounds)
+        assert sorted(parsed) == sorted(heard)
+        assert len(parsed) < deliveries
+
+    def test_feedback_carries_no_stay_field(self):
+        g = gen_grid(6, 7)
+        tr = run(g, synthesize_executor(g, 0).labels, executor_program())
+        feedback = [parse(m) for rec in tr.rounds for m in rec.transmitters.values()
+                    if parse(m)[1] == "f"]
+        assert feedback
+        assert all(len(parts) == 3 for parts in feedback)
+
+    def test_collection_relays_only_non_empty_chunks(self):
+        # a long path takes general's message-on-path branch; every marked
+        # node still transmits in its slot, even with nothing to forward
+        n = 300
+        g = gen_path(n)
+        bundle = build_bundle("general", g)
+        inner = bundle.meta["inner"]
+        assert bundle.meta["branch"] == "pathmsg"
+        tr = run(g, bundle.labels, program_for("general"))
+        assert tr.outputs == [n] * n
+        relays = {v: parse(m)[2] for rec in tr.rounds for v, m in rec.transmitters.items()
+                  if parse(m)[0] == "pc"}
+        marked = set(inner.meta["marked"].values()) - {0}
+        assert set(relays) == marked
+        pieces = {(k, c) for k, c in inner.meta["chunks"].items() if c}
+        for pairs in relays.values():
+            assert all(chunk for _, chunk in pairs)
+            assert set(pairs) <= pieces

@@ -21,6 +21,7 @@ from radiolab.sim import (
     Transmit,
     dump_trace_jsonl,
     frame,
+    parse,
     history_of,
     observation,
     run,
@@ -296,6 +297,13 @@ class TestTraceDump:
     def test_frame_round_trip(self):
         msg = frame("tag", 3, "10", [1, 2])
         assert unframe(msg) == ["tag", 3, "10", [1, 2]]
+
+    def test_parse_is_a_hashable_tuple(self):
+        msg = frame("pc", "c", [[1, "01"], [4, "1"]], [])
+        parts = parse(msg)
+        assert parts == ("pc", "c", ((1, "01"), (4, "1")), ())
+        assert hash(parts) == hash(parse(msg))
+        assert Heard(msg).decode(parse) == parts
 
 
 class TestObservationReconstruction:

@@ -1,11 +1,13 @@
 """Oracle label synthesis against the code it replaced.
 
-The rescanning frontier of `synthesize_core`, the per-child scan of
+The rescanning frontier of `synthesize_core` with its per-frontier sender
+scan, the rescanning `minimal_dominating_subset`, the per-child scan of
 `assign_gather_indices`, the per-neighbour loop of `distance_two_coloring`
 and the recursive `assign_subtree_bits` are kept here as test-only
 references. Every bundle built with them patched in must equal the bundle
-the current code builds, label for label and in its meta. The large-n tests
-run under the default recursion limit.
+the current code builds, label for label and in its meta. A counting
+adjacency checks that `synthesize_core` scans from the smaller side. The
+large-n tests run under the default recursion limit.
 """
 
 import math
@@ -24,6 +26,7 @@ from radiolab.broadcast import (
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import EmptySourceSet, MessageTooLong, Undominatable
 from radiolab.graphs import (
+    Graph,
     build_graph,
     gen_lb_family,
     gen_path,
@@ -50,9 +53,29 @@ SCHEMES = ("compact", "general", "fastsd", "toprec")
 # ---------------------------------------------------------------------------
 
 
+def reference_minimal_dominating_subset(candidates, targets, g):
+    """`minimal_dominating_subset` counting coverage from the targets and
+    rescanning each candidate's adjacency in the greedy removal."""
+    chosen = set(candidates)
+    cover = {}
+    for u in targets:
+        c = sum(1 for w in g.adj[u] if w in chosen)
+        if c == 0:
+            raise Undominatable(f"target {u} has no candidate neighbor")
+        cover[u] = c
+    for v in sorted(chosen, reverse=True):
+        touched = [u for u in g.adj[v] if u in cover]
+        if all(cover[u] >= 2 for u in touched):
+            chosen.discard(v)
+            for u in touched:
+                cover[u] -= 1
+    return chosen
+
+
 def reference_synthesize_core(g, sources):
     """`synthesize_core` with the next frontier rebuilt from every informed
-    node's adjacency in every stage."""
+    node's adjacency in every stage, and the newly informed nodes found by
+    scanning each frontier node's adjacency for DOM members."""
     if not sources:
         raise EmptySourceSet("need at least one source")
     n = g.n
@@ -64,7 +87,7 @@ def reference_synthesize_core(g, sources):
     dom1 = [0] * n
 
     frontier = {u for s in sources for u in g.adj[s] if u not in informed}
-    dom = minimal_dominating_subset(sources, frontier, g) if frontier else set()
+    dom = reference_minimal_dominating_subset(sources, frontier, g) if frontier else set()
     for v in dom:
         dom1[v] = 1
 
@@ -90,7 +113,7 @@ def reference_synthesize_core(g, sources):
         informed |= set(newly)
         next_frontier = {u for w in informed for u in g.adj[w] if u not in informed}
         if next_frontier:
-            next_dom = minimal_dominating_subset(dom | set(newly), next_frontier, g)
+            next_dom = reference_minimal_dominating_subset(dom | set(newly), next_frontier, g)
         else:
             next_dom = set()
         for u in newly:
@@ -225,6 +248,7 @@ def _graphs():
 
 
 GRAPHS = _graphs()
+LB_784 = gen_lb_family(784)[0]
 
 
 @pytest.mark.parametrize("gid,g", GRAPHS, ids=[gid for gid, _ in GRAPHS])
@@ -245,6 +269,105 @@ def test_multi_source_core_matches_reference(seed):
     g = gen_random_connected(n, 0.02 + rng.randrange(30) / 100, rng.next_u64())
     sources = {rng.randrange(n) for _ in range(1 + rng.randrange(4))}
     assert synthesize_core(g, sources) == reference_synthesize_core(g, sources)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dense_core_matches_reference(seed):
+    """G(n, 1/2) and dense multi-source cases, where coverage is counted from
+    both sides and the frontier is built from both sides."""
+    rng = SplitMix64(0xDE45E + seed)
+    n = 20 + rng.randrange(181)
+    g = gen_random_connected(n, 0.5, rng.next_u64())
+    sources = {rng.randrange(n) for _ in range(1 + rng.randrange(3 * (seed % 4) + 1))}
+    assert synthesize_core(g, sources) == reference_synthesize_core(g, sources)
+
+
+@pytest.mark.parametrize("sources", [{0}, {783}, {5, 400}, {0, 29, 56, 300, 700}])
+def test_lb_family_784_core_matches_reference(sources):
+    g = LB_784
+    assert synthesize_core(g, sources) == reference_synthesize_core(g, sources)
+
+
+def test_lb_family_784_bundles_match_reference(monkeypatch):
+    for scheme in ("compact", "general", "fastsd"):
+        new = build_bundle(scheme, LB_784)
+        with monkeypatch.context() as m:
+            m.setattr(broadcast, "synthesize_core", reference_synthesize_core)
+            m.setattr(size_discovery, "synthesize_core", reference_synthesize_core)
+            ref = build_bundle(scheme, LB_784)
+        assert new.labels == ref.labels, scheme
+        assert new.meta == ref.meta, scheme
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_dominating_subset_matches_reference(seed):
+    """Random candidate and target sets, some with the candidates' degree sum
+    below the targets' and some above."""
+    rng = SplitMix64(0xD0A1 + seed)
+    n = 5 + rng.randrange(80)
+    g = gen_random_connected(n, 0.05 + rng.randrange(90) / 100, rng.next_u64())
+    k = 1 + rng.randrange(n - 1)
+    candidates = {rng.randrange(n) for _ in range(k)}
+    targets = {u for u in range(n) if u not in candidates and rng.randrange(3)}
+    try:
+        expected = reference_minimal_dominating_subset(candidates, targets, g)
+    except Undominatable as exc:
+        with pytest.raises(Undominatable, match=str(exc)):
+            minimal_dominating_subset(candidates, targets, g)
+        return
+    chosen, unique = broadcast._dominate(candidates, targets, g)
+    assert chosen == expected == minimal_dominating_subset(candidates, targets, g)
+    # the unique map is the per-target sender scan of the old synthesis
+    senders = {u: [w for w in g.adj[u] if w in chosen] for u in targets}
+    assert unique == {u: s[0] for u, s in senders.items() if len(s) == 1}
+
+
+# ---------------------------------------------------------------------------
+# Scan cost: the smaller side, counted on the adjacency tuples
+# ---------------------------------------------------------------------------
+
+
+class CountingTuple(tuple):
+    """An adjacency tuple that adds its length to a shared counter whenever
+    it is iterated, in Python or in C (`set.intersection`, `isdisjoint`)."""
+
+    def __iter__(self):
+        SCANNED[0] += len(self)
+        return super().__iter__()
+
+
+SCANNED = [0]
+
+
+def counting(g):
+    out = Graph(g.n, [])
+    out.adj = tuple(CountingTuple(a) for a in g.adj)
+    return out
+
+
+def clique_with_tail(m, tail):
+    """K_m with a path of `tail` more nodes hanging off node m - 1."""
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    edges += [(i - 1, i) for i in range(m, m + tail)]
+    return build_graph(m + tail, edges)
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [("path-3000", gen_path(3000)), ("clique-200-tail-300", clique_with_tail(200, 300))],
+)
+def test_synthesis_scans_the_smaller_side(name, g):
+    """On a path the frontier grows from the newly informed node: a scan of
+    the uninformed nodes costs O(n) per stage. On K_200 the first stage must
+    count coverage from the one source, then find the tail from the
+    uninformed side and count its coverage from the one target: any other
+    side costs about 200^2 = 40,000 entries. On both graphs the smaller side
+    stays under 8 n entries."""
+    cg = counting(g)
+    SCANNED[0] = 0
+    syn = synthesize_core(cg, {0})
+    assert syn == reference_synthesize_core(g, {0})
+    assert SCANNED[0] <= 8 * g.n, (name, SCANNED[0])
 
 
 def test_subtree_bits_match_reference():
