@@ -121,8 +121,7 @@ class AuditReport:
     departures: list[dict] = field(default_factory=list)
     round_summary: list[dict] = field(default_factory=list)
     violations: dict[str, list[dict]] = field(
-        default_factory=lambda: {"F1": [], "L9": [], "F4": [], "F5": [], "LBL": [],
-                                 "MONO": []}
+        default_factory=lambda: {"F1": [], "L9": [], "F4": [], "F5": [], "LBL": []}
     )
     trigger_labels: list[str] = field(default_factory=list)
     distinct_trigger_labels: int = 0
@@ -171,8 +170,8 @@ def audit_facts(
         and at most one outside transmitter. F4: transmitters in >= 3
         components mean no departures. F5: at most 2 departures per round.
     LBL: the trigger-label multiset has every label at most twice.
-    MONO (a component rejoining the canonical history) stays in the report
-    but cannot occur: a component leaves once and is never visited again.
+    A component leaves the canonical history once and never rejoins it, so
+    there is no monotonicity check to make.
 
     Only rounds with a transmitter or a departure are visited. Raises
     InvalidParams if the partition does not cover the graph.

@@ -223,7 +223,7 @@ class ExecCore:
     __slots__ = (
         "tag", "join", "stay", "informed", "message", "level",
         "parent_level", "offset", "in_dom", "_stage", "_informed_this_stage",
-        "_heard_stay", "_fb_sent", "_settled", "tx_rounds",
+        "_heard_stay", "_fb_sent", "tx_rounds",
     )
 
     def __init__(self, tag: str, js: str):
@@ -241,7 +241,6 @@ class ExecCore:
         self._informed_this_stage = False
         self._heard_stay = False
         self._fb_sent = False
-        self._settled = False
         self.tx_rounds: list[int] = []
 
     def start_source(self, start_abs: int, message, in_dom: bool) -> None:
@@ -262,22 +261,13 @@ class ExecCore:
             self._stage += 1
 
     def action(self, abs_rnd: int):
-        if self._settled or self.offset is None:
+        if not self.active:
             return None
         rel = abs_rnd - self.offset
         if rel < 1:
             return None
         stage = (rel + 2) // 3
         self._advance(stage)
-        # an informed node outside DOM with its join consumed and feedback
-        # duty behind it can never transmit again in this instance
-        if (
-            not self.in_dom
-            and self.informed
-            and not self._informed_this_stage
-        ):
-            self._settled = True
-            return None
         pos = rel - 3 * (stage - 1)
         if pos == 1 and self.in_dom:
             self.tx_rounds.append(rel)
@@ -305,7 +295,7 @@ class ExecCore:
 
     def poststep(self, abs_rnd: int) -> None:
         """Process the end-of-stage membership update as soon as round 3 ends."""
-        if self._settled or self.offset is None:
+        if not self.active:
             return
         rel = abs_rnd - self.offset
         if rel >= 3 and rel % 3 == 0:
@@ -313,6 +303,9 @@ class ExecCore:
 
     @property
     def active(self) -> bool:
+        """Whether the core can still transmit in this instance. An informed
+        core that is not active stays so: no reception changes it, so it
+        needs no further calls."""
         if not self.informed:
             return False
         return (
@@ -322,12 +315,11 @@ class ExecCore:
         )
 
     def next_wake(self, abs_rnd: int) -> int | None:
-        """Wake hint after round `abs_rnd`. None while only a reception can
-        change the core (not yet reached by the broadcast, or permanently
-        settled); the start round while a started source is dormant; else
-        the next round, since a live core may change `active` at the end of
-        any stage."""
-        if self._settled or self.offset is None:
+        """Wake hint after round `abs_rnd`. None while the core is not
+        active (not yet reached by the broadcast, or done for good); the
+        start round while a started source is dormant; else the next round,
+        since a live core may change `active` at the end of any stage."""
+        if not self.active:
             return None
         return (self.offset if self.offset > abs_rnd else abs_rnd) + 1
 
@@ -399,10 +391,6 @@ class BroadcastProgram(NodeProgram):
 
     def next_wake(self, rnd: int) -> int | None:
         return self.core.next_wake(rnd)
-
-    @property
-    def idle(self) -> bool:
-        return self.output is not None and not self.core.active
 
 
 def executor_program(message="1"):
@@ -543,15 +531,6 @@ class AckMachine:
         self.core1.poststep(abs_rnd)
         self.core2.poststep(abs_rnd)
 
-    @property
-    def active(self) -> bool:
-        return (
-            self.core1.active
-            or self.core2.active
-            or self._relay_round is not None
-            or (self.is_vp and self.core1.informed and not self._relayed)
-        )
-
 
 class ExecAckProgram(NodeProgram):
     """Standalone acknowledged broadcast; output is (message, t, level,
@@ -579,12 +558,8 @@ class ExecAckProgram(NodeProgram):
             self.output = (core.message, m.t, core.level, core.parent_level)
 
     def next_wake(self, rnd: int) -> int | None:
-        done = None if self.output is not None else self.m.completion_abs
-        return earliest(self.m.next_wake(rnd), done)
-
-    @property
-    def idle(self) -> bool:
-        return self.output is not None and not self.m.active
+        finish = None if self.output is not None else self.m.completion_abs
+        return earliest(self.m.next_wake(rnd), finish)
 
 
 def execack_program(message="1"):
@@ -756,16 +731,6 @@ class PathMessageProgram(NodeProgram):
         return earliest(
             self.ack.next_wake(rnd), self.core3.next_wake(rnd), self._collect_round()
         )
-
-    @property
-    def idle(self) -> bool:
-        if self.output is None:
-            return False
-        if self.ack.active or self.core3.active:
-            return False
-        if self.marked and not self.ack.is_source and not self._collected:
-            return False
-        return True
 
 
 def bundle_sidecar(bundle: SchemeBundle) -> dict:

@@ -149,22 +149,24 @@ class NodeProgram:
 
     Subclasses override `action` (called at the start of each round) and
     `receive` (called with the node's observation at the end of the round).
-    `output` is set once, when the node produces its final answer; `idle`
-    means the node no longer needs the channel, so the run may stop once all
-    outputs are emitted and every node is idle.
+    `output` is set once, when the node produces its final answer.
 
     Wake contract. After a node's callbacks for round `rnd` the engine calls
     `next_wake(rnd)`: the earliest later round in which the node's `action`
-    must run, or None to sleep until the node hears a message. The default,
-    `rnd + 1`, polls every round; a round at or before `rnd` counts as
-    `rnd + 1`. Until its wake round a sleeping node:
+    must run, or None to sleep until the node hears a message. A round at or
+    before `rnd` counts as `rnd + 1`. The default polls every round until
+    the node has an output and sleeps after that. Until its wake round a
+    sleeping node:
 
     - gets no `action` calls;
     - gets `receive` only with `Heard`, which wakes it for that round; no
       `Noise`, `SilenceMark` or `CollisionMark` is delivered while it
       sleeps (the trace still determines them, see `observation_of`);
-    - must not change `output` or `idle`, which the engine re-reads only
-      for nodes it called.
+    - must not change `output`, which the engine re-reads only for nodes
+      it called.
+
+    The run ends once every output is in and no node has a wake round, so a
+    node that still has duties keeps a wake round until they are done.
     """
 
     def __init__(self, label: str):
@@ -178,11 +180,7 @@ class NodeProgram:
         pass
 
     def next_wake(self, rnd: int) -> int | None:
-        return rnd + 1
-
-    @property
-    def idle(self) -> bool:
-        return self.output is not None
+        return rnd + 1 if self.output is None else None
 
 
 def earliest(*rounds: int | None) -> int | None:
@@ -283,8 +281,8 @@ def run(
     cd: bool = False,
     max_rounds: int | None = None,
 ) -> ExecutionTrace:
-    """Run `program` on every node of `g` until all nodes have emitted a final
-    output and report idle, or `max_rounds` elapses.
+    """Run `program` on every node of `g` until every node has emitted a
+    final output and no node has a wake round, or `max_rounds` elapses.
 
     All nodes start at round 1 and share the global clock. The engine is a
     pure function of its arguments: identical inputs give identical traces.
@@ -292,8 +290,8 @@ def run(
     `NodeProgram`) and the nodes that hear a message, and jumps over rounds
     in which nobody is awake; those rounds still appear in the trace, as
     rounds without transmitters. If every node sleeps while an output is
-    missing or a node is not idle, the run can never finish, and
-    `RoundLimitExceeded` is raised at once.
+    missing, the run can never finish, and `RoundLimitExceeded` is raised
+    at once.
     """
     if len(labels) != g.n:
         raise ValueError(f"need one label per node: {len(labels)} != {g.n}")
@@ -310,27 +308,25 @@ def run(
     shared: dict[bytes, Heard] = {}  # one Heard per distinct message, for this run
 
     pending: set[int] = set()  # nodes whose output is not yet collected
-    unidle: set[int] = set()  # nodes with an output that are not idle
     for v, p in enumerate(nodes):
         if p.output is None:
             pending.add(v)
         else:
             outputs[v] = p.output
             output_round[v] = 0
-            if not p.idle:
-                unidle.add(v)
 
-    # Nodes due next round are kept in a list; later wake rounds go to a
-    # heap of (round, node). wake[v] is the round of v's live heap entry,
-    # 0 if it has none; entries that disagree with it are stale.
+    # Every node is called in round 1, unless the run is over before it
+    # starts. Nodes due next round are kept in a list; later wake rounds go
+    # to a heap of (round, node). wake[v] is the round of v's live heap
+    # entry, 0 if it has none; entries that disagree with it are stale.
     awake = list(range(n))
+    if not pending and all(p.next_wake(0) is None for p in nodes):
+        awake = []
     heap: list[tuple[int, int]] = []
     wake = [0] * n
     seen = [0] * n  # last round in which the node was called
     rnd = 1
-    while pending or unidle:
-        if rnd > max_rounds:
-            break
+    while rnd <= max_rounds:
         while heap and heap[0][0] <= rnd:
             r, v = heappop(heap)
             if wake[v] == r:
@@ -340,11 +336,11 @@ def run(
             while heap and wake[heap[0][1]] != heap[0][0]:
                 heappop(heap)
             if not heap:
-                asleep = sorted(pending | unidle)
+                if not pending:
+                    break
                 raise RoundLimitExceeded(
                     f"every node sleeps at round {rnd} but {len(pending)} "
-                    f"output(s) are missing and {len(unidle)} node(s) are "
-                    f"not idle: {asleep[:10]}"
+                    f"output(s) are missing: {sorted(pending)[:10]}"
                 )
             stop = min(heap[0][0], max_rounds + 1)
             rounds.extend([silent_round] * (stop - rnd))
@@ -405,17 +401,10 @@ def run(
         awake = []
         for v in touched:
             p = nodes[v]
-            if v in pending:
-                if p.output is not None:
-                    outputs[v] = p.output
-                    output_round[v] = rnd
-                    pending.discard(v)
-                    if not p.idle:
-                        unidle.add(v)
-            elif p.idle:
-                unidle.discard(v)
-            else:
-                unidle.add(v)
+            if v in pending and p.output is not None:
+                outputs[v] = p.output
+                output_round[v] = rnd
+                pending.discard(v)
             w = p.next_wake(rnd)
             if w is None:
                 wake[v] = 0

@@ -334,16 +334,6 @@ class AuxiliarySDProgram(NodeProgram):
         self.ack.poststep(rnd)
         self.final.poststep(rnd)
 
-    @property
-    def idle(self) -> bool:
-        if self.output is None:
-            return False
-        if self.ack.active or self.final.active:
-            return False
-        if self.k >= 1 and not self._sent_sl:
-            return False
-        return True
-
 
 def auxiliary_sd_program():
     return AuxiliarySDProgram
@@ -403,10 +393,6 @@ class GeneralSDProgram(NodeProgram):
         if self.output is None and self.inner.output is not None:
             out = self.inner.output
             self.output = int(out, 2) if self._convert else out
-
-    @property
-    def idle(self) -> bool:
-        return self.output is not None and self.inner.idle
 
 
 def general_sd_program():
@@ -755,20 +741,6 @@ class FastSDProgram(NodeProgram):
                     self._learn(self.s2core.message, rnd)
         self.bcore.poststep(rnd)
         self.s2core.poststep(rnd)
-
-    @property
-    def idle(self) -> bool:
-        if self.inner is not None:
-            return self.output is not None and self.inner.idle
-        if self.output is None:
-            return False
-        if self.on_path and not self._relayed:
-            return False
-        if self.bcore.active or self.s2core.active:
-            return False
-        if self.supergreen and self.s2core.offset is None:
-            return False
-        return True
 
 
 def fast_sd_program():

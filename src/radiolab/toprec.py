@@ -22,7 +22,7 @@ from .labels import (
     int_to_bits,
     label_blocks,
 )
-from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, unframe
+from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, parse, unframe
 
 # Documented constants for the acceptance bound on the total round count:
 # rounds <= TOPREC_C1 * D * Delta + TOPREC_C2 * min(n, Delta^2 + 1) + TOPREC_C3.
@@ -379,6 +379,7 @@ class AckBfsMachine:
         if self.is_root and self.is_leaf and self.on_apath:
             # single node: the whole acknowledged broadcast is empty
             self.dstar = self.total = 0
+            self._relayed = True
 
     def reached(self, rnd: int) -> bool:
         """Learn the layer from the round in which the first BroadcastBFS
@@ -470,11 +471,6 @@ class AckBfsMachine:
             self.total = total
             self.dstar = total // (2 * self.width + 1)
 
-    @property
-    def done(self) -> bool:
-        """No relay pending and the total broadcast sent (leaves send none)."""
-        return self._ack_round is None and (self.is_leaf or self._sent2)
-
 
 class BroadcastBFSProgram(NodeProgram):
     """Plain layered broadcast: node v transmits once, in round
@@ -491,15 +487,11 @@ class BroadcastBFSProgram(NodeProgram):
 
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
-            self.m.on_message(rnd, unframe(obs.message))
+            self.m.on_message(rnd, obs.decode(parse))
             self.output = self.m.message
 
     def next_wake(self, rnd: int) -> int | None:
         return self.m.first_round()
-
-    @property
-    def idle(self) -> bool:
-        return self.output is not None and self.m.first_round() is None
 
 
 def broadcast_bfs_program(message: str = "1"):
@@ -527,16 +519,12 @@ class AckBrBFSProgram(NodeProgram):
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
             m = self.m
-            m.on_message(rnd, unframe(obs.message))
+            m.on_message(rnd, obs.decode(parse))
             if self.output is None and m.total is not None and m.message is not None:
                 self.output = (m.message, m.dstar, m.total)
 
     def next_wake(self, rnd: int) -> int | None:
         return self.m.next_wake()
-
-    @property
-    def idle(self) -> bool:
-        return self.output is not None and self.m.done
 
 
 def ack_br_bfs_program(message: str = "1"):
@@ -602,7 +590,7 @@ class GatherBFSProgram(NodeProgram):
     def receive(self, rnd: int, obs) -> None:
         if not isinstance(obs, Heard):
             return
-        parts = unframe(obs.message)
+        parts = obs.decode(parse)
         if parts[0] == "BG":
             for item in parts[1]:
                 if item not in self._reports:
@@ -616,14 +604,6 @@ class GatherBFSProgram(NodeProgram):
         return earliest(
             self.m.next_wake(), self._dstar_round(), self._gather_round(), self._output_round()
         )
-
-    @property
-    def idle(self) -> bool:
-        if self.output is None:
-            return False
-        if self.m.is_root:
-            return True
-        return self.m.done and (self.m.is_leaf or self._sent3) and self._sent_g
 
 
 def gather_bfs_program():
@@ -661,6 +641,8 @@ class TopRecProgram(NodeProgram):
         if m.is_root:
             self._set_id(())
             if m.total == 0:
+                # single node: nothing to announce or broadcast
+                self._sent_s2 = self._sent4 = True
                 self._finish(topology([((), ())]))
 
     def _set_id(self, node_id: tuple[int, ...]) -> None:
@@ -784,17 +766,6 @@ class TopRecProgram(NodeProgram):
             if tag == "T2" and parts[2] is not None:
                 self.n_value = parts[2]
             self.m.on_message(rnd, parts)
-
-    @property
-    def idle(self) -> bool:
-        if self.output is None:
-            return False
-        if self.m.is_root:
-            return self._sent4 or self.m.is_leaf or self.m.total == 0
-        return (
-            self.m.done and self._sent_s2 and self._sent_g
-            and (self._sent4 or self.m.is_leaf)
-        )
 
 
 def toprec_program():

@@ -61,8 +61,7 @@ def reference_audit(trace, partition, labels=None):
         txs = sorted(rec.transmitters)
         tx_comps = {comp_of[v] for v in txs}
         before, after = set(comp_sets[rnd - 1]), set(comp_sets[rnd])
-        if not after <= before:
-            report.violations["MONO"].append({"round": rnd, "gained": sorted(after - before)})
+        assert after <= before, f"round {rnd}: components rejoined {sorted(after - before)}"
         leaving = sorted(before - after)
         if len(txs) >= 2:
             for v in range(trace.graph.n):

@@ -26,6 +26,7 @@ from radiolab.graphs import (
 from radiolab import sim
 from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import parse, run
+from radiolab.toprec import ack_br_bfs_program, build_bfs_labels
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -284,9 +285,9 @@ class TestNodeLocality:
 
 
 class TestParseOnce:
-    """The size and broadcast programs read messages through `Heard.decode`
-    with the shared `parse`, so each distinct delivered message is parsed
-    once per run, whatever its number of listeners."""
+    """The size, broadcast and layered-BFS programs read messages through
+    `Heard.decode` with the shared `parse`, so each distinct delivered
+    message is parsed once per run, whatever its number of listeners."""
 
     CASES = [
         ("exec", gen_grid(6, 7)),
@@ -297,6 +298,9 @@ class TestParseOnce:
         ("general", gen_star(17)),
         ("fastsd", gen_path(100)),
         ("fastsd", gen_grid(4, 4)),
+        ("broadcast-bfs", gen_grid(10, 10)),
+        ("ack-br-bfs", gen_grid(10, 10)),
+        ("gather-bfs", gen_grid(10, 10)),
     ]
 
     @staticmethod
@@ -308,6 +312,9 @@ class TestParseOnce:
         if scheme == "pathmsg":
             labels = synthesize_path_message(g, 0, "1011001").labels
             return run(g, labels, PathMessageProgram, cd=cd)
+        if scheme == "ack-br-bfs":
+            labels = build_bfs_labels(g, 0).labels
+            return run(g, labels, ack_br_bfs_program("101"), cd=cd)
         return run(g, build_bundle(scheme, g).labels, program_for(scheme), cd=cd)
 
     @pytest.mark.parametrize("cd", [False, True])
@@ -353,3 +360,31 @@ class TestParseOnce:
         for pairs in relays.values():
             assert all(chunk for _, chunk in pairs)
             assert set(pairs) <= pieces
+
+
+class TestExecCoreWake:
+    """An `ExecCore` sleeps once it is not active, so a node is called
+    only while one of its cores is live."""
+
+    @pytest.mark.parametrize(
+        "synth,program,rounds,max_calls",
+        [
+            (synthesize_executor, executor_program(), 33, 160),
+            (synthesize_execack, execack_program(), 99, 332),
+        ],
+        ids=["exec", "execack"],
+    )
+    def test_action_calls_on_grid(self, synth, program, rounds, max_calls):
+        g = gen_grid(6, 7)
+        calls = []
+
+        def counted(label):
+            p = program(label)
+            act = p.action
+            p.action = lambda rnd: calls.append(rnd) or act(rnd)
+            return p
+
+        tr = run(g, synth(g, 0).labels, counted)
+        assert tr.num_rounds == rounds
+        assert all(out is not None for out in tr.outputs)
+        assert len(calls) <= max_calls

@@ -55,7 +55,7 @@ def reference_run(g, labels, program, cd=False, max_rounds=None):
                 trace.outputs[v] = nodes[v].output
                 trace.output_round[v] = rnd - 1
                 pending_output.discard(v)
-        if not pending_output and all(p.idle for p in nodes):
+        if not pending_output and all(p.next_wake(rnd - 1) is None for p in nodes):
             break
 
         transmitters: dict[int, bytes] = {}
@@ -126,6 +126,7 @@ def assert_same_trace(gid, g, scheme, cd):
     assert [r.heard for r in got.rounds] == [r.heard for r in want.rounds], gid
     assert got.outputs == want.outputs, gid
     assert got.output_round == want.output_round, gid
+    return got
 
 
 def family_sample(graphs, per_family):
@@ -179,6 +180,19 @@ def test_lower_bound_family_with_cd_matches_reference(scheme, n):
     assert_same_trace(f"G_{n}", g, scheme, True)
 
 
+@pytest.mark.parametrize(
+    "scheme,rounds",
+    [("compact", 1), ("general", 1), ("fastsd", 1), ("execack", 1), ("exec", 0),
+     ("toprec", 0), ("broadcast-bfs", 0), ("gather-bfs", 0), ("ack-br-bfs", 0)],
+)
+def test_single_node_matches_reference(scheme, rounds):
+    """A run whose outputs are all in before round 1, with no wake round
+    asked for, takes no rounds at all."""
+    tr = assert_same_trace("single", build_graph(1, []), scheme, False)
+    assert tr.num_rounds == rounds
+    assert tr.outputs[0] is not None
+
+
 def test_samples_cover_every_family():
     families = {gid.split("-")[0] for gid, _ in corpus()}
     assert {gid.split("-")[0] for gid, _ in SIZE_SAMPLE} == families
@@ -194,6 +208,8 @@ def test_every_program_declares_its_wake_round():
     }
     assert len(programs) == 10
     assert [c.__name__ for c in programs if c.next_wake is NodeProgram.next_wake] == []
+    # the wake round is the only sleep signal
+    assert [c.__name__ for c in programs | {NodeProgram} if hasattr(c, "idle")] == []
 
 
 class SleepsBeforeOutput(NodeProgram):
@@ -232,7 +248,7 @@ class TestWakeContract:
                 if self.label == "0":
                     return {1: 3, 3: 7}.get(rnd)
                 if self.label == "2":
-                    return 9
+                    return 9 if rnd < 9 else None
                 return None
 
         tr = run(gen_path(3), ["0", "1", "2"], Prog)
@@ -256,7 +272,41 @@ class TestWakeContract:
                 return LISTEN
 
             def next_wake(self, rnd):
-                return rnd - 5
+                return rnd - 5 if self.output is None else None
 
         tr = run(build_graph(1, []), [""], Stale)
         assert tr.outputs == [4] and tr.num_rounds == 4
+
+    def test_wake_round_after_output_keeps_run_going(self):
+        """Both outputs are in after round 1, but node 0 still asks for
+        round 12, where it transmits; the run lasts until then."""
+
+        class Late(NodeProgram):
+            def action(self, rnd):
+                self.output = "out"
+                if self.label == "0" and rnd == 12:
+                    return Transmit(b"late")
+                return LISTEN
+
+            def next_wake(self, rnd):
+                return 12 if self.label == "0" and rnd < 12 else None
+
+        tr = run(gen_path(2), ["0", "1"], Late)
+        assert tr.output_round == [1, 1]
+        assert tr.num_rounds == 12
+        assert [r.transmitters for r in tr.rounds] == [{}] * 11 + [{0: b"late"}]
+        assert tr.rounds[-1].heard == {1: b"late"}
+
+    def test_default_hint_polls_until_output(self):
+        class Polls(NodeProgram):
+            def action(self, rnd):
+                if rnd == 5:
+                    self.output = rnd
+                return LISTEN
+
+        p = Polls("")
+        assert p.next_wake(3) == 4
+        p.output = 0
+        assert p.next_wake(3) is None
+        tr = run(gen_path(2), ["", ""], Polls)
+        assert tr.outputs == [5, 5] and tr.num_rounds == 5

@@ -1,5 +1,6 @@
 import pytest
 
+from radiolab import size_discovery
 from radiolab.broadcast import (
     PathMessageProgram,
     execack_program,
@@ -247,6 +248,26 @@ class TestCovers:
         assert sorted(v for v in range(14) if sd.layers.layer[v] == 8) == [8, 12, 13]
         cover = minimal_bfs_cover(sd, 2)
         assert len(cover) == 1
+
+    def test_conflict_scan_rejects_crossing_paths(self, monkeypatch):
+        """Two chains out of the root, joined by the edge (12, 32) between
+        layer 12 of one and layer 13 of the other. A reach that misses that
+        edge leaves each cover node a private witness, so only the final
+        edge scan can see that the two paths conflict."""
+        chains = [(i, i + 1) for i in range(19)] + [(0, 20)]
+        chains += [(i, i + 1) for i in range(20, 39)]
+        blind = stripe_decomposition(build_graph(40, chains), 0)
+        sd = stripe_decomposition(build_graph(40, chains + [(12, 32)]), 0)
+        assert sd.layers.layer == blind.layers.layer
+        real = size_discovery._forward_reach
+        monkeypatch.setattr(
+            size_discovery, "_forward_reach", lambda _, j, starts: real(blind, j, starts)
+        )
+        assert conflict_free_paths(blind, 2, [12, 31]) == [
+            list(range(12, 18)), list(range(31, 37))
+        ]
+        with pytest.raises(AssertionError, match=r"conflicting edge \(12,32\)"):
+            conflict_free_paths(sd, 2, [12, 31])
 
     def test_conflict_free_verified_on_corpus(self):
         for g in (gen_path(40), gen_grid(4, 12), gen_random_connected(70, 0.04, 21)):
