@@ -329,34 +329,24 @@ class ExecCore:
 # ---------------------------------------------------------------------------
 
 
-def _core_blocks(syn: CoreSynthesis, v: int, src: bool) -> list[str]:
+def core_blocks(syn: CoreSynthesis, v: int, src: bool) -> list[str]:
     """The join/stay block and the flags block (source, DOM_1 member)."""
     js = f"{syn.join[v]}{syn.stay[v]}"
     flags = f"{1 if src else 0}{syn.dom1[v]}"
     return [js, flags]
 
 
-def synthesize_executor(g: Graph, s: int) -> SchemeBundle:
-    """Single-source broadcast labels; bundle meta carries the broadcast tree,
-    DOM schedule and round count for tests."""
-    syn = synthesize_core(g, {s})
-    labels = [encode_blocks(_core_blocks(syn, v, v == s)) for v in range(g.n)]
-    return SchemeBundle(
-        scheme="exec",
-        labels=labels,
-        meta={"synthesis": syn, "source": s, "t": syn.t},
-    )
-
-
-def synthesize_mbroadcast(g: Graph, sources: set[int]) -> SchemeBundle:
-    """Multi-source variant: FRONTIER_1 is the out-neighborhood of the source
-    set and DOM_1 a minimal dominating subset of the sources for it."""
+def synthesize_executor(g: Graph, sources: set[int]) -> SchemeBundle:
+    """Broadcast labels from a source set: FRONTIER_1 is the out-neighborhood
+    of the sources and DOM_1 a minimal dominating subset of them for it.
+    Bundle meta carries the broadcast tree, DOM schedule and round count for
+    tests."""
     syn = synthesize_core(g, set(sources))
     labels = [
-        encode_blocks(_core_blocks(syn, v, v in sources)) for v in range(g.n)
+        encode_blocks(core_blocks(syn, v, v in sources)) for v in range(g.n)
     ]
     return SchemeBundle(
-        scheme="mbroadcast",
+        scheme="exec",
         labels=labels,
         meta={"synthesis": syn, "sources": sorted(sources), "t": syn.t},
     )
@@ -394,7 +384,7 @@ class BroadcastProgram(NodeProgram):
 
 
 def executor_program(message="1"):
-    """Program factory for labels from synthesize_executor/mbroadcast."""
+    """Program factory for labels from synthesize_executor."""
 
     def make(label: str) -> NodeProgram:
         return BroadcastProgram(label, message)
@@ -407,21 +397,29 @@ def executor_program(message="1"):
 # ---------------------------------------------------------------------------
 
 
+def ack_blocks(syn: CoreSynthesis, s: int) -> tuple[list[list[str]], list[int]]:
+    """Each node's acknowledged-broadcast blocks [join/stay, flags, path
+    bits] for source `s`, and the marked path. The path bits mark the nodes
+    of a root-to-leaf path ending at a node v_p of maximum level, and v_p
+    itself unless the graph is a single node."""
+    path = _max_level_path(syn.tree, s)
+    on_path = set(path)
+    v_p = path[-1] if len(path) > 1 else None
+    blocks = [
+        core_blocks(syn, v, v == s) + [f"{1 if v in on_path else 0}{1 if v == v_p else 0}"]
+        for v in range(len(syn.join))
+    ]
+    return blocks, path
+
+
 def synthesize_execack(g: Graph, s: int) -> SchemeBundle:
     """Executor labels plus a path-marker bit and an end-marker bit for a
     root-to-leaf path ending at a node of maximum level."""
     syn = synthesize_core(g, {s})
-    path = _max_level_path(syn.tree, s)
-    v_p = path[-1]
-    on_path = set(path)
-    labels = []
-    for v in range(g.n):
-        blocks = _core_blocks(syn, v, v == s)
-        blocks.append(f"{1 if v in on_path else 0}{1 if v == v_p and g.n > 1 else 0}")
-        labels.append(encode_blocks(blocks))
+    blocks, path = ack_blocks(syn, s)
     return SchemeBundle(
         scheme="execack",
-        labels=labels,
+        labels=[encode_blocks(b) for b in blocks],
         meta={"synthesis": syn, "source": s, "t": syn.t, "path": path},
     )
 
@@ -439,9 +437,13 @@ def _max_level_path(tree: BroadcastTree, s: int) -> list[int]:
 
 
 class AckMachine:
-    """ExecAck as an embeddable machine: Executor run, upward relay of the
-    round count along the marked path, then a second Executor run carrying t.
-    Completion is padded to relative round 3t, which every node can compute.
+    """The size-discovery skeleton as an embeddable machine. ExecAck: an
+    Executor run (`tag1`), upward relay of the round count along the marked
+    path (`taga`), then a second Executor run carrying t (`tag2`); its
+    completion is padded to relative round 3t, which every node can
+    compute. Then an upward collection the program runs in the rounds of
+    `collect_round`, and a third Executor run (`tag3`) that `finish` starts
+    at the source with the collected answer.
     """
 
     def __init__(self, tag: str, js: str, flags: str, pathbits: str):
@@ -454,13 +456,12 @@ class AckMachine:
         self.is_vp = pathbits[1] == "1"
         self.core1 = ExecCore(tag + "1", js)
         self.core2 = ExecCore(tag + "2", js)
+        self.core3 = ExecCore(tag + "3", js)
         self.t: int | None = None
         self._relay_round: int | None = None
         self._relayed = False
-        self.start_abs: int | None = None
 
     def start_source(self, start_abs: int, message) -> None:
-        self.start_abs = start_abs
         self.core1.start_source(start_abs, message, self.dom1)
         if not self.dom1:
             # no frontier means a single-node graph: t = 0, done immediately
@@ -472,6 +473,25 @@ class AckMachine:
         if self.t is None or self.core1.offset is None:
             return None
         return self.core1.offset + 3 * self.t
+
+    def collect_round(self, width: int, slot: int) -> int | None:
+        """Absolute round of this node's collection duty, once t is known.
+        After completion come L = max(t - 2, 0) phases of `width` rounds,
+        deepest level first: a node at level l sends in round `slot` of
+        phase L - l + 1, and the source's round follows the last phase."""
+        end = self.completion_abs
+        if end is None:
+            return None
+        top = max(self.t - 2, 0)
+        if self.is_source:
+            return end + top * width + 1
+        return end + (top - self.core1.level) * width + slot
+
+    def finish(self, rnd: int, message):
+        """Start the final broadcast of `message` at the source in round
+        `rnd`; returns that round's transmission."""
+        self.core3.start_source(rnd, message, self.dom1)
+        return self.core3.action(rnd)
 
     def _vp_relay_round(self) -> int | None:
         """Absolute round in which v_p starts the upward relay of t: the
@@ -486,6 +506,7 @@ class AckMachine:
         return earliest(
             self.core1.next_wake(abs_rnd),
             self.core2.next_wake(abs_rnd),
+            self.core3.next_wake(abs_rnd),
             self._relay_round,
             self._vp_relay_round(),
         )
@@ -501,10 +522,7 @@ class AckMachine:
         if self._relay_round is not None and abs_rnd == self._relay_round:
             self._relay_round = None
             return (self.tag + "a", "r", self.t, self.core1.parent_level)
-        p = self.core2.action(abs_rnd)
-        if p:
-            return p
-        return None
+        return self.core2.action(abs_rnd) or self.core3.action(abs_rnd)
 
     def on_message(self, abs_rnd: int, parts) -> None:
         tag = parts[0]
@@ -526,10 +544,13 @@ class AckMachine:
             self.core2.on_message(abs_rnd, parts)
             if self.t is None and self.core2.informed:
                 self.t = self.core2.message
+        elif tag == self.tag + "3":
+            self.core3.on_message(abs_rnd, parts)
 
     def poststep(self, abs_rnd: int) -> None:
         self.core1.poststep(abs_rnd)
         self.core2.poststep(abs_rnd)
+        self.core3.poststep(abs_rnd)
 
 
 class ExecAckProgram(NodeProgram):
@@ -583,8 +604,7 @@ def synthesize_path_message(
     the caller's `synthesize_core(g, {s})`."""
     if syn is None:
         syn = synthesize_core(g, {s})
-    path = _max_level_path(syn.tree, s)
-    v_p = path[-1]
+    blocks, path = ack_blocks(syn, s)
     t_exec = syn.t
     tack = 3 * t_exec
     top = syn.tree.max_level()
@@ -623,14 +643,10 @@ def synthesize_path_message(
         chunks = {levels[i]: pieces[i] for i in range(len(pieces))}
     chunk_of = {marked[k]: chunks.get(k, "") for k in marked}
 
-    on_path = set(path)
-    labels = []
-    for v in range(g.n):
-        blocks = _core_blocks(syn, v, v == s)
-        blocks.append(f"{1 if v in on_path else 0}{1 if v == v_p and g.n > 1 else 0}")
-        blocks.append("1" if v in chunk_of else "0")
-        blocks.append(chunk_of.get(v, ""))
-        labels.append(encode_blocks(blocks))
+    labels = [
+        encode_blocks(blocks[v] + ["1" if v in chunk_of else "0", chunk_of.get(v, "")])
+        for v in range(g.n)
+    ]
     return SchemeBundle(
         scheme="pathmsg",
         labels=labels,
@@ -648,11 +664,10 @@ def synthesize_path_message(
 
 
 class PathMessageProgram(NodeProgram):
-    """ExecAck, upward chunk collection (marked node at level l transmits at
-    relative round 3t + L - l + 1 forwarding every non-empty chunk it holds
-    or heard, as (level, chunk) pairs), then the root re-broadcasts the
-    assembled message, a missing level reading as empty. Output is the
-    message bit string."""
+    """ExecAck, upward chunk collection in phases one round long (a marked
+    node forwards every non-empty chunk it holds or heard, as (level, chunk)
+    pairs), then the root re-broadcasts the assembled message, a missing
+    level reading as empty. Output is `_result` of the message bit string."""
 
     def __init__(self, label: str):
         super().__init__(label)
@@ -660,100 +675,53 @@ class PathMessageProgram(NodeProgram):
         self.ack = AckMachine("p", js, flags, pathbits)
         self.marked = markbit == "1"
         self.chunk = chunk
-        self.core3 = ExecCore("pm", js)
         self.pairs: list[tuple[int, str]] = []
         self._collected = False
         if self.ack.is_source:
             self.ack.start_source(1, "")
             if self.ack.t == 0:  # single node
-                self.output = self.chunk
+                self.output = self._result(chunk)
 
-    def _schedule(self):
-        """(tack, L) once t is known, else None."""
-        if self.ack.t is None or self.ack.core1.offset is None:
-            return None
-        t = self.ack.t
-        tack, top = 3 * t, max(t - 2, 0)
-        return tack, top
+    def _result(self, message: str):
+        """The output for the assembled message."""
+        return message
 
     def _collect_round(self) -> int | None:
         """Absolute round of this node's pending collection duty: sending
         its chunks upward, or assembling the message at the root."""
-        sched = self._schedule()
-        if sched is None:
-            return None
-        tack, top = sched
-        off = self.ack.core1.offset
-        if self.marked and not self.ack.is_source and not self._collected:
-            return off + tack + top - self.ack.core1.level + 1
-        if self.ack.is_source and self.output is None:
-            return off + tack + top + 1
-        return None
+        if self.ack.is_source:
+            pending = self.output is None
+        else:
+            pending = self.marked and not self._collected
+        return self.ack.collect_round(1, 1) if pending else None
 
     def action(self, rnd: int):
         p = self.ack.action(rnd)
-        if p:
-            return Transmit(frame(*p))
-        if rnd == self._collect_round():
-            if self.ack.is_source:
-                # the deepest collection slot is round tack+top; assemble after
-                got = {0: self.chunk}
-                for l, c in self.pairs:
-                    got[l] = c
-                msg = "".join(got[k] for k in sorted(got))
-                self.output = msg
-                self.core3.start_source(rnd, msg, self.ack.dom1)
-            else:
+        if not p and rnd == self._collect_round():
+            if not self.ack.is_source:
                 self._collected = True
                 mine = [(self.ack.core1.level, self.chunk)] if self.chunk else []
                 return Transmit(frame("pc", "c", mine + self.pairs))
-        p = self.core3.action(rnd)
-        if p:
-            return Transmit(frame(*p))
-        return LISTEN
+            got = {0: self.chunk}
+            got.update(self.pairs)
+            msg = "".join(got[k] for k in sorted(got))
+            self.output = self._result(msg)
+            p = self.ack.finish(rnd, msg)
+        return Transmit(frame(*p)) if p else LISTEN
 
     def receive(self, rnd: int, obs) -> None:
         if isinstance(obs, Heard):
             parts = obs.decode(parse)
-            tag = parts[0]
-            if tag.startswith("p") and tag != "pc" and tag != "pm":
-                self.ack.on_message(rnd, parts)
-            elif tag == "pc":
+            if parts[0] == "pc":
                 self.pairs.extend(parts[2])
-            elif tag == "pm":
-                self.core3.on_message(rnd, parts)
-                if self.output is None and self.core3.informed:
-                    self.output = self.core3.message
+            elif parts[0].startswith("p"):
+                self.ack.on_message(rnd, parts)
+                if self.output is None and self.ack.core3.informed:
+                    self.output = self._result(self.ack.core3.message)
         self.ack.poststep(rnd)
-        self.core3.poststep(rnd)
 
     def next_wake(self, rnd: int) -> int | None:
-        return earliest(
-            self.ack.next_wake(rnd), self.core3.next_wake(rnd), self._collect_round()
-        )
-
-
-def bundle_sidecar(bundle: SchemeBundle) -> dict:
-    """JSON-able oracle metadata (tree, levels, schedule) accompanying a
-    label dump; consumed only by tests, never by node programs."""
-    syn: CoreSynthesis = bundle.meta["synthesis"]
-    return {
-        "scheme": bundle.scheme,
-        "t": syn.t,
-        "sources": list(syn.tree.sources),
-        "parent": {str(u): p for u, p in sorted(syn.tree.parent.items())},
-        "level": {str(v): l for v, l in sorted(syn.tree.level.items())},
-        "stages": [
-            {
-                "stage": s.stage,
-                "dom": sorted(s.dom),
-                "frontier": sorted(s.frontier),
-                "newly": {str(u): p for u, p in sorted(s.newly.items())},
-                "feedback": {str(v): u for v, u in sorted(s.feedback.items())},
-            }
-            for s in syn.stages
-        ],
-    }
+        return earliest(self.ack.next_wake(rnd), self._collect_round())
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +819,7 @@ def dom_membership_from_history(
 
 
 def verify_executor_run(g: Graph, bundle: SchemeBundle, trace) -> None:
-    """End-to-end check of an Executor/MBroadcast trace against the oracle:
+    """End-to-end check of an Executor trace against the oracle:
     tree and DOM properties, per-round transmitter sets, and node-local DOM
     decisions equal to the offline schedule."""
     syn: CoreSynthesis = bundle.meta["synthesis"]

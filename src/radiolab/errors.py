@@ -67,3 +67,11 @@ class EmptySourceSet(RadiolabError):
 
 class InconsistentReports(RadiolabError):
     pass
+
+
+class ConflictingPaths(RadiolabError):
+    pass
+
+
+class BarrierExceeded(RadiolabError):
+    pass

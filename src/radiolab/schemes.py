@@ -8,19 +8,20 @@ from .graphs import Graph, diameter
 from .labels import SchemeBundle, int_to_bits
 from .sim import ExecutionTrace, run
 from .size_discovery import (
+    AuxiliarySDProgram,
     build_compact_labels,
-    auxiliary_sd_program,
     build_fast_sd,
     build_general_sd,
     fast_sd_program,
     general_sd_program,
 )
 from .toprec import (
+    GatherBFSProgram,
+    TopRecProgram,
     broadcast_bfs_program,
     build_bfs_labels,
     build_toprec_labels,
-    gather_bfs_program,
-    toprec_program,
+    oracle_ids,
 )
 
 SCHEMES = ("compact", "general", "fastsd", "toprec", "broadcast-bfs", "gather-bfs")
@@ -68,18 +69,20 @@ def build_bundle(scheme: str, g: Graph) -> SchemeBundle:
 
 
 def program_for(scheme: str):
+    """The node factory for a scheme's labels: a program class, or for the
+    mode-bit schemes the selector that builds the program a label picks."""
     if scheme == "compact":
-        return auxiliary_sd_program()
+        return AuxiliarySDProgram
     if scheme == "general":
-        return general_sd_program()
+        return general_sd_program
     if scheme == "fastsd":
-        return fast_sd_program()
+        return fast_sd_program
     if scheme == "toprec":
-        return toprec_program()
+        return TopRecProgram
     if scheme == "broadcast-bfs":
         return broadcast_bfs_program(BROADCAST_TEST_MESSAGE)
     if scheme == "gather-bfs":
-        return gather_bfs_program()
+        return GatherBFSProgram
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -88,7 +91,7 @@ def verify_outputs(scheme: str, g: Graph, bundle: SchemeBundle, trace) -> int:
     if scheme in ("compact", "general", "fastsd"):
         return sum(1 for out in trace.outputs if out == g.n)
     if scheme == "toprec":
-        ids = bundle.meta["ids"]
+        ids = oracle_ids(bundle.meta)
         expected_edges = tuple(sorted(
             (min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()
         ))

@@ -17,10 +17,14 @@ from .broadcast import (
     AckMachine,
     ExecCore,
     PathMessageProgram,
+    ack_blocks,
+    core_blocks,
     synthesize_core,
     synthesize_path_message,
 )
 from .errors import (
+    BarrierExceeded,
+    ConflictingPaths,
     MessageTooLong,
     ProtocolViolation,
     TooShallow,
@@ -161,10 +165,7 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
     width_a = max(k_rounds.bit_length(), 1)
 
     syn = synthesize_core(g, {root})
-    from .broadcast import _core_blocks, _max_level_path
-
-    path = _max_level_path(syn.tree, root)
-    v_p = path[-1]
+    ack, path = ack_blocks(syn, root)
 
     # Delta block: root holds the bit count; k chosen neighbors hold one bit
     # of binary(Delta) each
@@ -182,23 +183,17 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
     asg = assign_subtree_bits(tree_graph, root, message)
     width_k = max(k_rounds.bit_length(), 1)
 
-    on_path = set(path)
-    labels = []
-    for v in range(n):
-        core = _core_blocks(syn, v, v == root)
-        pathbits = f"{1 if v in on_path else 0}{1 if v == v_p and n > 1 else 0}"
-        k_v = asg.child_num.get(v, 0)
-        blocks = [
+    labels = [
+        encode_blocks([
             "1" if v == root else "0",
             a_field[v],
             b_field[v],
-            core[0],
-            core[1],
-            pathbits,
-            int_to_bits(k_v, width_k) if k_v else "0" * width_k,
+            *ack[v],
+            int_to_bits(asg.child_num.get(v, 0), width_k),
             asg.bits.get(v, ""),
-        ]
-        labels.append(encode_blocks(blocks))
+        ])
+        for v in range(n)
+    ]
     return SchemeBundle(
         scheme="compact",
         labels=labels,
@@ -227,80 +222,51 @@ class AuxiliarySDProgram(NodeProgram):
         self.k = bits_to_int(kbits)
         self.msgbits = msg
         self.ack = AckMachine("A", js, flags, pathbits)
-        self.final = ExecCore("AF", js)
         self._delta_bits: dict[int, str] = {}
         self._payloads: dict[int, str] = {}
         self._sent_sl = False
-        self._started_ack = False
-        self._started_final = False
-        self.delta: int | None = None
-
-    # -- schedule helpers ---------------------------------------------------
-
-    def _sched(self):
-        """(S0, L, K) once the ack part is complete, else None."""
-        if self.ack.t is None or self.ack.core1.offset is None:
-            return None
-        if self.delta is None:
-            return None
-        k = self.delta.bit_length()
-        s0 = self.ack.core1.offset + 3 * self.ack.t
-        return s0, max(self.ack.t - 2, 0), k
 
     def _phase_round(self) -> int | None:
         """Round of this node's pending size-learning duty, once scheduled:
-        a non-root transmits in slot self.k of phase L - level + 1 (phases
-        are K rounds long); the root assembles n after the last phase."""
-        sched = self._sched()
-        if sched is None:
+        a non-root transmits in slot self.k of its phase (phases are
+        K = floor(log Delta)+1 rounds long); the root assembles n after the
+        last phase. Delta is the payload of the first Executor run."""
+        delta = self.ack.core1.message
+        if delta is None:
             return None
-        s0, levels, k = sched
         if self.is_root:
-            return None if self._started_final else s0 + levels * k + 1
-        if self.k < 1 or self._sent_sl or k == 0:
+            if self.output is not None:
+                return None
+        elif self.k < 1 or self._sent_sl:
             return None
-        return s0 + (levels - self.ack.core1.level) * k + self.k
+        return self.ack.collect_round(delta.bit_length(), self.k)
 
     def action(self, rnd: int):
         # Delta-learning: chosen neighbor i transmits (0, b_i) in round i
         if not self.is_root and self.a >= 1 and rnd == self.a:
             return Transmit(frame("D", "d", self.b))
-        if self.is_root and not self._started_ack and rnd == self.a + 1:
-            self._started_ack = True
+        if self.is_root and not self.ack.core1.informed and rnd == self.a + 1:
             bits = "".join(self._delta_bits.get(i, "0") for i in range(1, self.a + 1))
-            self.delta = bits_to_int(bits)
-            self.ack.start_source(rnd, self.delta)
+            self.ack.start_source(rnd, bits_to_int(bits))
         p = self.ack.action(rnd)
-        if p:
-            return Transmit(frame(*p))
-        if rnd == self._phase_round():
+        if not p and rnd == self._phase_round():
             if not self.is_root:
                 self._sent_sl = True
                 return Transmit(frame("S", "s", self.k, self.ack.core1.level, self._assemble()))
-            self._started_final = True
             m = self._assemble()
             try:
-                value = int(m, 2)
+                self.output = int(m, 2)
             except ValueError as exc:
                 raise ProtocolViolation(f"bad assembled message {m!r}") from exc
-            self.output = value
-            self.final.start_source(rnd, m, self.ack.dom1)
-        p = self.final.action(rnd)
-        if p:
-            return Transmit(frame(*p))
-        return LISTEN
+            p = self.ack.finish(rnd, m)
+        return Transmit(frame(*p)) if p else LISTEN
 
     def next_wake(self, rnd: int) -> int | None:
         if self.is_root:
-            start = None if self._started_ack else self.a + 1
+            start = None if self.ack.core1.informed else self.a + 1
         else:
             start = self.a if rnd < self.a else None
-        return earliest(
-            self.ack.next_wake(rnd),
-            self.final.next_wake(rnd),
-            start,
-            self._phase_round(),
-        )
+        return earliest(self.ack.next_wake(rnd), start, self._phase_round())
 
     def _assemble(self) -> str:
         return "".join(self._payloads[k] for k in sorted(self._payloads)) + self.msgbits
@@ -312,15 +278,6 @@ class AuxiliarySDProgram(NodeProgram):
             if tag == "D":
                 if self.is_root:
                     self._delta_bits[rnd] = parts[2]
-            elif tag.startswith("A"):
-                if tag == "AF":
-                    self.final.on_message(rnd, parts)
-                    if self.output is None and self.final.informed:
-                        self.output = int(self.final.message, 2)
-                else:
-                    self.ack.on_message(rnd, parts)
-                    if self.delta is None and self.ack.core1.message is not None:
-                        self.delta = self.ack.core1.message
             elif tag == "S":
                 # accept only payloads from nodes this node itself informed:
                 # the sender's level must be one of our own transmit rounds
@@ -331,12 +288,11 @@ class AuxiliarySDProgram(NodeProgram):
                             f"duplicate subtree index {k_w} from level {lvl_w}"
                         )
                     self._payloads[k_w] = payload
+            elif tag.startswith("A"):
+                self.ack.on_message(rnd, parts)
+                if self.output is None and self.ack.core3.informed:
+                    self.output = int(self.ack.core3.message, 2)
         self.ack.poststep(rnd)
-        self.final.poststep(rnd)
-
-
-def auxiliary_sd_program():
-    return AuxiliarySDProgram
 
 
 # ---------------------------------------------------------------------------
@@ -366,37 +322,17 @@ def build_general_sd(g: Graph) -> SchemeBundle:
     )
 
 
-class GeneralSDProgram(NodeProgram):
-    def __init__(self, label: str):
-        super().__init__(label)
-        mode, inner_label = split_mode(label)
-        if mode == "1":
-            self.inner: NodeProgram = AuxiliarySDProgram(inner_label)
-            self._convert = False
-        else:
-            self.inner = PathMessageProgram(inner_label)
-            self._convert = True
+class SizeOnPathProgram(PathMessageProgram):
+    """general's message-on-a-path branch: the message is binary(n)."""
 
-    def action(self, rnd: int):
-        act = self.inner.action(rnd)
-        self._sync()
-        return act
-
-    def receive(self, rnd: int, obs) -> None:
-        self.inner.receive(rnd, obs)
-        self._sync()
-
-    def next_wake(self, rnd: int) -> int | None:
-        return self.inner.next_wake(rnd)
-
-    def _sync(self) -> None:
-        if self.output is None and self.inner.output is not None:
-            out = self.inner.output
-            self.output = int(out, 2) if self._convert else out
+    def _result(self, message: str) -> int:
+        return int(message, 2)
 
 
-def general_sd_program():
-    return GeneralSDProgram
+def general_sd_program(label: str) -> NodeProgram:
+    """The program the label's mode bit selects, on the label behind it."""
+    mode, rest = split_mode(label)
+    return AuxiliarySDProgram(rest) if mode == "1" else SizeOnPathProgram(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +471,8 @@ def conflict_free_paths(
     for a, pa in on_path.items():
         for b in g.adj[a]:
             pb = on_path.get(b)
-            if pb is not None and pb != pa:
-                assert la.layer[a] == la.layer[b], (
+            if pb is not None and pb != pa and la.layer[a] != la.layer[b]:
+                raise ConflictingPaths(
                     f"conflicting edge ({a},{b}) between paths {pa} and {pb}"
                 )
     return paths
@@ -574,7 +510,7 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     cover_flag = [False] * n
     reach_flag = [False] * n
     stripe_meta = {}
-    b_bits: list[tuple[str, str]] = [("00", "00")] * n
+    b_bits: list[list[str]] = [["00", "00"]] * n
     for j, data in sd.stripes.items():
         cover = minimal_bfs_cover(sd, j)
         paths = conflict_free_paths(sd, j, cover)
@@ -601,13 +537,13 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
         sub = build_graph(len(sub_nodes), sub_edges)
         syn = synthesize_core(sub, {sub_index[u] for u in cover})
         assert syn.t <= 3 * len(sub_nodes)
-        assert lgn + syn.t < fast_sd_barrier(n), "phase 2 must end before stage 2"
-        for v in xbfs:
-            i = sub_index[v]
-            b_bits[v] = (
-                f"{syn.join[i]}{syn.stay[i]}",
-                f"{1 if v in cover else 0}{syn.dom1[i]}",
+        if lgn + syn.t >= fast_sd_barrier(n):
+            raise BarrierExceeded(
+                f"stripe {j}: phase 2 ends in round {lgn + syn.t}, "
+                f"not before the barrier {fast_sd_barrier(n)}"
             )
+        for v in xbfs:
+            b_bits[v] = core_blocks(syn, sub_index[v], v in cover)
         stripe_meta[j] = {
             "cover": cover,
             "paths": paths,
@@ -628,10 +564,8 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
         blocks = [
             flags,
             m_bit[v],
-            b_bits[v][0],
-            b_bits[v][1],
-            f"{s2.join[v]}{s2.stay[v]}",
-            f"{1 if v in sources else 0}{s2.dom1[v]}",
+            *b_bits[v],
+            *core_blocks(s2, v, v in sources),
         ]
         labels.append(add_mode("1", encode_blocks(blocks)))
     return SchemeBundle(
@@ -652,16 +586,12 @@ class FastSDProgram(NodeProgram):
     """Stage 1 phase 1: relay the size bits down each conflict-free path;
     phase 2: broadcast inside each stripe's reachable set from the cover;
     stage 2: global broadcast from all super-green nodes at the barrier
-    round determined by n."""
+    round determined by n. Reads the label behind the mode bit, which
+    `fast_sd_program` has checked."""
 
     def __init__(self, label: str):
         super().__init__(label)
-        mode, rest = split_mode(label)
-        if mode == "0":
-            self.inner: GeneralSDProgram | None = GeneralSDProgram(rest)
-            return
-        self.inner = None
-        flags, m_v, bjs, bflags, s2js, s2flags = label_blocks(rest, 6)
+        flags, m_v, bjs, bflags, s2js, s2flags = label_blocks(label, 6)
         fixed_block(flags, 4)
         self.reach = flags[0] == "1"
         self.supergreen = flags[1] == "1"
@@ -688,11 +618,6 @@ class FastSDProgram(NodeProgram):
             self.s2core.start_source(fast_sd_barrier(self.n_value), bits, self.s2_dom1)
 
     def action(self, rnd: int):
-        if self.inner is not None:
-            act = self.inner.action(rnd)
-            if self.output is None and self.inner.output is not None:
-                self.output = self.inner.output
-            return act
         if self.supergreen and self.on_path and rnd == 1:
             self._relayed = True
             return Transmit(frame("F1", "p", self.m_v))
@@ -709,18 +634,11 @@ class FastSDProgram(NodeProgram):
         return LISTEN
 
     def next_wake(self, rnd: int) -> int | None:
-        if self.inner is not None:
-            return self.inner.next_wake(rnd)
         return earliest(
             self._relay_round, self.bcore.next_wake(rnd), self.s2core.next_wake(rnd)
         )
 
     def receive(self, rnd: int, obs) -> None:
-        if self.inner is not None:
-            self.inner.receive(rnd, obs)
-            if self.output is None and self.inner.output is not None:
-                self.output = self.inner.output
-            return
         if isinstance(obs, Heard):
             parts = obs.decode(parse)
             tag = parts[0]
@@ -743,5 +661,7 @@ class FastSDProgram(NodeProgram):
         self.s2core.poststep(rnd)
 
 
-def fast_sd_program():
-    return FastSDProgram
+def fast_sd_program(label: str) -> NodeProgram:
+    """The stripe program (mode bit 1) or general's fallback (mode bit 0)."""
+    mode, rest = split_mode(label)
+    return FastSDProgram(rest) if mode == "1" else general_sd_program(rest)

@@ -236,7 +236,6 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
             int_to_bits(n) if (id_mode and v == r) else "",
         ]
         labels.append(base.labels[v] + "00" + encode_blocks(blocks))
-    ids = _oracle_ids(base.meta["layers"], base.meta["parent"], base.meta["g"])
     return SchemeBundle(
         scheme="toprec",
         labels=labels,
@@ -244,17 +243,16 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
             **base.meta,
             "colors": colors,
             "id_mode": id_mode,
-            "ids": ids,
             "stage2_window": n if id_mode else delta * delta + 1,
         },
     )
 
 
-def _oracle_ids(
-    la: LayerAssignment, parent: list[int | None], gv: list[int]
-) -> list[tuple[int, ...]]:
-    """Each node's gather indices along its BFS-tree path from the root; in
-    layer order, so a parent's id is ready before its children's."""
+def oracle_ids(meta: dict) -> list[tuple[int, ...]]:
+    """Each node's identifier, from a toprec bundle's meta: its gather
+    indices along its BFS-tree path from the root. Built in layer order, so
+    a parent's id is ready before its children's."""
+    la, parent, gv = meta["layers"], meta["parent"], meta["g"]
     ids: list[tuple[int, ...]] = [()] * len(parent)
     for v in sorted(range(len(parent)), key=la.layer.__getitem__):
         if v != la.root:
@@ -606,10 +604,6 @@ class GatherBFSProgram(NodeProgram):
         )
 
 
-def gather_bfs_program():
-    return GatherBFSProgram
-
-
 class TopRecProgram(NodeProgram):
     """Four stages: identifier distribution over the acknowledged broadcast,
     per-color (or per-id) identifier announcement, adjacency-report
@@ -766,10 +760,6 @@ class TopRecProgram(NodeProgram):
             if tag == "T2" and parts[2] is not None:
                 self.n_value = parts[2]
             self.m.on_message(rnd, parts)
-
-
-def toprec_program():
-    return TopRecProgram
 
 
 def serialize_toprec_output(output) -> dict:

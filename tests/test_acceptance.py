@@ -34,13 +34,14 @@ from radiolab.toprec import (
     TOPREC_C3,
     TOPREC_LEN_C,
     TOPREC_LEN_C0,
+    GatherBFSProgram,
+    TopRecProgram,
     assign_broadcast_indices,
     assign_gather_indices,
     broadcast_bfs_program,
     build_bfs_labels,
     build_toprec_labels,
-    gather_bfs_program,
-    toprec_program,
+    oracle_ids,
     toprec_round_formula,
     verify_gather_indices,
 )
@@ -124,7 +125,7 @@ def test_c02_exact_round_formulas(size_corpus, report):
         deepest_rx = [first_rx[v] for v in range(g.n) if la.layer[v] == la.depth]
         assert all(r > (la.depth - 1) * width for r in deepest_rx), gid
 
-        trg = run(g, bundle.labels, gather_bfs_program())
+        trg = run(g, bundle.labels, GatherBFSProgram)
         expected = sorted(int_to_bits(v + 1, g.n.bit_length()) for v in range(g.n))
         assert trg.outputs[0] == expected, gid
         total = la.depth + 2 * la.depth * width
@@ -148,8 +149,8 @@ def test_c03_toprec_correctness(tr_corpus, report):
     bad = []
     for gid, g in tr_corpus:
         bundle = build_toprec_labels(g)
-        tr = run(g, bundle.labels, toprec_program())
-        ids = bundle.meta["ids"]
+        tr = run(g, bundle.labels, TopRecProgram)
+        ids = oracle_ids(bundle.meta)
         expected_edges = tuple(sorted(
             (min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()
         ))
@@ -225,7 +226,7 @@ def test_c05_subtree_packing_suite(report):
 
 def test_c06_executor_properties(size_corpus, report):
     for gid, g in size_corpus:
-        bundle = synthesize_executor(g, 0)
+        bundle = synthesize_executor(g, {0})
         syn = bundle.meta["synthesis"]
         assert len(syn.stages) <= g.n, gid
         tr = run(g, bundle.labels, executor_program("M"))
@@ -253,7 +254,7 @@ def test_c08_fastsd_structure(size_corpus, report):
         sd = bundle.meta["decomposition"]
         for j, meta in bundle.meta["stripes"].items():
             assert all(len(p) == lgn for p in meta["paths"]), gid
-        tr = run(g, bundle.labels, fast_sd_program())
+        tr = run(g, bundle.labels, fast_sd_program)
         assert all(out == g.n for out in tr.outputs), gid
         covers = {
             u for meta in bundle.meta["stripes"].values() for u in meta["cover"]

@@ -10,7 +10,6 @@ from radiolab.broadcast import (
     synthesize_core,
     synthesize_execack,
     synthesize_executor,
-    synthesize_mbroadcast,
     synthesize_path_message,
     verify_executor_run,
 )
@@ -25,6 +24,7 @@ from radiolab.graphs import (
 )
 from radiolab import sim
 from radiolab.schemes import build_bundle, program_for
+from radiolab.labels import decode_blocks, encode_blocks
 from radiolab.sim import parse, run
 from radiolab.toprec import ack_br_bfs_program, build_bfs_labels
 
@@ -76,18 +76,18 @@ class TestMinimalDominatingSubset:
 
 class TestSynthesizeExecutor:
     def test_single_node(self):
-        b = synthesize_executor(build_graph(1, []), 0)
+        b = synthesize_executor(build_graph(1, []), {0})
         assert b.meta["t"] == 0
         assert b.meta["synthesis"].tree.parent == {}
 
     def test_p2_one_stage(self):
-        b = synthesize_executor(gen_path(2), 0)
+        b = synthesize_executor(gen_path(2), {0})
         syn = b.meta["synthesis"]
         assert b.meta["t"] == 3
         assert syn.tree.level[1] == 1 and syn.tree.parent[1] == 0
 
     def test_star_one_stage(self):
-        b = synthesize_executor(gen_star(5), 0)
+        b = synthesize_executor(gen_star(5), {0})
         syn = b.meta["synthesis"]
         assert b.meta["t"] == 3
         assert all(syn.tree.level[v] == 1 for v in range(1, 5))
@@ -101,7 +101,7 @@ class TestSynthesizeExecutor:
 class TestExecutorProgram:
     def test_p4_informs_within_three_stages(self):
         g = gen_path(4)
-        b = synthesize_executor(g, 0)
+        b = synthesize_executor(g, {0})
         assert b.meta["t"] <= 9
         tr = run(g, b.labels, executor_program("M"))
         assert tr.outputs == ["M"] * 4
@@ -109,13 +109,13 @@ class TestExecutorProgram:
 
     def test_levels_are_one_mod_three(self):
         g = gen_grid(3, 5)
-        b = synthesize_executor(g, 0)
+        b = synthesize_executor(g, {0})
         tree = b.meta["synthesis"].tree
         assert all(l % 3 == 1 for v, l in tree.level.items() if v != 0)
 
     def test_c6_spanning_tree(self):
         g = gen_cycle(6)
-        b = synthesize_executor(g, 0)
+        b = synthesize_executor(g, {0})
         tr = run(g, b.labels, executor_program("M"))
         assert tr.outputs == ["M"] * 6
         tree = b.meta["synthesis"].tree
@@ -125,21 +125,21 @@ class TestExecutorProgram:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_random_graphs_verified(self, seed):
         g = gen_random_connected(24, 0.12, seed)
-        b = synthesize_executor(g, 0)
+        b = synthesize_executor(g, {0})
         tr = run(g, b.labels, executor_program("M"))
         assert tr.outputs == ["M"] * 24
         verify_executor_run(g, b, tr)
 
     def test_stage_count_at_most_n(self):
         for g in (gen_path(17), gen_cycle(9), gen_grid(4, 4)):
-            b = synthesize_executor(g, 0)
+            b = synthesize_executor(g, {0})
             assert len(b.meta["synthesis"].stages) <= g.n
             assert b.meta["t"] <= 3 * g.n
 
     def test_alternate_sources(self):
         g = gen_grid(3, 5)
         for s in (0, 7, 14):
-            b = synthesize_executor(g, s)
+            b = synthesize_executor(g, {s})
             tr = run(g, b.labels, executor_program("M"))
             assert tr.outputs == ["M"] * g.n
             verify_executor_run(g, b, tr)
@@ -186,29 +186,28 @@ class TestExecAck:
 class TestMBroadcast:
     def test_all_sources_zero_rounds(self):
         g = gen_path(5)
-        b = synthesize_mbroadcast(g, set(range(5)))
+        b = synthesize_executor(g, set(range(5)))
         assert b.meta["t"] == 0
         tr = run(g, b.labels, executor_program("n"))
         assert tr.outputs == ["n"] * 5
 
     def test_p5_both_ends(self):
         g = gen_path(5)
-        b = synthesize_mbroadcast(g, {0, 4})
+        b = synthesize_executor(g, {0, 4})
         assert b.meta["t"] <= 6  # two stages suffice
         tr = run(g, b.labels, executor_program("n"))
         assert tr.outputs == ["n"] * 5
 
     def test_single_source_reduces_to_executor(self):
+        # single-source executor labels are the executor blocks of the
+        # acknowledged broadcast's labels
         g = gen_grid(3, 4)
-        be = synthesize_executor(g, 0)
-        bm = synthesize_mbroadcast(g, {0})
-        te = run(g, be.labels, executor_program("z"))
-        tm = run(g, bm.labels, executor_program("z"))
-        assert [r.transmitters for r in te.rounds] == [r.transmitters for r in tm.rounds]
+        ack = [encode_blocks(decode_blocks(lab)[:2]) for lab in synthesize_execack(g, 0).labels]
+        assert synthesize_executor(g, {0}).labels == ack
 
     def test_empty_sources_rejected(self):
         with pytest.raises(EmptySourceSet):
-            synthesize_mbroadcast(gen_path(3), set())
+            synthesize_executor(gen_path(3), set())
 
 
 class TestPathMessage:
@@ -259,27 +258,12 @@ class TestPathMessage:
         assert "".join(b.meta["chunks"][k] for k in sorted(b.meta["chunks"])) == m
 
 
-class TestBundleSidecar:
-    def test_json_shape(self):
-        import json
-
-        from radiolab.broadcast import bundle_sidecar
-
-        g = gen_grid(3, 3)
-        b = synthesize_executor(g, 0)
-        side = json.loads(json.dumps(bundle_sidecar(b)))
-        assert side["t"] == b.meta["t"]
-        assert side["sources"] == [0]
-        assert len(side["stages"]) == len(b.meta["synthesis"].stages)
-        assert set(side["parent"]) == {str(v) for v in range(1, 9)}
-
-
 class TestNodeLocality:
     def test_dom_decisions_match_oracle(self):
         """executor_program's DOM membership, recomputed from label+history,
         equals the offline schedule (checked inside verify_executor_run)."""
         for g in (gen_path(9), gen_grid(3, 4), gen_random_connected(18, 0.2, 7)):
-            b = synthesize_executor(g, 0)
+            b = synthesize_executor(g, {0})
             tr = run(g, b.labels, executor_program("M"))
             verify_executor_run(g, b, tr)
 
@@ -306,7 +290,7 @@ class TestParseOnce:
     @staticmethod
     def _run(scheme, g, cd):
         if scheme == "exec":
-            return run(g, synthesize_executor(g, 0).labels, executor_program(), cd=cd)
+            return run(g, synthesize_executor(g, {0}).labels, executor_program(), cd=cd)
         if scheme == "execack":
             return run(g, synthesize_execack(g, 0).labels, execack_program(), cd=cd)
         if scheme == "pathmsg":
@@ -336,7 +320,7 @@ class TestParseOnce:
 
     def test_feedback_carries_no_stay_field(self):
         g = gen_grid(6, 7)
-        tr = run(g, synthesize_executor(g, 0).labels, executor_program())
+        tr = run(g, synthesize_executor(g, {0}).labels, executor_program())
         feedback = [parse(m) for rec in tr.rounds for m in rec.transmitters.values()
                     if parse(m)[1] == "f"]
         assert feedback
@@ -369,8 +353,8 @@ class TestExecCoreWake:
     @pytest.mark.parametrize(
         "synth,program,rounds,max_calls",
         [
-            (synthesize_executor, executor_program(), 33, 160),
-            (synthesize_execack, execack_program(), 99, 332),
+            (lambda g: synthesize_executor(g, {0}), executor_program(), 33, 160),
+            (lambda g: synthesize_execack(g, 0), execack_program(), 99, 332),
         ],
         ids=["exec", "execack"],
     )
@@ -384,7 +368,7 @@ class TestExecCoreWake:
             p.action = lambda rnd: calls.append(rnd) or act(rnd)
             return p
 
-        tr = run(g, synth(g, 0).labels, counted)
+        tr = run(g, synth(g).labels, counted)
         assert tr.num_rounds == rounds
         assert all(out is not None for out in tr.outputs)
         assert len(calls) <= max_calls

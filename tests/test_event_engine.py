@@ -108,7 +108,7 @@ def reference_run(g, labels, program, cd=False, max_rounds=None):
 # programs outside the scheme registry, built through their factories
 FACTORIES = {
     "ack-br-bfs": (lambda g: build_bfs_labels(g, 0), ack_br_bfs_program("101")),
-    "exec": (lambda g: synthesize_executor(g, 0), executor_program("101")),
+    "exec": (lambda g: synthesize_executor(g, {0}), executor_program("101")),
     "execack": (lambda g: synthesize_execack(g, 0), execack_program("101")),
 }
 
@@ -182,7 +182,7 @@ def test_lower_bound_family_with_cd_matches_reference(scheme, n):
 
 @pytest.mark.parametrize(
     "scheme,rounds",
-    [("compact", 1), ("general", 1), ("fastsd", 1), ("execack", 1), ("exec", 0),
+    [("compact", 1), ("general", 0), ("fastsd", 0), ("execack", 1), ("exec", 0),
      ("toprec", 0), ("broadcast-bfs", 0), ("gather-bfs", 0), ("ack-br-bfs", 0)],
 )
 def test_single_node_matches_reference(scheme, rounds):

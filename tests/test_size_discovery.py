@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from radiolab import size_discovery
@@ -9,11 +14,18 @@ from radiolab.broadcast import (
     synthesize_executor,
     synthesize_path_message,
 )
-from radiolab.errors import MalformedCodeword, MessageTooLong, TooShallow
+from radiolab.errors import (
+    BarrierExceeded,
+    ConflictingPaths,
+    MalformedCodeword,
+    MessageTooLong,
+    TooShallow,
+)
 from radiolab.graphs import (
     build_graph,
     gen_cycle,
     gen_grid,
+    gen_lb_family,
     gen_path,
     gen_random_connected,
     gen_star,
@@ -21,11 +33,12 @@ from radiolab.graphs import (
 )
 from radiolab.labels import decode_blocks, encode_blocks
 from radiolab.rng import SplitMix64
-from radiolab.schemes import run_scheme
-from radiolab.sim import run, unframe
+from radiolab.schemes import program_for, run_scheme
+from radiolab.sim import parse, run, unframe
 from radiolab.size_discovery import (
+    AuxiliarySDProgram,
+    SizeOnPathProgram,
     assign_subtree_bits,
-    auxiliary_sd_program,
     build_compact_labels,
     build_fast_sd,
     build_general_sd,
@@ -115,7 +128,7 @@ class TestAuxiliarySD:
     def test_star_learns_delta(self):
         g = gen_star(6)
         b = build_compact_labels(g)
-        tr = run(g, b.labels, auxiliary_sd_program())
+        tr = run(g, b.labels, AuxiliarySDProgram)
         assert tr.outputs == [6] * 6
         # Delta-learning rounds: exactly one transmitter each, adjacent to root
         k = b.meta["delta"].bit_length()
@@ -125,7 +138,7 @@ class TestAuxiliarySD:
     def test_p4(self):
         g = gen_path(4)
         b = build_compact_labels(g)
-        tr = run(g, b.labels, auxiliary_sd_program())
+        tr = run(g, b.labels, AuxiliarySDProgram)
         assert tr.outputs == [4] * 4
 
     @pytest.mark.parametrize("seed", [3, 5, 8])
@@ -134,7 +147,7 @@ class TestAuxiliarySD:
         contains the child's message at the child's slot."""
         g = gen_random_connected(26, 0.15, seed)
         b = build_compact_labels(g)
-        tr = run(g, b.labels, auxiliary_sd_program())
+        tr = run(g, b.labels, AuxiliarySDProgram)
         assert tr.outputs == [26] * 26
         asg = b.meta["subtree"]
         tree = b.meta["synthesis"].tree
@@ -153,7 +166,7 @@ class TestAuxiliarySD:
         """Nodes only accept subtree payloads from their own children."""
         g = gen_random_connected(30, 0.2, 12)
         b = build_compact_labels(g)
-        tr = run(g, b.labels, auxiliary_sd_program())
+        tr = run(g, b.labels, AuxiliarySDProgram)
         assert tr.outputs == [30] * 30
 
 
@@ -161,32 +174,71 @@ class TestGeneralSD:
     def test_k8_outputs(self):
         g = build_graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
         b = build_general_sd(g)
-        tr = run(g, b.labels, general_sd_program())
+        tr = run(g, b.labels, general_sd_program)
         assert tr.outputs == [8] * 8
 
     def test_deep_path(self):
         g = gen_path(64)
         b = build_general_sd(g)
         assert b.meta["branch"] == "pathmsg"
-        tr = run(g, b.labels, general_sd_program())
+        tr = run(g, b.labels, general_sd_program)
         assert tr.outputs == [64] * 64
 
     def test_single_node(self):
         g = build_graph(1, [])
         b = build_general_sd(g)
-        tr = run(g, b.labels, general_sd_program())
+        tr = run(g, b.labels, general_sd_program)
         assert tr.outputs == [1]
 
     def test_large_star_takes_compact_branch(self):
         g = gen_star(601)
         b = build_general_sd(g)
         assert b.meta["branch"] == "compact"
-        tr = run(g, b.labels, general_sd_program())
+        tr = run(g, b.labels, general_sd_program)
         assert tr.outputs == [601] * 601
 
     def test_both_branches_reachable(self):
         assert build_general_sd(gen_path(16)).meta["branch"] == "pathmsg"
         assert build_general_sd(gen_star(601)).meta["branch"] == "compact"
+
+    def test_mode_bit_picks_the_program(self):
+        """The selector builds the branch's program itself, no wrapper."""
+        make = program_for("general")
+        by_branch = {"pathmsg": SizeOnPathProgram, "compact": AuxiliarySDProgram}
+        for g in (gen_path(16), gen_star(601)):
+            b = build_general_sd(g)
+            assert {type(make(lab)) for lab in b.labels} == {by_branch[b.meta["branch"]]}
+        # fastsd's fallback labels select general's program the same way
+        b = build_fast_sd(gen_lb_family(36)[0])
+        assert b.meta["mode"] == "fallback"
+        branch = b.meta["inner"].meta["branch"]
+        assert {type(program_for("fastsd")(lab)) for lab in b.labels} == {by_branch[branch]}
+        assert program_for("compact") is AuxiliarySDProgram
+
+
+def sent_tags(trace) -> set[str]:
+    return {parse(m)[0] for rec in trace.rounds for m in rec.transmitters.values()}
+
+
+class TestWireVocabulary:
+    """Each size scheme speaks only its own stage tags: the acknowledged
+    broadcast's cores end in 1, 2 and 3, its relay in a."""
+
+    @pytest.mark.parametrize("cd", [False, True])
+    def test_compact_tags(self, cd):
+        for g in (gen_grid(5, 6), gen_star(17), gen_random_connected(30, 0.2, 12)):
+            tags = sent_tags(run_scheme("compact", g, cd=cd).trace)
+            assert tags <= {"D", "A1", "Aa", "A2", "S", "A3"}
+            assert "A3" in tags
+
+    @pytest.mark.parametrize("cd", [False, True])
+    def test_general_path_branch_tags(self, cd):
+        for g in (gen_path(64), gen_grid(4, 12)):
+            r = run_scheme("general", g, cd=cd)
+            assert r.ok and r.bundle.meta["branch"] == "pathmsg"
+            tags = sent_tags(r.trace)
+            assert tags <= {"p1", "pa", "p2", "pc", "p3"}
+            assert "p3" in tags
 
 
 class TestStripes:
@@ -266,8 +318,34 @@ class TestCovers:
         assert conflict_free_paths(blind, 2, [12, 31]) == [
             list(range(12, 18)), list(range(31, 37))
         ]
-        with pytest.raises(AssertionError, match=r"conflicting edge \(12,32\)"):
+        with pytest.raises(ConflictingPaths, match=r"conflicting edge \(12,32\)"):
             conflict_free_paths(sd, 2, [12, 31])
+
+    def test_conflict_scan_kept_under_optimize(self):
+        """The same case under `python -O`, which strips assert statements."""
+        case = (
+            "from radiolab import size_discovery as sdm\n"
+            "from radiolab.errors import ConflictingPaths\n"
+            "from radiolab.graphs import build_graph\n"
+            "chains = [(i, i + 1) for i in range(19)] + [(0, 20)]\n"
+            "chains += [(i, i + 1) for i in range(20, 39)]\n"
+            "blind = sdm.stripe_decomposition(build_graph(40, chains), 0)\n"
+            "sd = sdm.stripe_decomposition(build_graph(40, chains + [(12, 32)]), 0)\n"
+            "real = sdm._forward_reach\n"
+            "sdm._forward_reach = lambda _, j, starts: real(blind, j, starts)\n"
+            "print(__debug__)\n"
+            "try:\n"
+            "    sdm.conflict_free_paths(sd, 2, [12, 31])\n"
+            "except ConflictingPaths as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(size_discovery.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", case], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split("\n")[:2] == [
+            "False", "conflicting edge (12,32) between paths 0 and 1"
+        ]
 
     def test_conflict_free_verified_on_corpus(self):
         for g in (gen_path(40), gen_grid(4, 12), gen_random_connected(70, 0.04, 21)):
@@ -281,26 +359,31 @@ class TestCovers:
 
 
 class TestFastSD:
+    def test_phase2_past_barrier_rejected(self, monkeypatch):
+        monkeypatch.setattr(size_discovery, "fast_sd_barrier", lambda n: n.bit_length() + 1)
+        with pytest.raises(BarrierExceeded, match="stripe 0"):
+            build_fast_sd(gen_path(64))
+
     @pytest.mark.parametrize("n", [64, 127])
     def test_paths(self, n):
         g = gen_path(n)
         b = build_fast_sd(g)
         assert b.meta["mode"] == "stripes"
-        tr = run(g, b.labels, fast_sd_program())
+        tr = run(g, b.labels, fast_sd_program)
         assert tr.outputs == [n] * n
 
     def test_grid(self):
         g = gen_grid(8, 32)
         b = build_fast_sd(g)
         assert b.meta["mode"] == "stripes"
-        tr = run(g, b.labels, fast_sd_program())
+        tr = run(g, b.labels, fast_sd_program)
         assert tr.outputs == [256] * 256
 
     def test_shallow_fallback(self):
         g = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         b = build_fast_sd(g)
         assert b.meta["mode"] == "fallback"
-        tr = run(g, b.labels, fast_sd_program())
+        tr = run(g, b.labels, fast_sd_program)
         assert tr.outputs == [5] * 5
 
     def test_stripe_isolation(self):
@@ -309,7 +392,7 @@ class TestFastSD:
         g = gen_path(96)
         b = build_fast_sd(g)
         sd = b.meta["decomposition"]
-        tr = run(g, b.labels, fast_sd_program())
+        tr = run(g, b.labels, fast_sd_program)
         assert tr.outputs == [96] * 96
         for rec in tr.rounds:
             for listener, msg in rec.heard.items():
@@ -329,7 +412,7 @@ class TestFastSD:
         lgn = g.n.bit_length()
         for j, meta in b.meta["stripes"].items():
             assert all(len(p) == lgn for p in meta["paths"])
-        tr = run(g, b.labels, fast_sd_program())
+        tr = run(g, b.labels, fast_sd_program)
         assert tr.outputs == [g.n] * g.n
         # every cover node's last F1 reception happens at round lgn - 1
         sd = b.meta["decomposition"]
@@ -364,17 +447,17 @@ class TestEndToEndSchemes:
 # scheme -> (label builder, program factory, nodes to check, indices of the
 # fixed-width blocks, whether the last block is one of them)
 MALFORMED_CASES = {
-    "compact": (lambda: build_compact_labels(gen_path(6)), auxiliary_sd_program(),
+    "compact": (lambda: build_compact_labels(gen_path(6)), AuxiliarySDProgram,
                 range(6), (3, 4, 5), False),
-    "general-pathmsg": (lambda: build_general_sd(gen_path(6)), general_sd_program(),
+    "general-pathmsg": (lambda: build_general_sd(gen_path(6)), general_sd_program,
                         range(6), (0, 1, 2, 3), False),
-    "general-compact": (lambda: build_general_sd(gen_star(600)), general_sd_program(),
+    "general-compact": (lambda: build_general_sd(gen_star(600)), general_sd_program,
                         (0, 1, 599), (0, 4, 5, 6), False),
-    "fastsd-stripes": (lambda: build_fast_sd(gen_path(6)), fast_sd_program(),
+    "fastsd-stripes": (lambda: build_fast_sd(gen_path(6)), fast_sd_program,
                        range(6), (0, 1, 3, 4, 5, 6), True),
-    "fastsd-fallback": (lambda: build_fast_sd(gen_cycle(4)), fast_sd_program(),
+    "fastsd-fallback": (lambda: build_fast_sd(gen_cycle(4)), fast_sd_program,
                         range(4), (0, 1, 2, 3, 4), False),
-    "exec": (lambda: synthesize_executor(gen_path(6), 0), executor_program(),
+    "exec": (lambda: synthesize_executor(gen_path(6), {0}), executor_program(),
              range(6), (0, 1), True),
     "execack": (lambda: synthesize_execack(gen_path(6), 0), execack_program(),
                 range(6), (0, 1, 2), True),

@@ -43,7 +43,7 @@ from radiolab.size_discovery import (
     assign_subtree_bits,
     verify_subtree_assignment,
 )
-from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0
+from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0, oracle_ids
 
 SCHEMES = ("compact", "general", "fastsd", "toprec")
 
@@ -225,7 +225,8 @@ def reference_bundle(monkeypatch, scheme, g):
 def check_ids(bundle):
     """The toprec oracle ids: the root's is empty, every other node's is its
     parent's plus its own gather index."""
-    ids, parent, gv, root = (bundle.meta[k] for k in ("ids", "parent", "g", "root"))
+    ids = oracle_ids(bundle.meta)
+    parent, gv, root = (bundle.meta[k] for k in ("parent", "g", "root"))
     assert ids[root] == ()
     for v in range(len(ids)):
         if v != root:
@@ -424,7 +425,7 @@ def test_backwards_path_toprec():
     assert sys.getrecursionlimit() < 1500
     bundle = build_bundle("toprec", backwards_path(1500))
     check_ids(bundle)
-    assert bundle.meta["ids"][1] == (0,) * 1499
+    assert oracle_ids(bundle.meta)[1] == (0,) * 1499
     # the run is checked on a short copy of the same shape: on a path, a
     # toprec run's messages total O(n^3) bytes
     assert run_scheme("toprec", backwards_path(120)).ok

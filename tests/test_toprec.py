@@ -20,6 +20,8 @@ from radiolab.toprec import (
     TOPREC_BLOCKS,
     TOPREC_LEN_C,
     TOPREC_LEN_C0,
+    GatherBFSProgram,
+    TopRecProgram,
     ack_br_bfs_program,
     assign_broadcast_indices,
     assign_gather_indices,
@@ -27,11 +29,10 @@ from radiolab.toprec import (
     build_bfs_labels,
     build_toprec_labels,
     distance_two_coloring,
-    gather_bfs_program,
     id_to_wire,
+    oracle_ids,
     parse_message,
     reconstruct_topology,
-    toprec_program,
     toprec_round_formula,
     verify_gather_indices,
     wire_to_id,
@@ -200,7 +201,7 @@ class TestGatherBFS:
     def test_k4_collects_everything(self):
         payloads = [int_to_bits(v + 1, 3) for v in range(4)]
         bundle = build_bfs_labels(K4, 0, payloads=payloads)
-        tr = run(K4, bundle.labels, gather_bfs_program())
+        tr = run(K4, bundle.labels, GatherBFSProgram)
         assert tr.outputs[0] == sorted(payloads)
 
     @pytest.mark.parametrize("seed", [3, 17])
@@ -209,7 +210,7 @@ class TestGatherBFS:
         payloads = [int_to_bits(v + 1, 5) for v in range(24)]
         bundle = build_bfs_labels(g, 0, payloads=payloads)
         la, delta = bundle.meta["layers"], bundle.meta["delta"]
-        tr = run(g, bundle.labels, gather_bfs_program())
+        tr = run(g, bundle.labels, GatherBFSProgram)
         assert tr.outputs[0] == sorted(payloads)
         total = la.depth + 2 * la.depth * (delta + 1)
         g0 = total + (delta + 1) * la.depth
@@ -227,9 +228,9 @@ class TestTopRec:
     def test_c4_ids_and_edges(self):
         g = gen_cycle(4)
         b = build_toprec_labels(g)
-        assert b.meta["ids"] == [(), (0,), (0, 0), (1,)]
-        tr = run(g, b.labels, toprec_program())
-        ids = b.meta["ids"]
+        ids = oracle_ids(b.meta)
+        assert ids == [(), (0,), (0, 0), (1,)]
+        tr = run(g, b.labels, TopRecProgram)
         expected = tuple(sorted((min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()))
         for v in range(4):
             assert tr.outputs[v] == (expected, ids[v])
@@ -253,7 +254,7 @@ class TestTopRec:
     def test_stage2_every_neighbor_heard_once(self):
         g = gen_random_connected(26, 0.2, 31)
         b = build_toprec_labels(g)
-        tr = run(g, b.labels, toprec_program())
+        tr = run(g, b.labels, TopRecProgram)
         heard_ids = {v: [] for v in range(g.n)}
         for rec in tr.rounds:
             for v, msg in rec.heard.items():
@@ -270,7 +271,7 @@ class TestTopRec:
 
         for g in (gen_path(12), gen_grid(3, 6), gen_random_connected(40, 0.3, 8)):
             b = build_toprec_labels(g)
-            tr = run(g, b.labels, toprec_program())
+            tr = run(g, b.labels, TopRecProgram)
             formula = toprec_round_formula(
                 b.meta["layers"].depth, g.max_degree(), b.meta["stage2_window"]
             )
@@ -294,7 +295,7 @@ class TestParseMessage:
         ids=["c4", "grid3x4", "gnp20"],
     )
     def test_every_message_parses_to_a_hashable_value(self, g, cd):
-        tr = run(g, build_toprec_labels(g).labels, toprec_program(), cd=cd)
+        tr = run(g, build_toprec_labels(g).labels, TopRecProgram, cd=cd)
         tags = set()
         for rec in tr.rounds:
             for m in rec.transmitters.values():
@@ -318,7 +319,7 @@ class TestParseMessage:
 
     def test_forwarders_resend_the_heard_bytes(self):
         g = gen_grid(3, 4)
-        tr = run(g, build_toprec_labels(g).labels, toprec_program())
+        tr = run(g, build_toprec_labels(g).labels, TopRecProgram)
         finals = {m for rec in tr.rounds for m in rec.transmitters.values()
                   if unframe(m)[0] == "T5"}
         assert len(finals) == 1
@@ -340,7 +341,7 @@ class TestSharedTopology:
 
     def test_own_id_missing_from_shared_topology(self):
         g = gen_cycle(4)
-        p = toprec_program()(build_toprec_labels(g).labels[1])
+        p = TopRecProgram(build_toprec_labels(g).labels[1])
         p.my_id = (0,)
         with pytest.raises(ProtocolViolation, match="own identifier"):
             p.receive(1, Heard(frame("T5", [["", []]])))
@@ -394,10 +395,10 @@ class TestMalformedLabels:
     the node program is built, never IndexError or ValueError."""
 
     @pytest.mark.parametrize("make, blocks", [
-        (toprec_program(), TOPREC_BLOCKS),
+        (TopRecProgram, TOPREC_BLOCKS),
         (broadcast_bfs_program("M"), BFS_BLOCKS),
         (ack_br_bfs_program("M"), BFS_BLOCKS),
-        (gather_bfs_program(), BFS_BLOCKS),
+        (GatherBFSProgram, BFS_BLOCKS),
     ], ids=["toprec", "broadcast-bfs", "ack-br-bfs", "gather-bfs"])
     def test_block_count_checked(self, make, blocks):
         g = gen_cycle(4)
@@ -422,7 +423,7 @@ class TestMalformedLabels:
             if cut % 2 == 0 and len(decode_blocks(cut_label)) == TOPREC_BLOCKS:
                 continue  # only the last block is shorter
             with pytest.raises(MalformedCodeword):
-                run(g, labels[:v] + [cut_label] + labels[v + 1:], toprec_program())
+                run(g, labels[:v] + [cut_label] + labels[v + 1:], TopRecProgram)
 
 
 class TestOutputSerialization:
@@ -431,7 +432,7 @@ class TestOutputSerialization:
 
         g = gen_cycle(4)
         b = build_toprec_labels(g)
-        tr = run(g, b.labels, toprec_program())
+        tr = run(g, b.labels, TopRecProgram)
         out = serialize_toprec_output(tr.outputs[1])
         assert out["self"] == [0]
         assert [[], [0]] in out["edges"]
