@@ -23,21 +23,6 @@ CANON_HASH = "#"
 CANON_SILENCE = "eps"
 
 
-def canonical_history(trace: ExecutionTrace) -> list:
-    """Per-round classification from the global transmitter sets: the message
-    if exactly one node transmits, '#' for two or more, 'eps' for none."""
-    out = []
-    for rec in trace.rounds:
-        if len(rec.transmitters) == 1:
-            (msg,) = rec.transmitters.values()
-            out.append(("m", msg.hex()))
-        elif rec.transmitters:
-            out.append(CANON_HASH)
-        else:
-            out.append(CANON_SILENCE)
-    return out
-
-
 def _component_index(
     trace: ExecutionTrace, partition: LBFamilyDescriptor
 ) -> dict[int, int]:
@@ -93,24 +78,6 @@ def _departures(trace: ExecutionTrace, comp_of: dict[int, int]) -> dict[int, lis
         if leaving:
             out[rnd] = sorted(leaving)
             live = [v for v in live if comp_of[v] not in leaving]
-    return out
-
-
-def canonical_components(
-    trace: ExecutionTrace, partition: LBFamilyDescriptor
-) -> list[list[int]]:
-    """For each round i, the set (as a sorted list of component indices) of
-    components whose every node's history equals the canonical one after
-    round i. Index 0 of the result corresponds to round 0 (all components).
-    Raises InvalidParams if the partition does not cover the graph."""
-    departures = _departures(trace, _component_index(trace, partition))
-    current = list(range(len(partition.components)))
-    out = [current]
-    for rnd in range(1, trace.num_rounds + 1):
-        if rnd in departures:
-            leaving = departures[rnd]
-            current = [c for c in current if c not in leaving]
-        out.append(list(current))
     return out
 
 

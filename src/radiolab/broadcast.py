@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import EmptySourceSet, Undominatable
 from .graphs import Graph
-from .labels import SchemeBundle, decode_blocks, encode_blocks, fixed_block, label_blocks
+from .labels import SchemeBundle, encode_blocks, fixed_block, label_blocks
 from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, parse
 
 
@@ -293,14 +293,6 @@ class ExecCore:
             if self.in_dom:
                 self._heard_stay = True
 
-    def poststep(self, abs_rnd: int) -> None:
-        """Process the end-of-stage membership update as soon as round 3 ends."""
-        if not self.active:
-            return
-        rel = abs_rnd - self.offset
-        if rel >= 3 and rel % 3 == 0:
-            self._advance(rel // 3 + 1)
-
     @property
     def active(self) -> bool:
         """Whether the core can still transmit in this instance. An informed
@@ -315,12 +307,19 @@ class ExecCore:
         )
 
     def next_wake(self, abs_rnd: int) -> int | None:
-        """Wake hint after round `abs_rnd`. None while the core is not
-        active (not yet reached by the broadcast, or done for good); the
-        start round while a started source is dormant; else the next round,
-        since a live core may change `active` at the end of any stage."""
+        """Wake hint after round `abs_rnd`, once the end-of-stage membership
+        update is applied if `abs_rnd` closes a stage. None while the core
+        is not active (not yet reached by the broadcast, or done for good);
+        the start round while a started source is dormant; else the next
+        round, since a live core may change `active` at the end of any
+        stage."""
         if not self.active:
             return None
+        rel = abs_rnd - self.offset
+        if rel >= 3 and rel % 3 == 0:
+            self._advance(rel // 3 + 1)
+            if not self.active:
+                return None
         return (self.offset if self.offset > abs_rnd else abs_rnd) + 1
 
 
@@ -377,7 +376,6 @@ class BroadcastProgram(NodeProgram):
                 self.core.on_message(rnd, parts)
                 if self.core.informed and self.output is None:
                     self.output = self.core.message
-        self.core.poststep(rnd)
 
     def next_wake(self, rnd: int) -> int | None:
         return self.core.next_wake(rnd)
@@ -547,11 +545,6 @@ class AckMachine:
         elif tag == self.tag + "3":
             self.core3.on_message(abs_rnd, parts)
 
-    def poststep(self, abs_rnd: int) -> None:
-        self.core1.poststep(abs_rnd)
-        self.core2.poststep(abs_rnd)
-        self.core3.poststep(abs_rnd)
-
 
 class ExecAckProgram(NodeProgram):
     """Standalone acknowledged broadcast; output is (message, t, level,
@@ -573,7 +566,6 @@ class ExecAckProgram(NodeProgram):
             parts = obs.decode(parse)
             if parts[0].startswith("k"):
                 m.on_message(rnd, parts)
-        m.poststep(rnd)
         if self.output is None and m.completion_abs is not None and rnd >= m.completion_abs:
             core = m.core1
             self.output = (core.message, m.t, core.level, core.parent_level)
@@ -718,130 +710,6 @@ class PathMessageProgram(NodeProgram):
                 self.ack.on_message(rnd, parts)
                 if self.output is None and self.ack.core3.informed:
                     self.output = self._result(self.ack.core3.message)
-        self.ack.poststep(rnd)
 
     def next_wake(self, rnd: int) -> int | None:
         return earliest(self.ack.next_wake(rnd), self._collect_round())
-
-
-# ---------------------------------------------------------------------------
-# Structural verification (used by tests and the acceptance suite)
-# ---------------------------------------------------------------------------
-
-
-def check_tree_invariants(syn: CoreSynthesis, g: Graph) -> None:
-    """Broadcast-tree structure: reception levels are 1 mod 3; a parent at
-    level j with a child at level i has a child at every level k in [j+1, i]
-    with k = 1 mod 3; the maximum level exceeds t - 3."""
-    tree = syn.tree
-    children_levels: dict[int, set[int]] = {}
-    for u, p in tree.parent.items():
-        assert tree.level[u] > tree.level[p]
-        assert tree.level[u] % 3 == 1
-        assert g.has_edge(u, p)
-        children_levels.setdefault(p, set()).add(tree.level[u])
-    for u, p in tree.parent.items():
-        i, j = tree.level[u], tree.level[p]
-        have = children_levels[p]
-        for k in range(j + 1, i + 1):
-            if k % 3 == 1:
-                assert k in have, (
-                    f"parent {p} (level {j}) lacks a child at level {k} <= {i}"
-                )
-    if g.n > 1:
-        assert tree.max_level() > tree.t - 3
-    # spanning: every non-source reached exactly once
-    srcs = set(tree.sources)
-    assert set(tree.parent) == set(range(g.n)) - srcs
-
-
-def check_dom_schedule(syn: CoreSynthesis, g: Graph) -> None:
-    """Properties of the per-stage DOM sets: dominate the frontier minimally,
-    stay inside the informed set, inform at least one uniquely covered node
-    per member per stage, and have consecutive membership intervals."""
-    informed = set(syn.tree.sources)
-    seen_stages: dict[int, list[int]] = {}
-    assert len(syn.stages) <= g.n, "stage count exceeds n"
-    for rec in syn.stages:
-        assert rec.dom, "DOM empty while nodes remain uninformed"
-        assert rec.dom <= informed, "DOM member not informed"
-        assert rec.frontier == {
-            u for w in informed for u in g.adj[w] if u not in informed
-        }
-        for u in rec.frontier:
-            assert any(w in rec.dom for w in g.adj[u]), "frontier not dominated"
-        for v in rec.dom:
-            private = [
-                u
-                for u in rec.frontier
-                if v in g.adj[u]
-                and sum(1 for w in g.adj[u] if w in rec.dom) == 1
-            ]
-            assert private, f"DOM member {v} has no uniquely covered target"
-            assert rec.feedback[v] in private or rec.feedback[v] in rec.newly
-        for v in rec.dom:
-            seen_stages.setdefault(v, []).append(rec.stage)
-        for u, p in rec.newly.items():
-            assert p in rec.dom and g.has_edge(u, p)
-            assert sum(1 for w in g.adj[u] if w in rec.dom) == 1
-        informed |= set(rec.newly)
-    assert informed == set(range(g.n))
-    for v, ss in seen_stages.items():
-        assert ss == list(range(ss[0], ss[-1] + 1)), (
-            f"node {v} has a non-consecutive DOM interval {ss}"
-        )
-
-
-def dom_membership_from_history(
-    blocks: list[str], trace, v: int, tag: str = "x", offset: int = 0
-) -> dict[int, bool]:
-    """Recompute a node's per-stage DOM decisions from its label and its own
-    observation history alone (the node-locality check: the result must match
-    the offline schedule exactly)."""
-    js, flags = blocks[0], blocks[1]
-    core = ExecCore(tag, js)
-    if flags[0] == "1":
-        core.start_source(offset + 1, None, flags[1] == "1")
-    membership: dict[int, bool] = {}
-    for rnd in range(1, trace.num_rounds + 1):
-        if core.offset is not None:
-            rel = rnd - core.offset
-            if rel >= 1 and rel % 3 == 1:
-                core.action(rnd)
-                membership[(rel + 2) // 3] = core.in_dom
-        obs = trace.observation_of(v, rnd)
-        if isinstance(obs, Heard):
-            parts = obs.decode(parse)
-            if parts[0] == tag:
-                core.on_message(rnd, parts)
-        core.poststep(rnd)
-    return membership
-
-
-def verify_executor_run(g: Graph, bundle: SchemeBundle, trace) -> None:
-    """End-to-end check of an Executor trace against the oracle:
-    tree and DOM properties, per-round transmitter sets, and node-local DOM
-    decisions equal to the offline schedule."""
-    syn: CoreSynthesis = bundle.meta["synthesis"]
-    check_tree_invariants(syn, g)
-    check_dom_schedule(syn, g)
-    # transmitters in round 1 of stage s are exactly DOM_s
-    for rec in syn.stages:
-        r1 = 3 * rec.stage - 2
-        assert set(trace.rounds[r1 - 1].transmitters) == rec.dom
-        fb_round = r1 + 1
-        expected_fb = {u for u in rec.feedback.values() if syn.stay[u]}
-        actual_fb = set(trace.rounds[fb_round - 1].transmitters)
-        assert actual_fb == expected_fb
-        if r1 + 2 <= trace.num_rounds:
-            assert not trace.rounds[r1 + 1].transmitters, "round 3 of a stage must be silent"
-    # node locality
-    dom_by_stage = {rec.stage: rec.dom for rec in syn.stages}
-    for v in range(g.n):
-        blocks = decode_blocks(bundle.labels[v])
-        membership = dom_membership_from_history(blocks, trace, v)
-        for stage, rec_dom in dom_by_stage.items():
-            local = membership.get(stage, False)
-            assert local == (v in rec_dom), (
-                f"node {v} stage {stage}: local {local} vs oracle {v in rec_dom}"
-            )

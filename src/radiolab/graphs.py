@@ -54,22 +54,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    queue.append(w)
-        return count == self.n
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m()})"
 
@@ -305,7 +289,7 @@ def gen_lb_general(delta: int, n: int) -> tuple[Graph, LBFamilyDescriptor]:
 
 
 # ---------------------------------------------------------------------------
-# External interfaces: edge-list text format and DOT export
+# Edge-list text format
 # ---------------------------------------------------------------------------
 
 
@@ -338,11 +322,3 @@ def read_edge_list(fp: TextIO) -> Graph:
         if line.strip():
             raise InvalidParams(f"line after the {m} edge lines: {line.strip()!r}")
     return build_graph(n, edges)
-
-
-def to_dot(g: Graph, name: str = "g") -> str:
-    """Best-effort DOT export for visualization; not round-tripped."""
-    lines = [f"graph {name} {{"]
-    lines.extend(f"  {u} -- {v};" for u, v in g.edges())
-    lines.append("}")
-    return "\n".join(lines)

@@ -9,9 +9,9 @@ big-endian with leading zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import Sequence
 
-from .errors import InvalidParams, MalformedCodeword
+from .errors import MalformedCodeword
 
 LabelBits = str
 
@@ -111,53 +111,3 @@ class SchemeBundle:
 
     def max_label_bits(self) -> int:
         return max((len(l) for l in self.labels), default=0)
-
-
-def pack_bits_hex(bits: str) -> str:
-    """Left-pack a bit string into hex, zero-padded to a whole byte."""
-    if not bits:
-        return ""
-    padded = bits + "0" * (-len(bits) % 8)
-    return bytes(
-        int(padded[i : i + 8], 2) for i in range(0, len(padded), 8)
-    ).hex()
-
-
-def unpack_bits_hex(hexstr: str, bitlen: int) -> str:
-    raw = bytes.fromhex(hexstr)
-    bits = "".join(format(b, "08b") for b in raw)
-    return bits[:bitlen]
-
-
-def dump_labels(bundle: SchemeBundle, fp: TextIO) -> None:
-    """One line per node: node<TAB>bitlen<TAB>hex (bits left-packed)."""
-    for v, bits in enumerate(bundle.labels):
-        fp.write(f"{v}\t{len(bits)}\t{pack_bits_hex(bits)}\n")
-
-
-def load_labels(fp: TextIO) -> list[LabelBits]:
-    """Inverse of `dump_labels`. A node column that is not 0, 1, 2, ... in
-    order or a bad bit length raises InvalidParams; a hex payload that is not
-    hex or not exactly the bytes the bit length needs raises
-    MalformedCodeword."""
-    labels = []
-    for lineno, line in enumerate(fp, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        node, bitlen, hexstr = (line.split("\t") + ["", ""])[:3]
-        if node != str(len(labels)):
-            raise InvalidParams(f"line {lineno}: node {node!r}, expected {len(labels)}")
-        if not (bitlen.isascii() and bitlen.isdigit()):
-            raise InvalidParams(f"line {lineno}: bit length {bitlen!r} is not a count")
-        nbits = int(bitlen)
-        try:
-            raw = bytes.fromhex(hexstr)
-        except ValueError:
-            raise MalformedCodeword(f"line {lineno}: {hexstr!r} is not hex") from None
-        if len(raw) != (nbits + 7) // 8:
-            raise MalformedCodeword(
-                f"line {lineno}: {len(raw)} byte(s) of hex for {nbits} bits"
-            )
-        labels.append(unpack_bits_hex(hexstr, nbits))
-    return labels

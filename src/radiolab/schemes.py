@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidParams
 from .graphs import Graph, diameter
 from .labels import SchemeBundle, int_to_bits
 from .sim import ExecutionTrace, run
@@ -51,6 +52,9 @@ class SchemeResult:
 
 
 def build_bundle(scheme: str, g: Graph) -> SchemeBundle:
+    """The scheme's labels on `g`, which must have a node."""
+    if g.n == 0:
+        raise InvalidParams("the graph has no nodes")
     if scheme == "compact":
         return build_compact_labels(g)
     if scheme == "general":
@@ -65,7 +69,7 @@ def build_bundle(scheme: str, g: Graph) -> SchemeBundle:
         return build_bfs_labels(
             g, 0, payloads=[int_to_bits(v + 1, max(g.n.bit_length(), 1)) for v in range(g.n)]
         )
-    raise ValueError(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
+    raise InvalidParams(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
 
 
 def program_for(scheme: str):
@@ -83,7 +87,7 @@ def program_for(scheme: str):
         return broadcast_bfs_program(BROADCAST_TEST_MESSAGE)
     if scheme == "gather-bfs":
         return GatherBFSProgram
-    raise ValueError(f"unknown scheme {scheme!r}")
+    raise InvalidParams(f"unknown scheme {scheme!r}")
 
 
 def verify_outputs(scheme: str, g: Graph, bundle: SchemeBundle, trace) -> int:
@@ -108,7 +112,7 @@ def verify_outputs(scheme: str, g: Graph, bundle: SchemeBundle, trace) -> int:
         )
         score = 1 if trace.outputs[0] == expected else 0
         return score + sum(1 for out in trace.outputs[1:] if out is not None)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    raise InvalidParams(f"unknown scheme {scheme!r}")
 
 
 def run_scheme(

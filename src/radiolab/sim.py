@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from heapq import heappop, heappush
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidParams, RoundLimitExceeded
 from .graphs import Graph
@@ -245,21 +245,6 @@ def history_of(trace: ExecutionTrace, v: int) -> list[Observation]:
     return [trace.observation_of(v, r) for r in range(1, trace.num_rounds + 1)]
 
 
-def verify_trace(trace: ExecutionTrace) -> None:
-    """Replay every round through observation(); raises AssertionError on any
-    divergence between the stored deliveries and the model semantics."""
-    g = trace.graph
-    for idx, rec in enumerate(trace.rounds, start=1):
-        for v in range(g.n):
-            obs = observation(v, rec.transmitters, g, trace.cd, v in rec.transmitters)
-            stored = trace.observation_of(v, idx)
-            assert obs == stored or type(obs) is type(stored), (
-                f"round {idx} node {v}: replay {obs!r} != stored {stored!r}"
-            )
-            if isinstance(obs, Heard):
-                assert isinstance(stored, Heard) and stored.message == obs.message
-
-
 def default_max_rounds(n: int) -> int:
     """The round cap: `RADIOLAB_MAX_ROUNDS` if set, else 50 n^2."""
     env = os.environ.get(MAX_ROUNDS_ENV)
@@ -294,7 +279,7 @@ def run(
     at once.
     """
     if len(labels) != g.n:
-        raise ValueError(f"need one label per node: {len(labels)} != {g.n}")
+        raise InvalidParams(f"need one label per node: {len(labels)} != {g.n}")
     if max_rounds is None:
         max_rounds = default_max_rounds(g.n)
     n = g.n
@@ -424,7 +409,7 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# Message framing and trace dumps
+# Message framing
 # ---------------------------------------------------------------------------
 
 
@@ -447,37 +432,3 @@ def parse(message: bytes) -> tuple:
 
 def _frozen(x):
     return tuple(map(_frozen, x)) if type(x) is list else x
-
-
-def dump_trace_jsonl(trace: ExecutionTrace, fp: TextIO) -> None:
-    """One JSON record per round: transmitters with hex payloads plus the
-    per-node observation codes."""
-    g = trace.graph
-    for idx, rec in enumerate(trace.rounds, start=1):
-        obs_codes = []
-        for v in range(g.n):
-            o = trace.observation_of(v, idx)
-            if isinstance(o, Heard):
-                obs_codes.append("heard:" + o.message.hex())
-            elif o is TX:
-                obs_codes.append("tx")
-            elif o is NOISE:
-                obs_codes.append("noise")
-            elif o is SILENCE:
-                obs_codes.append("silence")
-            else:
-                obs_codes.append("collision")
-        fp.write(
-            json.dumps(
-                {
-                    "round": idx,
-                    "transmitters": [
-                        {"node": v, "msg_hex": m.hex()}
-                        for v, m in sorted(rec.transmitters.items())
-                    ],
-                    "observations": obs_codes,
-                },
-                separators=(",", ":"),
-            )
-        )
-        fp.write("\n")

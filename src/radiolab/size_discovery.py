@@ -133,22 +133,6 @@ def assign_subtree_bits(tree: Graph, root: int, message: str) -> SubtreeAssignme
     return out
 
 
-def verify_subtree_assignment(
-    tree: Graph, root: int, message: str, asg: SubtreeAssignment
-) -> None:
-    delta = tree.max_degree()
-    fanout = max(delta.bit_length(), 1)
-    for v in asg.nodes():
-        limit = 2 if v == root else 3
-        assert len(asg.bits[v]) <= limit, f"node {v}: {len(asg.bits[v])} bits"
-        assert len(asg.children.get(v, [])) <= fanout
-    assert asg.postorder_concat() == message
-    # the chosen nodes form a subtree containing the root
-    for v in asg.nodes():
-        for c in asg.children.get(v, []):
-            assert tree.has_edge(v, c)
-
-
 # ---------------------------------------------------------------------------
 # Compact labels + AuxiliarySD
 # ---------------------------------------------------------------------------
@@ -292,7 +276,6 @@ class AuxiliarySDProgram(NodeProgram):
                 self.ack.on_message(rnd, parts)
                 if self.output is None and self.ack.core3.informed:
                     self.output = int(self.ack.core3.message, 2)
-        self.ack.poststep(rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +640,6 @@ class FastSDProgram(NodeProgram):
                 self.s2core.on_message(rnd, parts)
                 if self.s2core.informed:
                     self._learn(self.s2core.message, rnd)
-        self.bcore.poststep(rnd)
-        self.s2core.poststep(rnd)
 
 
 def fast_sd_program(label: str) -> NodeProgram:

@@ -116,34 +116,6 @@ def assign_gather_indices(
     return gv  # type: ignore[return-value]
 
 
-def verify_gather_indices(
-    g: Graph, r: int, la: LayerAssignment, parent: list[int | None], gv: list[int]
-) -> None:
-    """Lemma-8 style properties: range, sibling distinctness, and the
-    cross-parent exclusion (equal index at equal layer with distinct parents
-    implies no edge to the other's parent)."""
-    delta = g.max_degree()
-    for v in range(g.n):
-        assert 0 <= gv[v] <= max(delta - 1, 0)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for v in range(g.n):
-        if v == r:
-            continue
-        groups.setdefault((la.layer[v], gv[v]), []).append(v)
-    for (_, _), nodes in groups.items():
-        for u in nodes:
-            for v in nodes:
-                if u == v:
-                    continue
-                if parent[u] == parent[v]:
-                    raise AssertionError(
-                        f"siblings {u},{v} share gather index under {parent[u]}"
-                    )
-                assert not g.has_edge(u, parent[v]), (
-                    f"edge ({u},{parent[v]}) breaks gather exclusion"
-                )
-
-
 def distance_two_coloring(g: Graph) -> list[int]:
     """Greedy coloring in index order of the distance-<=2 conflict graph;
     colors lie in [1, Delta^2+1]."""
@@ -258,11 +230,6 @@ def oracle_ids(meta: dict) -> list[tuple[int, ...]]:
         if v != la.root:
             ids[v] = ids[parent[v]] + (gv[v],)
     return ids
-
-
-def toprec_round_formula(dstar: int, delta: int, window: int) -> int:
-    """Deterministic closed form for the total TopRec schedule length."""
-    return dstar * (4 * delta + 4) + window
 
 
 # ---------------------------------------------------------------------------

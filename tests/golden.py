@@ -1,0 +1,133 @@
+"""Golden digests of whole runs: the trace-identity check for refactors.
+
+Every scheme and primitive runs on the pinned corpora and on G_16..G_144,
+with and without collision detection. Each run is reduced to a short digest
+of its transmitters and their message bytes, its deliveries, its round
+count and its outputs with their rounds; each label set gets a digest of
+its own. `tests/test_golden.py` compares a fresh sweep against the digests
+stored in `tests/data/golden_digests.json`.
+
+Regenerate the stored digests (only for a change that means to alter a
+trace, a label or an output, and say so) with:
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from radiolab.broadcast import (
+    PathMessageProgram,
+    execack_program,
+    executor_program,
+    synthesize_execack,
+    synthesize_executor,
+    synthesize_path_message,
+)
+from radiolab.corpus import corpus, toprec_corpus
+from radiolab.graphs import gen_lb_family
+from radiolab.schemes import build_bundle, program_for
+from radiolab.sim import run
+from radiolab.toprec import ack_br_bfs_program, build_bfs_labels, serialize_toprec_output
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
+
+# programs outside the scheme registry: (label builder, node factory)
+PRIMITIVES = {
+    "exec": (lambda g: synthesize_executor(g, {0}), executor_program("101")),
+    "execack": (lambda g: synthesize_execack(g, 0), execack_program("101")),
+    "pathmsg": (lambda g: synthesize_path_message(g, 0, "1011001"), PathMessageProgram),
+    "ack-br-bfs": (lambda g: build_bfs_labels(g, 0), ack_br_bfs_program("101")),
+}
+SCHEMES = ("compact", "general", "fastsd", "toprec", "broadcast-bfs", "gather-bfs",
+           *PRIMITIVES)
+
+
+def graphs_for(scheme: str) -> list:
+    """(graph id, graph) pairs of a scheme's sweep."""
+    base = toprec_corpus() if scheme == "toprec" else corpus()
+    return base + [(f"G_{n}", gen_lb_family(n)[0]) for n in (16, 36, 64, 100, 144)]
+
+
+def labels_digest(labels) -> str:
+    return hashlib.sha256("\n".join(labels).encode()).hexdigest()[:16]
+
+
+def trace_digest(trace, scheme: str) -> str:
+    """Digest of every round with a transmitter (its round number, each
+    transmitter with its message bytes, each listener that heard a message
+    with the message it heard), the round count, and the outputs as JSON
+    with their rounds. JSON makes a tuple output and the same list output
+    equal.
+
+    A heard message enters as the position of a transmitter that sent the
+    same bytes (-1 if none did), so each message is hashed once however
+    many nodes hear it."""
+    h = hashlib.sha256()
+    for rnd, rec in enumerate(trace.rounds, start=1):
+        if not rec.transmitters and not rec.heard:
+            continue
+        sent = sorted(rec.transmitters.items())
+        h.update(b"r%d" % rnd)
+        for v, m in sent:
+            h.update(b"t%d:%d:" % (v, len(m)))
+            h.update(m)
+        position = {m: i for i, (_, m) in enumerate(sent)}
+        heard = sorted(rec.heard.items())
+        h.update(",".join(f"{w}:{position.get(m, -1)}" for w, m in heard).encode())
+    h.update(json.dumps([trace.num_rounds, trace.output_round]).encode())
+    h.update(outputs_json(trace.outputs, scheme).encode())
+    return h.hexdigest()[:16]
+
+
+def outputs_json(outputs, scheme: str) -> str:
+    """The outputs as a JSON array, toprec's in the form of
+    `serialize_toprec_output`. The nodes of a toprec run share one edge
+    tuple, so each distinct edge tuple is serialised once."""
+    if scheme != "toprec":
+        return json.dumps(outputs)
+    edges_json: dict[int, str] = {}
+    items = []
+    for out in outputs:
+        if out is None:
+            items.append("null")
+            continue
+        edges, me = out
+        if id(edges) not in edges_json:
+            edges_json[id(edges)] = json.dumps(serialize_toprec_output((edges, me))["edges"])
+        me_json = json.dumps(serialize_toprec_output(((), me))["self"])
+        items.append(f'{{"edges": {edges_json[id(edges)]}, "self": {me_json}}}')
+    return "[" + ", ".join(items) + "]"
+
+
+def build(scheme: str, g):
+    """The labels of a scheme or primitive on `g`, and its node factory."""
+    if scheme in PRIMITIVES:
+        synth, program = PRIMITIVES[scheme]
+        return synth(g).labels, program
+    return build_bundle(scheme, g).labels, program_for(scheme)
+
+
+def sweep(scheme: str) -> dict:
+    """{"labels": {gid: digest}, "nocd": {...}, "cd": {...}} for one scheme."""
+    out: dict = {"labels": {}, "nocd": {}, "cd": {}}
+    for gid, g in graphs_for(scheme):
+        labels, program = build(scheme, g)
+        out["labels"][gid] = labels_digest(labels)
+        for mode, cd in (("nocd", False), ("cd", True)):
+            out[mode][gid] = trace_digest(run(g, labels, program, cd=cd), scheme)
+    return out
+
+
+def main() -> None:
+    GOLDEN.parent.mkdir(exist_ok=True)
+    data = {scheme: sweep(scheme) for scheme in SCHEMES}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}: {sum(len(d['nocd']) for d in data.values())} graphs x 2 modes")
+
+
+if __name__ == "__main__":
+    main()

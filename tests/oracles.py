@@ -1,0 +1,245 @@
+"""Test oracles: checks of synthesis results and traces that only the tests
+run. Each raises AssertionError on the first property that fails."""
+
+from __future__ import annotations
+
+from radiolab.audit import CANON_HASH, CANON_SILENCE, _component_index, _departures
+from radiolab.broadcast import CoreSynthesis, ExecCore
+from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor
+from radiolab.labels import SchemeBundle, decode_blocks
+from radiolab.sim import ExecutionTrace, Heard, observation, parse
+from radiolab.size_discovery import SubtreeAssignment
+
+# ---------------------------------------------------------------------------
+# Engine
+# ---------------------------------------------------------------------------
+
+
+def verify_trace(trace: ExecutionTrace) -> None:
+    """Replay every round through observation(); raises AssertionError on any
+    divergence between the stored deliveries and the model semantics."""
+    g = trace.graph
+    for idx, rec in enumerate(trace.rounds, start=1):
+        for v in range(g.n):
+            obs = observation(v, rec.transmitters, g, trace.cd, v in rec.transmitters)
+            stored = trace.observation_of(v, idx)
+            assert obs == stored or type(obs) is type(stored), (
+                f"round {idx} node {v}: replay {obs!r} != stored {stored!r}"
+            )
+            if isinstance(obs, Heard):
+                assert isinstance(stored, Heard) and stored.message == obs.message
+
+
+# ---------------------------------------------------------------------------
+# Stage broadcast
+# ---------------------------------------------------------------------------
+
+
+def check_tree_invariants(syn: CoreSynthesis, g: Graph) -> None:
+    """Broadcast-tree structure: reception levels are 1 mod 3; a parent at
+    level j with a child at level i has a child at every level k in [j+1, i]
+    with k = 1 mod 3; the maximum level exceeds t - 3."""
+    tree = syn.tree
+    children_levels: dict[int, set[int]] = {}
+    for u, p in tree.parent.items():
+        assert tree.level[u] > tree.level[p]
+        assert tree.level[u] % 3 == 1
+        assert g.has_edge(u, p)
+        children_levels.setdefault(p, set()).add(tree.level[u])
+    for u, p in tree.parent.items():
+        i, j = tree.level[u], tree.level[p]
+        have = children_levels[p]
+        for k in range(j + 1, i + 1):
+            if k % 3 == 1:
+                assert k in have, (
+                    f"parent {p} (level {j}) lacks a child at level {k} <= {i}"
+                )
+    if g.n > 1:
+        assert tree.max_level() > tree.t - 3
+    # spanning: every non-source reached exactly once
+    srcs = set(tree.sources)
+    assert set(tree.parent) == set(range(g.n)) - srcs
+
+
+def check_dom_schedule(syn: CoreSynthesis, g: Graph) -> None:
+    """Properties of the per-stage DOM sets: dominate the frontier minimally,
+    stay inside the informed set, inform at least one uniquely covered node
+    per member per stage, and have consecutive membership intervals."""
+    informed = set(syn.tree.sources)
+    seen_stages: dict[int, list[int]] = {}
+    assert len(syn.stages) <= g.n, "stage count exceeds n"
+    for rec in syn.stages:
+        assert rec.dom, "DOM empty while nodes remain uninformed"
+        assert rec.dom <= informed, "DOM member not informed"
+        assert rec.frontier == {
+            u for w in informed for u in g.adj[w] if u not in informed
+        }
+        for u in rec.frontier:
+            assert any(w in rec.dom for w in g.adj[u]), "frontier not dominated"
+        for v in rec.dom:
+            private = [
+                u
+                for u in rec.frontier
+                if v in g.adj[u]
+                and sum(1 for w in g.adj[u] if w in rec.dom) == 1
+            ]
+            assert private, f"DOM member {v} has no uniquely covered target"
+            assert rec.feedback[v] in private or rec.feedback[v] in rec.newly
+        for v in rec.dom:
+            seen_stages.setdefault(v, []).append(rec.stage)
+        for u, p in rec.newly.items():
+            assert p in rec.dom and g.has_edge(u, p)
+            assert sum(1 for w in g.adj[u] if w in rec.dom) == 1
+        informed |= set(rec.newly)
+    assert informed == set(range(g.n))
+    for v, ss in seen_stages.items():
+        assert ss == list(range(ss[0], ss[-1] + 1)), (
+            f"node {v} has a non-consecutive DOM interval {ss}"
+        )
+
+
+def dom_membership_from_history(
+    blocks: list[str], trace, v: int, tag: str = "x", offset: int = 0
+) -> dict[int, bool]:
+    """Recompute a node's per-stage DOM decisions from its label and its own
+    observation history alone (the node-locality check: the result must match
+    the offline schedule exactly)."""
+    js, flags = blocks[0], blocks[1]
+    core = ExecCore(tag, js)
+    if flags[0] == "1":
+        core.start_source(offset + 1, None, flags[1] == "1")
+    membership: dict[int, bool] = {}
+    for rnd in range(1, trace.num_rounds + 1):
+        if core.offset is not None:
+            rel = rnd - core.offset
+            if rel >= 1 and rel % 3 == 1:
+                core.action(rnd)
+                membership[(rel + 2) // 3] = core.in_dom
+        obs = trace.observation_of(v, rnd)
+        if isinstance(obs, Heard):
+            parts = obs.decode(parse)
+            if parts[0] == tag:
+                core.on_message(rnd, parts)
+        core.next_wake(rnd)
+    return membership
+
+
+def verify_executor_run(g: Graph, bundle: SchemeBundle, trace) -> None:
+    """End-to-end check of an Executor trace against the oracle:
+    tree and DOM properties, per-round transmitter sets, and node-local DOM
+    decisions equal to the offline schedule."""
+    syn: CoreSynthesis = bundle.meta["synthesis"]
+    check_tree_invariants(syn, g)
+    check_dom_schedule(syn, g)
+    # transmitters in round 1 of stage s are exactly DOM_s
+    for rec in syn.stages:
+        r1 = 3 * rec.stage - 2
+        assert set(trace.rounds[r1 - 1].transmitters) == rec.dom
+        fb_round = r1 + 1
+        expected_fb = {u for u in rec.feedback.values() if syn.stay[u]}
+        actual_fb = set(trace.rounds[fb_round - 1].transmitters)
+        assert actual_fb == expected_fb
+        if r1 + 2 <= trace.num_rounds:
+            assert not trace.rounds[r1 + 1].transmitters, "round 3 of a stage must be silent"
+    # node locality
+    dom_by_stage = {rec.stage: rec.dom for rec in syn.stages}
+    for v in range(g.n):
+        blocks = decode_blocks(bundle.labels[v])
+        membership = dom_membership_from_history(blocks, trace, v)
+        for stage, rec_dom in dom_by_stage.items():
+            local = membership.get(stage, False)
+            assert local == (v in rec_dom), (
+                f"node {v} stage {stage}: local {local} vs oracle {v in rec_dom}"
+            )
+
+
+# ---------------------------------------------------------------------------
+# Size discovery and topology recognition
+# ---------------------------------------------------------------------------
+
+
+def verify_subtree_assignment(
+    tree: Graph, root: int, message: str, asg: SubtreeAssignment
+) -> None:
+    delta = tree.max_degree()
+    fanout = max(delta.bit_length(), 1)
+    for v in asg.nodes():
+        limit = 2 if v == root else 3
+        assert len(asg.bits[v]) <= limit, f"node {v}: {len(asg.bits[v])} bits"
+        assert len(asg.children.get(v, [])) <= fanout
+    assert asg.postorder_concat() == message
+    # the chosen nodes form a subtree containing the root
+    for v in asg.nodes():
+        for c in asg.children.get(v, []):
+            assert tree.has_edge(v, c)
+
+
+def verify_gather_indices(
+    g: Graph, r: int, la: LayerAssignment, parent: list[int | None], gv: list[int]
+) -> None:
+    """Lemma-8 style properties: range, sibling distinctness, and the
+    cross-parent exclusion (equal index at equal layer with distinct parents
+    implies no edge to the other's parent)."""
+    delta = g.max_degree()
+    for v in range(g.n):
+        assert 0 <= gv[v] <= max(delta - 1, 0)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in range(g.n):
+        if v == r:
+            continue
+        groups.setdefault((la.layer[v], gv[v]), []).append(v)
+    for (_, _), nodes in groups.items():
+        for u in nodes:
+            for v in nodes:
+                if u == v:
+                    continue
+                if parent[u] == parent[v]:
+                    raise AssertionError(
+                        f"siblings {u},{v} share gather index under {parent[u]}"
+                    )
+                assert not g.has_edge(u, parent[v]), (
+                    f"edge ({u},{parent[v]}) breaks gather exclusion"
+                )
+
+
+def toprec_round_formula(dstar: int, delta: int, window: int) -> int:
+    """Deterministic closed form for the total TopRec schedule length."""
+    return dstar * (4 * delta + 4) + window
+
+
+# ---------------------------------------------------------------------------
+# Lower-bound audit
+# ---------------------------------------------------------------------------
+
+
+def canonical_history(trace: ExecutionTrace) -> list:
+    """Per-round classification from the global transmitter sets: the message
+    if exactly one node transmits, '#' for two or more, 'eps' for none."""
+    out = []
+    for rec in trace.rounds:
+        if len(rec.transmitters) == 1:
+            (msg,) = rec.transmitters.values()
+            out.append(("m", msg.hex()))
+        elif rec.transmitters:
+            out.append(CANON_HASH)
+        else:
+            out.append(CANON_SILENCE)
+    return out
+
+
+def canonical_components(
+    trace: ExecutionTrace, partition: LBFamilyDescriptor
+) -> list[list[int]]:
+    """For each round i, the set (as a sorted list of component indices) of
+    components whose every node's history equals the canonical one after
+    round i. Index 0 of the result corresponds to round 0 (all components).
+    Raises InvalidParams if the partition does not cover the graph."""
+    departures = _departures(trace, _component_index(trace, partition))
+    current = list(range(len(partition.components)))
+    out = [current]
+    for rnd in range(1, trace.num_rounds + 1):
+        if rnd in departures:
+            leaving = departures[rnd]
+            current = [c for c in current if c not in leaving]
+        out.append(list(current))
+    return out

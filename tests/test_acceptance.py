@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from radiolab.broadcast import executor_program, synthesize_executor, verify_executor_run
+from radiolab.broadcast import executor_program, synthesize_executor
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.graphs import diameter, gen_lb_family, gen_path, gen_star, gen_tree
 from radiolab.labels import int_to_bits
@@ -26,7 +26,6 @@ from radiolab.size_discovery import (
     build_compact_labels,
     build_fast_sd,
     fast_sd_program,
-    verify_subtree_assignment,
 )
 from radiolab.toprec import (
     TOPREC_C1,
@@ -42,8 +41,12 @@ from radiolab.toprec import (
     build_bfs_labels,
     build_toprec_labels,
     oracle_ids,
+)
+from oracles import (
     toprec_round_formula,
+    verify_executor_run,
     verify_gather_indices,
+    verify_subtree_assignment,
 )
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"

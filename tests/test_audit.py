@@ -10,13 +10,12 @@ from radiolab.audit import (
     CANON_SILENCE,
     AuditReport,
     audit_facts,
-    canonical_components,
-    canonical_history,
 )
 from radiolab.errors import InvalidParams
 from radiolab.graphs import LBFamilyDescriptor, gen_lb_family, gen_lb_general
 from radiolab.schemes import run_scheme
 from radiolab.sim import COLLISION, TX, ExecutionTrace, Heard, RoundRecord
+from oracles import canonical_components, canonical_history
 
 
 # ---------------------------------------------------------------------------

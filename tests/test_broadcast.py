@@ -11,7 +11,6 @@ from radiolab.broadcast import (
     synthesize_execack,
     synthesize_executor,
     synthesize_path_message,
-    verify_executor_run,
 )
 from radiolab.errors import EmptySourceSet, Undominatable
 from radiolab.graphs import (
@@ -26,7 +25,8 @@ from radiolab import sim
 from radiolab.schemes import build_bundle, program_for
 from radiolab.labels import decode_blocks, encode_blocks
 from radiolab.sim import parse, run
-from radiolab.toprec import ack_br_bfs_program, build_bfs_labels
+from golden import build
+from oracles import verify_executor_run
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -289,17 +289,8 @@ class TestParseOnce:
 
     @staticmethod
     def _run(scheme, g, cd):
-        if scheme == "exec":
-            return run(g, synthesize_executor(g, {0}).labels, executor_program(), cd=cd)
-        if scheme == "execack":
-            return run(g, synthesize_execack(g, 0).labels, execack_program(), cd=cd)
-        if scheme == "pathmsg":
-            labels = synthesize_path_message(g, 0, "1011001").labels
-            return run(g, labels, PathMessageProgram, cd=cd)
-        if scheme == "ack-br-bfs":
-            labels = build_bfs_labels(g, 0).labels
-            return run(g, labels, ack_br_bfs_program("101"), cd=cd)
-        return run(g, build_bundle(scheme, g).labels, program_for(scheme), cd=cd)
+        labels, program = build(scheme, g)
+        return run(g, labels, program, cd=cd)
 
     @pytest.mark.parametrize("cd", [False, True])
     @pytest.mark.parametrize("scheme,g", CASES)

@@ -74,6 +74,14 @@ class TestRun:
         code, _ = run_cli("run", str(el), "--scheme", "compact")
         assert code == 2
 
+    @pytest.mark.parametrize("scheme", ["compact", "general"])
+    def test_empty_graph_exits_2(self, tmp_path, capsys, scheme):
+        el = tmp_path / "empty.el"
+        el.write_text("0 0\n")
+        code, _ = run_cli("run", str(el), "--scheme", scheme)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: InvalidParams")
+
     @pytest.mark.parametrize("value", ["abc", "-5"])
     def test_bad_round_cap_exits_2(self, tmp_path, monkeypatch, value):
         el = tmp_path / "c4.el"

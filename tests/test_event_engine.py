@@ -10,16 +10,9 @@ import time
 import pytest
 
 from radiolab import broadcast, size_discovery, toprec
-from radiolab.broadcast import (
-    execack_program,
-    executor_program,
-    synthesize_execack,
-    synthesize_executor,
-)
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import RoundLimitExceeded
 from radiolab.graphs import build_graph, gen_lb_family, gen_path
-from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import (
     COLLISION,
     LISTEN,
@@ -34,7 +27,7 @@ from radiolab.sim import (
     default_max_rounds,
     run,
 )
-from radiolab.toprec import ack_br_bfs_program, build_bfs_labels
+from golden import build
 
 
 def reference_run(g, labels, program, cd=False, max_rounds=None):
@@ -105,22 +98,10 @@ def reference_run(g, labels, program, cd=False, max_rounds=None):
     return trace
 
 
-# programs outside the scheme registry, built through their factories
-FACTORIES = {
-    "ack-br-bfs": (lambda g: build_bfs_labels(g, 0), ack_br_bfs_program("101")),
-    "exec": (lambda g: synthesize_executor(g, {0}), executor_program("101")),
-    "execack": (lambda g: synthesize_execack(g, 0), execack_program("101")),
-}
-
-
 def assert_same_trace(gid, g, scheme, cd):
-    if scheme in FACTORIES:
-        build, program = FACTORIES[scheme]
-        bundle = build(g)
-    else:
-        bundle, program = build_bundle(scheme, g), program_for(scheme)
-    got = run(g, bundle.labels, program, cd=cd)
-    want = reference_run(g, bundle.labels, program, cd=cd)
+    labels, program = build(scheme, g)
+    got = run(g, labels, program, cd=cd)
+    want = reference_run(g, labels, program, cd=cd)
     assert got.num_rounds == want.num_rounds, gid
     assert [r.transmitters for r in got.rounds] == [r.transmitters for r in want.rounds], gid
     assert [r.heard for r in got.rounds] == [r.heard for r in want.rounds], gid

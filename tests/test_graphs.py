@@ -28,7 +28,6 @@ from radiolab.graphs import (
     gen_star,
     gen_tree,
     read_edge_list,
-    to_dot,
     write_edge_list,
 )
 
@@ -106,7 +105,8 @@ class TestRandomConnected:
 
     def test_p_zero_is_tree(self):
         g = gen_random_connected(5, 0.0, 7)
-        assert g.m() == 4 and g.is_connected()
+        assert g.m() == 4
+        bfs_layers(g, 0)  # raises Disconnected otherwise
 
     def test_p_one_is_complete(self):
         g = gen_random_connected(5, 1.0, 1)
@@ -120,13 +120,14 @@ class TestRandomConnected:
     @given(st.integers(1, 60), st.floats(0, 1), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_always_connected(self, n, p, seed):
-        assert gen_random_connected(n, p, seed).is_connected()
+        bfs_layers(gen_random_connected(n, p, seed), 0)  # raises Disconnected otherwise
 
     @given(st.integers(1, 80), st.integers(0, 2**32))
     @settings(max_examples=30, deadline=None)
     def test_tree_generator(self, n, seed):
         g = gen_tree(n, seed)
-        assert g.m() == n - 1 and g.is_connected()
+        assert g.m() == n - 1
+        bfs_layers(g, 0)  # raises Disconnected otherwise
 
 
 class TestLBComponent:
@@ -179,7 +180,7 @@ class TestLBFamily:
     def test_degree_structure(self, n):
         g, desc = gen_lb_family(n)
         root = int(n**0.5)
-        assert g.is_connected()
+        bfs_layers(g, 0)  # raises Disconnected otherwise
         for comp in desc.components:
             incomp = {
                 v: sum(1 for w in g.adj[v] if w in set(comp)) for v in comp
@@ -247,10 +248,6 @@ class TestFormats:
 
     def test_edge_list_allows_trailing_blank_lines(self):
         assert read_edge_list(io.StringIO("3 2\n0 1\n1 2\n\n  \n")).m() == 2
-
-    def test_dot_export(self):
-        out = to_dot(gen_path(3))
-        assert "0 -- 1;" in out and out.startswith("graph")
 
 
 class TestGridGenerator:

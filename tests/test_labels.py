@@ -1,22 +1,15 @@
-import io
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radiolab.errors import InvalidParams, MalformedCodeword
+from radiolab.errors import MalformedCodeword
 from radiolab.labels import (
-    SchemeBundle,
     add_mode,
     bits_to_int,
     decode_blocks,
-    dump_labels,
     encode_blocks,
     int_to_bits,
-    load_labels,
-    pack_bits_hex,
     split_mode,
-    unpack_bits_hex,
 )
 
 bitstrings = st.text(alphabet="01", max_size=24)
@@ -89,45 +82,3 @@ class TestIntBits:
     @given(st.integers(0, 10**9))
     def test_round_trip(self, x):
         assert bits_to_int(int_to_bits(x)) == x
-
-
-class TestDumpFormat:
-    def test_pack_unpack(self):
-        bits = "10110000111"
-        assert unpack_bits_hex(pack_bits_hex(bits), len(bits)) == bits
-        assert pack_bits_hex("") == ""
-
-    def test_label_dump_round_trip(self):
-        bundle = SchemeBundle(scheme="x", labels=["101", "", "11110000101"])
-        buf = io.StringIO()
-        dump_labels(bundle, buf)
-        buf.seek(0)
-        assert load_labels(buf) == bundle.labels
-
-    def test_dump_line_format(self):
-        bundle = SchemeBundle(scheme="x", labels=["1011"])
-        buf = io.StringIO()
-        dump_labels(bundle, buf)
-        assert buf.getvalue() == "0\t4\tb0\n"
-
-    @pytest.mark.parametrize("text", [
-        "1\t4\tb0\n",  # does not start at node 0
-        "0\t4\tb0\n0\t4\tb0\n",  # node 0 twice
-        "x\t4\tb0\n",
-        "0\tfour\tb0\n",
-        "0\t-4\tb0\n",
-        "0\n",
-    ])
-    def test_bad_node_or_length_column(self, text):
-        with pytest.raises(InvalidParams):
-            load_labels(io.StringIO(text))
-
-    @pytest.mark.parametrize("text", [
-        "0\t4\tzz\n",  # not hex
-        "0\t20\tff\n",  # 20 bits need 3 bytes, not 1
-        "0\t4\tb0b0\n",  # 4 bits need 1 byte, not 2
-        "0\t4\n",
-    ])
-    def test_payload_must_match_length(self, text):
-        with pytest.raises(MalformedCodeword):
-            load_labels(io.StringIO(text))

@@ -47,8 +47,8 @@ from radiolab.size_discovery import (
     general_sd_program,
     minimal_bfs_cover,
     stripe_decomposition,
-    verify_subtree_assignment,
 )
+from oracles import verify_subtree_assignment
 
 
 def random_bits(rng, k):

@@ -41,9 +41,9 @@ from radiolab.size_discovery import (
     SubtreeAssignment,
     _rooted_children,
     assign_subtree_bits,
-    verify_subtree_assignment,
 )
 from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0, oracle_ids
+from oracles import verify_subtree_assignment
 
 SCHEMES = ("compact", "general", "fastsd", "toprec")
 

@@ -33,10 +33,9 @@ from radiolab.toprec import (
     oracle_ids,
     parse_message,
     reconstruct_topology,
-    toprec_round_formula,
-    verify_gather_indices,
     wire_to_id,
 )
+from oracles import toprec_round_formula, verify_gather_indices
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
