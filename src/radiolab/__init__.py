@@ -16,16 +16,7 @@ from .graphs import (
     gen_random_connected,
 )
 from .labels import SchemeBundle, decode_blocks, encode_blocks
-from .sim import (
-    ExecutionTrace,
-    Heard,
-    LISTEN,
-    NodeProgram,
-    Transmit,
-    history_of,
-    observation,
-    run,
-)
+from .sim import ExecutionTrace, Heard, NodeProgram, run
 
 __all__ = [
     "errors",
@@ -44,10 +35,6 @@ __all__ = [
     "encode_blocks",
     "ExecutionTrace",
     "Heard",
-    "LISTEN",
     "NodeProgram",
-    "Transmit",
-    "history_of",
-    "observation",
     "run",
 ]

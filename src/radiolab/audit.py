@@ -27,14 +27,16 @@ def _component_index(
     trace: ExecutionTrace, partition: LBFamilyDescriptor
 ) -> dict[int, int]:
     """Component of every node; the partition's components must cover
-    exactly the nodes of the trace's graph (G_n does, H_{delta,n} leaves its
-    special nodes out and is not supported)."""
+    exactly the nodes of the trace's graph, each node once (G_n does,
+    H_{delta,n} leaves its special nodes out and is not supported)."""
     n = trace.graph.n
     if partition.n != n:
         raise InvalidParams(f"partition is for {partition.n} nodes, the graph has {n}")
     comp_of = partition.component_of()
-    if comp_of.keys() != set(range(n)):
-        raise InvalidParams(f"partition components do not cover nodes 0..{n - 1} exactly")
+    if comp_of.keys() != set(range(n)) or sum(map(len, partition.components)) != n:
+        raise InvalidParams(
+            f"partition components do not cover nodes 0..{n - 1} exactly once"
+        )
     return comp_of
 
 

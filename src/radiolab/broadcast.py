@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import EmptySourceSet, Undominatable
 from .graphs import Graph
 from .labels import SchemeBundle, encode_blocks, fixed_block, label_blocks
-from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, parse
+from .sim import NodeProgram, earliest, frame, parse
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +216,8 @@ class ExecCore:
     instance offset a - r, so no participant needs to know the start round
     in advance. Message kinds: ("b", rel, sender_level, payload) for the
     broadcast rounds, ("f", rel) for feedback (sent only by a node whose
-    stay bit is 1, so it carries no bit of its own). `js` is the node's
-    join/stay label block.
+    stay bit is 1, so it carries no bit of its own); `action` frames them
+    after the core's tag. `js` is the node's join/stay label block.
     """
 
     __slots__ = (
@@ -271,10 +271,10 @@ class ExecCore:
         pos = rel - 3 * (stage - 1)
         if pos == 1 and self.in_dom:
             self.tx_rounds.append(rel)
-            return (self.tag, "b", rel, self.level, self.message)
+            return frame(self.tag, "b", rel, self.level, self.message)
         if pos == 2 and self._informed_this_stage and not self._fb_sent and self.stay:
             self._fb_sent = True
-            return (self.tag, "f", rel)
+            return frame(self.tag, "f", rel)
         return None
 
     def on_message(self, abs_rnd: int, parts) -> None:
@@ -366,16 +366,14 @@ class BroadcastProgram(NodeProgram):
             self.output = message
 
     def action(self, rnd: int):
-        p = self.core.action(rnd)
-        return Transmit(frame(*p)) if p else LISTEN
+        return self.core.action(rnd)
 
-    def receive(self, rnd: int, obs) -> None:
-        if isinstance(obs, Heard):
-            parts = obs.decode(parse)
-            if parts[0] == self.TAG:
-                self.core.on_message(rnd, parts)
-                if self.core.informed and self.output is None:
-                    self.output = self.core.message
+    def receive(self, rnd: int, heard) -> None:
+        parts = heard.decode(parse)
+        if parts[0] == self.TAG:
+            self.core.on_message(rnd, parts)
+            if self.core.informed and self.output is None:
+                self.output = self.core.message
 
     def next_wake(self, rnd: int) -> int | None:
         return self.core.next_wake(rnd)
@@ -516,10 +514,10 @@ class AckMachine:
         if abs_rnd == self._vp_relay_round():
             self.t = abs_rnd - self.core1.offset - 1
             self._relayed = True
-            return (self.tag + "a", "r", self.t, self.core1.parent_level)
+            return frame(self.tag + "a", "r", self.t, self.core1.parent_level)
         if self._relay_round is not None and abs_rnd == self._relay_round:
             self._relay_round = None
-            return (self.tag + "a", "r", self.t, self.core1.parent_level)
+            return frame(self.tag + "a", "r", self.t, self.core1.parent_level)
         return self.core2.action(abs_rnd) or self.core3.action(abs_rnd)
 
     def on_message(self, abs_rnd: int, parts) -> None:
@@ -557,18 +555,16 @@ class ExecAckProgram(NodeProgram):
             self.m.start_source(1, message)
 
     def action(self, rnd: int):
-        p = self.m.action(rnd)
-        return Transmit(frame(*p)) if p else LISTEN
-
-    def receive(self, rnd: int, obs) -> None:
         m = self.m
-        if isinstance(obs, Heard):
-            parts = obs.decode(parse)
-            if parts[0].startswith("k"):
-                m.on_message(rnd, parts)
         if self.output is None and m.completion_abs is not None and rnd >= m.completion_abs:
             core = m.core1
             self.output = (core.message, m.t, core.level, core.parent_level)
+        return m.action(rnd)
+
+    def receive(self, rnd: int, heard) -> None:
+        parts = heard.decode(parse)
+        if parts[0].startswith("k"):
+            self.m.on_message(rnd, parts)
 
     def next_wake(self, rnd: int) -> int | None:
         finish = None if self.output is not None else self.m.completion_abs
@@ -693,23 +689,22 @@ class PathMessageProgram(NodeProgram):
             if not self.ack.is_source:
                 self._collected = True
                 mine = [(self.ack.core1.level, self.chunk)] if self.chunk else []
-                return Transmit(frame("pc", "c", mine + self.pairs))
+                return frame("pc", "c", mine + self.pairs)
             got = {0: self.chunk}
             got.update(self.pairs)
             msg = "".join(got[k] for k in sorted(got))
             self.output = self._result(msg)
             p = self.ack.finish(rnd, msg)
-        return Transmit(frame(*p)) if p else LISTEN
+        return p
 
-    def receive(self, rnd: int, obs) -> None:
-        if isinstance(obs, Heard):
-            parts = obs.decode(parse)
-            if parts[0] == "pc":
-                self.pairs.extend(parts[2])
-            elif parts[0].startswith("p"):
-                self.ack.on_message(rnd, parts)
-                if self.output is None and self.ack.core3.informed:
-                    self.output = self._result(self.ack.core3.message)
+    def receive(self, rnd: int, heard) -> None:
+        parts = heard.decode(parse)
+        if parts[0] == "pc":
+            self.pairs.extend(parts[2])
+        elif parts[0].startswith("p"):
+            self.ack.on_message(rnd, parts)
+            if self.output is None and self.ack.core3.informed:
+                self.output = self._result(self.ack.core3.message)
 
     def next_wake(self, rnd: int) -> int | None:
         return earliest(self.ack.next_wake(rnd), self._collect_round())

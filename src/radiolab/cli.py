@@ -16,9 +16,10 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .audit import audit_facts
-from .errors import RadiolabError
+from .errors import InvalidParams, RadiolabError
 from .graphs import (
     Graph,
+    LBFamilyDescriptor,
     gen_cycle,
     gen_grid,
     gen_lb_family,
@@ -152,14 +153,17 @@ def cmd_bench(args) -> int:
 
 def _lb_partition_for(g: Graph, partition_file: str | None):
     if partition_file:
-        data = json.loads(Path(partition_file).read_text())
-        from .graphs import LBFamilyDescriptor
-
-        return LBFamilyDescriptor(
-            n=g.n,
-            components=[list(map(int, comp)) for comp in data["components"]],
-            specials=list(map(int, data.get("specials", []))),
-        )
+        try:
+            data = json.loads(Path(partition_file).read_text())
+            return LBFamilyDescriptor(
+                n=g.n,
+                components=[list(map(int, comp)) for comp in data["components"]],
+                specials=list(map(int, data.get("specials", []))),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidParams(
+                f"malformed partition file {partition_file}: {type(exc).__name__}: {exc}"
+            ) from None
     # recognize a G_n instance by regenerating it
     root = math.isqrt(g.n)
     if root * root == g.n and root % 2 == 0:

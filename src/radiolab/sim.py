@@ -1,11 +1,11 @@
 """Deterministic synchronous round engine for the radio model.
 
-A node program sees only its own label, the global round number, and its own
-observation history; the engine enforces this by interface shape (programs are
-constructed from a label alone and fed one observation per round in which
-they are awake, see `NodeProgram`). Collision
-semantics with and without collision detection follow the model exactly: a
-listener hears a message iff exactly one neighbor transmits that round.
+A node program sees only its own label, the global round number, and the
+messages it heard; the engine enforces this by interface shape (programs are
+constructed from a label alone, send bytes and are handed each message they
+hear, see `NodeProgram`). A listener hears a message iff exactly one neighbor
+transmits that round. Collision detection changes nothing a program sees: it
+is a way of reading the trace (`ExecutionTrace.observation_of`, the audit).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from heapq import heappop, heappush
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidParams, RoundLimitExceeded
 from .graphs import Graph
@@ -22,35 +22,11 @@ MAX_ROUNDS_ENV = "RADIOLAB_MAX_ROUNDS"
 
 
 # ---------------------------------------------------------------------------
-# Actions and observations
+# Messages and marks
 # ---------------------------------------------------------------------------
 
 
-class Listen:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Listen"
-
-
-class Transmit:
-    __slots__ = ("message",)
-
-    def __init__(self, message: bytes):
-        self.message = message
-
-    def __repr__(self):
-        return f"Transmit({self.message!r})"
-
-
-LISTEN = Listen()
-
-
-class Observation:
-    __slots__ = ()
-
-
-class Heard(Observation):
+class Heard:
     """A message received from the only transmitting neighbor.
 
     Within one `run` every listener of the same bytes gets the same object,
@@ -83,60 +59,22 @@ class Heard(Observation):
         return f"Heard({self.message!r})"
 
 
-class Noise(Observation):
-    """No-CD: nothing received (silence and collision are indistinguishable)."""
+class Mark:
+    """A node's round without a message, as the trace reads it: `TX` (the
+    node transmitted), `NOISE` (no collision detection: silence and
+    collision sound the same), `SILENCE` or `COLLISION` (with it). No
+    program is ever given one."""
 
-    __slots__ = ()
+    __slots__ = ("name",)
 
-    def __repr__(self):
-        return "Noise"
-
-
-class CollisionMark(Observation):
-    __slots__ = ()
-
-    def __repr__(self):
-        return "CollisionMark"
-
-
-class SilenceMark(Observation):
-    __slots__ = ()
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "SilenceMark"
+        return self.name
 
 
-class TxMark(Observation):
-    """The node itself transmitted this round."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "TxMark"
-
-
-NOISE = Noise()
-COLLISION = CollisionMark()
-SILENCE = SilenceMark()
-TX = TxMark()
-
-
-def observation(
-    v: int,
-    transmitters: Mapping[int, bytes],
-    g: Graph,
-    cd: bool,
-    v_transmitted: bool,
-) -> Observation:
-    """Observation of node v given this round's transmitter set."""
-    if v_transmitted:
-        return TX
-    sending = [u for u in g.adj[v] if u in transmitters]
-    if len(sending) == 1:
-        return Heard(transmitters[sending[0]])
-    if cd:
-        return SILENCE if not sending else COLLISION
-    return NOISE
+NOISE, SILENCE, COLLISION, TX = map(Mark, ("Noise", "Silence", "Collision", "Tx"))
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +85,11 @@ def observation(
 class NodeProgram:
     """Base class for node-local protocol logic.
 
-    Subclasses override `action` (called at the start of each round) and
-    `receive` (called with the node's observation at the end of the round).
-    `output` is set once, when the node produces its final answer.
+    Subclasses override `action`, which returns the message bytes the node
+    transmits this round or None to listen, and `receive`, which the engine
+    calls after the round's actions exactly when the node hears a message,
+    whether it is awake or asleep. `output` is set once, when the node
+    produces its final answer.
 
     Wake contract. After a node's callbacks for round `rnd` the engine calls
     `next_wake(rnd)`: the earliest later round in which the node's `action`
@@ -159,9 +99,7 @@ class NodeProgram:
     sleeping node:
 
     - gets no `action` calls;
-    - gets `receive` only with `Heard`, which wakes it for that round; no
-      `Noise`, `SilenceMark` or `CollisionMark` is delivered while it
-      sleeps (the trace still determines them, see `observation_of`);
+    - is woken for the round by a message it hears;
     - must not change `output`, which the engine re-reads only for nodes
       it called.
 
@@ -173,10 +111,10 @@ class NodeProgram:
         self.label = label
         self.output = None
 
-    def action(self, rnd: int):
-        return LISTEN
+    def action(self, rnd: int) -> bytes | None:
+        return None
 
-    def receive(self, rnd: int, obs: Observation) -> None:
+    def receive(self, rnd: int, heard: Heard) -> None:
         pass
 
     def next_wake(self, rnd: int) -> int | None:
@@ -210,9 +148,9 @@ class ExecutionTrace:
     """Per-round transmitter sets and deliveries, plus final outputs.
 
     Per-node observations are stored sparsely: a node's observation in a round
-    is TxMark if it transmitted, Heard(m) if it appears in the round's
-    delivery map, and otherwise Noise (no-CD) or Silence/Collision (CD)
-    depending on its number of transmitting neighbors.
+    is TX if it transmitted, Heard(m) if it appears in the round's delivery
+    map, and otherwise NOISE (no-CD) or SILENCE/COLLISION (CD) depending on
+    its number of transmitting neighbors.
     """
 
     def __init__(self, g: Graph, cd: bool):
@@ -226,7 +164,7 @@ class ExecutionTrace:
     def num_rounds(self) -> int:
         return len(self.rounds)
 
-    def observation_of(self, v: int, rnd: int) -> Observation:
+    def observation_of(self, v: int, rnd: int) -> Heard | Mark:
         rec = self.rounds[rnd - 1]
         if v in rec.transmitters:
             return TX
@@ -238,11 +176,6 @@ class ExecutionTrace:
         if txs and any(u in txs for u in self.graph.adj[v]):
             return COLLISION
         return SILENCE
-
-
-def history_of(trace: ExecutionTrace, v: int) -> list[Observation]:
-    """Exact per-round observation sequence of node v."""
-    return [trace.observation_of(v, r) for r in range(1, trace.num_rounds + 1)]
 
 
 def default_max_rounds(n: int) -> int:
@@ -271,12 +204,13 @@ def run(
 
     All nodes start at round 1 and share the global clock. The engine is a
     pure function of its arguments: identical inputs give identical traces.
-    It calls only the nodes that are awake under the wake contract (see
-    `NodeProgram`) and the nodes that hear a message, and jumps over rounds
+    It calls `action` only on the nodes that are awake under the wake
+    contract (see `NodeProgram`), `receive` only on the nodes that hear a
+    message, and jumps over rounds
     in which nobody is awake; those rounds still appear in the trace, as
-    rounds without transmitters. If every node sleeps while an output is
-    missing, the run can never finish, and `RoundLimitExceeded` is raised
-    at once.
+    rounds without transmitters. `cd` only sets `trace.cd`, which says how
+    the trace is read. If every node sleeps while an output is missing, the
+    run can never finish, and `RoundLimitExceeded` is raised at once.
     """
     if len(labels) != g.n:
         raise InvalidParams(f"need one label per node: {len(labels)} != {g.n}")
@@ -288,7 +222,6 @@ def run(
     adj = g.adj
     rounds = trace.rounds
     outputs, output_round = trace.outputs, trace.output_round
-    quiet = SILENCE if cd else NOISE
     silent_round = RoundRecord({}, {})
     shared: dict[bytes, Heard] = {}  # one Heard per distinct message, for this run
 
@@ -335,9 +268,9 @@ def run(
         transmitters: dict[int, bytes] = {}
         for v in awake:
             seen[v] = rnd
-            act = nodes[v].action(rnd)
-            if act is not LISTEN:
-                transmitters[v] = act.message
+            m = nodes[v].action(rnd)
+            if m is not None:
+                transmitters[v] = m
 
         touched = awake
         if transmitters:
@@ -357,30 +290,18 @@ def run(
                 if c == 1 and w not in transmitters:
                     heard[w] = transmitters[src[w]]
             rounds.append(RoundRecord(transmitters, heard))
-            obs: dict[int, Heard] = {}
+            woken = []
             for w, m in heard.items():
                 h = shared.get(m)
                 if h is None:
                     h = shared[m] = Heard(m)
-                obs[w] = h
-            for v in awake:
-                if v in transmitters:
-                    nodes[v].receive(rnd, TX)
-                elif v in obs:
-                    nodes[v].receive(rnd, obs[v])
-                elif cd and v in counts:
-                    nodes[v].receive(rnd, COLLISION)
-                else:
-                    nodes[v].receive(rnd, quiet)
-            woken = [w for w in heard if seen[w] != rnd]
-            for w in woken:
-                nodes[w].receive(rnd, obs[w])
+                nodes[w].receive(rnd, h)
+                if seen[w] != rnd:
+                    woken.append(w)
             if woken:
                 touched = awake + woken
         else:
             rounds.append(silent_round)
-            for v in awake:
-                nodes[v].receive(rnd, quiet)
 
         nxt = rnd + 1
         awake = []

@@ -41,7 +41,7 @@ from .labels import (
     label_blocks,
     split_mode,
 )
-from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, parse
+from .sim import NodeProgram, earliest, frame, parse
 
 # Documented constant for the encoded compact-label length bound
 # max_bits <= COMPACT_LENGTH_C * (ceil(log2 log2 (Delta+2)) + 1).
@@ -228,7 +228,7 @@ class AuxiliarySDProgram(NodeProgram):
     def action(self, rnd: int):
         # Delta-learning: chosen neighbor i transmits (0, b_i) in round i
         if not self.is_root and self.a >= 1 and rnd == self.a:
-            return Transmit(frame("D", "d", self.b))
+            return frame("D", "d", self.b)
         if self.is_root and not self.ack.core1.informed and rnd == self.a + 1:
             bits = "".join(self._delta_bits.get(i, "0") for i in range(1, self.a + 1))
             self.ack.start_source(rnd, bits_to_int(bits))
@@ -236,14 +236,14 @@ class AuxiliarySDProgram(NodeProgram):
         if not p and rnd == self._phase_round():
             if not self.is_root:
                 self._sent_sl = True
-                return Transmit(frame("S", "s", self.k, self.ack.core1.level, self._assemble()))
+                return frame("S", "s", self.k, self.ack.core1.level, self._assemble())
             m = self._assemble()
             try:
                 self.output = int(m, 2)
             except ValueError as exc:
                 raise ProtocolViolation(f"bad assembled message {m!r}") from exc
             p = self.ack.finish(rnd, m)
-        return Transmit(frame(*p)) if p else LISTEN
+        return p
 
     def next_wake(self, rnd: int) -> int | None:
         if self.is_root:
@@ -255,27 +255,26 @@ class AuxiliarySDProgram(NodeProgram):
     def _assemble(self) -> str:
         return "".join(self._payloads[k] for k in sorted(self._payloads)) + self.msgbits
 
-    def receive(self, rnd: int, obs) -> None:
-        if isinstance(obs, Heard):
-            parts = obs.decode(parse)
-            tag = parts[0]
-            if tag == "D":
-                if self.is_root:
-                    self._delta_bits[rnd] = parts[2]
-            elif tag == "S":
-                # accept only payloads from nodes this node itself informed:
-                # the sender's level must be one of our own transmit rounds
-                k_w, lvl_w, payload = parts[2], parts[3], parts[4]
-                if lvl_w in self.ack.core1.tx_rounds:
-                    if k_w in self._payloads:
-                        raise ProtocolViolation(
-                            f"duplicate subtree index {k_w} from level {lvl_w}"
-                        )
-                    self._payloads[k_w] = payload
-            elif tag.startswith("A"):
-                self.ack.on_message(rnd, parts)
-                if self.output is None and self.ack.core3.informed:
-                    self.output = int(self.ack.core3.message, 2)
+    def receive(self, rnd: int, heard) -> None:
+        parts = heard.decode(parse)
+        tag = parts[0]
+        if tag == "D":
+            if self.is_root:
+                self._delta_bits[rnd] = parts[2]
+        elif tag == "S":
+            # accept only payloads from nodes this node itself informed:
+            # the sender's level must be one of our own transmit rounds
+            k_w, lvl_w, payload = parts[2], parts[3], parts[4]
+            if lvl_w in self.ack.core1.tx_rounds:
+                if k_w in self._payloads:
+                    raise ProtocolViolation(
+                        f"duplicate subtree index {k_w} from level {lvl_w}"
+                    )
+                self._payloads[k_w] = payload
+        elif tag.startswith("A"):
+            self.ack.on_message(rnd, parts)
+            if self.output is None and self.ack.core3.informed:
+                self.output = int(self.ack.core3.message, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -603,43 +602,36 @@ class FastSDProgram(NodeProgram):
     def action(self, rnd: int):
         if self.supergreen and self.on_path and rnd == 1:
             self._relayed = True
-            return Transmit(frame("F1", "p", self.m_v))
+            return frame("F1", "p", self.m_v)
         if self._relay_round == rnd:
             self._relay_round = None
             self._relayed = True
-            return Transmit(frame("F1", "p", self.m_v + self._relay_payload))
-        p = self.bcore.action(rnd)
-        if p:
-            return Transmit(frame(*p))
-        p = self.s2core.action(rnd)
-        if p:
-            return Transmit(frame(*p))
-        return LISTEN
+            return frame("F1", "p", self.m_v + self._relay_payload)
+        return self.bcore.action(rnd) or self.s2core.action(rnd)
 
     def next_wake(self, rnd: int) -> int | None:
         return earliest(
             self._relay_round, self.bcore.next_wake(rnd), self.s2core.next_wake(rnd)
         )
 
-    def receive(self, rnd: int, obs) -> None:
-        if isinstance(obs, Heard):
-            parts = obs.decode(parse)
-            tag = parts[0]
-            if tag == "F1":
-                if self.on_path and not self._relayed and self._relay_round is None:
-                    self._relay_payload = parts[2]
-                    self._relay_round = rnd + 1
-                if self.cover:
-                    self._learn(self.m_v + parts[2], rnd)
-            elif tag == "F2":
-                if self.reach:
-                    self.bcore.on_message(rnd, parts)
-                    if self.bcore.informed:
-                        self._learn(self.bcore.message, rnd)
-            elif tag == "F3":
-                self.s2core.on_message(rnd, parts)
-                if self.s2core.informed:
-                    self._learn(self.s2core.message, rnd)
+    def receive(self, rnd: int, heard) -> None:
+        parts = heard.decode(parse)
+        tag = parts[0]
+        if tag == "F1":
+            if self.on_path and not self._relayed and self._relay_round is None:
+                self._relay_payload = parts[2]
+                self._relay_round = rnd + 1
+            if self.cover:
+                self._learn(self.m_v + parts[2], rnd)
+        elif tag == "F2":
+            if self.reach:
+                self.bcore.on_message(rnd, parts)
+                if self.bcore.informed:
+                    self._learn(self.bcore.message, rnd)
+        elif tag == "F3":
+            self.s2core.on_message(rnd, parts)
+            if self.s2core.informed:
+                self._learn(self.s2core.message, rnd)
 
 
 def fast_sd_program(label: str) -> NodeProgram:

@@ -22,7 +22,7 @@ from .labels import (
     int_to_bits,
     label_blocks,
 )
-from .sim import LISTEN, Heard, NodeProgram, Transmit, earliest, frame, parse, unframe
+from .sim import NodeProgram, earliest, frame, parse, unframe
 
 # Documented constants for the acceptance bound on the total round count:
 # rounds <= TOPREC_C1 * D * Delta + TOPREC_C2 * min(n, Delta^2 + 1) + TOPREC_C3.
@@ -391,27 +391,27 @@ class AckBfsMachine:
             self.first_round(), self._leaf_ack_round(), self._ack_round, self._total_round()
         )
 
-    def broadcast(self, rnd: int) -> Transmit | None:
+    def broadcast(self, rnd: int) -> bytes | None:
         """The first BroadcastBFS, in this node's round of it."""
         if rnd != self.first_round():
             return None
         self._sent1 = True
-        return Transmit(frame(self.first_tag, self.message))
+        return frame(self.first_tag, self.message)
 
-    def action(self, rnd: int, *extra) -> Transmit | None:
+    def action(self, rnd: int, *extra) -> bytes | None:
         """This round's transmission, if any; `extra` rides on the total."""
         if rnd == self.first_round():
             return self.broadcast(rnd)
         if rnd == self._leaf_ack_round():
             self._relayed = True
             self.dstar = self.layer
-            return Transmit(frame(self.ack_tag, self.layer))
+            return frame(self.ack_tag, self.layer)
         if rnd == self._ack_round:
             self._ack_round = None
-            return Transmit(frame(self.ack_tag, self.dstar))
+            return frame(self.ack_tag, self.dstar)
         if rnd == self._total_round():
             self._sent2 = True
-            return Transmit(frame(self.total_tag, self.total, *extra))
+            return frame(self.total_tag, self.total, *extra)
         return None
 
     def on_message(self, rnd: int, parts) -> None:
@@ -448,12 +448,11 @@ class BroadcastBFSProgram(NodeProgram):
             self.m.message = self.output = message
 
     def action(self, rnd: int):
-        return self.m.broadcast(rnd) or LISTEN
+        return self.m.broadcast(rnd)
 
-    def receive(self, rnd: int, obs) -> None:
-        if isinstance(obs, Heard):
-            self.m.on_message(rnd, obs.decode(parse))
-            self.output = self.m.message
+    def receive(self, rnd: int, heard) -> None:
+        self.m.on_message(rnd, heard.decode(parse))
+        self.output = self.m.message
 
     def next_wake(self, rnd: int) -> int | None:
         return self.m.first_round()
@@ -479,14 +478,13 @@ class AckBrBFSProgram(NodeProgram):
                 self.output = (message, 0, 0)
 
     def action(self, rnd: int):
-        return self.m.action(rnd) or LISTEN
+        return self.m.action(rnd)
 
-    def receive(self, rnd: int, obs) -> None:
-        if isinstance(obs, Heard):
-            m = self.m
-            m.on_message(rnd, obs.decode(parse))
-            if self.output is None and m.total is not None and m.message is not None:
-                self.output = (m.message, m.dstar, m.total)
+    def receive(self, rnd: int, heard) -> None:
+        m = self.m
+        m.on_message(rnd, heard.decode(parse))
+        if self.output is None and m.total is not None and m.message is not None:
+            self.output = (m.message, m.dstar, m.total)
 
     def next_wake(self, rnd: int) -> int | None:
         return self.m.next_wake()
@@ -510,7 +508,8 @@ class GatherBFSProgram(NodeProgram):
         self.m = m = AckBfsMachine(label_blocks(label, BFS_BLOCKS), ACK_BR_TAGS)
         self._sent3 = False
         self._sent_g = False
-        self._reports: list[str] = [m.payload] if m.payload else []
+        # forwarded payloads in arrival order, a dict used as an ordered set
+        self._reports: dict[str, None] = dict.fromkeys([m.payload] if m.payload else [])
         if m.is_root:
             m.message = "gather"
             if m.total == 0:
@@ -544,22 +543,18 @@ class GatherBFSProgram(NodeProgram):
             return act
         if rnd == self._dstar_round():
             self._sent3 = True
-            return Transmit(frame("B3", self.m.dstar))
+            return frame("B3", self.m.dstar)
         if rnd == self._gather_round():
             self._sent_g = True
-            return Transmit(frame("BG", self._reports))
+            return frame("BG", list(self._reports))
         if rnd == self._output_round():
             self.output = sorted(self._reports)
-        return LISTEN
+        return None
 
-    def receive(self, rnd: int, obs) -> None:
-        if not isinstance(obs, Heard):
-            return
-        parts = obs.decode(parse)
+    def receive(self, rnd: int, heard) -> None:
+        parts = heard.decode(parse)
         if parts[0] == "BG":
-            for item in parts[1]:
-                if item not in self._reports:
-                    self._reports.append(item)
+            self._reports.update(dict.fromkeys(parts[1]))
         else:
             self.m.on_message(rnd, parts)
         if self.output is None and not self.m.is_root and self.m.total is not None:
@@ -672,23 +667,23 @@ class TopRecProgram(NodeProgram):
             return act
         if rnd == self._announce_round():
             self._sent_s2 = True
-            return Transmit(frame("T3", self.m.message))
+            return frame("T3", self.m.message)
         if rnd == self._gather_round():
             self._sent_g = True
-            return Transmit(frame("T4", self._all_reports()))
+            return frame("T4", self._all_reports())
         if rnd == self._final_round():
             self._sent4 = True
             if not self.m.is_root:
-                return Transmit(self._final)
+                return self._final
             reports = self._all_reports()
             self._finish(topology(
                 (wire_to_id(wid), tuple(wire_to_id(x) for x in nbrs))
                 for wid, nbrs in reports
             ))
             if self.m.is_leaf:
-                return LISTEN
-            return Transmit(frame("T5", reports))
-        return LISTEN
+                return None
+            return frame("T5", reports)
+        return None
 
     def next_wake(self, rnd: int) -> int | None:
         return earliest(
@@ -704,10 +699,8 @@ class TopRecProgram(NodeProgram):
         nbrs = tuple(id_to_wire(x) for x in sorted(self.nbr_ids))
         return list({**self._reports, self.m.message: nbrs}.items())
 
-    def receive(self, rnd: int, obs) -> None:
-        if not isinstance(obs, Heard):
-            return
-        parts = obs.decode(parse_message)
+    def receive(self, rnd: int, heard) -> None:
+        parts = heard.decode(parse_message)
         tag = parts[0]
         if tag == "T1":
             if self.m.reached(rnd):
@@ -720,7 +713,7 @@ class TopRecProgram(NodeProgram):
                     self._reports[wid] = nbrs
         elif tag == "T5":
             if self._final is None:
-                self._final = obs.message
+                self._final = heard.message
                 if self.output is None:
                     self._finish(parts[2])
         else:

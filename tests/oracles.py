@@ -3,16 +3,41 @@ run. Each raises AssertionError on the first property that fails."""
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from radiolab.audit import CANON_HASH, CANON_SILENCE, _component_index, _departures
 from radiolab.broadcast import CoreSynthesis, ExecCore
 from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor
 from radiolab.labels import SchemeBundle, decode_blocks
-from radiolab.sim import ExecutionTrace, Heard, observation, parse
+from radiolab.sim import COLLISION, NOISE, SILENCE, TX, ExecutionTrace, Heard, Mark, parse
 from radiolab.size_discovery import SubtreeAssignment
 
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
+
+
+def observation(
+    v: int,
+    transmitters: Mapping[int, bytes],
+    g: Graph,
+    cd: bool,
+    v_transmitted: bool,
+) -> Heard | Mark:
+    """Observation of node v given this round's transmitter set."""
+    if v_transmitted:
+        return TX
+    sending = [u for u in g.adj[v] if u in transmitters]
+    if len(sending) == 1:
+        return Heard(transmitters[sending[0]])
+    if cd:
+        return SILENCE if not sending else COLLISION
+    return NOISE
+
+
+def history_of(trace: ExecutionTrace, v: int) -> list[Heard | Mark]:
+    """Exact per-round observation sequence of node v."""
+    return [trace.observation_of(v, r) for r in range(1, trace.num_rounds + 1)]
 
 
 def verify_trace(trace: ExecutionTrace) -> None:
@@ -23,11 +48,7 @@ def verify_trace(trace: ExecutionTrace) -> None:
         for v in range(g.n):
             obs = observation(v, rec.transmitters, g, trace.cd, v in rec.transmitters)
             stored = trace.observation_of(v, idx)
-            assert obs == stored or type(obs) is type(stored), (
-                f"round {idx} node {v}: replay {obs!r} != stored {stored!r}"
-            )
-            if isinstance(obs, Heard):
-                assert isinstance(stored, Heard) and stored.message == obs.message
+            assert obs == stored, f"round {idx} node {v}: replay {obs!r} != stored {stored!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -282,3 +282,11 @@ class TestPartitionChecks:
             audit_facts(tr, bad)
         with pytest.raises(InvalidParams):
             canonical_components(tr, bad)
+
+    def test_node_in_two_components(self):
+        """Every node is covered, but node 0 is listed a second time."""
+        g, desc = gen_lb_family(16)
+        tr = make_trace(g, [({0: b"m"}, {})])
+        bad = LBFamilyDescriptor(n=16, components=desc.components + [[0]])
+        with pytest.raises(InvalidParams, match="exactly once"):
+            audit_facts(tr, bad)

@@ -169,3 +169,28 @@ class TestAudit:
         code, _ = run_cli("audit", str(el), "--scheme", "general",
                           "--partition", str(part))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "not json",
+            '{"components": [["a"]]}',
+            '{"components": 5}',
+            "[]",
+            # every node covered, node 0 also in a second component
+            json.dumps({"components": [list(range(i * 4, (i + 1) * 4)) for i in range(4)]
+                        + [[0]]}),
+        ],
+        ids=["no-components", "not-json", "non-integer", "not-a-list", "not-an-object",
+             "node-twice"],
+    )
+    def test_malformed_partition_exits_2(self, tmp_path, capsys, text):
+        el = tmp_path / "g16.el"
+        run_cli("gen", "--family", "lbG", "--n", "16", "--out", str(el))
+        part = tmp_path / "part.json"
+        part.write_text(text)
+        code, _ = run_cli("audit", str(el), "--scheme", "compact",
+                          "--partition", str(part))
+        assert code == 2
+        assert "InvalidParams" in capsys.readouterr().err

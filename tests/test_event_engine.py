@@ -1,8 +1,9 @@
 """The event-driven engine against the polling engine it replaced.
 
 `reference_run` is the polling loop `sim.run` used before programs could
-declare wake rounds: every node gets `action` and `receive` in every round.
-The event-driven engine must produce the same trace on every scheme.
+declare wake rounds: every node gets `action` in every round, and `receive`
+in every round in which it hears a message. The event-driven engine must
+produce the same trace on every scheme.
 """
 
 import time
@@ -14,16 +15,10 @@ from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import RoundLimitExceeded
 from radiolab.graphs import build_graph, gen_lb_family, gen_path
 from radiolab.sim import (
-    COLLISION,
-    LISTEN,
-    NOISE,
-    SILENCE,
-    TX,
     ExecutionTrace,
     Heard,
     NodeProgram,
     RoundRecord,
-    Transmit,
     default_max_rounds,
     run,
 )
@@ -31,7 +26,7 @@ from golden import build
 
 
 def reference_run(g, labels, program, cd=False, max_rounds=None):
-    """Polling engine: all nodes are called in every round."""
+    """Polling engine: every node's `action` is called in every round."""
     if len(labels) != g.n:
         raise ValueError(f"need one label per node: {len(labels)} != {g.n}")
     if max_rounds is None:
@@ -53,10 +48,9 @@ def reference_run(g, labels, program, cd=False, max_rounds=None):
 
         transmitters: dict[int, bytes] = {}
         for v, prog in enumerate(nodes):
-            act = prog.action(rnd)
-            if act is LISTEN:
-                continue
-            transmitters[v] = act.message
+            m = prog.action(rnd)
+            if m is not None:
+                transmitters[v] = m
 
         counts: dict[int, int] = {}
         src: dict[int, int] = {}
@@ -73,16 +67,8 @@ def reference_run(g, labels, program, cd=False, max_rounds=None):
         trace.rounds.append(RoundRecord(transmitters, heard))
 
         for v, prog in enumerate(nodes):
-            if v in transmitters:
-                prog.receive(rnd, TX)
-            elif v in heard:
+            if v in heard:
                 prog.receive(rnd, Heard(heard[v]))
-            elif not cd:
-                prog.receive(rnd, NOISE)
-            elif counts.get(v, 0) == 0:
-                prog.receive(rnd, SILENCE)
-            else:
-                prog.receive(rnd, COLLISION)
 
         for v in list(pending_output):
             if nodes[v].output is not None:
@@ -215,14 +201,14 @@ class TestWakeContract:
                 calls.append((self.label, "action", rnd))
                 if self.label == "0" and rnd in (3, 7):
                     self.output = "sender"
-                    return Transmit(b"m")
+                    return b"m"
                 if self.label == "2" and rnd == 9:
                     self.output = "done"
-                return LISTEN
+                return None
 
-            def receive(self, rnd, obs):
-                calls.append((self.label, "receive", rnd, obs))
-                if self.label == "1" and isinstance(obs, Heard):
+            def receive(self, rnd, heard):
+                calls.append((self.label, "receive", rnd, heard))
+                if self.label == "1":
                     self.output = rnd
 
             def next_wake(self, rnd):
@@ -250,7 +236,7 @@ class TestWakeContract:
             def action(self, rnd):
                 if rnd == 4:
                     self.output = rnd
-                return LISTEN
+                return None
 
             def next_wake(self, rnd):
                 return rnd - 5 if self.output is None else None
@@ -266,8 +252,8 @@ class TestWakeContract:
             def action(self, rnd):
                 self.output = "out"
                 if self.label == "0" and rnd == 12:
-                    return Transmit(b"late")
-                return LISTEN
+                    return b"late"
+                return None
 
             def next_wake(self, rnd):
                 return 12 if self.label == "0" and rnd < 12 else None
@@ -283,7 +269,7 @@ class TestWakeContract:
             def action(self, rnd):
                 if rnd == 5:
                     self.output = rnd
-                return LISTEN
+                return None
 
         p = Polls("")
         assert p.next_wake(3) == 4

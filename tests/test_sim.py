@@ -8,7 +8,6 @@ from radiolab.errors import InvalidParams, RoundLimitExceeded
 from radiolab.graphs import build_graph, gen_cycle, gen_path, gen_random_connected
 from radiolab.sim import (
     COLLISION,
-    LISTEN,
     NOISE,
     SILENCE,
     TX,
@@ -16,15 +15,12 @@ from radiolab.sim import (
     Heard,
     NodeProgram,
     RoundRecord,
-    Transmit,
     frame,
     parse,
-    history_of,
-    observation,
     run,
     unframe,
 )
-from oracles import verify_trace
+from oracles import history_of, observation, verify_trace
 
 P3 = build_graph(3, [(0, 1), (1, 2)])
 
@@ -78,22 +74,26 @@ class TestObservation:
 class LabelLengthOnce(NodeProgram):
     def action(self, rnd):
         self.output = len(self.label)
-        return LISTEN
+        return None
 
 
 class BitDriven(NodeProgram):
-    """Label bit 1: transmit 'x' in round 1; bit 0: report what was heard."""
+    """Label bit 1: transmit 'x' in round 1. In round 2 every node outputs
+    the messages it heard in round 1."""
+
+    def __init__(self, label):
+        super().__init__(label)
+        self.heard = []
 
     def action(self, rnd):
+        if rnd == 2:
+            self.output = tuple(self.heard)
         if self.label == "1" and rnd == 1:
-            return Transmit(b"x")
-        return LISTEN
+            return b"x"
+        return None
 
-    def receive(self, rnd, obs):
-        if self.label == "1":
-            self.output = "sent"
-        else:
-            self.output = obs
+    def receive(self, rnd, heard):
+        self.heard.append(heard.message)
 
 
 class TestRun:
@@ -105,11 +105,16 @@ class TestRun:
     def test_p2_delivery(self):
         g = build_graph(2, [(0, 1)])
         tr = run(g, ["1", "0"], BitDriven)
-        assert tr.outputs[1] == Heard(b"x")
+        assert tr.outputs == [(), (b"x",)]
 
     def test_p3_collision_is_noise(self):
-        tr = run(P3, ["1", "0", "1"], BitDriven)
-        assert tr.outputs[1] is NOISE
+        """The middle node hears nothing in the collision round, with or
+        without collision detection; the trace reads the round as NOISE or
+        COLLISION."""
+        for cd, mark in ((False, NOISE), (True, COLLISION)):
+            tr = run(P3, ["1", "0", "1"], BitDriven, cd=cd)
+            assert tr.outputs == [(), (), ()]
+            assert tr.observation_of(1, 1) is mark
 
     def test_determinism(self):
         g = gen_cycle(5)
@@ -143,7 +148,7 @@ class TestHistory:
             def action(self, rnd):
                 if rnd >= 3:
                     self.output = "ok"
-                return LISTEN
+                return None
 
         g = build_graph(2, [(0, 1)])
         tr = run(g, ["", ""], Quiet, cd=True)
@@ -177,21 +182,53 @@ class TestIsolation:
         assert list(sig.parameters) == ["self", "label"]
 
     def test_engine_passes_only_rounds_and_observations(self):
+        """`receive` gets the round and a `Heard`, never a mark: node 1 hears
+        node 0 in round 1, nobody hears the collision at node 1 in round 2,
+        and nobody listens next to a transmitter in round 3."""
         seen = []
 
         class Probe(NodeProgram):
             def action(self, rnd):
                 assert isinstance(rnd, int)
                 self.output = "done"
-                return LISTEN
+                if (self.label, rnd) in {("a", 1), ("a", 2), ("c", 2), ("b", 3)}:
+                    return self.label.encode()
+                return None
 
-            def receive(self, rnd, obs):
-                seen.append((self.label, rnd, type(obs).__name__))
+            def receive(self, rnd, heard):
+                seen.append((self.label, rnd, heard))
 
-        run(P3, ["a", "b", "c"], Probe, max_rounds=4)
-        assert all(isinstance(r, int) and t in
-                   {"Noise", "Heard", "TxMark", "SilenceMark", "CollisionMark"}
-                   for _, r, t in seen)
+            def next_wake(self, rnd):
+                return rnd + 1 if rnd < 3 else None
+
+        for cd in (False, True):
+            seen.clear()
+            run(P3, ["a", "b", "c"], Probe, cd=cd)
+            assert seen == [("b", 1, Heard(b"a")), ("a", 3, Heard(b"b")),
+                            ("c", 3, Heard(b"b"))]
+            assert all(type(h) is Heard for _, _, h in seen)
+
+    def test_transmitter_gets_no_receive_in_its_round(self):
+        """Nodes 0 and 1 of a path transmit together in round 1: each has
+        exactly one transmitting neighbour, yet neither hears the other, and
+        only node 2 gets `receive`."""
+        calls = []
+
+        class Pair(NodeProgram):
+            def action(self, rnd):
+                self.output = "done"
+                if self.label in ("0", "1") and rnd == 1:
+                    return self.label.encode()
+                return None
+
+            def receive(self, rnd, heard):
+                calls.append((self.label, rnd, heard))
+
+        for cd in (False, True):
+            calls.clear()
+            tr = run(gen_path(4), ["0", "1", "2", "3"], Pair, cd=cd)
+            assert calls == [("2", 1, Heard(b"1"))]
+            assert tr.observation_of(0, 1) is TX and tr.observation_of(1, 1) is TX
 
     def test_equal_labels_behave_identically(self):
         """Nodes in symmetric positions with equal labels produce identical
@@ -232,12 +269,11 @@ class TestSharedHeard:
             if rnd == 3:
                 self.output = rnd
             if self.label == "hub":
-                return Transmit(bytes(bytearray(b"cd" if rnd == 2 else b"ab")))
-            return LISTEN
+                return bytes(bytearray(b"cd" if rnd == 2 else b"ab"))
+            return None
 
-        def receive(self, rnd, obs):
-            if isinstance(obs, Heard):
-                self.heard.append((rnd, obs))
+        def receive(self, rnd, heard):
+            self.heard.append((rnd, heard))
 
     def run_star(self, log):
         def make(label):
