@@ -160,9 +160,6 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
             children[p].append(u)
         feedback = {}
         for v in dom:
-            assert children[v], (
-                f"stage {stage}: DOM member {v} informed nobody (minimality bug)"
-            )
             feedback[v] = min(children[v])
         informed.update(newly)
         uninformed.difference_update(newly)
@@ -190,7 +187,6 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
         )
         dom, newly, frontier = next_dom, next_newly, next_frontier
         stage += 1
-        assert stage <= n + 1, "stage count exceeded n"
 
     t = 3 * (stage - 1)
     for rec in stages:
@@ -218,12 +214,17 @@ class ExecCore:
     broadcast rounds, ("f", rel) for feedback (sent only by a node whose
     stay bit is 1, so it carries no bit of its own); `action` frames them
     after the core's tag. `js` is the node's join/stay label block.
+
+    The core keeps its duties as pending relative rounds: `_tx` its next
+    broadcast (a node informed with join = 1 transmits next stage, and a
+    transmitter that hears feedback right after its broadcast transmits
+    again), `_fb` its feedback, and `_end` the last round of a stage in
+    which it transmitted, so a broadcast lasts exactly 3 rounds per stage.
     """
 
     __slots__ = (
         "tag", "join", "stay", "informed", "message", "level",
-        "parent_level", "offset", "in_dom", "_stage", "_informed_this_stage",
-        "_heard_stay", "_fb_sent", "tx_rounds",
+        "parent_level", "offset", "tx_rounds", "_tx", "_fb", "_end",
     )
 
     def __init__(self, tag: str, js: str):
@@ -236,12 +237,10 @@ class ExecCore:
         self.level: int | None = None
         self.parent_level: int | None = None
         self.offset: int | None = None
-        self.in_dom = False
-        self._stage = 1
-        self._informed_this_stage = False
-        self._heard_stay = False
-        self._fb_sent = False
         self.tx_rounds: list[int] = []
+        self._tx: int | None = None
+        self._fb: int | None = None
+        self._end: int | None = None
 
     def start_source(self, start_abs: int, message, in_dom: bool) -> None:
         """Become an initially informed node; relative round 1 = start_abs."""
@@ -249,32 +248,23 @@ class ExecCore:
         self.message = message
         self.level = 0
         self.offset = start_abs - 1
-        self.in_dom = in_dom
-
-    def _advance(self, stage: int) -> None:
-        while self._stage < stage:
-            self.in_dom = (self.in_dom and self._heard_stay) or (
-                self._informed_this_stage and bool(self.join)
-            )
-            self._informed_this_stage = False
-            self._heard_stay = False
-            self._stage += 1
+        if in_dom:
+            self._tx = 1
 
     def action(self, abs_rnd: int):
-        if not self.active:
+        if self.offset is None:
             return None
         rel = abs_rnd - self.offset
-        if rel < 1:
-            return None
-        stage = (rel + 2) // 3
-        self._advance(stage)
-        pos = rel - 3 * (stage - 1)
-        if pos == 1 and self.in_dom:
+        if rel == self._tx:
+            self._tx = None
+            self._end = rel + 2
             self.tx_rounds.append(rel)
             return frame(self.tag, "b", rel, self.level, self.message)
-        if pos == 2 and self._informed_this_stage and not self._fb_sent and self.stay:
-            self._fb_sent = True
+        if rel == self._fb:
+            self._fb = None
             return frame(self.tag, "f", rel)
+        if rel == self._end:
+            self._end = None
         return None
 
     def on_message(self, abs_rnd: int, parts) -> None:
@@ -287,40 +277,21 @@ class ExecCore:
                 self.offset = abs_rnd - rel
                 self.parent_level = parts[3]
                 self.message = parts[4]
-                self._stage = (rel + 2) // 3
-                self._informed_this_stage = True
+                if self.join:
+                    self._tx = rel + 3
+                if self.stay:
+                    self._fb = rel + 1
         elif kind == "f":
-            if self.in_dom:
-                self._heard_stay = True
-
-    @property
-    def active(self) -> bool:
-        """Whether the core can still transmit in this instance. An informed
-        core that is not active stays so: no reception changes it, so it
-        needs no further calls."""
-        if not self.informed:
-            return False
-        return (
-            self.in_dom
-            or (self._informed_this_stage and bool(self.join))
-            or (self._informed_this_stage and not self._fb_sent and bool(self.stay))
-        )
+            tx = self.tx_rounds
+            if tx and tx[-1] == abs_rnd - self.offset - 1:
+                self._tx = tx[-1] + 3
 
     def next_wake(self, abs_rnd: int) -> int | None:
-        """Wake hint after round `abs_rnd`, once the end-of-stage membership
-        update is applied if `abs_rnd` closes a stage. None while the core
-        is not active (not yet reached by the broadcast, or done for good);
-        the start round while a started source is dormant; else the next
-        round, since a live core may change `active` at the end of any
-        stage."""
-        if not self.active:
-            return None
-        rel = abs_rnd - self.offset
-        if rel >= 3 and rel % 3 == 0:
-            self._advance(rel // 3 + 1)
-            if not self.active:
-                return None
-        return (self.offset if self.offset > abs_rnd else abs_rnd) + 1
+        """The absolute round of the next pending duty, None if there is
+        none. Duties come in the order `_fb` or `_end`, then `_tx`, and
+        `_fb` and `_end` are never pending together."""
+        rel = self._fb or self._end or self._tx
+        return None if rel is None else self.offset + rel
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +460,6 @@ class AckMachine:
         self.core3.start_source(rnd, message, self.dom1)
         return self.core3.action(rnd)
 
-    def _vp_relay_round(self) -> int | None:
-        """Absolute round in which v_p starts the upward relay of t: the
-        round after its stage, t = 3 * (v_p's stage) relative rounds."""
-        if not self.is_vp or self._relayed or not self.core1.informed:
-            return None
-        return self.core1.offset + 3 * ((self.core1.level + 2) // 3) + 1
-
     def next_wake(self, abs_rnd: int) -> int | None:
         """Earliest round after `abs_rnd` with a scheduled duty (relay or a
         core's wake), None if only receptions can change state."""
@@ -504,26 +468,29 @@ class AckMachine:
             self.core2.next_wake(abs_rnd),
             self.core3.next_wake(abs_rnd),
             self._relay_round,
-            self._vp_relay_round(),
         )
 
     def action(self, abs_rnd: int):
         p = self.core1.action(abs_rnd)
         if p:
             return p
-        if abs_rnd == self._vp_relay_round():
-            self.t = abs_rnd - self.core1.offset - 1
-            self._relayed = True
-            return frame(self.tag + "a", "r", self.t, self.core1.parent_level)
-        if self._relay_round is not None and abs_rnd == self._relay_round:
+        if abs_rnd == self._relay_round:
             self._relay_round = None
+            if self.t is None:
+                self.t = abs_rnd - self.core1.offset - 1
             return frame(self.tag + "a", "r", self.t, self.core1.parent_level)
         return self.core2.action(abs_rnd) or self.core3.action(abs_rnd)
 
     def on_message(self, abs_rnd: int, parts) -> None:
         tag = parts[0]
         if tag == self.tag + "1":
-            self.core1.on_message(abs_rnd, parts)
+            core = self.core1
+            core.on_message(abs_rnd, parts)
+            if self.is_vp and not self._relayed and core.informed:
+                # v_p starts the upward relay of t in the round after its
+                # stage, t = 3 * (v_p's stage) relative rounds
+                self._relayed = True
+                self._relay_round = core.offset + 3 * ((core.level + 2) // 3) + 1
         elif tag == self.tag + "a":
             t, plv = parts[2], parts[3]
             if self.t is None:
@@ -616,9 +583,7 @@ def synthesize_path_message(
             if k == hi:
                 marked[k] = pj1
             else:
-                cands = children_at.get((pj, k))
-                assert cands, f"no child of {pj} at level {k} (tree property bug)"
-                marked[k] = min(cands)
+                marked[k] = min(children_at[(pj, k)])
     # chunk assignment in level order
     m = len(message_bits)
     if tack == 0:
@@ -627,7 +592,6 @@ def synthesize_path_message(
         size = 9 * (-(-m // tack)) if m else 1
         levels = sorted(marked)
         pieces = [message_bits[i : i + size] for i in range(0, m, size)] or [""]
-        assert len(pieces) <= len(levels), "more chunks than marked nodes"
         chunks = {levels[i]: pieces[i] for i in range(len(pieces))}
     chunk_of = {marked[k]: chunks.get(k, "") for k in marked}
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -79,9 +80,21 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _read_text(path: str, what: str) -> str:
+    """The contents of an input file; one that cannot be read (missing, a
+    directory, no permission) is an InvalidParams error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InvalidParams(f"cannot read {what} file {path}: {exc.strerror}") from None
+
+
+def _read_graph(path: str) -> Graph:
+    return read_edge_list(io.StringIO(_read_text(path, "graph")))
+
+
 def cmd_run(args) -> int:
-    with open(args.graph) as fp:
-        g = read_edge_list(fp)
+    g = _read_graph(args.graph)
     result = run_scheme(args.scheme, g, cd=args.cd)
     record = result.bench_record(Path(args.graph).name, g)
     if args.scheme == "toprec" and result.ok:
@@ -154,7 +167,7 @@ def cmd_bench(args) -> int:
 def _lb_partition_for(g: Graph, partition_file: str | None):
     if partition_file:
         try:
-            data = json.loads(Path(partition_file).read_text())
+            data = json.loads(_read_text(partition_file, "partition"))
             return LBFamilyDescriptor(
                 n=g.n,
                 components=[list(map(int, comp)) for comp in data["components"]],
@@ -176,8 +189,7 @@ def _lb_partition_for(g: Graph, partition_file: str | None):
 
 
 def cmd_audit(args) -> int:
-    with open(args.graph) as fp:
-        g = read_edge_list(fp)
+    g = _read_graph(args.graph)
     desc = _lb_partition_for(g, args.partition)
     result = run_scheme(args.scheme, g, cd=True)
     report = audit_facts(result.trace, desc, labels=result.bundle.labels)

@@ -125,7 +125,8 @@ def assign_subtree_bits(tree: Graph, root: int, message: str) -> SubtreeAssignme
             stack.append((c, inner, extra))
             used.append(c)
         own = piece[pos:]
-        assert len(own) <= 2, f"node {v} left with {len(own)} bits (capacity bug)"
+        if len(own) > 2:
+            raise MessageTooLong(f"node {v} is left with {len(own)} bits, at most 2 fit")
         out.bits[v] = own + kept
         out.children[v] = used
         for i, c in enumerate(used, start=1):
@@ -410,7 +411,6 @@ def minimal_bfs_cover(sd: StripeDecomposition, j: int) -> list[int]:
     first = j * sd.lgn
     sg = set(sd.by_layer[first + sd.lgn - 1])  # the stripe's super-green nodes
     cover = set(sd.by_layer[first])
-    assert sg <= _forward_reach(sd, j, cover), "super-green layer unreachable"
     for v in sorted(cover, reverse=True):
         trial = cover - {v}
         if trial and sg <= _forward_reach(sd, j, trial):
@@ -446,7 +446,6 @@ def conflict_free_paths(
             )
             path.append(prev)
         path.reverse()
-        assert path[0] == u and len(path) == lgn
         paths.append(path)
     # exhaustive conflict scan over every edge at a path node
     on_path = {v: idx for idx, p in enumerate(paths) for v in p}
@@ -501,7 +500,6 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
         for u in cover:
             cover_flag[u] = True
         for p in paths:
-            assert len(p) == lgn
             for i, v in enumerate(p, start=1):
                 on_paths[v] = True
                 m_bit[v] = message[i - 1]
@@ -518,7 +516,6 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
         ]
         sub = build_graph(len(sub_nodes), sub_edges)
         syn = synthesize_core(sub, {sub_index[u] for u in cover})
-        assert syn.t <= 3 * len(sub_nodes)
         if lgn + syn.t >= fast_sd_barrier(n):
             raise BarrierExceeded(
                 f"stripe {j}: phase 2 ends in round {lgn + syn.t}, "
@@ -535,8 +532,6 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
 
     sources = {v for v in range(n) if sd.supergreen[v]}
     s2 = synthesize_core(g, sources)
-    assert s2.t <= 3 * n
-
     labels = []
     for v in range(n):
         flags = "".join(

@@ -49,7 +49,6 @@ def assign_broadcast_indices(
     parent, and those edges form a BFS tree."""
     la = bfs_layers(g, r)
     n = g.n
-    delta = g.max_degree()
     b: list[int | None] = [None] * n
     parent: list[int | None] = [None] * n
     by_layer: dict[int, list[int]] = {}
@@ -60,7 +59,6 @@ def assign_broadcast_indices(
         remaining = sorted(by_layer.get(i, []))
         j = 0
         while remaining:
-            assert j <= delta, f"layer {i}: X sets exceeded Delta+1 (union lemma)"
             claimed: dict[int, int] = {}
             members = []
             for v in remaining:
@@ -80,8 +78,6 @@ def assign_broadcast_indices(
             covered |= set(claimed)
             remaining = [v for v in remaining if b[v] is None]
             j += 1
-    assert all(x is not None for x in b)
-    assert all(parent[v] is not None for v in range(n) if v != r)
     return b, parent, la  # type: ignore[return-value]
 
 
@@ -112,7 +108,6 @@ def assign_gather_indices(
                     x += 1
                 gv[u] = x
                 used.add(x)
-    assert all(x is not None for x in gv)
     return gv  # type: ignore[return-value]
 
 
@@ -134,8 +129,6 @@ def distance_two_coloring(g: Graph) -> list[int]:
         colors[v] = c
         for w in g.adj[v]:
             around[w] |= 1 << c
-    delta = g.max_degree()
-    assert all(1 <= c <= delta * delta + 1 for c in colors)
     return colors
 
 

@@ -134,14 +134,14 @@ def dom_membership_from_history(
         if core.offset is not None:
             rel = rnd - core.offset
             if rel >= 1 and rel % 3 == 1:
-                core.action(rnd)
-                membership[(rel + 2) // 3] = core.in_dom
+                # a core is in DOM exactly when it transmits in its stage's
+                # first round
+                membership[(rel + 2) // 3] = core.action(rnd) is not None
         obs = trace.observation_of(v, rnd)
         if isinstance(obs, Heard):
             parts = obs.decode(parse)
             if parts[0] == tag:
                 core.on_message(rnd, parts)
-        core.next_wake(rnd)
     return membership
 
 

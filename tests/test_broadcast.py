@@ -338,14 +338,15 @@ class TestParseOnce:
 
 
 class TestExecCoreWake:
-    """An `ExecCore` sleeps once it is not active, so a node is called
-    only while one of its cores is live."""
+    """An `ExecCore`'s wake hint is its next duty round (broadcast,
+    feedback or stage end), so a node is called only in the rounds in
+    which one of its cores has a duty or it hears a message."""
 
     @pytest.mark.parametrize(
         "synth,program,rounds,max_calls",
         [
-            (lambda g: synthesize_executor(g, {0}), executor_program(), 33, 160),
-            (lambda g: synthesize_execack(g, 0), execack_program(), 99, 332),
+            (lambda g: synthesize_executor(g, {0}), executor_program(), 33, 93),
+            (lambda g: synthesize_execack(g, 0), execack_program(), 99, 198),
         ],
         ids=["exec", "execack"],
     )

@@ -194,3 +194,23 @@ class TestAudit:
                           "--partition", str(part))
         assert code == 2
         assert "InvalidParams" in capsys.readouterr().err
+
+
+class TestMissingFiles:
+    """An input file that cannot be read is a typed error with exit 2."""
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_missing_graph(self, tmp_path, capsys, command):
+        code, _ = run_cli(command, str(tmp_path / "missing.el"), "--scheme", "compact")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: InvalidParams: cannot read graph")
+
+    def test_audit_missing_partition(self, tmp_path, capsys):
+        el = tmp_path / "g16.el"
+        run_cli("gen", "--family", "lbG", "--n", "16", "--out", str(el))
+        code, _ = run_cli("audit", str(el), "--scheme", "compact",
+                          "--partition", str(tmp_path / "nope.json"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: InvalidParams: cannot read partition"
+        )

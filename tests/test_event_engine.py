@@ -131,7 +131,7 @@ def test_toprec_matches_reference(cd):
 
 @pytest.mark.parametrize("cd", [False, True])
 @pytest.mark.parametrize(
-    "scheme", ["broadcast-bfs", "gather-bfs", "ack-br-bfs", "exec", "execack"]
+    "scheme", ["broadcast-bfs", "gather-bfs", "ack-br-bfs", "exec", "execack", "pathmsg"]
 )
 def test_primitives_match_reference(scheme, cd):
     for gid, g in TOPREC_SAMPLE:
