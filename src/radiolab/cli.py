@@ -96,19 +96,33 @@ def _read_graph(path: str) -> Graph:
 def cmd_run(args) -> int:
     g = _read_graph(args.graph)
     result = run_scheme(args.scheme, g, cd=args.cd)
-    record = result.bench_record(Path(args.graph).name, g)
+    out = json.dumps(result.bench_record(Path(args.graph).name, g), indent=2)
     if args.scheme == "toprec" and result.ok:
-        from .toprec import serialize_toprec_output
-
-        record["outputs"] = [
-            serialize_toprec_output(out) for out in result.trace.outputs
-        ]
-    out = json.dumps(record, indent=2)
+        out = out[:-2] + ',\n  "outputs": ' + _toprec_outputs_json(result.trace.outputs) + "\n}"
     if args.out:
         Path(args.out).write_text(out + "\n")
     else:
         print(out)
     return 0 if result.ok else 1
+
+
+def _toprec_outputs_json(outputs) -> str:
+    """The serialised outputs as `json.dumps(..., indent=2)` lays them out
+    under a top-level key. The nodes share their edge tuple, so each
+    distinct one is serialised once."""
+    from .toprec import serialize_toprec_output
+
+    def nested(x) -> str:  # the value's JSON, indented for depth 3
+        return json.dumps(x, indent=2).replace("\n", "\n" + " " * 6)
+
+    edges_json: dict[int, str] = {}
+    items = []
+    for edges, me in outputs:
+        if id(edges) not in edges_json:
+            edges_json[id(edges)] = nested(serialize_toprec_output((edges, me))["edges"])
+        me_json = nested(serialize_toprec_output(((), me))["self"])
+        items.append(f'    {{\n      "edges": {edges_json[id(edges)]},\n      "self": {me_json}\n    }}')
+    return "[\n" + ",\n".join(items) + "\n  ]"
 
 
 def _bench_rows(suite: str) -> list[dict]:

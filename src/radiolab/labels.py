@@ -16,41 +16,38 @@ from .errors import MalformedCodeword
 LabelBits = str
 
 
-_BIT_CODE = str.maketrans({"0": "01", "1": "10"})
+_BLOCK_CODE = str.maketrans({"0": "01", "1": "10", "|": "00"})
+_PAIR = {("1", "0"): "1", ("0", "1"): "0", ("0", "0"): "|"}
 
 
 def encode_blocks(blocks: Sequence[str]) -> LabelBits:
-    """Separator-encode a block list; a block with a character other than
-    '0'/'1' raises MalformedCodeword.
+    """Separator-encode a block list in one `str.translate` over the blocks
+    joined by "|"; a block with a character other than '0'/'1' raises
+    MalformedCodeword.
 
     Length is exactly 2*(total payload bits) + 2*(len(blocks)-1).
     """
-    pieces = []
-    for block in blocks:
-        piece = block.translate(_BIT_CODE)
-        # any other character is left as one character, so the piece is short
-        if len(piece) != 2 * len(block):
-            raise MalformedCodeword(f"block {block!r} is not a bit string")
-        pieces.append(piece)
-    return "00".join(pieces)
+    joined = "|".join(blocks)
+    bits = joined.translate(_BLOCK_CODE)
+    # any other character is left as one character, so the code is short;
+    # a "|" inside a block is one separator too many
+    if len(bits) != 2 * len(joined) or joined.count("|") != max(len(blocks) - 1, 0):
+        i, bad = next((i, b) for i, b in enumerate(blocks) if b.strip("01"))
+        raise MalformedCodeword(f"block {i} ({bad!r}) is not a bit string")
+    return bits
 
 
 def decode_blocks(bits: LabelBits) -> list[str]:
-    """Exact inverse of encode_blocks; rejects odd length and the "11" pair."""
+    """Exact inverse of encode_blocks, decoding all pairs in one pass;
+    rejects odd length and any pair other than "10", "01" and "00"."""
     if len(bits) % 2 != 0:
         raise MalformedCodeword(f"odd bit length {len(bits)}")
-    blocks = [[]]
-    for i in range(0, len(bits), 2):
-        pair = bits[i : i + 2]
-        if pair == "10":
-            blocks[-1].append("1")
-        elif pair == "01":
-            blocks[-1].append("0")
-        elif pair == "00":
-            blocks.append([])
-        else:
-            raise MalformedCodeword(f"invalid codeword '11' at offset {i}")
-    return ["".join(b) for b in blocks]
+    it = iter(bits)
+    try:
+        return "".join(map(_PAIR.__getitem__, zip(it, it))).split("|")
+    except KeyError:
+        i = next(i for i in range(0, len(bits), 2) if tuple(bits[i : i + 2]) not in _PAIR)
+        raise MalformedCodeword(f"invalid codeword {bits[i : i + 2]!r} at offset {i}") from None
 
 
 def label_blocks(label: LabelBits, count: int) -> list[str]:

@@ -274,21 +274,22 @@ def run(
 
         touched = awake
         if transmitters:
-            if len(transmitters) > 1:
+            if len(transmitters) == 1:
+                ((u, m),) = transmitters.items()
+                heard = dict.fromkeys(adj[u], m)
+            else:
+                # in first-touch order; then drop the nodes that have two
+                # transmitting neighbors or transmit themselves
                 transmitters = dict(sorted(transmitters.items()))
-            # count transmitting neighbors only around actual transmitters
-            counts: dict[int, int] = {}
-            src: dict[int, int] = {}
-            for u in transmitters:
-                for w in adj[u]:
-                    c = counts.get(w, 0) + 1
-                    counts[w] = c
-                    if c == 1:
-                        src[w] = u
-            heard: dict[int, bytes] = {}
-            for w, c in counts.items():
-                if c == 1 and w not in transmitters:
-                    heard[w] = transmitters[src[w]]
+                once: set[int] = set()
+                multi: set[int] = set()
+                heard = {}
+                for u, m in transmitters.items():
+                    multi.update(once.intersection(adj[u]))
+                    once.update(adj[u])
+                    heard.update(dict.fromkeys(adj[u], m))
+                for w in multi.union(transmitters):
+                    heard.pop(w, None)
             rounds.append(RoundRecord(transmitters, heard))
             woken = []
             for w, m in heard.items():

@@ -245,10 +245,10 @@ def wire_to_id(wire: str) -> tuple[int, ...]:
 def parse_message(message: bytes) -> tuple:
     """A TopRec message as an immutable tuple `(tag, ...)`: T1/T3 carry an
     int-tuple identifier, T4 its reports in wire form
-    `((wire_id, (wire_nbr, ...)), ...)`, T5 the reports decoded and then the
-    finished `topology` of them; TA/T2 keep their ints. A pure function of
-    the bytes, for `Heard.decode`, so every listener of a T5 shares one
-    topology."""
+    `((wire_id, (wire_nbr, ...)), ...)`, T5 the reports decoded by
+    `decode_reports` and then the finished `topology` of them; TA/T2 keep
+    their ints. A pure function of the bytes, for `Heard.decode`, so every
+    listener of a T5 shares one topology."""
     parts = unframe(message)
     tag = parts[0]
     if tag in ("T1", "T3"):
@@ -256,12 +256,21 @@ def parse_message(message: bytes) -> tuple:
     if tag == "T4":
         return tag, tuple((wid, tuple(nbrs)) for wid, nbrs in parts[1])
     if tag == "T5":
-        reports = tuple(
-            (wire_to_id(wid), tuple(wire_to_id(x) for x in nbrs))
-            for wid, nbrs in parts[1]
-        )
+        reports = decode_reports(parts[1])
         return tag, reports, topology(reports)
     return tuple(parts)
+
+
+def decode_reports(reports) -> tuple:
+    """Wire reports `[(wire_id, (wire_nbr, ...)), ...]` as
+    `((id, (nbr_id, ...)), ...)`, each distinct wire identifier decoded once
+    (through a dict local to the call)."""
+    wires = set()
+    for wid, nbrs in reports:
+        wires.add(wid)
+        wires.update(nbrs)
+    get = {w: wire_to_id(w) for w in wires}.__getitem__
+    return tuple((get(wid), tuple(map(get, nbrs))) for wid, nbrs in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +678,7 @@ class TopRecProgram(NodeProgram):
             if not self.m.is_root:
                 return self._final
             reports = self._all_reports()
-            self._finish(topology(
-                (wire_to_id(wid), tuple(wire_to_id(x) for x in nbrs))
-                for wid, nbrs in reports
-            ))
+            self._finish(topology(decode_reports(reports)))
             if self.m.is_leaf:
                 return None
             return frame("T5", reports)

@@ -68,6 +68,16 @@ class TestRun:
             f'{{{edges}, "self": [0, 0]}}, {{{edges}, "self": [1]}}]'
         )
 
+    @pytest.mark.parametrize("family", ["path", "cycle", "star", "lbG"])
+    def test_toprec_output_laid_out_as_indent_2(self, tmp_path, family):
+        """The edge tuple serialised once per run gives the bytes that
+        `json.dumps(record, indent=2)` gives with every copy written out."""
+        el = tmp_path / "g.el"
+        run_cli("gen", "--family", family, "--n", "16" if family == "lbG" else "5", "--out", str(el))
+        code, out = run_cli("run", str(el), "--scheme", "toprec")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_disconnected_rejected(self, tmp_path):
         el = tmp_path / "disc.el"
         el.write_text("4 2\n0 1\n2 3\n")

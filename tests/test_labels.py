@@ -1,3 +1,6 @@
+"""The label block code, checked against the pairwise decoder and the
+per-block encoder it replaced (kept here as test-only references)."""
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,44 @@ from radiolab.labels import (
 )
 
 bitstrings = st.text(alphabet="01", max_size=24)
+
+
+def reference_encode_blocks(blocks):
+    """The per-block encoder the one-pass `encode_blocks` replaced."""
+    code = str.maketrans({"0": "01", "1": "10"})
+    pieces = []
+    for block in blocks:
+        piece = block.translate(code)
+        if len(piece) != 2 * len(block):
+            raise MalformedCodeword(f"block {block!r} is not a bit string")
+        pieces.append(piece)
+    return "00".join(pieces)
+
+
+def reference_decode_blocks(bits):
+    """The pairwise decoder the one-pass `decode_blocks` replaced."""
+    if len(bits) % 2 != 0:
+        raise MalformedCodeword(f"odd bit length {len(bits)}")
+    blocks = [[]]
+    for i in range(0, len(bits), 2):
+        pair = bits[i : i + 2]
+        if pair == "10":
+            blocks[-1].append("1")
+        elif pair == "01":
+            blocks[-1].append("0")
+        elif pair == "00":
+            blocks.append([])
+        else:
+            raise MalformedCodeword(f"invalid codeword '11' at offset {i}")
+    return ["".join(b) for b in blocks]
+
+
+def outcome(fn, arg):
+    """`fn(arg)`, or the MalformedCodeword type if it raises one."""
+    try:
+        return fn(arg)
+    except MalformedCodeword:
+        return MalformedCodeword
 
 
 class TestEncode:
@@ -35,6 +76,20 @@ class TestEncode:
         with pytest.raises(MalformedCodeword):
             encode_blocks(blocks)
 
+    def test_separator_inside_block_named(self):
+        with pytest.raises(MalformedCodeword, match=r"block 0 \('1\|0'\)"):
+            encode_blocks(["1|0"])
+
+    def test_non_bit_block_named(self):
+        with pytest.raises(MalformedCodeword, match=r"block 1 \('2'\)"):
+            encode_blocks(["1", "2"])
+
+    def test_no_blocks(self):
+        assert encode_blocks([]) == ""
+
+    def test_one_empty_block(self):
+        assert encode_blocks([""]) == ""
+
 
 class TestDecode:
     def test_inverse_of_example(self):
@@ -47,6 +102,12 @@ class TestDecode:
         with pytest.raises(MalformedCodeword):
             decode_blocks("1100")
 
+    def test_foreign_pair_named(self):
+        with pytest.raises(MalformedCodeword, match="invalid codeword 'x0' at offset 0"):
+            decode_blocks("x0")
+        with pytest.raises(MalformedCodeword, match="invalid codeword '11' at offset 4"):
+            decode_blocks("100111")
+
     def test_odd_length(self):
         with pytest.raises(MalformedCodeword):
             decode_blocks("100")
@@ -54,6 +115,22 @@ class TestDecode:
     @given(st.lists(bitstrings, min_size=1, max_size=8))
     def test_round_trip(self, blocks):
         assert decode_blocks(encode_blocks(blocks)) == blocks
+
+
+class TestAgainstReference:
+    @given(st.lists(bitstrings, max_size=8))
+    def test_block_lists_round_trip_alike(self, blocks):
+        bits = encode_blocks(blocks)
+        assert bits == reference_encode_blocks(blocks)
+        assert decode_blocks(bits) == reference_decode_blocks(bits)
+
+    @given(st.lists(st.text(alphabet="01x|", max_size=6), max_size=6))
+    def test_foreign_blocks_alike(self, blocks):
+        assert outcome(encode_blocks, blocks) == outcome(reference_encode_blocks, blocks)
+
+    @given(st.text(alphabet="01x|", max_size=24))
+    def test_foreign_strings_alike(self, bits):
+        assert outcome(decode_blocks, bits) == outcome(reference_decode_blocks, bits)
 
 
 class TestModePrefix:

@@ -370,6 +370,7 @@ class TestSharedTopology:
         shared = outs[1 - root][0]
         assert isinstance(shared, tuple)
         assert all(outs[v][0] is shared for v in range(g.n) if v != root)
+        assert outs[root][0] == shared
         for out in outs:
             hash(out)
 
@@ -387,6 +388,41 @@ class TestSharedTopology:
             + toprec_mod.TOPREC_C3
         )
         assert r.trace.num_rounds <= bound
+
+
+class TestDecodeOnce:
+    """Each decode of a report set (the T5 parse, the root's own) turns
+    each distinct wire identifier into an id once."""
+
+    @staticmethod
+    def count_wire_to_id(monkeypatch) -> list:
+        calls = []
+        real = toprec_mod.wire_to_id
+
+        def counting(wire):
+            calls.append(wire)
+            return real(wire)
+
+        monkeypatch.setattr(toprec_mod, "wire_to_id", counting)
+        return calls
+
+    def test_grid_run_decode_count(self, monkeypatch):
+        calls = self.count_wire_to_id(monkeypatch)
+        r = run_scheme("toprec", gen_grid(10, 10))
+        assert r.ok
+        assert len(calls) <= 399  # 1,119 when every report entry was decoded
+
+    @pytest.mark.parametrize("g", [gen_grid(3, 4), gen_random_connected(30, 0.3, 7)],
+                             ids=["grid3x4", "gnp30"])
+    def test_t5_parse_decodes_each_distinct_id_once(self, g, monkeypatch):
+        tr = run(g, build_toprec_labels(g).labels, TopRecProgram)
+        t5 = next(m for rec in tr.rounds for m in rec.transmitters.values()
+                  if unframe(m)[0] == "T5")
+        wires = [w for wid, nbrs in unframe(t5)[1] for w in (wid, *nbrs)]
+        assert len(wires) > len(set(wires))
+        calls = self.count_wire_to_id(monkeypatch)
+        parse_message(t5)
+        assert sorted(calls) == sorted(set(wires))
 
 
 class TestMalformedLabels:
