@@ -350,15 +350,6 @@ class BroadcastProgram(NodeProgram):
         return self.core.next_wake(rnd)
 
 
-def executor_program(message="1"):
-    """Program factory for labels from synthesize_executor."""
-
-    def make(label: str) -> NodeProgram:
-        return BroadcastProgram(label, message)
-
-    return make
-
-
 # ---------------------------------------------------------------------------
 # Acknowledged broadcast (ExecAck)
 # ---------------------------------------------------------------------------
@@ -377,18 +368,6 @@ def ack_blocks(syn: CoreSynthesis, s: int) -> tuple[list[list[str]], list[int]]:
         for v in range(len(syn.join))
     ]
     return blocks, path
-
-
-def synthesize_execack(g: Graph, s: int) -> SchemeBundle:
-    """Executor labels plus a path-marker bit and an end-marker bit for a
-    root-to-leaf path ending at a node of maximum level."""
-    syn = synthesize_core(g, {s})
-    blocks, path = ack_blocks(syn, s)
-    return SchemeBundle(
-        scheme="execack",
-        labels=[encode_blocks(b) for b in blocks],
-        meta={"synthesis": syn, "source": s, "t": syn.t, "path": path},
-    )
 
 
 def _max_level_path(tree: BroadcastTree, s: int) -> list[int]:
@@ -434,21 +413,15 @@ class AckMachine:
             # no frontier means a single-node graph: t = 0, done immediately
             self.t = 0
 
-    @property
-    def completion_abs(self) -> int | None:
-        """Absolute round after which the acknowledged broadcast is over."""
-        if self.t is None or self.core1.offset is None:
-            return None
-        return self.core1.offset + 3 * self.t
-
     def collect_round(self, width: int, slot: int) -> int | None:
         """Absolute round of this node's collection duty, once t is known.
-        After completion come L = max(t - 2, 0) phases of `width` rounds,
+        After relative round 3t, which ends the acknowledged broadcast,
+        come L = max(t - 2, 0) phases of `width` rounds,
         deepest level first: a node at level l sends in round `slot` of
         phase L - l + 1, and the source's round follows the last phase."""
-        end = self.completion_abs
-        if end is None:
+        if self.t is None or self.core1.offset is None:
             return None
+        end = self.core1.offset + 3 * self.t
         top = max(self.t - 2, 0)
         if self.is_source:
             return end + top * width + 1
@@ -509,40 +482,6 @@ class AckMachine:
                 self.t = self.core2.message
         elif tag == self.tag + "3":
             self.core3.on_message(abs_rnd, parts)
-
-
-class ExecAckProgram(NodeProgram):
-    """Standalone acknowledged broadcast; output is (message, t, level,
-    parent_level) once completion is known."""
-
-    def __init__(self, label: str, message="1"):
-        super().__init__(label)
-        self.m = AckMachine("k", *label_blocks(label, 3))
-        if self.m.is_source:
-            self.m.start_source(1, message)
-
-    def action(self, rnd: int):
-        m = self.m
-        if self.output is None and m.completion_abs is not None and rnd >= m.completion_abs:
-            core = m.core1
-            self.output = (core.message, m.t, core.level, core.parent_level)
-        return m.action(rnd)
-
-    def receive(self, rnd: int, heard) -> None:
-        parts = heard.decode(parse)
-        if parts[0].startswith("k"):
-            self.m.on_message(rnd, parts)
-
-    def next_wake(self, rnd: int) -> int | None:
-        finish = None if self.output is not None else self.m.completion_abs
-        return earliest(self.m.next_wake(rnd), finish)
-
-
-def execack_program(message="1"):
-    def make(label: str) -> NodeProgram:
-        return ExecAckProgram(label, message)
-
-    return make
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ def _gen_graph(args) -> Graph:
     if fam == "star":
         return gen_star(args.n)
     if fam == "grid":
+        if args.n < 1:
+            raise InvalidParams("grid needs n >= 1")
         rows = math.isqrt(args.n)
         while rows > 1 and args.n % rows:
             rows -= 1

@@ -7,6 +7,7 @@ construction and safe to share across runs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
@@ -84,7 +85,10 @@ class LBFamilyDescriptor:
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a simple graph, rejecting self-loops, duplicates, and bad indices."""
+    """Build a simple graph, rejecting a negative size, self-loops,
+    duplicates, and bad indices."""
+    if n < 0:
+        raise InvalidParams(f"graph size {n} is negative")
     adj: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
@@ -223,11 +227,8 @@ def gen_lb_component(k: int) -> Graph:
 
 
 def _exact_even_sqrt(n: int) -> int | None:
-    r = int(round(n ** 0.5))
-    for cand in (r - 1, r, r + 1):
-        if cand > 0 and cand * cand == n and cand % 2 == 0:
-            return cand
-    return None
+    r = math.isqrt(max(n, 0))
+    return r if r and r * r == n and r % 2 == 0 else None
 
 
 def gen_lb_family(n: int) -> tuple[Graph, LBFamilyDescriptor]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InvalidParams
 from .graphs import Graph, diameter
@@ -17,9 +18,9 @@ from .size_discovery import (
     general_sd_program,
 )
 from .toprec import (
+    BroadcastBFSProgram,
     GatherBFSProgram,
     TopRecProgram,
-    broadcast_bfs_program,
     build_bfs_labels,
     build_toprec_labels,
     oracle_ids,
@@ -51,6 +52,11 @@ class SchemeResult:
         }
 
 
+def _gather_payloads(n: int) -> list[str]:
+    """gather-bfs payloads: node v holds v + 1 in binary, as wide as n."""
+    return [int_to_bits(v + 1, max(n.bit_length(), 1)) for v in range(n)]
+
+
 def build_bundle(scheme: str, g: Graph) -> SchemeBundle:
     """The scheme's labels on `g`, which must have a node."""
     if g.n == 0:
@@ -66,9 +72,7 @@ def build_bundle(scheme: str, g: Graph) -> SchemeBundle:
     if scheme == "broadcast-bfs":
         return build_bfs_labels(g, 0)
     if scheme == "gather-bfs":
-        return build_bfs_labels(
-            g, 0, payloads=[int_to_bits(v + 1, max(g.n.bit_length(), 1)) for v in range(g.n)]
-        )
+        return build_bfs_labels(g, 0, payloads=_gather_payloads(g.n))
     raise InvalidParams(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
 
 
@@ -84,7 +88,7 @@ def program_for(scheme: str):
     if scheme == "toprec":
         return TopRecProgram
     if scheme == "broadcast-bfs":
-        return broadcast_bfs_program(BROADCAST_TEST_MESSAGE)
+        return partial(BroadcastBFSProgram, message=BROADCAST_TEST_MESSAGE)
     if scheme == "gather-bfs":
         return GatherBFSProgram
     raise InvalidParams(f"unknown scheme {scheme!r}")
@@ -107,11 +111,9 @@ def verify_outputs(scheme: str, g: Graph, bundle: SchemeBundle, trace) -> int:
     if scheme == "broadcast-bfs":
         return sum(1 for out in trace.outputs if out == BROADCAST_TEST_MESSAGE)
     if scheme == "gather-bfs":
-        expected = sorted(
-            int_to_bits(v + 1, max(g.n.bit_length(), 1)) for v in range(g.n)
-        )
-        score = 1 if trace.outputs[0] == expected else 0
-        return score + sum(1 for out in trace.outputs[1:] if out is not None)
+        payloads = _gather_payloads(g.n)
+        score = 1 if trace.outputs[0] == sorted(payloads) else 0
+        return score + sum(1 for out, p in zip(trace.outputs[1:], payloads[1:]) if out == p)
     raise InvalidParams(f"unknown scheme {scheme!r}")
 
 

@@ -310,7 +310,6 @@ def topology(reports) -> tuple[frozenset, tuple]:
 
 BFS_BLOCKS = 7  # root, leaf, ack-path, b, g, Delta, payload
 TOPREC_BLOCKS = BFS_BLOCKS + 4  # color, id mode, unique id, n at the root
-ACK_BR_TAGS = ("BB", "BA", "B2")
 
 
 class AckBfsMachine:
@@ -460,45 +459,6 @@ class BroadcastBFSProgram(NodeProgram):
         return self.m.first_round()
 
 
-def broadcast_bfs_program(message: str = "1"):
-    def make(label: str) -> NodeProgram:
-        return BroadcastBFSProgram(label, message)
-
-    return make
-
-
-class AckBrBFSProgram(NodeProgram):
-    """AckBrBFS of a message M (see `AckBfsMachine`). Output is
-    (M, D*, total)."""
-
-    def __init__(self, label: str, message: str = "1"):
-        super().__init__(label)
-        self.m = AckBfsMachine(label_blocks(label, BFS_BLOCKS), ACK_BR_TAGS)
-        if self.m.is_root:
-            self.m.message = message
-            if self.m.total == 0:
-                self.output = (message, 0, 0)
-
-    def action(self, rnd: int):
-        return self.m.action(rnd)
-
-    def receive(self, rnd: int, heard) -> None:
-        m = self.m
-        m.on_message(rnd, heard.decode(parse))
-        if self.output is None and m.total is not None and m.message is not None:
-            self.output = (m.message, m.dstar, m.total)
-
-    def next_wake(self, rnd: int) -> int | None:
-        return self.m.next_wake()
-
-
-def ack_br_bfs_program(message: str = "1"):
-    def make(label: str) -> NodeProgram:
-        return AckBrBFSProgram(label, message)
-
-    return make
-
-
 class GatherBFSProgram(NodeProgram):
     """AckBrBFS, BroadcastBFS of D*, then D* gathering phases of Delta rounds
     (see `AckBfsMachine.gather_slot`), each node forwarding everything heard.
@@ -507,7 +467,7 @@ class GatherBFSProgram(NodeProgram):
 
     def __init__(self, label: str):
         super().__init__(label)
-        self.m = m = AckBfsMachine(label_blocks(label, BFS_BLOCKS), ACK_BR_TAGS)
+        self.m = m = AckBfsMachine(label_blocks(label, BFS_BLOCKS), ("BB", "BA", "B2"))
         self._sent3 = False
         self._sent_g = False
         # forwarded payloads in arrival order, a dict used as an ordered set

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 from radiolab.broadcast import (
+    BroadcastProgram,
     PathMessageProgram,
-    execack_program,
-    executor_program,
-    synthesize_execack,
     synthesize_executor,
     synthesize_path_message,
 )
@@ -31,16 +30,14 @@ from radiolab.corpus import corpus, toprec_corpus
 from radiolab.graphs import gen_lb_family
 from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import run
-from radiolab.toprec import ack_br_bfs_program, build_bfs_labels, serialize_toprec_output
+from radiolab.toprec import serialize_toprec_output
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 
 # programs outside the scheme registry: (label builder, node factory)
 PRIMITIVES = {
-    "exec": (lambda g: synthesize_executor(g, {0}), executor_program("101")),
-    "execack": (lambda g: synthesize_execack(g, 0), execack_program("101")),
+    "exec": (lambda g: synthesize_executor(g, {0}), partial(BroadcastProgram, message="101")),
     "pathmsg": (lambda g: synthesize_path_message(g, 0, "1011001"), PathMessageProgram),
-    "ack-br-bfs": (lambda g: build_bfs_labels(g, 0), ack_br_bfs_program("101")),
 }
 SCHEMES = ("compact", "general", "fastsd", "toprec", "broadcast-bfs", "gather-bfs",
            *PRIMITIVES)

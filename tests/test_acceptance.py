@@ -8,11 +8,12 @@ CSV lands in artifacts/scaling_rounds.csv.
 import csv
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from radiolab.broadcast import executor_program, synthesize_executor
+from radiolab.broadcast import BroadcastProgram, synthesize_executor
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.graphs import diameter, gen_lb_family, gen_path, gen_star, gen_tree
 from radiolab.labels import int_to_bits
@@ -33,11 +34,11 @@ from radiolab.toprec import (
     TOPREC_C3,
     TOPREC_LEN_C,
     TOPREC_LEN_C0,
+    BroadcastBFSProgram,
     GatherBFSProgram,
     TopRecProgram,
     assign_broadcast_indices,
     assign_gather_indices,
-    broadcast_bfs_program,
     build_bfs_labels,
     build_toprec_labels,
     oracle_ids,
@@ -115,7 +116,7 @@ def test_c02_exact_round_formulas(size_corpus, report):
         )
         la, delta, b = bundle.meta["layers"], bundle.meta["delta"], bundle.meta["b"]
         width = delta + 1
-        tr = run(g, bundle.labels, broadcast_bfs_program("M"))
+        tr = run(g, bundle.labels, partial(BroadcastBFSProgram, message="M"))
         assert all(out == "M" for out in tr.outputs), gid
         first_rx = {}
         for rnd_idx, rec in enumerate(tr.rounds, start=1):
@@ -232,7 +233,7 @@ def test_c06_executor_properties(size_corpus, report):
         bundle = synthesize_executor(g, {0})
         syn = bundle.meta["synthesis"]
         assert len(syn.stages) <= g.n, gid
-        tr = run(g, bundle.labels, executor_program("M"))
+        tr = run(g, bundle.labels, partial(BroadcastProgram, message="M"))
         assert all(out == "M" for out in tr.outputs), gid
         verify_executor_run(g, bundle, tr)
     report(f"[C6] PASS executor tree items (1)-(3), DOM properties (a)-(f), "

@@ -1,14 +1,15 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiolab.broadcast import (
+    BroadcastProgram,
     PathMessageProgram,
-    execack_program,
-    executor_program,
+    ack_blocks,
     minimal_dominating_subset,
     synthesize_core,
-    synthesize_execack,
     synthesize_executor,
     synthesize_path_message,
 )
@@ -23,7 +24,7 @@ from radiolab.graphs import (
 )
 from radiolab import sim
 from radiolab.schemes import build_bundle, program_for
-from radiolab.labels import decode_blocks, encode_blocks
+from radiolab.labels import encode_blocks
 from radiolab.sim import parse, run
 from golden import build
 from oracles import verify_executor_run
@@ -103,7 +104,7 @@ class TestExecutorProgram:
         g = gen_path(4)
         b = synthesize_executor(g, {0})
         assert b.meta["t"] <= 9
-        tr = run(g, b.labels, executor_program("M"))
+        tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
         assert tr.outputs == ["M"] * 4
         verify_executor_run(g, b, tr)
 
@@ -116,7 +117,7 @@ class TestExecutorProgram:
     def test_c6_spanning_tree(self):
         g = gen_cycle(6)
         b = synthesize_executor(g, {0})
-        tr = run(g, b.labels, executor_program("M"))
+        tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
         assert tr.outputs == ["M"] * 6
         tree = b.meta["synthesis"].tree
         assert set(tree.parent) == {1, 2, 3, 4, 5}
@@ -126,7 +127,7 @@ class TestExecutorProgram:
     def test_random_graphs_verified(self, seed):
         g = gen_random_connected(24, 0.12, seed)
         b = synthesize_executor(g, {0})
-        tr = run(g, b.labels, executor_program("M"))
+        tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
         assert tr.outputs == ["M"] * 24
         verify_executor_run(g, b, tr)
 
@@ -140,47 +141,61 @@ class TestExecutorProgram:
         g = gen_grid(3, 5)
         for s in (0, 7, 14):
             b = synthesize_executor(g, {s})
-            tr = run(g, b.labels, executor_program("M"))
+            tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
             assert tr.outputs == ["M"] * g.n
             verify_executor_run(g, b, tr)
 
 
 class TestExecAck:
+    """The acknowledged broadcast ExecAck, read from the `AckMachine` of each
+    node of a pathmsg run: every node learns the run's t, its own level and
+    its parent's level within 3t rounds."""
+
+    @staticmethod
+    def _run(g):
+        """The bundle, each node's machine, and the last round with an
+        ExecAck message (tags p1, pa, p2), 0 if there is none. A node
+        learns t only from such a message, so every node knows t by then."""
+        b = synthesize_path_message(g, 0, "101")
+        machines = []
+
+        def make(label):
+            p = PathMessageProgram(label)
+            machines.append(p.ack)
+            return p
+
+        tr = run(g, b.labels, make)
+        assert tr.outputs == ["101"] * g.n
+        assert all(m.t == b.meta["t"] for m in machines)
+        last = max((rnd for rnd, rec in enumerate(tr.rounds, start=1)
+                    for m in rec.transmitters.values() if parse(m)[0] in ("p1", "pa", "p2")),
+                   default=0)
+        return b, machines, last
+
     def test_p2(self):
-        g = gen_path(2)
-        b = synthesize_execack(g, 0)
-        tr = run(g, b.labels, execack_program("hi"))
-        t = b.meta["t"]
-        assert tr.outputs[0] == ("hi", t, 0, None)
-        assert tr.outputs[1] == ("hi", t, 1, 0)
-        assert tr.num_rounds <= 3 * t
+        b, machines, last = self._run(gen_path(2))
+        assert (machines[0].core1.level, machines[0].core1.parent_level) == (0, None)
+        assert (machines[1].core1.level, machines[1].core1.parent_level) == (1, 0)
+        assert last <= 3 * b.meta["t"]
 
     def test_single_node(self):
-        g = build_graph(1, [])
-        b = synthesize_execack(g, 0)
-        tr = run(g, b.labels, execack_program("m"))
-        assert tr.outputs[0] == ("m", 0, 0, None)
+        b, machines, last = self._run(build_graph(1, []))
+        assert b.meta["t"] == machines[0].t == 0 and last == 0
 
     def test_star_within_3t(self):
-        g = gen_star(4)
-        b = synthesize_execack(g, 0)
-        tr = run(g, b.labels, execack_program("x"))
+        b, _, last = self._run(gen_star(4))
         t = b.meta["t"]
-        assert t == 3 and tr.num_rounds <= 3 * t
-        assert all(out[0] == "x" and out[1] == t for out in tr.outputs)
+        assert t == 3 and last <= 3 * t
 
     def test_every_node_knows_levels(self):
-        g = gen_grid(3, 4)
-        b = synthesize_execack(g, 0)
-        tr = run(g, b.labels, execack_program("x"))
+        b, machines, last = self._run(gen_grid(3, 4))
         tree = b.meta["synthesis"].tree
-        for v, out in enumerate(tr.outputs):
-            _, t, level, parent_level = out
-            assert t == b.meta["t"]
-            assert level == (0 if v == 0 else tree.level[v])
+        assert last <= 3 * b.meta["t"]
+        for v, m in enumerate(machines):
+            assert m.core1.level == (0 if v == 0 else tree.level[v])
             if v != 0:
                 p = tree.parent[v]
-                assert parent_level == (0 if p == 0 else tree.level[p])
+                assert m.core1.parent_level == (0 if p == 0 else tree.level[p])
 
 
 class TestMBroadcast:
@@ -188,21 +203,22 @@ class TestMBroadcast:
         g = gen_path(5)
         b = synthesize_executor(g, set(range(5)))
         assert b.meta["t"] == 0
-        tr = run(g, b.labels, executor_program("n"))
+        tr = run(g, b.labels, partial(BroadcastProgram, message="n"))
         assert tr.outputs == ["n"] * 5
 
     def test_p5_both_ends(self):
         g = gen_path(5)
         b = synthesize_executor(g, {0, 4})
         assert b.meta["t"] <= 6  # two stages suffice
-        tr = run(g, b.labels, executor_program("n"))
+        tr = run(g, b.labels, partial(BroadcastProgram, message="n"))
         assert tr.outputs == ["n"] * 5
 
     def test_single_source_reduces_to_executor(self):
         # single-source executor labels are the executor blocks of the
         # acknowledged broadcast's labels
         g = gen_grid(3, 4)
-        ack = [encode_blocks(decode_blocks(lab)[:2]) for lab in synthesize_execack(g, 0).labels]
+        blocks, _ = ack_blocks(synthesize_core(g, {0}), 0)
+        ack = [encode_blocks(b[:2]) for b in blocks]
         assert synthesize_executor(g, {0}).labels == ack
 
     def test_empty_sources_rejected(self):
@@ -260,11 +276,11 @@ class TestPathMessage:
 
 class TestNodeLocality:
     def test_dom_decisions_match_oracle(self):
-        """executor_program's DOM membership, recomputed from label+history,
+        """BroadcastProgram's DOM membership, recomputed from label+history,
         equals the offline schedule (checked inside verify_executor_run)."""
         for g in (gen_path(9), gen_grid(3, 4), gen_random_connected(18, 0.2, 7)):
             b = synthesize_executor(g, {0})
-            tr = run(g, b.labels, executor_program("M"))
+            tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
             verify_executor_run(g, b, tr)
 
 
@@ -275,7 +291,7 @@ class TestParseOnce:
 
     CASES = [
         ("exec", gen_grid(6, 7)),
-        ("execack", gen_grid(6, 7)),
+        ("pathmsg", gen_grid(6, 7)),
         ("pathmsg", gen_path(40)),
         ("compact", gen_grid(5, 6)),
         ("general", gen_path(64)),
@@ -283,7 +299,7 @@ class TestParseOnce:
         ("fastsd", gen_path(100)),
         ("fastsd", gen_grid(4, 4)),
         ("broadcast-bfs", gen_grid(10, 10)),
-        ("ack-br-bfs", gen_grid(10, 10)),
+        ("gather-bfs", gen_grid(6, 7)),
         ("gather-bfs", gen_grid(10, 10)),
     ]
 
@@ -311,7 +327,7 @@ class TestParseOnce:
 
     def test_feedback_carries_no_stay_field(self):
         g = gen_grid(6, 7)
-        tr = run(g, synthesize_executor(g, {0}).labels, executor_program())
+        tr = run(g, synthesize_executor(g, {0}).labels, BroadcastProgram)
         feedback = [parse(m) for rec in tr.rounds for m in rec.transmitters.values()
                     if parse(m)[1] == "f"]
         assert feedback
@@ -345,10 +361,10 @@ class TestExecCoreWake:
     @pytest.mark.parametrize(
         "synth,program,rounds,max_calls",
         [
-            (lambda g: synthesize_executor(g, {0}), executor_program(), 33, 93),
-            (lambda g: synthesize_execack(g, 0), execack_program(), 99, 198),
+            (lambda g: synthesize_executor(g, {0}), BroadcastProgram, 33, 93),
+            (lambda g: synthesize_path_message(g, 0, "1011001"), PathMessageProgram, 163, 219),
         ],
-        ids=["exec", "execack"],
+        ids=["exec", "pathmsg"],
     )
     def test_action_calls_on_grid(self, synth, program, rounds, max_calls):
         g = gen_grid(6, 7)

@@ -32,6 +32,16 @@ class TestGen:
         code, _ = run_cli("gen", "--family", "lbG", "--n", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("family,n", [
+        ("path", "-3"), ("star", "-3"), ("grid", "0"), ("grid", "-4"), ("lbG", "-4"),
+    ])
+    def test_rejects_bad_size(self, tmp_path, capsys, family, n):
+        out = tmp_path / "bad.el"
+        code, _ = run_cli("gen", "--family", family, "--n", n, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_gen_deterministic(self, tmp_path):
         a, b = tmp_path / "a.el", tmp_path / "b.el"
         run_cli("gen", "--family", "gnp-connected", "--n", "20", "--p", "0.2",

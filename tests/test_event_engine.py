@@ -131,7 +131,7 @@ def test_toprec_matches_reference(cd):
 
 @pytest.mark.parametrize("cd", [False, True])
 @pytest.mark.parametrize(
-    "scheme", ["broadcast-bfs", "gather-bfs", "ack-br-bfs", "exec", "execack", "pathmsg"]
+    "scheme", ["broadcast-bfs", "gather-bfs", "exec", "pathmsg"]
 )
 def test_primitives_match_reference(scheme, cd):
     for gid, g in TOPREC_SAMPLE:
@@ -149,8 +149,8 @@ def test_lower_bound_family_with_cd_matches_reference(scheme, n):
 
 @pytest.mark.parametrize(
     "scheme,rounds",
-    [("compact", 1), ("general", 0), ("fastsd", 0), ("execack", 1), ("exec", 0),
-     ("toprec", 0), ("broadcast-bfs", 0), ("gather-bfs", 0), ("ack-br-bfs", 0)],
+    [("compact", 1), ("general", 0), ("fastsd", 0), ("exec", 0), ("pathmsg", 0),
+     ("toprec", 0), ("broadcast-bfs", 0), ("gather-bfs", 0)],
 )
 def test_single_node_matches_reference(scheme, rounds):
     """A run whose outputs are all in before round 1, with no wake round
@@ -173,7 +173,7 @@ def test_every_program_declares_its_wake_round():
         for cls in vars(mod).values()
         if isinstance(cls, type) and issubclass(cls, NodeProgram) and cls is not NodeProgram
     }
-    assert len(programs) == 10
+    assert len(programs) == 8
     assert [c.__name__ for c in programs if c.next_wake is NodeProgram.next_wake] == []
     # the wake round is the only sleep signal
     assert [c.__name__ for c in programs | {NodeProgram} if hasattr(c, "idle")] == []

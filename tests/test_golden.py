@@ -7,11 +7,16 @@ import json
 import pytest
 
 from golden import GOLDEN, SCHEMES, sweep, trace_digest
-from radiolab.broadcast import execack_program, synthesize_execack
 from radiolab.graphs import gen_grid
+from radiolab.schemes import build_bundle
 from radiolab.sim import RoundRecord, run
+from radiolab.toprec import TopRecProgram
 
 STORED = json.loads(GOLDEN.read_text())
+
+
+def test_every_stored_scheme_is_swept():
+    assert sorted(STORED) == sorted(SCHEMES)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -31,7 +36,7 @@ class TestDigest:
     @staticmethod
     def _trace():
         g = gen_grid(3, 3)
-        tr = run(g, synthesize_execack(g, 0).labels, execack_program("101"))
+        tr = run(g, build_bundle("toprec", g).labels, TopRecProgram)
         assert all(type(out) is tuple for out in tr.outputs)
         return tr
 
@@ -41,30 +46,30 @@ class TestDigest:
 
     def test_transmitted_byte_changes_digest(self):
         tr = self._trace()
-        before = trace_digest(tr, "execack")
+        before = trace_digest(tr, "toprec")
         i = next(i for i, rec in enumerate(tr.rounds) if rec.transmitters)
         rec = tr.rounds[i]
         (v, m), *rest = rec.transmitters.items()
         tr.rounds[i] = RoundRecord({v: self._flip(m), **dict(rest)}, rec.heard)
-        assert trace_digest(tr, "execack") != before
+        assert trace_digest(tr, "toprec") != before
 
     def test_heard_byte_changes_digest(self):
         tr = self._trace()
-        before = trace_digest(tr, "execack")
+        before = trace_digest(tr, "toprec")
         i = next(i for i, rec in enumerate(tr.rounds) if rec.heard)
         rec = tr.rounds[i]
         (w, m), *rest = rec.heard.items()
         tr.rounds[i] = RoundRecord(rec.transmitters, {w: self._flip(m), **dict(rest)})
-        assert trace_digest(tr, "execack") != before
+        assert trace_digest(tr, "toprec") != before
 
     def test_output_round_changes_digest(self):
         tr = self._trace()
-        before = trace_digest(tr, "execack")
+        before = trace_digest(tr, "toprec")
         tr.output_round[-1] += 1
-        assert trace_digest(tr, "execack") != before
+        assert trace_digest(tr, "toprec") != before
 
     def test_tuple_output_as_list_keeps_digest(self):
         tr = self._trace()
-        before = trace_digest(tr, "execack")
+        before = trace_digest(tr, "toprec")
         tr.outputs = [list(out) for out in tr.outputs]
-        assert trace_digest(tr, "execack") == before
+        assert trace_digest(tr, "toprec") == before

@@ -62,6 +62,10 @@ class TestBuildGraph:
         with pytest.raises(IndexOutOfRange):
             build_graph(2, [(0, 2)])
 
+    def test_negative_size(self):
+        with pytest.raises(InvalidParams):
+            build_graph(-1, [])
+
 
 class TestBfsLayers:
     def test_path_end(self):

@@ -7,10 +7,8 @@ import pytest
 
 from radiolab import size_discovery
 from radiolab.broadcast import (
+    BroadcastProgram,
     PathMessageProgram,
-    execack_program,
-    executor_program,
-    synthesize_execack,
     synthesize_executor,
     synthesize_path_message,
 )
@@ -457,10 +455,8 @@ MALFORMED_CASES = {
                        range(6), (0, 1, 3, 4, 5, 6), True),
     "fastsd-fallback": (lambda: build_fast_sd(gen_cycle(4)), fast_sd_program,
                         range(4), (0, 1, 2, 3, 4), False),
-    "exec": (lambda: synthesize_executor(gen_path(6), {0}), executor_program(),
+    "exec": (lambda: synthesize_executor(gen_path(6), {0}), BroadcastProgram,
              range(6), (0, 1), True),
-    "execack": (lambda: synthesize_execack(gen_path(6), 0), execack_program(),
-                range(6), (0, 1, 2), True),
     "pathmsg": (lambda: synthesize_path_message(gen_path(6), 0, "110"), PathMessageProgram,
                 range(6), (0, 1, 2), False),
 }

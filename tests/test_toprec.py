@@ -1,3 +1,5 @@
+from functools import partial
+
 import networkx as nx
 import pytest
 
@@ -13,19 +15,18 @@ from radiolab.graphs import (
     gen_star,
 )
 from radiolab.labels import decode_blocks, encode_blocks, int_to_bits
-from radiolab.schemes import run_scheme
+from radiolab.schemes import build_bundle, run_scheme, verify_outputs
 from radiolab.sim import Heard, frame, run, unframe
 from radiolab.toprec import (
     BFS_BLOCKS,
     TOPREC_BLOCKS,
     TOPREC_LEN_C,
     TOPREC_LEN_C0,
+    BroadcastBFSProgram,
     GatherBFSProgram,
     TopRecProgram,
-    ack_br_bfs_program,
     assign_broadcast_indices,
     assign_gather_indices,
-    broadcast_bfs_program,
     build_bfs_labels,
     build_toprec_labels,
     distance_two_coloring,
@@ -144,7 +145,7 @@ class TestBroadcastBFS:
         bundle = build_bfs_labels(g, 0)
         la = bundle.meta["layers"]
         delta = bundle.meta["delta"]
-        tr = run(g, bundle.labels, broadcast_bfs_program("M"))
+        tr = run(g, bundle.labels, partial(BroadcastBFSProgram, message="M"))
         assert tr.outputs == ["M"] * 4
         window = la.depth * (delta + 1)
         assert tr.num_rounds <= window
@@ -158,7 +159,7 @@ class TestBroadcastBFS:
     def test_first_reception_is_parent(self, seed):
         g = gen_random_connected(30, 0.2, seed)
         bundle = build_bfs_labels(g, 0)
-        tr = run(g, bundle.labels, broadcast_bfs_program("M"))
+        tr = run(g, bundle.labels, partial(BroadcastBFSProgram, message="M"))
         assert tr.outputs == ["M"] * 30
         first_from = {}
         for rec in tr.rounds:
@@ -172,28 +173,41 @@ class TestBroadcastBFS:
 
 
 class TestAckBrBFS:
+    """The acknowledged layered broadcast AckBrBFS, read from the
+    `AckBfsMachine` of each node of a gather-bfs run."""
+
+    @staticmethod
+    def _run(g):
+        bundle = build_bundle("gather-bfs", g)
+        machines = []
+
+        def make(label):
+            p = GatherBFSProgram(label)
+            machines.append(p.m)
+            return p
+
+        tr = run(g, bundle.labels, make)
+        assert verify_outputs("gather-bfs", g, bundle, tr) == g.n
+        return bundle, tr, machines
+
     def test_p4_totals(self):
-        g = gen_path(4)
-        bundle = build_bfs_labels(g, 0)
+        bundle, _, machines = self._run(gen_path(4))
         la, delta = bundle.meta["layers"], bundle.meta["delta"]
-        tr = run(g, bundle.labels, ack_br_bfs_program("M"))
         total = la.depth + 2 * la.depth * (delta + 1)
-        assert all(out == ("M", la.depth, total) for out in tr.outputs)
+        assert all((m.dstar, m.total) == (la.depth, total) for m in machines)
 
     def test_leaf_answers_right_after_window(self):
-        g = gen_grid(3, 5)
-        bundle = build_bfs_labels(g, 0)
+        bundle, tr, machines = self._run(gen_grid(3, 5))
         la, delta = bundle.meta["layers"], bundle.meta["delta"]
-        tr = run(g, bundle.labels, ack_br_bfs_program("M"))
         window = la.depth * (delta + 1)
         vp = bundle.meta["path"][0]
-        assert vp in tr.rounds[window].transmitters  # round window+1
+        assert unframe(tr.rounds[window].transmitters[vp]) == ["BA", la.depth]  # round window+1
+        assert all(m.dstar == la.depth for m in machines)
 
     def test_single_node(self):
-        g = build_graph(1, [])
-        bundle = build_bfs_labels(g, 0)
-        tr = run(g, bundle.labels, ack_br_bfs_program("M"))
-        assert tr.outputs == [("M", 0, 0)]
+        _, tr, machines = self._run(build_graph(1, []))
+        assert (machines[0].dstar, machines[0].total) == (0, 0)
+        assert tr.num_rounds == 0
 
 
 class TestGatherBFS:
@@ -431,10 +445,9 @@ class TestMalformedLabels:
 
     @pytest.mark.parametrize("make, blocks", [
         (TopRecProgram, TOPREC_BLOCKS),
-        (broadcast_bfs_program("M"), BFS_BLOCKS),
-        (ack_br_bfs_program("M"), BFS_BLOCKS),
+        (partial(BroadcastBFSProgram, message="M"), BFS_BLOCKS),
         (GatherBFSProgram, BFS_BLOCKS),
-    ], ids=["toprec", "broadcast-bfs", "ack-br-bfs", "gather-bfs"])
+    ], ids=["toprec", "broadcast-bfs", "gather-bfs"])
     def test_block_count_checked(self, make, blocks):
         g = gen_cycle(4)
         bundle = build_toprec_labels(g) if blocks == TOPREC_BLOCKS else build_bfs_labels(g, 0)
