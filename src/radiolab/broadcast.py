@@ -267,7 +267,9 @@ class ExecCore:
             self._end = None
         return None
 
-    def on_message(self, abs_rnd: int, parts) -> None:
+    def on_message(self, abs_rnd: int, parts) -> bool:
+        """Take a heard core message; True iff it informed the node or
+        re-armed its broadcast, the only changes to its duties."""
         kind = parts[1]
         if kind == "b":
             if not self.informed:
@@ -281,10 +283,13 @@ class ExecCore:
                     self._tx = rel + 3
                 if self.stay:
                     self._fb = rel + 1
+                return True
         elif kind == "f":
             tx = self.tx_rounds
             if tx and tx[-1] == abs_rnd - self.offset - 1:
                 self._tx = tx[-1] + 3
+                return True
+        return False
 
     def next_wake(self, abs_rnd: int) -> int | None:
         """The absolute round of the next pending duty, None if there is
@@ -339,12 +344,13 @@ class BroadcastProgram(NodeProgram):
     def action(self, rnd: int):
         return self.core.action(rnd)
 
-    def receive(self, rnd: int, heard) -> None:
+    def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse)
         if parts[0] == self.TAG:
             self.core.on_message(rnd, parts)
             if self.core.informed and self.output is None:
                 self.output = self.core.message
+        return True
 
     def next_wake(self, rnd: int) -> int | None:
         return self.core.next_wake(rnd)
@@ -454,19 +460,24 @@ class AckMachine:
             return frame(self.tag + "a", "r", self.t, self.core1.parent_level)
         return self.core2.action(abs_rnd) or self.core3.action(abs_rnd)
 
-    def on_message(self, abs_rnd: int, parts) -> None:
+    def on_message(self, abs_rnd: int, parts) -> bool:
+        """Take a heard message of this machine; True iff it changed a
+        core's duties, `t`, or the relay."""
         tag = parts[0]
         if tag == self.tag + "1":
             core = self.core1
-            core.on_message(abs_rnd, parts)
+            changed = core.on_message(abs_rnd, parts)
             if self.is_vp and not self._relayed and core.informed:
                 # v_p starts the upward relay of t in the round after its
                 # stage, t = 3 * (v_p's stage) relative rounds
                 self._relayed = True
                 self._relay_round = core.offset + 3 * ((core.level + 2) // 3) + 1
-        elif tag == self.tag + "a":
+                return True
+            return changed
+        if tag == self.tag + "a":
             t, plv = parts[2], parts[3]
-            if self.t is None:
+            changed = self.t is None
+            if changed:
                 self.t = t
             if self.on_path and not self._relayed and self.core1.informed:
                 mylvl = 0 if self.is_source else self.core1.level
@@ -476,12 +487,16 @@ class AckMachine:
                         self.core2.start_source(abs_rnd + 1, t, self.dom1)
                     else:
                         self._relay_round = abs_rnd + 1
-        elif tag == self.tag + "2":
-            self.core2.on_message(abs_rnd, parts)
+                    return True
+            return changed
+        if tag == self.tag + "2":
+            changed = self.core2.on_message(abs_rnd, parts)
             if self.t is None and self.core2.informed:
                 self.t = self.core2.message
-        elif tag == self.tag + "3":
-            self.core3.on_message(abs_rnd, parts)
+            return changed
+        if tag == self.tag + "3":
+            return self.core3.on_message(abs_rnd, parts)
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +615,16 @@ class PathMessageProgram(NodeProgram):
             p = self.ack.finish(rnd, msg)
         return p
 
-    def receive(self, rnd: int, heard) -> None:
+    def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse)
         if parts[0] == "pc":
             self.pairs.extend(parts[2])
-        elif parts[0].startswith("p"):
-            self.ack.on_message(rnd, parts)
+            return False
+        if parts[0].startswith("p") and self.ack.on_message(rnd, parts):
             if self.output is None and self.ack.core3.informed:
                 self.output = self._result(self.ack.core3.message)
+            return True
+        return False
 
     def next_wake(self, rnd: int) -> int | None:
         return earliest(self.ack.next_wake(rnd), self._collect_round())

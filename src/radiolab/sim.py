@@ -103,6 +103,12 @@ class NodeProgram:
     - must not change `output`, which the engine re-reads only for nodes
       it called.
 
+    `receive` may return False to say that the message changed neither the
+    node's wake round nor its `output`; the engine then makes no
+    `next_wake` call for the node in that round and keeps its earlier wake
+    round. Any other return value, None included, gets the call. The base
+    `receive` ignores every message, so it returns False.
+
     The run ends once every output is in and no node has a wake round, so a
     node that still has duties keeps a wake round until they are done.
     """
@@ -114,8 +120,8 @@ class NodeProgram:
     def action(self, rnd: int) -> bytes | None:
         return None
 
-    def receive(self, rnd: int, heard: Heard) -> None:
-        pass
+    def receive(self, rnd: int, heard: Heard) -> bool | None:
+        return False
 
     def next_wake(self, rnd: int) -> int | None:
         return rnd + 1 if self.output is None else None
@@ -206,11 +212,12 @@ def run(
     pure function of its arguments: identical inputs give identical traces.
     It calls `action` only on the nodes that are awake under the wake
     contract (see `NodeProgram`), `receive` only on the nodes that hear a
-    message, and jumps over rounds
-    in which nobody is awake; those rounds still appear in the trace, as
-    rounds without transmitters. `cd` only sets `trace.cd`, which says how
-    the trace is read. If every node sleeps while an output is missing, the
-    run can never finish, and `RoundLimitExceeded` is raised at once.
+    message, `next_wake` on the nodes it called (except a sleeping node
+    whose `receive` returned False), and jumps over rounds in which nobody
+    is awake; those rounds still appear in the trace, as rounds without
+    transmitters. `cd` only sets `trace.cd`, which says how the trace is
+    read. If every node sleeps while an output is missing, the run can
+    never finish, and `RoundLimitExceeded` is raised at once.
     """
     if len(labels) != g.n:
         raise InvalidParams(f"need one label per node: {len(labels)} != {g.n}")
@@ -296,8 +303,7 @@ def run(
                 h = shared.get(m)
                 if h is None:
                     h = shared[m] = Heard(m)
-                nodes[w].receive(rnd, h)
-                if seen[w] != rnd:
+                if nodes[w].receive(rnd, h) is not False and seen[w] != rnd:
                     woken.append(w)
             if woken:
                 touched = awake + woken

@@ -139,6 +139,15 @@ def assign_subtree_bits(tree: Graph, root: int, message: str) -> SubtreeAssignme
 # ---------------------------------------------------------------------------
 
 
+def _size_of(bits) -> int:
+    """n from the bit string of a heard or assembled size message; anything
+    else raises ProtocolViolation."""
+    try:
+        return int(bits, 2)
+    except (TypeError, ValueError):
+        raise ProtocolViolation(f"bad size message {bits!r}") from None
+
+
 def build_compact_labels(g: Graph) -> SchemeBundle:
     """Root = max-degree node (lowest index tie-break); labels carry the root
     bit, a Delta-block, the acknowledged-broadcast block, and the message
@@ -239,10 +248,7 @@ class AuxiliarySDProgram(NodeProgram):
                 self._sent_sl = True
                 return frame("S", "s", self.k, self.ack.core1.level, self._assemble())
             m = self._assemble()
-            try:
-                self.output = int(m, 2)
-            except ValueError as exc:
-                raise ProtocolViolation(f"bad assembled message {m!r}") from exc
+            self.output = _size_of(m)
             p = self.ack.finish(rnd, m)
         return p
 
@@ -256,13 +262,14 @@ class AuxiliarySDProgram(NodeProgram):
     def _assemble(self) -> str:
         return "".join(self._payloads[k] for k in sorted(self._payloads)) + self.msgbits
 
-    def receive(self, rnd: int, heard) -> None:
+    def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse)
         tag = parts[0]
         if tag == "D":
             if self.is_root:
                 self._delta_bits[rnd] = parts[2]
-        elif tag == "S":
+            return False
+        if tag == "S":
             # accept only payloads from nodes this node itself informed:
             # the sender's level must be one of our own transmit rounds
             k_w, lvl_w, payload = parts[2], parts[3], parts[4]
@@ -272,10 +279,12 @@ class AuxiliarySDProgram(NodeProgram):
                         f"duplicate subtree index {k_w} from level {lvl_w}"
                     )
                 self._payloads[k_w] = payload
-        elif tag.startswith("A"):
-            self.ack.on_message(rnd, parts)
+            return False
+        if tag.startswith("A") and self.ack.on_message(rnd, parts):
             if self.output is None and self.ack.core3.informed:
-                self.output = int(self.ack.core3.message, 2)
+                self.output = _size_of(self.ack.core3.message)
+            return True
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +318,7 @@ class SizeOnPathProgram(PathMessageProgram):
     """general's message-on-a-path branch: the message is binary(n)."""
 
     def _result(self, message: str) -> int:
-        return int(message, 2)
+        return _size_of(message)
 
 
 def general_sd_program(label: str) -> NodeProgram:
@@ -584,15 +593,17 @@ class FastSDProgram(NodeProgram):
         self._relayed = False
         self.n_value: int | None = None
 
-    def _learn(self, bits: str, rnd: int) -> None:
+    def _learn(self, bits: str) -> bool:
+        """Learn n from `bits` unless it is known; True iff it was not."""
         if self.n_value is not None:
-            return
-        self.n_value = int(bits, 2)
+            return False
+        self.n_value = _size_of(bits)
         self.output = self.n_value
         if self.cover and self.bcore.offset is None:
             self.bcore.start_source(len(bits) + 1, bits, self.b_dom1)
         if self.supergreen:
             self.s2core.start_source(fast_sd_barrier(self.n_value), bits, self.s2_dom1)
+        return True
 
     def action(self, rnd: int):
         if self.supergreen and self.on_path and rnd == 1:
@@ -609,24 +620,27 @@ class FastSDProgram(NodeProgram):
             self._relay_round, self.bcore.next_wake(rnd), self.s2core.next_wake(rnd)
         )
 
-    def receive(self, rnd: int, heard) -> None:
+    def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse)
         tag = parts[0]
+        changed = False
         if tag == "F1":
             if self.on_path and not self._relayed and self._relay_round is None:
                 self._relay_payload = parts[2]
                 self._relay_round = rnd + 1
+                changed = True
             if self.cover:
-                self._learn(self.m_v + parts[2], rnd)
+                changed |= self._learn(self.m_v + parts[2])
         elif tag == "F2":
             if self.reach:
-                self.bcore.on_message(rnd, parts)
+                changed = self.bcore.on_message(rnd, parts)
                 if self.bcore.informed:
-                    self._learn(self.bcore.message, rnd)
+                    changed |= self._learn(self.bcore.message)
         elif tag == "F3":
-            self.s2core.on_message(rnd, parts)
+            changed = self.s2core.on_message(rnd, parts)
             if self.s2core.informed:
-                self._learn(self.s2core.message, rnd)
+                changed |= self._learn(self.s2core.message)
+        return changed
 
 
 def fast_sd_program(label: str) -> NodeProgram:

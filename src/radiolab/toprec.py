@@ -248,10 +248,13 @@ def parse_message(message: bytes) -> tuple:
     `((wire_id, (wire_nbr, ...)), ...)`, T5 the reports decoded by
     `decode_reports` and then the finished `topology` of them; TA/T2 keep
     their ints. A pure function of the bytes, for `Heard.decode`, so every
-    listener of a T5 shares one topology."""
+    listener of a T5 shares one topology. A T1/T3 identifier that is not a
+    string raises ProtocolViolation."""
     parts = unframe(message)
     tag = parts[0]
     if tag in ("T1", "T3"):
+        if type(parts[1]) is not str:
+            raise ProtocolViolation(f"{tag} identifier {parts[1]!r} is not a bit string")
         return tag, wire_to_id(parts[1])
     if tag == "T4":
         return tag, tuple((wid, tuple(nbrs)) for wid, nbrs in parts[1])
@@ -451,9 +454,10 @@ class BroadcastBFSProgram(NodeProgram):
     def action(self, rnd: int):
         return self.m.broadcast(rnd)
 
-    def receive(self, rnd: int, heard) -> None:
+    def receive(self, rnd: int, heard) -> bool:
         self.m.on_message(rnd, heard.decode(parse))
         self.output = self.m.message
+        return True
 
     def next_wake(self, rnd: int) -> int | None:
         return self.m.first_round()
@@ -513,7 +517,7 @@ class GatherBFSProgram(NodeProgram):
             self.output = sorted(self._reports)
         return None
 
-    def receive(self, rnd: int, heard) -> None:
+    def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse)
         if parts[0] == "BG":
             self._reports.update(dict.fromkeys(parts[1]))
@@ -521,6 +525,7 @@ class GatherBFSProgram(NodeProgram):
             self.m.on_message(rnd, parts)
         if self.output is None and not self.m.is_root and self.m.total is not None:
             self.output = self.m.payload
+        return True
 
     def next_wake(self, rnd: int) -> int | None:
         return earliest(
@@ -658,27 +663,32 @@ class TopRecProgram(NodeProgram):
         nbrs = tuple(id_to_wire(x) for x in sorted(self.nbr_ids))
         return list({**self._reports, self.m.message: nbrs}.items())
 
-    def receive(self, rnd: int, heard) -> None:
+    def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse_message)
         tag = parts[0]
         if tag == "T1":
-            if self.m.reached(rnd):
-                self._set_id(parts[1] + (self.m.g,))
+            if not self.m.reached(rnd):
+                return False
+            self._set_id(parts[1] + (self.m.g,))
         elif tag == "T3":
             self.nbr_ids.add(parts[1])
+            return False
         elif tag == "T4":
             for wid, nbrs in parts[1]:
                 if wid not in self._reports:
                     self._reports[wid] = nbrs
+            return False
         elif tag == "T5":
-            if self._final is None:
-                self._final = heard.message
-                if self.output is None:
-                    self._finish(parts[2])
+            if self._final is not None:
+                return False
+            self._final = heard.message
+            if self.output is None:
+                self._finish(parts[2])
         else:
             if tag == "T2" and parts[2] is not None:
                 self.n_value = parts[2]
             self.m.on_message(rnd, parts)
+        return True
 
 
 def serialize_toprec_output(output) -> dict:

@@ -22,7 +22,7 @@ from radiolab.sim import (
     default_max_rounds,
     run,
 )
-from golden import build
+from golden import SCHEMES, build
 
 
 def reference_run(g, labels, program, cd=False, max_rounds=None):
@@ -166,17 +166,67 @@ def test_samples_cover_every_family():
     assert {gid.split("-")[0] for gid, _ in TOPREC_SAMPLE} == families
 
 
-def test_every_program_declares_its_wake_round():
-    programs = {
+def node_programs():
+    """The program classes of the package, `NodeProgram` itself excluded."""
+    return {
         cls
         for mod in (broadcast, size_discovery, toprec)
         for cls in vars(mod).values()
         if isinstance(cls, type) and issubclass(cls, NodeProgram) and cls is not NodeProgram
     }
+
+
+def test_every_program_declares_its_wake_round():
+    programs = node_programs()
     assert len(programs) == 8
     assert [c.__name__ for c in programs if c.next_wake is NodeProgram.next_wake] == []
     # the wake round is the only sleep signal
     assert [c.__name__ for c in programs | {NodeProgram} if hasattr(c, "idle")] == []
+
+
+def contract_checked(program, seen):
+    """`program` with every node's `receive` checked: it returns a bool, and
+    after a False the node's `next_wake(rnd)` and `output` are what they were
+    just before the call. Records each checked node's class in `seen`."""
+
+    def build_node(label):
+        p = program(label)
+        receive = p.receive
+
+        def checked(rnd, heard):
+            before = p.next_wake(rnd), p.output
+            got = receive(rnd, heard)
+            cls = type(p).__name__
+            assert type(got) is bool, f"{cls}.receive returned {got!r} in round {rnd}"
+            if not got:
+                after = p.next_wake(rnd), p.output
+                assert after[0] == before[0] and after[1] is before[1], (
+                    f"{cls}.receive returned False in round {rnd} but changed "
+                    f"(next_wake, output) from {before} to {after}"
+                )
+            seen.add(type(p))
+            return got
+
+        p.receive = checked
+        return p
+
+    return build_node
+
+
+LB_SAMPLE = [(f"G_{n}", gen_lb_family(n)[0]) for n in (16, 36, 64, 100, 144)]
+
+
+def test_receive_false_only_when_nothing_changed():
+    """Every scheme and primitive on both samples and G_16..G_144: a receive
+    that returns False changes neither the wake round nor the output, and
+    every program class answers with a bool."""
+    seen = set()
+    for scheme in SCHEMES:
+        for gid, g in SIZE_SAMPLE + TOPREC_SAMPLE + LB_SAMPLE:
+            labels, program = build(scheme, g)
+            tr = run(g, labels, contract_checked(program, seen))
+            assert None not in tr.outputs, (scheme, gid)
+    assert seen == node_programs()
 
 
 class SleepsBeforeOutput(NodeProgram):
@@ -230,6 +280,70 @@ class TestWakeContract:
         assert [sorted(r.transmitters) for r in tr.rounds] == [
             [], [], [0], [], [], [], [0], [], []
         ]
+
+    @pytest.mark.parametrize("answer", [False, None])
+    def test_receive_answer_gates_next_wake(self, answer):
+        """Node 0 transmits in round 2. Node 1 sleeps after round 1 with wake
+        round 6 and hears the message; asked again in round 2 it would say 4.
+        A receive that returns False gets no `next_wake` call, so node 1
+        wakes at the earlier hint, 6; one that returns None gets the call."""
+        calls = []
+
+        class Prog(NodeProgram):
+            def action(self, rnd):
+                if self.label == "0" and rnd == 2:
+                    self.output = "sent"
+                    return b"m"
+                if self.label == "1" and rnd > 1:
+                    self.output = rnd
+                return None
+
+            def receive(self, rnd, heard):
+                calls.append(("receive", rnd))
+                return answer
+
+            def next_wake(self, rnd):
+                if self.label == "0":
+                    return 2 if rnd < 2 else None
+                calls.append(("next_wake", rnd))
+                return {1: 6, 2: 4}.get(rnd)
+
+        tr = run(gen_path(2), ["0", "1"], Prog)
+        if answer is False:
+            assert calls == [("next_wake", 1), ("receive", 2), ("next_wake", 6)]
+            assert tr.outputs == ["sent", 6] and tr.num_rounds == 6
+        else:
+            assert calls == [("next_wake", 1), ("receive", 2), ("next_wake", 2),
+                             ("next_wake", 4)]
+            assert tr.outputs == ["sent", 4] and tr.num_rounds == 4
+
+    def test_awake_node_gets_next_wake_after_false(self):
+        """A node whose `action` ran this round is asked for its wake round
+        even when its `receive` returns False."""
+        asked = []
+
+        class Prog(NodeProgram):
+            def action(self, rnd):
+                if self.label == "0" and rnd == 2:
+                    return b"m"
+                if rnd == 3:
+                    self.output = rnd
+                return None
+
+            def receive(self, rnd, heard):
+                return False
+
+            def next_wake(self, rnd):
+                asked.append((self.label, rnd))
+                return super().next_wake(rnd)
+
+        tr = run(gen_path(2), ["0", "1"], Prog)
+        assert ("1", 2) in asked
+        assert tr.outputs == [3, 3]
+
+    def test_base_receive_ignores_messages(self):
+        p = NodeProgram("")
+        assert p.receive(1, Heard(b"m")) is False
 
     def test_early_hint_polls(self):
         class Stale(NodeProgram):

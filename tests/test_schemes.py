@@ -3,10 +3,10 @@ counts only exact outputs as correct."""
 
 import pytest
 
-from radiolab.errors import InvalidParams
-from radiolab.graphs import build_graph, gen_grid, gen_path
+from radiolab.errors import InvalidParams, RadiolabError
+from radiolab.graphs import build_graph, gen_grid, gen_path, gen_star
 from radiolab.schemes import SCHEMES, build_bundle, program_for, run_scheme, verify_outputs
-from radiolab.sim import ExecutionTrace
+from radiolab.sim import ExecutionTrace, run
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -33,3 +33,27 @@ def test_gather_bfs_counts_only_own_payloads():
     outputs = r.trace.outputs
     outputs[5] = outputs[6]
     assert verify_outputs("gather-bfs", g, r.bundle, r.trace) == g.n - 1
+
+
+def swap_pair(label: str, offset: int) -> str:
+    """`label` with the `01`/`10` code pair at `offset` swapped, so every
+    block keeps its width but one bit flips."""
+    pair = label[offset : offset + 2]
+    assert pair in ("01", "10"), pair
+    return label[:offset] + pair[::-1] + label[offset + 2 :]
+
+
+@pytest.mark.parametrize(
+    "scheme,g,node,offset",
+    [
+        ("general", gen_path(5), 1, 10),  # an empty size message: int('', 2)
+        ("fastsd", gen_star(6), 1, 14),  # the same, in general's fallback
+        ("toprec", gen_path(5), 2, 0),  # a T3 message with a null identifier
+    ],
+    ids=["general-path5", "fastsd-star6", "toprec-path5"],
+)
+def test_corrupted_label_raises_typed_error(scheme, g, node, offset):
+    labels = list(build_bundle(scheme, g).labels)
+    labels[node] = swap_pair(labels[node], offset)
+    with pytest.raises(RadiolabError):
+        run(g, labels, program_for(scheme), max_rounds=200 * g.n * g.n)

@@ -330,6 +330,12 @@ class TestParseMessage:
                     assert list(parsed) == parts
         assert tags == {"T1", "TA", "T2", "T3", "T4", "T5"}
 
+    @pytest.mark.parametrize("tag", ["T1", "T3"])
+    @pytest.mark.parametrize("wire", [None, 5, ["10"]])
+    def test_identifier_that_is_not_a_string_rejected(self, tag, wire):
+        with pytest.raises(ProtocolViolation, match="not a bit string"):
+            parse_message(frame(tag, wire))
+
     def test_forwarders_resend_the_heard_bytes(self):
         g = gen_grid(3, 4)
         tr = run(g, build_toprec_labels(g).labels, TopRecProgram)
