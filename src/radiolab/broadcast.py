@@ -268,8 +268,9 @@ class ExecCore:
         return None
 
     def on_message(self, abs_rnd: int, parts) -> bool:
-        """Take a heard core message; True iff it informed the node or
-        re-armed its broadcast, the only changes to its duties."""
+        """Take a heard core message; True iff it gave the node a duty: it
+        informed a node whose join or stay bit is 1, or re-armed its
+        broadcast. A caller that acts on `informed` checks it itself."""
         kind = parts[1]
         if kind == "b":
             if not self.informed:
@@ -283,7 +284,7 @@ class ExecCore:
                     self._tx = rel + 3
                 if self.stay:
                     self._fb = rel + 1
-                return True
+                return bool(self.join or self.stay)
         elif kind == "f":
             tx = self.tx_rounds
             if tx and tx[-1] == abs_rnd - self.offset - 1:
@@ -493,6 +494,7 @@ class AckMachine:
             changed = self.core2.on_message(abs_rnd, parts)
             if self.t is None and self.core2.informed:
                 self.t = self.core2.message
+                return True
             return changed
         if tag == self.tag + "3":
             return self.core3.on_message(abs_rnd, parts)
@@ -620,11 +622,11 @@ class PathMessageProgram(NodeProgram):
         if parts[0] == "pc":
             self.pairs.extend(parts[2])
             return False
-        if parts[0].startswith("p") and self.ack.on_message(rnd, parts):
-            if self.output is None and self.ack.core3.informed:
-                self.output = self._result(self.ack.core3.message)
+        changed = parts[0].startswith("p") and self.ack.on_message(rnd, parts)
+        if self.output is None and self.ack.core3.informed:
+            self.output = self._result(self.ack.core3.message)
             return True
-        return False
+        return changed
 
     def next_wake(self, rnd: int) -> int | None:
         return earliest(self.ack.next_wake(rnd), self._collect_round())

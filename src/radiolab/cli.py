@@ -197,7 +197,7 @@ def _lb_partition_for(g: Graph, partition_file: str | None):
     root = math.isqrt(g.n)
     if root * root == g.n and root % 2 == 0:
         ref, desc = gen_lb_family(g.n)
-        if ref.edges() == g.edges():
+        if ref.adj == g.adj:
             return desc
     raise RadiolabError(
         "graph is not a generated lower-bound instance; pass --partition"

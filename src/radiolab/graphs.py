@@ -218,12 +218,30 @@ def gen_lb_component(k: int) -> Graph:
     first j nodes of B. The set of distinct degrees has size k/2."""
     if k < 2 or k % 2 != 0:
         raise OddSize(f"component size must be even and >= 2, got {k}")
+    nodes = list(range(k))
+    return Graph(k, [nodes[lo:hi] for lo, hi in _component_runs(k)])
+
+
+def _component_runs(k: int) -> list[tuple[int, int]]:
+    """Each component node's neighbors inside its component, as the slice
+    bounds of one contiguous run: a_j (node j-1) is joined to b_1..b_j
+    (nodes k/2..k/2+j-1), so b_i (node k/2+i-1) to a_i..a_{k/2}."""
     half = k // 2
-    edges = []
-    for j in range(1, half + 1):  # a_j is node j-1
-        for i in range(1, j + 1):  # b_i is node half + i - 1
-            edges.append((j - 1, half + i - 1))
-    return build_graph(k, edges)
+    return [(half, half + j) for j in range(1, half + 1)] + [(i, half) for i in range(half)]
+
+
+def _lb_rows(k: int, nodes: list[int], base: int = 0) -> list[list[int]]:
+    """Sorted adjacency rows of G_{k^2} on nodes[base : base + k^2]: a node
+    of a component is joined to every node before its component, its run
+    inside it, and every node after it. The rows are slices of `nodes`, so
+    they share its int objects."""
+    end = base + k * k
+    runs = _component_runs(k)
+    rows = []
+    for lo in range(base, end, k):
+        before, after = nodes[base:lo], nodes[lo + k : end]
+        rows.extend(before + nodes[lo + a : lo + b] + after for a, b in runs)
+    return rows
 
 
 def _exact_even_sqrt(n: int) -> int | None:
@@ -237,26 +255,9 @@ def gen_lb_family(n: int) -> tuple[Graph, LBFamilyDescriptor]:
     k = _exact_even_sqrt(n)
     if k is None:
         raise NotPerfectEvenSquare(f"sqrt({n}) is not an even natural number")
-    comp = gen_lb_component(k)
-    comps = [list(range(i * k, (i + 1) * k)) for i in range(k)]
-    edges = []
-    for i in range(k):
-        base = i * k
-        edges.extend((base + u, base + v) for u, v in comp.edges())
-    for i in range(k):
-        for j in range(i + 1, k):
-            for u in comps[i]:
-                for v in comps[j]:
-                    edges.append((u, v))
-    g = build_graph(n, edges)
-    return g, LBFamilyDescriptor(n=n, components=comps)
-
-
-def _smallest_even_square_at_least(delta: int) -> int:
-    i = 1
-    while (2 * i) ** 2 < delta:
-        i += 1
-    return (2 * i) ** 2
+    nodes = list(range(n))
+    comps = [nodes[i : i + k] for i in range(0, n, k)]
+    return Graph(n, _lb_rows(k, nodes)), LBFamilyDescriptor(n=n, components=comps)
 
 
 def gen_lb_general(delta: int, n: int) -> tuple[Graph, LBFamilyDescriptor]:
@@ -265,28 +266,19 @@ def gen_lb_general(delta: int, n: int) -> tuple[Graph, LBFamilyDescriptor]:
     specials joined in a ring (single edge for 2 copies, none for 1)."""
     if delta < 1 or delta >= n:
         raise InvalidParams(f"need 1 <= delta < n, got delta={delta}, n={n}")
-    k = _smallest_even_square_at_least(delta)
+    r = math.isqrt(delta - 1) + 1  # ceil(sqrt(delta))
+    k = (r + r % 2) ** 2
     copies = -(-n // delta)
-    gk, _ = gen_lb_family(k)
-    per_copy = k + 1
-    total = copies * per_copy
-    edges = []
-    comps = []
-    specials = []
-    for c in range(copies):
-        base = c * per_copy
-        comps.append(list(range(base, base + k)))
-        s = base + k
-        specials.append(s)
-        edges.extend((base + u, base + v) for u, v in gk.edges())
-        edges.extend((s, base + u) for u in range(k))
-    if copies == 2:
-        edges.append((specials[0], specials[1]))
-    elif copies > 2:
-        for i in range(copies):
-            edges.append((specials[i], specials[(i + 1) % copies]))
-    g = build_graph(total, edges)
-    return g, LBFamilyDescriptor(n=total, components=comps, specials=specials)
+    total = copies * (k + 1)
+    nodes = list(range(total))
+    specials = nodes[k :: k + 1]
+    rows: list[list[int]] = []
+    for c, s in enumerate(specials):
+        rows.extend(row + [s] for row in _lb_rows(math.isqrt(k), nodes, s - k))
+        ring = {specials[c - 1], specials[(c + 1) % copies]} - {s}
+        rows.append(nodes[s - k : s] + sorted(ring))
+    comps = [nodes[s - k : s] for s in specials]
+    return Graph(total, rows), LBFamilyDescriptor(n=total, components=comps, specials=specials)
 
 
 # ---------------------------------------------------------------------------

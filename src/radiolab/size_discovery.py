@@ -280,11 +280,11 @@ class AuxiliarySDProgram(NodeProgram):
                     )
                 self._payloads[k_w] = payload
             return False
-        if tag.startswith("A") and self.ack.on_message(rnd, parts):
-            if self.output is None and self.ack.core3.informed:
-                self.output = _size_of(self.ack.core3.message)
+        changed = tag.startswith("A") and self.ack.on_message(rnd, parts)
+        if self.output is None and self.ack.core3.informed:
+            self.output = _size_of(self.ack.core3.message)
             return True
-        return False
+        return changed
 
 
 # ---------------------------------------------------------------------------

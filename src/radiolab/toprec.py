@@ -418,22 +418,24 @@ class AckBfsMachine:
             return frame(self.total_tag, self.total, *extra)
         return None
 
-    def on_message(self, rnd: int, parts) -> None:
-        """A heard message `(tag, value, ...)`; other tags are ignored."""
+    def on_message(self, rnd: int, parts) -> bool:
+        """A heard message `(tag, value, ...)`; True iff it changed the
+        machine. Other tags are ignored."""
         tag = parts[0]
-        if tag == self.first_tag:
-            if self.reached(rnd):
-                self.message = parts[1]
-        elif tag == self.ack_tag:
-            if self.on_apath and not self._relayed:
-                self._relayed = True
-                self.dstar = parts[1]
-                if self.is_root:
-                    self._learn_total(self.dstar * (2 * self.width + 1))
-                else:
-                    self._ack_round = rnd + 1
-        elif tag == self.total_tag:
+        if tag == self.first_tag and self.reached(rnd):
+            self.message = parts[1]
+        elif tag == self.ack_tag and self.on_apath and not self._relayed:
+            self._relayed = True
+            self.dstar = parts[1]
+            if self.is_root:
+                self._learn_total(self.dstar * (2 * self.width + 1))
+            else:
+                self._ack_round = rnd + 1
+        elif tag == self.total_tag and self.total is None:
             self._learn_total(parts[1])
+        else:
+            return False
+        return True
 
     def _learn_total(self, total: int) -> None:
         if self.total is None:
@@ -685,9 +687,10 @@ class TopRecProgram(NodeProgram):
             if self.output is None:
                 self._finish(parts[2])
         else:
+            n_value = self.n_value
             if tag == "T2" and parts[2] is not None:
                 self.n_value = parts[2]
-            self.m.on_message(rnd, parts)
+            return self.m.on_message(rnd, parts) or self.n_value != n_value
         return True
 
 

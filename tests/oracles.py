@@ -7,7 +7,7 @@ from typing import Mapping
 
 from radiolab.audit import CANON_HASH, CANON_SILENCE, _component_index, _departures
 from radiolab.broadcast import CoreSynthesis, ExecCore
-from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor
+from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor, build_graph
 from radiolab.labels import SchemeBundle, decode_blocks
 from radiolab.sim import COLLISION, NOISE, SILENCE, TX, ExecutionTrace, Heard, Mark, parse
 from radiolab.size_discovery import SubtreeAssignment
@@ -49,6 +49,51 @@ def verify_trace(trace: ExecutionTrace) -> None:
             obs = observation(v, rec.transmitters, g, trace.cd, v in rec.transmitters)
             stored = trace.observation_of(v, idx)
             assert obs == stored, f"round {idx} node {v}: replay {obs!r} != stored {stored!r}"
+
+
+# ---------------------------------------------------------------------------
+# Lower-bound families from edge lists
+# ---------------------------------------------------------------------------
+
+
+def lb_family_from_edges(n: int) -> tuple[Graph, LBFamilyDescriptor]:
+    """G_n built edge by edge through `build_graph`: sqrt(n) components of
+    sqrt(n) nodes, a_j joined to b_1..b_j inside each, every cross-component
+    pair joined."""
+    k = int(n**0.5)
+    assert k * k == n and k % 2 == 0, n
+    half = k // 2
+    comp = [(j - 1, half + i - 1) for j in range(1, half + 1) for i in range(1, j + 1)]
+    comps = [list(range(i * k, (i + 1) * k)) for i in range(k)]
+    edges = [(i * k + u, i * k + v) for i in range(k) for u, v in comp]
+    for i in range(k):
+        for j in range(i + 1, k):
+            edges.extend((u, v) for u in comps[i] for v in comps[j])
+    return build_graph(n, edges), LBFamilyDescriptor(n=n, components=comps)
+
+
+def lb_general_from_edges(delta: int, n: int) -> tuple[Graph, LBFamilyDescriptor]:
+    """H_{delta,n} built edge by edge through `build_graph`: ceil(n/delta)
+    copies of G_k (k the smallest even square >= delta), a special node per
+    copy joined to its copy, specials in a ring (one edge for two copies)."""
+    k = next((2 * i) ** 2 for i in range(1, delta + 1) if (2 * i) ** 2 >= delta)
+    copies = -(-n // delta)
+    gk, _ = lb_family_from_edges(k)
+    edges, comps, specials = [], [], []
+    for c in range(copies):
+        base = c * (k + 1)
+        comps.append(list(range(base, base + k)))
+        specials.append(base + k)
+        edges.extend((base + u, base + v) for u, v in gk.edges())
+        edges.extend((base + k, base + u) for u in range(k))
+    if copies == 2:
+        edges.append((specials[0], specials[1]))
+    elif copies > 2:
+        edges.extend((specials[i], specials[(i + 1) % copies]) for i in range(copies))
+    total = copies * (k + 1)
+    return build_graph(total, edges), LBFamilyDescriptor(
+        n=total, components=comps, specials=specials
+    )
 
 
 # ---------------------------------------------------------------------------

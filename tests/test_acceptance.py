@@ -283,7 +283,7 @@ def test_c08_fastsd_structure(size_corpus, report):
 def test_c09_lower_bound_audits(report):
     total = 0
     size_schemes = ("compact", "general", "fastsd")
-    for n in (16, 36, 64, 100, 576):
+    for n in (16, 36, 64, 100, 576, 2304):
         g, desc = gen_lb_family(n)
         for scheme in size_schemes + (("toprec",) if n <= 100 else ()):
             res = run_scheme(scheme, g, cd=True)
@@ -293,7 +293,7 @@ def test_c09_lower_bound_audits(report):
             total += 1
     report(f"[C9] PASS lower-bound audits (facts, departures, trigger-label "
            f"multiset) on G_n: all four schemes for n in {{16,36,64,100}}, "
-           f"compact/general/fastsd also for n=576; {total} CD runs, "
+           f"compact/general/fastsd also for n in {{576,2304}}; {total} CD runs, "
            f"zero violations")
 
 

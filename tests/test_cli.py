@@ -168,6 +168,17 @@ class TestAudit:
         code, _ = run_cli("audit", str(el), "--scheme", "general")
         assert code == 2
 
+    def test_lbg16_missing_cross_edge_needs_partition(self, tmp_path):
+        el = tmp_path / "g16.el"
+        run_cli("gen", "--family", "lbG", "--n", "16", "--out", str(el))
+        lines = el.read_text().splitlines()
+        n, m = map(int, lines[0].split())
+        assert "0 4" in lines  # a cross edge: node 0 and node 4 lie in different components
+        lines = [f"{n} {m - 1}"] + [ln for ln in lines[1:] if ln != "0 4"]
+        el.write_text("\n".join(lines) + "\n")
+        code, _ = run_cli("audit", str(el), "--scheme", "general")
+        assert code == 2
+
     def test_explicit_partition_accepted(self, tmp_path):
         el = tmp_path / "g16.el"
         run_cli("gen", "--family", "lbG", "--n", "16", "--out", str(el))

@@ -30,6 +30,7 @@ from radiolab.graphs import (
     read_edge_list,
     write_edge_list,
 )
+from oracles import lb_family_from_edges, lb_general_from_edges
 
 
 def to_nx(g):
@@ -223,6 +224,27 @@ class TestLBGeneral:
 
         with pytest.raises(InvalidParams):
             gen_lb_general(5, 5)
+
+
+class TestLBEquivalence:
+    """The generators write adjacency rows directly; they must equal the
+    edge-by-edge construction, and survive every `build_graph` check."""
+
+    @staticmethod
+    def check(got, ref):
+        (g, desc), (h, ref_desc) = got, ref
+        assert g.n == h.n and g.adj == h.adj
+        assert desc.components == ref_desc.components
+        assert desc.specials == ref_desc.specials
+        assert build_graph(g.n, g.edges()).adj == g.adj
+
+    @pytest.mark.parametrize("n", [4, 16, 36, 64, 144, 576, 784])
+    def test_family(self, n):
+        self.check(gen_lb_family(n), lb_family_from_edges(n))
+
+    @pytest.mark.parametrize("delta,n", [(4, 8), (4, 12), (16, 64), (9, 40), (36, 100)])
+    def test_general(self, delta, n):
+        self.check(gen_lb_general(delta, n), lb_general_from_edges(delta, n))
 
 
 class TestFormats:
