@@ -26,24 +26,18 @@ from .sim import NodeProgram, earliest, frame, parse
 # ---------------------------------------------------------------------------
 
 
-def minimal_dominating_subset(
-    candidates: set[int], targets: set[int], g: Graph
-) -> set[int]:
-    """Subset of `candidates` dominating `targets` (every target keeps a
-    neighbor in the set), minimal under removal; greedy removal in descending
-    index order for determinism."""
-    return _dominate(set(candidates), set(targets), g)[0]
-
-
 def _degree_sum(g: Graph, nodes) -> int:
     return sum(map(len, map(g.adj.__getitem__, nodes)))
 
 
-def _dominate(
+def minimal_dominating_subset(
     candidates: set[int], targets: set[int], g: Graph
 ) -> tuple[set[int], dict[int, int]]:
-    """`minimal_dominating_subset`, plus every target with exactly one chosen
-    neighbor mapped to that neighbor: the nodes the chosen set informs.
+    """The subset of `candidates` dominating `targets` (every target keeps a
+    neighbor in the set), minimal under removal, with greedy removal in
+    descending index order for determinism; and every target with exactly
+    one chosen neighbor mapped to that neighbor: the nodes the chosen set
+    informs.
 
     Coverage is counted from whichever side has the smaller degree sum, and
     that one pass records each candidate's adjacent targets, so the greedy
@@ -142,7 +136,7 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
     frontier = {u for s in sources for u in adj[s] if u not in informed}
     # `newly` is who DOM informs this stage: the frontier nodes with exactly
     # one DOM neighbor, each mapped to it
-    dom, newly = _dominate(set(sources), frontier, g)
+    dom, newly = minimal_dominating_subset(set(sources), frontier, g)
     for v in dom:
         dom1[v] = 1
     uninformed = set(range(n)) - informed
@@ -176,7 +170,9 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
             next_frontier |= reached - informed
         else:
             next_frontier = {u for u in uninformed if not informed.isdisjoint(adj[u])}
-        next_dom, next_newly = _dominate(dom.union(newly), next_frontier, g)
+        next_dom, next_newly = minimal_dominating_subset(
+            dom.union(newly), next_frontier, g
+        )
         for u in newly:
             join[u] = 1 if u in next_dom else 0
         for v in dom:
@@ -301,7 +297,7 @@ class ExecCore:
 
 
 # ---------------------------------------------------------------------------
-# Labels and programs for plain (multi-source) broadcast
+# Executor labels
 # ---------------------------------------------------------------------------
 
 
@@ -310,51 +306,6 @@ def core_blocks(syn: CoreSynthesis, v: int, src: bool) -> list[str]:
     js = f"{syn.join[v]}{syn.stay[v]}"
     flags = f"{1 if src else 0}{syn.dom1[v]}"
     return [js, flags]
-
-
-def synthesize_executor(g: Graph, sources: set[int]) -> SchemeBundle:
-    """Broadcast labels from a source set: FRONTIER_1 is the out-neighborhood
-    of the sources and DOM_1 a minimal dominating subset of them for it.
-    Bundle meta carries the broadcast tree, DOM schedule and round count for
-    tests."""
-    syn = synthesize_core(g, set(sources))
-    labels = [
-        encode_blocks(core_blocks(syn, v, v in sources)) for v in range(g.n)
-    ]
-    return SchemeBundle(
-        scheme="exec",
-        labels=labels,
-        meta={"synthesis": syn, "sources": sorted(sources), "t": syn.t},
-    )
-
-
-class BroadcastProgram(NodeProgram):
-    """Runs one ExecCore; output is the received payload."""
-
-    TAG = "x"
-
-    def __init__(self, label: str, message="1"):
-        super().__init__(label)
-        js, flags = label_blocks(label, 2)
-        self.core = ExecCore(self.TAG, js)
-        self.is_source = fixed_block(flags, 2)[0] == "1"
-        if self.is_source:
-            self.core.start_source(1, message, flags[1] == "1")
-            self.output = message
-
-    def action(self, rnd: int):
-        return self.core.action(rnd)
-
-    def receive(self, rnd: int, heard) -> bool:
-        parts = heard.decode(parse)
-        if parts[0] == self.TAG:
-            self.core.on_message(rnd, parts)
-            if self.core.informed and self.output is None:
-                self.output = self.core.message
-        return True
-
-    def next_wake(self, rnd: int) -> int | None:
-        return self.core.next_wake(rnd)
 
 
 # ---------------------------------------------------------------------------

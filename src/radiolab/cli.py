@@ -97,7 +97,7 @@ def _read_graph(path: str) -> Graph:
 
 def cmd_run(args) -> int:
     g = _read_graph(args.graph)
-    result = run_scheme(args.scheme, g, cd=args.cd)
+    result = run_scheme(args.scheme, g)
     out = json.dumps(result.bench_record(Path(args.graph).name, g), indent=2)
     if args.scheme == "toprec" and result.ok:
         out = out[:-2] + ',\n  "outputs": ' + _toprec_outputs_json(result.trace.outputs) + "\n}"
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="synthesize labels, run a scheme, verify")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--scheme", required=True, choices=list(SCHEMES))
-    p.add_argument("--cd", action="store_true", help="collision-detection mode")
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 

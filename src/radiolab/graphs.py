@@ -49,12 +49,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m()})"
 

@@ -117,11 +117,9 @@ def verify_outputs(scheme: str, g: Graph, bundle: SchemeBundle, trace) -> int:
     raise InvalidParams(f"unknown scheme {scheme!r}")
 
 
-def run_scheme(
-    scheme: str, g: Graph, cd: bool = False, max_rounds: int | None = None
-) -> SchemeResult:
+def run_scheme(scheme: str, g: Graph, cd: bool = False) -> SchemeResult:
     bundle = build_bundle(scheme, g)
-    trace = run(g, bundle.labels, program_for(scheme), cd=cd, max_rounds=max_rounds)
+    trace = run(g, bundle.labels, program_for(scheme), cd=cd)
     correct = verify_outputs(scheme, g, bundle, trace)
     return SchemeResult(
         scheme=scheme,

@@ -60,20 +60,6 @@ class SubtreeAssignment:
     child_num: dict[int, int]  # node -> k_v (children of a node: 1..c)
     children: dict[int, list[int]]  # node -> chosen children in k order
 
-    def nodes(self) -> set[int]:
-        return set(self.bits)
-
-    def postorder_concat(self) -> str:
-        # a pre-order that takes the last child first, reversed, is the
-        # post-order that takes the first child first
-        out = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            out.append(self.bits[v])
-            stack.extend(self.children.get(v, []))
-        return "".join(reversed(out))
-
 
 def _rooted_children(tree: Graph, root: int) -> tuple[dict[int, list[int]], dict[int, int]]:
     la = bfs_layers(tree, root)
@@ -333,15 +319,6 @@ def general_sd_program(label: str) -> NodeProgram:
 
 
 @dataclass
-class StripeData:
-    index: int
-    first_layer: int
-    cover: list[int] = field(default_factory=list)
-    paths: list[list[int]] = field(default_factory=list)
-    xbfs: set[int] = field(default_factory=set)
-
-
-@dataclass
 class StripeDecomposition:
     graph: Graph
     layers: LayerAssignment
@@ -349,7 +326,7 @@ class StripeDecomposition:
     green: list[bool]
     supergreen: list[bool]
     stripe_of: list[int | None]
-    stripes: dict[int, StripeData]
+    stripes: range  # indices of the materialized stripes
     # the nodes of each BFS layer, derived from `layers`
     by_layer: list[list[int]] = field(default_factory=list, repr=False, compare=False)
 
@@ -368,11 +345,7 @@ def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
     stripe_of: list[int | None] = [None] * n
     by_layer: list[list[int]] = [[] for _ in range(la.depth + 1)]
     # a stripe is materialized only if its super-green layer exists
-    stripes = {
-        jj: StripeData(index=jj, first_layer=jj * lgn)
-        for jj in range(0, la.depth // lgn + 1, 2)
-        if (jj + 1) * lgn - 1 <= la.depth
-    }
+    stripes = range(0, (la.depth + 1) // lgn, 2)
     for v in range(n):
         i = la.layer[v]
         by_layer[i].append(v)
@@ -501,11 +474,10 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     reach_flag = [False] * n
     stripe_meta = {}
     b_bits: list[list[str]] = [["00", "00"]] * n
-    for j, data in sd.stripes.items():
+    for j in sd.stripes:
         cover = minimal_bfs_cover(sd, j)
         paths = conflict_free_paths(sd, j, cover)
         xbfs = _forward_reach(sd, j, set(cover))
-        data.cover, data.paths, data.xbfs = cover, paths, xbfs
         for u in cover:
             cover_flag[u] = True
         for p in paths:

@@ -1,7 +1,9 @@
 """Golden digests of whole runs: the trace-identity check for refactors.
 
-Every scheme and primitive runs on the pinned corpora and on G_16..G_144,
-with and without collision detection. Each run is reduced to a short digest
+Every scheme of the registry, and the path-message primitive (whose first
+t rounds are the Executor run that compact, general and fastsd embed), runs
+on the pinned corpora and on G_16..G_144, with and without collision
+detection. Each run is reduced to a short digest
 of its transmitters and their message bytes, its deliveries, its round
 count and its outputs with their rounds; each label set gets a digest of
 its own. `tests/test_golden.py` compares a fresh sweep against the digests
@@ -17,15 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from functools import partial
 from pathlib import Path
 
-from radiolab.broadcast import (
-    BroadcastProgram,
-    PathMessageProgram,
-    synthesize_executor,
-    synthesize_path_message,
-)
+from radiolab.broadcast import PathMessageProgram, synthesize_path_message
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.graphs import gen_lb_family
 from radiolab.schemes import build_bundle, program_for
@@ -36,7 +32,6 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 
 # programs outside the scheme registry: (label builder, node factory)
 PRIMITIVES = {
-    "exec": (lambda g: synthesize_executor(g, {0}), partial(BroadcastProgram, message="101")),
     "pathmsg": (lambda g: synthesize_path_message(g, 0, "1011001"), PathMessageProgram),
 }
 SCHEMES = ("compact", "general", "fastsd", "toprec", "broadcast-bfs", "gather-bfs",

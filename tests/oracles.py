@@ -110,7 +110,7 @@ def check_tree_invariants(syn: CoreSynthesis, g: Graph) -> None:
     for u, p in tree.parent.items():
         assert tree.level[u] > tree.level[p]
         assert tree.level[u] % 3 == 1
-        assert g.has_edge(u, p)
+        assert u in g.adj[p]
         children_levels.setdefault(p, set()).add(tree.level[u])
     for u, p in tree.parent.items():
         i, j = tree.level[u], tree.level[p]
@@ -154,7 +154,7 @@ def check_dom_schedule(syn: CoreSynthesis, g: Graph) -> None:
         for v in rec.dom:
             seen_stages.setdefault(v, []).append(rec.stage)
         for u, p in rec.newly.items():
-            assert p in rec.dom and g.has_edge(u, p)
+            assert p in rec.dom and u in g.adj[p]
             assert sum(1 for w in g.adj[u] if w in rec.dom) == 1
         informed |= set(rec.newly)
     assert informed == set(range(g.n))
@@ -165,11 +165,13 @@ def check_dom_schedule(syn: CoreSynthesis, g: Graph) -> None:
 
 
 def dom_membership_from_history(
-    blocks: list[str], trace, v: int, tag: str = "x", offset: int = 0
+    blocks: list[str], trace, v: int, tag: str = "p1", offset: int = 0
 ) -> dict[int, bool]:
-    """Recompute a node's per-stage DOM decisions from its label and its own
-    observation history alone (the node-locality check: the result must match
-    the offline schedule exactly)."""
+    """Recompute a node's per-stage DOM decisions from its join/stay and
+    flags blocks and its own observation history alone, reading the
+    Executor messages framed with `tag` whose relative round 1 is round
+    `offset + 1` (the node-locality check: the result must match the
+    offline schedule exactly)."""
     js, flags = blocks[0], blocks[1]
     core = ExecCore(tag, js)
     if flags[0] == "1":
@@ -190,33 +192,48 @@ def dom_membership_from_history(
     return membership
 
 
-def verify_executor_run(g: Graph, bundle: SchemeBundle, trace) -> None:
-    """End-to-end check of an Executor trace against the oracle:
-    tree and DOM properties, per-round transmitter sets, and node-local DOM
-    decisions equal to the offline schedule."""
+def check_executor_rounds(
+    syn: CoreSynthesis, trace, tag: str = "p1", offset: int = 0
+) -> None:
+    """The Executor rounds offset + 1 .. offset + t of `trace`: every
+    message carries `tag`; in stage s, round 1 has transmitters DOM_s,
+    round 2 the designated feedback nodes whose stay bit is 1, and round 3
+    none."""
+    for rec in trace.rounds[offset:offset + syn.t]:
+        assert all(parse(m)[0] == tag for m in rec.transmitters.values())
+    for rec in syn.stages:
+        r1 = offset + 3 * rec.stage - 2
+        assert set(trace.rounds[r1 - 1].transmitters) == rec.dom
+        expected_fb = {u for u in rec.feedback.values() if syn.stay[u]}
+        assert set(trace.rounds[r1].transmitters) == expected_fb
+        if r1 + 2 <= trace.num_rounds:
+            assert not trace.rounds[r1 + 1].transmitters, "round 3 of a stage must be silent"
+
+
+def check_local_membership(
+    syn: CoreSynthesis, blocks: list[list[str]], trace, tag: str = "p1", offset: int = 0
+) -> None:
+    """Each node's DOM decisions, recomputed from its Executor blocks
+    (`blocks[v]` starts with join/stay and flags) and its own history,
+    equal the offline schedule."""
+    for v, own in enumerate(blocks):
+        membership = dom_membership_from_history(own, trace, v, tag, offset)
+        for rec in syn.stages:
+            local = membership.get(rec.stage, False)
+            assert local == (v in rec.dom), (
+                f"node {v} stage {rec.stage}: local {local} vs oracle {v in rec.dom}"
+            )
+
+
+def verify_executor_run(g: Graph, bundle: SchemeBundle, trace, tag: str = "p1") -> None:
+    """End-to-end check of the Executor at the start of a path-message run
+    against the oracle: tree and DOM properties, per-round transmitter
+    sets, and node-local DOM decisions equal to the offline schedule."""
     syn: CoreSynthesis = bundle.meta["synthesis"]
     check_tree_invariants(syn, g)
     check_dom_schedule(syn, g)
-    # transmitters in round 1 of stage s are exactly DOM_s
-    for rec in syn.stages:
-        r1 = 3 * rec.stage - 2
-        assert set(trace.rounds[r1 - 1].transmitters) == rec.dom
-        fb_round = r1 + 1
-        expected_fb = {u for u in rec.feedback.values() if syn.stay[u]}
-        actual_fb = set(trace.rounds[fb_round - 1].transmitters)
-        assert actual_fb == expected_fb
-        if r1 + 2 <= trace.num_rounds:
-            assert not trace.rounds[r1 + 1].transmitters, "round 3 of a stage must be silent"
-    # node locality
-    dom_by_stage = {rec.stage: rec.dom for rec in syn.stages}
-    for v in range(g.n):
-        blocks = decode_blocks(bundle.labels[v])
-        membership = dom_membership_from_history(blocks, trace, v)
-        for stage, rec_dom in dom_by_stage.items():
-            local = membership.get(stage, False)
-            assert local == (v in rec_dom), (
-                f"node {v} stage {stage}: local {local} vs oracle {v in rec_dom}"
-            )
+    check_executor_rounds(syn, trace, tag)
+    check_local_membership(syn, [decode_blocks(label) for label in bundle.labels], trace, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +241,32 @@ def verify_executor_run(g: Graph, bundle: SchemeBundle, trace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def postorder_concat(asg: SubtreeAssignment) -> str:
+    """The nodes' own substrings in post-order, each node's children in k
+    order: a pre-order that takes the last child first, reversed."""
+    out = []
+    stack = [asg.root]
+    while stack:
+        v = stack.pop()
+        out.append(asg.bits[v])
+        stack.extend(asg.children.get(v, []))
+    return "".join(reversed(out))
+
+
 def verify_subtree_assignment(
     tree: Graph, root: int, message: str, asg: SubtreeAssignment
 ) -> None:
     delta = tree.max_degree()
     fanout = max(delta.bit_length(), 1)
-    for v in asg.nodes():
+    for v in asg.bits:
         limit = 2 if v == root else 3
         assert len(asg.bits[v]) <= limit, f"node {v}: {len(asg.bits[v])} bits"
         assert len(asg.children.get(v, [])) <= fanout
-    assert asg.postorder_concat() == message
+    assert postorder_concat(asg) == message
     # the chosen nodes form a subtree containing the root
-    for v in asg.nodes():
+    for v in asg.bits:
         for c in asg.children.get(v, []):
-            assert tree.has_edge(v, c)
+            assert c in tree.adj[v]
 
 
 def verify_gather_indices(
@@ -263,7 +292,7 @@ def verify_gather_indices(
                     raise AssertionError(
                         f"siblings {u},{v} share gather index under {parent[u]}"
                     )
-                assert not g.has_edge(u, parent[v]), (
+                assert parent[v] not in g.adj[u], (
                     f"edge ({u},{parent[v]}) breaks gather exclusion"
                 )
 

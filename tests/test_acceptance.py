@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from radiolab.broadcast import BroadcastProgram, synthesize_executor
+from radiolab.broadcast import PathMessageProgram, synthesize_path_message
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.graphs import diameter, gen_lb_family, gen_path, gen_star, gen_tree
 from radiolab.labels import int_to_bits
@@ -229,15 +229,19 @@ def test_c05_subtree_packing_suite(report):
 
 
 def test_c06_executor_properties(size_corpus, report):
+    """The Executor as the schemes run it: the first t rounds of a
+    path-message run from node 0 carrying the bits of n."""
     for gid, g in size_corpus:
-        bundle = synthesize_executor(g, {0})
+        bits = int_to_bits(g.n)
+        bundle = synthesize_path_message(g, 0, bits)
         syn = bundle.meta["synthesis"]
         assert len(syn.stages) <= g.n, gid
-        tr = run(g, bundle.labels, partial(BroadcastProgram, message="M"))
-        assert all(out == "M" for out in tr.outputs), gid
+        tr = run(g, bundle.labels, PathMessageProgram)
+        assert all(out == bits for out in tr.outputs), gid
         verify_executor_run(g, bundle, tr)
     report(f"[C6] PASS executor tree items (1)-(3), DOM properties (a)-(f), "
-           f"stage count <= n, node-local membership, on {len(size_corpus)} graphs")
+           f"stage count <= n, node-local membership, on {len(size_corpus)} graphs "
+           f"(the Executor rounds of path-message runs)")
 
 
 def test_c07_gather_index_properties(size_corpus, report):

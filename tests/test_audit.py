@@ -155,7 +155,7 @@ class TestCanonicalComponents:
     def test_single_transmitter_departs_own_component(self):
         g, desc = gen_lb_family(4)
         # node 0 (component 0) transmits; everyone else hears it
-        heard = {v: b"m" for v in range(1, 4) if g.has_edge(0, v)}
+        heard = {v: b"m" for v in range(1, 4) if v in g.adj[0]}
         tr = make_trace(g, [({0: b"m"}, heard)])
         comps = canonical_components(tr, desc)
         # component 0 leaves (its transmitter records '#', canonical is m)

@@ -1,16 +1,11 @@
-from functools import partial
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiolab.broadcast import (
-    BroadcastProgram,
     PathMessageProgram,
-    ack_blocks,
     minimal_dominating_subset,
     synthesize_core,
-    synthesize_executor,
     synthesize_path_message,
 )
 from radiolab.errors import EmptySourceSet, Undominatable
@@ -24,10 +19,17 @@ from radiolab.graphs import (
 )
 from radiolab import sim
 from radiolab.schemes import build_bundle, program_for
-from radiolab.labels import encode_blocks
+from radiolab.labels import decode_blocks, int_to_bits, split_mode
 from radiolab.sim import parse, run
+from radiolab.size_discovery import build_fast_sd, fast_sd_program
 from golden import build
-from oracles import verify_executor_run
+from oracles import (
+    check_dom_schedule,
+    check_executor_rounds,
+    check_local_membership,
+    check_tree_invariants,
+    verify_executor_run,
+)
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -41,18 +43,27 @@ def brute_is_minimal_dominating(chosen, candidates, targets, g):
     return all(not dominates(chosen - {v}) for v in chosen)
 
 
+def executor_run(g, s=0):
+    """A path-message run from `s` carrying the bits of n, whose first t
+    rounds are the Executor run from `s`; every node outputs those bits."""
+    bundle = synthesize_path_message(g, s, int_to_bits(g.n))
+    tr = run(g, bundle.labels, PathMessageProgram)
+    assert tr.outputs == [int_to_bits(g.n)] * g.n
+    return bundle, tr
+
+
 class TestMinimalDominatingSubset:
     def test_single_candidate(self):
         g = gen_star(4)
-        assert minimal_dominating_subset({0}, set(g.adj[0]), g) == {0}
+        assert minimal_dominating_subset({0}, set(g.adj[0]), g)[0] == {0}
 
     def test_path3(self):
         g = gen_path(3)
-        assert minimal_dominating_subset({0, 1}, {2}, g) == {1}
+        assert minimal_dominating_subset({0, 1}, {2}, g)[0] == {1}
 
     def test_star_with_extra_candidate(self):
         g = gen_star(5)
-        assert minimal_dominating_subset({0, 1}, {2, 3, 4}, g) == {0}
+        assert minimal_dominating_subset({0, 1}, {2, 3, 4}, g)[0] == {0}
 
     def test_undominatable(self):
         g = gen_path(4)
@@ -70,27 +81,27 @@ class TestMinimalDominatingSubset:
         }
         if not targets:
             return
-        chosen = minimal_dominating_subset(candidates, targets, g)
+        chosen = minimal_dominating_subset(candidates, targets, g)[0]
         assert chosen <= candidates
         assert brute_is_minimal_dominating(chosen, candidates, targets, g)
 
 
 class TestSynthesizeExecutor:
+    """The Executor's offline synthesis, `synthesize_core`."""
+
     def test_single_node(self):
-        b = synthesize_executor(build_graph(1, []), {0})
-        assert b.meta["t"] == 0
-        assert b.meta["synthesis"].tree.parent == {}
+        syn = synthesize_core(build_graph(1, []), {0})
+        assert syn.t == 0
+        assert syn.tree.parent == {}
 
     def test_p2_one_stage(self):
-        b = synthesize_executor(gen_path(2), {0})
-        syn = b.meta["synthesis"]
-        assert b.meta["t"] == 3
+        syn = synthesize_core(gen_path(2), {0})
+        assert syn.t == 3
         assert syn.tree.level[1] == 1 and syn.tree.parent[1] == 0
 
     def test_star_one_stage(self):
-        b = synthesize_executor(gen_star(5), {0})
-        syn = b.meta["synthesis"]
-        assert b.meta["t"] == 3
+        syn = synthesize_core(gen_star(5), {0})
+        assert syn.t == 3
         assert all(syn.tree.level[v] == 1 for v in range(1, 5))
         assert all(syn.tree.parent[v] == 0 for v in range(1, 5))
 
@@ -100,25 +111,21 @@ class TestSynthesizeExecutor:
 
 
 class TestExecutorProgram:
+    """The Executor that opens a path-message run (messages tagged p1)."""
+
     def test_p4_informs_within_three_stages(self):
         g = gen_path(4)
-        b = synthesize_executor(g, {0})
+        b, tr = executor_run(g)
         assert b.meta["t"] <= 9
-        tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
-        assert tr.outputs == ["M"] * 4
         verify_executor_run(g, b, tr)
 
     def test_levels_are_one_mod_three(self):
-        g = gen_grid(3, 5)
-        b = synthesize_executor(g, {0})
-        tree = b.meta["synthesis"].tree
+        tree = synthesize_core(gen_grid(3, 5), {0}).tree
         assert all(l % 3 == 1 for v, l in tree.level.items() if v != 0)
 
     def test_c6_spanning_tree(self):
         g = gen_cycle(6)
-        b = synthesize_executor(g, {0})
-        tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
-        assert tr.outputs == ["M"] * 6
+        b, tr = executor_run(g)
         tree = b.meta["synthesis"].tree
         assert set(tree.parent) == {1, 2, 3, 4, 5}
         verify_executor_run(g, b, tr)
@@ -126,23 +133,19 @@ class TestExecutorProgram:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_random_graphs_verified(self, seed):
         g = gen_random_connected(24, 0.12, seed)
-        b = synthesize_executor(g, {0})
-        tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
-        assert tr.outputs == ["M"] * 24
+        b, tr = executor_run(g)
         verify_executor_run(g, b, tr)
 
     def test_stage_count_at_most_n(self):
         for g in (gen_path(17), gen_cycle(9), gen_grid(4, 4)):
-            b = synthesize_executor(g, {0})
-            assert len(b.meta["synthesis"].stages) <= g.n
-            assert b.meta["t"] <= 3 * g.n
+            syn = synthesize_core(g, {0})
+            assert len(syn.stages) <= g.n
+            assert syn.t <= 3 * g.n
 
     def test_alternate_sources(self):
         g = gen_grid(3, 5)
         for s in (0, 7, 14):
-            b = synthesize_executor(g, {s})
-            tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
-            assert tr.outputs == ["M"] * g.n
+            b, tr = executor_run(g, s)
             verify_executor_run(g, b, tr)
 
 
@@ -199,31 +202,36 @@ class TestExecAck:
 
 
 class TestMBroadcast:
+    """The Executor from several sources: its synthesis, and the stage-2
+    broadcast of fastsd, which starts from every super-green node at the
+    barrier round."""
+
     def test_all_sources_zero_rounds(self):
-        g = gen_path(5)
-        b = synthesize_executor(g, set(range(5)))
-        assert b.meta["t"] == 0
-        tr = run(g, b.labels, partial(BroadcastProgram, message="n"))
-        assert tr.outputs == ["n"] * 5
+        assert synthesize_core(gen_path(5), set(range(5))).t == 0
 
     def test_p5_both_ends(self):
-        g = gen_path(5)
-        b = synthesize_executor(g, {0, 4})
-        assert b.meta["t"] <= 6  # two stages suffice
-        tr = run(g, b.labels, partial(BroadcastProgram, message="n"))
-        assert tr.outputs == ["n"] * 5
+        assert synthesize_core(gen_path(5), {0, 4}).t <= 6  # two stages suffice
 
-    def test_single_source_reduces_to_executor(self):
-        # single-source executor labels are the executor blocks of the
-        # acknowledged broadcast's labels
-        g = gen_grid(3, 4)
-        blocks, _ = ack_blocks(synthesize_core(g, {0}), 0)
-        ack = [encode_blocks(b[:2]) for b in blocks]
-        assert synthesize_executor(g, {0}).labels == ack
+    @pytest.mark.parametrize("g,sources", [(gen_path(64), 5), (gen_grid(8, 32), 16)],
+                             ids=["path64", "grid8x32"])
+    def test_fastsd_stage_two_verified(self, g, sources):
+        b = build_fast_sd(g)
+        syn = b.meta["stage2"]
+        assert b.meta["mode"] == "stripes" and len(syn.tree.sources) == sources
+        tr = run(g, b.labels, fast_sd_program)
+        assert tr.outputs == [g.n] * g.n
+        check_tree_invariants(syn, g)
+        check_dom_schedule(syn, g)
+        # stage 2's relative round 1 is the barrier round; its blocks are
+        # the last two of the label behind the mode bit
+        offset = b.meta["barrier"] - 1
+        check_executor_rounds(syn, tr, "F3", offset)
+        blocks = [decode_blocks(split_mode(label)[1])[-2:] for label in b.labels]
+        check_local_membership(syn, blocks, tr, "F3", offset)
 
     def test_empty_sources_rejected(self):
         with pytest.raises(EmptySourceSet):
-            synthesize_executor(gen_path(3), set())
+            synthesize_core(gen_path(3), set())
 
 
 class TestPathMessage:
@@ -276,11 +284,11 @@ class TestPathMessage:
 
 class TestNodeLocality:
     def test_dom_decisions_match_oracle(self):
-        """BroadcastProgram's DOM membership, recomputed from label+history,
-        equals the offline schedule (checked inside verify_executor_run)."""
+        """The Executor's DOM membership in a path-message run, recomputed
+        from label and history, equals the offline schedule (checked inside
+        verify_executor_run)."""
         for g in (gen_path(9), gen_grid(3, 4), gen_random_connected(18, 0.2, 7)):
-            b = synthesize_executor(g, {0})
-            tr = run(g, b.labels, partial(BroadcastProgram, message="M"))
+            b, tr = executor_run(g)
             verify_executor_run(g, b, tr)
 
 
@@ -290,7 +298,7 @@ class TestParseOnce:
     message is parsed once per run, whatever its number of listeners."""
 
     CASES = [
-        ("exec", gen_grid(6, 7)),
+        ("fastsd", gen_grid(8, 32)),
         ("pathmsg", gen_grid(6, 7)),
         ("pathmsg", gen_path(40)),
         ("compact", gen_grid(5, 6)),
@@ -327,7 +335,7 @@ class TestParseOnce:
 
     def test_feedback_carries_no_stay_field(self):
         g = gen_grid(6, 7)
-        tr = run(g, synthesize_executor(g, {0}).labels, BroadcastProgram)
+        tr = run(g, synthesize_path_message(g, 0, "1011001").labels, PathMessageProgram)
         feedback = [parse(m) for rec in tr.rounds for m in rec.transmitters.values()
                     if parse(m)[1] == "f"]
         assert feedback
@@ -361,10 +369,9 @@ class TestExecCoreWake:
     @pytest.mark.parametrize(
         "synth,program,rounds,max_calls",
         [
-            (lambda g: synthesize_executor(g, {0}), BroadcastProgram, 33, 93),
             (lambda g: synthesize_path_message(g, 0, "1011001"), PathMessageProgram, 163, 219),
         ],
-        ids=["exec", "pathmsg"],
+        ids=["pathmsg"],
     )
     def test_action_calls_on_grid(self, synth, program, rounds, max_calls):
         g = gen_grid(6, 7)

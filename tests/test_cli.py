@@ -88,6 +88,16 @@ class TestRun:
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    def test_cd_option_rejected(self, tmp_path, capsys):
+        """`run` has no `--cd`: nothing it prints reads the detection mode
+        (`audit` runs under collision detection)."""
+        el = tmp_path / "c4.el"
+        run_cli("gen", "--family", "cycle", "--n", "4", "--out", str(el))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", str(el), "--scheme", "compact", "--cd")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cd" in capsys.readouterr().err
+
     def test_disconnected_rejected(self, tmp_path):
         el = tmp_path / "disc.el"
         el.write_text("4 2\n0 1\n2 3\n")

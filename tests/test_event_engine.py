@@ -131,7 +131,7 @@ def test_toprec_matches_reference(cd):
 
 @pytest.mark.parametrize("cd", [False, True])
 @pytest.mark.parametrize(
-    "scheme", ["broadcast-bfs", "gather-bfs", "exec", "pathmsg"]
+    "scheme", ["broadcast-bfs", "gather-bfs", "pathmsg"]
 )
 def test_primitives_match_reference(scheme, cd):
     for gid, g in TOPREC_SAMPLE:
@@ -149,7 +149,7 @@ def test_lower_bound_family_with_cd_matches_reference(scheme, n):
 
 @pytest.mark.parametrize(
     "scheme,rounds",
-    [("compact", 1), ("general", 0), ("fastsd", 0), ("exec", 0), ("pathmsg", 0),
+    [("compact", 1), ("general", 0), ("fastsd", 0), ("pathmsg", 0),
      ("toprec", 0), ("broadcast-bfs", 0), ("gather-bfs", 0)],
 )
 def test_single_node_matches_reference(scheme, rounds):
@@ -178,7 +178,7 @@ def node_programs():
 
 def test_every_program_declares_its_wake_round():
     programs = node_programs()
-    assert len(programs) == 8
+    assert len(programs) == 7
     assert [c.__name__ for c in programs if c.next_wake is NodeProgram.next_wake] == []
     # the wake round is the only sleep signal
     assert [c.__name__ for c in programs | {NodeProgram} if hasattr(c, "idle")] == []

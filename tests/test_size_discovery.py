@@ -6,12 +6,7 @@ from pathlib import Path
 import pytest
 
 from radiolab import size_discovery
-from radiolab.broadcast import (
-    BroadcastProgram,
-    PathMessageProgram,
-    synthesize_executor,
-    synthesize_path_message,
-)
+from radiolab.broadcast import PathMessageProgram, synthesize_path_message
 from radiolab.errors import (
     BarrierExceeded,
     ConflictingPaths,
@@ -455,8 +450,6 @@ MALFORMED_CASES = {
                        range(6), (0, 1, 3, 4, 5, 6), True),
     "fastsd-fallback": (lambda: build_fast_sd(gen_cycle(4)), fast_sd_program,
                         range(4), (0, 1, 2, 3, 4), False),
-    "exec": (lambda: synthesize_executor(gen_path(6), {0}), BroadcastProgram,
-             range(6), (0, 1), True),
     "pathmsg": (lambda: synthesize_path_message(gen_path(6), 0, "110"), PathMessageProgram,
                 range(6), (0, 1, 2), False),
 }

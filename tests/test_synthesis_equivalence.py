@@ -43,7 +43,7 @@ from radiolab.size_discovery import (
     assign_subtree_bits,
 )
 from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0, oracle_ids
-from oracles import verify_subtree_assignment
+from oracles import postorder_concat, verify_subtree_assignment
 
 SCHEMES = ("compact", "general", "fastsd", "toprec")
 
@@ -316,8 +316,8 @@ def test_dominating_subset_matches_reference(seed):
         with pytest.raises(Undominatable, match=str(exc)):
             minimal_dominating_subset(candidates, targets, g)
         return
-    chosen, unique = broadcast._dominate(candidates, targets, g)
-    assert chosen == expected == minimal_dominating_subset(candidates, targets, g)
+    chosen, unique = minimal_dominating_subset(candidates, targets, g)
+    assert chosen == expected
     # the unique map is the per-target sender scan of the old synthesis
     senders = {u: [w for w in g.adj[u] if w in chosen] for u in targets}
     assert unique == {u: s[0] for u, s in senders.items() if len(s) == 1}
@@ -380,7 +380,7 @@ def test_subtree_bits_match_reference():
         m = "".join("1" if rng.next_u64() & 1 else "0" for _ in range(n.bit_length() + 1))
         new = assign_subtree_bits(tree, root, m)
         assert new == reference_assign_subtree_bits(tree, root, m)
-        assert new.postorder_concat() == m
+        assert postorder_concat(new) == m
 
 
 # ---------------------------------------------------------------------------
