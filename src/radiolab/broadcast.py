@@ -39,42 +39,50 @@ def minimal_dominating_subset(
     one chosen neighbor mapped to that neighbor: the nodes the chosen set
     informs.
 
-    Coverage is counted from whichever side has the smaller degree sum, and
-    that one pass records each candidate's adjacent targets, so the greedy
-    removal reads no adjacency. A target whose cover drops to 1 becomes
-    critical; a candidate is removable iff it touches no critical target.
+    When the removal reaches v, a target u of v is still covered by its
+    candidates below v and by the kept ones above, so v is kept iff it is
+    the lowest candidate neighbor of some target that no kept candidate
+    covers. Only those lowest covers are examined, highest first. The
+    lowest covers come from whichever side has the smaller degree sum: a
+    target's is the first candidate in its sorted row, and the candidate
+    side goes up in index order and stops once every target has its cover.
     """
     adj = g.adj
-    cover: dict[int, int] = {}
+    low: dict[int, int] = {}
     if _degree_sum(g, targets) <= _degree_sum(g, candidates):
-        touched: dict[int, list[int] | set[int]] = {v: [] for v in candidates}
+        # rows are sorted: the first candidate in a row is its lowest
+        is_candidate = candidates.__contains__
         for u in targets:
-            near = candidates.intersection(adj[u])
-            if near:
-                cover[u] = len(near)
-                for v in near:
-                    touched[v].append(u)
+            v = next(filter(is_candidate, adj[u]), None)
+            if v is not None:
+                low[u] = v
     else:
-        touched = {v: targets.intersection(adj[v]) for v in candidates}
-        for near in touched.values():
-            for u in near:
-                cover[u] = cover.get(u, 0) + 1
-    if len(cover) < len(targets):
-        u = next(u for u in targets if u not in cover)
+        left = set(targets)
+        for v in sorted(candidates):
+            near = left.intersection(adj[v])
+            if near:
+                low.update(dict.fromkeys(near, v))
+                left -= near
+                if not left:
+                    break
+    if len(low) < len(targets):
+        u = next(u for u in targets if u not in low)
         raise Undominatable(f"target {u} has no candidate neighbor")
-    chosen = set(candidates)
-    critical = {u for u, c in cover.items() if c == 1}
-    for v in sorted(candidates, reverse=True):
-        near = touched[v]
-        if critical.isdisjoint(near):
-            chosen.discard(v)
-            for u in near:
-                c = cover[u] - 1
-                cover[u] = c
-                if c == 1:
-                    critical.add(u)
-    unique = {u: v for v in chosen for u in critical.intersection(touched[v])}
-    return chosen, unique
+    lowest_for: dict[int, list[int]] = {}
+    for u, v in low.items():
+        lowest_for.setdefault(v, []).append(u)
+    chosen: dict[int, set[int]] = {}  # kept candidate -> its targets
+    covered: set[int] = set()
+    multi: set[int] = set()  # targets of two or more kept candidates
+    for v in sorted(lowest_for, reverse=True):
+        if not covered.issuperset(lowest_for[v]):
+            near = chosen[v] = targets.intersection(adj[v])
+            multi |= covered & near
+            covered |= near
+    unique: dict[int, int] = {}
+    for v, near in chosen.items():
+        unique.update(dict.fromkeys(near - multi, v))
+    return set(chosen), unique
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +355,17 @@ class AckMachine:
     completion is padded to relative round 3t, which every node can
     compute. Then an upward collection the program runs in the rounds of
     `collect_round`, and a third Executor run (`tag3`) that `finish` starts
-    at the source with the collected answer.
+    at the source with the collected answer. `collects` says the node has
+    a duty in `collect_round` (the source always has one): only then can
+    learning t move its wake round.
     """
 
-    def __init__(self, tag: str, js: str, flags: str, pathbits: str):
+    def __init__(self, tag: str, js: str, flags: str, pathbits: str, collects: bool):
         fixed_block(flags, 2)
         fixed_block(pathbits, 2)
         self.tag = tag
         self.is_source = flags[0] == "1"
+        self.collects = collects or self.is_source
         self.dom1 = flags[1] == "1"
         self.on_path = pathbits[0] == "1"
         self.is_vp = pathbits[1] == "1"
@@ -414,7 +425,7 @@ class AckMachine:
 
     def on_message(self, abs_rnd: int, parts) -> bool:
         """Take a heard message of this machine; True iff it changed a
-        core's duties, `t`, or the relay."""
+        core's duties, the relay, or `t` at a node that collects."""
         tag = parts[0]
         if tag == self.tag + "1":
             core = self.core1
@@ -428,8 +439,8 @@ class AckMachine:
             return changed
         if tag == self.tag + "a":
             t, plv = parts[2], parts[3]
-            changed = self.t is None
-            if changed:
+            changed = self.t is None and self.collects
+            if self.t is None:
                 self.t = t
             if self.on_path and not self._relayed and self.core1.informed:
                 mylvl = 0 if self.is_source else self.core1.level
@@ -445,7 +456,7 @@ class AckMachine:
             changed = self.core2.on_message(abs_rnd, parts)
             if self.t is None and self.core2.informed:
                 self.t = self.core2.message
-                return True
+                return changed or self.collects
             return changed
         if tag == self.tag + "3":
             return self.core3.on_message(abs_rnd, parts)
@@ -531,8 +542,8 @@ class PathMessageProgram(NodeProgram):
     def __init__(self, label: str):
         super().__init__(label)
         js, flags, pathbits, markbit, chunk = label_blocks(label, 5)
-        self.ack = AckMachine("p", js, flags, pathbits)
         self.marked = markbit == "1"
+        self.ack = AckMachine("p", js, flags, pathbits, self.marked)
         self.chunk = chunk
         self.pairs: list[tuple[int, str]] = []
         self._collected = False

@@ -25,13 +25,17 @@ from .rng import SplitMix64
 
 
 class Graph:
-    """Simple undirected graph: node count plus per-node sorted adjacency."""
+    """Simple undirected graph: node count plus per-node sorted adjacency.
+
+    The rows are taken as given: each must already be strictly increasing
+    (`build_graph` sorts the rows it builds; the lower-bound generators
+    build theirs in order)."""
 
     __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
         self.n = n
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adj = tuple(map(tuple, adj))
         self._edges = None
 
     def edges(self) -> list[tuple[int, int]]:
@@ -96,7 +100,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, adj)
+    return Graph(n, map(sorted, adj))
 
 
 def bfs_layers(g: Graph, root: int) -> LayerAssignment:
@@ -105,14 +109,19 @@ def bfs_layers(g: Graph, root: int) -> LayerAssignment:
         raise IndexOutOfRange(f"root {root} outside [0,{g.n})")
     dist = [-1] * g.n
     dist[root] = 0
+    unseen = g.n - 1
     queue = deque([root])
-    while queue:
+    # a node's distance is fixed when it is found, so the scan stops at the
+    # last discovery: on a dense graph that is a few rows, not all 2m entries
+    while queue and unseen:
         u = queue.popleft()
+        du = dist[u] + 1
         for w in g.adj[u]:
             if dist[w] < 0:
-                dist[w] = dist[u] + 1
+                dist[w] = du
                 queue.append(w)
-    if any(d < 0 for d in dist):
+                unseen -= 1
+    if unseen:
         raise Disconnected("graph is not connected")
     return LayerAssignment(root=root, layer=tuple(dist), depth=max(dist))
 
@@ -270,7 +279,7 @@ def gen_lb_general(delta: int, n: int) -> tuple[Graph, LBFamilyDescriptor]:
     for c, s in enumerate(specials):
         rows.extend(row + [s] for row in _lb_rows(math.isqrt(k), nodes, s - k))
         ring = {specials[c - 1], specials[(c + 1) % copies]} - {s}
-        rows.append(nodes[s - k : s] + sorted(ring))
+        rows.append(sorted(nodes[s - k : s] + list(ring)))
     comps = [nodes[s - k : s] for s in specials]
     return Graph(total, rows), LBFamilyDescriptor(n=total, components=comps, specials=specials)
 

@@ -341,10 +341,14 @@ def run(
 # ---------------------------------------------------------------------------
 
 
+# `json.dumps` with non-default separators builds a new encoder per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def frame(*parts) -> bytes:
     """Encode a message as a compact JSON array; messages stay opaque bytes
     at the engine level, programs define their own framing on top."""
-    return json.dumps(parts, separators=(",", ":")).encode()
+    return _ENCODER.encode(parts).encode()
 
 
 def unframe(message: bytes) -> list:

@@ -201,7 +201,7 @@ class AuxiliarySDProgram(NodeProgram):
         self.b = b
         self.k = bits_to_int(kbits)
         self.msgbits = msg
-        self.ack = AckMachine("A", js, flags, pathbits)
+        self.ack = AckMachine("A", js, flags, pathbits, self.is_root or self.k >= 1)
         self._delta_bits: dict[int, str] = {}
         self._payloads: dict[int, str] = {}
         self._sent_sl = False

@@ -89,6 +89,22 @@ class TestBfsLayers:
         with pytest.raises(Disconnected):
             bfs_layers(g, 0)
 
+    @pytest.mark.parametrize(
+        "edges,n",
+        [([(0, 1), (1, 2), (3, 4), (4, 5)], 6), ([(0, 1), (1, 2), (0, 2)], 4)],
+        ids=["two-components", "isolated-last-node"],
+    )
+    def test_disconnected_from_every_root(self, edges, n):
+        g = build_graph(n, edges)
+        for root in range(n):
+            with pytest.raises(Disconnected):
+                bfs_layers(g, root)
+
+    def test_single_node(self):
+        la = bfs_layers(build_graph(1, []), 0)
+        assert la.layer == (0,) and la.depth == 0
+        assert diameter(build_graph(1, [])) == 0
+
 
 class TestDiameter:
     def test_small_cases(self):
@@ -245,6 +261,31 @@ class TestLBEquivalence:
     @pytest.mark.parametrize("delta,n", [(4, 8), (4, 12), (16, 64), (9, 40), (36, 100)])
     def test_general(self, delta, n):
         self.check(gen_lb_general(delta, n), lb_general_from_edges(delta, n))
+
+
+GENERATED = [
+    ("path-7", gen_path(7)),
+    ("cycle-9", gen_cycle(9)),
+    ("star-6", gen_star(6)),
+    ("grid-4x5", gen_grid(4, 5)),
+    ("tree-40", gen_tree(40, 3)),
+    ("gnp-30", gen_random_connected(30, 0.3, 5)),
+    ("lb-component-8", gen_lb_component(8)),
+    ("G_36", gen_lb_family(36)[0]),
+    ("G_144", gen_lb_family(144)[0]),
+    ("H_4_12", gen_lb_general(4, 12)[0]),
+    ("H_9_40", gen_lb_general(9, 40)[0]),
+    ("H_16_64", gen_lb_general(16, 64)[0]),
+]
+
+
+@pytest.mark.parametrize("name,g", GENERATED, ids=[name for name, _ in GENERATED])
+def test_generator_rows_strictly_increasing(name, g):
+    """`Graph` takes its rows as given, so every generator must hand them
+    over sorted and without repeats."""
+    assert len(g.adj) == g.n
+    for row in g.adj:
+        assert all(a < b for a, b in zip(row, row[1:])), name
 
 
 class TestFormats:

@@ -6,8 +6,9 @@ scan, the rescanning `minimal_dominating_subset`, the per-child scan of
 and the recursive `assign_subtree_bits` are kept here as test-only
 references. Every bundle built with them patched in must equal the bundle
 the current code builds, label for label and in its meta. A counting
-adjacency checks that `synthesize_core` scans from the smaller side. The
-large-n tests run under the default recursion limit.
+adjacency checks that `synthesize_core` scans from the smaller side and
+that BFS stops at its last discovery. The large-n tests run under the
+default recursion limit.
 """
 
 import math
@@ -27,8 +28,10 @@ from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import EmptySourceSet, MessageTooLong, Undominatable
 from radiolab.graphs import (
     Graph,
+    bfs_layers,
     build_graph,
     gen_lb_family,
+    gen_lb_general,
     gen_path,
     gen_random_connected,
     gen_star,
@@ -250,6 +253,7 @@ def _graphs():
 
 GRAPHS = _graphs()
 LB_784 = gen_lb_family(784)[0]
+LB_2304 = gen_lb_family(2304)[0]
 
 
 @pytest.mark.parametrize("gid,g", GRAPHS, ids=[gid for gid, _ in GRAPHS])
@@ -300,16 +304,9 @@ def test_lb_family_784_bundles_match_reference(monkeypatch):
         assert new.meta == ref.meta, scheme
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_dominating_subset_matches_reference(seed):
-    """Random candidate and target sets, some with the candidates' degree sum
-    below the targets' and some above."""
-    rng = SplitMix64(0xD0A1 + seed)
-    n = 5 + rng.randrange(80)
-    g = gen_random_connected(n, 0.05 + rng.randrange(90) / 100, rng.next_u64())
-    k = 1 + rng.randrange(n - 1)
-    candidates = {rng.randrange(n) for _ in range(k)}
-    targets = {u for u in range(n) if u not in candidates and rng.randrange(3)}
+def check_dominating_subset(candidates, targets, g):
+    """`minimal_dominating_subset` against the reference: the same chosen
+    set, or the same `Undominatable` message."""
     try:
         expected = reference_minimal_dominating_subset(candidates, targets, g)
     except Undominatable as exc:
@@ -321,6 +318,78 @@ def test_dominating_subset_matches_reference(seed):
     # the unique map is the per-target sender scan of the old synthesis
     senders = {u: [w for w in g.adj[u] if w in chosen] for u in targets}
     assert unique == {u: s[0] for u, s in senders.items() if len(s) == 1}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_dominating_subset_matches_reference(seed):
+    """Random candidate and target sets, some with the candidates' degree sum
+    below the targets' and some above."""
+    rng = SplitMix64(0xD0A1 + seed)
+    n = 5 + rng.randrange(80)
+    g = gen_random_connected(n, 0.05 + rng.randrange(90) / 100, rng.next_u64())
+    k = 1 + rng.randrange(n - 1)
+    candidates = {rng.randrange(n) for _ in range(k)}
+    targets = {u for u in range(n) if u not in candidates and rng.randrange(3)}
+    check_dominating_subset(candidates, targets, g)
+
+
+def synthesis_calls(g, sources):
+    """The (candidates, targets) of every `minimal_dominating_subset` call
+    that `synthesize_core(g, sources)` makes."""
+    calls = []
+
+    def recording(candidates, targets, graph):
+        calls.append((set(candidates), set(targets)))
+        return minimal_dominating_subset(candidates, targets, graph)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(broadcast, "minimal_dominating_subset", recording)
+        synthesize_core(g, sources)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,g,sources",
+    [
+        ("G_2304", LB_2304, {0}),
+        ("G_2304", LB_2304, {0, 47, 500, 1201, 2303}),
+        ("H_9_40", gen_lb_general(9, 40)[0], {0}),
+        ("H_36_100", gen_lb_general(36, 100)[0], {3, 90}),
+    ],
+    ids=["G_2304-0", "G_2304-5src", "H_9_40", "H_36_100"],
+)
+def test_dense_synthesis_calls_match_reference(name, g, sources):
+    """Every stage's call on the lower-bound graphs: each candidate covers
+    most targets, so only the lowest covers decide."""
+    calls = synthesis_calls(g, sources)
+    assert len(calls) >= 2, name
+    for candidates, targets in calls:
+        check_dominating_subset(candidates, targets, g)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (5, 1), (5, 4), (40, 7), (40, 33), (120, 60)])
+def test_complete_graph_dominating_subset(n, k):
+    """K_n, every candidate covering every target: the lowest candidate
+    alone is chosen, and it informs every target."""
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    candidates, targets = set(range(k)), set(range(k, n))
+    check_dominating_subset(candidates, targets, g)
+    assert minimal_dominating_subset(candidates, targets, g) == (
+        {0}, dict.fromkeys(targets, 0)
+    )
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_dense_dominating_subset_matches_reference(seed):
+    """G(n, p) with p >= 1/2 up to n = 300; small candidate sets often leave
+    a target undominated."""
+    rng = SplitMix64(0xDE1D + seed)
+    n = 3 + rng.randrange(298)
+    g = gen_random_connected(n, 0.5 + rng.randrange(51) / 100, rng.next_u64())
+    k = 1 + rng.randrange(min(n - 1, 4 if seed % 2 else n - 1))
+    candidates = {rng.randrange(n) for _ in range(k)}
+    targets = {u for u in range(n) if u not in candidates and rng.randrange(4)}
+    check_dominating_subset(candidates, targets, g)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +438,17 @@ def test_synthesis_scans_the_smaller_side(name, g):
     syn = synthesize_core(cg, {0})
     assert syn == reference_synthesize_core(g, {0})
     assert SCANNED[0] <= 8 * g.n, (name, SCANNED[0])
+
+
+def test_bfs_stops_at_last_discovery():
+    """On G_2304 every node is found within the first few rows, so BFS reads
+    at most 4 n adjacency entries of the graph's 2 m = 5.2 M."""
+    g = counting(LB_2304)
+    SCANNED[0] = 0
+    la = bfs_layers(g, 0)
+    assert la == bfs_layers(LB_2304, 0)
+    assert la.depth == 2
+    assert SCANNED[0] <= 4 * g.n, SCANNED[0]
 
 
 def test_subtree_bits_match_reference():
