@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import EmptySourceSet, Undominatable
 from .graphs import Graph
-from .labels import SchemeBundle, encode_blocks, fixed_block, label_blocks
+from .labels import SchemeBundle, encode_labels, fixed_block, label_blocks
 from .sim import NodeProgram, earliest, frame, parse
 
 
@@ -513,10 +513,9 @@ def synthesize_path_message(
         chunks = {levels[i]: pieces[i] for i in range(len(pieces))}
     chunk_of = {marked[k]: chunks.get(k, "") for k in marked}
 
-    labels = [
-        encode_blocks(blocks[v] + ["1" if v in chunk_of else "0", chunk_of.get(v, "")])
-        for v in range(g.n)
-    ]
+    labels = encode_labels(
+        blocks[v] + ["1" if v in chunk_of else "0", chunk_of.get(v, "")] for v in range(g.n)
+    )
     return SchemeBundle(
         scheme="pathmsg",
         labels=labels,

@@ -9,7 +9,8 @@ big-endian with leading zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .errors import MalformedCodeword
 
@@ -35,6 +36,41 @@ def encode_blocks(blocks: Sequence[str]) -> LabelBits:
         i, bad = next((i, b) for i, b in enumerate(blocks) if b.strip("01"))
         raise MalformedCodeword(f"block {i} ({bad!r}) is not a bit string")
     return bits
+
+
+# each codeword's first and second character; "\n" passes through both
+_FIRST = bytes.maketrans(b"01|", b"010")
+_SECOND = bytes.maketrans(b"01|", b"100")
+# rows encoded per pass: a large bundle's rows are never all held at once
+_CHUNK = 1024
+
+
+def encode_labels(rows: Iterable[Sequence[str]]) -> list[LabelBits]:
+    """`[encode_blocks(row) for row in rows]`, `_CHUNK` rows at a time, each
+    chunk in two `bytes.translate` passes: the rows joined by "\n", which
+    each pass leaves in place, so the code's pairs split on "\n\n"."""
+    labels: list[LabelBits] = []
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK)):
+        data = "\n".join(map("|".join, chunk)).encode()
+        # only bits and the separators the joins put in: one "|" per block
+        # after a row's first, one "\n" per row after the first
+        if (
+            data.translate(None, b"01|\n")
+            or data.count(b"|") != sum(map(len, chunk)) - sum(map(bool, chunk))
+            or data.count(b"\n") != len(chunk) - 1
+        ):
+            r, i, bad = next(
+                (r, i, b) for r, row in enumerate(chunk) for i, b in enumerate(row) if b.strip("01")
+            )
+            raise MalformedCodeword(
+                f"row {len(labels) + r}, block {i} ({bad!r}) is not a bit string"
+            )
+        out = bytearray(2 * len(data))
+        out[::2] = data.translate(_FIRST)
+        out[1::2] = data.translate(_SECOND)
+        labels += out.decode().split("\n\n")
+    return labels
 
 
 def decode_blocks(bits: LabelBits) -> list[str]:

@@ -35,7 +35,7 @@ from .labels import (
     SchemeBundle,
     add_mode,
     bits_to_int,
-    encode_blocks,
+    encode_labels,
     fixed_block,
     int_to_bits,
     label_blocks,
@@ -163,17 +163,17 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
     asg = assign_subtree_bits(tree_graph, root, message)
     width_k = max(k_rounds.bit_length(), 1)
 
-    labels = [
-        encode_blocks([
+    labels = encode_labels(
+        [
             "1" if v == root else "0",
             a_field[v],
             b_field[v],
             *ack[v],
             int_to_bits(asg.child_num.get(v, 0), width_k),
             asg.bits.get(v, ""),
-        ])
+        ]
         for v in range(n)
-    ]
+    )
     return SchemeBundle(
         scheme="compact",
         labels=labels,
@@ -323,7 +323,6 @@ class StripeDecomposition:
     graph: Graph
     layers: LayerAssignment
     lgn: int
-    green: list[bool]
     supergreen: list[bool]
     stripe_of: list[int | None]
     stripes: range  # indices of the materialized stripes
@@ -340,7 +339,6 @@ def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
     la = bfs_layers(g, s)
     if la.depth < lgn:
         raise TooShallow(f"depth {la.depth} < lg n = {lgn}")
-    green = [False] * n
     supergreen = [False] * n
     stripe_of: list[int | None] = [None] * n
     by_layer: list[list[int]] = [[] for _ in range(la.depth + 1)]
@@ -350,17 +348,14 @@ def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
         i = la.layer[v]
         by_layer[i].append(v)
         block = i // lgn
-        if block % 2 == 0:
-            green[v] = True
-            if block in stripes:
-                stripe_of[v] = block
-                if i == (block + 1) * lgn - 1:
-                    supergreen[v] = True
+        if block in stripes:
+            stripe_of[v] = block
+            if i == (block + 1) * lgn - 1:
+                supergreen[v] = True
     return StripeDecomposition(
         graph=g,
         layers=la,
         lgn=lgn,
-        green=green,
         supergreen=supergreen,
         stripe_of=stripe_of,
         stripes=stripes,
@@ -389,15 +384,25 @@ def _forward_reach(sd: StripeDecomposition, j: int, starts: set[int]) -> set[int
 def minimal_bfs_cover(sd: StripeDecomposition, j: int) -> list[int]:
     """Subset of the stripe's first layer from which every super-green node
     of the stripe is BFS-reachable; minimal under inclusion (greedy removal,
-    descending index)."""
-    first = j * sd.lgn
-    sg = set(sd.by_layer[first + sd.lgn - 1])  # the stripe's super-green nodes
-    cover = set(sd.by_layer[first])
-    for v in sorted(cover, reverse=True):
-        trial = cover - {v}
-        if trial and sg <= _forward_reach(sd, j, trial):
-            cover = trial
-    return sorted(cover)
+    descending index). When the greedy reaches v, every first-layer node
+    below v is still in the cover, so v stays iff some super-green node
+    whose lowest first-layer BFS-ancestor is v is not reached from above."""
+    g, layer, lgn = sd.graph, sd.layers.layer, sd.lgn
+    first = j * lgn
+    low = {v: v for v in sd.by_layer[first]}
+    for i in range(first + 1, first + lgn):
+        for w in sd.by_layer[i]:
+            low[w] = min(low[u] for u in g.adj[w] if layer[u] == i - 1)
+    needs: dict[int, list[int]] = {}
+    for y in sd.by_layer[first + lgn - 1]:  # the stripe's super-green nodes
+        needs.setdefault(low[y], []).append(y)
+    cover: list[int] = []
+    covered: set[int] = set()
+    for v in sorted(needs, reverse=True):
+        if not covered.issuperset(needs[v]):
+            cover.append(v)
+            covered |= _forward_reach(sd, j, {v})
+    return cover[::-1]
 
 
 def conflict_free_paths(
@@ -513,19 +518,20 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
 
     sources = {v for v in range(n) if sd.supergreen[v]}
     s2 = synthesize_core(g, sources)
-    labels = []
-    for v in range(n):
-        flags = "".join(
-            "1" if f else "0"
-            for f in (reach_flag[v], sd.supergreen[v], cover_flag[v], on_paths[v])
-        )
-        blocks = [
-            flags,
+    # the first block is the mode bit
+    labels = encode_labels(
+        [
+            "1",
+            "".join(
+                "1" if f else "0"
+                for f in (reach_flag[v], sd.supergreen[v], cover_flag[v], on_paths[v])
+            ),
             m_bit[v],
             *b_bits[v],
             *core_blocks(s2, v, v in sources),
         ]
-        labels.append(add_mode("1", encode_blocks(blocks)))
+        for v in range(n)
+    )
     return SchemeBundle(
         scheme="fastsd",
         labels=labels,

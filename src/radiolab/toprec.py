@@ -19,6 +19,7 @@ from .labels import (
     bits_to_int,
     decode_blocks,
     encode_blocks,
+    encode_labels,
     int_to_bits,
     label_blocks,
 )
@@ -153,19 +154,19 @@ def build_bfs_labels(
     while path[-1] != r:
         path.append(parent[path[-1]])
     on_path = set(path)
-    labels = []
-    for v in range(n):
-        leaf = not any(la.layer[w] == la.layer[v] + 1 for w in g.adj[v])
-        blocks = [
+    delta_bits = int_to_bits(delta, wd)
+    labels = encode_labels(
+        [
             "1" if v == r else "0",
-            "1" if leaf else "0",
+            "0" if any(la.layer[w] == la.layer[v] + 1 for w in g.adj[v]) else "1",  # leaf
             "1" if v in on_path else "0",
             int_to_bits(b[v], wd),
             int_to_bits(gv[v], wg),
-            int_to_bits(delta, wd),
+            delta_bits,
             payloads[v] if payloads else "",
         ]
-        labels.append(encode_blocks(blocks))
+        for v in range(n)
+    )
     return SchemeBundle(
         scheme="bfs",
         labels=labels,
@@ -192,15 +193,16 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
     id_mode = delta * delta + 1 > n
     wc = max((delta * delta + 1).bit_length(), 1)
     wu = max(n.bit_length(), 1)
-    labels = []
-    for v in range(n):
-        blocks = [
+    tails = encode_labels(
+        [
             int_to_bits(colors[v], wc),
             "1" if id_mode else "0",
             int_to_bits(v + 1, wu) if id_mode else "",
             int_to_bits(n) if (id_mode and v == r) else "",
         ]
-        labels.append(base.labels[v] + "00" + encode_blocks(blocks))
+        for v in range(n)
+    )
+    labels = [head + "00" + tail for head, tail in zip(base.labels, tails)]
     return SchemeBundle(
         scheme="toprec",
         labels=labels,

@@ -2,18 +2,22 @@
 per-block encoder it replaced (kept here as test-only references)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from radiolab import broadcast, size_discovery, toprec
+from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import MalformedCodeword
 from radiolab.labels import (
     add_mode,
     bits_to_int,
     decode_blocks,
     encode_blocks,
+    encode_labels,
     int_to_bits,
     split_mode,
 )
+from radiolab.schemes import build_bundle
 
 bitstrings = st.text(alphabet="01", max_size=24)
 
@@ -159,3 +163,102 @@ class TestIntBits:
     @given(st.integers(0, 10**9))
     def test_round_trip(self, x):
         assert bits_to_int(int_to_bits(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# Whole-bundle encoder
+# ---------------------------------------------------------------------------
+
+rows_of_blocks = st.lists(st.lists(bitstrings, max_size=6), max_size=6)
+
+
+class TestEncodeLabels:
+    @given(rows_of_blocks)
+    @example([])
+    @example([[]])
+    @example([[""]])
+    @example([["1", "0"]])
+    @example([[], [""], ["", ""], []])
+    def test_same_as_encoding_each_row(self, rows):
+        labels = encode_labels(rows)
+        assert labels == [encode_blocks(r) for r in rows]
+        assert [decode_blocks(l) for l in labels] == [list(r) or [""] for r in rows]
+
+    def test_rows_of_tuples(self):
+        assert encode_labels([("1", "0"), ("11",)]) == ["100001", "1010"]
+
+    def test_rows_across_chunks(self):
+        """A generator of more rows than one pass takes: the labels come in
+        row order, and a bad block past the first pass is named by its row
+        in the whole input."""
+        rows = [[format(v, "b"), "1" * (v % 5), ""][: 1 + v % 3] for v in range(2500)]
+        assert encode_labels(iter(rows)) == [encode_blocks(r) for r in rows]
+        rows[2100] = ["1", "0|1"]
+        with pytest.raises(MalformedCodeword, match=r"row 2100, block 1 \('0\|1'\)"):
+            encode_labels(r for r in rows)
+
+    @given(
+        rows_of_blocks.filter(lambda rows: any(rows)),
+        st.sampled_from(["2", "|", "\n", "¹"]),
+        st.data(),
+    )
+    def test_foreign_character_in_any_block_named(self, rows, bad, data):
+        """A foreign character, a separator or a row break inside any block
+        raises MalformedCodeword naming the first bad block."""
+        r = data.draw(st.sampled_from([i for i, row in enumerate(rows) if row]))
+        i = data.draw(st.integers(0, len(rows[r]) - 1))
+        at = data.draw(st.integers(0, len(rows[r][i])))
+        rows = [list(row) for row in rows]
+        rows[r][i] = rows[r][i][:at] + bad + rows[r][i][at:]
+        with pytest.raises(MalformedCodeword, match=rf"row {r}, block {i} \("):
+            encode_labels(rows)
+
+    @pytest.mark.parametrize(
+        "rows,named",
+        [
+            ([["1"], ["0", "2"]], "row 1, block 1"),
+            ([["1|0"], ["0"]], "row 0, block 0"),
+            ([["1"], [], ["0\n1"]], "row 2, block 0"),
+            ([["\n"]], "row 0, block 0"),
+            ([["1", ""], ["", "|"]], "row 1, block 1"),
+        ],
+    )
+    def test_malformed_block_named(self, rows, named):
+        with pytest.raises(MalformedCodeword, match=named):
+            encode_labels(rows)
+
+
+def recorded_rows(monkeypatch, build):
+    """The rows of every `encode_labels` call that `build()` makes, and what
+    it returned."""
+    calls = []
+
+    def recording(rows):
+        rows = list(rows)
+        labels = encode_labels(rows)
+        calls.append((rows, labels))
+        return labels
+
+    for module in (broadcast, size_discovery, toprec):
+        monkeypatch.setattr(module, "encode_labels", recording)
+    build()
+    return calls
+
+
+SIZE_SCHEMES = ("compact", "general", "fastsd", "broadcast-bfs", "gather-bfs")
+
+
+@pytest.mark.parametrize(
+    "gid,g,schemes",
+    [(gid, g, SIZE_SCHEMES) for gid, g in corpus()]
+    + [(gid, g, ("toprec",)) for gid, g in toprec_corpus()],
+    ids=[f"size-{gid}" for gid, _ in corpus()] + [f"toprec-{gid}" for gid, _ in toprec_corpus()],
+)
+def test_bundle_rows_encode_as_each_row(monkeypatch, gid, g, schemes):
+    """Every row a label builder encodes, across both corpora, encodes the
+    same as `encode_blocks` on that row alone."""
+    for scheme in schemes:
+        calls = recorded_rows(monkeypatch, lambda: build_bundle(scheme, g))
+        assert calls, scheme
+        for rows, labels in calls:
+            assert labels == [encode_blocks(r) for r in rows], scheme

@@ -240,7 +240,8 @@ class TestStripes:
         sd = stripe_decomposition(g, 0)
         assert sd.lgn == 7
         assert sorted(sd.stripes)[:2] == [0, 2]
-        assert sd.green[0] and sd.green[6] and not sd.green[7]
+        green = [sd.layers.layer[v] // sd.lgn % 2 == 0 for v in range(g.n)]
+        assert green[0] and green[6] and not green[7]
         assert sd.supergreen[6] and sd.supergreen[20]
         assert sd.stripe_of[14] == 2
 

@@ -2,12 +2,14 @@
 
 The rescanning frontier of `synthesize_core` with its per-frontier sender
 scan, the rescanning `minimal_dominating_subset`, the per-child scan of
-`assign_gather_indices`, the per-neighbour loop of `distance_two_coloring`
-and the recursive `assign_subtree_bits` are kept here as test-only
-references. Every bundle built with them patched in must equal the bundle
-the current code builds, label for label and in its meta. A counting
-adjacency checks that `synthesize_core` scans from the smaller side and
-that BFS stops at its last discovery. The large-n tests run under the
+`assign_gather_indices`, the per-neighbour loop of `distance_two_coloring`,
+the recursive `assign_subtree_bits` and the greedy-removal
+`minimal_bfs_cover` are kept here as test-only references. Every bundle
+built with them patched in must equal the bundle the current code builds,
+label for label and in its meta. A counting adjacency checks that
+`synthesize_core` scans from the smaller side, that BFS stops at its last
+discovery and that the stripe cover reads each stripe's adjacency a bounded
+number of times. The large-n tests run under the
 default recursion limit.
 """
 
@@ -25,11 +27,12 @@ from radiolab.broadcast import (
     synthesize_core,
 )
 from radiolab.corpus import corpus, toprec_corpus
-from radiolab.errors import EmptySourceSet, MessageTooLong, Undominatable
+from radiolab.errors import EmptySourceSet, MessageTooLong, TooShallow, Undominatable
 from radiolab.graphs import (
     Graph,
     bfs_layers,
     build_graph,
+    gen_grid,
     gen_lb_family,
     gen_lb_general,
     gen_path,
@@ -42,8 +45,11 @@ from radiolab.schemes import build_bundle, run_scheme
 from radiolab.size_discovery import (
     COMPACT_LENGTH_C,
     SubtreeAssignment,
+    _forward_reach,
     _rooted_children,
     assign_subtree_bits,
+    minimal_bfs_cover,
+    stripe_decomposition,
 )
 from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0, oracle_ids
 from oracles import postorder_concat, verify_subtree_assignment
@@ -215,11 +221,25 @@ def reference_assign_subtree_bits(tree, root, message):
     return out
 
 
+def reference_minimal_bfs_cover(sd, j):
+    """`minimal_bfs_cover` trying each first-layer node for removal, in
+    descending order, with one whole-stripe reach per try."""
+    first = j * sd.lgn
+    sg = set(sd.by_layer[first + sd.lgn - 1])
+    cover = set(sd.by_layer[first])
+    for v in sorted(cover, reverse=True):
+        trial = cover - {v}
+        if trial and sg <= _forward_reach(sd, j, trial):
+            cover = trial
+    return sorted(cover)
+
+
 def reference_bundle(monkeypatch, scheme, g):
     with monkeypatch.context() as m:
         m.setattr(broadcast, "synthesize_core", reference_synthesize_core)
         m.setattr(size_discovery, "synthesize_core", reference_synthesize_core)
         m.setattr(size_discovery, "assign_subtree_bits", reference_assign_subtree_bits)
+        m.setattr(size_discovery, "minimal_bfs_cover", reference_minimal_bfs_cover)
         m.setattr(toprec, "assign_gather_indices", reference_assign_gather_indices)
         m.setattr(toprec, "distance_two_coloring", reference_distance_two_coloring)
         return build_bundle(scheme, g)
@@ -265,6 +285,61 @@ def test_bundles_match_reference(monkeypatch, gid, g):
         assert new.meta == ref.meta, scheme
         if scheme == "toprec":
             check_ids(new)
+
+
+# ---------------------------------------------------------------------------
+# Stripe covers
+# ---------------------------------------------------------------------------
+
+
+GRID_128 = gen_grid(128, 128)
+
+
+def check_covers(g, s=0):
+    """Every stripe's cover against the reference; the number of stripes."""
+    try:
+        sd = stripe_decomposition(g, s)
+    except TooShallow:
+        return 0
+    for j in sd.stripes:
+        assert minimal_bfs_cover(sd, j) == reference_minimal_bfs_cover(sd, j), j
+    return len(sd.stripes)
+
+
+def test_covers_match_reference_on_size_corpus():
+    assert sum(check_covers(g) for _, g in corpus()) >= 100
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_covers_match_reference_on_random_graphs(seed):
+    """Sparse G(n, p) and uniform trees from a random root; about two in
+    three are deep enough to have stripes."""
+    rng = SplitMix64(0xC0FE + seed)
+    n = 20 + rng.randrange(400)
+    gnp = gen_random_connected(n, (12 + rng.randrange(10)) / (10 * n), rng.next_u64())
+    tree = gen_tree(n, rng.next_u64())
+    check_covers(gnp, rng.randrange(n))
+    check_covers(tree, rng.randrange(n))
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(3, 40), (9, 9), (17, 31), (33, 33), (5, 300), (64, 64), (100, 77), (128, 128)]
+)
+def test_covers_match_reference_on_grids(rows, cols):
+    g = GRID_128 if rows == cols == 128 else gen_grid(rows, cols)
+    assert check_covers(g) >= 1
+    assert check_covers(g, g.n - 1) >= 1
+
+
+@pytest.mark.parametrize("gid,g", [("grid-33x47", gen_grid(33, 47)), ("path-700", gen_path(700))])
+def test_fastsd_bundle_matches_with_reference_cover(monkeypatch, gid, g):
+    new = build_bundle("fastsd", g)
+    assert new.meta["mode"] == "stripes"
+    with monkeypatch.context() as m:
+        m.setattr(size_discovery, "minimal_bfs_cover", reference_minimal_bfs_cover)
+        ref = build_bundle("fastsd", g)
+    assert new.labels == ref.labels
+    assert new.meta == ref.meta
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -449,6 +524,29 @@ def test_bfs_stops_at_last_discovery():
     assert la == bfs_layers(LB_2304, 0)
     assert la.depth == 2
     assert SCANNED[0] <= 4 * g.n, SCANNED[0]
+
+
+def test_cover_reads_each_stripe_a_bounded_number_of_times():
+    """On grid-128x128 the cover reads at most 3x each stripe's adjacency
+    entries (one lowest-ancestor pass, then one reach per kept node); the
+    greedy removal it replaced rereads the whole stripe for every node it
+    tries, far over that bound."""
+    g = counting(GRID_128)
+    sd = stripe_decomposition(g, 0)
+    ratios = {}
+    for j in sd.stripes:
+        entries = sum(
+            len(g.adj[v]) for layer in sd.by_layer[j * sd.lgn : (j + 1) * sd.lgn] for v in layer
+        )
+        SCANNED[0] = 0
+        cover = minimal_bfs_cover(sd, j)
+        ratios[j] = SCANNED[0] / entries
+        SCANNED[0] = 0
+        assert cover == reference_minimal_bfs_cover(sd, j), j
+        if j == 8:
+            assert SCANNED[0] > 10 * entries, SCANNED[0]
+    assert len(ratios) >= 8
+    assert max(ratios.values()) <= 3, ratios
 
 
 def test_subtree_bits_match_reference():
