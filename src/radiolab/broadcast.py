@@ -14,6 +14,7 @@ membership intervals are consecutive).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import EmptySourceSet, Undominatable
 from .graphs import Graph
@@ -24,10 +25,6 @@ from .sim import NodeProgram, earliest, frame, parse
 # ---------------------------------------------------------------------------
 # Minimal dominating subsets
 # ---------------------------------------------------------------------------
-
-
-def _degree_sum(g: Graph, nodes) -> int:
-    return sum(map(len, map(g.adj.__getitem__, nodes)))
 
 
 def minimal_dominating_subset(
@@ -43,46 +40,53 @@ def minimal_dominating_subset(
     candidates below v and by the kept ones above, so v is kept iff it is
     the lowest candidate neighbor of some target that no kept candidate
     covers. Only those lowest covers are examined, highest first. The
-    lowest covers come from whichever side has the smaller degree sum: a
-    target's is the first candidate in its sorted row, and the candidate
-    side goes up in index order and stops once every target has its cover.
+    lowest covers come from the one-node side if there is one, else from
+    whichever side has the smaller degree sum: a target's is the first
+    candidate in its sorted row, and the candidate side goes up in index
+    order and stops once every target has its cover.
     """
     adj = g.adj
-    low: dict[int, int] = {}
-    if _degree_sum(g, targets) <= _degree_sum(g, candidates):
+    deg = g.degrees().__getitem__
+    from_targets = len(targets) < 2 or len(candidates) > 1 and (
+        sum(map(deg, targets)) <= sum(map(deg, candidates)))
+    lowest_for: dict[int, list[int] | set[int]] = {}  # cover -> its targets
+    if from_targets:
         # rows are sorted: the first candidate in a row is its lowest
         is_candidate = candidates.__contains__
         for u in targets:
             v = next(filter(is_candidate, adj[u]), None)
-            if v is not None:
-                low[u] = v
+            if v is None:
+                raise Undominatable(f"target {u} has no candidate neighbor")
+            lowest_for.setdefault(v, []).append(u)
     else:
         left = set(targets)
         for v in sorted(candidates):
             near = left.intersection(adj[v])
             if near:
-                low.update(dict.fromkeys(near, v))
+                lowest_for[v] = near
                 left -= near
                 if not left:
                     break
-    if len(low) < len(targets):
-        u = next(u for u in targets if u not in low)
-        raise Undominatable(f"target {u} has no candidate neighbor")
-    lowest_for: dict[int, list[int]] = {}
-    for u, v in low.items():
-        lowest_for.setdefault(v, []).append(u)
-    chosen: dict[int, set[int]] = {}  # kept candidate -> its targets
+        if left:
+            u = next(filter(left.__contains__, targets))
+            raise Undominatable(f"target {u} has no candidate neighbor")
+    if len(lowest_for) == 1:  # one candidate covers every target
+        (v,) = lowest_for
+        return {v}, dict.fromkeys(targets, v)
+    chosen: set[int] = set()
     covered: set[int] = set()
     multi: set[int] = set()  # targets of two or more kept candidates
+    unique: dict[int, int] = {}
     for v in sorted(lowest_for, reverse=True):
         if not covered.issuperset(lowest_for[v]):
-            near = chosen[v] = targets.intersection(adj[v])
+            near = targets.intersection(adj[v])
+            chosen.add(v)
             multi |= covered & near
             covered |= near
-    unique: dict[int, int] = {}
-    for v, near in chosen.items():
-        unique.update(dict.fromkeys(near - multi, v))
-    return set(chosen), unique
+            unique.update(dict.fromkeys(near, v))
+    for u in multi:
+        del unique[u]
+    return chosen, unique
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +138,9 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
         raise EmptySourceSet("need at least one source")
     n = g.n
     adj = g.adj
+    deg = g.degrees().__getitem__
     informed = set(sources)
-    level = {s: 0 for s in sources}
+    level = dict.fromkeys(sources, 0)
     parent: dict[int, int] = {}
     join = [0] * n
     stay = [0] * n
@@ -144,47 +149,43 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
     frontier = {u for s in sources for u in adj[s] if u not in informed}
     # `newly` is who DOM informs this stage: the frontier nodes with exactly
     # one DOM neighbor, each mapped to it
-    dom, newly = minimal_dominating_subset(set(sources), frontier, g)
+    dom, newly = minimal_dominating_subset(set(sources), frontier, g) if frontier else (set(), {})
     for v in dom:
         dom1[v] = 1
-    uninformed = set(range(n)) - informed
-    uninformed_deg = _degree_sum(g, uninformed)
+    uninformed = None  # built when the uninformed side is first scanned
+    uninformed_deg = sum(g.degrees()) - sum(map(deg, informed))
 
     stages: list[StageRecord] = []
     stage = 1
     while len(informed) < n:
         if not dom:
             raise Undominatable("no dominators left but nodes remain uninformed")
-        r1 = 3 * stage - 2
-        children: dict[int, list[int]] = {v: [] for v in dom}
+        level.update(dict.fromkeys(newly, 3 * stage - 2))
+        feedback: dict[int, int] = {}  # each DOM member's lowest child
         for u, p in newly.items():
-            level[u] = r1
-            children[p].append(u)
-        feedback = {}
-        for v in dom:
-            feedback[v] = min(children[v])
+            if u < feedback.get(p, n):
+                feedback[p] = u
         informed.update(newly)
-        uninformed.difference_update(newly)
-        newly_deg = _degree_sum(g, newly)
+        newly_deg = sum(map(deg, newly))
         uninformed_deg -= newly_deg
+        if uninformed is not None:
+            uninformed.difference_update(newly)
         # every uninformed node next to an informed one, found from the
         # smaller side: the old frontier's rest plus the newly informed
         # nodes' neighbors, or the uninformed nodes with an informed neighbor
         if newly_deg <= uninformed_deg:
-            reached: set[int] = set()
-            for w in newly:
-                reached.update(adj[w])
-            next_frontier = frontier.difference(newly)
-            next_frontier |= reached - informed
+            next_frontier = frontier.union(*map(adj.__getitem__, newly)) - informed
         else:
+            if uninformed is None:
+                uninformed = set(range(n)).difference(informed)
             next_frontier = {u for u in uninformed if not informed.isdisjoint(adj[u])}
         next_dom, next_newly = minimal_dominating_subset(
             dom.union(newly), next_frontier, g
-        )
+        ) if next_frontier else (set(), {})
         for u in newly:
             join[u] = 1 if u in next_dom else 0
-        for v in dom:
-            stay[feedback[v]] = 1 if v in next_dom else 0
+        for v, u in feedback.items():
+            stay[u] = 1 if v in next_dom else 0
         stages.append(
             StageRecord(stage=stage, dom=dom, frontier=frontier, newly=newly,
                         feedback=feedback)
@@ -309,11 +310,18 @@ class ExecCore:
 # ---------------------------------------------------------------------------
 
 
-def core_blocks(syn: CoreSynthesis, v: int, src: bool) -> list[str]:
-    """The join/stay block and the flags block (source, DOM_1 member)."""
-    js = f"{syn.join[v]}{syn.stay[v]}"
-    flags = f"{1 if src else 0}{syn.dom1[v]}"
-    return [js, flags]
+# the four two-bit blocks, shared by every label that holds one
+_PAIR = {(a, b): f"{a}{b}" for a in (0, 1) for b in (0, 1)}
+
+
+def core_blocks(syn: CoreSynthesis, sources) -> tuple[list[str], list[str]]:
+    """Every node's join/stay block and flags block (source, DOM_1 member),
+    as two columns."""
+    js = list(map(_PAIR.__getitem__, zip(syn.join, syn.stay)))
+    flags = list(map(_PAIR.__getitem__, zip(repeat(0), syn.dom1)))
+    for s in sources:
+        flags[s] = _PAIR[1, syn.dom1[s]]
+    return js, flags
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +330,17 @@ def core_blocks(syn: CoreSynthesis, v: int, src: bool) -> list[str]:
 
 
 def ack_blocks(syn: CoreSynthesis, s: int) -> tuple[list[list[str]], list[int]]:
-    """Each node's acknowledged-broadcast blocks [join/stay, flags, path
+    """The acknowledged-broadcast block columns [join/stay, flags, path
     bits] for source `s`, and the marked path. The path bits mark the nodes
     of a root-to-leaf path ending at a node v_p of maximum level, and v_p
     itself unless the graph is a single node."""
     path = _max_level_path(syn.tree, s)
-    on_path = set(path)
-    v_p = path[-1] if len(path) > 1 else None
-    blocks = [
-        core_blocks(syn, v, v == s) + [f"{1 if v in on_path else 0}{1 if v == v_p else 0}"]
-        for v in range(len(syn.join))
-    ]
-    return blocks, path
+    pathbits = ["00"] * len(syn.join)
+    for v in path:
+        pathbits[v] = "10"
+    if len(path) > 1:
+        pathbits[path[-1]] = "11"
+    return [*core_blocks(syn, (s,)), pathbits], path
 
 
 def _max_level_path(tree: BroadcastTree, s: int) -> list[int]:
@@ -513,9 +520,10 @@ def synthesize_path_message(
         chunks = {levels[i]: pieces[i] for i in range(len(pieces))}
     chunk_of = {marked[k]: chunks.get(k, "") for k in marked}
 
-    labels = encode_labels(
-        blocks[v] + ["1" if v in chunk_of else "0", chunk_of.get(v, "")] for v in range(g.n)
-    )
+    markbits = ["0"] * g.n
+    for v in chunk_of:
+        markbits[v] = "1"
+    labels = encode_labels(zip(*blocks, markbits, map(chunk_of.get, range(g.n), repeat(""))))
     return SchemeBundle(
         scheme="pathmsg",
         labels=labels,

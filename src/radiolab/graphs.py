@@ -31,12 +31,12 @@ class Graph:
     (`build_graph` sorts the rows it builds; the lower-bound generators
     build theirs in order)."""
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj", "_edges", "_degrees", "_max_degree")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
         self.n = n
         self.adj = tuple(map(tuple, adj))
-        self._edges = None
+        self._edges = self._degrees = self._max_degree = None
 
     def edges(self) -> list[tuple[int, int]]:
         """Canonical edge list: u < v, sorted."""
@@ -50,8 +50,16 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
+    def degrees(self) -> list[int]:
+        """Every node's degree, counted on first use."""
+        if self._degrees is None:
+            self._degrees = list(map(len, self.adj))
+        return self._degrees
+
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        if self._max_degree is None:
+            self._max_degree = max(self.degrees(), default=0)
+        return self._max_degree
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m()})"

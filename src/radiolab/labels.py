@@ -126,6 +126,14 @@ def int_to_bits(x: int, width: int | None = None) -> str:
     return s
 
 
+def bit_table(top: int, width: int) -> list[str]:
+    """`[int_to_bits(x, width) for x in range(top + 1)]`, one `format` per
+    value: a fixed-width field's strings, looked up by value. Raises where
+    `int_to_bits(top, width)` does."""
+    int_to_bits(top, width)
+    return list(map(f"{{:0{width}b}}".format, range(top + 1)))
+
+
 def bits_to_int(bits: str) -> int:
     return int(bits, 2) if bits else 0
 

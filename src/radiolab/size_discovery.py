@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .broadcast import (
     AckMachine,
@@ -30,10 +31,11 @@ from .errors import (
     TooShallow,
     WitnessNotFound,
 )
-from .graphs import Graph, LayerAssignment, bfs_layers, build_graph
+from .graphs import Graph, LayerAssignment, bfs_layers
 from .labels import (
     SchemeBundle,
     add_mode,
+    bit_table,
     bits_to_int,
     encode_labels,
     fixed_block,
@@ -158,22 +160,24 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
         a_field[v] = int_to_bits(i, width_a)
         b_field[v] = delta_bits[i - 1]
 
-    tree_graph = build_graph(n, [(u, p) for u, p in syn.tree.parent.items()])
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, p in syn.tree.parent.items():
+        rows[u].append(p)
+        rows[p].append(u)
     message = int_to_bits(n)
-    asg = assign_subtree_bits(tree_graph, root, message)
+    asg = assign_subtree_bits(Graph(n, map(sorted, rows)), root, message)
     width_k = max(k_rounds.bit_length(), 1)
+    root_bit = ["0"] * root + ["1"] + ["0"] * (n - root - 1)
 
-    labels = encode_labels(
-        [
-            "1" if v == root else "0",
-            a_field[v],
-            b_field[v],
-            *ack[v],
-            int_to_bits(asg.child_num.get(v, 0), width_k),
-            asg.bits.get(v, ""),
-        ]
-        for v in range(n)
-    )
+    labels = encode_labels(zip(
+        root_bit,
+        a_field,
+        b_field,
+        *ack,
+        map(bit_table(max(asg.child_num.values()), width_k).__getitem__,
+            map(asg.child_num.get, range(n), repeat(0))),
+        map(asg.bits.get, range(n), repeat("")),
+    ))
     return SchemeBundle(
         scheme="compact",
         labels=labels,
@@ -478,7 +482,8 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     cover_flag = [False] * n
     reach_flag = [False] * n
     stripe_meta = {}
-    b_bits: list[list[str]] = [["00", "00"]] * n
+    bjs = ["00"] * n
+    bflags = ["00"] * n
     for j in sd.stripes:
         cover = minimal_bfs_cover(sd, j)
         paths = conflict_free_paths(sd, j, cover)
@@ -491,24 +496,24 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
                 m_bit[v] = message[i - 1]
         for v in xbfs:
             reach_flag[v] = True
-        # broadcast labels inside the reachable set, sources = the cover
+        # broadcast labels inside the reachable set, sources = the cover; the
+        # renumbering keeps the order, so the cut rows stay sorted
         sub_nodes = sorted(xbfs)
         sub_index = {v: i for i, v in enumerate(sub_nodes)}
-        sub_edges = [
-            (sub_index[a], sub_index[b])
+        sub = Graph(len(sub_nodes), [
+            list(map(sub_index.__getitem__, filter(sub_index.__contains__, g.adj[a])))
             for a in sub_nodes
-            for b in g.adj[a]
-            if b > a and b in xbfs
-        ]
-        sub = build_graph(len(sub_nodes), sub_edges)
-        syn = synthesize_core(sub, {sub_index[u] for u in cover})
+        ])
+        sub_cover = set(map(sub_index.__getitem__, cover))
+        syn = synthesize_core(sub, sub_cover)
         if lgn + syn.t >= fast_sd_barrier(n):
             raise BarrierExceeded(
                 f"stripe {j}: phase 2 ends in round {lgn + syn.t}, "
                 f"not before the barrier {fast_sd_barrier(n)}"
             )
-        for v in xbfs:
-            b_bits[v] = core_blocks(syn, sub_index[v], v in cover)
+        for v, js, flags in zip(sub_nodes, *core_blocks(syn, sub_cover)):
+            bjs[v] = js
+            bflags[v] = flags
         stripe_meta[j] = {
             "cover": cover,
             "paths": paths,
@@ -519,19 +524,14 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     sources = {v for v in range(n) if sd.supergreen[v]}
     s2 = synthesize_core(g, sources)
     # the first block is the mode bit
-    labels = encode_labels(
-        [
-            "1",
-            "".join(
-                "1" if f else "0"
-                for f in (reach_flag[v], sd.supergreen[v], cover_flag[v], on_paths[v])
-            ),
-            m_bit[v],
-            *b_bits[v],
-            *core_blocks(s2, v, v in sources),
-        ]
-        for v in range(n)
-    )
+    labels = encode_labels(zip(
+        repeat("1", n),
+        map("{:d}{:d}{:d}{:d}".format, reach_flag, sd.supergreen, cover_flag, on_paths),
+        m_bit,
+        bjs,
+        bflags,
+        *core_blocks(s2, sources),
+    ))
     return SchemeBundle(
         scheme="fastsd",
         labels=labels,

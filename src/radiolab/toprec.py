@@ -12,10 +12,13 @@ and broadcasts the full edge set back.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import InconsistentReports, ProtocolViolation
 from .graphs import Graph, LayerAssignment, bfs_layers
 from .labels import (
     SchemeBundle,
+    bit_table,
     bits_to_int,
     decode_blocks,
     encode_blocks,
@@ -50,34 +53,31 @@ def assign_broadcast_indices(
     parent, and those edges form a BFS tree."""
     la = bfs_layers(g, r)
     n = g.n
+    layer = la.layer
     b: list[int | None] = [None] * n
     parent: list[int | None] = [None] * n
-    by_layer: dict[int, list[int]] = {}
+    by_layer: list[list[int]] = [[] for _ in range(la.depth + 1)]
     for v in range(n):
-        by_layer.setdefault(la.layer[v], []).append(v)
-    for i in range(la.depth + 1):
+        by_layer[layer[v]].append(v)
+    for deeper, remaining in enumerate(by_layer, start=1):
+        # each node's next-layer row, filtered once for all index passes
+        below = {v: [w for w in g.adj[v] if layer[w] == deeper] for v in remaining}
         covered: set[int] = set()
-        remaining = sorted(by_layer.get(i, []))
         j = 0
         while remaining:
             claimed: dict[int, int] = {}
-            members = []
+            left = []
             for v in remaining:
-                zv = [
-                    w
-                    for w in g.adj[v]
-                    if la.layer[w] == i + 1 and w not in covered
-                ]
-                if all(w not in claimed for w in zv):
-                    members.append(v)
-                    for w in zv:
-                        claimed[w] = v
-            for v in members:
-                b[v] = j
+                zv = [w for w in below[v] if w not in covered]
+                if claimed.keys().isdisjoint(zv):
+                    b[v] = j
+                    claimed.update(dict.fromkeys(zv, v))
+                else:
+                    left.append(v)
             for w, v in claimed.items():
                 parent[w] = v
-            covered |= set(claimed)
-            remaining = [v for v in remaining if b[v] is None]
+            covered.update(claimed)
+            remaining = left
             j += 1
     return b, parent, la  # type: ignore[return-value]
 
@@ -147,26 +147,28 @@ def build_bfs_labels(
     b, parent, la = assign_broadcast_indices(g, r)
     gv = assign_gather_indices(g, r, la, parent, b)
     n = g.n
+    layer = la.layer
     delta = g.max_degree()
     wd = max(delta.bit_length(), 1)  # b and Delta
     wg = max((delta - 1).bit_length(), 1) if delta > 1 else 1
-    path = [min(v for v in range(n) if la.layer[v] == la.depth)]
+    path = [layer.index(la.depth)]
     while path[-1] != r:
         path.append(parent[path[-1]])
-    on_path = set(path)
-    delta_bits = int_to_bits(delta, wd)
-    labels = encode_labels(
-        [
-            "1" if v == r else "0",
-            "0" if any(la.layer[w] == la.layer[v] + 1 for w in g.adj[v]) else "1",  # leaf
-            "1" if v in on_path else "0",
-            int_to_bits(b[v], wd),
-            int_to_bits(gv[v], wg),
-            delta_bits,
-            payloads[v] if payloads else "",
-        ]
-        for v in range(n)
-    )
+    root = ["0"] * r + ["1"] + ["0"] * (n - r - 1)
+    on_path = ["0"] * n
+    for v in path:
+        on_path[v] = "1"
+    # a leaf has no neighbor one layer deeper; `in` stops at the first
+    leaf = ["0" if i + 1 in map(layer.__getitem__, row) else "1" for i, row in zip(layer, g.adj)]
+    labels = encode_labels(zip(
+        root,
+        leaf,
+        on_path,
+        map(bit_table(max(b), wd).__getitem__, b),
+        map(bit_table(max(gv), wg).__getitem__, gv),
+        repeat(int_to_bits(delta, wd), n),
+        payloads or repeat("", n),
+    ))
     return SchemeBundle(
         scheme="bfs",
         labels=labels,
@@ -193,15 +195,13 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
     id_mode = delta * delta + 1 > n
     wc = max((delta * delta + 1).bit_length(), 1)
     wu = max(n.bit_length(), 1)
-    tails = encode_labels(
-        [
-            int_to_bits(colors[v], wc),
-            "1" if id_mode else "0",
-            int_to_bits(v + 1, wu) if id_mode else "",
-            int_to_bits(n) if (id_mode and v == r) else "",
-        ]
-        for v in range(n)
-    )
+    n_root = [int_to_bits(n) if id_mode else ""] + [""] * (n - 1)  # at the root, node 0
+    tails = encode_labels(zip(
+        map(bit_table(max(colors), wc).__getitem__, colors),
+        repeat("1" if id_mode else "0", n),
+        bit_table(n, wu)[1:] if id_mode else repeat("", n),
+        n_root,
+    ))
     labels = [head + "00" + tail for head, tail in zip(base.labels, tails)]
     return SchemeBundle(
         scheme="toprec",

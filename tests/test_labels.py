@@ -10,6 +10,7 @@ from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import MalformedCodeword
 from radiolab.labels import (
     add_mode,
+    bit_table,
     bits_to_int,
     decode_blocks,
     encode_blocks,
@@ -163,6 +164,22 @@ class TestIntBits:
     @given(st.integers(0, 10**9))
     def test_round_trip(self, x):
         assert bits_to_int(int_to_bits(x)) == x
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_table_is_int_to_bits(self, width):
+        """Up to the widest value that fits, the table holds `int_to_bits`
+        of each value; one past it, both raise."""
+        fits = (1 << width) - 1
+        assert bit_table(fits, width) == [int_to_bits(x, width) for x in range(fits + 1)]
+        for top in (0, fits // 2, fits):
+            assert bit_table(top, width) == [int_to_bits(x, width) for x in range(top + 1)]
+        for top in (fits + 1, 3 * fits + 7):
+            with pytest.raises(ValueError, match="does not fit"):
+                int_to_bits(top, width)
+            with pytest.raises(ValueError, match="does not fit"):
+                bit_table(top, width)
+        with pytest.raises(ValueError, match="negative"):
+            bit_table(-1, width)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ label for label and in its meta. A counting adjacency checks that
 discovery and that the stripe cover reads each stripe's adjacency a bounded
 number of times. The large-n tests run under the
 default recursion limit.
+
+The per-node label row builders and the stage loop that column-built label
+fields and a lean stage loop replaced are kept whole as frozen builders: on
+the corpora, the lower-bound graphs and large paths, grids and stars, each
+bundle must equal the frozen builder's, `CoreSynthesis` stages included.
 """
 
 import math
@@ -25,9 +30,16 @@ from radiolab.broadcast import (
     StageRecord,
     minimal_dominating_subset,
     synthesize_core,
+    synthesize_path_message,
 )
 from radiolab.corpus import corpus, toprec_corpus
-from radiolab.errors import EmptySourceSet, MessageTooLong, TooShallow, Undominatable
+from radiolab.errors import (
+    BarrierExceeded,
+    EmptySourceSet,
+    MessageTooLong,
+    TooShallow,
+    Undominatable,
+)
 from radiolab.graphs import (
     Graph,
     bfs_layers,
@@ -40,14 +52,17 @@ from radiolab.graphs import (
     gen_star,
     gen_tree,
 )
+from radiolab.labels import SchemeBundle, add_mode, encode_labels, int_to_bits
 from radiolab.rng import SplitMix64
-from radiolab.schemes import build_bundle, run_scheme
+from radiolab.schemes import _gather_payloads, build_bundle, run_scheme
 from radiolab.size_discovery import (
     COMPACT_LENGTH_C,
     SubtreeAssignment,
     _forward_reach,
     _rooted_children,
     assign_subtree_bits,
+    conflict_free_paths,
+    fast_sd_barrier,
     minimal_bfs_cover,
     stripe_decomposition,
 )
@@ -607,3 +622,464 @@ def test_backwards_path_toprec():
     # the run is checked on a short copy of the same shape: on a path, a
     # toprec run's messages total O(n^3) bytes
     assert run_scheme("toprec", backwards_path(120)).ok
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-node builders: synthesis before the lean stage loop and the
+# column-built label fields
+# ---------------------------------------------------------------------------
+
+
+def _frozen_degree_sum(g, nodes):
+    return sum(map(len, map(g.adj.__getitem__, nodes)))
+
+
+def frozen_minimal_dominating_subset(candidates, targets, g):
+    """`minimal_dominating_subset` choosing its side from two full degree
+    sums on every call, with a lowest-cover dict and a per-candidate target
+    map."""
+    adj = g.adj
+    low = {}
+    if _frozen_degree_sum(g, targets) <= _frozen_degree_sum(g, candidates):
+        is_candidate = candidates.__contains__
+        for u in targets:
+            v = next(filter(is_candidate, adj[u]), None)
+            if v is not None:
+                low[u] = v
+    else:
+        left = set(targets)
+        for v in sorted(candidates):
+            near = left.intersection(adj[v])
+            if near:
+                low.update(dict.fromkeys(near, v))
+                left -= near
+                if not left:
+                    break
+    if len(low) < len(targets):
+        u = next(u for u in targets if u not in low)
+        raise Undominatable(f"target {u} has no candidate neighbor")
+    lowest_for = {}
+    for u, v in low.items():
+        lowest_for.setdefault(v, []).append(u)
+    chosen = {}
+    covered = set()
+    multi = set()
+    for v in sorted(lowest_for, reverse=True):
+        if not covered.issuperset(lowest_for[v]):
+            near = chosen[v] = targets.intersection(adj[v])
+            multi |= covered & near
+            covered |= near
+    unique = {}
+    for v, near in chosen.items():
+        unique.update(dict.fromkeys(near - multi, v))
+    return set(chosen), unique
+
+
+def frozen_synthesize_core(g, sources):
+    """`synthesize_core` with three degree sums and a per-member children
+    list in every stage, the uninformed set built up front, and a subset
+    call for the empty last frontier."""
+    if not sources:
+        raise EmptySourceSet("need at least one source")
+    n = g.n
+    adj = g.adj
+    informed = set(sources)
+    level = {s: 0 for s in sources}
+    parent = {}
+    join = [0] * n
+    stay = [0] * n
+    dom1 = [0] * n
+    frontier = {u for s in sources for u in adj[s] if u not in informed}
+    dom, newly = frozen_minimal_dominating_subset(set(sources), frontier, g)
+    for v in dom:
+        dom1[v] = 1
+    uninformed = set(range(n)) - informed
+    uninformed_deg = _frozen_degree_sum(g, uninformed)
+    stages = []
+    stage = 1
+    while len(informed) < n:
+        if not dom:
+            raise Undominatable("no dominators left but nodes remain uninformed")
+        r1 = 3 * stage - 2
+        children = {v: [] for v in dom}
+        for u, p in newly.items():
+            level[u] = r1
+            children[p].append(u)
+        feedback = {}
+        for v in dom:
+            feedback[v] = min(children[v])
+        informed.update(newly)
+        uninformed.difference_update(newly)
+        newly_deg = _frozen_degree_sum(g, newly)
+        uninformed_deg -= newly_deg
+        if newly_deg <= uninformed_deg:
+            reached = set()
+            for w in newly:
+                reached.update(adj[w])
+            next_frontier = frontier.difference(newly)
+            next_frontier |= reached - informed
+        else:
+            next_frontier = {u for u in uninformed if not informed.isdisjoint(adj[u])}
+        next_dom, next_newly = frozen_minimal_dominating_subset(
+            dom.union(newly), next_frontier, g
+        )
+        for u in newly:
+            join[u] = 1 if u in next_dom else 0
+        for v in dom:
+            stay[feedback[v]] = 1 if v in next_dom else 0
+        stages.append(
+            StageRecord(stage=stage, dom=dom, frontier=frontier, newly=newly, feedback=feedback)
+        )
+        dom, newly, frontier = next_dom, next_newly, next_frontier
+        stage += 1
+    t = 3 * (stage - 1)
+    for rec in stages:
+        parent.update(rec.newly)
+    tree = BroadcastTree(sources=tuple(sorted(sources)), parent=parent, level=level, t=t)
+    return CoreSynthesis(tree=tree, stages=stages, join=join, stay=stay, dom1=dom1, t=t)
+
+
+def frozen_core_blocks(syn, v, src):
+    return [f"{syn.join[v]}{syn.stay[v]}", f"{1 if src else 0}{syn.dom1[v]}"]
+
+
+def frozen_ack_blocks(syn, s):
+    path = broadcast._max_level_path(syn.tree, s)
+    on_path = set(path)
+    v_p = path[-1] if len(path) > 1 else None
+    blocks = [
+        frozen_core_blocks(syn, v, v == s)
+        + [f"{1 if v in on_path else 0}{1 if v == v_p else 0}"]
+        for v in range(len(syn.join))
+    ]
+    return blocks, path
+
+
+def frozen_synthesize_path_message(g, s, message_bits, syn=None):
+    if syn is None:
+        syn = frozen_synthesize_core(g, {s})
+    blocks, path = frozen_ack_blocks(syn, s)
+    t_exec = syn.t
+    tack = 3 * t_exec
+    top = syn.tree.max_level()
+    marked = {0: s} if g.n >= 1 else {}
+    children_at = {}
+    for u, p in syn.tree.parent.items():
+        children_at.setdefault((p, syn.tree.level[u]), []).append(u)
+    lv = syn.tree.level
+    for j in range(len(path) - 1):
+        pj, pj1 = path[j], path[j + 1]
+        lo = lv[pj] if pj != s else 0
+        hi = lv[pj1]
+        for k in range(lo + 1, hi + 1):
+            if k % 3 != 1:
+                continue
+            marked[k] = pj1 if k == hi else min(children_at[(pj, k)])
+    m = len(message_bits)
+    if tack == 0:
+        chunks = {0: message_bits}
+    else:
+        size = 9 * (-(-m // tack)) if m else 1
+        levels = sorted(marked)
+        pieces = [message_bits[i : i + size] for i in range(0, m, size)] or [""]
+        chunks = {levels[i]: pieces[i] for i in range(len(pieces))}
+    chunk_of = {marked[k]: chunks.get(k, "") for k in marked}
+    labels = encode_labels(
+        blocks[v] + ["1" if v in chunk_of else "0", chunk_of.get(v, "")] for v in range(g.n)
+    )
+    return SchemeBundle(
+        scheme="pathmsg",
+        labels=labels,
+        meta={
+            "synthesis": syn,
+            "source": s,
+            "t": t_exec,
+            "path": path,
+            "marked": marked,
+            "chunks": chunks,
+            "message": message_bits,
+            "collection_window": (tack + 1, tack + top),
+        },
+    )
+
+
+def frozen_build_compact_labels(g):
+    n = g.n
+    root = min(range(n), key=lambda v: (-g.degree(v), v))
+    delta = max((len(a) for a in g.adj), default=0)
+    k_rounds = delta.bit_length()
+    width_a = max(k_rounds.bit_length(), 1)
+    syn = frozen_synthesize_core(g, {root})
+    ack, path = frozen_ack_blocks(syn, root)
+    a_field = ["0" * width_a] * n
+    b_field = ["0"] * n
+    a_field[root] = int_to_bits(k_rounds, width_a)
+    delta_bits = int_to_bits(delta) if delta else ""
+    for i, v in enumerate(list(g.adj[root])[:k_rounds], start=1):
+        a_field[v] = int_to_bits(i, width_a)
+        b_field[v] = delta_bits[i - 1]
+    tree_graph = build_graph(n, [(u, p) for u, p in syn.tree.parent.items()])
+    message = int_to_bits(n)
+    asg = assign_subtree_bits(tree_graph, root, message)
+    width_k = max(k_rounds.bit_length(), 1)
+    labels = encode_labels(
+        [
+            "1" if v == root else "0",
+            a_field[v],
+            b_field[v],
+            *ack[v],
+            int_to_bits(asg.child_num.get(v, 0), width_k),
+            asg.bits.get(v, ""),
+        ]
+        for v in range(n)
+    )
+    return SchemeBundle(
+        scheme="compact",
+        labels=labels,
+        meta={"synthesis": syn, "root": root, "t": syn.t, "subtree": asg,
+              "message": message, "delta": delta, "path": path},
+    )
+
+
+def frozen_build_general_sd(g):
+    n = g.n
+    syn = frozen_synthesize_core(g, {0})
+    t_g = 3 * syn.t
+    use_compact = n > 1 and t_g < math.log2(n)
+    if use_compact:
+        inner = frozen_build_compact_labels(g)
+    else:
+        inner = frozen_synthesize_path_message(g, 0, int_to_bits(n), syn)
+    mode = "1" if use_compact else "0"
+    return SchemeBundle(
+        scheme="general",
+        labels=[add_mode(mode, lab) for lab in inner.labels],
+        meta={"inner": inner, "branch": "compact" if use_compact else "pathmsg", "t_G": t_g},
+    )
+
+
+def frozen_build_fast_sd(g):
+    n = g.n
+    try:
+        sd = stripe_decomposition(g, 0)
+    except TooShallow:
+        general = frozen_build_general_sd(g)
+        return SchemeBundle(
+            scheme="fastsd",
+            labels=[add_mode("0", lab) for lab in general.labels],
+            meta={"mode": "fallback", "inner": general},
+        )
+    lgn = sd.lgn
+    message = int_to_bits(n)
+    m_bit = ["0"] * n
+    on_paths = [False] * n
+    cover_flag = [False] * n
+    reach_flag = [False] * n
+    stripe_meta = {}
+    b_bits = [["00", "00"]] * n
+    for j in sd.stripes:
+        cover = minimal_bfs_cover(sd, j)
+        paths = conflict_free_paths(sd, j, cover)
+        xbfs = _forward_reach(sd, j, set(cover))
+        for u in cover:
+            cover_flag[u] = True
+        for p in paths:
+            for i, v in enumerate(p, start=1):
+                on_paths[v] = True
+                m_bit[v] = message[i - 1]
+        for v in xbfs:
+            reach_flag[v] = True
+        sub_nodes = sorted(xbfs)
+        sub_index = {v: i for i, v in enumerate(sub_nodes)}
+        sub_edges = [
+            (sub_index[a], sub_index[b]) for a in sub_nodes for b in g.adj[a] if b > a and b in xbfs
+        ]
+        sub = build_graph(len(sub_nodes), sub_edges)
+        syn = frozen_synthesize_core(sub, {sub_index[u] for u in cover})
+        if lgn + syn.t >= fast_sd_barrier(n):
+            raise BarrierExceeded(f"stripe {j}")
+        for v in xbfs:
+            b_bits[v] = frozen_core_blocks(syn, sub_index[v], v in cover)
+        stripe_meta[j] = {"cover": cover, "paths": paths, "xbfs": sorted(xbfs),
+                          "phase2_t": syn.t}
+    sources = {v for v in range(n) if sd.supergreen[v]}
+    s2 = frozen_synthesize_core(g, sources)
+    labels = encode_labels(
+        [
+            "1",
+            "".join(
+                "1" if f else "0"
+                for f in (reach_flag[v], sd.supergreen[v], cover_flag[v], on_paths[v])
+            ),
+            m_bit[v],
+            *b_bits[v],
+            *frozen_core_blocks(s2, v, v in sources),
+        ]
+        for v in range(n)
+    )
+    return SchemeBundle(
+        scheme="fastsd",
+        labels=labels,
+        meta={"mode": "stripes", "decomposition": sd, "stripes": stripe_meta, "stage2": s2,
+              "message": message, "barrier": fast_sd_barrier(n)},
+    )
+
+
+def frozen_assign_broadcast_indices(g, r):
+    """`assign_broadcast_indices` filtering each node's next-layer row again
+    in every index pass."""
+    la = bfs_layers(g, r)
+    n = g.n
+    b = [None] * n
+    parent = [None] * n
+    by_layer = {}
+    for v in range(n):
+        by_layer.setdefault(la.layer[v], []).append(v)
+    for i in range(la.depth + 1):
+        covered = set()
+        remaining = sorted(by_layer.get(i, []))
+        j = 0
+        while remaining:
+            claimed = {}
+            members = []
+            for v in remaining:
+                zv = [w for w in g.adj[v] if la.layer[w] == i + 1 and w not in covered]
+                if all(w not in claimed for w in zv):
+                    members.append(v)
+                    for w in zv:
+                        claimed[w] = v
+            for v in members:
+                b[v] = j
+            for w, v in claimed.items():
+                parent[w] = v
+            covered |= set(claimed)
+            remaining = [v for v in remaining if b[v] is None]
+            j += 1
+    return b, parent, la
+
+
+def frozen_build_bfs_labels(g, r, payloads=None):
+    b, parent, la = frozen_assign_broadcast_indices(g, r)
+    gv = toprec.assign_gather_indices(g, r, la, parent, b)
+    n = g.n
+    delta = max((len(a) for a in g.adj), default=0)
+    wd = max(delta.bit_length(), 1)
+    wg = max((delta - 1).bit_length(), 1) if delta > 1 else 1
+    path = [min(v for v in range(n) if la.layer[v] == la.depth)]
+    while path[-1] != r:
+        path.append(parent[path[-1]])
+    on_path = set(path)
+    delta_bits = int_to_bits(delta, wd)
+    labels = encode_labels(
+        [
+            "1" if v == r else "0",
+            "0" if any(la.layer[w] == la.layer[v] + 1 for w in g.adj[v]) else "1",
+            "1" if v in on_path else "0",
+            int_to_bits(b[v], wd),
+            int_to_bits(gv[v], wg),
+            delta_bits,
+            payloads[v] if payloads else "",
+        ]
+        for v in range(n)
+    )
+    return SchemeBundle(
+        scheme="bfs",
+        labels=labels,
+        meta={"root": r, "layers": la, "parent": parent, "b": b, "g": gv, "path": path,
+              "delta": delta},
+    )
+
+
+def frozen_build_toprec_labels(g):
+    n = g.n
+    r = 0
+    base = frozen_build_bfs_labels(g, r)
+    delta = max((len(a) for a in g.adj), default=0)
+    colors = toprec.distance_two_coloring(g)
+    id_mode = delta * delta + 1 > n
+    wc = max((delta * delta + 1).bit_length(), 1)
+    wu = max(n.bit_length(), 1)
+    tails = encode_labels(
+        [
+            int_to_bits(colors[v], wc),
+            "1" if id_mode else "0",
+            int_to_bits(v + 1, wu) if id_mode else "",
+            int_to_bits(n) if (id_mode and v == r) else "",
+        ]
+        for v in range(n)
+    )
+    return SchemeBundle(
+        scheme="toprec",
+        labels=[head + "00" + tail for head, tail in zip(base.labels, tails)],
+        meta={**base.meta, "colors": colors, "id_mode": id_mode,
+              "stage2_window": n if id_mode else delta * delta + 1},
+    )
+
+
+FROZEN = {
+    "compact": frozen_build_compact_labels,
+    "general": frozen_build_general_sd,
+    "fastsd": frozen_build_fast_sd,
+    "toprec": frozen_build_toprec_labels,
+    "broadcast-bfs": lambda g: frozen_build_bfs_labels(g, 0),
+    "gather-bfs": lambda g: frozen_build_bfs_labels(g, 0, payloads=_gather_payloads(g.n)),
+}
+PATH_MESSAGE = "1011001"
+
+
+def check_frozen(g, schemes):
+    """Each scheme's bundle, and the path-message bundle, equal the frozen
+    builders' in labels and meta (every `CoreSynthesis` in it, stages
+    included), and so does `synthesize_core` from node 0."""
+    for scheme in schemes:
+        assert build_bundle(scheme, g) == FROZEN[scheme](g), scheme
+    assert synthesize_path_message(g, 0, PATH_MESSAGE) == frozen_synthesize_path_message(
+        g, 0, PATH_MESSAGE
+    )
+    assert synthesize_core(g, {0}) == frozen_synthesize_core(g, {0})
+
+
+SIZE_SCHEMES = ("compact", "general", "fastsd", "broadcast-bfs", "gather-bfs")
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_size_corpus_matches_frozen_builders(part):
+    for _, g in corpus()[part::4]:
+        check_frozen(g, SIZE_SCHEMES)
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_toprec_corpus_matches_frozen_builders(part):
+    for _, g in toprec_corpus()[part::4]:
+        check_frozen(g, ("toprec",))
+
+
+LB_SIZES = tuple((2 * k) ** 2 for k in range(2, 15))  # G_16 .. G_784
+
+
+@pytest.mark.parametrize("n", LB_SIZES, ids=[f"G_{n}" for n in LB_SIZES])
+def test_lb_family_matches_frozen_builders(n):
+    g = LB_784 if n == 784 else gen_lb_family(n)[0]
+    check_frozen(g, (*SIZE_SCHEMES, "toprec"))
+
+
+LARGE = {
+    "path-2048": lambda: gen_path(2048),
+    "grid-64x64": lambda: gen_grid(64, 64),
+    "star-2049": lambda: gen_star(2049),
+}
+
+
+@pytest.mark.parametrize("gid", LARGE)
+def test_large_graphs_match_frozen_builders(gid):
+    check_frozen(LARGE[gid](), (*SIZE_SCHEMES, "toprec"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_multi_source_core_matches_frozen(seed):
+    """Sparse and dense G(n, p) from one to eight sources."""
+    rng = SplitMix64(0xF402E + seed)
+    n = 2 + rng.randrange(300)
+    g = gen_random_connected(n, 0.01 + rng.randrange(60) / 100, rng.next_u64())
+    sources = {rng.randrange(n) for _ in range(1 + rng.randrange(8))}
+    assert synthesize_core(g, sources) == frozen_synthesize_core(g, sources)
