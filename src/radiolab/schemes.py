@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import InvalidParams
 from .graphs import Graph, diameter
-from .labels import SchemeBundle, int_to_bits
+from .labels import SchemeBundle
 from .sim import ExecutionTrace, run
 from .size_discovery import (
     AuxiliarySDProgram,
@@ -17,18 +16,9 @@ from .size_discovery import (
     fast_sd_program,
     general_sd_program,
 )
-from .toprec import (
-    BroadcastBFSProgram,
-    GatherBFSProgram,
-    TopRecProgram,
-    build_bfs_labels,
-    build_toprec_labels,
-    oracle_ids,
-)
+from .toprec import TopRecProgram, build_toprec_labels, oracle_ids
 
-SCHEMES = ("compact", "general", "fastsd", "toprec", "broadcast-bfs", "gather-bfs")
-
-BROADCAST_TEST_MESSAGE = "101"
+SCHEMES = ("compact", "general", "fastsd", "toprec")
 
 
 @dataclass
@@ -52,11 +42,6 @@ class SchemeResult:
         }
 
 
-def _gather_payloads(n: int) -> list[str]:
-    """gather-bfs payloads: node v holds v + 1 in binary, as wide as n."""
-    return [int_to_bits(v + 1, max(n.bit_length(), 1)) for v in range(n)]
-
-
 def build_bundle(scheme: str, g: Graph) -> SchemeBundle:
     """The scheme's labels on `g`, which must have a node."""
     if g.n == 0:
@@ -69,10 +54,6 @@ def build_bundle(scheme: str, g: Graph) -> SchemeBundle:
         return build_fast_sd(g)
     if scheme == "toprec":
         return build_toprec_labels(g)
-    if scheme == "broadcast-bfs":
-        return build_bfs_labels(g, 0)
-    if scheme == "gather-bfs":
-        return build_bfs_labels(g, 0, payloads=_gather_payloads(g.n))
     raise InvalidParams(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
 
 
@@ -87,10 +68,6 @@ def program_for(scheme: str):
         return fast_sd_program
     if scheme == "toprec":
         return TopRecProgram
-    if scheme == "broadcast-bfs":
-        return partial(BroadcastBFSProgram, message=BROADCAST_TEST_MESSAGE)
-    if scheme == "gather-bfs":
-        return GatherBFSProgram
     raise InvalidParams(f"unknown scheme {scheme!r}")
 
 
@@ -108,12 +85,6 @@ def verify_outputs(scheme: str, g: Graph, bundle: SchemeBundle, trace) -> int:
             for v, out in enumerate(trace.outputs)
             if out == (expected_edges, ids[v])
         )
-    if scheme == "broadcast-bfs":
-        return sum(1 for out in trace.outputs if out == BROADCAST_TEST_MESSAGE)
-    if scheme == "gather-bfs":
-        payloads = _gather_payloads(g.n)
-        score = 1 if trace.outputs[0] == sorted(payloads) else 0
-        return score + sum(1 for out, p in zip(trace.outputs[1:], payloads[1:]) if out == p)
     raise InvalidParams(f"unknown scheme {scheme!r}")
 
 

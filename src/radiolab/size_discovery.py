@@ -63,35 +63,30 @@ class SubtreeAssignment:
     children: dict[int, list[int]]  # node -> chosen children in k order
 
 
-def _rooted_children(tree: Graph, root: int) -> tuple[dict[int, list[int]], dict[int, int]]:
-    la = bfs_layers(tree, root)
-    kids: dict[int, list[int]] = {v: [] for v in range(tree.n)}
-    for v in range(tree.n):
-        if v == root:
-            continue
-        parent = min(w for w in tree.adj[v] if la.layer[w] == la.layer[v] - 1)
-        kids[parent].append(v)
-    size = [1] * tree.n
-    for v in sorted(range(tree.n), key=lambda x: -la.layer[x]):
-        for c in kids[v]:
-            size[v] += size[c]
-    return kids, {v: size[v] for v in range(tree.n)}
-
-
-def assign_subtree_bits(tree: Graph, root: int, message: str) -> SubtreeAssignment:
-    """Recursive block splitting: children ordered by subtree size (ties by
+def assign_subtree_bits(parent: dict[int, int], root: int, message: str) -> SubtreeAssignment:
+    """Recursive block splitting over the tree given by `parent` (each
+    non-root node's parent): children ordered by subtree size (ties by
     index), the top floor(log Delta)+1 recursed with slices of width
     ceil(log(n_child+1))+1 plus one extra bit kept at the child, the last
     <= 2 bits kept at the node. The post-order concatenation over the chosen
     subtree equals `message` exactly."""
-    n = tree.n
+    n = len(parent) + 1
     if len(message) > n.bit_length() + 1:
         raise MessageTooLong(
             f"|M|={len(message)} exceeds ceil(log2(n+1))+1={n.bit_length() + 1}"
         )
-    delta = tree.max_degree()
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in sorted(parent):
+        kids[parent[v]].append(v)
+    # the tree's Delta: a node's children plus, below the root, its parent
+    delta = max(len(c) + (v != root) for v, c in enumerate(kids))
     fanout = max(delta.bit_length(), 1)  # floor(log Delta)+1 for Delta >= 1
-    kids, size = _rooted_children(tree, root)
+    order = [root]  # parents before children
+    for v in order:
+        order += kids[v]
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
 
     # Top-down with an explicit stack (the tree can be deeper than the
     # recursion limit); each entry carries the extra bit its parent keeps at it.
@@ -160,12 +155,8 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
         a_field[v] = int_to_bits(i, width_a)
         b_field[v] = delta_bits[i - 1]
 
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for u, p in syn.tree.parent.items():
-        rows[u].append(p)
-        rows[p].append(u)
     message = int_to_bits(n)
-    asg = assign_subtree_bits(Graph(n, map(sorted, rows)), root, message)
+    asg = assign_subtree_bits(syn.tree.parent, root, message)
     width_k = max(k_rounds.bit_length(), 1)
     root_bit = ["0"] * root + ["1"] + ["0"] * (n - root - 1)
 

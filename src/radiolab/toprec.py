@@ -26,7 +26,7 @@ from .labels import (
     int_to_bits,
     label_blocks,
 )
-from .sim import NodeProgram, earliest, frame, parse, unframe
+from .sim import NodeProgram, earliest, frame, unframe
 
 # Documented constants for the acceptance bound on the total round count:
 # rounds <= TOPREC_C1 * D * Delta + TOPREC_C2 * min(n, Delta^2 + 1) + TOPREC_C3.
@@ -138,19 +138,24 @@ def distance_two_coloring(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def build_bfs_labels(
-    g: Graph, r: int, payloads: list[str] | None = None
-) -> SchemeBundle:
-    """Labels (root, leaf, ack-path, b, g, Delta) for the broadcast/gather
-    primitives; optional per-node payload bits for gather runs. The ack path
-    is one deepest root-to-leaf chain of the BFS tree."""
+def build_toprec_labels(g: Graph) -> SchemeBundle:
+    """Labels (root, leaf, ack-path, b, g, Delta, an empty payload block,
+    distance-two color, id mode, unique id, n at the root), encoded in one
+    pass over the columns. The ack path is one deepest root-to-leaf chain of
+    the BFS tree. When Delta^2+1 > n the mode bit is set and every node also
+    holds a unique id in [1, n], the root binary(n) as well."""
+    n = g.n
+    r = 0
     b, parent, la = assign_broadcast_indices(g, r)
     gv = assign_gather_indices(g, r, la, parent, b)
-    n = g.n
     layer = la.layer
     delta = g.max_degree()
+    colors = distance_two_coloring(g)
+    id_mode = delta * delta + 1 > n
     wd = max(delta.bit_length(), 1)  # b and Delta
     wg = max((delta - 1).bit_length(), 1) if delta > 1 else 1
+    wc = max((delta * delta + 1).bit_length(), 1)
+    wu = max(n.bit_length(), 1)
     path = [layer.index(la.depth)]
     while path[-1] != r:
         path.append(parent[path[-1]])
@@ -160,6 +165,7 @@ def build_bfs_labels(
         on_path[v] = "1"
     # a leaf has no neighbor one layer deeper; `in` stops at the first
     leaf = ["0" if i + 1 in map(layer.__getitem__, row) else "1" for i, row in zip(layer, g.adj)]
+    n_root = [int_to_bits(n) if id_mode else ""] + [""] * (n - 1)  # at the root, node 0
     labels = encode_labels(zip(
         root,
         leaf,
@@ -167,10 +173,14 @@ def build_bfs_labels(
         map(bit_table(max(b), wd).__getitem__, b),
         map(bit_table(max(gv), wg).__getitem__, gv),
         repeat(int_to_bits(delta, wd), n),
-        payloads or repeat("", n),
+        repeat("", n),  # the payload block: empty, kept so the labels keep their bits
+        map(bit_table(max(colors), wc).__getitem__, colors),
+        repeat("1" if id_mode else "0", n),
+        bit_table(n, wu)[1:] if id_mode else repeat("", n),
+        n_root,
     ))
     return SchemeBundle(
-        scheme="bfs",
+        scheme="toprec",
         labels=labels,
         meta={
             "root": r,
@@ -180,34 +190,6 @@ def build_bfs_labels(
             "g": gv,
             "path": path,
             "delta": delta,
-        },
-    )
-
-
-def build_toprec_labels(g: Graph) -> SchemeBundle:
-    """BFS labels + distance-two color; when Delta^2+1 > n additionally a
-    unique id in [1, n] (and binary(n) at the root) with the mode bit set."""
-    n = g.n
-    r = 0
-    base = build_bfs_labels(g, r)
-    delta = g.max_degree()
-    colors = distance_two_coloring(g)
-    id_mode = delta * delta + 1 > n
-    wc = max((delta * delta + 1).bit_length(), 1)
-    wu = max(n.bit_length(), 1)
-    n_root = [int_to_bits(n) if id_mode else ""] + [""] * (n - 1)  # at the root, node 0
-    tails = encode_labels(zip(
-        map(bit_table(max(colors), wc).__getitem__, colors),
-        repeat("1" if id_mode else "0", n),
-        bit_table(n, wu)[1:] if id_mode else repeat("", n),
-        n_root,
-    ))
-    labels = [head + "00" + tail for head, tail in zip(base.labels, tails)]
-    return SchemeBundle(
-        scheme="toprec",
-        labels=labels,
-        meta={
-            **base.meta,
             "colors": colors,
             "id_mode": id_mode,
             "stage2_window": n if id_mode else delta * delta + 1,
@@ -313,34 +295,32 @@ def topology(reports) -> tuple[frozenset, tuple]:
 # ---------------------------------------------------------------------------
 
 
-BFS_BLOCKS = 7  # root, leaf, ack-path, b, g, Delta, payload
-TOPREC_BLOCKS = BFS_BLOCKS + 4  # color, id mode, unique id, n at the root
+# root, leaf, ack-path, b, g, Delta, payload (empty), color, id mode,
+# unique id, n at the root
+TOPREC_BLOCKS = 11
 
 
 class AckBfsMachine:
-    """The acknowledged layered broadcast AckBrBFS as an embeddable machine,
-    the counterpart of `broadcast.AckMachine`, read from the first
-    `BFS_BLOCKS` label blocks.
+    """The acknowledged layered broadcast AckBrBFS of stage 1 as an embeddable
+    machine, the counterpart of `broadcast.AckMachine`, read from the first
+    six label blocks.
 
-    The root's BroadcastBFS of `message` (node v transmits once, in round
-    layer(v)*(Delta+1) + b_v + 1, and learns its layer from the round the
-    message first reaches it); the marked deepest leaf answers with D* after
-    round D*(Delta+1) and ack-path nodes relay it one round apart; the root
-    then runs a BroadcastBFS of the total duration D* + 2D*(Delta+1). `tags`
-    names the three kinds of message. Plain BroadcastBFS uses `broadcast`
-    alone.
+    The root's BroadcastBFS of `message` as T1 (node v transmits once, in
+    round layer(v)*(Delta+1) + b_v + 1, and learns its layer from the round
+    the message first reaches it, through `reached`); the marked deepest
+    leaf answers with D* as TA after round D*(Delta+1) and ack-path nodes
+    relay it one round apart; the root then runs a BroadcastBFS of the total
+    duration D* + 2D*(Delta+1) as T2.
     """
 
-    def __init__(self, blocks: list[str], tags: tuple):
+    def __init__(self, blocks: list[str]):
         self.is_root = blocks[0] == "1"
         self.is_leaf = blocks[1] == "1"
         self.on_apath = blocks[2] == "1"
         self.b = bits_to_int(blocks[3])
         self.g = bits_to_int(blocks[4])
         self.delta = bits_to_int(blocks[5])
-        self.payload = blocks[6]
         self.width = self.delta + 1
-        self.first_tag, self.ack_tag, self.total_tag = tags
         self.message = None  # what the first BroadcastBFS carries, once known
         self.layer = 0 if self.is_root else None
         self.dstar: int | None = None
@@ -397,43 +377,35 @@ class AckBfsMachine:
             self.first_round(), self._leaf_ack_round(), self._ack_round, self._total_round()
         )
 
-    def broadcast(self, rnd: int) -> bytes | None:
-        """The first BroadcastBFS, in this node's round of it."""
-        if rnd != self.first_round():
-            return None
-        self._sent1 = True
-        return frame(self.first_tag, self.message)
-
     def action(self, rnd: int, *extra) -> bytes | None:
         """This round's transmission, if any; `extra` rides on the total."""
         if rnd == self.first_round():
-            return self.broadcast(rnd)
+            self._sent1 = True
+            return frame("T1", self.message)
         if rnd == self._leaf_ack_round():
             self._relayed = True
             self.dstar = self.layer
-            return frame(self.ack_tag, self.layer)
+            return frame("TA", self.layer)
         if rnd == self._ack_round:
             self._ack_round = None
-            return frame(self.ack_tag, self.dstar)
+            return frame("TA", self.dstar)
         if rnd == self._total_round():
             self._sent2 = True
-            return frame(self.total_tag, self.total, *extra)
+            return frame("T2", self.total, *extra)
         return None
 
     def on_message(self, rnd: int, parts) -> bool:
-        """A heard message `(tag, value, ...)`; True iff it changed the
-        machine. Other tags are ignored."""
+        """A heard TA or T2 message `(tag, value, ...)`; True iff it changed
+        the machine. Other tags are ignored."""
         tag = parts[0]
-        if tag == self.first_tag and self.reached(rnd):
-            self.message = parts[1]
-        elif tag == self.ack_tag and self.on_apath and not self._relayed:
+        if tag == "TA" and self.on_apath and not self._relayed:
             self._relayed = True
             self.dstar = parts[1]
             if self.is_root:
                 self._learn_total(self.dstar * (2 * self.width + 1))
             else:
                 self._ack_round = rnd + 1
-        elif tag == self.total_tag and self.total is None:
+        elif tag == "T2" and self.total is None:
             self._learn_total(parts[1])
         else:
             return False
@@ -443,98 +415,6 @@ class AckBfsMachine:
         if self.total is None:
             self.total = total
             self.dstar = total // (2 * self.width + 1)
-
-
-class BroadcastBFSProgram(NodeProgram):
-    """Plain layered broadcast: node v transmits once, in round
-    layer(v)*(Delta+1) + b_v + 1; completes within D*(Delta+1) rounds."""
-
-    def __init__(self, label: str, message: str = "1"):
-        super().__init__(label)
-        self.m = AckBfsMachine(label_blocks(label, BFS_BLOCKS), ("B1", None, None))
-        if self.m.is_root:
-            self.m.message = self.output = message
-
-    def action(self, rnd: int):
-        return self.m.broadcast(rnd)
-
-    def receive(self, rnd: int, heard) -> bool:
-        self.m.on_message(rnd, heard.decode(parse))
-        self.output = self.m.message
-        return True
-
-    def next_wake(self, rnd: int) -> int | None:
-        return self.m.first_round()
-
-
-class GatherBFSProgram(NodeProgram):
-    """AckBrBFS, BroadcastBFS of D*, then D* gathering phases of Delta rounds
-    (see `AckBfsMachine.gather_slot`), each node forwarding everything heard.
-    The root outputs the collected payloads, other nodes their own payload
-    once they know the total duration."""
-
-    def __init__(self, label: str):
-        super().__init__(label)
-        self.m = m = AckBfsMachine(label_blocks(label, BFS_BLOCKS), ("BB", "BA", "B2"))
-        self._sent3 = False
-        self._sent_g = False
-        # forwarded payloads in arrival order, a dict used as an ordered set
-        self._reports: dict[str, None] = dict.fromkeys([m.payload] if m.payload else [])
-        if m.is_root:
-            m.message = "gather"
-            if m.total == 0:
-                self.output = sorted(self._reports)
-
-    # The BroadcastBFS of D* occupies (total, total + width*D*]; gathering
-    # follows it.
-
-    def _dstar_round(self) -> int | None:
-        if self._sent3 or self.m.total is None:
-            return None
-        return self.m.slot(self.m.total)
-
-    def _gather_start(self) -> int:
-        return self.m.total + self.m.width * self.m.dstar
-
-    def _gather_round(self) -> int | None:
-        if self._sent_g or self.m.total is None:
-            return None
-        return self.m.gather_slot(self._gather_start())
-
-    def _output_round(self) -> int | None:
-        """The root outputs right after the last gathering phase."""
-        if not self.m.is_root or self.output is not None or self.m.total is None:
-            return None
-        return self._gather_start() + self.m.dstar * self.m.delta + 1
-
-    def action(self, rnd: int):
-        act = self.m.action(rnd)
-        if act is not None:
-            return act
-        if rnd == self._dstar_round():
-            self._sent3 = True
-            return frame("B3", self.m.dstar)
-        if rnd == self._gather_round():
-            self._sent_g = True
-            return frame("BG", list(self._reports))
-        if rnd == self._output_round():
-            self.output = sorted(self._reports)
-        return None
-
-    def receive(self, rnd: int, heard) -> bool:
-        parts = heard.decode(parse)
-        if parts[0] == "BG":
-            self._reports.update(dict.fromkeys(parts[1]))
-        else:
-            self.m.on_message(rnd, parts)
-        if self.output is None and not self.m.is_root and self.m.total is not None:
-            self.output = self.m.payload
-        return True
-
-    def next_wake(self, rnd: int) -> int | None:
-        return earliest(
-            self.m.next_wake(), self._dstar_round(), self._gather_round(), self._output_round()
-        )
 
 
 class TopRecProgram(NodeProgram):
@@ -553,7 +433,7 @@ class TopRecProgram(NodeProgram):
     def __init__(self, label: str):
         super().__init__(label)
         blocks = label_blocks(label, TOPREC_BLOCKS)
-        self.m = m = AckBfsMachine(blocks, ("T1", "TA", "T2"))
+        self.m = m = AckBfsMachine(blocks)
         self.color = bits_to_int(blocks[7])
         self.id_mode = blocks[8] == "1"
         self.uid = bits_to_int(blocks[9]) if self.id_mode else None

@@ -24,6 +24,7 @@ from pathlib import Path
 from radiolab.broadcast import PathMessageProgram, synthesize_path_message
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.graphs import gen_lb_family
+from radiolab import schemes
 from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import run
 from radiolab.toprec import serialize_toprec_output
@@ -34,8 +35,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 PRIMITIVES = {
     "pathmsg": (lambda g: synthesize_path_message(g, 0, "1011001"), PathMessageProgram),
 }
-SCHEMES = ("compact", "general", "fastsd", "toprec", "broadcast-bfs", "gather-bfs",
-           *PRIMITIVES)
+SCHEMES = (*schemes.SCHEMES, *PRIMITIVES)
 
 
 def graphs_for(scheme: str) -> list:

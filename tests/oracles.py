@@ -7,9 +7,9 @@ from typing import Mapping
 
 from radiolab.audit import CANON_HASH, CANON_SILENCE, _component_index, _departures
 from radiolab.broadcast import CoreSynthesis, ExecCore
-from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor, build_graph
+from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor, bfs_layers, build_graph
 from radiolab.labels import SchemeBundle, decode_blocks
-from radiolab.sim import COLLISION, NOISE, SILENCE, TX, ExecutionTrace, Heard, Mark, parse
+from radiolab.sim import COLLISION, NOISE, SILENCE, TX, ExecutionTrace, Heard, Mark, frame, parse
 from radiolab.size_discovery import SubtreeAssignment
 
 # ---------------------------------------------------------------------------
@@ -241,6 +241,17 @@ def verify_executor_run(g: Graph, bundle: SchemeBundle, trace, tag: str = "p1") 
 # ---------------------------------------------------------------------------
 
 
+def tree_parent(tree: Graph, root: int) -> dict[int, int]:
+    """Each non-root node's parent in `tree` rooted at `root`: its one
+    neighbour a layer closer to the root."""
+    layer = bfs_layers(tree, root).layer
+    return {
+        v: next(w for w in tree.adj[v] if layer[w] == layer[v] - 1)
+        for v in range(tree.n)
+        if v != root
+    }
+
+
 def postorder_concat(asg: SubtreeAssignment) -> str:
     """The nodes' own substrings in post-order, each node's children in k
     order: a pre-order that takes the last child first, reversed."""
@@ -295,6 +306,17 @@ def verify_gather_indices(
                 assert parent[v] not in g.adj[u], (
                     f"edge ({u},{parent[v]}) breaks gather exclusion"
                 )
+
+
+def tagged_rounds(trace: ExecutionTrace, tag: str):
+    """(round, transmitters, listeners) of each round of `trace`, both
+    restricted to messages tagged `tag`. The tag is read from the frame's
+    prefix, so no message is decoded."""
+    prefix = frame(tag)[:-1] + b","
+    for rnd, rec in enumerate(trace.rounds, start=1):
+        sent = {v: m for v, m in rec.transmitters.items() if m.startswith(prefix)}
+        heard = {w: m for w, m in rec.heard.items() if m.startswith(prefix)}
+        yield rnd, sent, heard
 
 
 def toprec_round_formula(dstar: int, delta: int, window: int) -> int:

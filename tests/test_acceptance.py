@@ -8,7 +8,6 @@ CSV lands in artifacts/scaling_rounds.csv.
 import csv
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from radiolab.graphs import diameter, gen_lb_family, gen_path, gen_star, gen_tre
 from radiolab.labels import int_to_bits
 from radiolab.rng import SplitMix64
 from radiolab.audit import audit_facts
-from radiolab.schemes import run_scheme
+from radiolab.schemes import run_scheme, verify_outputs
 from radiolab.sim import run, unframe
 from radiolab.size_discovery import (
     COMPACT_LENGTH_C,
@@ -34,17 +33,16 @@ from radiolab.toprec import (
     TOPREC_C3,
     TOPREC_LEN_C,
     TOPREC_LEN_C0,
-    BroadcastBFSProgram,
-    GatherBFSProgram,
     TopRecProgram,
     assign_broadcast_indices,
     assign_gather_indices,
-    build_bfs_labels,
     build_toprec_labels,
     oracle_ids,
 )
 from oracles import (
+    tagged_rounds,
     toprec_round_formula,
+    tree_parent,
     verify_executor_run,
     verify_gather_indices,
     verify_subtree_assignment,
@@ -103,57 +101,64 @@ def test_c01_size_discovery_correctness(size_corpus, report):
     assert elapsed < 300
 
 
-def test_c02_exact_round_formulas(size_corpus, report):
-    """BroadcastBFS uses exactly the D*(Delta+1) window (deepest delivery in
-    the final phase, every slot as scheduled); the GatherBFS gathering part
-    is exactly D* x Delta rounds."""
+@pytest.fixture(scope="module")
+def toprec_runs(size_corpus):
+    """{graph id: (bundle, trace)} of toprec on every size-corpus graph,
+    shared by C2 and C3 (the toprec corpus is its n <= 150 part)."""
+    runs = {}
+    for gid, g in size_corpus:
+        bundle = build_toprec_labels(g)
+        runs[gid] = bundle, run(g, bundle.labels, TopRecProgram)
+    return runs
+
+
+def test_c02_exact_round_formulas(size_corpus, toprec_runs, report):
+    """On toprec's own rounds: its first BroadcastBFS (T1) uses exactly the
+    D*(Delta+1) window (deepest first reception in the final phase, every
+    slot as scheduled), and its gathering (T4) exactly the D* x Delta
+    rounds after stage 2, in phase D* - layer and slot g + 1."""
     checked = 0
     for gid, g in size_corpus:
         if g.n == 1:
             continue
-        bundle = build_bfs_labels(
-            g, 0, payloads=[int_to_bits(v + 1, g.n.bit_length()) for v in range(g.n)]
-        )
-        la, delta, b = bundle.meta["layers"], bundle.meta["delta"], bundle.meta["b"]
+        bundle, tr = toprec_runs[gid]
+        assert verify_outputs("toprec", g, bundle, tr) == g.n, gid
+        meta = bundle.meta
+        la, delta, b, gv = meta["layers"], meta["delta"], meta["b"], meta["g"]
         width = delta + 1
-        tr = run(g, bundle.labels, partial(BroadcastBFSProgram, message="M"))
-        assert all(out == "M" for out in tr.outputs), gid
         first_rx = {}
-        for rnd_idx, rec in enumerate(tr.rounds, start=1):
-            for v in rec.transmitters:
+        t4_senders = []
+        total = la.depth + 2 * la.depth * width
+        g0 = total + meta["stage2_window"]
+        gather_window = la.depth * delta
+        for rnd_idx, sent, heard in tagged_rounds(tr, "T1"):
+            for v in sent:
                 assert rnd_idx == la.layer[v] * width + b[v] + 1, gid
-            for v in rec.heard:
+            for v in heard:
                 first_rx.setdefault(v, rnd_idx)
+        assert set(first_rx) >= set(range(1, g.n)), gid
         window = la.depth * width
         assert max(first_rx.values()) <= window, gid
         deepest_rx = [first_rx[v] for v in range(g.n) if la.layer[v] == la.depth]
         assert all(r > (la.depth - 1) * width for r in deepest_rx), gid
 
-        trg = run(g, bundle.labels, GatherBFSProgram)
-        expected = sorted(int_to_bits(v + 1, g.n.bit_length()) for v in range(g.n))
-        assert trg.outputs[0] == expected, gid
-        total = la.depth + 2 * la.depth * width
-        g0 = total + width * la.depth
-        gather_window = la.depth * delta
-        for rnd_idx, rec in enumerate(trg.rounds, start=1):
-            if rnd_idx <= g0 or not rec.transmitters:
-                continue
-            assert rnd_idx <= g0 + gather_window, gid
-            for v in rec.transmitters:
+        for rnd_idx, sent, _ in tagged_rounds(tr, "T4"):
+            for v in sent:
+                assert g0 < rnd_idx <= g0 + gather_window, gid
                 phase = (rnd_idx - g0 - 1) // delta
                 assert la.layer[v] == la.depth - phase, gid
-                slot = g0 + phase * delta + bundle.meta["g"][v] + 1
-                assert rnd_idx == slot, gid
+                assert rnd_idx == g0 + phase * delta + gv[v] + 1, gid
+                t4_senders.append(v)
+        assert sorted(t4_senders) == list(range(1, g.n)), gid
         checked += 1
-    report(f"[C2] PASS exact round formulas (BroadcastBFS D*(D+1), gather D*xD) "
-           f"on {checked} graphs")
+    report(f"[C2] PASS exact round formulas (toprec's T1 BroadcastBFS D*(D+1), "
+           f"T4 gather D*xD) on {checked} graphs")
 
 
-def test_c03_toprec_correctness(tr_corpus, report):
+def test_c03_toprec_correctness(tr_corpus, toprec_runs, report):
     bad = []
     for gid, g in tr_corpus:
-        bundle = build_toprec_labels(g)
-        tr = run(g, bundle.labels, TopRecProgram)
+        bundle, tr = toprec_runs[gid]
         ids = oracle_ids(bundle.meta)
         expected_edges = tuple(sorted(
             (min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()
@@ -222,7 +227,7 @@ def test_c05_subtree_packing_suite(report):
         m = "".join(
             "1" if rng.next_u64() & 1 else "0" for _ in range(n.bit_length() + 1)
         )
-        asg = assign_subtree_bits(tree, root, m)
+        asg = assign_subtree_bits(tree_parent(tree, root), root, m)
         verify_subtree_assignment(tree, root, m, asg)
     report("[C5] PASS subtree packing suite: 1000 seeded trees (n <= 256), "
            "per-node <= 3 bits, root <= 2, child bound, post-order concat exact")

@@ -293,9 +293,9 @@ class TestNodeLocality:
 
 
 class TestParseOnce:
-    """The size, broadcast and layered-BFS programs read messages through
-    `Heard.decode` with the shared `parse`, so each distinct delivered
-    message is parsed once per run, whatever its number of listeners."""
+    """The size and broadcast programs read messages through `Heard.decode`
+    with the shared `parse`, so each distinct delivered message is parsed
+    once per run, whatever its number of listeners."""
 
     CASES = [
         ("fastsd", gen_grid(8, 32)),
@@ -306,9 +306,6 @@ class TestParseOnce:
         ("general", gen_star(17)),
         ("fastsd", gen_path(100)),
         ("fastsd", gen_grid(4, 4)),
-        ("broadcast-bfs", gen_grid(10, 10)),
-        ("gather-bfs", gen_grid(6, 7)),
-        ("gather-bfs", gen_grid(10, 10)),
     ]
 
     @staticmethod

@@ -98,6 +98,15 @@ class TestRun:
         assert exc.value.code == 2
         assert "unrecognized arguments: --cd" in capsys.readouterr().err
 
+    def test_gather_bfs_is_not_a_scheme(self, tmp_path, capsys):
+        """The gathering runs only as a stage of toprec."""
+        el = tmp_path / "c4.el"
+        run_cli("gen", "--family", "cycle", "--n", "4", "--out", str(el))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", str(el), "--scheme", "gather-bfs")
+        assert exc.value.code == 2
+        assert "invalid choice: 'gather-bfs'" in capsys.readouterr().err
+
     def test_disconnected_rejected(self, tmp_path):
         el = tmp_path / "disc.el"
         el.write_text("4 2\n0 1\n2 3\n")
@@ -171,6 +180,15 @@ class TestAudit:
         report = json.loads(out.read_text())
         assert report["ok"] and report["n"] == 16
         assert out.with_suffix(".csv").exists()
+
+    def test_broadcast_bfs_is_not_a_scheme(self, tmp_path, capsys):
+        """The layered broadcast runs only as a stage of toprec."""
+        el = tmp_path / "g16.el"
+        run_cli("gen", "--family", "lbG", "--n", "16", "--out", str(el))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("audit", str(el), "--scheme", "broadcast-bfs")
+        assert exc.value.code == 2
+        assert "invalid choice: 'broadcast-bfs'" in capsys.readouterr().err
 
     def test_non_lb_graph_needs_partition(self, tmp_path):
         el = tmp_path / "p6.el"

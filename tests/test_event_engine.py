@@ -130,18 +130,14 @@ def test_toprec_matches_reference(cd):
 
 
 @pytest.mark.parametrize("cd", [False, True])
-@pytest.mark.parametrize(
-    "scheme", ["broadcast-bfs", "gather-bfs", "pathmsg"]
-)
+@pytest.mark.parametrize("scheme", ["pathmsg"])
 def test_primitives_match_reference(scheme, cd):
     for gid, g in TOPREC_SAMPLE:
         assert_same_trace(gid, g, scheme, cd)
 
 
 @pytest.mark.parametrize("n", [16, 36])
-@pytest.mark.parametrize(
-    "scheme", ["compact", "general", "fastsd", "toprec", "broadcast-bfs", "gather-bfs"]
-)
+@pytest.mark.parametrize("scheme", ["compact", "general", "fastsd", "toprec"])
 def test_lower_bound_family_with_cd_matches_reference(scheme, n):
     g, _ = gen_lb_family(n)
     assert_same_trace(f"G_{n}", g, scheme, True)
@@ -149,8 +145,7 @@ def test_lower_bound_family_with_cd_matches_reference(scheme, n):
 
 @pytest.mark.parametrize(
     "scheme,rounds",
-    [("compact", 1), ("general", 0), ("fastsd", 0), ("pathmsg", 0),
-     ("toprec", 0), ("broadcast-bfs", 0), ("gather-bfs", 0)],
+    [("compact", 1), ("general", 0), ("fastsd", 0), ("pathmsg", 0), ("toprec", 0)],
 )
 def test_single_node_matches_reference(scheme, rounds):
     """A run whose outputs are all in before round 1, with no wake round
@@ -178,7 +173,7 @@ def node_programs():
 
 def test_every_program_declares_its_wake_round():
     programs = node_programs()
-    assert len(programs) == 7
+    assert len(programs) == 5
     assert [c.__name__ for c in programs if c.next_wake is NodeProgram.next_wake] == []
     # the wake round is the only sleep signal
     assert [c.__name__ for c in programs | {NodeProgram} if hasattr(c, "idle")] == []

@@ -262,7 +262,7 @@ def recorded_rows(monkeypatch, build):
     return calls
 
 
-SIZE_SCHEMES = ("compact", "general", "fastsd", "broadcast-bfs", "gather-bfs")
+SIZE_SCHEMES = ("compact", "general", "fastsd")
 
 
 @pytest.mark.parametrize(

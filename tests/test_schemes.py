@@ -5,7 +5,7 @@ import pytest
 
 from radiolab.errors import InvalidParams, RadiolabError
 from radiolab.graphs import build_graph, gen_grid, gen_path, gen_star
-from radiolab.schemes import SCHEMES, build_bundle, program_for, run_scheme, verify_outputs
+from radiolab.schemes import SCHEMES, build_bundle, program_for, verify_outputs
 from radiolab.sim import ExecutionTrace, run
 
 
@@ -25,14 +25,13 @@ def test_unknown_scheme_rejected():
             call()
 
 
-def test_gather_bfs_counts_only_own_payloads():
-    """A non-root node is correct only if it outputs its own payload."""
-    g = gen_grid(3, 4)
-    r = run_scheme("gather-bfs", g)
-    assert r.ok
-    outputs = r.trace.outputs
-    outputs[5] = outputs[6]
-    assert verify_outputs("gather-bfs", g, r.bundle, r.trace) == g.n - 1
+@pytest.mark.parametrize("scheme", ["broadcast-bfs", "gather-bfs"])
+def test_layered_bfs_primitives_are_not_schemes(scheme):
+    """The layered broadcast and the gathering run only as stages of
+    toprec."""
+    assert scheme not in SCHEMES
+    with pytest.raises(InvalidParams, match=f"unknown scheme {scheme!r}"):
+        build_bundle(scheme, gen_grid(3, 4))
 
 
 def swap_pair(label: str, offset: int) -> str:

@@ -41,7 +41,7 @@ from radiolab.size_discovery import (
     minimal_bfs_cover,
     stripe_decomposition,
 )
-from oracles import verify_subtree_assignment
+from oracles import tree_parent, verify_subtree_assignment
 
 
 def random_bits(rng, k):
@@ -50,27 +50,26 @@ def random_bits(rng, k):
 
 class TestAssignSubtreeBits:
     def test_single_node(self):
-        t = build_graph(1, [])
-        asg = assign_subtree_bits(t, 0, "01")
+        asg = assign_subtree_bits({}, 0, "01")
         assert asg.bits == {0: "01"}
 
     def test_p2_three_bits(self):
         t = gen_path(2)
-        asg = assign_subtree_bits(t, 0, "101")
+        asg = assign_subtree_bits(tree_parent(t, 0), 0, "101")
         verify_subtree_assignment(t, 0, "101", asg)
         assert len(asg.bits[0]) <= 2 and len(asg.bits.get(1, "")) <= 3
 
     def test_star_full_message(self):
         t = gen_star(5)
         m = "1011"  # ceil(log 6)+1 = 4 bits
-        asg = assign_subtree_bits(t, 0, m)
+        asg = assign_subtree_bits(tree_parent(t, 0), 0, m)
         verify_subtree_assignment(t, 0, m, asg)
         used = [c for c in asg.children[0]]
         assert len(used) <= 3  # floor(log 4)+1
 
     def test_message_too_long(self):
         with pytest.raises(MessageTooLong):
-            assign_subtree_bits(gen_path(2), 0, "1011")  # > bitlen(2)+1 = 3
+            assign_subtree_bits({1: 0}, 0, "1011")  # > bitlen(2)+1 = 3
 
     def test_seeded_tree_suite(self):
         """Smaller version of the acceptance subtree-packing suite."""
@@ -79,8 +78,9 @@ class TestAssignSubtreeBits:
             n = 1 + rng.randrange(128)
             tree = gen_tree(n, rng.next_u64())
             m = random_bits(rng, n.bit_length() + 1)
-            asg = assign_subtree_bits(tree, rng.randrange(n), m)
-            verify_subtree_assignment(tree, asg.root, m, asg)
+            root = rng.randrange(n)
+            asg = assign_subtree_bits(tree_parent(tree, root), root, m)
+            verify_subtree_assignment(tree, root, m, asg)
 
 
 class TestCompactLabels:

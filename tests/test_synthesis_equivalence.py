@@ -54,12 +54,11 @@ from radiolab.graphs import (
 )
 from radiolab.labels import SchemeBundle, add_mode, encode_labels, int_to_bits
 from radiolab.rng import SplitMix64
-from radiolab.schemes import _gather_payloads, build_bundle, run_scheme
+from radiolab.schemes import build_bundle, run_scheme
 from radiolab.size_discovery import (
     COMPACT_LENGTH_C,
     SubtreeAssignment,
     _forward_reach,
-    _rooted_children,
     assign_subtree_bits,
     conflict_free_paths,
     fast_sd_barrier,
@@ -67,7 +66,7 @@ from radiolab.size_discovery import (
     stripe_decomposition,
 )
 from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0, oracle_ids
-from oracles import postorder_concat, verify_subtree_assignment
+from oracles import postorder_concat, tree_parent, verify_subtree_assignment
 
 SCHEMES = ("compact", "general", "fastsd", "toprec")
 
@@ -200,13 +199,33 @@ def reference_distance_two_coloring(g):
     return colors
 
 
-def reference_assign_subtree_bits(tree, root, message):
-    """`assign_subtree_bits` as a recursion over the tree."""
-    n = tree.n
+def reference_rooted_children(tree, root):
+    """Each node's children, ascending, and each subtree's size, from the
+    BFS layers of `tree`: a node's parent is its lowest neighbour one layer
+    up."""
+    la = bfs_layers(tree, root)
+    kids = {v: [] for v in range(tree.n)}
+    for v in range(tree.n):
+        if v == root:
+            continue
+        parent = min(w for w in tree.adj[v] if la.layer[w] == la.layer[v] - 1)
+        kids[parent].append(v)
+    size = [1] * tree.n
+    for v in sorted(range(tree.n), key=lambda x: -la.layer[x]):
+        for c in kids[v]:
+            size[v] += size[c]
+    return kids, {v: size[v] for v in range(tree.n)}
+
+
+def reference_assign_subtree_bits(parent, root, message):
+    """`assign_subtree_bits` as a recursion over the tree, rebuilt as a
+    `Graph` from `parent` and rooted again by its BFS layers."""
+    n = len(parent) + 1
     if len(message) > n.bit_length() + 1:
         raise MessageTooLong("message too long")
+    tree = build_graph(n, list(parent.items()))
     fanout = max(tree.max_degree().bit_length(), 1)
-    kids, size = _rooted_children(tree, root)
+    kids, size = reference_rooted_children(tree, root)
     out = SubtreeAssignment(root=root, bits={}, child_num={}, children={})
 
     def rec(v, piece):
@@ -571,8 +590,9 @@ def test_subtree_bits_match_reference():
         tree = gen_tree(n, rng.next_u64())
         root = rng.randrange(n)
         m = "".join("1" if rng.next_u64() & 1 else "0" for _ in range(n.bit_length() + 1))
-        new = assign_subtree_bits(tree, root, m)
-        assert new == reference_assign_subtree_bits(tree, root, m)
+        parent = tree_parent(tree, root)
+        new = assign_subtree_bits(parent, root, m)
+        assert new == reference_assign_subtree_bits(parent, root, m)
         assert postorder_concat(new) == m
 
 
@@ -818,9 +838,8 @@ def frozen_build_compact_labels(g):
     for i, v in enumerate(list(g.adj[root])[:k_rounds], start=1):
         a_field[v] = int_to_bits(i, width_a)
         b_field[v] = delta_bits[i - 1]
-    tree_graph = build_graph(n, [(u, p) for u, p in syn.tree.parent.items()])
     message = int_to_bits(n)
-    asg = assign_subtree_bits(tree_graph, root, message)
+    asg = assign_subtree_bits(syn.tree.parent, root, message)
     width_k = max(k_rounds.bit_length(), 1)
     labels = encode_labels(
         [
@@ -958,7 +977,7 @@ def frozen_assign_broadcast_indices(g, r):
     return b, parent, la
 
 
-def frozen_build_bfs_labels(g, r, payloads=None):
+def frozen_build_bfs_labels(g, r):
     b, parent, la = frozen_assign_broadcast_indices(g, r)
     gv = toprec.assign_gather_indices(g, r, la, parent, b)
     n = g.n
@@ -978,7 +997,7 @@ def frozen_build_bfs_labels(g, r, payloads=None):
             int_to_bits(b[v], wd),
             int_to_bits(gv[v], wg),
             delta_bits,
-            payloads[v] if payloads else "",
+            "",
         ]
         for v in range(n)
     )
@@ -1021,8 +1040,6 @@ FROZEN = {
     "general": frozen_build_general_sd,
     "fastsd": frozen_build_fast_sd,
     "toprec": frozen_build_toprec_labels,
-    "broadcast-bfs": lambda g: frozen_build_bfs_labels(g, 0),
-    "gather-bfs": lambda g: frozen_build_bfs_labels(g, 0, payloads=_gather_payloads(g.n)),
 }
 PATH_MESSAGE = "1011001"
 
@@ -1039,7 +1056,7 @@ def check_frozen(g, schemes):
     assert synthesize_core(g, {0}) == frozen_synthesize_core(g, {0})
 
 
-SIZE_SCHEMES = ("compact", "general", "fastsd", "broadcast-bfs", "gather-bfs")
+SIZE_SCHEMES = ("compact", "general", "fastsd")
 
 
 @pytest.mark.parametrize("part", range(4))

@@ -1,5 +1,3 @@
-from functools import partial
-
 import networkx as nx
 import pytest
 
@@ -14,20 +12,16 @@ from radiolab.graphs import (
     gen_random_connected,
     gen_star,
 )
-from radiolab.labels import decode_blocks, encode_blocks, int_to_bits
-from radiolab.schemes import build_bundle, run_scheme, verify_outputs
+from radiolab.labels import decode_blocks, encode_blocks
+from radiolab.schemes import run_scheme, verify_outputs
 from radiolab.sim import Heard, frame, run, unframe
 from radiolab.toprec import (
-    BFS_BLOCKS,
     TOPREC_BLOCKS,
     TOPREC_LEN_C,
     TOPREC_LEN_C0,
-    BroadcastBFSProgram,
-    GatherBFSProgram,
     TopRecProgram,
     assign_broadcast_indices,
     assign_gather_indices,
-    build_bfs_labels,
     build_toprec_labels,
     distance_two_coloring,
     id_to_wire,
@@ -36,7 +30,7 @@ from radiolab.toprec import (
     reconstruct_topology,
     wire_to_id,
 )
-from oracles import toprec_round_formula, verify_gather_indices
+from oracles import tagged_rounds, toprec_round_formula, verify_gather_indices
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -125,11 +119,11 @@ class TestColoring:
 
 class TestBfsLabels:
     def test_p3_apath_everywhere(self):
-        b = build_bfs_labels(gen_path(3), 0)
+        b = build_toprec_labels(gen_path(3))
         assert b.meta["path"] == [2, 1, 0]
 
     def test_star_apath(self):
-        b = build_bfs_labels(gen_star(5), 0)
+        b = build_toprec_labels(gen_star(5))
         assert len(b.meta["path"]) == 2 and b.meta["path"][1] == 0
 
     def test_label_length_bound(self):
@@ -139,33 +133,48 @@ class TestBfsLabels:
             assert build_toprec_labels(g).max_label_bits() <= bound
 
 
+def toprec_run(g):
+    """A toprec run on `g`, checked exact, with the `AckBfsMachine` of each
+    node."""
+    bundle = build_toprec_labels(g)
+    machines = []
+
+    def make(label):
+        p = TopRecProgram(label)
+        machines.append(p.m)
+        return p
+
+    tr = run(g, bundle.labels, make)
+    assert verify_outputs("toprec", g, bundle, tr) == g.n
+    return bundle, tr, machines
+
+
 class TestBroadcastBFS:
+    """Stage 1's BroadcastBFS, read from the T1 messages of toprec runs."""
+
     def test_p4_exact_window(self):
-        g = gen_path(4)
-        bundle = build_bfs_labels(g, 0)
+        bundle, tr, _ = toprec_run(gen_path(4))
         la = bundle.meta["layers"]
         delta = bundle.meta["delta"]
-        tr = run(g, bundle.labels, partial(BroadcastBFSProgram, message="M"))
-        assert tr.outputs == ["M"] * 4
         window = la.depth * (delta + 1)
-        assert tr.num_rounds <= window
-        # every transmission happens at its scheduled slot
-        for rnd_idx, rec in enumerate(tr.rounds, start=1):
-            for v in rec.transmitters:
+        senders = []
+        # every T1 transmission happens at its scheduled slot, inside the window
+        for rnd_idx, sent, _ in tagged_rounds(tr, "T1"):
+            for v in sent:
                 slot = la.layer[v] * (delta + 1) + bundle.meta["b"][v] + 1
-                assert rnd_idx == slot
+                assert rnd_idx == slot <= window
+                senders.append(v)
+        assert senders == [0, 1, 2]  # every node but the leaf
 
     @pytest.mark.parametrize("seed", [5, 11])
     def test_first_reception_is_parent(self, seed):
         g = gen_random_connected(30, 0.2, seed)
-        bundle = build_bfs_labels(g, 0)
-        tr = run(g, bundle.labels, partial(BroadcastBFSProgram, message="M"))
-        assert tr.outputs == ["M"] * 30
+        bundle, tr, _ = toprec_run(g)
         first_from = {}
-        for rec in tr.rounds:
-            for v in rec.heard:
+        for _, sent, heard in tagged_rounds(tr, "T1"):
+            for v in heard:
                 if v not in first_from:
-                    senders = [u for u in g.adj[v] if u in rec.transmitters]
+                    senders = [u for u in g.adj[v] if u in sent]
                     assert len(senders) == 1
                     first_from[v] = senders[0]
         for v in range(1, 30):
@@ -174,67 +183,55 @@ class TestBroadcastBFS:
 
 class TestAckBrBFS:
     """The acknowledged layered broadcast AckBrBFS, read from the
-    `AckBfsMachine` of each node of a gather-bfs run."""
-
-    @staticmethod
-    def _run(g):
-        bundle = build_bundle("gather-bfs", g)
-        machines = []
-
-        def make(label):
-            p = GatherBFSProgram(label)
-            machines.append(p.m)
-            return p
-
-        tr = run(g, bundle.labels, make)
-        assert verify_outputs("gather-bfs", g, bundle, tr) == g.n
-        return bundle, tr, machines
+    `AckBfsMachine` of each node of a toprec run."""
 
     def test_p4_totals(self):
-        bundle, _, machines = self._run(gen_path(4))
+        bundle, _, machines = toprec_run(gen_path(4))
         la, delta = bundle.meta["layers"], bundle.meta["delta"]
         total = la.depth + 2 * la.depth * (delta + 1)
         assert all((m.dstar, m.total) == (la.depth, total) for m in machines)
 
     def test_leaf_answers_right_after_window(self):
-        bundle, tr, machines = self._run(gen_grid(3, 5))
+        bundle, tr, machines = toprec_run(gen_grid(3, 5))
         la, delta = bundle.meta["layers"], bundle.meta["delta"]
         window = la.depth * (delta + 1)
         vp = bundle.meta["path"][0]
-        assert unframe(tr.rounds[window].transmitters[vp]) == ["BA", la.depth]  # round window+1
+        assert unframe(tr.rounds[window].transmitters[vp]) == ["TA", la.depth]  # round window+1
         assert all(m.dstar == la.depth for m in machines)
 
     def test_single_node(self):
-        _, tr, machines = self._run(build_graph(1, []))
+        _, tr, machines = toprec_run(build_graph(1, []))
         assert (machines[0].dstar, machines[0].total) == (0, 0)
         assert tr.num_rounds == 0
 
 
 class TestGatherBFS:
+    """Stage 3's gathering, read from the T4 messages of toprec runs."""
+
     def test_k4_collects_everything(self):
-        payloads = [int_to_bits(v + 1, 3) for v in range(4)]
-        bundle = build_bfs_labels(K4, 0, payloads=payloads)
-        tr = run(K4, bundle.labels, GatherBFSProgram)
-        assert tr.outputs[0] == sorted(payloads)
+        bundle, tr, _ = toprec_run(K4)
+        gathered = {id_to_wire(()): None}  # the root's own report
+        for _, _, heard in tagged_rounds(tr, "T4"):
+            if 0 in heard:
+                gathered.update(dict.fromkeys(wid for wid, _ in unframe(heard[0])[1]))
+        assert sorted(gathered) == sorted(map(id_to_wire, oracle_ids(bundle.meta)))
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_every_payload_reaches_parent(self, seed):
+        """Every T4 of v is heard by parent[v], inside the D* x Delta window
+        after stage 2."""
         g = gen_random_connected(24, 0.18, seed)
-        payloads = [int_to_bits(v + 1, 5) for v in range(24)]
-        bundle = build_bfs_labels(g, 0, payloads=payloads)
+        bundle, tr, _ = toprec_run(g)
         la, delta = bundle.meta["layers"], bundle.meta["delta"]
-        tr = run(g, bundle.labels, GatherBFSProgram)
-        assert tr.outputs[0] == sorted(payloads)
         total = la.depth + 2 * la.depth * (delta + 1)
-        g0 = total + (delta + 1) * la.depth
-        # gather transmissions stay inside the D* x Delta window and reach parents
-        for rnd_idx, rec in enumerate(tr.rounds, start=1):
-            if rnd_idx <= g0 or not rec.transmitters:
-                continue
-            assert rnd_idx <= g0 + la.depth * delta
-            for v in rec.transmitters:
-                parent = bundle.meta["parent"][v]
-                assert rec.heard.get(parent) == rec.transmitters[v]
+        g0 = total + bundle.meta["stage2_window"]
+        senders = []
+        for rnd_idx, sent, _ in tagged_rounds(tr, "T4"):
+            for v, m in sent.items():
+                assert g0 < rnd_idx <= g0 + la.depth * delta
+                assert tr.rounds[rnd_idx - 1].heard.get(bundle.meta["parent"][v]) == m
+                senders.append(v)
+        assert sorted(senders) == list(range(1, g.n))
 
 
 class TestTopRec:
@@ -449,17 +446,11 @@ class TestMalformedLabels:
     """A label with the wrong number of blocks raises MalformedCodeword when
     the node program is built, never IndexError or ValueError."""
 
-    @pytest.mark.parametrize("make, blocks", [
-        (TopRecProgram, TOPREC_BLOCKS),
-        (partial(BroadcastBFSProgram, message="M"), BFS_BLOCKS),
-        (GatherBFSProgram, BFS_BLOCKS),
-    ], ids=["toprec", "broadcast-bfs", "gather-bfs"])
+    @pytest.mark.parametrize("make, blocks", [(TopRecProgram, TOPREC_BLOCKS)], ids=["toprec"])
     def test_block_count_checked(self, make, blocks):
-        g = gen_cycle(4)
-        bundle = build_toprec_labels(g) if blocks == TOPREC_BLOCKS else build_bfs_labels(g, 0)
-        full = decode_blocks(bundle.labels[1])
+        full = decode_blocks(build_toprec_labels(gen_cycle(4)).labels[1])
         assert len(full) == blocks
-        make(bundle.labels[1])
+        make(encode_blocks(full))
         for k in range(1, blocks):
             with pytest.raises(MalformedCodeword, match=f"expected {blocks}"):
                 make(encode_blocks(full[:k]))
