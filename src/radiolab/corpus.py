@@ -8,7 +8,6 @@ from .graphs import (
     Graph,
     gen_cycle,
     gen_grid,
-    gen_lb_family,
     gen_path,
     gen_random_connected,
     gen_star,
@@ -62,8 +61,6 @@ def materialize(family: str, params: dict) -> Graph:
         return gen_random_connected(params["n"], params["p"], params["seed"])
     if family == "tree":
         return gen_tree(params["n"], params["seed"])
-    if family == "lbG":
-        return gen_lb_family(params["n"])[0]
     raise ValueError(f"unknown family {family!r}")
 
 

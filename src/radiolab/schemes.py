@@ -18,7 +18,16 @@ from .size_discovery import (
 )
 from .toprec import TopRecProgram, build_toprec_labels, oracle_ids
 
-SCHEMES = ("compact", "general", "fastsd", "toprec")
+# scheme name -> (label builder, node factory). A node factory is a program
+# class, or for the mode-bit schemes the selector that builds the program a
+# label picks.
+_TABLE = {
+    "compact": (build_compact_labels, AuxiliarySDProgram),
+    "general": (build_general_sd, general_sd_program),
+    "fastsd": (build_fast_sd, fast_sd_program),
+    "toprec": (build_toprec_labels, TopRecProgram),
+}
+SCHEMES = tuple(_TABLE)
 
 
 @dataclass
@@ -42,33 +51,23 @@ class SchemeResult:
         }
 
 
+def _entry(scheme: str) -> tuple:
+    try:
+        return _TABLE[scheme]
+    except KeyError:
+        raise InvalidParams(f"unknown scheme {scheme!r} (choose from {SCHEMES})") from None
+
+
 def build_bundle(scheme: str, g: Graph) -> SchemeBundle:
     """The scheme's labels on `g`, which must have a node."""
     if g.n == 0:
         raise InvalidParams("the graph has no nodes")
-    if scheme == "compact":
-        return build_compact_labels(g)
-    if scheme == "general":
-        return build_general_sd(g)
-    if scheme == "fastsd":
-        return build_fast_sd(g)
-    if scheme == "toprec":
-        return build_toprec_labels(g)
-    raise InvalidParams(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
+    return _entry(scheme)[0](g)
 
 
 def program_for(scheme: str):
-    """The node factory for a scheme's labels: a program class, or for the
-    mode-bit schemes the selector that builds the program a label picks."""
-    if scheme == "compact":
-        return AuxiliarySDProgram
-    if scheme == "general":
-        return general_sd_program
-    if scheme == "fastsd":
-        return fast_sd_program
-    if scheme == "toprec":
-        return TopRecProgram
-    raise InvalidParams(f"unknown scheme {scheme!r}")
+    """The node factory for a scheme's labels."""
+    return _entry(scheme)[1]
 
 
 def verify_outputs(scheme: str, g: Graph, bundle: SchemeBundle, trace) -> int:

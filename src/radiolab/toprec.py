@@ -4,10 +4,11 @@ The labeling carries, per node: root/leaf/ack-path flags, a broadcast index
 b in [0, Delta] scheduling collision-free downward layer-to-layer delivery,
 a gather index g in [0, Delta-1] scheduling collision-free upward gathering,
 the maximum degree, and a distance-two color (plus a unique id and the graph
-size at the root when Delta^2+1 > n). The four-stage recognizer first
-distributes path-of-gather-indices identifiers, then lets every node announce
-its identifier to its neighbors, gathers the adjacency reports at the root,
-and broadcasts the full edge set back.
+size at the root when Delta^2+1 > n). The four-stage recognizer is one node
+program, `TopRecProgram`: it first distributes path-of-gather-indices
+identifiers over the acknowledged layered broadcast, then lets every node
+announce its identifier to its neighbors, gathers the adjacency reports at
+the root, and broadcasts the full edge set back.
 """
 
 from __future__ import annotations
@@ -265,156 +266,31 @@ def decode_reports(reports) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_topology(
-    reports: dict[tuple[int, ...], set[tuple[int, ...]]]
-) -> tuple[set[tuple[int, ...]], set[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Edge set over identifiers from per-node adjacency reports. A one-sided
-    listing flags a protocol bug (both endpoints must have heard each other)."""
-    nodes = set(reports)
-    edges = set()
-    for a, nbrs in reports.items():
-        for bb in nbrs:
-            if bb not in reports:
-                raise InconsistentReports(f"{bb} listed by {a} but reported nowhere")
-            if a not in reports[bb]:
-                raise InconsistentReports(f"one-sided listing {a} -> {bb}")
-            edges.add((a, bb) if a < bb else (bb, a))
-    return nodes, edges
-
-
 def topology(reports) -> tuple[frozenset, tuple]:
     """The finished topology of decoded `(id, (nbr_id, ...))` reports: the
-    node set and the sorted edge tuple, checked by `reconstruct_topology`.
-    Immutable, so every node of a run can share it."""
-    nodes, edges = reconstruct_topology({wid: set(nbrs) for wid, nbrs in reports})
-    return frozenset(nodes), tuple(sorted(edges))
+    node set and the sorted edge tuple over identifiers. Immutable, so every
+    node of a run can share it. A one-sided listing flags a protocol bug
+    (both endpoints must have heard each other)."""
+    listed = {wid: set(nbrs) for wid, nbrs in reports}
+    edges = set()
+    for a, nbrs in listed.items():
+        for bb in nbrs:
+            if bb not in listed:
+                raise InconsistentReports(f"{bb} listed by {a} but reported nowhere")
+            if a not in listed[bb]:
+                raise InconsistentReports(f"one-sided listing {a} -> {bb}")
+            edges.add((a, bb) if a < bb else (bb, a))
+    return frozenset(listed), tuple(sorted(edges))
 
 
 # ---------------------------------------------------------------------------
-# Programs
+# Program
 # ---------------------------------------------------------------------------
 
 
 # root, leaf, ack-path, b, g, Delta, payload (empty), color, id mode,
 # unique id, n at the root
 TOPREC_BLOCKS = 11
-
-
-class AckBfsMachine:
-    """The acknowledged layered broadcast AckBrBFS of stage 1 as an embeddable
-    machine, the counterpart of `broadcast.AckMachine`, read from the first
-    six label blocks.
-
-    The root's BroadcastBFS of `message` as T1 (node v transmits once, in
-    round layer(v)*(Delta+1) + b_v + 1, and learns its layer from the round
-    the message first reaches it, through `reached`); the marked deepest
-    leaf answers with D* as TA after round D*(Delta+1) and ack-path nodes
-    relay it one round apart; the root then runs a BroadcastBFS of the total
-    duration D* + 2D*(Delta+1) as T2.
-    """
-
-    def __init__(self, blocks: list[str]):
-        self.is_root = blocks[0] == "1"
-        self.is_leaf = blocks[1] == "1"
-        self.on_apath = blocks[2] == "1"
-        self.b = bits_to_int(blocks[3])
-        self.g = bits_to_int(blocks[4])
-        self.delta = bits_to_int(blocks[5])
-        self.width = self.delta + 1
-        self.message = None  # what the first BroadcastBFS carries, once known
-        self.layer = 0 if self.is_root else None
-        self.dstar: int | None = None
-        self.total: int | None = None
-        self._sent1 = self._sent2 = self._relayed = False
-        self._ack_round: int | None = None
-        if self.is_root and self.is_leaf and self.on_apath:
-            # single node: the whole acknowledged broadcast is empty
-            self.dstar = self.total = 0
-            self._relayed = True
-
-    def reached(self, rnd: int) -> bool:
-        """Learn the layer from the round in which the first BroadcastBFS
-        reaches this node; True only that first time."""
-        if self.layer is not None:
-            return False
-        self.layer = (rnd - 1) // self.width + 1
-        return True
-
-    def slot(self, start: int) -> int | None:
-        """This node's round in a BroadcastBFS window beginning after `start`."""
-        if self.layer is None or self.is_leaf:
-            return None
-        return start + self.layer * self.width + self.b + 1
-
-    def gather_slot(self, start: int) -> int | None:
-        """This node's round in a gathering window beginning after `start`:
-        layer D*-i transmits in phase i of Delta rounds, node v in round
-        g_v + 1 of its phase."""
-        if self.is_root or self.layer is None:
-            return None
-        return start + (self.dstar - self.layer) * self.delta + self.g + 1
-
-    # -- pending transmission slots (None once sent or while unknown) -------
-
-    def first_round(self) -> int | None:
-        if self.message is None or self._sent1:
-            return None
-        return self.slot(0)
-
-    def _leaf_ack_round(self) -> int | None:
-        """The deepest ack-path leaf starts the relay of D*."""
-        if self.on_apath and self.is_leaf and not self._relayed and self.layer is not None:
-            return self.layer * self.width + 1
-        return None
-
-    def _total_round(self) -> int | None:
-        if self.total is None or self._sent2:
-            return None
-        return self.slot(self.total - self.width * self.dstar)
-
-    def next_wake(self) -> int | None:
-        return earliest(
-            self.first_round(), self._leaf_ack_round(), self._ack_round, self._total_round()
-        )
-
-    def action(self, rnd: int, *extra) -> bytes | None:
-        """This round's transmission, if any; `extra` rides on the total."""
-        if rnd == self.first_round():
-            self._sent1 = True
-            return frame("T1", self.message)
-        if rnd == self._leaf_ack_round():
-            self._relayed = True
-            self.dstar = self.layer
-            return frame("TA", self.layer)
-        if rnd == self._ack_round:
-            self._ack_round = None
-            return frame("TA", self.dstar)
-        if rnd == self._total_round():
-            self._sent2 = True
-            return frame("T2", self.total, *extra)
-        return None
-
-    def on_message(self, rnd: int, parts) -> bool:
-        """A heard TA or T2 message `(tag, value, ...)`; True iff it changed
-        the machine. Other tags are ignored."""
-        tag = parts[0]
-        if tag == "TA" and self.on_apath and not self._relayed:
-            self._relayed = True
-            self.dstar = parts[1]
-            if self.is_root:
-                self._learn_total(self.dstar * (2 * self.width + 1))
-            else:
-                self._ack_round = rnd + 1
-        elif tag == "T2" and self.total is None:
-            self._learn_total(parts[1])
-        else:
-            return False
-        return True
-
-    def _learn_total(self, total: int) -> None:
-        if self.total is None:
-            self.total = total
-            self.dstar = total // (2 * self.width + 1)
 
 
 class TopRecProgram(NodeProgram):
@@ -424,54 +300,76 @@ class TopRecProgram(NodeProgram):
     (sorted edge tuple over identifiers, own identifier); the edge tuple is
     one object shared by every node that heard the same T5.
 
-    Stage 1 is an `AckBfsMachine` whose first broadcast carries the sender's
-    identifier; a node's identifier is its parent's plus its own gather
-    index. Gathered reports stay in wire form (`_reports` maps a wire
-    identifier to its neighbors' wire identifiers): inner nodes merge and
-    forward them without decoding, and only the root decodes the full set."""
+    Stage 1 is the acknowledged layered broadcast AckBrBFS. The root's
+    BroadcastBFS of its identifier goes out as T1: node v transmits once, in
+    round layer(v)*(Delta+1) + b_v + 1, learns its layer from the round the
+    T1 first reaches it, and takes its parent's identifier plus its own
+    gather index. The marked deepest leaf answers with D* as TA after round
+    D*(Delta+1) and ack-path nodes relay it one round apart; the root then
+    runs a BroadcastBFS of the total duration D* + 2D*(Delta+1) as T2, which
+    also carries n in id mode. Gathered reports stay in wire form
+    (`_reports` maps a wire identifier to its neighbors' wire identifiers):
+    inner nodes merge and forward them without decoding, and only the root
+    decodes the full set."""
 
     def __init__(self, label: str):
         super().__init__(label)
         blocks = label_blocks(label, TOPREC_BLOCKS)
-        self.m = m = AckBfsMachine(blocks)
+        self.is_root = blocks[0] == "1"
+        self.is_leaf = blocks[1] == "1"
+        self.on_apath = blocks[2] == "1"
+        self.b = bits_to_int(blocks[3])
+        self.g = bits_to_int(blocks[4])
+        self.delta = bits_to_int(blocks[5])
+        self.width = self.delta + 1
         self.color = bits_to_int(blocks[7])
         self.id_mode = blocks[8] == "1"
         self.uid = bits_to_int(blocks[9]) if self.id_mode else None
         self.n_value = bits_to_int(blocks[10]) if blocks[10] else None
+        self.layer = 0 if self.is_root else None
+        self.dstar: int | None = None
+        self.total: int | None = None
         self.my_id: tuple[int, ...] | None = None
-        self._sent_s2 = False
-        self._sent_g = False
-        self._sent4 = False
+        self.wire_id: str | None = None  # my_id in wire form, what T1 and T3 carry
+        self._sent1 = self._sent2 = self._relayed = False
+        self._ack_round: int | None = None
+        self._sent_s2 = self._sent_g = self._sent4 = False
         self.nbr_ids: set[tuple[int, ...]] = set()
         self._reports: dict[str, tuple[str, ...]] = {}
         self._final: bytes | None = None  # the T5 message, as heard
-        if m.is_root:
+        if self.is_root:
             self._set_id(())
-            if m.total == 0:
-                # single node: nothing to announce or broadcast
-                self._sent_s2 = self._sent4 = True
+            if self.is_leaf and self.on_apath:
+                # single node: nothing to broadcast, announce or gather
+                self.dstar = self.total = 0
+                self._relayed = self._sent_s2 = self._sent4 = True
                 self._finish(topology([((), ())]))
 
     def _set_id(self, node_id: tuple[int, ...]) -> None:
-        """The machine's message is the identifier in wire form."""
         self.my_id = node_id
-        self.m.message = id_to_wire(node_id)
+        self.wire_id = id_to_wire(node_id)
 
-    # -- stage boundaries (all computable once `total` is known; stage 2
+    # -- schedule (stages 2-4 are computable once `total` is known; stage 2
     # starts when stage 1 ends) ---------------------------------------------
+
+    def _slot(self, start: int) -> int | None:
+        """This node's round in a BroadcastBFS window beginning after `start`."""
+        if self.layer is None or self.is_leaf:
+            return None
+        return start + self.layer * self.width + self.b + 1
 
     def _window(self) -> int:
         if self.id_mode:
             if self.n_value is None:
                 raise ProtocolViolation("id mode but graph size unknown")
             return self.n_value
-        return self.m.delta * self.m.delta + 1
+        return self.delta * self.delta + 1
 
     def _stage3_start(self) -> int:
-        return self.m.total + self._window()
+        return self.total + self._window()
 
     def _stage4_start(self) -> int:
-        return self._stage3_start() + self.m.dstar * self.m.delta
+        return self._stage3_start() + self.dstar * self.delta
 
     def _finish(self, topo: tuple[frozenset, tuple]) -> None:
         """Output from a finished `topology`, shared, not copied."""
@@ -480,80 +378,128 @@ class TopRecProgram(NodeProgram):
             raise ProtocolViolation("own identifier missing from reports")
         self.output = (edges, self.my_id)
 
-    # -- pending transmission slots of stages 2-4 (None once sent or while
-    # unknown) ----------------------------------------------------------------
+    # -- pending transmission slots (None once sent or while unknown) -------
+
+    def _first_round(self) -> int | None:
+        """Stage 1: forward the identifier broadcast T1."""
+        return None if self._sent1 else self._slot(0)
+
+    def _leaf_ack_round(self) -> int | None:
+        """The deepest ack-path leaf starts the relay of D*."""
+        if self.on_apath and self.is_leaf and not self._relayed and self.layer is not None:
+            return self.layer * self.width + 1
+        return None
+
+    def _total_round(self) -> int | None:
+        """Stage 1: forward the total broadcast T2."""
+        if self.total is None or self._sent2:
+            return None
+        return self._slot(self.total - self.width * self.dstar)
 
     def _scheduled(self) -> bool:
         """Stages 2-4 are placed once the duration is known and, in id mode,
         the graph size too (the root has n in its label; the total
         broadcast carries both to the others)."""
-        return self.m.total is not None and not (self.id_mode and self.n_value is None)
+        return self.total is not None and not (self.id_mode and self.n_value is None)
 
     def _announce_round(self) -> int | None:
         """Stage 2: announce own identifier in the slot given by color/id."""
         if self._sent_s2 or not self._scheduled():
             return None
-        return self.m.total + (self.uid if self.id_mode else self.color)
+        return self.total + (self.uid if self.id_mode else self.color)
 
     def _gather_round(self) -> int | None:
-        """Stage 3: forward adjacency reports toward the root."""
-        if self._sent_g or not self._scheduled():
+        """Stage 3: forward adjacency reports toward the root; layer D*-i
+        transmits in phase i of Delta rounds, node v in round g_v + 1 of its
+        phase. A node with no layer has no slot."""
+        if self._sent_g or self.is_root or self.layer is None or not self._scheduled():
             return None
-        return self.m.gather_slot(self._stage3_start())
+        return self._stage3_start() + (self.dstar - self.layer) * self.delta + self.g + 1
 
     def _final_round(self) -> int | None:
         """Stage 4: the root broadcasts the full report set; inner nodes
         forward it in their BroadcastBFS slot."""
         if self._sent4 or not self._scheduled():
             return None
-        if self.m.is_root:
+        if self.is_root:
             return self._stage4_start() + 1
         if self._final is None:
             return None
-        return self.m.slot(self._stage4_start())
-
-    def action(self, rnd: int):
-        act = self.m.action(rnd, self.n_value)
-        if act is not None:
-            return act
-        if rnd == self._announce_round():
-            self._sent_s2 = True
-            return frame("T3", self.m.message)
-        if rnd == self._gather_round():
-            self._sent_g = True
-            return frame("T4", self._all_reports())
-        if rnd == self._final_round():
-            self._sent4 = True
-            if not self.m.is_root:
-                return self._final
-            reports = self._all_reports()
-            self._finish(topology(decode_reports(reports)))
-            if self.m.is_leaf:
-                return None
-            return frame("T5", reports)
-        return None
+        return self._slot(self._stage4_start())
 
     def next_wake(self, rnd: int) -> int | None:
         return earliest(
-            self.m.next_wake(),
+            self._first_round(),
+            self._leaf_ack_round(),
+            self._ack_round,
+            self._total_round(),
             self._announce_round(),
             self._gather_round(),
             self._final_round(),
         )
 
+    def action(self, rnd: int):
+        if rnd == self._first_round():
+            self._sent1 = True
+            return frame("T1", self.wire_id)
+        if rnd == self._leaf_ack_round():
+            self._relayed = True
+            self.dstar = self.layer
+            return frame("TA", self.layer)
+        if rnd == self._ack_round:
+            self._ack_round = None
+            return frame("TA", self.dstar)
+        if rnd == self._total_round():
+            self._sent2 = True
+            return frame("T2", self.total, self.n_value)
+        if rnd == self._announce_round():
+            self._sent_s2 = True
+            return frame("T3", self.wire_id)
+        if rnd == self._gather_round():
+            self._sent_g = True
+            return frame("T4", self._all_reports())
+        if rnd == self._final_round():
+            self._sent4 = True
+            if not self.is_root:
+                return self._final
+            reports = self._all_reports()
+            self._finish(topology(decode_reports(reports)))
+            if self.is_leaf:
+                return None
+            return frame("T5", reports)
+        return None
+
     def _all_reports(self) -> list[tuple[str, tuple[str, ...]]]:
         """The gathered reports plus this node's own, all in wire form; only
         the own report is encoded here."""
         nbrs = tuple(id_to_wire(x) for x in sorted(self.nbr_ids))
-        return list({**self._reports, self.m.message: nbrs}.items())
+        return list({**self._reports, self.wire_id: nbrs}.items())
 
     def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse_message)
         tag = parts[0]
         if tag == "T1":
-            if not self.m.reached(rnd):
+            if self.layer is not None:
                 return False
-            self._set_id(parts[1] + (self.m.g,))
+            self.layer = (rnd - 1) // self.width + 1
+            self._set_id(parts[1] + (self.g,))
+        elif tag == "TA":
+            if not self.on_apath or self._relayed:
+                return False
+            self._relayed = True
+            self.dstar = parts[1]
+            if not self.is_root:
+                self._ack_round = rnd + 1
+            elif self.total is None:
+                self.total = self.dstar * (2 * self.width + 1)
+        elif tag == "T2":
+            total, n_value = self.total, self.n_value
+            if total is None:
+                self.total = parts[1]
+                self.dstar = parts[1] // (2 * self.width + 1)
+            if parts[2] is not None:
+                self.n_value = parts[2]
+            return total is None or self.n_value != n_value
         elif tag == "T3":
             self.nbr_ids.add(parts[1])
             return False
@@ -569,10 +515,7 @@ class TopRecProgram(NodeProgram):
             if self.output is None:
                 self._finish(parts[2])
         else:
-            n_value = self.n_value
-            if tag == "T2" and parts[2] is not None:
-                self.n_value = parts[2]
-            return self.m.on_message(rnd, parts) or self.n_value != n_value
+            return False
         return True
 
 

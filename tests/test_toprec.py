@@ -27,7 +27,7 @@ from radiolab.toprec import (
     id_to_wire,
     oracle_ids,
     parse_message,
-    reconstruct_topology,
+    topology,
     wire_to_id,
 )
 from oracles import tagged_rounds, toprec_round_formula, verify_gather_indices
@@ -134,19 +134,18 @@ class TestBfsLabels:
 
 
 def toprec_run(g):
-    """A toprec run on `g`, checked exact, with the `AckBfsMachine` of each
-    node."""
+    """A toprec run on `g`, checked exact, with the program of each node."""
     bundle = build_toprec_labels(g)
-    machines = []
+    programs = []
 
     def make(label):
         p = TopRecProgram(label)
-        machines.append(p.m)
+        programs.append(p)
         return p
 
     tr = run(g, bundle.labels, make)
     assert verify_outputs("toprec", g, bundle, tr) == g.n
-    return bundle, tr, machines
+    return bundle, tr, programs
 
 
 class TestBroadcastBFS:
@@ -182,26 +181,26 @@ class TestBroadcastBFS:
 
 
 class TestAckBrBFS:
-    """The acknowledged layered broadcast AckBrBFS, read from the
-    `AckBfsMachine` of each node of a toprec run."""
+    """The acknowledged layered broadcast AckBrBFS, read from the stage-1
+    state of each node's program in a toprec run."""
 
     def test_p4_totals(self):
-        bundle, _, machines = toprec_run(gen_path(4))
+        bundle, _, programs = toprec_run(gen_path(4))
         la, delta = bundle.meta["layers"], bundle.meta["delta"]
         total = la.depth + 2 * la.depth * (delta + 1)
-        assert all((m.dstar, m.total) == (la.depth, total) for m in machines)
+        assert all((p.dstar, p.total) == (la.depth, total) for p in programs)
 
     def test_leaf_answers_right_after_window(self):
-        bundle, tr, machines = toprec_run(gen_grid(3, 5))
+        bundle, tr, programs = toprec_run(gen_grid(3, 5))
         la, delta = bundle.meta["layers"], bundle.meta["delta"]
         window = la.depth * (delta + 1)
         vp = bundle.meta["path"][0]
         assert unframe(tr.rounds[window].transmitters[vp]) == ["TA", la.depth]  # round window+1
-        assert all(m.dstar == la.depth for m in machines)
+        assert all(p.dstar == la.depth for p in programs)
 
     def test_single_node(self):
-        _, tr, machines = toprec_run(build_graph(1, []))
-        assert (machines[0].dstar, machines[0].total) == (0, 0)
+        _, tr, programs = toprec_run(build_graph(1, []))
+        assert (programs[0].dstar, programs[0].total) == (0, 0)
         assert tr.num_rounds == 0
 
 
@@ -297,6 +296,24 @@ class TestTopRec:
         r = run_scheme("toprec", build_graph(1, []))
         assert r.ok
 
+    @pytest.mark.parametrize("g,wake", [(gen_path(5), 31), (gen_grid(3, 3), 47)],
+                             ids=["path5", "grid3x3"])
+    def test_t2_before_t1_leaves_only_the_announcement(self, g, wake):
+        """A non-root node that hears the total before any T1 has no layer:
+        it announces itself in stage 2 but has no gather or final slot."""
+        b = build_toprec_labels(g)
+        depth, delta = b.meta["layers"].depth, b.meta["delta"]
+        total = depth + 2 * depth * (delta + 1)
+        p = TopRecProgram(b.labels[2])
+        assert p.receive(5, Heard(frame("T2", total, g.n if b.meta["id_mode"] else None)))
+        sent = []
+        for rnd in range(1, 200):
+            p.next_wake(rnd)
+            msg = p.action(rnd)
+            if msg is not None:
+                sent.append((rnd, unframe(msg)[0]))
+        assert sent == [(wake, "T3")]
+
 
 class TestParseMessage:
     @pytest.mark.parametrize("cd", [False, True])
@@ -321,8 +338,8 @@ class TestParseMessage:
                     assert parsed[1] == tuple(
                         (wire_to_id(w), tuple(map(wire_to_id, ns))) for w, ns in parts[1]
                     )
-                    nodes, edges = reconstruct_topology({w: set(ns) for w, ns in parsed[1]})
-                    assert parsed[2] == (nodes, tuple(sorted(edges)))
+                    nodes, edges = topology(parsed[1])
+                    assert parsed[2] == (nodes, edges)
                 else:
                     assert list(parsed) == parts
         assert tags == {"T1", "TA", "T2", "T3", "T4", "T5"}
@@ -366,13 +383,13 @@ class TestSharedTopology:
                              ids=["grid10x10", "star129"])
     def test_at_most_two_reconstructions_per_run(self, g, monkeypatch):
         calls = []
-        real = toprec_mod.reconstruct_topology
+        real = toprec_mod.topology
 
         def counting(reports):
             calls.append(len(reports))
             return real(reports)
 
-        monkeypatch.setattr(toprec_mod, "reconstruct_topology", counting)
+        monkeypatch.setattr(toprec_mod, "topology", counting)
         r = run_scheme("toprec", g)
         assert r.ok
         assert 1 <= len(calls) <= 2
@@ -485,17 +502,17 @@ class TestOutputSerialization:
 
 class TestReconstruct:
     def test_single(self):
-        nodes, edges = reconstruct_topology({(): set()})
-        assert nodes == {()} and edges == set()
+        nodes, edges = topology({(): set()}.items())
+        assert nodes == {()} and edges == ()
 
     def test_two_nodes(self):
-        nodes, edges = reconstruct_topology({(): {(0,)}, (0,): {()}})
-        assert edges == {((), (0,))}
+        nodes, edges = topology({(): {(0,)}, (0,): {()}}.items())
+        assert edges == (((), (0,)),)
 
     def test_one_sided_flagged(self):
         with pytest.raises(InconsistentReports):
-            reconstruct_topology({(): {(0,)}, (0,): set()})
+            topology({(): {(0,)}, (0,): set()}.items())
 
     def test_unknown_node_flagged(self):
         with pytest.raises(InconsistentReports):
-            reconstruct_topology({(): {(9,)}})
+            topology({(): {(9,)}}.items())
