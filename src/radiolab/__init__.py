@@ -10,7 +10,6 @@ from .graphs import (
     bfs_layers,
     build_graph,
     diameter,
-    gen_lb_component,
     gen_lb_family,
     gen_lb_general,
     gen_random_connected,
@@ -26,7 +25,6 @@ __all__ = [
     "bfs_layers",
     "build_graph",
     "diameter",
-    "gen_lb_component",
     "gen_lb_family",
     "gen_lb_general",
     "gen_random_connected",

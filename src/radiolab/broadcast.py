@@ -355,88 +355,97 @@ def _max_level_path(tree: BroadcastTree, s: int) -> list[int]:
     return path
 
 
-class AckMachine:
-    """The size-discovery skeleton as an embeddable machine. ExecAck: an
-    Executor run (`tag1`), upward relay of the round count along the marked
-    path (`taga`), then a second Executor run carrying t (`tag2`); its
-    completion is padded to relative round 3t, which every node can
-    compute. Then an upward collection the program runs in the rounds of
-    `collect_round`, and a third Executor run (`tag3`) that `finish` starts
-    at the source with the collected answer. `collects` says the node has
-    a duty in `collect_round` (the source always has one): only then can
-    learning t move its wake round.
+class AckProgram(NodeProgram):
+    """The size-discovery skeleton as one node program. ExecAck: an
+    Executor run (tag `<tag>1`), the upward relay of its round count t
+    along the marked path (`<tag>a`), then a second Executor run carrying t
+    (`<tag>2`); its completion is padded to relative round 3t, which every
+    node can compute. Then an upward collection in the rounds of
+    `_collect_round`, and a final Executor run (`<tag>3`) that the source
+    starts with the answer it assembled; every other node outputs the
+    `_result` of that run's message.
+
+    A subclass names its tag in the class statement
+    (`class P(AckProgram, tag="p")`), passes its label's acknowledged-
+    broadcast blocks on, and supplies the collection: `_phase` (the phase
+    width and this node's slot), `_slot_message` (what a non-source sends
+    in its slot), `_assemble` (the source's answer), `_result` (the output
+    for an answer) and `_receive_own` (its own messages). `collects` says
+    the node has a slot (the source always collects); `_collected` closes
+    the duty once it is done.
     """
 
-    def __init__(self, tag: str, js: str, flags: str, pathbits: str, collects: bool):
+    def __init_subclass__(cls, tag: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if tag is not None:
+            cls.tag1, cls.taga, cls.tag2, cls.tag3 = (tag + step for step in "1a23")
+
+    def __init__(self, label: str, js: str, flags: str, pathbits: str, collects: bool):
+        super().__init__(label)
         fixed_block(flags, 2)
         fixed_block(pathbits, 2)
-        self.tag = tag
         self.is_source = flags[0] == "1"
-        self.collects = collects or self.is_source
         self.dom1 = flags[1] == "1"
         self.on_path = pathbits[0] == "1"
         self.is_vp = pathbits[1] == "1"
-        self.core1 = ExecCore(tag + "1", js)
-        self.core2 = ExecCore(tag + "2", js)
-        self.core3 = ExecCore(tag + "3", js)
+        self.core1 = ExecCore(self.tag1, js)
+        self.core2 = ExecCore(self.tag2, js)
+        self.core3 = ExecCore(self.tag3, js)
         self.t: int | None = None
         self._relay_round: int | None = None
         self._relayed = False
+        self._collected = not (collects or self.is_source)
 
-    def start_source(self, start_abs: int, message) -> None:
-        self.core1.start_source(start_abs, message, self.dom1)
+    def _start(self, rnd: int, message) -> None:
+        """Start the first Executor run of `message` at the source."""
+        self.core1.start_source(rnd, message, self.dom1)
         if not self.dom1:
             # no frontier means a single-node graph: t = 0, done immediately
             self.t = 0
 
-    def collect_round(self, width: int, slot: int) -> int | None:
-        """Absolute round of this node's collection duty, once t is known.
-        After relative round 3t, which ends the acknowledged broadcast,
-        come L = max(t - 2, 0) phases of `width` rounds,
-        deepest level first: a node at level l sends in round `slot` of
-        phase L - l + 1, and the source's round follows the last phase."""
-        if self.t is None or self.core1.offset is None:
+    def _collect_round(self) -> int | None:
+        """Absolute round of this node's pending collection duty, once t is
+        known. After relative round 3t, which ends the acknowledged
+        broadcast, come L = max(t - 2, 0) phases, deepest level first: a
+        node at level l sends in its slot of phase L - l + 1, and the
+        source assembles in the round after the last phase."""
+        if self._collected or self.t is None or self.core1.offset is None:
             return None
+        width, slot = self._phase()
         end = self.core1.offset + 3 * self.t
         top = max(self.t - 2, 0)
         if self.is_source:
             return end + top * width + 1
         return end + (top - self.core1.level) * width + slot
 
-    def finish(self, rnd: int, message):
-        """Start the final broadcast of `message` at the source in round
-        `rnd`; returns that round's transmission."""
+    def action(self, rnd: int):
+        p = self.core1.action(rnd)
+        if p:
+            return p
+        if rnd == self._relay_round:
+            self._relay_round = None
+            if self.t is None:
+                self.t = rnd - self.core1.offset - 1
+            return frame(self.taga, "r", self.t, self.core1.parent_level)
+        p = self.core2.action(rnd) or self.core3.action(rnd)
+        if p or rnd != self._collect_round():
+            return p
+        self._collected = True
+        if not self.is_source:
+            return self._slot_message()
+        message = self._assemble()
+        self.output = self._result(message)
         self.core3.start_source(rnd, message, self.dom1)
         return self.core3.action(rnd)
 
-    def next_wake(self, abs_rnd: int) -> int | None:
-        """Earliest round after `abs_rnd` with a scheduled duty (relay or a
-        core's wake), None if only receptions can change state."""
-        return earliest(
-            self.core1.next_wake(abs_rnd),
-            self.core2.next_wake(abs_rnd),
-            self.core3.next_wake(abs_rnd),
-            self._relay_round,
-        )
-
-    def action(self, abs_rnd: int):
-        p = self.core1.action(abs_rnd)
-        if p:
-            return p
-        if abs_rnd == self._relay_round:
-            self._relay_round = None
-            if self.t is None:
-                self.t = abs_rnd - self.core1.offset - 1
-            return frame(self.tag + "a", "r", self.t, self.core1.parent_level)
-        return self.core2.action(abs_rnd) or self.core3.action(abs_rnd)
-
-    def on_message(self, abs_rnd: int, parts) -> bool:
-        """Take a heard message of this machine; True iff it changed a
-        core's duties, the relay, or `t` at a node that collects."""
+    def receive(self, rnd: int, heard) -> bool:
+        """True iff the message changed a core's duties, the relay, `t` at
+        a node that still collects, or the output."""
+        parts = heard.decode(parse)
         tag = parts[0]
-        if tag == self.tag + "1":
+        if tag == self.tag1:
             core = self.core1
-            changed = core.on_message(abs_rnd, parts)
+            changed = core.on_message(rnd, parts)
             if self.is_vp and not self._relayed and core.informed:
                 # v_p starts the upward relay of t in the round after its
                 # stage, t = 3 * (v_p's stage) relative rounds
@@ -444,30 +453,43 @@ class AckMachine:
                 self._relay_round = core.offset + 3 * ((core.level + 2) // 3) + 1
                 return True
             return changed
-        if tag == self.tag + "a":
-            t, plv = parts[2], parts[3]
-            changed = self.t is None and self.collects
+        if tag == self.taga:
+            t = parts[2]
+            changed = self.t is None and not self._collected
             if self.t is None:
                 self.t = t
-            if self.on_path and not self._relayed and self.core1.informed:
-                mylvl = 0 if self.is_source else self.core1.level
-                if plv == mylvl:
-                    self._relayed = True
-                    if self.is_source:
-                        self.core2.start_source(abs_rnd + 1, t, self.dom1)
-                    else:
-                        self._relay_round = abs_rnd + 1
-                    return True
+            if (self.on_path and not self._relayed and self.core1.informed
+                    and parts[3] == self.core1.level):
+                self._relayed = True
+                if self.is_source:
+                    self.core2.start_source(rnd + 1, t, self.dom1)
+                else:
+                    self._relay_round = rnd + 1
+                return True
             return changed
-        if tag == self.tag + "2":
-            changed = self.core2.on_message(abs_rnd, parts)
+        if tag == self.tag2:
+            changed = self.core2.on_message(rnd, parts)
             if self.t is None and self.core2.informed:
                 self.t = self.core2.message
-                return changed or self.collects
+                return changed or not self._collected
             return changed
-        if tag == self.tag + "3":
-            return self.core3.on_message(abs_rnd, parts)
-        return False
+        if tag == self.tag3:
+            changed = self.core3.on_message(rnd, parts)
+            if self.output is None and self.core3.informed:
+                self.output = self._result(self.core3.message)
+                return True
+            return changed
+        return self._receive_own(rnd, parts)
+
+    def next_wake(self, rnd: int) -> int | None:
+        return earliest(
+            self.core1.next_wake(rnd),
+            self.core2.next_wake(rnd),
+            self.core3.next_wake(rnd),
+            self._relay_round,
+            self._collect_round(),
+        )
+
 
 
 # ---------------------------------------------------------------------------
@@ -540,62 +562,40 @@ def synthesize_path_message(
     )
 
 
-class PathMessageProgram(NodeProgram):
+class PathMessageProgram(AckProgram, tag="p"):
     """ExecAck, upward chunk collection in phases one round long (a marked
     node forwards every non-empty chunk it holds or heard, as (level, chunk)
     pairs), then the root re-broadcasts the assembled message, a missing
     level reading as empty. Output is `_result` of the message bit string."""
 
     def __init__(self, label: str):
-        super().__init__(label)
         js, flags, pathbits, markbit, chunk = label_blocks(label, 5)
-        self.marked = markbit == "1"
-        self.ack = AckMachine("p", js, flags, pathbits, self.marked)
+        super().__init__(label, js, flags, pathbits, markbit == "1")
         self.chunk = chunk
         self.pairs: list[tuple[int, str]] = []
-        self._collected = False
-        if self.ack.is_source:
-            self.ack.start_source(1, "")
-            if self.ack.t == 0:  # single node
+        if self.is_source:
+            self._start(1, "")
+            if self.t == 0:  # single node
+                self._collected = True
                 self.output = self._result(chunk)
 
     def _result(self, message: str):
         """The output for the assembled message."""
         return message
 
-    def _collect_round(self) -> int | None:
-        """Absolute round of this node's pending collection duty: sending
-        its chunks upward, or assembling the message at the root."""
-        if self.ack.is_source:
-            pending = self.output is None
-        else:
-            pending = self.marked and not self._collected
-        return self.ack.collect_round(1, 1) if pending else None
+    def _phase(self) -> tuple[int, int]:
+        return 1, 1
 
-    def action(self, rnd: int):
-        p = self.ack.action(rnd)
-        if not p and rnd == self._collect_round():
-            if not self.ack.is_source:
-                self._collected = True
-                mine = [(self.ack.core1.level, self.chunk)] if self.chunk else []
-                return frame("pc", "c", mine + self.pairs)
-            got = {0: self.chunk}
-            got.update(self.pairs)
-            msg = "".join(got[k] for k in sorted(got))
-            self.output = self._result(msg)
-            p = self.ack.finish(rnd, msg)
-        return p
+    def _slot_message(self) -> bytes:
+        mine = [(self.core1.level, self.chunk)] if self.chunk else []
+        return frame("pc", "c", mine + self.pairs)
 
-    def receive(self, rnd: int, heard) -> bool:
-        parts = heard.decode(parse)
+    def _assemble(self) -> str:
+        got = {0: self.chunk}
+        got.update(self.pairs)
+        return "".join(got[k] for k in sorted(got))
+
+    def _receive_own(self, rnd: int, parts) -> bool:
         if parts[0] == "pc":
             self.pairs.extend(parts[2])
-            return False
-        changed = parts[0].startswith("p") and self.ack.on_message(rnd, parts)
-        if self.output is None and self.ack.core3.informed:
-            self.output = self._result(self.ack.core3.message)
-            return True
-        return changed
-
-    def next_wake(self, rnd: int) -> int | None:
-        return earliest(self.ack.next_wake(rnd), self._collect_round())
+        return False

@@ -139,6 +139,7 @@ def _bench_rows(suite: str) -> list[dict]:
             g = gen_star(n)
             for scheme in ("compact", "toprec"):
                 bundle = build_bundle(scheme, g)
+                # labels only, no run: the round and output cells stay empty
                 rows.append(
                     {
                         "graph": f"star-2^{k}",
@@ -147,8 +148,6 @@ def _bench_rows(suite: str) -> list[dict]:
                         "diameter": 2,
                         "scheme": scheme,
                         "max_label_bits": bundle.max_label_bits(),
-                        "total_rounds": 0,
-                        "correct_outputs": n,
                     }
                 )
     elif suite == "toprec":
@@ -176,7 +175,8 @@ def cmd_bench(args) -> int:
     finally:
         if args.out:
             target.close()
-    bad = [r for r in rows if r["correct_outputs"] != r["n"]]
+    # a row without a run has no outputs to count
+    bad = [r for r in rows if "correct_outputs" in r and r["correct_outputs"] != r["n"]]
     return 1 if bad else 0
 
 

@@ -21,10 +21,6 @@ class Disconnected(RadiolabError):
     pass
 
 
-class OddSize(RadiolabError):
-    pass
-
-
 class NotPerfectEvenSquare(RadiolabError):
     pass
 

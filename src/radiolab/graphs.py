@@ -18,7 +18,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidParams,
     NotPerfectEvenSquare,
-    OddSize,
     SelfLoop,
 )
 from .rng import SplitMix64
@@ -222,15 +221,6 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
             if rng.bernoulli(p):
                 edges.append((u, v))
     return build_graph(n, edges)
-
-
-def gen_lb_component(k: int) -> Graph:
-    """One lower-bound component: halves A, B of size k/2; a_j joined to the
-    first j nodes of B. The set of distinct degrees has size k/2."""
-    if k < 2 or k % 2 != 0:
-        raise OddSize(f"component size must be even and >= 2, got {k}")
-    nodes = list(range(k))
-    return Graph(k, [nodes[lo:hi] for lo, hi in _component_runs(k)])
 
 
 def _component_runs(k: int) -> list[tuple[int, int]]:

@@ -11,11 +11,12 @@ per-stripe phases cannot interfere.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 from .broadcast import (
-    AckMachine,
+    AckProgram,
     ExecCore,
     PathMessageProgram,
     ack_blocks,
@@ -184,88 +185,68 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
     )
 
 
-class AuxiliarySDProgram(NodeProgram):
+class AuxiliarySDProgram(AckProgram, tag="A"):
     """Delta-learning, acknowledged broadcast of Delta, size-learning along
     the packed subtree, then a final broadcast of the assembled size."""
 
     def __init__(self, label: str):
-        super().__init__(label)
         (rootbit, a, b, js, flags, pathbits, kbits, msg) = label_blocks(label, 8)
+        self.k = bits_to_int(kbits)
+        super().__init__(label, js, flags, pathbits, self.k >= 1)
         self.is_root = rootbit == "1"
         self.a = bits_to_int(a)
         self.b = b
-        self.k = bits_to_int(kbits)
         self.msgbits = msg
-        self.ack = AckMachine("A", js, flags, pathbits, self.is_root or self.k >= 1)
         self._delta_bits: dict[int, str] = {}
         self._payloads: dict[int, str] = {}
-        self._sent_sl = False
 
-    def _phase_round(self) -> int | None:
-        """Round of this node's pending size-learning duty, once scheduled:
-        a non-root transmits in slot self.k of its phase (phases are
-        K = floor(log Delta)+1 rounds long); the root assembles n after the
-        last phase. Delta is the payload of the first Executor run."""
-        delta = self.ack.core1.message
-        if delta is None:
-            return None
-        if self.is_root:
-            if self.output is not None:
-                return None
-        elif self.k < 1 or self._sent_sl:
-            return None
-        return self.ack.collect_round(delta.bit_length(), self.k)
+    def _phase(self) -> tuple[int, int]:
+        """Size-learning phases are K = floor(log Delta)+1 rounds long, Delta
+        being the payload of the first Executor run, and a non-root sends in
+        slot self.k."""
+        return self.core1.message.bit_length(), self.k
+
+    def _slot_message(self) -> bytes:
+        return frame("S", "s", self.k, self.core1.level, self._assemble())
+
+    def _assemble(self) -> str:
+        return "".join(self._payloads[k] for k in sorted(self._payloads)) + self.msgbits
+
+    def _result(self, message: str) -> int:
+        return _size_of(message)
 
     def action(self, rnd: int):
         # Delta-learning: chosen neighbor i transmits (0, b_i) in round i
         if not self.is_root and self.a >= 1 and rnd == self.a:
             return frame("D", "d", self.b)
-        if self.is_root and not self.ack.core1.informed and rnd == self.a + 1:
+        if self.is_root and not self.core1.informed and rnd == self.a + 1:
             bits = "".join(self._delta_bits.get(i, "0") for i in range(1, self.a + 1))
-            self.ack.start_source(rnd, bits_to_int(bits))
-        p = self.ack.action(rnd)
-        if not p and rnd == self._phase_round():
-            if not self.is_root:
-                self._sent_sl = True
-                return frame("S", "s", self.k, self.ack.core1.level, self._assemble())
-            m = self._assemble()
-            self.output = _size_of(m)
-            p = self.ack.finish(rnd, m)
-        return p
+            self._start(rnd, bits_to_int(bits))
+        return super().action(rnd)
 
     def next_wake(self, rnd: int) -> int | None:
         if self.is_root:
-            start = None if self.ack.core1.informed else self.a + 1
+            start = None if self.core1.informed else self.a + 1
         else:
             start = self.a if rnd < self.a else None
-        return earliest(self.ack.next_wake(rnd), start, self._phase_round())
+        return earliest(super().next_wake(rnd), start)
 
-    def _assemble(self) -> str:
-        return "".join(self._payloads[k] for k in sorted(self._payloads)) + self.msgbits
-
-    def receive(self, rnd: int, heard) -> bool:
-        parts = heard.decode(parse)
+    def _receive_own(self, rnd: int, parts) -> bool:
         tag = parts[0]
         if tag == "D":
             if self.is_root:
                 self._delta_bits[rnd] = parts[2]
-            return False
-        if tag == "S":
+        elif tag == "S":
             # accept only payloads from nodes this node itself informed:
             # the sender's level must be one of our own transmit rounds
             k_w, lvl_w, payload = parts[2], parts[3], parts[4]
-            if lvl_w in self.ack.core1.tx_rounds:
+            if lvl_w in self.core1.tx_rounds:
                 if k_w in self._payloads:
                     raise ProtocolViolation(
                         f"duplicate subtree index {k_w} from level {lvl_w}"
                     )
                 self._payloads[k_w] = payload
-            return False
-        changed = tag.startswith("A") and self.ack.on_message(rnd, parts)
-        if self.output is None and self.ack.core3.informed:
-            self.output = _size_of(self.ack.core3.message)
-            return True
-        return changed
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +385,21 @@ def conflict_free_paths(
     sd: StripeDecomposition, j: int, cover: list[int]
 ) -> list[list[int]]:
     """One BFS-path per cover node to a witness super-green node reachable
-    from no other cover member; verified conflict-free by exhaustive edge
-    scan (no edge joins different layers of two distinct paths)."""
+    from no other cover member (the smallest one a single reach holds);
+    verified conflict-free by exhaustive edge scan (no edge joins different
+    layers of two distinct paths)."""
     g, la, lgn = sd.graph, sd.layers, sd.lgn
     sg = set(sd.by_layer[(j + 1) * lgn - 1])  # the stripe's super-green nodes
     reach = {u: _forward_reach(sd, j, {u}) for u in cover}
+    held = {u: reach[u] & sg for u in cover}
+    holders = Counter(chain.from_iterable(held.values()))
     paths: list[list[int]] = []
     for u in cover:
-        others = set().union(*(reach[w] for w in cover if w != u)) if len(cover) > 1 else set()
-        witnesses = sorted((reach[u] & sg) - others)
-        if not witnesses:
+        y = min((w for w in held[u] if holders[w] == 1), default=None)
+        if y is None:
             raise WitnessNotFound(
                 f"cover node {u} of stripe {j} has no private witness"
             )
-        y = witnesses[0]
         path = [y]
         while la.layer[path[-1]] > j * lgn:
             lvl = la.layer[path[-1]]

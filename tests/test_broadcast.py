@@ -150,40 +150,40 @@ class TestExecutorProgram:
 
 
 class TestExecAck:
-    """The acknowledged broadcast ExecAck, read from the `AckMachine` of each
-    node of a pathmsg run: every node learns the run's t, its own level and
-    its parent's level within 3t rounds."""
+    """The acknowledged broadcast ExecAck, read from the `PathMessageProgram`
+    of each node of a pathmsg run: every node learns the run's t, its own
+    level and its parent's level within 3t rounds."""
 
     @staticmethod
     def _run(g):
-        """The bundle, each node's machine, and the last round with an
+        """The bundle, each node's program, and the last round with an
         ExecAck message (tags p1, pa, p2), 0 if there is none. A node
         learns t only from such a message, so every node knows t by then."""
         b = synthesize_path_message(g, 0, "101")
-        machines = []
+        programs = []
 
         def make(label):
             p = PathMessageProgram(label)
-            machines.append(p.ack)
+            programs.append(p)
             return p
 
         tr = run(g, b.labels, make)
         assert tr.outputs == ["101"] * g.n
-        assert all(m.t == b.meta["t"] for m in machines)
+        assert all(m.t == b.meta["t"] for m in programs)
         last = max((rnd for rnd, rec in enumerate(tr.rounds, start=1)
                     for m in rec.transmitters.values() if parse(m)[0] in ("p1", "pa", "p2")),
                    default=0)
-        return b, machines, last
+        return b, programs, last
 
     def test_p2(self):
-        b, machines, last = self._run(gen_path(2))
-        assert (machines[0].core1.level, machines[0].core1.parent_level) == (0, None)
-        assert (machines[1].core1.level, machines[1].core1.parent_level) == (1, 0)
+        b, programs, last = self._run(gen_path(2))
+        assert (programs[0].core1.level, programs[0].core1.parent_level) == (0, None)
+        assert (programs[1].core1.level, programs[1].core1.parent_level) == (1, 0)
         assert last <= 3 * b.meta["t"]
 
     def test_single_node(self):
-        b, machines, last = self._run(build_graph(1, []))
-        assert b.meta["t"] == machines[0].t == 0 and last == 0
+        b, programs, last = self._run(build_graph(1, []))
+        assert b.meta["t"] == programs[0].t == 0 and last == 0
 
     def test_star_within_3t(self):
         b, _, last = self._run(gen_star(4))
@@ -191,10 +191,10 @@ class TestExecAck:
         assert t == 3 and last <= 3 * t
 
     def test_every_node_knows_levels(self):
-        b, machines, last = self._run(gen_grid(3, 4))
+        b, programs, last = self._run(gen_grid(3, 4))
         tree = b.meta["synthesis"].tree
         assert last <= 3 * b.meta["t"]
-        for v, m in enumerate(machines):
+        for v, m in enumerate(programs):
             assert m.core1.level == (0 if v == 0 else tree.level[v])
             if v != 0:
                 p = tree.parent[v]

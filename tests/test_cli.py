@@ -147,6 +147,22 @@ class TestBench:
         assert compact == sorted(compact)
         assert len(compact) == 11  # k = 2..12
 
+    def test_labels_suite_reports_no_run(self, tmp_path, monkeypatch):
+        """The labels suite runs no engine, so its round and output cells
+        are empty, and the exit status counts only rows that ran: a wrong
+        count in a row that ran still exits 1."""
+        import radiolab.cli as cli_mod
+
+        out = tmp_path / "labels.csv"
+        code, _ = run_cli("bench", "--suite", "labels", "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert rows and {(r["total_rounds"], r["correct_outputs"]) for r in rows} == {("", "")}
+        ran = {"graph": "p", "n": 2, "total_rounds": 1, "correct_outputs": 1}
+        monkeypatch.setattr(cli_mod, "_bench_rows", lambda suite: [ran])
+        code, _ = run_cli("bench", "--suite", "labels", "--out", str(out))
+        assert code == 1
+
     def test_unknown_suite(self):
         with pytest.raises(SystemExit):
             run_cli("bench", "--suite", "nope")

@@ -162,12 +162,14 @@ def test_samples_cover_every_family():
 
 
 def node_programs():
-    """The program classes of the package, `NodeProgram` itself excluded."""
+    """The program classes of the package that a node factory builds: the
+    bases `NodeProgram` and `AckProgram` excluded."""
     return {
         cls
         for mod in (broadcast, size_discovery, toprec)
         for cls in vars(mod).values()
-        if isinstance(cls, type) and issubclass(cls, NodeProgram) and cls is not NodeProgram
+        if isinstance(cls, type) and issubclass(cls, NodeProgram)
+        and cls not in (NodeProgram, broadcast.AckProgram)
     }
 
 

@@ -11,7 +11,6 @@ from radiolab.errors import (
     IndexOutOfRange,
     InvalidParams,
     NotPerfectEvenSquare,
-    OddSize,
     SelfLoop,
 )
 from radiolab.graphs import (
@@ -20,7 +19,6 @@ from radiolab.graphs import (
     diameter,
     gen_cycle,
     gen_grid,
-    gen_lb_component,
     gen_lb_family,
     gen_lb_general,
     gen_path,
@@ -151,31 +149,40 @@ class TestRandomConnected:
         bfs_layers(g, 0)  # raises Disconnected otherwise
 
 
+def lb_component(k):
+    """The first component of G_{k^2} as a graph of its own: the edges
+    `gen_lb_family` puts inside each of its components."""
+    g, desc = gen_lb_family(k * k)
+    assert desc.components[0] == list(range(k))
+    return build_graph(k, [(u, v) for u, v in g.edges() if v < k])
+
+
 class TestLBComponent:
     def test_k2(self):
-        g = gen_lb_component(2)
+        g = lb_component(2)
         assert g.edges() == [(0, 1)]
 
     def test_k6_degrees(self):
-        g = gen_lb_component(6)
+        g = lb_component(6)
         assert g.m() == 6
         assert [g.degree(v) for v in range(3)] == [1, 2, 3]
         assert [g.degree(v) for v in range(3, 6)] == [3, 2, 1]
 
     def test_k4_edges(self):
-        g = gen_lb_component(4)
+        g = lb_component(4)
         assert set(g.edges()) == {(0, 2), (1, 2), (1, 3)}
         assert len({g.degree(v) for v in range(4)}) == 2
 
     def test_odd_rejected(self):
-        with pytest.raises(OddSize):
-            gen_lb_component(5)
-        with pytest.raises(OddSize):
-            gen_lb_component(0)
+        """A component size must be even and at least 2."""
+        with pytest.raises(NotPerfectEvenSquare):
+            gen_lb_family(5 * 5)
+        with pytest.raises(NotPerfectEvenSquare):
+            gen_lb_family(0)
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
     def test_distinct_degree_count(self, k):
-        g = gen_lb_component(k)
+        g = lb_component(k)
         assert len({g.degree(v) for v in range(k)}) == k // 2
 
 
@@ -270,7 +277,6 @@ GENERATED = [
     ("grid-4x5", gen_grid(4, 5)),
     ("tree-40", gen_tree(40, 3)),
     ("gnp-30", gen_random_connected(30, 0.3, 5)),
-    ("lb-component-8", gen_lb_component(8)),
     ("G_36", gen_lb_family(36)[0]),
     ("G_144", gen_lb_family(144)[0]),
     ("H_4_12", gen_lb_general(4, 12)[0]),

@@ -4,7 +4,7 @@ counts only exact outputs as correct."""
 import pytest
 
 from radiolab.errors import InvalidParams, RadiolabError
-from radiolab.graphs import build_graph, gen_grid, gen_path, gen_star
+from radiolab.graphs import build_graph, gen_cycle, gen_grid, gen_path, gen_star
 from radiolab.schemes import SCHEMES, build_bundle, program_for, verify_outputs
 from radiolab.sim import ExecutionTrace, run
 
@@ -56,3 +56,26 @@ def test_corrupted_label_raises_typed_error(scheme, g, node, offset):
     labels[node] = swap_pair(labels[node], offset)
     with pytest.raises(RadiolabError):
         run(g, labels, program_for(scheme), max_rounds=200 * g.n * g.n)
+
+
+FUZZ_GRAPHS = [("path5", gen_path(5)), ("star6", gen_star(6)), ("grid3x3", gen_grid(3, 3)),
+               ("cycle6", gen_cycle(6))]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("g", [g for _, g in FUZZ_GRAPHS], ids=[gid for gid, _ in FUZZ_GRAPHS])
+def test_every_swapped_pair_ends_typed_or_finished(scheme, g):
+    """Each label with each one of its bit pairs swapped in turn: every run
+    finishes or raises a `RadiolabError`, never an untyped exception."""
+    labels = build_bundle(scheme, g).labels
+    program = program_for(scheme)
+    for node, label in enumerate(labels):
+        for offset in range(0, len(label), 2):
+            if label[offset : offset + 2] == "00":  # a separator
+                continue
+            corrupted = list(labels)
+            corrupted[node] = swap_pair(label, offset)
+            try:
+                run(g, corrupted, program, max_rounds=200 * g.n * g.n)
+            except RadiolabError:
+                pass
