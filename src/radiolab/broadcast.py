@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import EmptySourceSet, Undominatable
+from .errors import EmptySourceSet, MalformedCodeword, Undominatable
 from .graphs import Graph
 from .labels import SchemeBundle, encode_labels, fixed_block, label_blocks
-from .sim import NodeProgram, earliest, frame, parse
+from .sim import NodeProgram, frame, next_duty, parse
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +209,10 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
 # ---------------------------------------------------------------------------
 
 
+# a join/stay block's (join, stay) bits, read by one lookup per core
+_JOIN_STAY = {"00": (0, 0), "01": (0, 1), "10": (1, 0), "11": (1, 1)}
+
+
 class ExecCore:
     """Label-driven broadcast core, reactive unless started as a source.
 
@@ -233,10 +237,12 @@ class ExecCore:
     )
 
     def __init__(self, tag: str, js: str):
-        fixed_block(js, 2)
+        try:
+            self.join, self.stay = _JOIN_STAY[js]
+        except KeyError:
+            fixed_block(js, 2)
+            raise MalformedCodeword(f"join/stay block {js!r} is not a bit string") from None
         self.tag = tag
-        self.join = int(js[0])
-        self.stay = int(js[1])
         self.informed = False
         self.message = None
         self.level: int | None = None
@@ -482,7 +488,8 @@ class AckProgram(NodeProgram):
         return self._receive_own(rnd, parts)
 
     def next_wake(self, rnd: int) -> int | None:
-        return earliest(
+        return next_duty(
+            rnd,
             self.core1.next_wake(rnd),
             self.core2.next_wake(rnd),
             self.core3.next_wake(rnd),

@@ -9,6 +9,7 @@ big-endian with leading zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -86,12 +87,18 @@ def decode_blocks(bits: LabelBits) -> list[str]:
         raise MalformedCodeword(f"invalid codeword {bits[i : i + 2]!r} at offset {i}") from None
 
 
-def label_blocks(label: LabelBits, count: int) -> list[str]:
-    """The blocks of a label that must have exactly `count` of them."""
+@lru_cache(maxsize=1024)
+def label_blocks(label: LabelBits, count: int) -> tuple[str, ...]:
+    """The blocks of a label that must have exactly `count` of them.
+
+    Memoized: a scheme's labels repeat (an O(log log Delta)-bit label has
+    few values), so the nodes of a run that share a label share one parse.
+    A malformed label raises on every call, since failures are not cached.
+    """
     blocks = decode_blocks(label)
     if len(blocks) != count:
         raise MalformedCodeword(f"label has {len(blocks)} blocks, expected {count}")
-    return blocks
+    return tuple(blocks)
 
 
 def fixed_block(block: str, width: int) -> str:

@@ -15,7 +15,7 @@ import os
 from heapq import heappop, heappush
 from typing import Callable, Sequence
 
-from .errors import InvalidParams, RoundLimitExceeded
+from .errors import InvalidParams, ProtocolViolation, RoundLimitExceeded
 from .graphs import Graph
 
 MAX_ROUNDS_ENV = "RADIOLAB_MAX_ROUNDS"
@@ -127,13 +127,19 @@ class NodeProgram:
         return rnd + 1 if self.output is None else None
 
 
-def earliest(*rounds: int | None) -> int | None:
-    """Smallest of the given wake rounds; None if all are None. Combines the
-    hints of the parts a program is built from."""
+def next_duty(rnd: int, *rounds: int | None) -> int | None:
+    """Smallest of the given duty rounds; None if all are None. Combines the
+    pending duties of the parts a program is built from into its
+    `next_wake(rnd)`. A duty at or before `rnd` was due in a round whose
+    `action` has passed, so it can never be served: it raises
+    ProtocolViolation instead of keeping the node awake until the round
+    cap."""
     best = None
     for r in rounds:
         if r is not None and (best is None or r < best):
             best = r
+    if best is not None and best <= rnd:
+        raise ProtocolViolation(f"a duty of round {best} is still pending after round {rnd}")
     return best
 
 

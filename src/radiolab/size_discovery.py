@@ -44,7 +44,7 @@ from .labels import (
     label_blocks,
     split_mode,
 )
-from .sim import NodeProgram, earliest, frame, parse
+from .sim import NodeProgram, frame, next_duty, parse
 
 # Documented constant for the encoded compact-label length bound
 # max_bits <= COMPACT_LENGTH_C * (ceil(log2 log2 (Delta+2)) + 1).
@@ -229,7 +229,7 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
             start = None if self.core1.informed else self.a + 1
         else:
             start = self.a if rnd < self.a else None
-        return earliest(super().next_wake(rnd), start)
+        return next_duty(rnd, super().next_wake(rnd), start)
 
     def _receive_own(self, rnd: int, parts) -> bool:
         tag = parts[0]
@@ -567,8 +567,8 @@ class FastSDProgram(NodeProgram):
         return self.bcore.action(rnd) or self.s2core.action(rnd)
 
     def next_wake(self, rnd: int) -> int | None:
-        return earliest(
-            self._relay_round, self.bcore.next_wake(rnd), self.s2core.next_wake(rnd)
+        return next_duty(
+            rnd, self._relay_round, self.bcore.next_wake(rnd), self.s2core.next_wake(rnd)
         )
 
     def receive(self, rnd: int, heard) -> bool:

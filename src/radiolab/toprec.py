@@ -27,7 +27,7 @@ from .labels import (
     int_to_bits,
     label_blocks,
 )
-from .sim import NodeProgram, earliest, frame, unframe
+from .sim import NodeProgram, frame, next_duty, unframe
 
 # Documented constants for the acceptance bound on the total round count:
 # rounds <= TOPREC_C1 * D * Delta + TOPREC_C2 * min(n, Delta^2 + 1) + TOPREC_C3.
@@ -428,7 +428,8 @@ class TopRecProgram(NodeProgram):
         return self._slot(self._stage4_start())
 
     def next_wake(self, rnd: int) -> int | None:
-        return earliest(
+        return next_duty(
+            rnd,
             self._first_round(),
             self._leaf_ack_round(),
             self._ack_round,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiolab.errors import InvalidParams, RoundLimitExceeded
+from radiolab.errors import InvalidParams, ProtocolViolation, RoundLimitExceeded
 from radiolab.graphs import build_graph, gen_cycle, gen_path, gen_random_connected
 from radiolab.sim import (
     COLLISION,
@@ -16,6 +16,7 @@ from radiolab.sim import (
     NodeProgram,
     RoundRecord,
     frame,
+    next_duty,
     parse,
     run,
     unframe,
@@ -135,6 +136,16 @@ class TestRun:
 
         with pytest.raises(RoundLimitExceeded):
             run(P3, ["", "", ""], Never, max_rounds=10)
+
+    def test_next_duty_is_the_earliest_later_round(self):
+        assert next_duty(5) is None
+        assert next_duty(5, None, None) is None
+        assert next_duty(5, None, 9, 6) == 6
+
+    @pytest.mark.parametrize("past", [5, 4, 1])
+    def test_a_duty_already_due_raises(self, past):
+        with pytest.raises(ProtocolViolation, match=f"round {past} is still pending"):
+            next_duty(5, 9, past, None)
 
 
 class TestHistory:

@@ -308,10 +308,10 @@ class TestTopRec:
         assert p.receive(5, Heard(frame("T2", total, g.n if b.meta["id_mode"] else None)))
         sent = []
         for rnd in range(1, 200):
-            p.next_wake(rnd)
             msg = p.action(rnd)
             if msg is not None:
                 sent.append((rnd, unframe(msg)[0]))
+            p.next_wake(rnd)  # after the round's action, as the engine calls it
         assert sent == [(wake, "T3")]
 
 
