@@ -320,14 +320,9 @@ class ExecCore:
 _PAIR = {(a, b): f"{a}{b}" for a in (0, 1) for b in (0, 1)}
 
 
-def core_blocks(syn: CoreSynthesis, sources) -> tuple[list[str], list[str]]:
-    """Every node's join/stay block and flags block (source, DOM_1 member),
-    as two columns."""
-    js = list(map(_PAIR.__getitem__, zip(syn.join, syn.stay)))
-    flags = list(map(_PAIR.__getitem__, zip(repeat(0), syn.dom1)))
-    for s in sources:
-        flags[s] = _PAIR[1, syn.dom1[s]]
-    return js, flags
+def join_stay_blocks(syn: CoreSynthesis) -> list[str]:
+    """Every node's join/stay block, as a column."""
+    return list(map(_PAIR.__getitem__, zip(syn.join, syn.stay)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +332,19 @@ def core_blocks(syn: CoreSynthesis, sources) -> tuple[list[str], list[str]]:
 
 def ack_blocks(syn: CoreSynthesis, s: int) -> tuple[list[list[str]], list[int]]:
     """The acknowledged-broadcast block columns [join/stay, flags, path
-    bits] for source `s`, and the marked path. The path bits mark the nodes
-    of a root-to-leaf path ending at a node v_p of maximum level, and v_p
-    itself unless the graph is a single node."""
+    bits] for source `s`, and the marked path. The flags (source, DOM_1
+    member) are "00" but at `s`: "11", or "10" if the graph is one node.
+    The path bits mark the nodes of a root-to-leaf path ending at a node
+    v_p of maximum level, and v_p itself unless the graph is a single node."""
     path = _max_level_path(syn.tree, s)
+    flags = ["00"] * len(syn.join)
+    flags[s] = _PAIR[1, syn.dom1[s]]
     pathbits = ["00"] * len(syn.join)
     for v in path:
         pathbits[v] = "10"
     if len(path) > 1:
         pathbits[path[-1]] = "11"
-    return [*core_blocks(syn, (s,)), pathbits], path
+    return [join_stay_blocks(syn), flags, pathbits], path
 
 
 def _max_level_path(tree: BroadcastTree, s: int) -> list[int]:

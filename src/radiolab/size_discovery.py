@@ -20,7 +20,7 @@ from .broadcast import (
     ExecCore,
     PathMessageProgram,
     ack_blocks,
-    core_blocks,
+    join_stay_blocks,
     synthesize_core,
     synthesize_path_message,
 )
@@ -133,9 +133,11 @@ def _size_of(bits) -> int:
 
 
 def build_compact_labels(g: Graph) -> SchemeBundle:
-    """Root = max-degree node (lowest index tie-break); labels carry the root
-    bit, a Delta-block, the acknowledged-broadcast block, and the message
-    block (INDEX, MESSAGE) of the subtree packing of binary(n)."""
+    """Root = max-degree node (lowest index tie-break). The 7 label blocks:
+    the Delta fields a and b (the root's round count, or a chosen
+    neighbour's index and its bit of binary(Delta)), the `ack_blocks`
+    columns, whose source flag marks the root, and the subtree packing of
+    binary(n) (child index k, own bits)."""
     n = g.n
     root = min(range(n), key=lambda v: (-g.degree(v), v))
     delta = g.max_degree()
@@ -159,10 +161,8 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
     message = int_to_bits(n)
     asg = assign_subtree_bits(syn.tree.parent, root, message)
     width_k = max(k_rounds.bit_length(), 1)
-    root_bit = ["0"] * root + ["1"] + ["0"] * (n - root - 1)
 
     labels = encode_labels(zip(
-        root_bit,
         a_field,
         b_field,
         *ack,
@@ -190,10 +190,9 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
     the packed subtree, then a final broadcast of the assembled size."""
 
     def __init__(self, label: str):
-        (rootbit, a, b, js, flags, pathbits, kbits, msg) = label_blocks(label, 8)
+        (a, b, js, flags, pathbits, kbits, msg) = label_blocks(label, 7)
         self.k = bits_to_int(kbits)
         super().__init__(label, js, flags, pathbits, self.k >= 1)
-        self.is_root = rootbit == "1"
         self.a = bits_to_int(a)
         self.b = b
         self.msgbits = msg
@@ -217,15 +216,15 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
 
     def action(self, rnd: int):
         # Delta-learning: chosen neighbor i transmits (0, b_i) in round i
-        if not self.is_root and self.a >= 1 and rnd == self.a:
+        if not self.is_source and self.a >= 1 and rnd == self.a:
             return frame("D", "d", self.b)
-        if self.is_root and not self.core1.informed and rnd == self.a + 1:
+        if self.is_source and not self.core1.informed and rnd == self.a + 1:
             bits = "".join(self._delta_bits.get(i, "0") for i in range(1, self.a + 1))
             self._start(rnd, bits_to_int(bits))
         return super().action(rnd)
 
     def next_wake(self, rnd: int) -> int | None:
-        if self.is_root:
+        if self.is_source:
             start = None if self.core1.informed else self.a + 1
         else:
             start = self.a if rnd < self.a else None
@@ -234,7 +233,7 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
     def _receive_own(self, rnd: int, parts) -> bool:
         tag = parts[0]
         if tag == "D":
-            if self.is_root:
+            if self.is_source:
                 self._delta_bits[rnd] = parts[2]
         elif tag == "S":
             # accept only payloads from nodes this node itself informed:
@@ -456,7 +455,6 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     reach_flag = [False] * n
     stripe_meta = {}
     bjs = ["00"] * n
-    bflags = ["00"] * n
     for j in sd.stripes:
         cover = minimal_bfs_cover(sd, j)
         paths = conflict_free_paths(sd, j, cover)
@@ -477,16 +475,14 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
             list(map(sub_index.__getitem__, filter(sub_index.__contains__, g.adj[a])))
             for a in sub_nodes
         ])
-        sub_cover = set(map(sub_index.__getitem__, cover))
-        syn = synthesize_core(sub, sub_cover)
+        syn = synthesize_core(sub, set(map(sub_index.__getitem__, cover)))
         if lgn + syn.t >= fast_sd_barrier(n):
             raise BarrierExceeded(
                 f"stripe {j}: phase 2 ends in round {lgn + syn.t}, "
                 f"not before the barrier {fast_sd_barrier(n)}"
             )
-        for v, js, flags in zip(sub_nodes, *core_blocks(syn, sub_cover)):
+        for v, js in zip(sub_nodes, join_stay_blocks(syn)):
             bjs[v] = js
-            bflags[v] = flags
         stripe_meta[j] = {
             "cover": cover,
             "paths": paths,
@@ -499,11 +495,11 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     # the first block is the mode bit
     labels = encode_labels(zip(
         repeat("1", n),
-        map("{:d}{:d}{:d}{:d}".format, reach_flag, sd.supergreen, cover_flag, on_paths),
+        map("{:d}{:d}{:d}{:d}{:d}".format,
+            reach_flag, sd.supergreen, cover_flag, on_paths, s2.dom1),
         m_bit,
         bjs,
-        bflags,
-        *core_blocks(s2, sources),
+        join_stay_blocks(s2),
     ))
     return SchemeBundle(
         scheme="fastsd",
@@ -523,22 +519,23 @@ class FastSDProgram(NodeProgram):
     """Stage 1 phase 1: relay the size bits down each conflict-free path;
     phase 2: broadcast inside each stripe's reachable set from the cover;
     stage 2: global broadcast from all super-green nodes at the barrier
-    round determined by n. Reads the label behind the mode bit, which
-    `fast_sd_program` has checked."""
+    round determined by n. Reads the 4 blocks behind the mode bit, which
+    `fast_sd_program` has checked: flags (reach, super-green, cover,
+    on-path, stage-2 DOM_1), the bit m_v of binary(n), and the join/stay
+    blocks of phase 2 (sources: the cover) and stage 2."""
 
     def __init__(self, label: str):
         super().__init__(label)
-        flags, m_v, bjs, bflags, s2js, s2flags = label_blocks(label, 6)
-        fixed_block(flags, 4)
+        flags, m_v, bjs, s2js = label_blocks(label, 4)
+        fixed_block(flags, 5)
         self.reach = flags[0] == "1"
         self.supergreen = flags[1] == "1"
         self.cover = flags[2] == "1"
         self.on_path = flags[3] == "1"
-        self.m_v = m_v
+        self.s2_dom1 = flags[4] == "1"
+        self.m_v = fixed_block(m_v, 1)
         self.bcore = ExecCore("F2", bjs)
-        self.b_dom1 = fixed_block(bflags, 2)[1] == "1"
         self.s2core = ExecCore("F3", s2js)
-        self.s2_dom1 = fixed_block(s2flags, 2)[1] == "1"
         self._relay_round: int | None = None
         self._relay_payload = ""
         self._relayed = False
@@ -551,7 +548,11 @@ class FastSDProgram(NodeProgram):
         self.n_value = _size_of(bits)
         self.output = self.n_value
         if self.cover and self.bcore.offset is None:
-            self.bcore.start_source(len(bits) + 1, bits, self.b_dom1)
+            # Every cover node is in phase 2's DOM_1. The second node of its
+            # path, the first step toward its private witness, has it as its
+            # only cover neighbour: the witness is reached from that node,
+            # so another cover neighbour would reach it too.
+            self.bcore.start_source(len(bits) + 1, bits, True)
         if self.supergreen:
             self.s2core.start_source(fast_sd_barrier(self.n_value), bits, self.s2_dom1)
         return True

@@ -140,11 +140,12 @@ def distance_two_coloring(g: Graph) -> list[int]:
 
 
 def build_toprec_labels(g: Graph) -> SchemeBundle:
-    """Labels (root, leaf, ack-path, b, g, Delta, an empty payload block,
-    distance-two color, id mode, unique id, n at the root), encoded in one
-    pass over the columns. The ack path is one deepest root-to-leaf chain of
-    the BFS tree. When Delta^2+1 > n the mode bit is set and every node also
-    holds a unique id in [1, n], the root binary(n) as well."""
+    """Labels of 9 blocks (root, leaf, ack-path, b, g, Delta, distance-two
+    color, unique id, n at the root), encoded in one pass over the columns.
+    The ack path is one deepest root-to-leaf chain of the BFS tree. In id
+    mode, when Delta^2+1 > n, every node holds a unique id in [1, n] and the
+    root binary(n) as well; otherwise both blocks are empty, so a non-empty
+    id block is what marks id mode."""
     n = g.n
     r = 0
     b, parent, la = assign_broadcast_indices(g, r)
@@ -174,9 +175,7 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
         map(bit_table(max(b), wd).__getitem__, b),
         map(bit_table(max(gv), wg).__getitem__, gv),
         repeat(int_to_bits(delta, wd), n),
-        repeat("", n),  # the payload block: empty, kept so the labels keep their bits
         map(bit_table(max(colors), wc).__getitem__, colors),
-        repeat("1" if id_mode else "0", n),
         bit_table(n, wu)[1:] if id_mode else repeat("", n),
         n_root,
     ))
@@ -288,9 +287,8 @@ def topology(reports) -> tuple[frozenset, tuple]:
 # ---------------------------------------------------------------------------
 
 
-# root, leaf, ack-path, b, g, Delta, payload (empty), color, id mode,
-# unique id, n at the root
-TOPREC_BLOCKS = 11
+# root, leaf, ack-path, b, g, Delta, color, unique id, n at the root
+TOPREC_BLOCKS = 9
 
 
 class TopRecProgram(NodeProgram):
@@ -322,10 +320,10 @@ class TopRecProgram(NodeProgram):
         self.g = bits_to_int(blocks[4])
         self.delta = bits_to_int(blocks[5])
         self.width = self.delta + 1
-        self.color = bits_to_int(blocks[7])
-        self.id_mode = blocks[8] == "1"
-        self.uid = bits_to_int(blocks[9]) if self.id_mode else None
-        self.n_value = bits_to_int(blocks[10]) if blocks[10] else None
+        self.color = bits_to_int(blocks[6])
+        self.id_mode = blocks[7] != ""  # an id has at least one bit
+        self.uid = bits_to_int(blocks[7]) if self.id_mode else None
+        self.n_value = bits_to_int(blocks[8]) if blocks[8] else None
         self.layer = 0 if self.is_root else None
         self.dstar: int | None = None
         self.total: int | None = None

@@ -3,10 +3,11 @@
 Every scheme of the registry, and the path-message primitive (whose first
 t rounds are the Executor run that compact, general and fastsd embed), runs
 on the pinned corpora and on G_16..G_144, with and without collision
-detection. Each run is reduced to a short digest
-of its transmitters and their message bytes, its deliveries, its round
-count and its outputs with their rounds; each label set gets a digest of
-its own. `tests/test_golden.py` compares a fresh sweep against the digests
+detection; the size schemes and the path message also run on star-513,
+the smallest star on which general picks its compact branch. Each run is
+reduced to a short digest of its transmitters and their message bytes, its
+deliveries, its round count and its outputs with their rounds; each label
+set gets a digest of its own. `tests/test_golden.py` compares a fresh sweep against the digests
 stored in `tests/data/golden_digests.json`.
 
 Regenerate the stored digests (only for a change that means to alter a
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from radiolab.broadcast import PathMessageProgram, synthesize_path_message
 from radiolab.corpus import corpus, toprec_corpus
-from radiolab.graphs import gen_lb_family
+from radiolab.graphs import gen_lb_family, gen_star
 from radiolab import schemes
 from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import run
@@ -40,8 +41,10 @@ SCHEMES = (*schemes.SCHEMES, *PRIMITIVES)
 
 def graphs_for(scheme: str) -> list:
     """(graph id, graph) pairs of a scheme's sweep."""
-    base = toprec_corpus() if scheme == "toprec" else corpus()
-    return base + [(f"G_{n}", gen_lb_family(n)[0]) for n in (16, 36, 64, 100, 144)]
+    lb = [(f"G_{n}", gen_lb_family(n)[0]) for n in (16, 36, 64, 100, 144)]
+    if scheme == "toprec":
+        return toprec_corpus() + lb
+    return corpus() + lb + [("star-513", gen_star(513))]
 
 
 def labels_digest(labels) -> str:

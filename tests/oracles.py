@@ -3,7 +3,10 @@ run. Each raises AssertionError on the first property that fails."""
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Mapping
+
+import networkx as nx
 
 from radiolab.audit import CANON_HASH, CANON_SILENCE, _component_index, _departures
 from radiolab.broadcast import CoreSynthesis, ExecCore
@@ -360,3 +363,19 @@ def canonical_components(
             current = [c for c in current if c not in leaving]
         out.append(list(current))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Small graphs
+# ---------------------------------------------------------------------------
+
+
+@cache
+def connected_atlas() -> tuple[tuple[str, Graph], ...]:
+    """Every connected graph of `networkx.graph_atlas_g()`, the 996 graphs
+    on 1 to 7 nodes, as (`atlas-<index>`, graph)."""
+    return tuple(
+        (f"atlas-{i}", build_graph(a.number_of_nodes(), list(a.edges())))
+        for i, a in enumerate(nx.graph_atlas_g())
+        if a.number_of_nodes() and nx.is_connected(a)
+    )

@@ -222,11 +222,15 @@ class TestMBroadcast:
         assert tr.outputs == [g.n] * g.n
         check_tree_invariants(syn, g)
         check_dom_schedule(syn, g)
-        # stage 2's relative round 1 is the barrier round; its blocks are
-        # the last two of the label behind the mode bit
+        # stage 2's relative round 1 is the barrier round. Behind the mode
+        # bit, its join/stay block is the last block, and its source and
+        # DOM_1 bits are the super-green and the last flag
         offset = b.meta["barrier"] - 1
         check_executor_rounds(syn, tr, "F3", offset)
-        blocks = [decode_blocks(split_mode(label)[1])[-2:] for label in b.labels]
+        blocks = []
+        for label in b.labels:
+            flags, _, _, js = decode_blocks(split_mode(label)[1])
+            blocks.append([js, flags[1] + flags[4]])
         check_local_membership(syn, blocks, tr, "F3", offset)
 
     def test_empty_sources_rejected(self):

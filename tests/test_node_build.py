@@ -60,12 +60,12 @@ def compact_label(blocks_of):
 @pytest.mark.parametrize(
     "label",
     [
-        compact_label(lambda b: b[:3] + ["101"] + b[4:]),  # a 3-bit join/stay block
-        compact_label(lambda b: b[:3] + ["1"] + b[4:]),  # a 1-bit join/stay block
+        compact_label(lambda b: b[:2] + ["101"] + b[3:]),  # a 3-bit join/stay block
+        compact_label(lambda b: b[:2] + ["1"] + b[3:]),  # a 1-bit join/stay block
         compact_label(lambda b: b[:-1]),  # one block short
         compact_label(lambda b: b + ["1"]),  # one block over
     ],
-    ids=["js-3-bits", "js-1-bit", "7-blocks", "9-blocks"],
+    ids=["js-3-bits", "js-1-bit", "6-blocks", "8-blocks"],
 )
 def test_malformed_label_raises_typed_error_every_time(label):
     """Failures are not memoized: the second build raises as the first."""

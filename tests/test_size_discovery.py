@@ -88,20 +88,20 @@ class TestCompactLabels:
         g = build_graph(1, [])
         b = build_compact_labels(g)
         blocks = decode_blocks(b.labels[0])
-        assert blocks[0] == "1"  # root flag
+        assert blocks[3] == "10"  # the flags: the source, with no one to inform
         assert b.meta["subtree"].bits[0] == "1"  # M = binary(1)
 
     def test_star_delta_block(self):
         g = gen_star(6)  # Delta = 5 = 101b, k rounds = 3
         b = build_compact_labels(g)
         root_blocks = decode_blocks(b.labels[0])
-        assert root_blocks[0] == "1"
-        assert int(root_blocks[1], 2) == 3  # floor(log 5)+1
+        assert root_blocks[3][0] == "1"  # the source flag
+        assert int(root_blocks[0], 2) == 3  # floor(log 5)+1
         carried = {}
         for v in range(1, 6):
             blocks = decode_blocks(b.labels[v])
-            if blocks[1] != "00" and int(blocks[1], 2) > 0:
-                carried[int(blocks[1], 2)] = blocks[2]
+            if blocks[0] != "00" and int(blocks[0], 2) > 0:
+                carried[int(blocks[0], 2)] = blocks[1]
         assert [carried[i] for i in (1, 2, 3)] == ["1", "0", "1"]
 
     def test_star_family_growth_monotone(self):
@@ -442,13 +442,13 @@ class TestEndToEndSchemes:
 # fixed-width blocks, whether the last block is one of them)
 MALFORMED_CASES = {
     "compact": (lambda: build_compact_labels(gen_path(6)), AuxiliarySDProgram,
-                range(6), (3, 4, 5), False),
+                range(6), (2, 3, 4), False),
     "general-pathmsg": (lambda: build_general_sd(gen_path(6)), general_sd_program,
                         range(6), (0, 1, 2, 3), False),
     "general-compact": (lambda: build_general_sd(gen_star(600)), general_sd_program,
-                        (0, 1, 599), (0, 4, 5, 6), False),
+                        (0, 1, 599), (0, 3, 4, 5), False),
     "fastsd-stripes": (lambda: build_fast_sd(gen_path(6)), fast_sd_program,
-                       range(6), (0, 1, 3, 4, 5, 6), True),
+                       range(6), (0, 1, 2, 3, 4), True),
     "fastsd-fallback": (lambda: build_fast_sd(gen_cycle(4)), fast_sd_program,
                         range(4), (0, 1, 2, 3, 4), False),
     "pathmsg": (lambda: synthesize_path_message(gen_path(6), 0, "110"), PathMessageProgram,
