@@ -25,6 +25,7 @@ from .graphs import (
     gen_grid,
     gen_lb_family,
     gen_lb_general,
+    gen_pair_gadget,
     gen_path,
     gen_random_connected,
     gen_star,
@@ -69,6 +70,8 @@ def _gen_graph(args) -> Graph:
         return gen_lb_family(args.n)[0]
     if fam == "lbH":
         return gen_lb_general(args.delta, args.n)[0]
+    if fam == "pair":
+        return gen_pair_gadget(args.n, args.tail)
     raise RadiolabError(f"unknown family {fam!r}")
 
 
@@ -229,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a graph as an edge-list file")
     p.add_argument("--family", required=True,
                    choices=["path", "cycle", "star", "grid", "gnp-connected",
-                            "tree", "lbG", "lbH"])
-    p.add_argument("--n", type=int, required=True)
+                            "tree", "lbG", "lbH", "pair"])
+    p.add_argument("--n", type=int, required=True, help="node count; k for pair")
+    p.add_argument("--tail", type=int, default=0, help="pair: path nodes hung on p_1")
     p.add_argument("--p", type=float, default=0.1)
     p.add_argument("--delta", type=int, default=4)
     p.add_argument("--seed", type=int, default=corpus_mod.BASE_SEED)

@@ -223,6 +223,26 @@ def gen_random_connected(n: int, p: float, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
+def gen_pair_gadget(k: int, tail: int = 0) -> Graph:
+    """The pair gadget P_k, plus a path of `tail` nodes hung on p_1: a
+    source s (node 0) joined to a_1..a_k (nodes 1..k), each a_i to its
+    private leaf p_i (node k+i), and for each pair i < j in lexicographic
+    order one node b_ij joined to a_i and a_j; n = 1 + 2k + k(k-1)/2 +
+    tail. An Executor broadcast from s needs about one stage per a_i here,
+    so its round count t grows like sqrt(n), not log^2 n."""
+    if k < 1 or tail < 0:
+        raise InvalidParams("pair gadget needs k >= 1 and tail >= 0")
+    edges = [(0, i) for i in range(1, k + 1)] + [(i, k + i) for i in range(1, k + 1)]
+    v = 2 * k + 1
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            edges += [(i, v), (j, v)]
+            v += 1
+    hung = [k + 1, *range(v, v + tail)]  # p_1, then the tail
+    edges += zip(hung, hung[1:])
+    return build_graph(v + tail, edges)
+
+
 def _component_runs(k: int) -> list[tuple[int, int]]:
     """Each component node's neighbors inside its component, as the slice
     bounds of one contiguous run: a_j (node j-1) is joined to b_1..b_j

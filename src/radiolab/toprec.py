@@ -228,18 +228,18 @@ def wire_to_id(wire: str) -> tuple[int, ...]:
 
 def parse_message(message: bytes) -> tuple:
     """A TopRec message as an immutable tuple `(tag, ...)`: T1/T3 carry an
-    int-tuple identifier, T4 its reports in wire form
-    `((wire_id, (wire_nbr, ...)), ...)`, T5 the reports decoded by
-    `decode_reports` and then the finished `topology` of them; TA/T2 keep
-    their ints. A pure function of the bytes, for `Heard.decode`, so every
-    listener of a T5 shares one topology. A T1/T3 identifier that is not a
-    string raises ProtocolViolation."""
+    int-tuple identifier and its wire form, `(tag, id, wire)`, T4 its
+    reports in wire form `((wire_id, (wire_nbr, ...)), ...)`, T5 the
+    reports decoded by `decode_reports` and then the finished `topology` of
+    them; TA/T2 keep their ints. A pure function of the bytes, for
+    `Heard.decode`, so every listener of a T5 shares one topology. A T1/T3
+    identifier that is not a string raises ProtocolViolation."""
     parts = unframe(message)
     tag = parts[0]
     if tag in ("T1", "T3"):
         if type(parts[1]) is not str:
             raise ProtocolViolation(f"{tag} identifier {parts[1]!r} is not a bit string")
-        return tag, wire_to_id(parts[1])
+        return tag, wire_to_id(parts[1]), parts[1]
     if tag == "T4":
         return tag, tuple((wid, tuple(nbrs)) for wid, nbrs in parts[1])
     if tag == "T5":
@@ -305,10 +305,21 @@ class TopRecProgram(NodeProgram):
     gather index. The marked deepest leaf answers with D* as TA after round
     D*(Delta+1) and ack-path nodes relay it one round apart; the root then
     runs a BroadcastBFS of the total duration D* + 2D*(Delta+1) as T2, which
-    also carries n in id mode. Gathered reports stay in wire form
-    (`_reports` maps a wire identifier to its neighbors' wire identifiers):
-    inner nodes merge and forward them without decoding, and only the root
-    decodes the full set."""
+    also carries n in id mode.
+
+    Identifiers travel in wire form and are never re-encoded: a node's wire
+    is its parent's, heard in T1, plus its own gather index as one more
+    block, and each announced neighbor keeps the wire its T3 carried.
+    Gathered reports stay in wire form (`_reports` maps a wire identifier to
+    its neighbors' wire identifiers): inner nodes merge and forward them
+    without decoding. The root decodes the full set once for its own output,
+    and the T5 parse, which all listeners share, decodes it once more.
+
+    Each pending transmission is a round attribute, None while unknown or
+    once served: `_t1` (forward T1), `_ta` (start or relay the TA), `_t2`
+    (forward T2), `_t3` (announce), `_t4` (gather), `_t5` (final). They are
+    set when what fixes them is learned: the layer, D*, the total, n or the
+    heard T5."""
 
     def __init__(self, label: str):
         super().__init__(label)
@@ -324,50 +335,63 @@ class TopRecProgram(NodeProgram):
         self.id_mode = blocks[7] != ""  # an id has at least one bit
         self.uid = bits_to_int(blocks[7]) if self.id_mode else None
         self.n_value = bits_to_int(blocks[8]) if blocks[8] else None
-        self.layer = 0 if self.is_root else None
+        self.layer: int | None = None
         self.dstar: int | None = None
         self.total: int | None = None
         self.my_id: tuple[int, ...] | None = None
         self.wire_id: str | None = None  # my_id in wire form, what T1 and T3 carry
-        self._sent1 = self._sent2 = self._relayed = False
-        self._ack_round: int | None = None
-        self._sent_s2 = self._sent_g = self._sent4 = False
-        self.nbr_ids: set[tuple[int, ...]] = set()
+        self._t1 = self._ta = self._t2 = self._t3 = self._t4 = self._t5 = None
+        self._relayed = self._sent2 = self._sent3 = self._sent4 = self._sent5 = False
+        self.nbr_ids: dict[tuple[int, ...], str] = {}  # announced id -> its wire
         self._reports: dict[str, tuple[str, ...]] = {}
         self._final: bytes | None = None  # the T5 message, as heard
         if self.is_root:
-            self._set_id(())
+            self.my_id = ()
+            self.wire_id = id_to_wire(())
             if self.is_leaf and self.on_apath:
                 # single node: nothing to broadcast, announce or gather
                 self.dstar = self.total = 0
-                self._relayed = self._sent_s2 = self._sent4 = True
+                self._relayed = self._sent3 = self._sent5 = True
                 self._finish(topology([((), ())]))
+            self._place(0)
 
-    def _set_id(self, node_id: tuple[int, ...]) -> None:
-        self.my_id = node_id
-        self.wire_id = id_to_wire(node_id)
+    def _place(self, layer: int) -> None:
+        """Learn the layer: an inner node's T1 slot, or the deepest leaf's
+        start of the D* relay right after the identifier broadcast."""
+        self.layer = layer
+        if not self.is_leaf:
+            self._t1 = layer * self.width + self.b + 1
+        elif self.on_apath and not self._relayed:
+            self._ta = layer * self.width + 1
 
-    # -- schedule (stages 2-4 are computable once `total` is known; stage 2
-    # starts when stage 1 ends) ---------------------------------------------
-
-    def _slot(self, start: int) -> int | None:
-        """This node's round in a BroadcastBFS window beginning after `start`."""
-        if self.layer is None or self.is_leaf:
-            return None
-        return start + self.layer * self.width + self.b + 1
-
-    def _window(self) -> int:
-        if self.id_mode:
-            if self.n_value is None:
-                raise ProtocolViolation("id mode but graph size unknown")
-            return self.n_value
-        return self.delta * self.delta + 1
-
-    def _stage3_start(self) -> int:
-        return self.total + self._window()
-
-    def _stage4_start(self) -> int:
-        return self._stage3_start() + self.dstar * self.delta
+    def _schedule(self) -> None:
+        """Set the unserved duties that follow from the total (stages 2-4
+        once the total is known and, in id mode, n too: the root has n in
+        its label, the total broadcast carries both to the others). Called
+        whenever the layer, D*, the total, n or the heard T5 changes. An
+        inner node forwards a BroadcastBFS in round start + layer*(Delta+1)
+        + b + 1 of a window beginning after `start`; layer D*-i gathers in
+        phase i of Delta rounds, node v in round g_v + 1 of its phase."""
+        total, layer = self.total, self.layer
+        if total is None:
+            return
+        inner = layer is not None and not self.is_leaf
+        slot = layer * self.width + self.b + 1 if inner else None
+        if not self._sent2:
+            self._t2 = None if slot is None else total - self.width * self.dstar + slot
+        if self.id_mode and self.n_value is None:
+            return
+        stage3 = total + (self.n_value if self.id_mode else self.delta * self.delta + 1)
+        stage4 = stage3 + self.dstar * self.delta
+        if not self._sent3:
+            self._t3 = total + (self.uid if self.id_mode else self.color)
+        if not self._sent4 and not self.is_root and layer is not None:
+            self._t4 = stage3 + (self.dstar - layer) * self.delta + self.g + 1
+        if not self._sent5:
+            if self.is_root:
+                self._t5 = stage4 + 1
+            elif self._final is not None and slot is not None:
+                self._t5 = stage4 + slot
 
     def _finish(self, topo: tuple[frozenset, tuple]) -> None:
         """Output from a finished `topology`, shared, not copied."""
@@ -376,89 +400,31 @@ class TopRecProgram(NodeProgram):
             raise ProtocolViolation("own identifier missing from reports")
         self.output = (edges, self.my_id)
 
-    # -- pending transmission slots (None once sent or while unknown) -------
-
-    def _first_round(self) -> int | None:
-        """Stage 1: forward the identifier broadcast T1."""
-        return None if self._sent1 else self._slot(0)
-
-    def _leaf_ack_round(self) -> int | None:
-        """The deepest ack-path leaf starts the relay of D*."""
-        if self.on_apath and self.is_leaf and not self._relayed and self.layer is not None:
-            return self.layer * self.width + 1
-        return None
-
-    def _total_round(self) -> int | None:
-        """Stage 1: forward the total broadcast T2."""
-        if self.total is None or self._sent2:
-            return None
-        return self._slot(self.total - self.width * self.dstar)
-
-    def _scheduled(self) -> bool:
-        """Stages 2-4 are placed once the duration is known and, in id mode,
-        the graph size too (the root has n in its label; the total
-        broadcast carries both to the others)."""
-        return self.total is not None and not (self.id_mode and self.n_value is None)
-
-    def _announce_round(self) -> int | None:
-        """Stage 2: announce own identifier in the slot given by color/id."""
-        if self._sent_s2 or not self._scheduled():
-            return None
-        return self.total + (self.uid if self.id_mode else self.color)
-
-    def _gather_round(self) -> int | None:
-        """Stage 3: forward adjacency reports toward the root; layer D*-i
-        transmits in phase i of Delta rounds, node v in round g_v + 1 of its
-        phase. A node with no layer has no slot."""
-        if self._sent_g or self.is_root or self.layer is None or not self._scheduled():
-            return None
-        return self._stage3_start() + (self.dstar - self.layer) * self.delta + self.g + 1
-
-    def _final_round(self) -> int | None:
-        """Stage 4: the root broadcasts the full report set; inner nodes
-        forward it in their BroadcastBFS slot."""
-        if self._sent4 or not self._scheduled():
-            return None
-        if self.is_root:
-            return self._stage4_start() + 1
-        if self._final is None:
-            return None
-        return self._slot(self._stage4_start())
-
     def next_wake(self, rnd: int) -> int | None:
-        return next_duty(
-            rnd,
-            self._first_round(),
-            self._leaf_ack_round(),
-            self._ack_round,
-            self._total_round(),
-            self._announce_round(),
-            self._gather_round(),
-            self._final_round(),
-        )
+        return next_duty(rnd, self._t1, self._ta, self._t2, self._t3, self._t4, self._t5)
 
     def action(self, rnd: int):
-        if rnd == self._first_round():
-            self._sent1 = True
+        if rnd == self._t1:
+            self._t1 = None
             return frame("T1", self.wire_id)
-        if rnd == self._leaf_ack_round():
-            self._relayed = True
-            self.dstar = self.layer
-            return frame("TA", self.layer)
-        if rnd == self._ack_round:
-            self._ack_round = None
+        if rnd == self._ta:
+            self._ta = None
+            if not self._relayed:  # the deepest leaf starts the relay
+                self._relayed = True
+                self.dstar = self.layer
+                self._schedule()
             return frame("TA", self.dstar)
-        if rnd == self._total_round():
-            self._sent2 = True
+        if rnd == self._t2:
+            self._t2, self._sent2 = None, True
             return frame("T2", self.total, self.n_value)
-        if rnd == self._announce_round():
-            self._sent_s2 = True
+        if rnd == self._t3:
+            self._t3, self._sent3 = None, True
             return frame("T3", self.wire_id)
-        if rnd == self._gather_round():
-            self._sent_g = True
+        if rnd == self._t4:
+            self._t4, self._sent4 = None, True
             return frame("T4", self._all_reports())
-        if rnd == self._final_round():
-            self._sent4 = True
+        if rnd == self._t5:
+            self._t5, self._sent5 = None, True
             if not self.is_root:
                 return self._final
             reports = self._all_reports()
@@ -469,9 +435,9 @@ class TopRecProgram(NodeProgram):
         return None
 
     def _all_reports(self) -> list[tuple[str, tuple[str, ...]]]:
-        """The gathered reports plus this node's own, all in wire form; only
-        the own report is encoded here."""
-        nbrs = tuple(id_to_wire(x) for x in sorted(self.nbr_ids))
+        """The gathered reports plus this node's own, all in wire form; the
+        own report lists the neighbors' wires in identifier order."""
+        nbrs = tuple(wire for _, wire in sorted(self.nbr_ids.items()))
         return list({**self._reports, self.wire_id: nbrs}.items())
 
     def receive(self, rnd: int, heard) -> bool:
@@ -480,15 +446,19 @@ class TopRecProgram(NodeProgram):
         if tag == "T1":
             if self.layer is not None:
                 return False
-            self.layer = (rnd - 1) // self.width + 1
-            self._set_id(parts[1] + (self.g,))
+            # the parent's wire plus one block: id_to_wire(my_id), not re-encoded
+            _, parent_id, parent_wire = parts
+            own = encode_blocks((int_to_bits(self.g),))
+            self.my_id = parent_id + (self.g,)
+            self.wire_id = parent_wire + "00" + own if parent_wire else own
+            self._place((rnd - 1) // self.width + 1)
         elif tag == "TA":
             if not self.on_apath or self._relayed:
                 return False
             self._relayed = True
             self.dstar = parts[1]
             if not self.is_root:
-                self._ack_round = rnd + 1
+                self._ta = rnd + 1
             elif self.total is None:
                 self.total = self.dstar * (2 * self.width + 1)
         elif tag == "T2":
@@ -498,9 +468,10 @@ class TopRecProgram(NodeProgram):
                 self.dstar = parts[1] // (2 * self.width + 1)
             if parts[2] is not None:
                 self.n_value = parts[2]
-            return total is None or self.n_value != n_value
+            if total is not None and self.n_value == n_value:
+                return False
         elif tag == "T3":
-            self.nbr_ids.add(parts[1])
+            self.nbr_ids[parts[1]] = parts[2]
             return False
         elif tag == "T4":
             for wid, nbrs in parts[1]:
@@ -515,6 +486,7 @@ class TopRecProgram(NodeProgram):
                 self._finish(parts[2])
         else:
             return False
+        self._schedule()
         return True
 
 

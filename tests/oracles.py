@@ -3,6 +3,7 @@ run. Each raises AssertionError on the first property that fails."""
 
 from __future__ import annotations
 
+import zlib
 from functools import cache
 from typing import Mapping
 
@@ -12,6 +13,7 @@ from radiolab.audit import CANON_HASH, CANON_SILENCE, _component_index, _departu
 from radiolab.broadcast import CoreSynthesis, ExecCore
 from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor, bfs_layers, build_graph
 from radiolab.labels import SchemeBundle, decode_blocks
+from radiolab.rng import SplitMix64
 from radiolab.sim import COLLISION, NOISE, SILENCE, TX, ExecutionTrace, Heard, Mark, frame, parse
 from radiolab.size_discovery import SubtreeAssignment
 
@@ -378,4 +380,26 @@ def connected_atlas() -> tuple[tuple[str, Graph], ...]:
         (f"atlas-{i}", build_graph(a.number_of_nodes(), list(a.edges())))
         for i, a in enumerate(nx.graph_atlas_g())
         if a.number_of_nodes() and nx.is_connected(a)
+    )
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    """`g` with its nodes renamed by a seeded uniform permutation
+    (Fisher-Yates over SplitMix64), so node 0 and adjacency order move."""
+    perm = list(range(g.n))
+    rng = SplitMix64(seed)
+    for i in range(g.n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@cache
+def relabelled_atlas() -> tuple[tuple[str, Graph], ...]:
+    """Each connected atlas graph as given and under 3 seeded random
+    relabellings, as (`atlas-<index>` or `atlas-<index>/r<i>`, graph)."""
+    return tuple(
+        (f"{gid}/r{i}", relabelled(g, zlib.crc32(f"{gid}/r{i}".encode()))) if i else (gid, g)
+        for gid, g in connected_atlas()
+        for i in range(4)
     )

@@ -13,6 +13,7 @@ from radiolab.graphs import (
     build_graph,
     gen_cycle,
     gen_grid,
+    gen_pair_gadget,
     gen_path,
     gen_random_connected,
     gen_star,
@@ -108,6 +109,13 @@ class TestSynthesizeExecutor:
     def test_empty_sources(self):
         with pytest.raises(EmptySourceSet):
             synthesize_core(gen_path(2), set())
+
+    @pytest.mark.parametrize("k", [4, 8, 16, 32])
+    def test_pair_gadget_stage_count_grows_like_sqrt_n(self, k):
+        """On P_k the stages in which each a_i transmits form one interval,
+        and the k intervals end in k different stages, so t = 3(k + 1):
+        99 rounds at k = 32, n = 561, where lg^2 n is about 83."""
+        assert synthesize_core(gen_pair_gadget(k), {0}).t == 3 * (k + 1)
 
 
 class TestExecutorProgram:

@@ -32,8 +32,15 @@ class TestGen:
         code, _ = run_cli("gen", "--family", "lbG", "--n", "10")
         assert code == 2
 
+    def test_pair_gadget_with_tail(self, tmp_path):
+        out = tmp_path / "p4.el"
+        code, _ = run_cli("gen", "--family", "pair", "--n", "4", "--tail", "3", "--out", str(out))
+        assert code == 0
+        assert out.read_text().splitlines()[0] == "18 23"  # 1 + 8 + 6 + 3 nodes, 4 + 4 + 12 + 3 edges
+
     @pytest.mark.parametrize("family,n", [
         ("path", "-3"), ("star", "-3"), ("grid", "0"), ("grid", "-4"), ("lbG", "-4"),
+        ("pair", "0"),
     ])
     def test_rejects_bad_size(self, tmp_path, capsys, family, n):
         out = tmp_path / "bad.el"

@@ -21,6 +21,7 @@ from radiolab.graphs import (
     gen_grid,
     gen_lb_family,
     gen_lb_general,
+    gen_pair_gadget,
     gen_path,
     gen_random_connected,
     gen_star,
@@ -282,6 +283,8 @@ GENERATED = [
     ("H_4_12", gen_lb_general(4, 12)[0]),
     ("H_9_40", gen_lb_general(9, 40)[0]),
     ("H_16_64", gen_lb_general(16, 64)[0]),
+    ("P_5", gen_pair_gadget(5)),
+    ("P_4-tail-6", gen_pair_gadget(4, tail=6)),
 ]
 
 
@@ -328,3 +331,34 @@ class TestGridGenerator:
         g = gen_grid(3, 4)
         assert g.n == 12 and g.m() == 3 * 3 + 2 * 4
         assert diameter(g) == 5
+
+
+class TestPairGadget:
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_shape(self, k):
+        """s, the a_i, their private leaves p_i and one b_ij per pair: the
+        same graph as built from its definition in networkx."""
+        g = gen_pair_gadget(k)
+        h = nx.Graph()
+        h.add_edges_from(("s", ("a", i)) for i in range(k))
+        h.add_edges_from((("a", i), ("p", i)) for i in range(k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                h.add_edges_from([(("a", i), ("b", i, j)), (("a", j), ("b", i, j))])
+        assert g.n == 1 + 2 * k + k * (k - 1) // 2
+        assert nx.is_isomorphic(to_nx(g), h)
+        assert tuple(g.adj[0]) == tuple(range(1, k + 1))
+        assert diameter(g) == (4 if k > 1 else 2)
+
+    def test_tail_hangs_on_p1(self):
+        k, tail = 4, 5
+        g, base = gen_pair_gadget(k, tail), gen_pair_gadget(k)
+        assert g.n == base.n + tail
+        assert set(base.edges()) < set(g.edges())
+        added = set(g.edges()) - set(base.edges())
+        assert added == {(k + 1, base.n)} | {(u, u + 1) for u in range(base.n, g.n - 1)}
+
+    @pytest.mark.parametrize("k,tail", [(0, 0), (-1, 0), (3, -1)])
+    def test_invalid(self, k, tail):
+        with pytest.raises(InvalidParams):
+            gen_pair_gadget(k, tail)

@@ -14,7 +14,7 @@ from radiolab.graphs import (
 )
 from radiolab.labels import decode_blocks, encode_blocks
 from radiolab.schemes import run_scheme, verify_outputs
-from radiolab.sim import Heard, frame, run, unframe
+from radiolab.sim import ExecutionTrace, Heard, frame, run, unframe
 from radiolab.toprec import (
     TOPREC_BLOCKS,
     TOPREC_LEN_C,
@@ -331,7 +331,7 @@ class TestParseMessage:
                 parts = unframe(m)
                 tags.add(parts[0])
                 if parts[0] in ("T1", "T3"):
-                    assert parsed == (parts[0], wire_to_id(parts[1]))
+                    assert parsed == (parts[0], wire_to_id(parts[1]), parts[1])
                 elif parts[0] == "T4":
                     assert parsed[1] == tuple((w, tuple(ns)) for w, ns in parts[1])
                 elif parts[0] == "T5":
@@ -441,10 +441,40 @@ class TestDecodeOnce:
         return calls
 
     def test_grid_run_decode_count(self, monkeypatch):
+        """One decode per distinct T1 (99: every node but the far corner
+        forwards it) and T3 (100), and one per identifier in each of the
+        two report-set decodes (2 x 100)."""
         calls = self.count_wire_to_id(monkeypatch)
         r = run_scheme("toprec", gen_grid(10, 10))
         assert r.ok
-        assert len(calls) <= 399  # 1,119 when every report entry was decoded
+        assert len(calls) == 399  # 1,119 when every report entry was decoded
+
+    @pytest.mark.parametrize("g", [gen_grid(10, 10), gen_star(129)],
+                             ids=["grid10x10", "star129"])
+    def test_identifiers_are_not_re_encoded(self, g, monkeypatch):
+        """A node extends the wire its T1 carried and reports the wires its
+        neighbors' T3s carried, so a run encodes no identifier whole (460
+        and 385 encodes when every report re-encoded its neighbors)."""
+        calls = []
+        real = toprec_mod.id_to_wire
+
+        def counting(node_id):
+            calls.append(node_id)
+            return real(node_id)
+
+        monkeypatch.setattr(toprec_mod, "id_to_wire", counting)
+        r = run_scheme("toprec", g)
+        assert r.ok
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("g", [gen_grid(4, 5), gen_random_connected(30, 0.3, 7)],
+                             ids=["grid4x5", "gnp30"])
+    def test_wires_are_the_encoded_identifiers(self, g):
+        """Each node's built wire is `id_to_wire` of its identifier, so the
+        bytes are those of encoding it whole."""
+        bundle, _, programs = toprec_run(g)
+        ids = oracle_ids(bundle.meta)
+        assert [p.wire_id for p in programs] == [id_to_wire(i) for i in ids]
 
     @pytest.mark.parametrize("g", [gen_grid(3, 4), gen_random_connected(30, 0.3, 7)],
                              ids=["grid3x4", "gnp30"])
@@ -457,6 +487,70 @@ class TestDecodeOnce:
         calls = self.count_wire_to_id(monkeypatch)
         parse_message(t5)
         assert sorted(calls) == sorted(set(wires))
+
+
+class TestVerifyOutputs:
+    """`verify_outputs` on hand-built toprec traces: it compares each
+    distinct edge-tuple object once and every node's own identifier."""
+
+    @staticmethod
+    def hand_built(g=None):
+        g = g or gen_grid(3, 4)
+        bundle = build_toprec_labels(g)
+        ids = oracle_ids(bundle.meta)
+        edges = tuple(sorted((min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()))
+        return g, bundle, ids, edges, ExecutionTrace(g, cd=False)
+
+    def test_right_outputs_count(self):
+        g, bundle, ids, edges, tr = self.hand_built()
+        tr.outputs = [(edges, ids[v]) for v in range(g.n)]
+        assert verify_outputs("toprec", g, bundle, tr) == g.n
+
+    def test_a_wrong_shared_tuple_counts_for_no_node(self):
+        g, bundle, ids, edges, tr = self.hand_built()
+        wrong = edges[:-1]
+        tr.outputs = [(edges if v < 3 else wrong, ids[v]) for v in range(g.n)]
+        assert verify_outputs("toprec", g, bundle, tr) == 3
+        tr.outputs = [(wrong, ids[v]) for v in range(g.n)]
+        assert verify_outputs("toprec", g, bundle, tr) == 0
+
+    def test_equal_but_distinct_tuples_count(self):
+        g, bundle, ids, edges, tr = self.hand_built()
+        tr.outputs = [(tuple(list(edges)), ids[v]) if v % 2 else (edges, ids[v])
+                      for v in range(g.n)]
+        assert len({id(out[0]) for out in tr.outputs}) == g.n // 2 + 1
+        assert verify_outputs("toprec", g, bundle, tr) == g.n
+
+    def test_a_missing_output_counts_zero(self):
+        g, bundle, ids, edges, tr = self.hand_built()
+        tr.outputs = [None if v in (0, 5) else (edges, ids[v]) for v in range(g.n)]
+        assert verify_outputs("toprec", g, bundle, tr) == g.n - 2
+        tr.outputs = [None] * g.n
+        assert verify_outputs("toprec", g, bundle, tr) == 0
+
+    def test_a_right_tuple_with_a_wrong_own_id_counts_zero(self):
+        g, bundle, ids, edges, tr = self.hand_built()
+        tr.outputs = [(edges, ids[v] if v == 0 else ids[(v + 1) % g.n]) for v in range(g.n)]
+        assert verify_outputs("toprec", g, bundle, tr) == 1
+        tr.outputs[0] = (edges, ids[1])
+        assert verify_outputs("toprec", g, bundle, tr) == 0
+
+    @pytest.mark.parametrize("right", [True, False])
+    def test_each_shared_tuple_is_compared_once(self, right):
+        g, bundle, ids, edges, tr = self.hand_built(gen_grid(6, 6))
+        compared = []
+
+        class Counted(tuple):
+            def __eq__(self, other):
+                compared.append(1)
+                return tuple.__eq__(self, other)
+
+            __hash__ = tuple.__hash__
+
+        shared = Counted(edges if right else edges[1:])
+        tr.outputs = [(shared, ids[v]) for v in range(g.n)]
+        assert verify_outputs("toprec", g, bundle, tr) == (g.n if right else 0)
+        assert len(compared) == 1
 
 
 class TestMalformedLabels:
