@@ -520,7 +520,7 @@ def synthesize_path_message(
     # parent's span, pick the next path node where levels coincide, otherwise
     # the lowest-index child at that level (exists by the level-structure
     # property of the tree)
-    marked: dict[int, int] = {0: s} if g.n >= 1 else {}
+    marked: dict[int, int] = {0: s}
     children_at: dict[tuple[int, int], list[int]] = {}
     for u, p in syn.tree.parent.items():
         children_at.setdefault((p, syn.tree.level[u]), []).append(u)

@@ -17,21 +17,15 @@ from .graphs import (
 BASE_SEED = 20240901
 
 
-def corpus_specs() -> list[tuple[str, str, dict]]:
-    """(graph id, family, params) for the pinned size-discovery corpus:
-    paths, cycles, stars, grids, and seeded connected G(n, p), n in [2, 300]."""
-    specs: list[tuple[str, str, dict]] = []
-    for n in list(range(2, 34)) + [40, 48, 64, 100, 127, 150]:
-        specs.append((f"path-{n}", "path", {"n": n}))
-    for n in list(range(3, 34)) + [41, 50, 75, 101]:
-        specs.append((f"cycle-{n}", "cycle", {"n": n}))
-    for n in list(range(2, 30)) + [33, 65, 129, 257]:
-        specs.append((f"star-{n}", "star", {"n": n}))
-    for rows in range(2, 8):
-        for cols in range(2, 10):
-            specs.append((f"grid-{rows}x{cols}", "grid", {"rows": rows, "cols": cols}))
-    specs.append(("grid-8x32", "grid", {"rows": 8, "cols": 32}))
-    specs.append(("grid-15x20", "grid", {"rows": 15, "cols": 20}))
+def corpus() -> list[tuple[str, Graph]]:
+    """(graph id, graph) for the pinned size-discovery corpus: paths,
+    cycles, stars, grids, seeded connected G(n, p) and seeded trees, n in
+    [2, 300]."""
+    out = [(f"path-{n}", gen_path(n)) for n in [*range(2, 34), 40, 48, 64, 100, 127, 150]]
+    out += [(f"cycle-{n}", gen_cycle(n)) for n in [*range(3, 34), 41, 50, 75, 101]]
+    out += [(f"star-{n}", gen_star(n)) for n in [*range(2, 30), 33, 65, 129, 257]]
+    grids = [(r, c) for r in range(2, 8) for c in range(2, 10)] + [(8, 32), (15, 20)]
+    out += [(f"grid-{r}x{c}", gen_grid(r, c)) for r, c in grids]
     gnp_cases = [
         *((n, 0.05) for n in (10, 15, 20, 25, 30, 40, 50, 60, 70, 80)),
         *((n, 0.15) for n in (10, 15, 20, 25, 30, 40, 50, 60)),
@@ -41,31 +35,13 @@ def corpus_specs() -> list[tuple[str, str, dict]]:
         *((n, 0.5) for n in (96, 128, 160)),
         *((n, 0.08) for n in (35, 45, 55, 66, 77, 88, 99)),
     ]
-    for i, (n, p) in enumerate(gnp_cases):
-        specs.append((f"gnp-{n}-{p}", "gnp-connected", {"n": n, "p": p, "seed": BASE_SEED + i}))
-    for i, n in enumerate((5, 9, 17, 33, 65, 129, 200, 23, 47, 95)):
-        specs.append((f"tree-{n}", "tree", {"n": n, "seed": BASE_SEED + 1000 + i}))
-    return specs
-
-
-def materialize(family: str, params: dict) -> Graph:
-    if family == "path":
-        return gen_path(params["n"])
-    if family == "cycle":
-        return gen_cycle(params["n"])
-    if family == "star":
-        return gen_star(params["n"])
-    if family == "grid":
-        return gen_grid(params["rows"], params["cols"])
-    if family == "gnp-connected":
-        return gen_random_connected(params["n"], params["p"], params["seed"])
-    if family == "tree":
-        return gen_tree(params["n"], params["seed"])
-    raise ValueError(f"unknown family {family!r}")
-
-
-def corpus() -> list[tuple[str, Graph]]:
-    return [(gid, materialize(fam, params)) for gid, fam, params in corpus_specs()]
+    out += [
+        (f"gnp-{n}-{p}", gen_random_connected(n, p, BASE_SEED + i))
+        for i, (n, p) in enumerate(gnp_cases)
+    ]
+    trees = (5, 9, 17, 33, 65, 129, 200, 23, 47, 95)
+    out += [(f"tree-{n}", gen_tree(n, BASE_SEED + 1000 + i)) for i, n in enumerate(trees)]
+    return out
 
 
 def toprec_corpus() -> list[tuple[str, Graph]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, TextIO
 
 from .errors import (
@@ -71,6 +72,15 @@ class LayerAssignment:
     root: int
     layer: tuple[int, ...]
     depth: int
+
+    @cached_property
+    def by_layer(self) -> tuple[tuple[int, ...], ...]:
+        """Each layer's nodes in index order, bucketed once on first use.
+        Index order within a layer is the tie-break every label relies on."""
+        buckets: list[list[int]] = [[] for _ in range(self.depth + 1)]
+        for v, i in enumerate(self.layer):
+            buckets[i].append(v)
+        return tuple(map(tuple, buckets))
 
 
 @dataclass

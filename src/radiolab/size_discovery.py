@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .broadcast import (
@@ -142,31 +142,30 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
     root = min(range(n), key=lambda v: (-g.degree(v), v))
     delta = g.max_degree()
     k_rounds = delta.bit_length()  # floor(log Delta)+1 rounds, 0 for n = 1
-    width_a = max(k_rounds.bit_length(), 1)
+    width = max(k_rounds.bit_length(), 1)  # of the a and k fields
 
     syn = synthesize_core(g, {root})
     ack, path = ack_blocks(syn, root)
 
     # Delta block: root holds the bit count; k chosen neighbors hold one bit
     # of binary(Delta) each
-    a_field = ["0" * width_a] * n
+    a_field = ["0" * width] * n
     b_field = ["0"] * n
-    a_field[root] = int_to_bits(k_rounds, width_a)
+    a_field[root] = int_to_bits(k_rounds, width)
     delta_bits = int_to_bits(delta) if delta else ""
     chosen = list(g.adj[root])[:k_rounds]
     for i, v in enumerate(chosen, start=1):
-        a_field[v] = int_to_bits(i, width_a)
+        a_field[v] = int_to_bits(i, width)
         b_field[v] = delta_bits[i - 1]
 
     message = int_to_bits(n)
     asg = assign_subtree_bits(syn.tree.parent, root, message)
-    width_k = max(k_rounds.bit_length(), 1)
 
     labels = encode_labels(zip(
         a_field,
         b_field,
         *ack,
-        map(bit_table(max(asg.child_num.values()), width_k).__getitem__,
+        map(bit_table(max(asg.child_num.values()), width).__getitem__,
             map(asg.child_num.get, range(n), repeat(0))),
         map(asg.bits.get, range(n), repeat("")),
     ))
@@ -301,8 +300,6 @@ class StripeDecomposition:
     supergreen: list[bool]
     stripe_of: list[int | None]
     stripes: range  # indices of the materialized stripes
-    # the nodes of each BFS layer, derived from `layers`
-    by_layer: list[list[int]] = field(default_factory=list, repr=False, compare=False)
 
 
 def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
@@ -316,12 +313,10 @@ def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
         raise TooShallow(f"depth {la.depth} < lg n = {lgn}")
     supergreen = [False] * n
     stripe_of: list[int | None] = [None] * n
-    by_layer: list[list[int]] = [[] for _ in range(la.depth + 1)]
     # a stripe is materialized only if its super-green layer exists
     stripes = range(0, (la.depth + 1) // lgn, 2)
     for v in range(n):
         i = la.layer[v]
-        by_layer[i].append(v)
         block = i // lgn
         if block in stripes:
             stripe_of[v] = block
@@ -334,7 +329,6 @@ def stripe_decomposition(g: Graph, s: int) -> StripeDecomposition:
         supergreen=supergreen,
         stripe_of=stripe_of,
         stripes=stripes,
-        by_layer=by_layer,
     )
 
 
@@ -356,44 +350,47 @@ def _forward_reach(sd: StripeDecomposition, j: int, starts: set[int]) -> set[int
     return reach
 
 
-def minimal_bfs_cover(sd: StripeDecomposition, j: int) -> list[int]:
+def minimal_bfs_cover(sd: StripeDecomposition, j: int) -> dict[int, set[int]]:
     """Subset of the stripe's first layer from which every super-green node
     of the stripe is BFS-reachable; minimal under inclusion (greedy removal,
     descending index). When the greedy reaches v, every first-layer node
     below v is still in the cover, so v stays iff some super-green node
-    whose lowest first-layer BFS-ancestor is v is not reached from above."""
+    whose lowest first-layer BFS-ancestor is v is not reached from above.
+    Returns each member's forward reach, members in ascending order."""
     g, layer, lgn = sd.graph, sd.layers.layer, sd.lgn
+    by_layer = sd.layers.by_layer
     first = j * lgn
-    low = {v: v for v in sd.by_layer[first]}
+    low = {v: v for v in by_layer[first]}
     for i in range(first + 1, first + lgn):
-        for w in sd.by_layer[i]:
+        for w in by_layer[i]:
             low[w] = min(low[u] for u in g.adj[w] if layer[u] == i - 1)
     needs: dict[int, list[int]] = {}
-    for y in sd.by_layer[first + lgn - 1]:  # the stripe's super-green nodes
+    for y in by_layer[first + lgn - 1]:  # the stripe's super-green nodes
         needs.setdefault(low[y], []).append(y)
-    cover: list[int] = []
+    kept: list[tuple[int, set[int]]] = []
     covered: set[int] = set()
     for v in sorted(needs, reverse=True):
         if not covered.issuperset(needs[v]):
-            cover.append(v)
-            covered |= _forward_reach(sd, j, {v})
-    return cover[::-1]
+            reach = _forward_reach(sd, j, {v})
+            kept.append((v, reach))
+            covered |= reach
+    return dict(kept[::-1])
 
 
 def conflict_free_paths(
-    sd: StripeDecomposition, j: int, cover: list[int]
+    sd: StripeDecomposition, j: int, reach: dict[int, set[int]]
 ) -> list[list[int]]:
     """One BFS-path per cover node to a witness super-green node reachable
     from no other cover member (the smallest one a single reach holds);
     verified conflict-free by exhaustive edge scan (no edge joins different
-    layers of two distinct paths)."""
+    layers of two distinct paths). `reach` maps each cover node, in
+    ascending order, to its forward reach, as `minimal_bfs_cover` returns."""
     g, la, lgn = sd.graph, sd.layers, sd.lgn
-    sg = set(sd.by_layer[(j + 1) * lgn - 1])  # the stripe's super-green nodes
-    reach = {u: _forward_reach(sd, j, {u}) for u in cover}
-    held = {u: reach[u] & sg for u in cover}
+    sg = set(la.by_layer[(j + 1) * lgn - 1])  # the stripe's super-green nodes
+    held = {u: r & sg for u, r in reach.items()}
     holders = Counter(chain.from_iterable(held.values()))
     paths: list[list[int]] = []
-    for u in cover:
+    for u in reach:
         y = min((w for w in held[u] if holders[w] == 1), default=None)
         if y is None:
             raise WitnessNotFound(
@@ -456,9 +453,11 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     stripe_meta = {}
     bjs = ["00"] * n
     for j in sd.stripes:
-        cover = minimal_bfs_cover(sd, j)
-        paths = conflict_free_paths(sd, j, cover)
-        xbfs = _forward_reach(sd, j, set(cover))
+        reach = minimal_bfs_cover(sd, j)
+        cover = list(reach)
+        paths = conflict_free_paths(sd, j, reach)
+        # a set's frontier in each layer is the union of its members'
+        xbfs = set().union(*reach.values())
         for u in cover:
             cover_flag[u] = True
         for p in paths:

@@ -57,10 +57,7 @@ def assign_broadcast_indices(
     layer = la.layer
     b: list[int | None] = [None] * n
     parent: list[int | None] = [None] * n
-    by_layer: list[list[int]] = [[] for _ in range(la.depth + 1)]
-    for v in range(n):
-        by_layer[layer[v]].append(v)
-    for deeper, remaining in enumerate(by_layer, start=1):
+    for deeper, remaining in enumerate(la.by_layer, start=1):
         # each node's next-layer row, filtered once for all index passes
         below = {v: [w for w in g.adj[v] if layer[w] == deeper] for v in remaining}
         covered: set[int] = set()
@@ -93,14 +90,12 @@ def assign_gather_indices(
     layer = la.layer
     gv: list[int | None] = [None] * n
     gv[r] = 0
-    by_layer: list[list[int]] = [[] for _ in range(la.depth + 1)]
     children: dict[int, list[int]] = {}  # all one layer below the parent
     for v in range(n):
-        by_layer[layer[v]].append(v)
         if v != r:
             children.setdefault(parent[v], []).append(v)
     for i in range(1, la.depth + 1):
-        for p in sorted({parent[v] for v in by_layer[i]}, key=lambda p: (b[p], p)):
+        for p in sorted({parent[v] for v in la.by_layer[i]}, key=lambda p: (b[p], p)):
             # only p's own children get values while p is served, so `used`
             # only grows and the smallest free value only moves up
             used = {gv[w] for w in g.adj[p] if layer[w] == i and gv[w] is not None}
@@ -158,7 +153,7 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
     wg = max((delta - 1).bit_length(), 1) if delta > 1 else 1
     wc = max((delta * delta + 1).bit_length(), 1)
     wu = max(n.bit_length(), 1)
-    path = [layer.index(la.depth)]
+    path = [la.by_layer[la.depth][0]]
     while path[-1] != r:
         path.append(parent[path[-1]])
     root = ["0"] * r + ["1"] + ["0"] * (n - r - 1)
@@ -199,12 +194,12 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
 
 def oracle_ids(meta: dict) -> list[tuple[int, ...]]:
     """Each node's identifier, from a toprec bundle's meta: its gather
-    indices along its BFS-tree path from the root. Built in layer order, so
-    a parent's id is ready before its children's."""
+    indices along its BFS-tree path from the root. Built layer by layer
+    below the root's, so a parent's id is ready before its children's."""
     la, parent, gv = meta["layers"], meta["parent"], meta["g"]
     ids: list[tuple[int, ...]] = [()] * len(parent)
-    for v in sorted(range(len(parent)), key=la.layer.__getitem__):
-        if v != la.root:
+    for bucket in la.by_layer[1:]:
+        for v in bucket:
             ids[v] = ids[parent[v]] + (gv[v],)
     return ids
 

@@ -116,7 +116,8 @@ def test_c02_exact_round_formulas(size_corpus, toprec_runs, report):
     """On toprec's own rounds: its first BroadcastBFS (T1) uses exactly the
     D*(Delta+1) window (deepest first reception in the final phase, every
     slot as scheduled), and its gathering (T4) exactly the D* x Delta
-    rounds after stage 2, in phase D* - layer and slot g + 1."""
+    rounds after stage 2, in phase D* - layer and slot g + 1. Every
+    stripe-mode fastsd run ends in round barrier + (stage-2 t) - 1."""
     checked = 0
     for gid, g in size_corpus:
         if g.n == 1:
@@ -151,8 +152,18 @@ def test_c02_exact_round_formulas(size_corpus, toprec_runs, report):
                 t4_senders.append(v)
         assert sorted(t4_senders) == list(range(1, g.n)), gid
         checked += 1
+    striped = 0
+    for gid, g in size_corpus:
+        bundle = build_fast_sd(g)
+        meta = bundle.meta
+        if meta["mode"] == "stripes":
+            tr = run(g, bundle.labels, fast_sd_program)
+            assert tr.num_rounds == meta["barrier"] + meta["stage2"].t - 1, gid
+            striped += 1
+    assert striped >= 100
     report(f"[C2] PASS exact round formulas (toprec's T1 BroadcastBFS D*(D+1), "
-           f"T4 gather D*xD) on {checked} graphs")
+           f"T4 gather D*xD) on {checked} graphs; stripe-mode fastsd ends in "
+           f"round barrier + stage-2 t - 1 on {striped} graphs")
 
 
 def test_c03_toprec_correctness(tr_corpus, toprec_runs, report):
@@ -320,6 +331,12 @@ def test_c10_non_reproducible_and_scaling_csv(report):
         for scheme in ("fastsd", "general"):
             res = run_scheme(scheme, g)
             assert res.ok, (n, scheme)
+            meta = res.bundle.meta
+            if scheme == "general":
+                assert res.trace.num_rounds == 15 * n - 17, n
+            else:
+                assert meta["mode"] == "stripes", n
+                assert res.trace.num_rounds == meta["barrier"] + meta["stage2"].t - 1, n
             rows.append(
                 {"n": n, "scheme": scheme, "rounds": res.trace.num_rounds,
                  "max_label_bits": res.bundle.max_label_bits()}
@@ -332,5 +349,6 @@ def test_c10_non_reproducible_and_scaling_csv(report):
         "[C10] PASS non-reproducible items stated (Omega(log^2 n) lower bound, "
         f"external stage bound); scaling CSV emitted to "
         f"{out.relative_to(ARTIFACTS.parent)} "
-        f"({len(rows)} rows, paths n=2^6..2^11)"
+        f"({len(rows)} rows, paths n=2^6..2^11; general in exactly 15n - 17 "
+        f"rounds, fastsd in barrier + stage-2 t - 1)"
     )

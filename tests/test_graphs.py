@@ -1,10 +1,12 @@
 import io
+from itertools import chain
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import (
     Disconnected,
     DuplicateEdge,
@@ -29,7 +31,7 @@ from radiolab.graphs import (
     read_edge_list,
     write_edge_list,
 )
-from oracles import lb_family_from_edges, lb_general_from_edges
+from oracles import connected_atlas, lb_family_from_edges, lb_general_from_edges
 
 
 def to_nx(g):
@@ -103,6 +105,25 @@ class TestBfsLayers:
         la = bfs_layers(build_graph(1, []), 0)
         assert la.layer == (0,) and la.depth == 0
         assert diameter(build_graph(1, [])) == 0
+
+    def test_by_layer_buckets_in_index_order(self):
+        """On the size and toprec corpora, G_16..G_144 and every connected
+        atlas graph, from the first and the last node: the buckets partition
+        range(n), and bucket i holds the nodes of layer i in index order.
+        They are built once and take no part in equality."""
+        graphs = dict(corpus())
+        graphs.update(toprec_corpus())
+        graphs.update((f"G_{n}", gen_lb_family(n)[0]) for n in (16, 36, 64, 100, 144))
+        graphs.update(connected_atlas())
+        for gid, g in graphs.items():
+            for root in {0, g.n - 1}:
+                la = bfs_layers(g, root)
+                buckets = la.by_layer
+                assert len(buckets) == la.depth + 1, gid
+                assert sorted(chain.from_iterable(buckets)) == list(range(g.n)), gid
+                for i, bucket in enumerate(buckets):
+                    assert list(bucket) == [v for v in range(g.n) if la.layer[v] == i], gid
+                assert la.by_layer is buckets and la == bfs_layers(g, root), gid
 
 
 class TestDiameter:

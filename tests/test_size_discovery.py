@@ -267,9 +267,9 @@ class TestCovers:
 
     def test_path_segment_single_cover(self):
         sd = self._sd(gen_path(64))
-        assert minimal_bfs_cover(sd, 0) == [0]
+        assert list(minimal_bfs_cover(sd, 0)) == [0]
         cover2 = minimal_bfs_cover(sd, 2)
-        assert cover2 == [14]
+        assert list(cover2) == [14]
 
     def test_two_parallel_segments(self):
         # two disjoint paths out of a common root give stripe-2 two segments
@@ -295,7 +295,7 @@ class TestCovers:
         cover = minimal_bfs_cover(sd, 2)
         assert len(cover) == 1
 
-    def test_conflict_scan_rejects_crossing_paths(self, monkeypatch):
+    def test_conflict_scan_rejects_crossing_paths(self):
         """Two chains out of the root, joined by the edge (12, 32) between
         layer 12 of one and layer 13 of the other. A reach that misses that
         edge leaves each cover node a private witness, so only the final
@@ -305,15 +305,12 @@ class TestCovers:
         blind = stripe_decomposition(build_graph(40, chains), 0)
         sd = stripe_decomposition(build_graph(40, chains + [(12, 32)]), 0)
         assert sd.layers.layer == blind.layers.layer
-        real = size_discovery._forward_reach
-        monkeypatch.setattr(
-            size_discovery, "_forward_reach", lambda _, j, starts: real(blind, j, starts)
-        )
-        assert conflict_free_paths(blind, 2, [12, 31]) == [
+        reach = {u: size_discovery._forward_reach(blind, 2, {u}) for u in (12, 31)}
+        assert conflict_free_paths(blind, 2, reach) == [
             list(range(12, 18)), list(range(31, 37))
         ]
         with pytest.raises(ConflictingPaths, match=r"conflicting edge \(12,32\)"):
-            conflict_free_paths(sd, 2, [12, 31])
+            conflict_free_paths(sd, 2, reach)
 
     def test_conflict_scan_kept_under_optimize(self):
         """The same case under `python -O`, which strips assert statements."""
@@ -325,11 +322,10 @@ class TestCovers:
             "chains += [(i, i + 1) for i in range(20, 39)]\n"
             "blind = sdm.stripe_decomposition(build_graph(40, chains), 0)\n"
             "sd = sdm.stripe_decomposition(build_graph(40, chains + [(12, 32)]), 0)\n"
-            "real = sdm._forward_reach\n"
-            "sdm._forward_reach = lambda _, j, starts: real(blind, j, starts)\n"
+            "reach = {u: sdm._forward_reach(blind, 2, {u}) for u in (12, 31)}\n"
             "print(__debug__)\n"
             "try:\n"
-            "    sdm.conflict_free_paths(sd, 2, [12, 31])\n"
+            "    sdm.conflict_free_paths(sd, 2, reach)\n"
             "except ConflictingPaths as exc:\n"
             "    print(exc)\n"
         )
@@ -348,8 +344,8 @@ class TestCovers:
             except TooShallow:
                 continue
             for j in sd.stripes:
-                cover = minimal_bfs_cover(sd, j)
-                conflict_free_paths(sd, j, cover)  # internal exhaustive scan
+                reach = minimal_bfs_cover(sd, j)
+                conflict_free_paths(sd, j, reach)  # internal exhaustive scan
 
 
 class TestFastSD:
@@ -357,6 +353,27 @@ class TestFastSD:
         monkeypatch.setattr(size_discovery, "fast_sd_barrier", lambda n: n.bit_length() + 1)
         with pytest.raises(BarrierExceeded, match="stripe 0"):
             build_fast_sd(gen_path(64))
+
+    @pytest.mark.parametrize(
+        "g,walks",
+        [(gen_path(640), 32), (gen_grid(20, 32), 4), (gen_grid(64, 64), 13), (gen_path(2048), 85)],
+        ids=["path-640", "grid-20x32", "grid-64x64", "path-2048"],
+    )
+    def test_one_reach_walk_per_cover_member(self, monkeypatch, g, walks):
+        """The cover's reaches serve the witness search and the reachable
+        set too: one walk from each cover member, and no other walk."""
+        starts = []
+        real = size_discovery._forward_reach
+
+        def counting(sd, j, from_nodes):
+            starts.append(set(from_nodes))
+            return real(sd, j, from_nodes)
+
+        monkeypatch.setattr(size_discovery, "_forward_reach", counting)
+        meta = build_fast_sd(g).meta
+        members = [u for stripe in meta["stripes"].values() for u in stripe["cover"]]
+        assert len(starts) == walks
+        assert sorted(starts, key=min) == sorted(({u} for u in members), key=min)
 
     @pytest.mark.parametrize("n", [64, 127])
     def test_paths(self, n):

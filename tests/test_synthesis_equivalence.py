@@ -271,13 +271,13 @@ def reference_minimal_bfs_cover(sd, j):
     """`minimal_bfs_cover` trying each first-layer node for removal, in
     descending order, with one whole-stripe reach per try."""
     first = j * sd.lgn
-    sg = set(sd.by_layer[first + sd.lgn - 1])
-    cover = set(sd.by_layer[first])
+    sg = set(sd.layers.by_layer[first + sd.lgn - 1])
+    cover = set(sd.layers.by_layer[first])
     for v in sorted(cover, reverse=True):
         trial = cover - {v}
         if trial and sg <= _forward_reach(sd, j, trial):
             cover = trial
-    return sorted(cover)
+    return {member: _forward_reach(sd, j, {member}) for member in sorted(cover)}
 
 
 def reference_bundle(monkeypatch, scheme, g):
@@ -348,7 +348,8 @@ def check_covers(g, s=0):
     except TooShallow:
         return 0
     for j in sd.stripes:
-        assert minimal_bfs_cover(sd, j) == reference_minimal_bfs_cover(sd, j), j
+        cover, ref = minimal_bfs_cover(sd, j), reference_minimal_bfs_cover(sd, j)
+        assert list(cover.items()) == list(ref.items()), j
     return len(sd.stripes)
 
 
@@ -582,13 +583,15 @@ def test_cover_reads_each_stripe_a_bounded_number_of_times():
     ratios = {}
     for j in sd.stripes:
         entries = sum(
-            len(g.adj[v]) for layer in sd.by_layer[j * sd.lgn : (j + 1) * sd.lgn] for v in layer
+            len(g.adj[v])
+            for layer in sd.layers.by_layer[j * sd.lgn : (j + 1) * sd.lgn]
+            for v in layer
         )
         SCANNED[0] = 0
         cover = minimal_bfs_cover(sd, j)
         ratios[j] = SCANNED[0] / entries
         SCANNED[0] = 0
-        assert cover == reference_minimal_bfs_cover(sd, j), j
+        assert list(cover) == list(reference_minimal_bfs_cover(sd, j)), j
         if j == 8:
             assert SCANNED[0] > 10 * entries, SCANNED[0]
     assert len(ratios) >= 8
@@ -909,8 +912,9 @@ def frozen_build_fast_sd(g):
     stripe_meta = {}
     b_bits = [["00", "00"]] * n
     for j in sd.stripes:
-        cover = minimal_bfs_cover(sd, j)
-        paths = conflict_free_paths(sd, j, cover)
+        reach = minimal_bfs_cover(sd, j)
+        cover = list(reach)
+        paths = conflict_free_paths(sd, j, reach)
         xbfs = _forward_reach(sd, j, set(cover))
         for u in cover:
             cover_flag[u] = True
