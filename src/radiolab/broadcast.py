@@ -89,12 +89,27 @@ def minimal_dominating_subset(
     return chosen, unique
 
 
+def _next_dom(
+    dom: set[int], newly: dict[int, int], frontier: set[int], g: Graph
+) -> tuple[set[int], dict[int, int]]:
+    """`minimal_dominating_subset(dom | newly, frontier, g)`, with no call
+    for a one-node frontier {u}: the rule keeps u's lowest candidate
+    neighbor v alone, so the answer is {v}, {u: v}."""
+    if len(frontier) != 1:
+        return minimal_dominating_subset(dom.union(newly), frontier, g) if frontier else (set(), {})
+    (u,) = frontier
+    for v in g.adj[u]:  # rows are sorted
+        if v in dom or v in newly:
+            return {v}, {u: v}
+    raise Undominatable(f"target {u} has no candidate neighbor")
+
+
 # ---------------------------------------------------------------------------
 # Offline synthesis
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class StageRecord:
     stage: int
     dom: set[int]
@@ -149,7 +164,7 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
     frontier = {u for s in sources for u in adj[s] if u not in informed}
     # `newly` is who DOM informs this stage: the frontier nodes with exactly
     # one DOM neighbor, each mapped to it
-    dom, newly = minimal_dominating_subset(set(sources), frontier, g) if frontier else (set(), {})
+    dom, newly = _next_dom(set(sources), {}, frontier, g)
     for v in dom:
         dom1[v] = 1
     uninformed = None  # built when the uninformed side is first scanned
@@ -161,6 +176,7 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
         if not dom:
             raise Undominatable("no dominators left but nodes remain uninformed")
         level.update(dict.fromkeys(newly, 3 * stage - 2))
+        parent.update(newly)
         feedback: dict[int, int] = {}  # each DOM member's lowest child
         for u, p in newly.items():
             if u < feedback.get(p, n):
@@ -179,23 +195,16 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
             if uninformed is None:
                 uninformed = set(range(n)).difference(informed)
             next_frontier = {u for u in uninformed if not informed.isdisjoint(adj[u])}
-        next_dom, next_newly = minimal_dominating_subset(
-            dom.union(newly), next_frontier, g
-        ) if next_frontier else (set(), {})
+        next_dom, next_newly = _next_dom(dom, newly, next_frontier, g)
         for u in newly:
             join[u] = 1 if u in next_dom else 0
         for v, u in feedback.items():
             stay[u] = 1 if v in next_dom else 0
-        stages.append(
-            StageRecord(stage=stage, dom=dom, frontier=frontier, newly=newly,
-                        feedback=feedback)
-        )
+        stages.append(StageRecord(stage, dom, frontier, newly, feedback))
         dom, newly, frontier = next_dom, next_newly, next_frontier
         stage += 1
 
     t = 3 * (stage - 1)
-    for rec in stages:
-        parent.update(rec.newly)
     tree = BroadcastTree(
         sources=tuple(sorted(sources)), parent=parent, level=level, t=t
     )

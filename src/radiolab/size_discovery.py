@@ -80,7 +80,9 @@ def assign_subtree_bits(parent: dict[int, int], root: int, message: str) -> Subt
     for v in sorted(parent):
         kids[parent[v]].append(v)
     # the tree's Delta: a node's children plus, below the root, its parent
-    delta = max(len(c) + (v != root) for v, c in enumerate(kids))
+    counts = list(map(len, kids))
+    counts[root] -= 1  # so every count is one short of the node's degree
+    delta = max(counts) + 1
     fanout = max(delta.bit_length(), 1)  # floor(log Delta)+1 for Delta >= 1
     order = [root]  # parents before children
     for v in order:
@@ -95,7 +97,9 @@ def assign_subtree_bits(parent: dict[int, int], root: int, message: str) -> Subt
     stack = [(root, message, "")]
     while stack:
         v, piece, kept = stack.pop()
-        chosen = sorted(kids[v], key=lambda c: (-size[c], c))[:fanout]
+        chosen = kids[v]  # fewer than two children need no sort
+        if len(chosen) > 1:
+            chosen = sorted(chosen, key=lambda c: (-size[c], c))[:fanout]
         pos = 0
         used: list[int] = []
         for c in chosen:
@@ -447,9 +451,9 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     lgn = sd.lgn
     message = int_to_bits(n)
     m_bit = ["0"] * n
-    on_paths = [False] * n
-    cover_flag = [False] * n
-    reach_flag = [False] * n
+    on_paths = ["0"] * n
+    cover_flag = ["0"] * n
+    reach_flag = ["0"] * n
     stripe_meta = {}
     bjs = ["00"] * n
     for j in sd.stripes:
@@ -459,13 +463,13 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
         # a set's frontier in each layer is the union of its members'
         xbfs = set().union(*reach.values())
         for u in cover:
-            cover_flag[u] = True
+            cover_flag[u] = "1"
         for p in paths:
             for i, v in enumerate(p, start=1):
-                on_paths[v] = True
+                on_paths[v] = "1"
                 m_bit[v] = message[i - 1]
         for v in xbfs:
-            reach_flag[v] = True
+            reach_flag[v] = "1"
         # broadcast labels inside the reachable set, sources = the cover; the
         # renumbering keeps the order, so the cut rows stay sorted
         sub_nodes = sorted(xbfs)
@@ -494,8 +498,8 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     # the first block is the mode bit
     labels = encode_labels(zip(
         repeat("1", n),
-        map("{:d}{:d}{:d}{:d}{:d}".format,
-            reach_flag, sd.supergreen, cover_flag, on_paths, s2.dom1),
+        map("".join, zip(reach_flag, map("01".__getitem__, sd.supergreen), cover_flag,
+                         on_paths, map("01".__getitem__, s2.dom1))),
         m_bit,
         bjs,
         join_stay_blocks(s2),

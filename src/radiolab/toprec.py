@@ -58,6 +58,13 @@ def assign_broadcast_indices(
     b: list[int | None] = [None] * n
     parent: list[int | None] = [None] * n
     for deeper, remaining in enumerate(la.by_layer, start=1):
+        if len(remaining) == 1:  # one pass: b = 0, parent of all it reaches
+            (v,) = remaining
+            b[v] = 0
+            for w in g.adj[v]:
+                if layer[w] == deeper:
+                    parent[w] = v
+            continue
         # each node's next-layer row, filtered once for all index passes
         below = {v: [w for w in g.adj[v] if layer[w] == deeper] for v in remaining}
         covered: set[int] = set()
@@ -95,6 +102,9 @@ def assign_gather_indices(
         if v != r:
             children.setdefault(parent[v], []).append(v)
     for i in range(1, la.depth + 1):
+        if len(la.by_layer[i]) == 1:  # served alone, next to no valued node
+            gv[la.by_layer[i][0]] = 0
+            continue
         for p in sorted({parent[v] for v in la.by_layer[i]}, key=lambda p: (b[p], p)):
             # only p's own children get values while p is served, so `used`
             # only grows and the smallest free value only moves up

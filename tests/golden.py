@@ -10,6 +10,12 @@ deliveries, its round count and its outputs with their rounds; each label
 set gets a digest of its own. `tests/test_golden.py` compares a fresh sweep against the digests
 stored in `tests/data/golden_digests.json`.
 
+The relabelled-atlas sweep (`tests/test_schemes.py`) checks outputs only,
+and those cannot see a changed synthesis tie-break. So every scheme's
+labels on the whole sweep, every connected atlas graph as given and under
+its 3 relabellings, also reduce to one digest per scheme, stored in
+`tests/data/atlas_label_digests.json`.
+
 Regenerate the stored digests (only for a change that means to alter a
 trace, a label or an output, and say so) with:
 
@@ -29,8 +35,10 @@ from radiolab import schemes
 from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import run
 from radiolab.toprec import serialize_toprec_output
+from oracles import relabelled_atlas
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
+ATLAS_LABELS = GOLDEN.with_name("atlas_label_digests.json")
 
 # programs outside the scheme registry: (label builder, node factory)
 PRIMITIVES = {
@@ -49,6 +57,16 @@ def graphs_for(scheme: str) -> list:
 
 def labels_digest(labels) -> str:
     return hashlib.sha256("\n".join(labels).encode()).hexdigest()[:16]
+
+
+def atlas_labels_digest(label_sets) -> str:
+    """One digest of the (graph id, labels) pairs of the atlas sweep, in
+    sweep order."""
+    h = hashlib.sha256()
+    for gid, labels in label_sets:
+        h.update(f"{gid}\0{len(labels)}\0".encode())
+        h.update("\0".join(labels).encode())
+    return h.hexdigest()[:16]
 
 
 def trace_digest(trace, scheme: str) -> str:
@@ -122,6 +140,14 @@ def main() -> None:
     data = {scheme: sweep(scheme) for scheme in SCHEMES}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}: {sum(len(d['nocd']) for d in data.values())} graphs x 2 modes")
+    atlas = {
+        scheme: atlas_labels_digest(
+            (gid, build_bundle(scheme, g).labels) for gid, g in relabelled_atlas()
+        )
+        for scheme in schemes.SCHEMES
+    }
+    ATLAS_LABELS.write_text(json.dumps(atlas, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {ATLAS_LABELS}: {len(relabelled_atlas())} label sets per scheme")
 
 
 if __name__ == "__main__":

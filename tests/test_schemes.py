@@ -2,6 +2,7 @@
 counts only exact outputs as correct. Every scheme runs correctly on every
 connected graph of at most 7 nodes, and corrupted labels end typed."""
 
+import json
 import math
 import zlib
 
@@ -14,6 +15,7 @@ from radiolab.schemes import SCHEMES, build_bundle, program_for, run_scheme, ver
 from radiolab.sim import ExecutionTrace, run
 from radiolab.size_discovery import COMPACT_LENGTH_C
 from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0
+from golden import ATLAS_LABELS, atlas_labels_digest
 from oracles import relabelled_atlas
 
 
@@ -56,13 +58,18 @@ def test_every_connected_atlas_graph(scheme):
     no scheme may lean on node 0 or adjacency order outside the oracle):
     every node's output is exact, and compact and toprec labels keep their
     C4 bounds on every graph with an edge (the single node is the next
-    test's)."""
+    test's). Working labels can still differ, so all the label sets also
+    match the one digest stored for the scheme: a changed synthesis
+    tie-break fails here."""
     bound = C4_BOUNDS.get(scheme)
+    label_sets = []
     for gid, g in relabelled_atlas():
         res = run_scheme(scheme, g)
         assert res.ok, gid
         if bound and g.n > 1:
             assert res.bundle.max_label_bits() <= bound(g.max_degree()), gid
+        label_sets.append((gid, res.bundle.labels))
+    assert atlas_labels_digest(label_sets) == json.loads(ATLAS_LABELS.read_text())[scheme]
 
 
 @pytest.mark.parametrize("scheme", [

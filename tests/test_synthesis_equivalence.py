@@ -12,6 +12,11 @@ discovery and that the stripe cover reads each stripe's adjacency a bounded
 number of times. The large-n tests run under the
 default recursion limit.
 
+Synthesis takes a shortcut where a stage's frontier, a BFS layer or a
+node's child list is one node; brooms, paths into grids and caterpillars
+switch between one node and many, so they meet the shortcut and the
+general rule in one graph, and are compared against the references.
+
 The per-node label row builders and the stage loop that column-built label
 fields and a lean stage loop replaced are kept whole as frozen builders: on
 the corpora, the lower-bound graphs and large paths, grids and stars, each
@@ -24,6 +29,7 @@ each such block is empty or equals the field it repeats, and drops it.
 
 import math
 import sys
+import zlib
 
 import pytest
 
@@ -78,7 +84,7 @@ from radiolab.size_discovery import (
     stripe_decomposition,
 )
 from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0, oracle_ids
-from oracles import postorder_concat, tree_parent, verify_subtree_assignment
+from oracles import postorder_concat, relabelled, tree_parent, verify_subtree_assignment
 
 SCHEMES = ("compact", "general", "fastsd", "toprec")
 
@@ -303,6 +309,113 @@ def check_ids(bundle):
 
 
 # ---------------------------------------------------------------------------
+# Stages and layers of one node and of many
+# ---------------------------------------------------------------------------
+
+
+def broom(tail, bristles):
+    """A path of `tail` nodes whose last node is the centre of a star with
+    `bristles` more leaves."""
+    edges = [(i, i + 1) for i in range(tail - 1)]
+    edges += [(tail - 1, tail + i) for i in range(bristles)]
+    return build_graph(tail + bristles, edges)
+
+
+def path_into_grid(tail, rows, cols):
+    """A path of `tail` nodes whose last node is joined to corner 0 of a
+    rows x cols grid (renumbered after the path)."""
+    grid = gen_grid(rows, cols)
+    edges = [(i, i + 1) for i in range(tail - 1)] + [(tail - 1, tail)]
+    edges += [(tail + u, tail + v) for u, v in grid.edges()]
+    return build_graph(tail + grid.n, edges)
+
+
+def caterpillar(spine, legs):
+    """A path of `spine` nodes; spine node i carries `legs[i % len(legs)]`
+    leaves, so BFS layers and broadcast stages switch between one node
+    and many."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        for _ in range(legs[i % len(legs)]):
+            edges.append((i, n))
+            n += 1
+    return build_graph(n, edges)
+
+
+def _switching():
+    """Each graph as built and under one seeded relabelling, so the
+    one-node rule meets index tie-breaks in both orders."""
+    base = {
+        "broom-30-12": broom(30, 12),
+        "broom-5-40": broom(5, 40),
+        "path-20-grid-6x7": path_into_grid(20, 6, 7),
+        "path-3-grid-9x4": path_into_grid(3, 9, 4),
+        "caterpillar-40-0102": caterpillar(40, (0, 1, 0, 2)),
+        "caterpillar-25-3001": caterpillar(25, (3, 0, 0, 1)),
+    }
+    out = []
+    for gid, g in base.items():
+        out.append((gid, g))
+        out.append((f"{gid}/r", relabelled(g, zlib.crc32(gid.encode()))))
+    return out
+
+
+SWITCHING = _switching()
+SWITCHING_IDS = [gid for gid, _ in SWITCHING]
+
+
+def switching_sources(g):
+    """Single sources at both ends and in the middle, and sets of two to
+    five sources drawn from a seed of the graph's size."""
+    rng = SplitMix64(0x51DE + g.n)
+    out = [{0}, {g.n - 1}, {g.n // 2}]
+    out += [{rng.randrange(g.n) for _ in range(k)} for k in (2, 3, 5)]
+    return out
+
+
+@pytest.mark.parametrize("gid,g", SWITCHING, ids=SWITCHING_IDS)
+def test_switching_cores_match_reference(gid, g):
+    for sources in switching_sources(g):
+        assert synthesize_core(g, sources) == reference_synthesize_core(g, sources), sources
+
+
+@pytest.mark.parametrize("gid,g", SWITCHING, ids=SWITCHING_IDS)
+def test_switching_layers_match_reference(gid, g):
+    """Broadcast and gather indices from roots at both ends and in the
+    middle, against the frozen index passes and the per-child gather scan."""
+    for r in (0, g.n - 1, g.n // 2):
+        b, parent, la = toprec.assign_broadcast_indices(g, r)
+        assert (b, parent, la) == frozen_assign_broadcast_indices(g, r), r
+        assert toprec.assign_gather_indices(g, r, la, parent, b) == (
+            reference_assign_gather_indices(g, r, la, parent, b)
+        ), r
+
+
+@pytest.mark.parametrize("gid,g", SWITCHING, ids=SWITCHING_IDS)
+def test_switching_subtree_bits_match_reference(gid, g):
+    """The packing over each graph's broadcast tree, as compact builds it,
+    and over its BFS tree, from both ends and the middle."""
+    message = int_to_bits(g.n)
+    for root in (0, g.n - 1, g.n // 2):
+        bfs = toprec.assign_broadcast_indices(g, root)[1]
+        for parent in (synthesize_core(g, {root}).tree.parent,
+                       {v: p for v, p in enumerate(bfs) if v != root}):
+            new = assign_subtree_bits(parent, root, message)
+            assert new == reference_assign_subtree_bits(parent, root, message), root
+            assert postorder_concat(new) == message
+
+
+def test_one_node_stages_make_no_dominating_subset_call():
+    """From an end of path-512 every frontier is one node, and its one
+    lower neighbour informs it: no stage needs `minimal_dominating_subset`
+    (a call per stage would make 511). A broom's star stage still calls it."""
+    assert synthesis_calls(gen_path(512), {0}) == []
+    calls = synthesis_calls(broom(30, 12), {0})
+    assert [len(targets) for _, targets in calls] == [12]
+
+
+# ---------------------------------------------------------------------------
 # Bundle equivalence
 # ---------------------------------------------------------------------------
 
@@ -314,7 +427,7 @@ def _graphs():
     out += [(gid, g) for gid, g in toprec_corpus() if gid not in picked]
     out += [(f"G_{n}", gen_lb_family(n)[0]) for n in (16, 36, 64, 100, 144, 256, 576)]
     out += [(f"star-{n}", gen_star(n)) for n in (2, 3, 4, 9, 513, 1025)]
-    return out
+    return out + SWITCHING
 
 
 GRAPHS = _graphs()
