@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import EmptySourceSet, MalformedCodeword, Undominatable
+from .errors import Disconnected, EmptySourceSet, MalformedCodeword, Undominatable
 from .graphs import Graph
 from .labels import SchemeBundle, encode_labels, fixed_block, label_blocks
 from .sim import NodeProgram, frame, next_duty, parse
@@ -174,7 +174,7 @@ def synthesize_core(g: Graph, sources: set[int]) -> CoreSynthesis:
     stage = 1
     while len(informed) < n:
         if not dom:
-            raise Undominatable("no dominators left but nodes remain uninformed")
+            raise Disconnected(f"{n - len(informed)} node(s) cannot be reached from the sources")
         level.update(dict.fromkeys(newly, 3 * stage - 2))
         parent.update(newly)
         feedback: dict[int, int] = {}  # each DOM member's lowest child
@@ -233,16 +233,19 @@ class ExecCore:
     stay bit is 1, so it carries no bit of its own); `action` frames them
     after the core's tag. `js` is the node's join/stay label block.
 
-    The core keeps its duties as pending relative rounds: `_tx` its next
+    The core keeps its duties as pending absolute rounds: `_tx` its next
     broadcast (a node informed with join = 1 transmits next stage, and a
     transmitter that hears feedback right after its broadcast transmits
     again), `_fb` its feedback, and `_end` the last round of a stage in
     which it transmitted, so a broadcast lasts exactly 3 rounds per stage.
+    `wake`, set wherever a duty is set or served, is the earliest of them:
+    duties come in the order `_fb` or `_end`, then `_tx`, and `_fb` and
+    `_end` are never pending together. `tx_rounds` holds relative rounds.
     """
 
     __slots__ = (
         "tag", "join", "stay", "informed", "message", "level",
-        "parent_level", "offset", "tx_rounds", "_tx", "_fb", "_end",
+        "parent_level", "offset", "tx_rounds", "_tx", "_fb", "_end", "wake",
     )
 
     def __init__(self, tag: str, js: str):
@@ -261,6 +264,7 @@ class ExecCore:
         self._tx: int | None = None
         self._fb: int | None = None
         self._end: int | None = None
+        self.wake: int | None = None
 
     def start_source(self, start_abs: int, message, in_dom: bool) -> None:
         """Become an initially informed node; relative round 1 = start_abs."""
@@ -269,22 +273,22 @@ class ExecCore:
         self.level = 0
         self.offset = start_abs - 1
         if in_dom:
-            self._tx = 1
+            self.wake = self._tx = start_abs
 
     def action(self, abs_rnd: int):
-        if self.offset is None:
-            return None
-        rel = abs_rnd - self.offset
-        if rel == self._tx:
+        if abs_rnd == self._tx:
             self._tx = None
-            self._end = rel + 2
+            self.wake = self._end = abs_rnd + 2
+            rel = abs_rnd - self.offset
             self.tx_rounds.append(rel)
             return frame(self.tag, "b", rel, self.level, self.message)
-        if rel == self._fb:
+        if abs_rnd == self._fb:
             self._fb = None
-            return frame(self.tag, "f", rel)
-        if rel == self._end:
+            self.wake = self._tx
+            return frame(self.tag, "f", abs_rnd - self.offset)
+        if abs_rnd == self._end:
             self._end = None
+            self.wake = self._tx
         return None
 
     def on_message(self, abs_rnd: int, parts) -> bool:
@@ -301,23 +305,17 @@ class ExecCore:
                 self.parent_level = parts[3]
                 self.message = parts[4]
                 if self.join:
-                    self._tx = rel + 3
+                    self.wake = self._tx = abs_rnd + 3
                 if self.stay:
-                    self._fb = rel + 1
+                    self.wake = self._fb = abs_rnd + 1
                 return bool(self.join or self.stay)
         elif kind == "f":
             tx = self.tx_rounds
             if tx and tx[-1] == abs_rnd - self.offset - 1:
-                self._tx = tx[-1] + 3
+                # the stage end at abs_rnd + 1 stays the earlier duty
+                self._tx = abs_rnd + 2
                 return True
         return False
-
-    def next_wake(self, abs_rnd: int) -> int | None:
-        """The absolute round of the next pending duty, None if there is
-        none. Duties come in the order `_fb` or `_end`, then `_tx`, and
-        `_fb` and `_end` are never pending together."""
-        rel = self._fb or self._end or self._tx
-        return None if rel is None else self.offset + rel
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +371,8 @@ class AckProgram(NodeProgram):
     Executor run (tag `<tag>1`), the upward relay of its round count t
     along the marked path (`<tag>a`), then a second Executor run carrying t
     (`<tag>2`); its completion is padded to relative round 3t, which every
-    node can compute. Then an upward collection in the rounds of
-    `_collect_round`, and a final Executor run (`<tag>3`) that the source
+    node can compute. Then an upward collection in the round
+    `_collect_at`, and a final Executor run (`<tag>3`) that the source
     starts with the answer it assembled; every other node outputs the
     `_result` of that run's message.
 
@@ -385,7 +383,8 @@ class AckProgram(NodeProgram):
     in its slot), `_assemble` (the source's answer), `_result` (the output
     for an answer) and `_receive_own` (its own messages). `collects` says
     the node has a slot (the source always collects); `_collected` closes
-    the duty once it is done.
+    the duty once it is done. A subclass with one more duty keeps its round
+    in `_own_at` and serves it in its own `action`.
     """
 
     def __init_subclass__(cls, tag: str | None = None, **kwargs):
@@ -408,6 +407,8 @@ class AckProgram(NodeProgram):
         self._relay_round: int | None = None
         self._relayed = False
         self._collected = not (collects or self.is_source)
+        self._collect_at: int | None = None
+        self._own_at: int | None = None
 
     def _start(self, rnd: int, message) -> None:
         """Start the first Executor run of `message` at the source."""
@@ -415,21 +416,25 @@ class AckProgram(NodeProgram):
         if not self.dom1:
             # no frontier means a single-node graph: t = 0, done immediately
             self.t = 0
+        self._arm_collect()
 
-    def _collect_round(self) -> int | None:
-        """Absolute round of this node's pending collection duty, once t is
-        known. After relative round 3t, which ends the acknowledged
-        broadcast, come L = max(t - 2, 0) phases, deepest level first: a
-        node at level l sends in its slot of phase L - l + 1, and the
-        source assembles in the round after the last phase."""
+    def _arm_collect(self) -> None:
+        """Set `_collect_at`, the absolute round of this node's pending
+        collection duty, once t is known; called whenever t, core 1's
+        offset or `_collected` changes. After relative round 3t, which ends
+        the acknowledged broadcast, come L = max(t - 2, 0) phases, deepest
+        level first: a node at level l sends in its slot of phase L - l + 1,
+        and the source assembles in the round after the last phase."""
         if self._collected or self.t is None or self.core1.offset is None:
-            return None
+            self._collect_at = None
+            return
         width, slot = self._phase()
         end = self.core1.offset + 3 * self.t
         top = max(self.t - 2, 0)
         if self.is_source:
-            return end + top * width + 1
-        return end + (top - self.core1.level) * width + slot
+            self._collect_at = end + top * width + 1
+        else:
+            self._collect_at = end + (top - self.core1.level) * width + slot
 
     def action(self, rnd: int):
         p = self.core1.action(rnd)
@@ -439,11 +444,13 @@ class AckProgram(NodeProgram):
             self._relay_round = None
             if self.t is None:
                 self.t = rnd - self.core1.offset - 1
+                self._arm_collect()
             return frame(self.taga, "r", self.t, self.core1.parent_level)
         p = self.core2.action(rnd) or self.core3.action(rnd)
-        if p or rnd != self._collect_round():
+        if p or rnd != self._collect_at:
             return p
         self._collected = True
+        self._collect_at = None
         if not self.is_source:
             return self._slot_message()
         message = self._assemble()
@@ -458,7 +465,10 @@ class AckProgram(NodeProgram):
         tag = parts[0]
         if tag == self.tag1:
             core = self.core1
+            informed = core.informed
             changed = core.on_message(rnd, parts)
+            if core.informed and not informed:
+                self._arm_collect()
             if self.is_vp and not self._relayed and core.informed:
                 # v_p starts the upward relay of t in the round after its
                 # stage, t = 3 * (v_p's stage) relative rounds
@@ -471,6 +481,7 @@ class AckProgram(NodeProgram):
             changed = self.t is None and not self._collected
             if self.t is None:
                 self.t = t
+                self._arm_collect()
             if (self.on_path and not self._relayed and self.core1.informed
                     and parts[3] == self.core1.level):
                 self._relayed = True
@@ -484,6 +495,7 @@ class AckProgram(NodeProgram):
             changed = self.core2.on_message(rnd, parts)
             if self.t is None and self.core2.informed:
                 self.t = self.core2.message
+                self._arm_collect()
                 return changed or not self._collected
             return changed
         if tag == self.tag3:
@@ -496,14 +508,9 @@ class AckProgram(NodeProgram):
 
     def next_wake(self, rnd: int) -> int | None:
         return next_duty(
-            rnd,
-            self.core1.next_wake(rnd),
-            self.core2.next_wake(rnd),
-            self.core3.next_wake(rnd),
-            self._relay_round,
-            self._collect_round(),
+            rnd, self.core1.wake, self.core2.wake, self.core3.wake,
+            self._relay_round, self._collect_at, self._own_at,
         )
-
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +598,7 @@ class PathMessageProgram(AckProgram, tag="p"):
             self._start(1, "")
             if self.t == 0:  # single node
                 self._collected = True
+                self._collect_at = None
                 self.output = self._result(chunk)
 
     def _result(self, message: str):

@@ -347,18 +347,27 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-# `json.dumps` with non-default separators builds a new encoder per call
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# One encoder and one decoder per process. `JSONEncoder.encode` builds a new C
+# encoder per call; this is the one it builds for a compact, ASCII one-shot
+# encode, less the circular-reference markers: no message holds itself.
+_encode = json.encoder.c_make_encoder(None, json.JSONEncoder().default,
+    json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True)
+_decode = json.JSONDecoder().raw_decode
 
 
 def frame(*parts) -> bytes:
     """Encode a message as a compact JSON array; messages stay opaque bytes
     at the engine level, programs define their own framing on top."""
-    return _ENCODER.encode(parts).encode()
+    return "".join(_encode(parts, 0)).encode()
 
 
 def unframe(message: bytes) -> list:
-    return json.loads(message.decode())
+    """`json.loads` of a framed message, with nothing around the value."""
+    text = message.decode()
+    value, end = _decode(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
 
 
 def parse(message: bytes) -> tuple:
@@ -368,5 +377,5 @@ def parse(message: bytes) -> tuple:
     return _frozen(unframe(message))
 
 
-def _frozen(x):
-    return tuple(map(_frozen, x)) if type(x) is list else x
+def _frozen(array: list) -> tuple:
+    return tuple([_frozen(x) if type(x) is list else x for x in array])

@@ -201,6 +201,9 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
         self.msgbits = msg
         self._delta_bits: dict[int, str] = {}
         self._payloads: dict[int, str] = {}
+        # Delta-learning: chosen neighbor i transmits (0, b_i) in round i,
+        # and the source starts in the round after the last of them
+        self._own_at = self.a + 1 if self.is_source else self.a or None
 
     def _phase(self) -> tuple[int, int]:
         """Size-learning phases are K = floor(log Delta)+1 rounds long, Delta
@@ -218,20 +221,14 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
         return _size_of(message)
 
     def action(self, rnd: int):
-        # Delta-learning: chosen neighbor i transmits (0, b_i) in round i
-        if not self.is_source and self.a >= 1 and rnd == self.a:
-            return frame("D", "d", self.b)
-        if self.is_source and not self.core1.informed and rnd == self.a + 1:
-            bits = "".join(self._delta_bits.get(i, "0") for i in range(1, self.a + 1))
-            self._start(rnd, bits_to_int(bits))
+        if rnd == self._own_at:
+            self._own_at = None
+            if not self.is_source:
+                return frame("D", "d", self.b)
+            if not self.core1.informed:
+                bits = "".join(self._delta_bits.get(i, "0") for i in range(1, self.a + 1))
+                self._start(rnd, bits_to_int(bits))
         return super().action(rnd)
-
-    def next_wake(self, rnd: int) -> int | None:
-        if self.is_source:
-            start = None if self.core1.informed else self.a + 1
-        else:
-            start = self.a if rnd < self.a else None
-        return next_duty(rnd, super().next_wake(rnd), start)
 
     def _receive_own(self, rnd: int, parts) -> bool:
         tag = parts[0]
@@ -571,9 +568,7 @@ class FastSDProgram(NodeProgram):
         return self.bcore.action(rnd) or self.s2core.action(rnd)
 
     def next_wake(self, rnd: int) -> int | None:
-        return next_duty(
-            rnd, self._relay_round, self.bcore.next_wake(rnd), self.s2core.next_wake(rnd)
-        )
+        return next_duty(rnd, self._relay_round, self.bcore.wake, self.s2core.wake)
 
     def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse)

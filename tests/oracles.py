@@ -197,6 +197,31 @@ def dom_membership_from_history(
     return membership
 
 
+def core_next_duty(core: ExecCore) -> int | None:
+    """An `ExecCore`'s next duty from scratch: the earliest of its pending
+    broadcast, feedback and stage-end rounds, each after its offset."""
+    pending = [r for r in (core._tx, core._fb, core._end) if r is not None]
+    if not pending:
+        return None
+    assert core.offset is not None and min(pending) > core.offset, (core.offset, pending)
+    return min(pending)
+
+
+def ack_collect_round(p) -> int | None:
+    """An `AckProgram`'s collection round from scratch, once t is known:
+    after relative round 3t come max(t - 2, 0) phases, deepest level first;
+    a node at level l sends in its slot of phase L - l + 1, the source
+    assembles in the round after the last phase."""
+    if p._collected or p.t is None or p.core1.offset is None:
+        return None
+    width, slot = p._phase()
+    end = p.core1.offset + 3 * p.t
+    top = max(p.t - 2, 0)
+    if p.is_source:
+        return end + top * width + 1
+    return end + (top - p.core1.level) * width + slot
+
+
 def check_executor_rounds(
     syn: CoreSynthesis, trace, tag: str = "p1", offset: int = 0
 ) -> None:

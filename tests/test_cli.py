@@ -114,11 +114,12 @@ class TestRun:
         assert exc.value.code == 2
         assert "invalid choice: 'gather-bfs'" in capsys.readouterr().err
 
-    def test_disconnected_rejected(self, tmp_path):
+    def test_disconnected_rejected(self, tmp_path, capsys):
         el = tmp_path / "disc.el"
         el.write_text("4 2\n0 1\n2 3\n")
         code, _ = run_cli("run", str(el), "--scheme", "compact")
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: Disconnected")
 
     @pytest.mark.parametrize("scheme", ["compact", "general"])
     def test_empty_graph_exits_2(self, tmp_path, capsys, scheme):

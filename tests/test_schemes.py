@@ -8,7 +8,7 @@ import zlib
 
 import pytest
 
-from radiolab.errors import InvalidParams, ProtocolViolation, RadiolabError
+from radiolab.errors import Disconnected, InvalidParams, ProtocolViolation, RadiolabError
 from radiolab.graphs import build_graph, gen_cycle, gen_grid, gen_path, gen_star
 from radiolab.rng import SplitMix64
 from radiolab.schemes import SCHEMES, build_bundle, program_for, run_scheme, verify_outputs
@@ -23,6 +23,17 @@ from oracles import relabelled_atlas
 def test_empty_graph_rejected(scheme):
     with pytest.raises(InvalidParams, match="no nodes"):
         build_bundle(scheme, build_graph(0, []))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("edges,n", [([(0, 1), (2, 3)], 4), ([(0, 1), (0, 2), (0, 3)], 5),
+                                     ([(1, 2)], 3), ([(i, i + 1) for i in range(39)], 41)],
+                         ids=["two-edges", "star-and-isolated", "isolated-0", "long-path-and-isolated"])
+def test_disconnected_graph_rejected(scheme, edges, n):
+    """Every scheme names the same error for a graph that its sources
+    cannot span."""
+    with pytest.raises(Disconnected):
+        build_bundle(scheme, build_graph(n, edges))
 
 
 def test_unknown_scheme_rejected():

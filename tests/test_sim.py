@@ -1,11 +1,14 @@
 import inspect
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiolab.corpus import corpus
 from radiolab.errors import InvalidParams, ProtocolViolation, RoundLimitExceeded
 from radiolab.graphs import build_graph, gen_cycle, gen_path, gen_random_connected
+from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import (
     COLLISION,
     NOISE,
@@ -338,6 +341,50 @@ class TestTraceDump:
         assert parts == ("pc", "c", ((1, "01"), (4, "1")), ())
         assert hash(parts) == hash(parse(msg))
         assert Heard(msg).decode(parse) == parts
+
+
+# message parts as programs frame them: ints, bit strings, tags, None, bools,
+# and tuples and lists of them, nested
+PARTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text("01") | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+class TestCodecBytes:
+    """`frame` and `unframe` are byte for byte the stdlib's compact
+    `json.dumps` and `json.loads`."""
+
+    @given(st.lists(PARTS, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_frame_is_compact_dumps(self, parts):
+        msg = frame(*parts)
+        assert msg == json.dumps(list(parts), separators=(",", ":")).encode()
+        assert unframe(msg) == json.loads(msg)
+
+    @pytest.mark.parametrize("scheme", ["compact", "general", "fastsd"])
+    def test_every_size_message_reencodes(self, scheme):
+        """Every message of one run per graph of the size corpus."""
+        program = program_for(scheme)
+        count = 0
+        for gid, g in corpus():
+            trace = run(g, build_bundle(scheme, g).labels, program)
+            for rec in trace.rounds:
+                for m in rec.transmitters.values():
+                    value = json.loads(m)
+                    assert json.dumps(value, separators=(",", ":")).encode() == m, gid
+                    assert unframe(m) == value, gid
+                    count += 1
+        assert count > 10_000
+
+    @pytest.mark.parametrize("message", [b'["a",1] ', b'["a",1]]', b'["a",1][2]', b'["a",1',
+                                         b'["a",', b""])
+    def test_trailing_or_truncated_message_raises(self, message):
+        with pytest.raises(json.JSONDecodeError):
+            unframe(message)
+        with pytest.raises(json.JSONDecodeError):
+            parse(message)
 
 
 class TestObservationReconstruction:

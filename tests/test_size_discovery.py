@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from radiolab import size_discovery
-from radiolab.broadcast import PathMessageProgram, synthesize_path_message
+from radiolab.broadcast import AckProgram, ExecCore, PathMessageProgram, synthesize_path_message
 from radiolab.errors import (
     BarrierExceeded,
     ConflictingPaths,
@@ -30,6 +30,7 @@ from radiolab.schemes import program_for, run_scheme
 from radiolab.sim import parse, run, unframe
 from radiolab.size_discovery import (
     AuxiliarySDProgram,
+    FastSDProgram,
     SizeOnPathProgram,
     assign_subtree_bits,
     build_compact_labels,
@@ -41,7 +42,8 @@ from radiolab.size_discovery import (
     minimal_bfs_cover,
     stripe_decomposition,
 )
-from oracles import tree_parent, verify_subtree_assignment
+from golden import build, graphs_for
+from oracles import ack_collect_round, core_next_duty, tree_parent, verify_subtree_assignment
 
 
 def random_bits(rng, k):
@@ -524,3 +526,58 @@ class TestMalformedLabels:
                     continue
                 with pytest.raises(MalformedCodeword):
                     make(cut_label)
+
+
+def check_cached_duties(p, rnd: int) -> None:
+    """A node's cached duty rounds after a callback of round `rnd` equal
+    their from-scratch formulas: each core's `wake`, an `AckProgram`'s
+    collection round, and an `AuxiliarySDProgram`'s Delta-learning round."""
+    for core in vars(p).values():
+        if isinstance(core, ExecCore):
+            assert core.wake == core_next_duty(core), (rnd, core.tag)
+    if isinstance(p, AckProgram):
+        assert p._collect_at == ack_collect_round(p), rnd
+    if isinstance(p, AuxiliarySDProgram):
+        if p.is_source:
+            own = None if p.core1.informed else p.a + 1
+        else:
+            own = p.a if 1 <= p.a and rnd < p.a else None
+        assert p._own_at == own, rnd
+
+
+def duty_checked(program, seen: set):
+    """`program` with `check_cached_duties` after every callback of every
+    node. Records each node's class in `seen`."""
+
+    def build_node(label):
+        p = program(label)
+        seen.add(type(p))
+        check_cached_duties(p, 0)
+        for name in ("action", "receive", "next_wake"):
+            def checked(rnd, *args, call=getattr(p, name)):
+                got = call(rnd, *args)
+                check_cached_duties(p, rnd)
+                return got
+            setattr(p, name, checked)
+        return p
+
+    return build_node
+
+
+@pytest.mark.parametrize("scheme,classes", [
+    ("compact", {AuxiliarySDProgram}),
+    ("general", {AuxiliarySDProgram, SizeOnPathProgram}),
+    ("fastsd", {FastSDProgram, AuxiliarySDProgram, SizeOnPathProgram}),
+    ("pathmsg", {PathMessageProgram}),
+])
+def test_cached_duty_rounds_match_formulas(scheme, classes):
+    """Every size program keeps its duty rounds as attributes, set where an
+    input changes; on the size corpus, G_16..G_144 and star-513 they equal
+    the from-scratch formulas after every callback, and the runs still
+    end with every output in."""
+    seen: set = set()
+    for gid, g in graphs_for(scheme):
+        labels, program = build(scheme, g)
+        trace = run(g, labels, duty_checked(program, seen))
+        assert None not in trace.outputs, gid
+    assert seen == classes
