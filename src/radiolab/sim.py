@@ -111,6 +111,11 @@ class NodeProgram:
 
     The run ends once every output is in and no node has a wake round, so a
     node that still has duties keeps a wake round until they are done.
+
+    One program object serves every node of its behaviour class (see `run`):
+    the factory is called once per class, and a class that splits gets a
+    fresh program whose replayed calls must answer as the logged ones did. So
+    a program's state must come from its label and its calls alone.
     """
 
     def __init__(self, label: str):
@@ -177,6 +182,8 @@ class ExecutionTrace:
         return len(self.rounds)
 
     def observation_of(self, v: int, rnd: int) -> Heard | Mark:
+        if not (1 <= rnd <= len(self.rounds) and 0 <= v < self.graph.n):
+            raise InvalidParams(f"no observation of node {v} in round {rnd} in this trace")
         rec = self.rounds[rnd - 1]
         if v in rec.transmitters:
             return TX
@@ -204,6 +211,22 @@ def default_max_rounds(n: int) -> int:
     return cap
 
 
+def _replay(program: Callable[[str], NodeProgram], label: str, log: list) -> NodeProgram:
+    """A fresh `program(label)` given the logged calls of a behaviour class
+    (see `run`), each of which must answer as it did."""
+    q = program(label)
+    for kind, r, h, want in log:
+        got = q.action(r) if kind == 0 else q.receive(r, h) if kind == 1 else q.next_wake(r)
+        if got != want:
+            raise ProtocolViolation(f"replayed {label!r} answered {got!r}, not {want!r}, in round {r}")
+    return q
+
+
+def _nodes_of(classes: set[int], cls: list[int]) -> list[int]:
+    """The nodes of `classes`, in order, given each node's class `c` or `~c`."""
+    return [v for v, c in enumerate(cls) if max(c, ~c) in classes]
+
+
 def run(
     g: Graph,
     labels: Sequence[str],
@@ -224,13 +247,18 @@ def run(
     transmitters. `cd` only sets `trace.cd`, which says how the trace is
     read. If every node sleeps while an output is missing, the run can
     never finish, and `RoundLimitExceeded` is raised at once.
+
+    Nodes with equal labels and heard histories form a behaviour class: one
+    `program` call builds its program, and each callback runs once for it.
+    Members that hear different things split off, one class per message,
+    each with a fresh `program(label)` that replays the class's calls and
+    must answer as logged, or `ProtocolViolation` is raised. The trace and
+    the outputs stay per node.
     """
     if len(labels) != g.n:
         raise InvalidParams(f"need one label per node: {len(labels)} != {g.n}")
     if max_rounds is None:
         max_rounds = default_max_rounds(g.n)
-    n = g.n
-    nodes = [program(labels[v]) for v in range(n)]
     trace = ExecutionTrace(g, cd)
     adj = g.adj
     rounds = trace.rounds
@@ -238,40 +266,57 @@ def run(
     silent_round = RoundRecord({}, {})
     shared: dict[bytes, Heard] = {}  # one Heard per distinct message, for this run
 
-    pending: set[int] = set()  # nodes whose output is not yet collected
-    for v, p in enumerate(nodes):
-        if p.output is None:
-            pending.add(v)
-        else:
-            outputs[v] = p.output
-            output_round[v] = 0
+    # Class c has the program progs[c]. A class of one node v has
+    # members[c] = v and cls[v] = c. A larger class has the node set
+    # members[c], cls[v] = ~c for each member v, and logs[c]: its calls as
+    # (kind, round, Heard or None, answer), kind 0 action, 1 receive, 2
+    # next_wake.
+    by_label: dict[str, list[int]] = {}
+    for v, label in enumerate(labels):
+        by_label.setdefault(label, []).append(v)
+    progs = list(map(program, by_label))  # in first-occurrence order
+    members: list = list(by_label.values())
+    logs: dict[int, list] = {}
+    cls = [0] * g.n
+    pending: set[int] = set()  # classes whose output is not yet collected
+    for c, s in enumerate(members):
+        if progs[c].output is None:
+            pending.add(c)
+        for v in s:
+            cls[v] = c if len(s) == 1 else ~c
+            if c not in pending:
+                outputs[v], output_round[v] = progs[c].output, 0
+        if len(s) > 1:
+            logs[c] = []
+        members[c] = set(s) if len(s) > 1 else s[0]
 
-    # Every node is called in round 1, unless the run is over before it
-    # starts. Nodes due next round are kept in a list; later wake rounds go
-    # to a heap of (round, node). wake[v] is the round of v's live heap
+    # Every class is called in round 1, unless the run is over before it
+    # starts. Classes due next round are kept in a list; later wake rounds
+    # go to a heap of (round, class). wake[c] is the round of c's live heap
     # entry, 0 if it has none; entries that disagree with it are stale.
-    awake = list(range(n))
-    if not pending and all(p.next_wake(0) is None for p in nodes):
-        awake = []
+    awake = list(range(len(progs)))
+    if not pending and all(p.next_wake(0) is None for p in progs):
+        awake = []  # unlogged: a `next_wake` query changes no state
     heap: list[tuple[int, int]] = []
-    wake = [0] * n
-    seen = [0] * n  # last round in which the node was called
+    wake = [0] * len(progs)
+    seen = [0] * len(progs)  # last round in which the class was called
     rnd = 1
     while rnd <= max_rounds:
         while heap and heap[0][0] <= rnd:
-            r, v = heappop(heap)
-            if wake[v] == r:
-                wake[v] = 0
-                awake.append(v)
+            r, c = heappop(heap)
+            if wake[c] == r:
+                wake[c] = 0
+                awake.append(c)
         if not awake:
             while heap and wake[heap[0][1]] != heap[0][0]:
                 heappop(heap)
             if not heap:
                 if not pending:
                     break
+                nodes = _nodes_of(pending, cls)
                 raise RoundLimitExceeded(
-                    f"every node sleeps at round {rnd} but {len(pending)} "
-                    f"output(s) are missing: {sorted(pending)[:10]}"
+                    f"every node sleeps at round {rnd} but {len(nodes)} "
+                    f"output(s) are missing: {nodes[:10]}"
                 )
             stop = min(heap[0][0], max_rounds + 1)
             rounds.extend([silent_round] * (stop - rnd))
@@ -279,11 +324,15 @@ def run(
             continue
 
         transmitters: dict[int, bytes] = {}
-        for v in awake:
-            seen[v] = rnd
-            m = nodes[v].action(rnd)
-            if m is not None:
-                transmitters[v] = m
+        for c in awake:
+            seen[c] = rnd
+            m = progs[c].action(rnd)
+            if logs and c in logs:
+                logs[c].append((0, rnd, None, m))
+                if m is not None:
+                    transmitters.update(dict.fromkeys(members[c], m))
+            elif m is not None:
+                transmitters[members[c]] = m
 
         touched = awake
         if transmitters:
@@ -294,23 +343,67 @@ def run(
                 # in first-touch order; then drop the nodes that have two
                 # transmitting neighbors or transmit themselves
                 transmitters = dict(sorted(transmitters.items()))
-                once: set[int] = set()
                 multi: set[int] = set()
                 heard = {}
                 for u, m in transmitters.items():
-                    multi.update(once.intersection(adj[u]))
-                    once.update(adj[u])
+                    multi.update(heard.keys() & adj[u])
                     heard.update(dict.fromkeys(adj[u], m))
                 for w in multi.union(transmitters):
                     heard.pop(w, None)
             rounds.append(RoundRecord(transmitters, heard))
             woken = []
+            grouped: dict[int, list[int]] = {}  # listeners of classes with a log
+            last = None  # listeners of one transmitter come in a row
             for w, m in heard.items():
-                h = shared.get(m)
-                if h is None:
-                    h = shared[m] = Heard(m)
-                if nodes[w].receive(rnd, h) is not False and seen[w] != rnd:
-                    woken.append(w)
+                c = cls[w]
+                if c < 0:
+                    grouped.setdefault(~c, []).append(w)
+                    continue
+                if m is not last:
+                    last = m
+                    h = shared.get(m) or shared.setdefault(m, Heard(m))
+                if progs[c].receive(rnd, h) is not False and seen[c] != rnd:
+                    woken.append(c)
+            for c, ws in grouped.items():
+                if len(ws) == 1 or len(transmitters) == 1:  # one message
+                    parts = [(heard[ws[0]], ws)]
+                else:
+                    by_msg: dict[bytes, list[int]] = {}
+                    for w in ws:
+                        by_msg.setdefault(heard[w], []).append(w)
+                    parts = list(by_msg.items())
+                # the last group keeps c's program if no member of c is
+                # silent: it comes after the splits that replay c's calls
+                keep = parts[-1][1] if len(ws) == len(members[c]) else None
+                for m, group in parts:
+                    d = c
+                    if group is not keep:  # split off into a new class
+                        d = len(progs)
+                        progs.append(_replay(program, labels[group[0]], logs[c]))
+                        members.append(set(group) if len(group) > 1 else group[0])
+                        members[c].difference_update(group)
+                        for v in group:
+                            cls[v] = d if len(group) == 1 else ~d
+                        if len(group) > 1:
+                            logs[d] = list(logs[c])
+                        seen.append(seen[c])
+                        wake.append(wake[c])
+                        if wake[c]:
+                            heappush(heap, (wake[c], d))
+                        if c in pending:
+                            pending.add(d)
+                        if seen[d] == rnd:  # c was called this round
+                            woken.append(d)
+                    h = shared.get(m) or shared.setdefault(m, Heard(m))
+                    got = progs[d].receive(rnd, h)
+                    if d in logs:
+                        logs[d].append((1, rnd, h, got))
+                    if got is not False and seen[d] != rnd:
+                        woken.append(d)
+                if len(members[c]) == 1:
+                    del logs[c]
+                    members[c] = members[c].pop()
+                    cls[members[c]] = c
             if woken:
                 touched = awake + woken
         else:
@@ -318,26 +411,30 @@ def run(
 
         nxt = rnd + 1
         awake = []
-        for v in touched:
-            p = nodes[v]
-            if v in pending and p.output is not None:
-                outputs[v] = p.output
-                output_round[v] = rnd
-                pending.discard(v)
+        for c in touched:
+            p = progs[c]
+            if p.output is not None and c in pending:
+                for v in members[c] if c in logs else (members[c],):
+                    outputs[v] = p.output
+                    output_round[v] = rnd
+                pending.discard(c)
             w = p.next_wake(rnd)
+            if logs and c in logs:
+                logs[c].append((2, rnd, None, w))
             if w is None:
-                wake[v] = 0
+                wake[c] = 0
             elif w <= nxt:
-                wake[v] = 0
-                awake.append(v)
-            elif w != wake[v]:
-                wake[v] = w
-                heappush(heap, (w, v))
+                wake[c] = 0
+                awake.append(c)
+            elif w != wake[c]:
+                wake[c] = w
+                heappush(heap, (w, c))
         rnd = nxt
     if pending:
+        nodes = _nodes_of(pending, cls)
         raise RoundLimitExceeded(
-            f"{len(pending)} node(s) produced no output within "
-            f"{max_rounds} rounds: {sorted(pending)[:10]}"
+            f"{len(nodes)} node(s) produced no output within "
+            f"{max_rounds} rounds: {nodes[:10]}"
         )
     return trace
 

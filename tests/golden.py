@@ -16,6 +16,10 @@ labels on the whole sweep, every connected atlas graph as given and under
 its 3 relabellings, also reduce to one digest per scheme, stored in
 `tests/data/atlas_label_digests.json`.
 
+Four large runs, which split thousands of behaviour classes, have trace
+digests of their own in `tests/data/large_digests.json`: fastsd on
+path-65536 and grid-128x128, general and compact on path-16384.
+
 Regenerate the stored digests (only for a change that means to alter a
 trace, a label or an output, and say so) with:
 
@@ -30,7 +34,7 @@ from pathlib import Path
 
 from radiolab.broadcast import PathMessageProgram, synthesize_path_message
 from radiolab.corpus import corpus, toprec_corpus
-from radiolab.graphs import gen_lb_family, gen_star
+from radiolab.graphs import gen_grid, gen_lb_family, gen_path, gen_star
 from radiolab import schemes
 from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import run
@@ -39,6 +43,15 @@ from oracles import relabelled_atlas
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 ATLAS_LABELS = GOLDEN.with_name("atlas_label_digests.json")
+LARGE = GOLDEN.with_name("large_digests.json")
+
+# "scheme/graph id" -> graph generator
+LARGE_RUNS = {
+    "fastsd/path-65536": lambda: gen_path(65536),
+    "fastsd/grid-128x128": lambda: gen_grid(128, 128),
+    "general/path-16384": lambda: gen_path(16384),
+    "compact/path-16384": lambda: gen_path(16384),
+}
 
 # programs outside the scheme registry: (label builder, node factory)
 PRIMITIVES = {
@@ -135,6 +148,14 @@ def sweep(scheme: str) -> dict:
     return out
 
 
+def large_digest(key: str) -> str:
+    """Trace digest of the large run `key` of `LARGE_RUNS`, without
+    collision detection."""
+    scheme = key.split("/")[0]
+    g = LARGE_RUNS[key]()
+    return trace_digest(run(g, build_bundle(scheme, g).labels, program_for(scheme)), scheme)
+
+
 def main() -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     data = {scheme: sweep(scheme) for scheme in SCHEMES}
@@ -148,6 +169,8 @@ def main() -> None:
     }
     ATLAS_LABELS.write_text(json.dumps(atlas, indent=1, sort_keys=True) + "\n")
     print(f"wrote {ATLAS_LABELS}: {len(relabelled_atlas())} label sets per scheme")
+    LARGE.write_text(json.dumps({key: large_digest(key) for key in LARGE_RUNS}, indent=1) + "\n")
+    print(f"wrote {LARGE}: {len(LARGE_RUNS)} large runs")
 
 
 if __name__ == "__main__":

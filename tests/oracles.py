@@ -14,7 +14,20 @@ from radiolab.broadcast import CoreSynthesis, ExecCore
 from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor, bfs_layers, build_graph
 from radiolab.labels import SchemeBundle, decode_blocks
 from radiolab.rng import SplitMix64
-from radiolab.sim import COLLISION, NOISE, SILENCE, TX, ExecutionTrace, Heard, Mark, frame, parse
+from radiolab.errors import RoundLimitExceeded
+from radiolab.sim import (
+    COLLISION,
+    NOISE,
+    SILENCE,
+    TX,
+    ExecutionTrace,
+    Heard,
+    Mark,
+    RoundRecord,
+    default_max_rounds,
+    frame,
+    parse,
+)
 from radiolab.size_discovery import SubtreeAssignment
 
 # ---------------------------------------------------------------------------
@@ -54,6 +67,68 @@ def verify_trace(trace: ExecutionTrace) -> None:
             obs = observation(v, rec.transmitters, g, trace.cd, v in rec.transmitters)
             stored = trace.observation_of(v, idx)
             assert obs == stored, f"round {idx} node {v}: replay {obs!r} != stored {stored!r}"
+
+
+def reference_run(g, labels, program, cd=False, max_rounds=None):
+    """Polling engine: one program per node, built in node order, and every
+    node's `action` called in every round. A test that reads a node's
+    program takes it from here: `sim.run` shares one program among the
+    nodes of a behaviour class."""
+    if len(labels) != g.n:
+        raise ValueError(f"need one label per node: {len(labels)} != {g.n}")
+    if max_rounds is None:
+        max_rounds = default_max_rounds(g.n)
+    nodes = [program(labels[v]) for v in range(g.n)]
+    trace = ExecutionTrace(g, cd)
+    adj = g.adj
+    pending_output = set(range(g.n))
+
+    for rnd in range(1, max_rounds + 1):
+        # collect outputs emitted before this round (e.g. degenerate programs)
+        for v in list(pending_output):
+            if nodes[v].output is not None:
+                trace.outputs[v] = nodes[v].output
+                trace.output_round[v] = rnd - 1
+                pending_output.discard(v)
+        if not pending_output and all(p.next_wake(rnd - 1) is None for p in nodes):
+            break
+
+        transmitters: dict[int, bytes] = {}
+        for v, prog in enumerate(nodes):
+            m = prog.action(rnd)
+            if m is not None:
+                transmitters[v] = m
+
+        counts: dict[int, int] = {}
+        src: dict[int, int] = {}
+        for u in transmitters:
+            for w in adj[u]:
+                c = counts.get(w, 0) + 1
+                counts[w] = c
+                if c == 1:
+                    src[w] = u
+        heard: dict[int, bytes] = {}
+        for w, c in counts.items():
+            if c == 1 and w not in transmitters:
+                heard[w] = transmitters[src[w]]
+        trace.rounds.append(RoundRecord(transmitters, heard))
+
+        for v, prog in enumerate(nodes):
+            if v in heard:
+                prog.receive(rnd, Heard(heard[v]))
+
+        for v in list(pending_output):
+            if nodes[v].output is not None:
+                trace.outputs[v] = nodes[v].output
+                trace.output_round[v] = rnd
+                pending_output.discard(v)
+    else:
+        if pending_output:
+            raise RoundLimitExceeded(
+                f"{len(pending_output)} node(s) produced no output within "
+                f"{max_rounds} rounds: {sorted(pending_output)[:10]}"
+            )
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from oracles import (
     check_executor_rounds,
     check_local_membership,
     check_tree_invariants,
+    reference_run,
     verify_executor_run,
 )
 
@@ -166,7 +167,9 @@ class TestExecAck:
     def _run(g):
         """The bundle, each node's program, and the last round with an
         ExecAck message (tags p1, pa, p2), 0 if there is none. A node
-        learns t only from such a message, so every node knows t by then."""
+        learns t only from such a message, so every node knows t by then.
+        `run` shares one program among the nodes of a behaviour class, so
+        the per-node programs come from the polling reference."""
         b = synthesize_path_message(g, 0, "101")
         programs = []
 
@@ -175,7 +178,8 @@ class TestExecAck:
             programs.append(p)
             return p
 
-        tr = run(g, b.labels, make)
+        reference_run(g, b.labels, make)
+        tr = run(g, b.labels, PathMessageProgram)
         assert tr.outputs == ["101"] * g.n
         assert all(m.t == b.meta["t"] for m in programs)
         last = max((rnd for rnd, rec in enumerate(tr.rounds, start=1)

@@ -1,9 +1,10 @@
-"""The event-driven engine against the polling engine it replaced.
+"""The event-driven class engine against the polling engine it replaced.
 
-`reference_run` is the polling loop `sim.run` used before programs could
-declare wake rounds: every node gets `action` in every round, and `receive`
-in every round in which it hears a message. The event-driven engine must
-produce the same trace on every scheme.
+`oracles.reference_run` is the polling loop `sim.run` used before programs
+could declare wake rounds and before nodes with equal labels and heard
+histories shared a program: one program per node, `action` in every round,
+and `receive` in every round in which the node hears a message. The engine
+must produce the same trace on every scheme.
 """
 
 import time
@@ -12,80 +13,21 @@ import pytest
 
 from radiolab import broadcast, size_discovery, toprec
 from radiolab.corpus import corpus, toprec_corpus
-from radiolab.errors import RoundLimitExceeded
-from radiolab.graphs import build_graph, gen_lb_family, gen_path
-from radiolab.sim import (
-    ExecutionTrace,
-    Heard,
-    NodeProgram,
-    RoundRecord,
-    default_max_rounds,
-    run,
-)
+from radiolab.errors import ProtocolViolation, RoundLimitExceeded
+from radiolab.graphs import build_graph, gen_lb_family, gen_path, gen_star
+from radiolab.schemes import build_bundle, program_for
+from radiolab.sim import Heard, NodeProgram, run
 from golden import SCHEMES, build
-
-
-def reference_run(g, labels, program, cd=False, max_rounds=None):
-    """Polling engine: every node's `action` is called in every round."""
-    if len(labels) != g.n:
-        raise ValueError(f"need one label per node: {len(labels)} != {g.n}")
-    if max_rounds is None:
-        max_rounds = default_max_rounds(g.n)
-    nodes = [program(labels[v]) for v in range(g.n)]
-    trace = ExecutionTrace(g, cd)
-    adj = g.adj
-    pending_output = set(range(g.n))
-
-    for rnd in range(1, max_rounds + 1):
-        # collect outputs emitted before this round (e.g. degenerate programs)
-        for v in list(pending_output):
-            if nodes[v].output is not None:
-                trace.outputs[v] = nodes[v].output
-                trace.output_round[v] = rnd - 1
-                pending_output.discard(v)
-        if not pending_output and all(p.next_wake(rnd - 1) is None for p in nodes):
-            break
-
-        transmitters: dict[int, bytes] = {}
-        for v, prog in enumerate(nodes):
-            m = prog.action(rnd)
-            if m is not None:
-                transmitters[v] = m
-
-        counts: dict[int, int] = {}
-        src: dict[int, int] = {}
-        for u in transmitters:
-            for w in adj[u]:
-                c = counts.get(w, 0) + 1
-                counts[w] = c
-                if c == 1:
-                    src[w] = u
-        heard: dict[int, bytes] = {}
-        for w, c in counts.items():
-            if c == 1 and w not in transmitters:
-                heard[w] = transmitters[src[w]]
-        trace.rounds.append(RoundRecord(transmitters, heard))
-
-        for v, prog in enumerate(nodes):
-            if v in heard:
-                prog.receive(rnd, Heard(heard[v]))
-
-        for v in list(pending_output):
-            if nodes[v].output is not None:
-                trace.outputs[v] = nodes[v].output
-                trace.output_round[v] = rnd
-                pending_output.discard(v)
-    else:
-        if pending_output:
-            raise RoundLimitExceeded(
-                f"{len(pending_output)} node(s) produced no output within "
-                f"{max_rounds} rounds: {sorted(pending_output)[:10]}"
-            )
-    return trace
+from oracles import reference_run
 
 
 def assert_same_trace(gid, g, scheme, cd):
     labels, program = build(scheme, g)
+    return assert_matches_reference(gid, g, labels, program, cd)
+
+
+def assert_matches_reference(gid, g, labels, program, cd=False):
+    """`sim.run` gives the trace of `reference_run`; returns it."""
     got = run(g, labels, program, cd=cd)
     want = reference_run(g, labels, program, cd=cd)
     assert got.num_rounds == want.num_rounds, gid
@@ -388,3 +330,176 @@ class TestWakeContract:
         assert p.next_wake(3) is None
         tr = run(gen_path(2), ["", ""], Polls)
         assert tr.outputs == [5, 5] and tr.num_rounds == 5
+
+
+class Scripted(NodeProgram):
+    """A program whose behaviour is a function of its label and heard
+    history: it keeps the (round, bytes) it hears, sends `SENDS[(label,
+    round)]` (b"=" sends its last heard message with a b"!" appended, or
+    nothing if it heard none), outputs its heard history in its `END`
+    action, and polls, or wakes only at the rounds of `WAKES[label]`.
+    `ANSWER` is what its `receive` returns."""
+
+    SENDS: dict = {}
+    WAKES: dict = {}
+    END = 5
+    ANSWER = None
+
+    def __init__(self, label):
+        super().__init__(label)
+        self.log = []
+
+    def action(self, rnd):
+        if rnd == self.END:
+            self.output = tuple(self.log)
+        m = self.SENDS.get((self.label, rnd))
+        if m == b"=":
+            return self.log[-1][1] + b"!" if self.log else None
+        return m
+
+    def receive(self, rnd, heard):
+        self.log.append((rnd, heard.message))
+        return self.ANSWER
+
+    def next_wake(self, rnd):
+        if self.output is not None:
+            return None
+        wakes = self.WAKES.get(self.label)
+        if wakes is None:
+            return rnd + 1
+        return min(w for w in wakes if w > rnd)
+
+
+def counted(program):
+    """`program` and the list of labels it is called with."""
+    calls = []
+
+    def make(label):
+        calls.append(label)
+        return program(label)
+
+    return make, calls
+
+
+class TestBehaviourClasses:
+    """Nodes with equal labels and heard histories share one program; a
+    class splits when its members hear different things. Each run matches
+    the per-node reference."""
+
+    def test_split_in_an_awake_round(self):
+        """Class a = {1, 2} polls; in round 1 only node 1 hears s, so the
+        class splits in a round in which it was called, and node 1 echoes
+        in round 2."""
+
+        class Prog(Scripted):
+            SENDS = {("s", 1): b"x", ("a", 2): b"="}
+
+        g, labels = gen_path(3), ["s", "a", "a"]
+        tr = assert_matches_reference("split-awake", g, labels, Prog)
+        assert tr.outputs == [((2, b"x!"),), ((1, b"x"),), ((2, b"x!"),)]
+        make, calls = counted(Prog)
+        run(g, labels, make)
+        assert calls == ["s", "a", "a"]  # the labels' classes, then the split
+
+    @pytest.mark.parametrize("answer", [None, False])
+    def test_split_while_asleep(self, answer):
+        """Class a = {1, 2} sleeps from round 1 with wake round 5 on the
+        heap; node 1 alone hears s in round 2. The split-off class keeps
+        wake round 5, also when its `receive` returns False and it gets no
+        `next_wake` call; in round 5 it echoes."""
+
+        class Prog(Scripted):
+            SENDS = {("s", 2): b"x", ("a", 5): b"="}
+            WAKES = {"s": (2, 5), "a": (5,)}
+            ANSWER = answer
+
+        tr = assert_matches_reference("split-asleep", gen_path(3), ["s", "a", "a"], Prog)
+        assert tr.outputs[1:] == [((2, b"x"),), ()]
+        assert tr.rounds[4].transmitters == {1: b"x!"}
+
+    @pytest.mark.parametrize("labels", [["a", "s", "a", "t", "a"], ["a", "s", "t", "a"]])
+    def test_members_hear_two_messages(self, labels):
+        """In round 1 one member of class a hears x and another y (on
+        path-5 the middle member hears a collision); each listener group
+        splits off, and each echoes what it heard in round 3."""
+
+        class Prog(Scripted):
+            SENDS = {("s", 1): b"x", ("t", 1): b"y", ("a", 3): b"="}
+
+        g = gen_path(len(labels))
+        tr = assert_matches_reference("two-messages", g, labels, Prog)
+        assert tr.rounds[2].transmitters == {0: b"x!", len(labels) - 1: b"y!"}
+
+    def test_split_of_a_split_replays_the_whole_history(self):
+        """Class a = {1, 2, 3}: nodes 1 and 2 hear s in round 1 and split off
+        together, then node 1 alone hears t in round 2. Its program replays
+        the calls of class a before round 1's split and of {1, 2} after it,
+        so it counts every action call and keeps both messages."""
+
+        class Counts(Scripted):
+            SENDS = {("s", 1): b"x", ("t", 2): b"y", ("a", 3): b"="}
+
+            def __init__(self, label):
+                super().__init__(label)
+                self.actions = 0
+
+            def action(self, rnd):
+                self.actions += 1
+                m = super().action(rnd)
+                if self.output is not None:
+                    self.output = (self.output, self.actions)
+                return m
+
+        g = build_graph(6, [(0, 1), (0, 2), (0, 5), (1, 4), (3, 5)])
+        tr = assert_matches_reference("split-twice", g, ["s", "a", "a", "a", "t", "u"], Counts)
+        assert tr.outputs[1:4] == [(((1, b"x"), (2, b"y")), 5), (((1, b"x"),), 5), ((), 5)]
+        assert tr.rounds[2].transmitters == {1: b"y!", 2: b"x!"}
+
+    def test_one_receive_when_every_member_hears(self):
+        """Every leaf of a star hears the centre: the leaves' class gets one
+        `receive` per message and never splits."""
+        received = []
+
+        class Prog(Scripted):
+            SENDS = {("s", 1): b"x", ("s", 3): b"z"}
+
+            def receive(self, rnd, heard):
+                received.append((self.label, rnd))
+                return super().receive(rnd, heard)
+
+        make, calls = counted(Prog)
+        g = gen_star(6)
+        tr = run(g, ["s"] + ["a"] * 5, make)
+        assert tr.outputs[1:] == [((1, b"x"), (3, b"z"))] * 5
+        assert calls == ["s", "a"] and received == [("a", 1), ("a", 3)]
+
+    def test_replay_catches_a_class_level_counter(self):
+        """A class attribute counts the programs built per label, and the
+        second one built from a label transmits in round 1. A node's
+        behaviour is then not a function of its label and heard history,
+        and the replay that splits class a raises ProtocolViolation."""
+
+        class Leaky(Scripted):
+            SENDS = {("s", 2): b"x"}
+            built: dict = {}
+
+            def __init__(self, label):
+                super().__init__(label)
+                self.nth = Leaky.built[label] = Leaky.built.get(label, 0) + 1
+
+            def action(self, rnd):
+                if rnd == 1 and self.nth == 2:
+                    return b"leak"
+                return super().action(rnd)
+
+        with pytest.raises(ProtocolViolation, match="replayed .a. answered b.leak., not None, in round 1"):
+            run(gen_path(3), ["s", "a", "a"], Leaky)
+
+    def test_lower_bound_graph_builds_few_programs(self):
+        """general on G_784 builds at most 10 programs for its 784 nodes."""
+        g, _ = gen_lb_family(784)
+        labels = build_bundle("general", g).labels
+        make, calls = counted(program_for("general"))
+        tr = run(g, labels, make, cd=True)
+        assert tr.outputs == [g.n] * g.n
+        assert len(calls) <= 10

@@ -1,12 +1,13 @@
 """Every scheme and primitive gives the traces, labels and outputs stored in
-`tests/data/golden_digests.json` (see `golden.py` for the sweep and the
+`tests/data/golden_digests.json`, and the large runs the traces stored in
+`tests/data/large_digests.json` (see `golden.py` for the sweeps and the
 regeneration command)."""
 
 import json
 
 import pytest
 
-from golden import GOLDEN, SCHEMES, sweep, trace_digest
+from golden import GOLDEN, LARGE, LARGE_RUNS, SCHEMES, large_digest, sweep, trace_digest
 from radiolab.graphs import gen_grid
 from radiolab.schemes import build_bundle
 from radiolab.sim import RoundRecord, run
@@ -27,6 +28,15 @@ def test_sweep_matches_golden(scheme):
         changed = sorted(gid for gid in want[part] if got[part].get(gid) != want[part][gid])
         assert got[part].keys() == want[part].keys(), part
         assert not changed, f"{scheme} {part}: {len(changed)} graph(s) differ: {changed[:10]}"
+
+
+@pytest.mark.parametrize("key", LARGE_RUNS)
+def test_large_run_matches_golden(key):
+    assert large_digest(key) == json.loads(LARGE.read_text())[key]
+
+
+def test_every_large_run_is_stored():
+    assert sorted(json.loads(LARGE.read_text())) == sorted(LARGE_RUNS)
 
 
 class TestDigest:

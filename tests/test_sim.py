@@ -396,3 +396,14 @@ class TestObservationReconstruction:
         assert tr.observation_of(1, 1) is COLLISION
         assert tr.observation_of(4, 1) == Heard(b"a")
         verify_trace(tr)
+
+    @pytest.mark.parametrize("v,rnd", [(1, 0), (1, -1), (1, 3), (99, 1), (-1, 1)])
+    def test_observation_outside_the_trace_raises(self, v, rnd):
+        """Round 0 and negative rounds do not wrap around to the last rounds,
+        the round after the last one and a node outside the graph do not read
+        as an IndexError or as NOISE."""
+        tr = ExecutionTrace(gen_path(4), cd=False)
+        tr.rounds += [RoundRecord({0: b"a"}, {1: b"a"}), RoundRecord({}, {})]
+        assert tr.observation_of(1, 1) == Heard(b"a") and tr.observation_of(3, 2) is NOISE
+        with pytest.raises(InvalidParams, match=f"node {v} in round {rnd}"):
+            tr.observation_of(v, rnd)

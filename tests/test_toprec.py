@@ -30,7 +30,7 @@ from radiolab.toprec import (
     topology,
     wire_to_id,
 )
-from oracles import tagged_rounds, toprec_round_formula, verify_gather_indices
+from oracles import reference_run, tagged_rounds, toprec_round_formula, verify_gather_indices
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -134,7 +134,9 @@ class TestBfsLabels:
 
 
 def toprec_run(g):
-    """A toprec run on `g`, checked exact, with the program of each node."""
+    """A toprec run on `g`, checked exact, with the program of each node.
+    `run` shares one program among the nodes of a behaviour class, so the
+    per-node programs come from the polling reference."""
     bundle = build_toprec_labels(g)
     programs = []
 
@@ -143,7 +145,8 @@ def toprec_run(g):
         programs.append(p)
         return p
 
-    tr = run(g, bundle.labels, make)
+    reference_run(g, bundle.labels, make)
+    tr = run(g, bundle.labels, TopRecProgram)
     assert verify_outputs("toprec", g, bundle, tr) == g.n
     return bundle, tr, programs
 
