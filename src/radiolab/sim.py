@@ -114,8 +114,9 @@ class NodeProgram:
 
     One program object serves every node of its behaviour class (see `run`):
     the factory is called once per class, and a class that splits gets a
-    fresh program whose replayed calls must answer as the logged ones did. So
-    a program's state must come from its label and its calls alone.
+    fresh program whose replayed `action` and `receive` calls must answer as
+    the logged ones did. So a program's state must come from its label and
+    those calls alone: `next_wake` is a query and must not change it.
     """
 
     def __init__(self, label: str):
@@ -215,16 +216,11 @@ def _replay(program: Callable[[str], NodeProgram], label: str, log: list) -> Nod
     """A fresh `program(label)` given the logged calls of a behaviour class
     (see `run`), each of which must answer as it did."""
     q = program(label)
-    for kind, r, h, want in log:
-        got = q.action(r) if kind == 0 else q.receive(r, h) if kind == 1 else q.next_wake(r)
+    for r, h, want in log:
+        got = q.action(r) if h is None else q.receive(r, h)
         if got != want:
             raise ProtocolViolation(f"replayed {label!r} answered {got!r}, not {want!r}, in round {r}")
     return q
-
-
-def _nodes_of(classes: set[int], cls: list[int]) -> list[int]:
-    """The nodes of `classes`, in order, given each node's class `c` or `~c`."""
-    return [v for v, c in enumerate(cls) if max(c, ~c) in classes]
 
 
 def run(
@@ -248,12 +244,11 @@ def run(
     read. If every node sleeps while an output is missing, the run can
     never finish, and `RoundLimitExceeded` is raised at once.
 
-    Nodes with equal labels and heard histories form a behaviour class: one
-    `program` call builds its program, and each callback runs once for it.
-    Members that hear different things split off, one class per message,
-    each with a fresh `program(label)` that replays the class's calls and
-    must answer as logged, or `ProtocolViolation` is raised. The trace and
-    the outputs stay per node.
+    Nodes with equal labels and heard histories form a behaviour class that
+    one program object serves: `program` is called once per class, and
+    members that hear different things split off into new classes whose
+    fresh programs replay and check the class's calls (see `NodeProgram`).
+    The trace and the outputs stay per node.
     """
     if len(labels) != g.n:
         raise InvalidParams(f"need one label per node: {len(labels)} != {g.n}")
@@ -268,9 +263,8 @@ def run(
 
     # Class c has the program progs[c]. A class of one node v has
     # members[c] = v and cls[v] = c. A larger class has the node set
-    # members[c], cls[v] = ~c for each member v, and logs[c]: its calls as
-    # (kind, round, Heard or None, answer), kind 0 action, 1 receive, 2
-    # next_wake.
+    # members[c], cls[v] = ~c for each member v, and logs[c]: its `action`
+    # and `receive` calls as (round, None or the Heard, answer).
     by_label: dict[str, list[int]] = {}
     for v, label in enumerate(labels):
         by_label.setdefault(label, []).append(v)
@@ -296,7 +290,7 @@ def run(
     # entry, 0 if it has none; entries that disagree with it are stale.
     awake = list(range(len(progs)))
     if not pending and all(p.next_wake(0) is None for p in progs):
-        awake = []  # unlogged: a `next_wake` query changes no state
+        awake = []
     heap: list[tuple[int, int]] = []
     wake = [0] * len(progs)
     seen = [0] * len(progs)  # last round in which the class was called
@@ -313,7 +307,7 @@ def run(
             if not heap:
                 if not pending:
                     break
-                nodes = _nodes_of(pending, cls)
+                nodes = [v for v, r in enumerate(output_round) if r is None]
                 raise RoundLimitExceeded(
                     f"every node sleeps at round {rnd} but {len(nodes)} "
                     f"output(s) are missing: {nodes[:10]}"
@@ -327,8 +321,8 @@ def run(
         for c in awake:
             seen[c] = rnd
             m = progs[c].action(rnd)
-            if logs and c in logs:
-                logs[c].append((0, rnd, None, m))
+            if c in logs:
+                logs[c].append((rnd, None, m))
                 if m is not None:
                     transmitters.update(dict.fromkeys(members[c], m))
             elif m is not None:
@@ -352,30 +346,23 @@ def run(
                     heard.pop(w, None)
             rounds.append(RoundRecord(transmitters, heard))
             woken = []
-            grouped: dict[int, list[int]] = {}  # listeners of classes with a log
-            last = None  # listeners of one transmitter come in a row
+            # the listeners of each class with a log, by message
+            grouped: dict[int, dict[bytes, list[int]]] = {}
             for w, m in heard.items():
                 c = cls[w]
                 if c < 0:
-                    grouped.setdefault(~c, []).append(w)
+                    grouped.setdefault(~c, {}).setdefault(m, []).append(w)
                     continue
-                if m is not last:
-                    last = m
-                    h = shared.get(m) or shared.setdefault(m, Heard(m))
+                h = shared.get(m) or shared.setdefault(m, Heard(m))
                 if progs[c].receive(rnd, h) is not False and seen[c] != rnd:
                     woken.append(c)
-            for c, ws in grouped.items():
-                if len(ws) == 1 or len(transmitters) == 1:  # one message
-                    parts = [(heard[ws[0]], ws)]
-                else:
-                    by_msg: dict[bytes, list[int]] = {}
-                    for w in ws:
-                        by_msg.setdefault(heard[w], []).append(w)
-                    parts = list(by_msg.items())
+            for c, parts in grouped.items():
                 # the last group keeps c's program if no member of c is
                 # silent: it comes after the splits that replay c's calls
-                keep = parts[-1][1] if len(ws) == len(members[c]) else None
-                for m, group in parts:
+                *_, keep = parts.values()
+                if sum(map(len, parts.values())) < len(members[c]):
+                    keep = None
+                for m, group in parts.items():
                     d = c
                     if group is not keep:  # split off into a new class
                         d = len(progs)
@@ -397,7 +384,7 @@ def run(
                     h = shared.get(m) or shared.setdefault(m, Heard(m))
                     got = progs[d].receive(rnd, h)
                     if d in logs:
-                        logs[d].append((1, rnd, h, got))
+                        logs[d].append((rnd, h, got))
                     if got is not False and seen[d] != rnd:
                         woken.append(d)
                 if len(members[c]) == 1:
@@ -419,8 +406,6 @@ def run(
                     output_round[v] = rnd
                 pending.discard(c)
             w = p.next_wake(rnd)
-            if logs and c in logs:
-                logs[c].append((2, rnd, None, w))
             if w is None:
                 wake[c] = 0
             elif w <= nxt:
@@ -431,7 +416,7 @@ def run(
                 heappush(heap, (w, c))
         rnd = nxt
     if pending:
-        nodes = _nodes_of(pending, cls)
+        nodes = [v for v, r in enumerate(output_round) if r is None]
         raise RoundLimitExceeded(
             f"{len(nodes)} node(s) produced no output within "
             f"{max_rounds} rounds: {nodes[:10]}"

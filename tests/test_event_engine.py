@@ -401,6 +401,37 @@ class TestBehaviourClasses:
         run(g, labels, make)
         assert calls == ["s", "a", "a"]  # the labels' classes, then the split
 
+    def test_split_replays_action_and_receive_only(self):
+        """`next_wake` is a query, so a split replays only the class's
+        `action` and `receive` calls: node 1 splits off class a in round 2,
+        and its fresh program is asked `next_wake` first in that round."""
+        built = []
+
+        class Prog(Scripted):
+            SENDS = {("s", 2): b"x"}
+
+            def __init__(self, label):
+                super().__init__(label)
+                self.calls = []
+                built.append(self)
+
+            def action(self, rnd):
+                self.calls.append(("action", rnd))
+                return super().action(rnd)
+
+            def receive(self, rnd, heard):
+                self.calls.append(("receive", rnd))
+                return super().receive(rnd, heard)
+
+            def next_wake(self, rnd):
+                self.calls.append(("next_wake", rnd))
+                return super().next_wake(rnd)
+
+        run(gen_path(3), ["s", "a", "a"], Prog)
+        assert [p.label for p in built] == ["s", "a", "a"]
+        assert built[1].calls[:3] == [("action", 1), ("next_wake", 1), ("action", 2)]
+        assert built[2].calls[:4] == [("action", 1), ("action", 2), ("receive", 2), ("next_wake", 2)]
+
     @pytest.mark.parametrize("answer", [None, False])
     def test_split_while_asleep(self, answer):
         """Class a = {1, 2} sleeps from round 1 with wake round 5 on the
