@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import Disconnected, EmptySourceSet, MalformedCodeword, Undominatable
+from .errors import Disconnected, EmptySourceSet, Undominatable
 from .graphs import Graph
-from .labels import SchemeBundle, encode_labels, fixed_block, label_blocks
+from .labels import Layout, SchemeBundle
 from .sim import NodeProgram, frame, next_duty, parse
 
 
@@ -231,7 +231,7 @@ class ExecCore:
     in advance. Message kinds: ("b", rel, sender_level, payload) for the
     broadcast rounds, ("f", rel) for feedback (sent only by a node whose
     stay bit is 1, so it carries no bit of its own); `action` frames them
-    after the core's tag. `js` is the node's join/stay label block.
+    after the core's tag. `js` is the node's two-bit join/stay label block.
 
     The core keeps its duties as pending absolute rounds: `_tx` its next
     broadcast (a node informed with join = 1 transmits next stage, and a
@@ -249,11 +249,7 @@ class ExecCore:
     )
 
     def __init__(self, tag: str, js: str):
-        try:
-            self.join, self.stay = _JOIN_STAY[js]
-        except KeyError:
-            fixed_block(js, 2)
-            raise MalformedCodeword(f"join/stay block {js!r} is not a bit string") from None
+        self.join, self.stay = _JOIN_STAY[js]
         self.tag = tag
         self.informed = False
         self.message = None
@@ -337,10 +333,11 @@ def join_stay_blocks(syn: CoreSynthesis) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def ack_blocks(syn: CoreSynthesis, s: int) -> tuple[list[list[str]], list[int]]:
-    """The acknowledged-broadcast block columns [join/stay, flags, path
-    bits] for source `s`, and the marked path. The flags (source, DOM_1
-    member) are "00" but at `s`: "11", or "10" if the graph is one node.
+def ack_blocks(syn: CoreSynthesis, s: int) -> tuple[dict[str, list[str]], list[int]]:
+    """The acknowledged-broadcast block columns for source `s` by block
+    name, `js` (join/stay), `flags` and `path`, and the marked path. The
+    flags (source, DOM_1 member) are "00" but at `s`: "11", or "10" if the
+    graph is one node.
     The path bits mark the nodes of a root-to-leaf path ending at a node
     v_p of maximum level, and v_p itself unless the graph is a single node."""
     path = _max_level_path(syn.tree, s)
@@ -351,7 +348,7 @@ def ack_blocks(syn: CoreSynthesis, s: int) -> tuple[list[list[str]], list[int]]:
         pathbits[v] = "10"
     if len(path) > 1:
         pathbits[path[-1]] = "11"
-    return [join_stay_blocks(syn), flags, pathbits], path
+    return {"js": join_stay_blocks(syn), "flags": flags, "path": pathbits}, path
 
 
 def _max_level_path(tree: BroadcastTree, s: int) -> list[int]:
@@ -377,11 +374,12 @@ class AckProgram(NodeProgram):
     `_result` of that run's message.
 
     A subclass names its tag in the class statement
-    (`class P(AckProgram, tag="p")`), passes its label's acknowledged-
-    broadcast blocks on, and supplies the collection: `_phase` (the phase
-    width and this node's slot), `_slot_message` (what a non-source sends
-    in its slot), `_assemble` (the source's answer), `_result` (the output
-    for an answer) and `_receive_own` (its own messages). `collects` says
+    (`class P(AckProgram, tag="p")`), passes its parsed label on (its
+    `js`, `flags` and `path` blocks), and supplies the collection: `_phase`
+    (the phase width and this node's slot), `_slot_message` (what a
+    non-source sends in its slot), `_assemble` (the source's answer),
+    `_result` (the output for an answer) and `_receive_own` (its own
+    messages). `collects` says
     the node has a slot (the source always collects); `_collected` closes
     the duty once it is done. A subclass with one more duty keeps its round
     in `_own_at` and serves it in its own `action`.
@@ -392,17 +390,15 @@ class AckProgram(NodeProgram):
         if tag is not None:
             cls.tag1, cls.taga, cls.tag2, cls.tag3 = (tag + step for step in "1a23")
 
-    def __init__(self, label: str, js: str, flags: str, pathbits: str, collects: bool):
+    def __init__(self, label: str, blocks: dict[str, str], collects: bool):
         super().__init__(label)
-        fixed_block(flags, 2)
-        fixed_block(pathbits, 2)
-        self.is_source = flags[0] == "1"
-        self.dom1 = flags[1] == "1"
-        self.on_path = pathbits[0] == "1"
-        self.is_vp = pathbits[1] == "1"
-        self.core1 = ExecCore(self.tag1, js)
-        self.core2 = ExecCore(self.tag2, js)
-        self.core3 = ExecCore(self.tag3, js)
+        self.is_source = blocks["flags"][0] == "1"
+        self.dom1 = blocks["flags"][1] == "1"
+        self.on_path = blocks["path"][0] == "1"
+        self.is_vp = blocks["path"][1] == "1"
+        self.core1 = ExecCore(self.tag1, blocks["js"])
+        self.core2 = ExecCore(self.tag2, blocks["js"])
+        self.core3 = ExecCore(self.tag3, blocks["js"])
         self.t: int | None = None
         self._relay_round: int | None = None
         self._relayed = False
@@ -527,7 +523,7 @@ def synthesize_path_message(
     the caller's `synthesize_core(g, {s})`."""
     if syn is None:
         syn = synthesize_core(g, {s})
-    blocks, path = ack_blocks(syn, s)
+    ack, path = ack_blocks(syn, s)
     t_exec = syn.t
     tack = 3 * t_exec
     top = syn.tree.max_level()
@@ -566,10 +562,10 @@ def synthesize_path_message(
     markbits = ["0"] * g.n
     for v in chunk_of:
         markbits[v] = "1"
-    labels = encode_labels(zip(*blocks, markbits, map(chunk_of.get, range(g.n), repeat(""))))
     return SchemeBundle(
         scheme="pathmsg",
-        labels=labels,
+        labels=PathMessageProgram.layout.encode(
+            **ack, mark=markbits, chunk=map(chunk_of.get, range(g.n), repeat(""))),
         meta={
             "synthesis": syn,
             "source": s,
@@ -589,17 +585,19 @@ class PathMessageProgram(AckProgram, tag="p"):
     pairs), then the root re-broadcasts the assembled message, a missing
     level reading as empty. Output is `_result` of the message bit string."""
 
+    layout = Layout("pathmsg", js=2, flags=2, path=2, mark=1, chunk=None)
+
     def __init__(self, label: str):
-        js, flags, pathbits, markbit, chunk = label_blocks(label, 5)
-        super().__init__(label, js, flags, pathbits, markbit == "1")
-        self.chunk = chunk
+        blocks = self.layout.parse(label)
+        super().__init__(label, blocks, blocks["mark"] == "1")
+        self.chunk = blocks["chunk"]
         self.pairs: list[tuple[int, str]] = []
         if self.is_source:
             self._start(1, "")
             if self.t == 0:  # single node
                 self._collected = True
                 self._collect_at = None
-                self.output = self._result(chunk)
+                self.output = self._result(self.chunk)
 
     def _result(self, message: str):
         """The output for the assembled message."""

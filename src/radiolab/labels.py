@@ -1,4 +1,4 @@
-"""Bit-level label codec and the scheme bundle container.
+"""Bit-level label codec, label layouts and the scheme bundle container.
 
 Labels are finite binary strings (Python str over '0'/'1'), structured as a
 list of blocks under the 2x separator code: bit 1 -> "10", bit 0 -> "01",
@@ -87,25 +87,37 @@ def decode_blocks(bits: LabelBits) -> list[str]:
         raise MalformedCodeword(f"invalid codeword {bits[i : i + 2]!r} at offset {i}") from None
 
 
-@lru_cache(maxsize=1024)
-def label_blocks(label: LabelBits, count: int) -> tuple[str, ...]:
-    """The blocks of a label that must have exactly `count` of them.
+class Layout:
+    """A label layout, the one owner of its block order and widths: each
+    block's name and its width in bits, or None for a free width, in order.
+    Builders write labels with `encode`, programs read them with `parse`."""
 
-    Memoized: a scheme's labels repeat (an O(log log Delta)-bit label has
-    few values), so the nodes of a run that share a label share one parse.
-    A malformed label raises on every call, since failures are not cached.
-    """
-    blocks = decode_blocks(label)
-    if len(blocks) != count:
-        raise MalformedCodeword(f"label has {len(blocks)} blocks, expected {count}")
-    return tuple(blocks)
+    def __init__(self, name: str, **widths: int | None):
+        self.name, self.widths = name, widths
 
+    def encode(self, *modes: Iterable[str], **columns: Iterable[str]) -> list[LabelBits]:
+        """`encode_labels` over one column per block, passed by block name,
+        behind the columns of the mode blocks `modes`, if any."""
+        return encode_labels(zip(*modes, *map(columns.__getitem__, self.widths)))
 
-def fixed_block(block: str, width: int) -> str:
-    """`block`, which must have exactly `width` bits."""
-    if len(block) != width:
-        raise MalformedCodeword(f"block {block!r} has {len(block)} bits, expected {width}")
-    return block
+    @lru_cache(maxsize=1024)
+    def parse(self, label: LabelBits) -> dict[str, str]:
+        """`label`'s blocks by name, in table order; MalformedCodeword
+        unless it has one block per entry, each of its fixed width.
+
+        Memoized, one memo for all layouts: a scheme's labels repeat (an
+        O(log log Delta)-bit label has few values), so the nodes of a run
+        that share a label share one parse, which they only read. Failures
+        are not cached, so a malformed label raises on every call."""
+        blocks = decode_blocks(label)
+        if len(blocks) != len(self.widths):
+            raise MalformedCodeword(
+                f"{self.name} label has {len(blocks)} blocks, expected {len(self.widths)}")
+        for (name, width), block in zip(self.widths.items(), blocks):
+            if width is not None and len(block) != width:
+                raise MalformedCodeword(
+                    f"{self.name} block {name} {block!r} has {len(block)} bits, expected {width}")
+        return dict(zip(self.widths, blocks))
 
 
 def add_mode(bit: str, label: LabelBits) -> LabelBits:

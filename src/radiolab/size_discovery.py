@@ -34,14 +34,12 @@ from .errors import (
 )
 from .graphs import Graph, LayerAssignment, bfs_layers
 from .labels import (
+    Layout,
     SchemeBundle,
     add_mode,
     bit_table,
     bits_to_int,
-    encode_labels,
-    fixed_block,
     int_to_bits,
-    label_blocks,
     split_mode,
 )
 from .sim import NodeProgram, frame, next_duty, parse
@@ -137,11 +135,11 @@ def _size_of(bits) -> int:
 
 
 def build_compact_labels(g: Graph) -> SchemeBundle:
-    """Root = max-degree node (lowest index tie-break). The 7 label blocks:
-    the Delta fields a and b (the root's round count, or a chosen
+    """Root = max-degree node (lowest index tie-break). The compact
+    blocks: the Delta fields a and b (the root's round count, or a chosen
     neighbour's index and its bit of binary(Delta)), the `ack_blocks`
     columns, whose source flag marks the root, and the subtree packing of
-    binary(n) (child index k, own bits)."""
+    binary(n) (child index k, own bits msg)."""
     n = g.n
     root = min(range(n), key=lambda v: (-g.degree(v), v))
     delta = g.max_degree()
@@ -165,14 +163,14 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
     message = int_to_bits(n)
     asg = assign_subtree_bits(syn.tree.parent, root, message)
 
-    labels = encode_labels(zip(
-        a_field,
-        b_field,
-        *ack,
-        map(bit_table(max(asg.child_num.values()), width).__getitem__,
-            map(asg.child_num.get, range(n), repeat(0))),
-        map(asg.bits.get, range(n), repeat("")),
-    ))
+    labels = AuxiliarySDProgram.layout.encode(
+        a=a_field,
+        b=b_field,
+        **ack,
+        k=map(bit_table(max(asg.child_num.values()), width).__getitem__,
+              map(asg.child_num.get, range(n), repeat(0))),
+        msg=map(asg.bits.get, range(n), repeat("")),
+    )
     return SchemeBundle(
         scheme="compact",
         labels=labels,
@@ -192,13 +190,15 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
     """Delta-learning, acknowledged broadcast of Delta, size-learning along
     the packed subtree, then a final broadcast of the assembled size."""
 
+    layout = Layout("compact", a=None, b=1, js=2, flags=2, path=2, k=None, msg=None)
+
     def __init__(self, label: str):
-        (a, b, js, flags, pathbits, kbits, msg) = label_blocks(label, 7)
-        self.k = bits_to_int(kbits)
-        super().__init__(label, js, flags, pathbits, self.k >= 1)
-        self.a = bits_to_int(a)
-        self.b = b
-        self.msgbits = msg
+        blocks = self.layout.parse(label)
+        self.k = bits_to_int(blocks["k"])
+        super().__init__(label, blocks, self.k >= 1)
+        self.a = bits_to_int(blocks["a"])
+        self.b = blocks["b"]
+        self.msgbits = blocks["msg"]
         self._delta_bits: dict[int, str] = {}
         self._payloads: dict[int, str] = {}
         # Delta-learning: chosen neighbor i transmits (0, b_i) in round i,
@@ -492,15 +492,14 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
 
     sources = {v for v in range(n) if sd.supergreen[v]}
     s2 = synthesize_core(g, sources)
-    # the first block is the mode bit
-    labels = encode_labels(zip(
-        repeat("1", n),
-        map("".join, zip(reach_flag, map("01".__getitem__, sd.supergreen), cover_flag,
-                         on_paths, map("01".__getitem__, s2.dom1))),
-        m_bit,
-        bjs,
-        join_stay_blocks(s2),
-    ))
+    labels = FastSDProgram.layout.encode(
+        repeat("1", n),  # the mode bit
+        flags=map("".join, zip(reach_flag, map("01".__getitem__, sd.supergreen), cover_flag,
+                               on_paths, map("01".__getitem__, s2.dom1))),
+        m_v=m_bit,
+        phase2_js=bjs,
+        stage2_js=join_stay_blocks(s2),
+    )
     return SchemeBundle(
         scheme="fastsd",
         labels=labels,
@@ -519,23 +518,25 @@ class FastSDProgram(NodeProgram):
     """Stage 1 phase 1: relay the size bits down each conflict-free path;
     phase 2: broadcast inside each stripe's reachable set from the cover;
     stage 2: global broadcast from all super-green nodes at the barrier
-    round determined by n. Reads the 4 blocks behind the mode bit, which
+    round determined by n. Reads its `layout` behind the mode bit, which
     `fast_sd_program` has checked: flags (reach, super-green, cover,
     on-path, stage-2 DOM_1), the bit m_v of binary(n), and the join/stay
     blocks of phase 2 (sources: the cover) and stage 2."""
 
+    layout = Layout("stripes", flags=5, m_v=1, phase2_js=2, stage2_js=2)
+
     def __init__(self, label: str):
         super().__init__(label)
-        flags, m_v, bjs, s2js = label_blocks(label, 4)
-        fixed_block(flags, 5)
+        blocks = self.layout.parse(label)
+        flags = blocks["flags"]
         self.reach = flags[0] == "1"
         self.supergreen = flags[1] == "1"
         self.cover = flags[2] == "1"
         self.on_path = flags[3] == "1"
         self.s2_dom1 = flags[4] == "1"
-        self.m_v = fixed_block(m_v, 1)
-        self.bcore = ExecCore("F2", bjs)
-        self.s2core = ExecCore("F3", s2js)
+        self.m_v = blocks["m_v"]
+        self.bcore = ExecCore("F2", blocks["phase2_js"])
+        self.s2core = ExecCore("F3", blocks["stage2_js"])
         self._relay_round: int | None = None
         self._relay_payload = ""
         self._relayed = False

@@ -18,14 +18,13 @@ from itertools import repeat
 from .errors import InconsistentReports, ProtocolViolation
 from .graphs import Graph, LayerAssignment, bfs_layers
 from .labels import (
+    Layout,
     SchemeBundle,
     bit_table,
     bits_to_int,
     decode_blocks,
     encode_blocks,
-    encode_labels,
     int_to_bits,
-    label_blocks,
 )
 from .sim import NodeProgram, frame, next_duty, unframe
 
@@ -145,8 +144,8 @@ def distance_two_coloring(g: Graph) -> list[int]:
 
 
 def build_toprec_labels(g: Graph) -> SchemeBundle:
-    """Labels of 9 blocks (root, leaf, ack-path, b, g, Delta, distance-two
-    color, unique id, n at the root), encoded in one pass over the columns.
+    """`TopRecProgram.layout` labels (root, leaf, ack path, b, g, Delta,
+    distance-two color, unique id, n at the root), one column per block.
     The ack path is one deepest root-to-leaf chain of the BFS tree. In id
     mode, when Delta^2+1 > n, every node holds a unique id in [1, n] and the
     root binary(n) as well; otherwise both blocks are empty, so a non-empty
@@ -173,17 +172,17 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
     # a leaf has no neighbor one layer deeper; `in` stops at the first
     leaf = ["0" if i + 1 in map(layer.__getitem__, row) else "1" for i, row in zip(layer, g.adj)]
     n_root = [int_to_bits(n) if id_mode else ""] + [""] * (n - 1)  # at the root, node 0
-    labels = encode_labels(zip(
-        root,
-        leaf,
-        on_path,
-        map(bit_table(max(b), wd).__getitem__, b),
-        map(bit_table(max(gv), wg).__getitem__, gv),
-        repeat(int_to_bits(delta, wd), n),
-        map(bit_table(max(colors), wc).__getitem__, colors),
-        bit_table(n, wu)[1:] if id_mode else repeat("", n),
-        n_root,
-    ))
+    labels = TopRecProgram.layout.encode(
+        root=root,
+        leaf=leaf,
+        apath=on_path,
+        b=map(bit_table(max(b), wd).__getitem__, b),
+        g=map(bit_table(max(gv), wg).__getitem__, gv),
+        delta=repeat(int_to_bits(delta, wd), n),
+        color=map(bit_table(max(colors), wc).__getitem__, colors),
+        uid=bit_table(n, wu)[1:] if id_mode else repeat("", n),
+        n=n_root,
+    )
     return SchemeBundle(
         scheme="toprec",
         labels=labels,
@@ -292,10 +291,6 @@ def topology(reports) -> tuple[frozenset, tuple]:
 # ---------------------------------------------------------------------------
 
 
-# root, leaf, ack-path, b, g, Delta, color, unique id, n at the root
-TOPREC_BLOCKS = 9
-
-
 class TopRecProgram(NodeProgram):
     """Four stages: identifier distribution over the acknowledged broadcast,
     per-color (or per-id) identifier announcement, adjacency-report
@@ -326,20 +321,23 @@ class TopRecProgram(NodeProgram):
     set when what fixes them is learned: the layer, D*, the total, n or the
     heard T5."""
 
+    layout = Layout("toprec", root=1, leaf=1, apath=1, b=None, g=None, delta=None, color=None,
+                    uid=None, n=None)
+
     def __init__(self, label: str):
         super().__init__(label)
-        blocks = label_blocks(label, TOPREC_BLOCKS)
-        self.is_root = blocks[0] == "1"
-        self.is_leaf = blocks[1] == "1"
-        self.on_apath = blocks[2] == "1"
-        self.b = bits_to_int(blocks[3])
-        self.g = bits_to_int(blocks[4])
-        self.delta = bits_to_int(blocks[5])
+        blocks = self.layout.parse(label)
+        self.is_root = blocks["root"] == "1"
+        self.is_leaf = blocks["leaf"] == "1"
+        self.on_apath = blocks["apath"] == "1"
+        self.b = bits_to_int(blocks["b"])
+        self.g = bits_to_int(blocks["g"])
+        self.delta = bits_to_int(blocks["delta"])
         self.width = self.delta + 1
-        self.color = bits_to_int(blocks[6])
-        self.id_mode = blocks[7] != ""  # an id has at least one bit
-        self.uid = bits_to_int(blocks[7]) if self.id_mode else None
-        self.n_value = bits_to_int(blocks[8]) if blocks[8] else None
+        self.color = bits_to_int(blocks["color"])
+        self.id_mode = blocks["uid"] != ""  # an id has at least one bit
+        self.uid = bits_to_int(blocks["uid"]) if self.id_mode else None
+        self.n_value = bits_to_int(blocks["n"]) if blocks["n"] else None
         self.layer: int | None = None
         self.dstar: int | None = None
         self.total: int | None = None

@@ -10,9 +10,9 @@ from typing import Mapping
 import networkx as nx
 
 from radiolab.audit import CANON_HASH, CANON_SILENCE, _component_index, _departures
-from radiolab.broadcast import CoreSynthesis, ExecCore
+from radiolab.broadcast import CoreSynthesis, ExecCore, PathMessageProgram
 from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor, bfs_layers, build_graph
-from radiolab.labels import SchemeBundle, decode_blocks
+from radiolab.labels import SchemeBundle, split_mode
 from radiolab.rng import SplitMix64
 from radiolab.errors import RoundLimitExceeded
 from radiolab.sim import (
@@ -28,7 +28,8 @@ from radiolab.sim import (
     frame,
     parse,
 )
-from radiolab.size_discovery import SubtreeAssignment
+from radiolab.size_discovery import AuxiliarySDProgram, FastSDProgram, SubtreeAssignment
+from radiolab.toprec import TopRecProgram
 
 # ---------------------------------------------------------------------------
 # Engine
@@ -245,14 +246,13 @@ def check_dom_schedule(syn: CoreSynthesis, g: Graph) -> None:
 
 
 def dom_membership_from_history(
-    blocks: list[str], trace, v: int, tag: str = "p1", offset: int = 0
+    js: str, flags: str, trace, v: int, tag: str = "p1", offset: int = 0
 ) -> dict[int, bool]:
     """Recompute a node's per-stage DOM decisions from its join/stay and
     flags blocks and its own observation history alone, reading the
     Executor messages framed with `tag` whose relative round 1 is round
     `offset + 1` (the node-locality check: the result must match the
     offline schedule exactly)."""
-    js, flags = blocks[0], blocks[1]
     core = ExecCore(tag, js)
     if flags[0] == "1":
         core.start_source(offset + 1, None, flags[1] == "1")
@@ -316,13 +316,13 @@ def check_executor_rounds(
 
 
 def check_local_membership(
-    syn: CoreSynthesis, blocks: list[list[str]], trace, tag: str = "p1", offset: int = 0
+    syn: CoreSynthesis, blocks: list[tuple[str, str]], trace, tag: str = "p1", offset: int = 0
 ) -> None:
     """Each node's DOM decisions, recomputed from its Executor blocks
-    (`blocks[v]` starts with join/stay and flags) and its own history,
+    (`blocks[v]` is its join/stay and flags pair) and its own history,
     equal the offline schedule."""
-    for v, own in enumerate(blocks):
-        membership = dom_membership_from_history(own, trace, v, tag, offset)
+    for v, (js, flags) in enumerate(blocks):
+        membership = dom_membership_from_history(js, flags, trace, v, tag, offset)
         for rec in syn.stages:
             local = membership.get(rec.stage, False)
             assert local == (v in rec.dom), (
@@ -338,7 +338,40 @@ def verify_executor_run(g: Graph, bundle: SchemeBundle, trace, tag: str = "p1") 
     check_tree_invariants(syn, g)
     check_dom_schedule(syn, g)
     check_executor_rounds(syn, trace, tag)
-    check_local_membership(syn, [decode_blocks(label) for label in bundle.labels], trace, tag)
+    parsed = map(PathMessageProgram.layout.parse, bundle.labels)
+    check_local_membership(syn, [(b["js"], b["flags"]) for b in parsed], trace, tag)
+
+
+# ---------------------------------------------------------------------------
+# Label layouts
+# ---------------------------------------------------------------------------
+
+
+# each label layout's program, by layout name
+LAYOUT_PROGRAMS = {
+    p.layout.name: p
+    for p in (AuxiliarySDProgram, PathMessageProgram, FastSDProgram, TopRecProgram)
+}
+
+
+def layout_of(scheme: str, label: str) -> tuple[str, str]:
+    """The name of the layout that a label of `scheme` (a scheme or
+    "pathmsg") is read in, and the label behind its mode bits."""
+    if scheme in ("general", "fastsd"):
+        mode, rest = split_mode(label)
+        if mode == "1":
+            return ("compact" if scheme == "general" else "stripes"), rest
+        return layout_of("pathmsg" if scheme == "general" else "general", rest)
+    return scheme, label
+
+
+def pair_offset(scheme: str, label: str, block: str, bit: int = 0) -> int:
+    """The offset in `label`, a label of `scheme`, of the code pair of bit
+    `bit` of the block named `block` in the layout the label is read in."""
+    name, rest = layout_of(scheme, label)
+    blocks = LAYOUT_PROGRAMS[name].layout.parse(rest)
+    before = list(blocks.values())[: list(blocks).index(block)]
+    return len(label) - len(rest) + sum(2 * len(b) + 2 for b in before) + 2 * bit
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from radiolab.graphs import (
 )
 from radiolab import sim
 from radiolab.schemes import build_bundle, program_for
-from radiolab.labels import decode_blocks, int_to_bits, split_mode
+from radiolab.labels import int_to_bits, split_mode
 from radiolab.sim import parse, run
-from radiolab.size_discovery import build_fast_sd, fast_sd_program
+from radiolab.size_discovery import FastSDProgram, build_fast_sd, fast_sd_program
 from golden import build
 from oracles import (
     check_dom_schedule,
@@ -234,15 +234,14 @@ class TestMBroadcast:
         assert tr.outputs == [g.n] * g.n
         check_tree_invariants(syn, g)
         check_dom_schedule(syn, g)
-        # stage 2's relative round 1 is the barrier round. Behind the mode
-        # bit, its join/stay block is the last block, and its source and
+        # stage 2's relative round 1 is the barrier round. Its source and
         # DOM_1 bits are the super-green and the last flag
         offset = b.meta["barrier"] - 1
         check_executor_rounds(syn, tr, "F3", offset)
         blocks = []
         for label in b.labels:
-            flags, _, _, js = decode_blocks(split_mode(label)[1])
-            blocks.append([js, flags[1] + flags[4]])
+            own = FastSDProgram.layout.parse(split_mode(label)[1])
+            blocks.append((own["stage2_js"], own["flags"][1] + own["flags"][4]))
         check_local_membership(syn, blocks, tr, "F3", offset)
 
     def test_empty_sources_rejected(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from radiolab import broadcast, size_discovery, toprec
+from radiolab import labels as labels_mod
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import MalformedCodeword
 from radiolab.labels import (
@@ -256,8 +256,7 @@ def recorded_rows(monkeypatch, build):
         calls.append((rows, labels))
         return labels
 
-    for module in (broadcast, size_discovery, toprec):
-        monkeypatch.setattr(module, "encode_labels", recording)
+    monkeypatch.setattr(labels_mod, "encode_labels", recording)
     build()
     return calls
 

@@ -16,7 +16,7 @@ from radiolab.sim import ExecutionTrace, run
 from radiolab.size_discovery import COMPACT_LENGTH_C
 from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0
 from golden import ATLAS_LABELS, atlas_labels_digest
-from oracles import relabelled_atlas
+from oracles import pair_offset, relabelled_atlas
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -103,36 +103,36 @@ def swap_pair(label: str, offset: int) -> str:
 
 
 @pytest.mark.parametrize(
-    "scheme,g,node,offset",
+    "scheme,g,node,block,bit",
     [
-        ("general", gen_path(5), 1, 10),  # an empty size message: int('', 2)
-        ("fastsd", gen_star(6), 1, 14),  # the same, in general's fallback
-        ("toprec", gen_path(5), 2, 0),  # a T3 message with a null identifier
+        ("general", gen_path(5), 1, "flags", 0),  # an empty size message: int('', 2)
+        ("fastsd", gen_star(6), 1, "flags", 0),  # the same, in general's fallback
+        ("toprec", gen_path(5), 2, "root", 0),  # a T3 message with a null identifier
     ],
     ids=["general-path5", "fastsd-star6", "toprec-path5"],
 )
-def test_corrupted_label_raises_typed_error(scheme, g, node, offset):
+def test_corrupted_label_raises_typed_error(scheme, g, node, block, bit):
     labels = list(build_bundle(scheme, g).labels)
-    labels[node] = swap_pair(labels[node], offset)
+    labels[node] = swap_pair(labels[node], pair_offset(scheme, labels[node], block, bit))
     with pytest.raises(RadiolabError):
         run(g, labels, program_for(scheme), max_rounds=200 * g.n * g.n)
 
 
 @pytest.mark.parametrize(
-    "scheme,g,node,offset",
+    "scheme,g,node,block,bit",
     [
-        ("compact", gen_path(5), 1, 24),  # the source takes itself for v_p
-        ("compact", gen_grid(3, 3), 5, 24),
-        ("general", gen_grid(3, 3), 0, 18),
-        ("toprec", gen_path(5), 1, 0),  # two roots: a T2 slot learned in that round
+        ("compact", gen_path(5), 1, "path", 1),  # the source takes itself for v_p
+        ("compact", gen_grid(3, 3), 5, "path", 1),
+        ("general", gen_grid(3, 3), 0, "path", 1),
+        ("toprec", gen_path(5), 1, "root", 0),  # two roots: a T2 slot learned in that round
     ],
     ids=["compact-path5", "compact-grid3x3", "general-grid3x3", "toprec-path5"],
 )
-def test_unserved_duty_raises_protocol_violation(scheme, g, node, offset):
+def test_unserved_duty_raises_protocol_violation(scheme, g, node, block, bit):
     """A corrupted label that leaves a node a duty in a round already past
     ends the run with a typed error, not by polling to the round cap."""
     labels = list(build_bundle(scheme, g).labels)
-    labels[node] = swap_pair(labels[node], offset)
+    labels[node] = swap_pair(labels[node], pair_offset(scheme, labels[node], block, bit))
     with pytest.raises(ProtocolViolation, match="still pending after round"):
         run(g, labels, program_for(scheme), max_rounds=200 * g.n * g.n)
 

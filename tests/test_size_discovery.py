@@ -42,8 +42,16 @@ from radiolab.size_discovery import (
     minimal_bfs_cover,
     stripe_decomposition,
 )
+from radiolab.toprec import TopRecProgram, build_toprec_labels
 from golden import build, graphs_for
-from oracles import ack_collect_round, core_next_duty, tree_parent, verify_subtree_assignment
+from oracles import (
+    LAYOUT_PROGRAMS,
+    ack_collect_round,
+    core_next_duty,
+    layout_of,
+    tree_parent,
+    verify_subtree_assignment,
+)
 
 
 def random_bits(rng, k):
@@ -89,21 +97,21 @@ class TestCompactLabels:
     def test_single_node(self):
         g = build_graph(1, [])
         b = build_compact_labels(g)
-        blocks = decode_blocks(b.labels[0])
-        assert blocks[3] == "10"  # the flags: the source, with no one to inform
+        blocks = AuxiliarySDProgram.layout.parse(b.labels[0])
+        assert blocks["flags"] == "10"  # the source, with no one to inform
         assert b.meta["subtree"].bits[0] == "1"  # M = binary(1)
 
     def test_star_delta_block(self):
         g = gen_star(6)  # Delta = 5 = 101b, k rounds = 3
         b = build_compact_labels(g)
-        root_blocks = decode_blocks(b.labels[0])
-        assert root_blocks[3][0] == "1"  # the source flag
-        assert int(root_blocks[0], 2) == 3  # floor(log 5)+1
+        root_blocks = AuxiliarySDProgram.layout.parse(b.labels[0])
+        assert root_blocks["flags"][0] == "1"  # the source flag
+        assert int(root_blocks["a"], 2) == 3  # floor(log 5)+1
         carried = {}
         for v in range(1, 6):
-            blocks = decode_blocks(b.labels[v])
-            if blocks[0] != "00" and int(blocks[0], 2) > 0:
-                carried[int(blocks[0], 2)] = blocks[1]
+            blocks = AuxiliarySDProgram.layout.parse(b.labels[v])
+            if blocks["a"] != "00" and int(blocks["a"], 2) > 0:
+                carried[int(blocks["a"], 2)] = blocks["b"]
         assert [carried[i] for i in (1, 2, 3)] == ["1", "0", "1"]
 
     def test_star_family_growth_monotone(self):
@@ -457,29 +465,33 @@ class TestEndToEndSchemes:
         assert r.ok
 
 
-# scheme -> (label builder, program factory, nodes to check, indices of the
-# fixed-width blocks, whether the last block is one of them)
+# "<scheme>[-<case>]" -> (label builder, program factory, nodes to check)
 MALFORMED_CASES = {
-    "compact": (lambda: build_compact_labels(gen_path(6)), AuxiliarySDProgram,
-                range(6), (2, 3, 4), False),
-    "general-pathmsg": (lambda: build_general_sd(gen_path(6)), general_sd_program,
-                        range(6), (0, 1, 2, 3), False),
+    "compact": (lambda: build_compact_labels(gen_path(6)), AuxiliarySDProgram, range(6)),
+    "general-pathmsg": (lambda: build_general_sd(gen_path(6)), general_sd_program, range(6)),
     "general-compact": (lambda: build_general_sd(gen_star(600)), general_sd_program,
-                        (0, 1, 599), (0, 3, 4, 5), False),
-    "fastsd-stripes": (lambda: build_fast_sd(gen_path(6)), fast_sd_program,
-                       range(6), (0, 1, 2, 3, 4), True),
-    "fastsd-fallback": (lambda: build_fast_sd(gen_cycle(4)), fast_sd_program,
-                        range(4), (0, 1, 2, 3, 4), False),
+                        (0, 1, 599)),
+    "fastsd-stripes": (lambda: build_fast_sd(gen_path(6)), fast_sd_program, range(6)),
+    "fastsd-fallback": (lambda: build_fast_sd(gen_cycle(4)), fast_sd_program, range(4)),
     "pathmsg": (lambda: synthesize_path_message(gen_path(6), 0, "110"), PathMessageProgram,
-                range(6), (0, 1, 2), False),
+                range(6)),
+    "toprec": (lambda: build_toprec_labels(gen_path(6)), TopRecProgram, range(6)),
 }
 
 
+def block_widths(case: str, label: str) -> list[int | None]:
+    """Each block's fixed width in a label of `case`, None for a free width:
+    one bit per mode block in front, then its layout's table."""
+    name, rest = layout_of(case.split("-")[0], label)
+    modes = [1] * ((len(label) - len(rest)) // 4)
+    return modes + list(LAYOUT_PROGRAMS[name].layout.widths.values())
+
+
 class TestMalformedLabels:
-    """A size-discovery or broadcast label with the wrong number of blocks, a
-    fixed-width block of the wrong width, or a cut anywhere raises
-    MalformedCodeword when the node program is built, never IndexError or
-    ValueError."""
+    """A label of any layout with the wrong number of blocks, a fixed-width
+    block of the wrong width, or a cut anywhere raises MalformedCodeword
+    when the node program is built, never IndexError or ValueError. The
+    fixed widths come from the layouts' tables."""
 
     def test_cases_cover_both_modes(self):
         assert MALFORMED_CASES["general-pathmsg"][0]().meta["branch"] == "pathmsg"
@@ -489,7 +501,7 @@ class TestMalformedLabels:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
     def test_block_count_checked(self, case):
-        build, make, nodes, _, _ = MALFORMED_CASES[case]
+        build, make, nodes = MALFORMED_CASES[case]
         labels = build().labels
         for v in nodes:
             full = decode_blocks(labels[v])
@@ -502,11 +514,13 @@ class TestMalformedLabels:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
     def test_block_width_checked(self, case):
-        build, make, nodes, fixed, _ = MALFORMED_CASES[case]
+        build, make, nodes = MALFORMED_CASES[case]
         labels = build().labels
         for v in nodes:
             full = decode_blocks(labels[v])
-            for i in fixed:
+            widths = block_widths(case, labels[v])
+            assert len(widths) == len(full)
+            for i in (i for i, width in enumerate(widths) if width is not None):
                 for block in (full[i][:-1], full[i] + "0"):
                     with pytest.raises(MalformedCodeword):
                         make(encode_blocks(full[:i] + [block] + full[i + 1:]))
@@ -515,10 +529,11 @@ class TestMalformedLabels:
     def test_every_truncation_is_typed(self, case):
         """Every cut raises, except one that only shortens a last block of
         variable width."""
-        build, make, nodes, _, last_fixed = MALFORMED_CASES[case]
+        build, make, nodes = MALFORMED_CASES[case]
         labels = build().labels
         for v in nodes:
             count = len(decode_blocks(labels[v]))
+            last_fixed = block_widths(case, labels[v])[-1] is not None
             for cut in range(len(labels[v])):
                 cut_label = labels[v][:cut]
                 if (not last_fixed and cut % 2 == 0

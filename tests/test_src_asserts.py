@@ -67,3 +67,31 @@ def test_every_definition_in_src_is_used():
     unused = [qual for path in sources for qual, name in _definitions(path)
               if name not in used]
     assert not unused, f"defined in src/radiolab but never named there or in perfbench: {unused}"
+
+
+def _uses(node, scope: str, names: set[str]):
+    """(enclosing function, name, line) of each `Name` or `Attribute` under
+    `node` that reads one of `names`; `scope` is the function `node` is in."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+        if isinstance(child, (ast.Name, ast.Attribute)) and name in names:
+            yield inner, name, child.lineno
+        yield from _uses(child, inner, names)
+
+
+def test_labels_are_read_and_written_only_through_their_layout():
+    """No module of `src/radiolab` but `labels.py` uses `decode_blocks` or
+    `encode_labels`: a label is written by its layout's `encode` and read
+    by its `parse`, the one owner of its block order and widths. toprec's
+    identifier wire form is block code too, so its wire functions are
+    exempt by name."""
+    exempt = {"id_to_wire", "wire_to_id", "decode_reports"}
+    found = [
+        f"{path.name}:{line} {name} in {scope}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "labels.py"
+        for scope, name, line in _uses(ast.parse(path.read_text()), "<module>",
+                                       {"decode_blocks", "encode_labels"})
+        if scope not in exempt
+    ]
+    assert not found, f"labels coded outside their layout: {found}"

@@ -16,7 +16,6 @@ from radiolab.labels import decode_blocks, encode_blocks
 from radiolab.schemes import run_scheme, verify_outputs
 from radiolab.sim import ExecutionTrace, Heard, frame, run, unframe
 from radiolab.toprec import (
-    TOPREC_BLOCKS,
     TOPREC_LEN_C,
     TOPREC_LEN_C0,
     TopRecProgram,
@@ -560,8 +559,9 @@ class TestMalformedLabels:
     """A label with the wrong number of blocks raises MalformedCodeword when
     the node program is built, never IndexError or ValueError."""
 
-    @pytest.mark.parametrize("make, blocks", [(TopRecProgram, TOPREC_BLOCKS)], ids=["toprec"])
-    def test_block_count_checked(self, make, blocks):
+    @pytest.mark.parametrize("make", [TopRecProgram], ids=["toprec"])
+    def test_block_count_checked(self, make):
+        blocks = len(make.layout.widths)
         full = decode_blocks(build_toprec_labels(gen_cycle(4)).labels[1])
         assert len(full) == blocks
         make(encode_blocks(full))
@@ -579,7 +579,7 @@ class TestMalformedLabels:
         labels = build_toprec_labels(g).labels
         for cut in range(len(labels[v])):
             cut_label = labels[v][:cut]
-            if cut % 2 == 0 and len(decode_blocks(cut_label)) == TOPREC_BLOCKS:
+            if cut % 2 == 0 and len(decode_blocks(cut_label)) == len(TopRecProgram.layout.widths):
                 continue  # only the last block is shorter
             with pytest.raises(MalformedCodeword):
                 run(g, labels[:v] + [cut_label] + labels[v + 1:], TopRecProgram)
