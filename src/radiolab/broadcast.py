@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Iterable, Sequence
 
 from .errors import Disconnected, EmptySourceSet, Undominatable
 from .graphs import Graph
@@ -515,12 +516,14 @@ class AckProgram(NodeProgram):
 
 
 def synthesize_path_message(
-    g: Graph, s: int, message_bits: str, syn: CoreSynthesis | None = None
+    g: Graph, s: int, message_bits: str, syn: CoreSynthesis | None = None,
+    modes: Sequence[Iterable[str]] = (),
 ) -> SchemeBundle:
     """Split `message_bits` into chunks stored along marked nodes (one per
     broadcast-tree level), collect them at the root after an acknowledged
     broadcast, and re-broadcast the assembled message. `syn`, if given, is
-    the caller's `synthesize_core(g, {s})`."""
+    the caller's `synthesize_core(g, {s})`; the labels' blocks follow the
+    caller's mode columns `modes`."""
     if syn is None:
         syn = synthesize_core(g, {s})
     ack, path = ack_blocks(syn, s)
@@ -565,7 +568,7 @@ def synthesize_path_message(
     return SchemeBundle(
         scheme="pathmsg",
         labels=PathMessageProgram.layout.encode(
-            **ack, mark=markbits, chunk=map(chunk_of.get, range(g.n), repeat(""))),
+            *modes, **ack, mark=markbits, chunk=map(chunk_of.get, range(g.n), repeat(""))),
         meta={
             "synthesis": syn,
             "source": s,

@@ -183,14 +183,22 @@ def cmd_bench(args) -> int:
     return 1 if bad else 0
 
 
+def _node_ids(value) -> list[int]:
+    """`value` if it is a JSON list of integers; TypeError otherwise (a
+    float, a boolean or a string is not a node id)."""
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise TypeError(f"expected a list of integer node ids, got {value!r}")
+    return value
+
+
 def _lb_partition_for(g: Graph, partition_file: str | None):
     if partition_file:
         try:
             data = json.loads(_read_text(partition_file, "partition"))
             return LBFamilyDescriptor(
                 n=g.n,
-                components=[list(map(int, comp)) for comp in data["components"]],
-                specials=list(map(int, data.get("specials", []))),
+                components=list(map(_node_ids, data["components"])),
+                specials=_node_ids(data.get("specials", [])),
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidParams(

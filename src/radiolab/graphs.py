@@ -326,21 +326,18 @@ def write_edge_list(g: Graph, fp: TextIO) -> None:
 
 
 def _int_pair(line: str, what: str) -> tuple[int, int]:
+    """Two decimal tokens in an ASCII line: no sign, no "_", no other
+    script's digits or spaces."""
     parts = line.split()
-    if len(parts) == 2:
-        try:
-            return int(parts[0]), int(parts[1])
-        except ValueError:
-            pass
-    raise InvalidParams(f"{what} must be two integers, got {line.strip()!r}")
+    if line.isascii() and len(parts) == 2 and all(map(str.isdecimal, parts)):
+        return int(parts[0]), int(parts[1])
+    raise InvalidParams(f"{what} must be two non-negative integers, got {line.strip()!r}")
 
 
 def read_edge_list(fp: TextIO) -> Graph:
     """Parse the format of `write_edge_list`: an 'n m' header, exactly m
     'u v' lines, then nothing but blank lines."""
     n, m = _int_pair(fp.readline(), "edge-list header 'n m'")
-    if n < 0 or m < 0:
-        raise InvalidParams(f"edge-list header needs n, m >= 0, got {n} {m}")
     edges = [_int_pair(fp.readline(), "edge line 'u v'") for _ in range(m)]
     for line in fp:
         if line.strip():

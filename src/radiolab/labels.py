@@ -120,14 +120,9 @@ class Layout:
         return dict(zip(self.widths, blocks))
 
 
-def add_mode(bit: str, label: LabelBits) -> LabelBits:
-    """`label` behind a first block holding the one mode bit `bit`: its
-    codeword, then the separator."""
-    return ("10" if bit == "1" else "01") + "00" + label
-
-
 def split_mode(label: LabelBits) -> tuple[str, LabelBits]:
-    """Inverse of `add_mode`: the mode bit and the label behind it."""
+    """The mode bit of a label whose first block is one mode bit, a leading
+    column of its `Layout.encode`, and the label behind that block."""
     if label[:4] not in ("1000", "0100"):
         raise MalformedCodeword(f"no one-bit mode block at the start: {label[:4]!r}")
     return label[0], label[4:]

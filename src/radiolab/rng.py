@@ -9,11 +9,9 @@ from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 
-STREAM_NAME = "splitmix64/v1"
-
 
 class SplitMix64:
-    """Deterministic 64-bit generator; `split()` derives independent substreams."""
+    """Deterministic 64-bit generator."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK
@@ -43,6 +41,3 @@ class SplitMix64:
         if p <= 0.0:
             return False
         return (self.next_u64() >> 11) < p * (1 << 53)
-
-    def split(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())

@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 from .broadcast import (
     AckProgram,
@@ -36,7 +37,6 @@ from .graphs import Graph, LayerAssignment, bfs_layers
 from .labels import (
     Layout,
     SchemeBundle,
-    add_mode,
     bit_table,
     bits_to_int,
     int_to_bits,
@@ -134,12 +134,13 @@ def _size_of(bits) -> int:
         raise ProtocolViolation(f"bad size message {bits!r}") from None
 
 
-def build_compact_labels(g: Graph) -> SchemeBundle:
+def build_compact_labels(g: Graph, modes: Sequence[Iterable[str]] = ()) -> SchemeBundle:
     """Root = max-degree node (lowest index tie-break). The compact
-    blocks: the Delta fields a and b (the root's round count, or a chosen
-    neighbour's index and its bit of binary(Delta)), the `ack_blocks`
-    columns, whose source flag marks the root, and the subtree packing of
-    binary(n) (child index k, own bits msg)."""
+    blocks, behind the caller's mode columns `modes`: the Delta fields a
+    and b (the root's round count, or a chosen neighbour's index and its
+    bit of binary(Delta)), the `ack_blocks` columns, whose source flag
+    marks the root, and the subtree packing of binary(n) (child index k,
+    own bits msg)."""
     n = g.n
     root = min(range(n), key=lambda v: (-g.degree(v), v))
     delta = g.max_degree()
@@ -164,6 +165,7 @@ def build_compact_labels(g: Graph) -> SchemeBundle:
     asg = assign_subtree_bits(syn.tree.parent, root, message)
 
     labels = AuxiliarySDProgram.layout.encode(
+        *modes,
         a=a_field,
         b=b_field,
         **ack,
@@ -253,25 +255,24 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
 # ---------------------------------------------------------------------------
 
 
-def build_general_sd(g: Graph) -> SchemeBundle:
-    """Mode bit per label: the compact scheme when the measured acknowledged
-    broadcast is fast enough (t_G < log2 n), the message-on-path scheme with
-    M = binary(n) otherwise."""
+def build_general_sd(g: Graph, modes: Sequence[Iterable[str]] = ()) -> SchemeBundle:
+    """Mode bit per label, behind the caller's mode columns `modes`: the
+    compact scheme when the measured acknowledged broadcast is fast enough
+    (t_G < log2 n), the message-on-path scheme with M = binary(n)
+    otherwise. The branch's labels and meta, plus `branch` and `t_G`."""
     n = g.n
     syn = synthesize_core(g, {0})
     t_g = 3 * syn.t
     use_compact = n > 1 and t_g < math.log2(n)
+    modes = (*modes, repeat("1" if use_compact else "0", n))
     if use_compact:
-        inner = build_compact_labels(g)
+        branch = build_compact_labels(g, modes)
     else:
-        inner = synthesize_path_message(g, 0, int_to_bits(n), syn)
-    mode = "1" if use_compact else "0"
-    labels = [add_mode(mode, lab) for lab in inner.labels]
+        branch = synthesize_path_message(g, 0, int_to_bits(n), syn, modes)
     return SchemeBundle(
         scheme="general",
-        labels=labels,
-        meta={"inner": inner, "branch": "compact" if use_compact else "pathmsg",
-              "t_G": t_g},
+        labels=branch.labels,
+        meta={**branch.meta, "branch": "compact" if use_compact else "pathmsg", "t_G": t_g},
     )
 
 
@@ -437,12 +438,11 @@ def build_fast_sd(g: Graph) -> SchemeBundle:
     try:
         sd = stripe_decomposition(g, 0)
     except TooShallow:
-        general = build_general_sd(g)
-        labels = [add_mode("0", lab) for lab in general.labels]
+        general = build_general_sd(g, (repeat("0", n),))
         return SchemeBundle(
             scheme="fastsd",
-            labels=labels,
-            meta={"mode": "fallback", "inner": general},
+            labels=general.labels,
+            meta={**general.meta, "mode": "fallback"},
         )
 
     lgn = sd.lgn

@@ -232,6 +232,19 @@ class TestReferenceEquivalence:
         if cd:
             assert rep.ok, rep.violations
 
+    def test_repeated_trigger_label_flagged(self):
+        """toprec on G_144 under CD has 12 departures. With every label one
+        value, that value is all 12 trigger labels, which LBL flags once;
+        with the real labels no trigger label repeats."""
+        g, desc = gen_lb_family(144)
+        res = run_scheme("toprec", g, cd=True)
+        assert res.ok
+        rep = assert_matches_reference(res.trace, desc, res.bundle.labels)
+        assert len(rep.departures) == 12 and not rep.violations["LBL"]
+        rep = assert_matches_reference(res.trace, desc, ["1"] * g.n)
+        assert rep.violations["LBL"] == [{"label": "1", "count": 12}]
+        assert not rep.ok
+
     # G_16: components {0..3}, {4..7}, {8..11}, {12..15}
     IMPOSSIBLE = {
         "lone transmitter nobody hears": [({0: b"m"}, {})],

@@ -359,15 +359,14 @@ class TestParseOnce:
         n = 300
         g = gen_path(n)
         bundle = build_bundle("general", g)
-        inner = bundle.meta["inner"]
         assert bundle.meta["branch"] == "pathmsg"
         tr = run(g, bundle.labels, program_for("general"))
         assert tr.outputs == [n] * n
         relays = {v: parse(m)[2] for rec in tr.rounds for v, m in rec.transmitters.items()
                   if parse(m)[0] == "pc"}
-        marked = set(inner.meta["marked"].values()) - {0}
+        marked = set(bundle.meta["marked"].values()) - {0}
         assert set(relays) == marked
-        pieces = {(k, c) for k, c in inner.meta["chunks"].items() if c}
+        pieces = {(k, c) for k, c in bundle.meta["chunks"].items() if c}
         for pairs in relays.values():
             assert all(chunk for _, chunk in pairs)
             assert set(pairs) <= pieces

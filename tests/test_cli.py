@@ -264,9 +264,14 @@ class TestAudit:
             # every node covered, node 0 also in a second component
             json.dumps({"components": [list(range(i * 4, (i + 1) * 4)) for i in range(4)]
                         + [[0]]}),
+            # a float, a boolean and a string of digits are not node ids
+            '{"components": [[0, 1.4, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]}',
+            '{"components": [[0, true, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]}',
+            json.dumps({"components": [list(range(i * 4, (i + 1) * 4)) for i in range(4)],
+                        "specials": "12"}),
         ],
         ids=["no-components", "not-json", "non-integer", "not-a-list", "not-an-object",
-             "node-twice"],
+             "node-twice", "float-id", "boolean-id", "specials-string"],
     )
     def test_malformed_partition_exits_2(self, tmp_path, capsys, text):
         el = tmp_path / "g16.el"

@@ -106,6 +106,11 @@ class TestBfsLayers:
         assert la.layer == (0,) and la.depth == 0
         assert diameter(build_graph(1, [])) == 0
 
+    @pytest.mark.parametrize("root", [-1, 4])
+    def test_root_out_of_range(self, root):
+        with pytest.raises(IndexOutOfRange):
+            bfs_layers(gen_path(4), root)
+
     def test_by_layer_buckets_in_index_order(self):
         """On the size and toprec corpora, G_16..G_144 and every connected
         atlas graph, from the first and the last node: the buckets partition
@@ -338,6 +343,10 @@ class TestFormats:
         "3 2\n0 1\n1 2.0\n",  # non-integer edge token
         "3 1\n0 1\n1 2\n",  # a line after the m edges
         "3 2\n0 1\n",  # fewer edge lines than m
+        "3 2\n0 +1\n1 2\n",  # a signed token
+        "11 1\n0 1_0\n",  # a digit separator
+        "3 2\n0 1\n1 \uff12\n",  # a fullwidth digit
+        "2 1\n0\u30001\n",  # an ideographic space
     ])
     def test_edge_list_rejects_malformed(self, text):
         with pytest.raises(InvalidParams):

@@ -9,7 +9,8 @@ from radiolab import labels as labels_mod
 from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import MalformedCodeword
 from radiolab.labels import (
-    add_mode,
+    Layout,
+    SchemeBundle,
     bit_table,
     bits_to_int,
     decode_blocks,
@@ -141,9 +142,14 @@ class TestAgainstReference:
 class TestModePrefix:
     @given(st.sampled_from("01"), st.lists(bitstrings, min_size=1, max_size=8))
     def test_same_as_reencoding(self, bit, blocks):
-        label = encode_blocks(blocks)
-        assert add_mode(bit, label) == encode_blocks([bit] + blocks)
-        assert split_mode(add_mode(bit, label)) == (bit, label)
+        """A mode bit is a leading column of `Layout.encode`: the label is
+        the block code of the mode block and the blocks, and `split_mode`
+        returns the bit and the label the layout encodes without it."""
+        columns = {f"b{i}": [block] for i, block in enumerate(blocks)}
+        layout = Layout("test", **dict.fromkeys(columns))
+        [label] = layout.encode([bit], **columns)
+        assert label == encode_blocks([bit] + blocks)
+        assert split_mode(label) == (bit, *layout.encode(**columns))
 
     @pytest.mark.parametrize("label", ["", "10", "1001", "0000", "1010", "0110", "1100"])
     def test_missing_prefix_rejected(self, label):
@@ -246,8 +252,8 @@ class TestEncodeLabels:
 
 
 def recorded_rows(monkeypatch, build):
-    """The rows of every `encode_labels` call that `build()` makes, and what
-    it returned."""
+    """What `build()` returned, and the rows of every `encode_labels` call
+    that it makes, each with what that call returned."""
     calls = []
 
     def recording(rows):
@@ -257,8 +263,7 @@ def recorded_rows(monkeypatch, build):
         return labels
 
     monkeypatch.setattr(labels_mod, "encode_labels", recording)
-    build()
-    return calls
+    return build(), calls
 
 
 SIZE_SCHEMES = ("compact", "general", "fastsd")
@@ -271,10 +276,14 @@ SIZE_SCHEMES = ("compact", "general", "fastsd")
     ids=[f"size-{gid}" for gid, _ in corpus()] + [f"toprec-{gid}" for gid, _ in toprec_corpus()],
 )
 def test_bundle_rows_encode_as_each_row(monkeypatch, gid, g, schemes):
-    """Every row a label builder encodes, across both corpora, encodes the
-    same as `encode_blocks` on that row alone."""
+    """Across both corpora, every bundle's labels are the list that one
+    `encode_labels` call returned, mode bits included, each row encoded the
+    same as `encode_blocks` on that row alone; no bundle holds another in
+    its meta."""
     for scheme in schemes:
-        calls = recorded_rows(monkeypatch, lambda: build_bundle(scheme, g))
-        assert calls, scheme
-        for rows, labels in calls:
-            assert labels == [encode_blocks(r) for r in rows], scheme
+        bundle, calls = recorded_rows(monkeypatch, lambda: build_bundle(scheme, g))
+        assert len(calls) == 1, scheme
+        [(rows, labels)] = calls
+        assert labels == [encode_blocks(r) for r in rows], scheme
+        assert bundle.labels is labels, scheme
+        assert not any(isinstance(v, SchemeBundle) for v in bundle.meta.values()), scheme

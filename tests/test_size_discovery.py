@@ -214,7 +214,7 @@ class TestGeneralSD:
         # fastsd's fallback labels select general's program the same way
         b = build_fast_sd(gen_lb_family(36)[0])
         assert b.meta["mode"] == "fallback"
-        branch = b.meta["inner"].meta["branch"]
+        branch = b.meta["branch"]
         assert {type(program_for("fastsd")(lab)) for lab in b.labels} == {by_branch[branch]}
         assert program_for("compact") is AuxiliarySDProgram
 

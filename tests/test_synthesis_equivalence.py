@@ -64,7 +64,6 @@ from radiolab.graphs import (
 )
 from radiolab.labels import (
     SchemeBundle,
-    add_mode,
     decode_blocks,
     encode_blocks,
     encode_labels,
@@ -988,6 +987,12 @@ def frozen_build_compact_labels(g):
     )
 
 
+def frozen_add_mode(bit, label):
+    """`label` behind a first block holding the one mode bit `bit`: its
+    codeword, then the separator."""
+    return ("10" if bit == "1" else "01") + "00" + label
+
+
 def frozen_build_general_sd(g):
     n = g.n
     syn = frozen_synthesize_core(g, {0})
@@ -1000,7 +1005,7 @@ def frozen_build_general_sd(g):
     mode = "1" if use_compact else "0"
     return SchemeBundle(
         scheme="general",
-        labels=[add_mode(mode, lab) for lab in inner.labels],
+        labels=[frozen_add_mode(mode, lab) for lab in inner.labels],
         meta={"inner": inner, "branch": "compact" if use_compact else "pathmsg", "t_G": t_g},
     )
 
@@ -1013,7 +1018,7 @@ def frozen_build_fast_sd(g):
         general = frozen_build_general_sd(g)
         return SchemeBundle(
             scheme="fastsd",
-            labels=[add_mode("0", lab) for lab in general.labels],
+            labels=[frozen_add_mode("0", lab) for lab in general.labels],
             meta={"mode": "fallback", "inner": general},
         )
     lgn = sd.lgn
@@ -1206,7 +1211,7 @@ def behind_mode(one, zero):
     """A mode-bit label projection: `one` or `zero` on the label behind it."""
     def project(label):
         mode, rest = split_mode(label)
-        return add_mode(mode, (one if mode == "1" else zero)(rest))
+        return frozen_add_mode(mode, (one if mode == "1" else zero)(rest))
     return project
 
 
@@ -1216,12 +1221,17 @@ PROJECT["general"] = behind_mode(PROJECT["compact"], PROJECT["pathmsg"])
 PROJECT["fastsd"] = behind_mode(in_blocks(stripe_blocks), PROJECT["general"])
 
 
+def flat_meta(meta):
+    """A frozen bundle's meta merged as the builders merge it today: the
+    flat meta of the bundle in `meta["inner"]`, if any, plus the rest."""
+    inner = meta.get("inner")
+    rest = {key: value for key, value in meta.items() if key != "inner"}
+    return {**flat_meta(inner.meta), **rest} if inner else rest
+
+
 def project(bundle):
-    """A frozen bundle in today's label layout, `meta["inner"]` included."""
-    meta = dict(bundle.meta)
-    if "inner" in meta:
-        meta["inner"] = project(meta["inner"])
-    return SchemeBundle(scheme=bundle.scheme, meta=meta,
+    """A frozen bundle in today's label layout, with one flat meta."""
+    return SchemeBundle(scheme=bundle.scheme, meta=flat_meta(bundle.meta),
                         labels=list(map(PROJECT[bundle.scheme], bundle.labels)))
 
 
