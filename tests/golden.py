@@ -5,10 +5,12 @@ t rounds are the Executor run that compact, general and fastsd embed), runs
 on the pinned corpora and on G_16..G_144, with and without collision
 detection; the size schemes and the path message also run on star-513,
 the smallest star on which general picks its compact branch. Each run is
-reduced to a short digest of its transmitters and their message bytes, its
-deliveries, its round count and its outputs with their rounds; each label
-set gets a digest of its own. `tests/test_golden.py` compares a fresh sweep against the digests
-stored in `tests/data/golden_digests.json`.
+reduced to two short digests: a schedule digest of its transmitters, who
+heard whom, its round count and its outputs with their rounds, and a byte
+digest of its message bytes. A wire change that keeps the schedule moves
+only byte digests, and the unchanged schedule digests are its proof. Each
+label set gets a digest of its own. `tests/test_golden.py` compares a fresh
+sweep against the digests stored in `tests/data/golden_digests.json`.
 
 The relabelled-atlas sweep (`tests/test_schemes.py`) checks outputs only,
 and those cannot see a changed synthesis tie-break. So every scheme's
@@ -16,9 +18,10 @@ labels on the whole sweep, every connected atlas graph as given and under
 its 3 relabellings, also reduce to one digest per scheme, stored in
 `tests/data/atlas_label_digests.json`.
 
-Four large runs, which split thousands of behaviour classes, have trace
-digests of their own in `tests/data/large_digests.json`: fastsd on
-path-65536 and grid-128x128, general and compact on path-16384.
+Four large runs, which split thousands of behaviour classes, have one
+trace digest each (bytes and schedule together) in
+`tests/data/large_digests.json`: fastsd on path-65536 and grid-128x128,
+general and compact on path-16384.
 
 Regenerate the stored digests (only for a change that means to alter a
 trace, a label or an output, and say so) with:
@@ -58,6 +61,8 @@ PRIMITIVES = {
     "pathmsg": (lambda g: synthesize_path_message(g, 0, "1011001"), PathMessageProgram),
 }
 SCHEMES = (*schemes.SCHEMES, *PRIMITIVES)
+# the digest parts stored per scheme, each {graph id: digest}
+PARTS = ("labels", "schedule/nocd", "bytes/nocd", "schedule/cd", "bytes/cd")
 
 
 def graphs_for(scheme: str) -> list:
@@ -83,16 +88,50 @@ def atlas_labels_digest(label_sets) -> str:
 
 
 def trace_digest(trace, scheme: str) -> str:
-    """Digest of every round with a transmitter (its round number, each
+    """One digest of a run's message bytes (as `byte_digest`), its round
+    count and its outputs with their rounds (as `schedule_digest`): the
+    digest of the large runs."""
+    h = hashlib.sha256()
+    _hash_messages(h, trace)
+    _hash_outputs(h, trace, scheme)
+    return h.hexdigest()[:16]
+
+
+def byte_digest(trace) -> str:
+    """Digest of every round with a transmitter: its round number, each
     transmitter with its message bytes, each listener that heard a message
-    with the message it heard), the round count, and the outputs as JSON
-    with their rounds. JSON makes a tuple output and the same list output
-    equal.
+    with the message it heard.
 
     A heard message enters as the position of a transmitter that sent the
     same bytes (-1 if none did), so each message is hashed once however
     many nodes hear it."""
     h = hashlib.sha256()
+    _hash_messages(h, trace)
+    return h.hexdigest()[:16]
+
+
+def schedule_digest(trace, scheme: str) -> str:
+    """Digest of every round with a transmitter (its round number, its
+    transmitters, each listener with the transmitting neighbour it heard,
+    -1 if it has none), the round count, and the outputs as JSON with their
+    rounds. No message byte enters it. JSON makes a tuple output and the
+    same list output equal."""
+    adj = trace.graph.adj
+    h = hashlib.sha256()
+    for rnd, rec in enumerate(trace.rounds, start=1):
+        txs, heard = rec.transmitters, rec.heard
+        if not txs and not heard:
+            continue
+        whom = {w: u for u in sorted(txs) for w in adj[u] if w in heard}
+        h.update(b"r%d:" % rnd)
+        h.update(",".join(map(str, sorted(txs))).encode())
+        h.update(b";")
+        h.update(",".join(f"{w}:{whom.get(w, -1)}" for w in sorted(heard)).encode())
+    _hash_outputs(h, trace, scheme)
+    return h.hexdigest()[:16]
+
+
+def _hash_messages(h, trace) -> None:
     for rnd, rec in enumerate(trace.rounds, start=1):
         if not rec.transmitters and not rec.heard:
             continue
@@ -104,9 +143,11 @@ def trace_digest(trace, scheme: str) -> str:
         position = {m: i for i, (_, m) in enumerate(sent)}
         heard = sorted(rec.heard.items())
         h.update(",".join(f"{w}:{position.get(m, -1)}" for w, m in heard).encode())
+
+
+def _hash_outputs(h, trace, scheme: str) -> None:
     h.update(json.dumps([trace.num_rounds, trace.output_round]).encode())
     h.update(outputs_json(trace.outputs, scheme).encode())
-    return h.hexdigest()[:16]
 
 
 def outputs_json(outputs, scheme: str) -> str:
@@ -138,13 +179,16 @@ def build(scheme: str, g):
 
 
 def sweep(scheme: str) -> dict:
-    """{"labels": {gid: digest}, "nocd": {...}, "cd": {...}} for one scheme."""
-    out: dict = {"labels": {}, "nocd": {}, "cd": {}}
+    """{"labels": {gid: digest}, "schedule/nocd": {...}, "bytes/nocd": {...},
+    "schedule/cd": {...}, "bytes/cd": {...}} for one scheme."""
+    out: dict = {part: {} for part in PARTS}
     for gid, g in graphs_for(scheme):
         labels, program = build(scheme, g)
         out["labels"][gid] = labels_digest(labels)
         for mode, cd in (("nocd", False), ("cd", True)):
-            out[mode][gid] = trace_digest(run(g, labels, program, cd=cd), scheme)
+            trace = run(g, labels, program, cd=cd)
+            out[f"schedule/{mode}"][gid] = schedule_digest(trace, scheme)
+            out[f"bytes/{mode}"][gid] = byte_digest(trace)
     return out
 
 
@@ -160,7 +204,7 @@ def main() -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     data = {scheme: sweep(scheme) for scheme in SCHEMES}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}: {sum(len(d['nocd']) for d in data.values())} graphs x 2 modes")
+    print(f"wrote {GOLDEN}: {sum(len(d['labels']) for d in data.values())} graphs x 2 modes")
     atlas = {
         scheme: atlas_labels_digest(
             (gid, build_bundle(scheme, g).labels) for gid, g in relabelled_atlas()

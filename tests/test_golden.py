@@ -1,13 +1,24 @@
-"""Every scheme and primitive gives the traces, labels and outputs stored in
-`tests/data/golden_digests.json`, and the large runs the traces stored in
-`tests/data/large_digests.json` (see `golden.py` for the sweeps and the
-regeneration command)."""
+"""Every scheme and primitive gives the schedules, message bytes, labels and
+outputs stored in `tests/data/golden_digests.json`, and the large runs the
+traces stored in `tests/data/large_digests.json` (see `golden.py` for the
+sweeps and the regeneration command)."""
 
 import json
 
 import pytest
 
-from golden import GOLDEN, LARGE, LARGE_RUNS, SCHEMES, large_digest, sweep, trace_digest
+from golden import (
+    GOLDEN,
+    LARGE,
+    LARGE_RUNS,
+    PARTS,
+    SCHEMES,
+    byte_digest,
+    large_digest,
+    schedule_digest,
+    sweep,
+    trace_digest,
+)
 from radiolab.graphs import gen_grid
 from radiolab.schemes import build_bundle
 from radiolab.sim import RoundRecord, run
@@ -18,6 +29,7 @@ STORED = json.loads(GOLDEN.read_text())
 
 def test_every_stored_scheme_is_swept():
     assert sorted(STORED) == sorted(SCHEMES)
+    assert all(sorted(parts) == sorted(PARTS) for parts in STORED.values())
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -83,3 +95,62 @@ class TestDigest:
         before = trace_digest(tr, "toprec")
         tr.outputs = [list(out) for out in tr.outputs]
         assert trace_digest(tr, "toprec") == before
+
+
+class TestTwoLayers:
+    """The schedule digest sees transmitters, who heard whom, round counts
+    and outputs but no message byte; the byte digest sees every message
+    byte, sent or heard."""
+
+    _trace = staticmethod(TestDigest._trace)
+    _flip = staticmethod(TestDigest._flip)
+
+    @staticmethod
+    def digests(tr):
+        return schedule_digest(tr, "toprec"), byte_digest(tr)
+
+    def test_transmitted_byte_moves_only_the_byte_digest(self):
+        tr = self._trace()
+        schedule, data = self.digests(tr)
+        i = next(i for i, rec in enumerate(tr.rounds) if rec.transmitters)
+        rec = tr.rounds[i]
+        tr.rounds[i] = RoundRecord({v: self._flip(m) for v, m in rec.transmitters.items()},
+                                   {w: self._flip(m) for w, m in rec.heard.items()})
+        assert self.digests(tr)[0] == schedule
+        assert self.digests(tr)[1] != data
+
+    def test_heard_byte_moves_only_the_byte_digest(self):
+        tr = self._trace()
+        schedule, data = self.digests(tr)
+        i = next(i for i, rec in enumerate(tr.rounds) if rec.heard)
+        rec = tr.rounds[i]
+        (w, m), *rest = rec.heard.items()
+        tr.rounds[i] = RoundRecord(rec.transmitters, {w: self._flip(m), **dict(rest)})
+        assert self.digests(tr)[0] == schedule
+        assert self.digests(tr)[1] != data
+
+    def test_dropped_listener_or_transmitter_moves_the_schedule(self):
+        tr = self._trace()
+        schedule, _ = self.digests(tr)
+        i = next(i for i, rec in enumerate(tr.rounds) if len(rec.heard) > 1)
+        rec = tr.rounds[i]
+        _, *rest = rec.heard.items()
+        tr.rounds[i] = RoundRecord(rec.transmitters, dict(rest))
+        assert self.digests(tr)[0] != schedule
+        tr.rounds[i] = RoundRecord({}, rec.heard)  # heard from no neighbour
+        assert self.digests(tr)[0] != schedule
+        tr.rounds[i] = rec
+        assert self.digests(tr)[0] == schedule
+
+    def test_output_round_moves_only_the_schedule_digest(self):
+        tr = self._trace()
+        schedule, data = self.digests(tr)
+        tr.output_round[-1] += 1
+        assert self.digests(tr) != (schedule, data)
+        assert self.digests(tr)[1] == data
+
+    def test_tuple_output_as_list_keeps_the_schedule_digest(self):
+        tr = self._trace()
+        before = self.digests(tr)
+        tr.outputs = [list(out) for out in tr.outputs]
+        assert self.digests(tr) == before
