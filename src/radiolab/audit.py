@@ -27,12 +27,17 @@ def _component_index(
     trace: ExecutionTrace, partition: LBFamilyDescriptor
 ) -> dict[int, int]:
     """Component of every node; the partition's components must cover
-    exactly the nodes of the trace's graph, each node once (G_n does,
-    H_{delta,n} leaves its special nodes out and is not supported)."""
+    exactly the nodes of the trace's graph, each node once, and a special
+    node must be a node of the graph outside every component. G_n has no
+    special node; H_{delta,n} leaves its special nodes out of the
+    components, so they do not cover the graph, and is not supported."""
     n = trace.graph.n
     if partition.n != n:
         raise InvalidParams(f"partition is for {partition.n} nodes, the graph has {n}")
     comp_of = partition.component_of()
+    for s in partition.specials:
+        if not 0 <= s < n or s in comp_of:
+            raise InvalidParams(f"special node {s} is not a node of 0..{n - 1} outside every component")
     if comp_of.keys() != set(range(n)) or sum(map(len, partition.components)) != n:
         raise InvalidParams(
             f"partition components do not cover nodes 0..{n - 1} exactly once"

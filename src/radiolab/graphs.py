@@ -261,11 +261,12 @@ def _component_runs(k: int) -> list[tuple[int, int]]:
     return [(half, half + j) for j in range(1, half + 1)] + [(i, half) for i in range(half)]
 
 
-def _lb_rows(k: int, nodes: list[int], base: int = 0) -> list[list[int]]:
+def _lb_rows(k: int, nodes: tuple[int, ...], base: int = 0) -> list[tuple[int, ...]]:
     """Sorted adjacency rows of G_{k^2} on nodes[base : base + k^2]: a node
     of a component is joined to every node before its component, its run
-    inside it, and every node after it. The rows are slices of `nodes`, so
-    they share its int objects."""
+    inside it, and every node after it. The rows are joined slices of
+    `nodes`, so they share its int objects, and tuples, which `Graph` keeps
+    without a copy."""
     end = base + k * k
     runs = _component_runs(k)
     rows = []
@@ -286,8 +287,8 @@ def gen_lb_family(n: int) -> tuple[Graph, LBFamilyDescriptor]:
     k = _exact_even_sqrt(n)
     if k is None:
         raise NotPerfectEvenSquare(f"sqrt({n}) is not an even natural number")
-    nodes = list(range(n))
-    comps = [nodes[i : i + k] for i in range(0, n, k)]
+    nodes = tuple(range(n))
+    comps = [list(nodes[i : i + k]) for i in range(0, n, k)]
     return Graph(n, _lb_rows(k, nodes)), LBFamilyDescriptor(n=n, components=comps)
 
 
@@ -301,14 +302,14 @@ def gen_lb_general(delta: int, n: int) -> tuple[Graph, LBFamilyDescriptor]:
     k = (r + r % 2) ** 2
     copies = -(-n // delta)
     total = copies * (k + 1)
-    nodes = list(range(total))
-    specials = nodes[k :: k + 1]
-    rows: list[list[int]] = []
+    nodes = tuple(range(total))
+    specials = list(nodes[k :: k + 1])
+    rows: list[tuple[int, ...]] = []
     for c, s in enumerate(specials):
-        rows.extend(row + [s] for row in _lb_rows(math.isqrt(k), nodes, s - k))
+        rows.extend(row + (s,) for row in _lb_rows(math.isqrt(k), nodes, s - k))
         ring = {specials[c - 1], specials[(c + 1) % copies]} - {s}
-        rows.append(sorted(nodes[s - k : s] + list(ring)))
-    comps = [nodes[s - k : s] for s in specials]
+        rows.append(tuple(sorted(nodes[s - k : s] + tuple(ring))))
+    comps = [list(nodes[s - k : s]) for s in specials]
     return Graph(total, rows), LBFamilyDescriptor(n=total, components=comps, specials=specials)
 
 

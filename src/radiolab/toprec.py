@@ -14,6 +14,7 @@ the root, and broadcasts the full edge set back.
 from __future__ import annotations
 
 from itertools import repeat
+from types import MappingProxyType
 
 from .errors import InconsistentReports, ProtocolViolation
 from .graphs import Graph, LayerAssignment, bfs_layers
@@ -232,36 +233,36 @@ def wire_to_id(wire: str) -> tuple[int, ...]:
 
 def parse_message(message: bytes) -> tuple:
     """A TopRec message as an immutable tuple `(tag, ...)`: T1/T3 carry an
-    int-tuple identifier and its wire form, `(tag, id, wire)`, T4 its
-    reports in wire form `((wire_id, (wire_nbr, ...)), ...)`, T5 the
-    reports decoded by `decode_reports` and then the finished `topology` of
-    them; TA/T2 keep their ints. A pure function of the bytes, for
-    `Heard.decode`, so every listener of a T5 shares one topology. A T1/T3
-    identifier that is not a string raises ProtocolViolation."""
+    identifier in wire form, `(tag, wire)`, T4 its sender's wire and the
+    reports in wire form, `(tag, wire, ((wire_id, (wire_nbr, ...)), ...))`,
+    T5 the `topology` (edge tuple) of the reports and the read-only map
+    from each wire to its identifier (both from `decode_reports`); TA/T2 keep
+    their ints. A pure function of the bytes, for `Heard.decode`, so every
+    listener of a T5 shares one topology and one map. A T1/T3 identifier or
+    a T4 sender that is not a string raises ProtocolViolation."""
     parts = unframe(message)
     tag = parts[0]
-    if tag in ("T1", "T3"):
-        if type(parts[1]) is not str:
-            raise ProtocolViolation(f"{tag} identifier {parts[1]!r} is not a bit string")
-        return tag, wire_to_id(parts[1]), parts[1]
+    if tag in ("T1", "T3", "T4") and type(parts[1]) is not str:
+        raise ProtocolViolation(f"{tag} identifier {parts[1]!r} is not a bit string")
     if tag == "T4":
-        return tag, tuple((wid, tuple(nbrs)) for wid, nbrs in parts[1])
+        return tag, parts[1], tuple((wid, tuple(nbrs)) for wid, nbrs in parts[2])
     if tag == "T5":
-        reports = decode_reports(parts[1])
-        return tag, reports, topology(reports)
+        reports, ids = decode_reports(parts[1])
+        return tag, topology(reports), MappingProxyType(ids)
     return tuple(parts)
 
 
-def decode_reports(reports) -> tuple:
+def decode_reports(reports) -> tuple[tuple, dict[str, tuple[int, ...]]]:
     """Wire reports `[(wire_id, (wire_nbr, ...)), ...]` as
-    `((id, (nbr_id, ...)), ...)`, each distinct wire identifier decoded once
-    (through a dict local to the call)."""
+    `((id, (nbr_id, ...)), ...)`, and the map from each distinct wire
+    identifier to its identifier, through which each is decoded once."""
     wires = set()
     for wid, nbrs in reports:
         wires.add(wid)
         wires.update(nbrs)
-    get = {w: wire_to_id(w) for w in wires}.__getitem__
-    return tuple((get(wid), tuple(map(get, nbrs))) for wid, nbrs in reports)
+    ids = {w: wire_to_id(w) for w in wires}
+    get = ids.__getitem__
+    return tuple((get(wid), tuple(map(get, nbrs))) for wid, nbrs in reports), ids
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +270,12 @@ def decode_reports(reports) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def topology(reports) -> tuple[frozenset, tuple]:
+def topology(reports) -> tuple:
     """The finished topology of decoded `(id, (nbr_id, ...))` reports: the
-    node set and the sorted edge tuple over identifiers. Immutable, so every
-    node of a run can share it. A one-sided listing flags a protocol bug
-    (both endpoints must have heard each other)."""
+    sorted edge tuple over identifiers. Immutable, so every node of a run
+    can share it. A one-sided listing flags a protocol bug (both endpoints
+    must have heard each other), and so does a listed node without a
+    report."""
     listed = {wid: set(nbrs) for wid, nbrs in reports}
     edges = set()
     for a, nbrs in listed.items():
@@ -283,7 +285,7 @@ def topology(reports) -> tuple[frozenset, tuple]:
             if a not in listed[bb]:
                 raise InconsistentReports(f"one-sided listing {a} -> {bb}")
             edges.add((a, bb) if a < bb else (bb, a))
-    return frozenset(listed), tuple(sorted(edges))
+    return tuple(sorted(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +311,19 @@ class TopRecProgram(NodeProgram):
 
     Identifiers travel in wire form and are never re-encoded: a node's wire
     is its parent's, heard in T1, plus its own gather index as one more
-    block, and each announced neighbor keeps the wire its T3 carried.
-    Gathered reports stay in wire form (`_reports` maps a wire identifier to
-    its neighbors' wire identifiers): inner nodes merge and forward them
-    without decoding. The root decodes the full set once for its own output,
-    and the T5 parse, which all listeners share, decodes it once more.
+    block, and `nbr_wires` keeps the wires its neighbours' T3s carried. A
+    node's own report lists them in wire order.
+
+    Stage 3 is a convergecast up the BFS tree. A T4 carries its sender's
+    wire and the reports of the sender's subtree, in wire form (`_reports`
+    maps a wire to its neighbours' wires). Only the sender's parent merges
+    them: a child's wire is the listener's plus one block, and at the root
+    every sender is a child. Gather indices give each child of a parent a
+    slot of its own, so the root gets every report exactly once. No report
+    is decoded on the way up, and no T1 or T3. The root decodes the full
+    set once for its own output, and the T5 parse, which all listeners
+    share, decodes it once more; each node takes its own identifier
+    (`my_id`) from that decode's wire map when it finishes.
 
     Each pending transmission is a round attribute, None while unknown or
     once served: `_t1` (forward T1), `_ta` (start or relay the TA), `_t2`
@@ -342,20 +352,19 @@ class TopRecProgram(NodeProgram):
         self.dstar: int | None = None
         self.total: int | None = None
         self.my_id: tuple[int, ...] | None = None
-        self.wire_id: str | None = None  # my_id in wire form, what T1 and T3 carry
+        self.wire_id: str | None = None  # my_id in wire form, what T1, T3 and T4 carry
         self._t1 = self._ta = self._t2 = self._t3 = self._t4 = self._t5 = None
         self._relayed = self._sent2 = self._sent3 = self._sent4 = self._sent5 = False
-        self.nbr_ids: dict[tuple[int, ...], str] = {}  # announced id -> its wire
+        self.nbr_wires: set[str] = set()  # the announced neighbours' wires
         self._reports: dict[str, tuple[str, ...]] = {}
         self._final: bytes | None = None  # the T5 message, as heard
         if self.is_root:
-            self.my_id = ()
             self.wire_id = id_to_wire(())
             if self.is_leaf and self.on_apath:
                 # single node: nothing to broadcast, announce or gather
                 self.dstar = self.total = 0
                 self._relayed = self._sent3 = self._sent5 = True
-                self._finish(topology([((), ())]))
+                self._finish(topology([((), ())]), {self.wire_id: ()})
             self._place(0)
 
     def _place(self, layer: int) -> None:
@@ -396,10 +405,11 @@ class TopRecProgram(NodeProgram):
             elif self._final is not None and slot is not None:
                 self._t5 = stage4 + slot
 
-    def _finish(self, topo: tuple[frozenset, tuple]) -> None:
-        """Output from a finished `topology`, shared, not copied."""
-        nodes, edges = topo
-        if self.my_id not in nodes:
+    def _finish(self, edges: tuple, ids) -> None:
+        """Output from a finished `topology`, shared, not copied, and the
+        own identifier from the wire map of the same reports."""
+        self.my_id = ids.get(self.wire_id)
+        if self.my_id is None:
             raise ProtocolViolation("own identifier missing from reports")
         self.output = (edges, self.my_id)
 
@@ -425,23 +435,24 @@ class TopRecProgram(NodeProgram):
             return frame("T3", self.wire_id)
         if rnd == self._t4:
             self._t4, self._sent4 = None, True
-            return frame("T4", self._all_reports())
+            return frame("T4", self.wire_id, self._all_reports())
         if rnd == self._t5:
             self._t5, self._sent5 = None, True
             if not self.is_root:
                 return self._final
             reports = self._all_reports()
-            self._finish(topology(decode_reports(reports)))
+            decoded, ids = decode_reports(reports)
+            self._finish(topology(decoded), ids)
             if self.is_leaf:
                 return None
             return frame("T5", reports)
         return None
 
     def _all_reports(self) -> list[tuple[str, tuple[str, ...]]]:
-        """The gathered reports plus this node's own, all in wire form; the
-        own report lists the neighbors' wires in identifier order."""
-        nbrs = tuple(wire for _, wire in sorted(self.nbr_ids.items()))
-        return list({**self._reports, self.wire_id: nbrs}.items())
+        """The children's gathered reports plus this node's own, all in
+        wire form; the own report lists the neighbours' wires in wire
+        order."""
+        return [*self._reports.items(), (self.wire_id, tuple(sorted(self.nbr_wires)))]
 
     def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse_message)
@@ -450,9 +461,8 @@ class TopRecProgram(NodeProgram):
             if self.layer is not None:
                 return False
             # the parent's wire plus one block: id_to_wire(my_id), not re-encoded
-            _, parent_id, parent_wire = parts
+            parent_wire = parts[1]
             own = encode_blocks((int_to_bits(self.g),))
-            self.my_id = parent_id + (self.g,)
             self.wire_id = parent_wire + "00" + own if parent_wire else own
             self._place((rnd - 1) // self.width + 1)
         elif tag == "TA":
@@ -474,19 +484,20 @@ class TopRecProgram(NodeProgram):
             if total is not None and self.n_value == n_value:
                 return False
         elif tag == "T3":
-            self.nbr_ids[parts[1]] = parts[2]
+            self.nbr_wires.add(parts[1])
             return False
         elif tag == "T4":
-            for wid, nbrs in parts[1]:
-                if wid not in self._reports:
-                    self._reports[wid] = nbrs
+            # only a child's reports; a node without a wire has no child
+            mine = self.wire_id
+            if mine is not None and (self.is_root or parts[1].startswith(mine + "00")):
+                self._reports.update(parts[2])
             return False
         elif tag == "T5":
             if self._final is not None:
                 return False
             self._final = heard.message
             if self.output is None:
-                self._finish(parts[2])
+                self._finish(parts[1], parts[2])
         else:
             return False
         self._schedule()

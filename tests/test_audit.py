@@ -296,6 +296,16 @@ class TestPartitionChecks:
         with pytest.raises(InvalidParams):
             canonical_components(tr, bad)
 
+    @pytest.mark.parametrize("special", [16, 99, -1, 0, 15])
+    def test_special_outside_the_graph_or_inside_a_component(self, special):
+        g, desc = gen_lb_family(16)
+        tr = make_trace(g, [({0: b"m"}, {})])
+        bad = LBFamilyDescriptor(n=16, components=desc.components, specials=[special])
+        with pytest.raises(InvalidParams, match=f"special node {special} "):
+            audit_facts(tr, bad)
+        with pytest.raises(InvalidParams, match=f"special node {special} "):
+            canonical_components(tr, bad)
+
     def test_node_in_two_components(self):
         """Every node is covered, but node 0 is listed a second time."""
         g, desc = gen_lb_family(16)

@@ -269,9 +269,15 @@ class TestAudit:
             '{"components": [[0, true, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]}',
             json.dumps({"components": [list(range(i * 4, (i + 1) * 4)) for i in range(4)],
                         "specials": "12"}),
+            # a special node must be a node of the graph outside every component
+            json.dumps({"components": [list(range(i * 4, (i + 1) * 4)) for i in range(4)],
+                        "specials": [99]}),
+            json.dumps({"components": [list(range(i * 4, (i + 1) * 4)) for i in range(4)],
+                        "specials": [0]}),
         ],
         ids=["no-components", "not-json", "non-integer", "not-a-list", "not-an-object",
-             "node-twice", "float-id", "boolean-id", "specials-string"],
+             "node-twice", "float-id", "boolean-id", "specials-string",
+             "special-out-of-range", "special-in-component"],
     )
     def test_malformed_partition_exits_2(self, tmp_path, capsys, text):
         el = tmp_path / "g16.el"

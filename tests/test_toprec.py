@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import networkx as nx
 import pytest
 
@@ -29,6 +31,7 @@ from radiolab.toprec import (
     topology,
     wire_to_id,
 )
+from golden import graphs_for
 from oracles import reference_run, tagged_rounds, toprec_round_formula, verify_gather_indices
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -214,7 +217,7 @@ class TestGatherBFS:
         gathered = {id_to_wire(()): None}  # the root's own report
         for _, _, heard in tagged_rounds(tr, "T4"):
             if 0 in heard:
-                gathered.update(dict.fromkeys(wid for wid, _ in unframe(heard[0])[1]))
+                gathered.update(dict.fromkeys(wid for wid, _ in unframe(heard[0])[2]))
         assert sorted(gathered) == sorted(map(id_to_wire, oracle_ids(bundle.meta)))
 
     @pytest.mark.parametrize("seed", [3, 17])
@@ -233,6 +236,48 @@ class TestGatherBFS:
                 assert tr.rounds[rnd_idx - 1].heard.get(bundle.meta["parent"][v]) == m
                 senders.append(v)
         assert sorted(senders) == list(range(1, g.n))
+
+
+class TestConvergecast:
+    """Stage 3 is a convergecast up the BFS tree of `meta["parent"]`: each
+    T4 names its sender and carries exactly the reports of the sender's
+    subtree, each once, and the root's T5 carries every report once."""
+
+    SWEEP = dict(graphs_for("toprec"))  # the toprec corpus and G_16..G_144
+
+    @pytest.mark.parametrize("gid", SWEEP)
+    def test_each_t4_carries_its_senders_subtree(self, gid):
+        g = self.SWEEP[gid]
+        bundle = build_toprec_labels(g)
+        parent = bundle.meta["parent"]
+        wires = [id_to_wire(i) for i in oracle_ids(bundle.meta)]
+        report = [(wires[u], sorted(wires[w] for w in g.adj[u])) for u in range(g.n)]
+        subtree = [{v} for v in range(g.n)]
+        for bucket in reversed(bundle.meta["layers"].by_layer[1:]):
+            for v in bucket:
+                subtree[parent[v]] |= subtree[v]
+        tr = run(g, bundle.labels, TopRecProgram)
+        senders = []
+        for _, sent, _ in tagged_rounds(tr, "T4"):
+            for v, m in sent.items():
+                _, wire, reports = unframe(m)
+                assert wire == wires[v]
+                assert sorted(reports) == sorted(map(list, map(report.__getitem__, subtree[v])))
+                senders.append(v)
+        assert sorted(senders) == [v for v in range(g.n) if v != bundle.meta["root"]]
+        (final,) = {m for _, sent, _ in tagged_rounds(tr, "T5") for m in sent.values()}
+        assert sorted(unframe(final)[1]) == sorted(map(list, report))
+
+    def test_only_a_child_t4_is_merged(self):
+        """A node with no wire yet, or that is not the sender's parent,
+        ignores a T4; the parent merges its child's reports."""
+        p = TopRecProgram(build_toprec_labels(gen_path(4)).labels[2])
+        child, me, parent = (id_to_wire((0,) * k) for k in (3, 2, 1))
+        t4 = {w: Heard(frame("T4", w, [[w, [me]]])) for w in (child, parent)}
+        assert p.receive(1, t4[child]) is False and p._reports == {}
+        p.wire_id = me
+        assert p.receive(2, t4[parent]) is False and p._reports == {}
+        assert p.receive(3, t4[child]) is False and p._reports == {child: (me,)}
 
 
 class TestTopRec:
@@ -324,29 +369,31 @@ class TestParseMessage:
         ids=["c4", "grid3x4", "gnp20"],
     )
     def test_every_message_parses_to_a_hashable_value(self, g, cd):
+        """Every parse is hashable, so deeply immutable, except T5's wire
+        map, which is a read-only view."""
         tr = run(g, build_toprec_labels(g).labels, TopRecProgram, cd=cd)
         tags = set()
         for rec in tr.rounds:
             for m in rec.transmitters.values():
                 parsed = parse_message(m)
-                hash(parsed)  # hashable, so deeply immutable
                 parts = unframe(m)
                 tags.add(parts[0])
-                if parts[0] in ("T1", "T3"):
-                    assert parsed == (parts[0], wire_to_id(parts[1]), parts[1])
-                elif parts[0] == "T4":
-                    assert parsed[1] == tuple((w, tuple(ns)) for w, ns in parts[1])
-                elif parts[0] == "T5":
-                    assert parsed[1] == tuple(
-                        (wire_to_id(w), tuple(map(wire_to_id, ns))) for w, ns in parts[1]
-                    )
-                    nodes, edges = topology(parsed[1])
-                    assert parsed[2] == (nodes, edges)
-                else:
+                if parts[0] == "T5":
+                    hash(parsed[:2])
+                    assert isinstance(parsed[2], MappingProxyType)
+                    wires = {w for wid, ns in parts[1] for w in (wid, *ns)}
+                    assert dict(parsed[2]) == {w: wire_to_id(w) for w in wires}
+                    decoded = [(wire_to_id(w), tuple(map(wire_to_id, ns))) for w, ns in parts[1]]
+                    assert parsed[1] == topology(decoded)
+                    continue
+                hash(parsed)
+                if parts[0] == "T4":
+                    assert parsed == ("T4", parts[1], tuple((w, tuple(ns)) for w, ns in parts[2]))
+                else:  # T1/T3 carry their wire undecoded, TA/T2 their ints
                     assert list(parsed) == parts
         assert tags == {"T1", "TA", "T2", "T3", "T4", "T5"}
 
-    @pytest.mark.parametrize("tag", ["T1", "T3"])
+    @pytest.mark.parametrize("tag", ["T1", "T3", "T4"])
     @pytest.mark.parametrize("wire", [None, 5, ["10"]])
     def test_identifier_that_is_not_a_string_rejected(self, tag, wire):
         with pytest.raises(ProtocolViolation, match="not a bit string"):
@@ -377,7 +424,7 @@ class TestSharedTopology:
     def test_own_id_missing_from_shared_topology(self):
         g = gen_cycle(4)
         p = TopRecProgram(build_toprec_labels(g).labels[1])
-        p.my_id = (0,)
+        p.wire_id = id_to_wire((0,))
         with pytest.raises(ProtocolViolation, match="own identifier"):
             p.receive(1, Heard(frame("T5", [["", []]])))
 
@@ -443,13 +490,12 @@ class TestDecodeOnce:
         return calls
 
     def test_grid_run_decode_count(self, monkeypatch):
-        """One decode per distinct T1 (99: every node but the far corner
-        forwards it) and T3 (100), and one per identifier in each of the
-        two report-set decodes (2 x 100)."""
+        """One decode per identifier in each of the two report-set decodes
+        (2 x 100), and none of a T1 or T3."""
         calls = self.count_wire_to_id(monkeypatch)
         r = run_scheme("toprec", gen_grid(10, 10))
         assert r.ok
-        assert len(calls) == 399  # 1,119 when every report entry was decoded
+        assert len(calls) == 200  # 399 when T1 and T3 were decoded, 1,119 before that
 
     @pytest.mark.parametrize("g", [gen_grid(10, 10), gen_star(129)],
                              ids=["grid10x10", "star129"])
@@ -599,12 +645,10 @@ class TestOutputSerialization:
 
 class TestReconstruct:
     def test_single(self):
-        nodes, edges = topology({(): set()}.items())
-        assert nodes == {()} and edges == ()
+        assert topology({(): set()}.items()) == ()
 
     def test_two_nodes(self):
-        nodes, edges = topology({(): {(0,)}, (0,): {()}}.items())
-        assert edges == (((), (0,)),)
+        assert topology({(): {(0,)}, (0,): {()}}.items()) == (((), (0,)),)
 
     def test_one_sided_flagged(self):
         with pytest.raises(InconsistentReports):
