@@ -3,8 +3,9 @@
 The labeling carries, per node: root/leaf/ack-path flags, a broadcast index
 b in [0, Delta] scheduling collision-free downward layer-to-layer delivery,
 a gather index g in [0, Delta-1] scheduling collision-free upward gathering,
-the maximum degree, and a distance-two color (plus a unique id and the graph
-size at the root when Delta^2+1 > n). The four-stage recognizer is one node
+the maximum degree, and a stage-2 slot: a unique id in [1, n] in id mode,
+when Delta^2+1 > n, with binary(n) at the root, else a distance-two color
+in [1, Delta^2+1]. The four-stage recognizer is one node
 program, `TopRecProgram`: it first distributes path-of-gather-indices
 identifiers over the acknowledged layered broadcast, then lets every node
 announce its identifier to its neighbors, gathers the adjacency reports at
@@ -146,23 +147,22 @@ def distance_two_coloring(g: Graph) -> list[int]:
 
 def build_toprec_labels(g: Graph) -> SchemeBundle:
     """`TopRecProgram.layout` labels (root, leaf, ack path, b, g, Delta,
-    distance-two color, unique id, n at the root), one column per block.
-    The ack path is one deepest root-to-leaf chain of the BFS tree. In id
-    mode, when Delta^2+1 > n, every node holds a unique id in [1, n] and the
-    root binary(n) as well; otherwise both blocks are empty, so a non-empty
-    id block is what marks id mode."""
+    stage-2 slot, n at the root), one column per block. The ack path is one
+    deepest root-to-leaf chain of the BFS tree. In id mode, when
+    Delta^2+1 > n, node v's slot is its unique id v+1 and the root holds
+    binary(n) as well; otherwise the slot is v's distance-two color, the
+    only use of the colouring, and the n block is empty."""
     n = g.n
     r = 0
     b, parent, la = assign_broadcast_indices(g, r)
     gv = assign_gather_indices(g, r, la, parent, b)
     layer = la.layer
     delta = g.max_degree()
-    colors = distance_two_coloring(g)
     id_mode = delta * delta + 1 > n
+    window = n if id_mode else delta * delta + 1
+    slots = list(range(1, n + 1)) if id_mode else distance_two_coloring(g)
     wd = max(delta.bit_length(), 1)  # b and Delta
     wg = max((delta - 1).bit_length(), 1) if delta > 1 else 1
-    wc = max((delta * delta + 1).bit_length(), 1)
-    wu = max(n.bit_length(), 1)
     path = [la.by_layer[la.depth][0]]
     while path[-1] != r:
         path.append(parent[path[-1]])
@@ -180,8 +180,7 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
         b=map(bit_table(max(b), wd).__getitem__, b),
         g=map(bit_table(max(gv), wg).__getitem__, gv),
         delta=repeat(int_to_bits(delta, wd), n),
-        color=map(bit_table(max(colors), wc).__getitem__, colors),
-        uid=bit_table(n, wu)[1:] if id_mode else repeat("", n),
+        slot=map(bit_table(max(slots), max(window.bit_length(), 1)).__getitem__, slots),
         n=n_root,
     )
     return SchemeBundle(
@@ -195,9 +194,9 @@ def build_toprec_labels(g: Graph) -> SchemeBundle:
             "g": gv,
             "path": path,
             "delta": delta,
-            "colors": colors,
+            "slots": slots,
             "id_mode": id_mode,
-            "stage2_window": n if id_mode else delta * delta + 1,
+            "stage2_window": window,
         },
     )
 
@@ -295,7 +294,7 @@ def topology(reports) -> tuple:
 
 class TopRecProgram(NodeProgram):
     """Four stages: identifier distribution over the acknowledged broadcast,
-    per-color (or per-id) identifier announcement, adjacency-report
+    per-slot identifier announcement, adjacency-report
     gathering, and a final broadcast of the edge set. Output per node:
     (sorted edge tuple over identifiers, own identifier); the edge tuple is
     one object shared by every node that heard the same T5.
@@ -307,7 +306,9 @@ class TopRecProgram(NodeProgram):
     gather index. The marked deepest leaf answers with D* as TA after round
     D*(Delta+1) and ack-path nodes relay it one round apart; the root then
     runs a BroadcastBFS of the total duration D* + 2D*(Delta+1) as T2, which
-    also carries n in id mode.
+    also carries n in id mode. In stage 2 a node sends its identifier as T3
+    in round total + slot of a window of n rounds if it knows n, else
+    Delta^2+1; a slot outside the window raises ProtocolViolation.
 
     Identifiers travel in wire form and are never re-encoded: a node's wire
     is its parent's, heard in T1, plus its own gather index as one more
@@ -331,8 +332,7 @@ class TopRecProgram(NodeProgram):
     set when what fixes them is learned: the layer, D*, the total, n or the
     heard T5."""
 
-    layout = Layout("toprec", root=1, leaf=1, apath=1, b=None, g=None, delta=None, color=None,
-                    uid=None, n=None)
+    layout = Layout("toprec", root=1, leaf=1, apath=1, b=None, g=None, delta=None, slot=None, n=None)
 
     def __init__(self, label: str):
         super().__init__(label)
@@ -344,9 +344,7 @@ class TopRecProgram(NodeProgram):
         self.g = bits_to_int(blocks["g"])
         self.delta = bits_to_int(blocks["delta"])
         self.width = self.delta + 1
-        self.color = bits_to_int(blocks["color"])
-        self.id_mode = blocks["uid"] != ""  # an id has at least one bit
-        self.uid = bits_to_int(blocks["uid"]) if self.id_mode else None
+        self.slot = bits_to_int(blocks["slot"])
         self.n_value = bits_to_int(blocks["n"]) if blocks["n"] else None
         self.layer: int | None = None
         self.dstar: int | None = None
@@ -377,9 +375,8 @@ class TopRecProgram(NodeProgram):
             self._ta = layer * self.width + 1
 
     def _schedule(self) -> None:
-        """Set the unserved duties that follow from the total (stages 2-4
-        once the total is known and, in id mode, n too: the root has n in
-        its label, the total broadcast carries both to the others). Called
+        """Set the unserved duties that follow from the total (stages 2-4,
+        whose stage-2 window is n if known, else Delta^2+1). Called
         whenever the layer, D*, the total, n or the heard T5 changes. An
         inner node forwards a BroadcastBFS in round start + layer*(Delta+1)
         + b + 1 of a window beginning after `start`; layer D*-i gathers in
@@ -388,22 +385,23 @@ class TopRecProgram(NodeProgram):
         if total is None:
             return
         inner = layer is not None and not self.is_leaf
-        slot = layer * self.width + self.b + 1 if inner else None
+        turn = layer * self.width + self.b + 1 if inner else None  # in a BroadcastBFS
         if not self._sent2:
-            self._t2 = None if slot is None else total - self.width * self.dstar + slot
-        if self.id_mode and self.n_value is None:
-            return
-        stage3 = total + (self.n_value if self.id_mode else self.delta * self.delta + 1)
+            self._t2 = None if turn is None else total - self.width * self.dstar + turn
+        window = self.delta * self.delta + 1 if self.n_value is None else self.n_value
+        if not 1 <= self.slot <= window:
+            raise ProtocolViolation(f"stage-2 slot {self.slot} outside 1..{window}")
+        stage3 = total + window
         stage4 = stage3 + self.dstar * self.delta
         if not self._sent3:
-            self._t3 = total + (self.uid if self.id_mode else self.color)
+            self._t3 = total + self.slot
         if not self._sent4 and not self.is_root and layer is not None:
             self._t4 = stage3 + (self.dstar - layer) * self.delta + self.g + 1
         if not self._sent5:
             if self.is_root:
                 self._t5 = stage4 + 1
-            elif self._final is not None and slot is not None:
-                self._t5 = stage4 + slot
+            elif self._final is not None and turn is not None:
+                self._t5 = stage4 + turn
 
     def _finish(self, edges: tuple, ids) -> None:
         """Output from a finished `topology`, shared, not copied, and the

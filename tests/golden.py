@@ -27,12 +27,19 @@ Regenerate the stored digests (only for a change that means to alter a
 trace, a label or an output, and say so) with:
 
     PYTHONPATH=src python tests/golden.py
+
+Before regenerating, `--check` runs the same fresh sweep, writes nothing
+and prints, per scheme and digest part, how many stored digests differ
+(exit status 1 if any does), so a change can show which parts it moved:
+
+    PYTHONPATH=src python tests/golden.py --check
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from radiolab.broadcast import PathMessageProgram, synthesize_path_message
@@ -200,22 +207,57 @@ def large_digest(key: str) -> str:
     return trace_digest(run(g, build_bundle(scheme, g).labels, program_for(scheme)), scheme)
 
 
-def main() -> None:
-    GOLDEN.parent.mkdir(exist_ok=True)
-    data = {scheme: sweep(scheme) for scheme in SCHEMES}
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}: {sum(len(d['labels']) for d in data.values())} graphs x 2 modes")
-    atlas = {
+def atlas_digests() -> dict[str, str]:
+    """{scheme: atlas label digest} over the relabelled-atlas sweep."""
+    return {
         scheme: atlas_labels_digest(
             (gid, build_bundle(scheme, g).labels) for gid, g in relabelled_atlas()
         )
         for scheme in schemes.SCHEMES
     }
-    ATLAS_LABELS.write_text(json.dumps(atlas, indent=1, sort_keys=True) + "\n")
+
+
+def large_digests() -> dict[str, str]:
+    return {key: large_digest(key) for key in LARGE_RUNS}
+
+
+def main() -> None:
+    GOLDEN.parent.mkdir(exist_ok=True)
+    data = {scheme: sweep(scheme) for scheme in SCHEMES}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}: {sum(len(d['labels']) for d in data.values())} graphs x 2 modes")
+    ATLAS_LABELS.write_text(json.dumps(atlas_digests(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {ATLAS_LABELS}: {len(relabelled_atlas())} label sets per scheme")
-    LARGE.write_text(json.dumps({key: large_digest(key) for key in LARGE_RUNS}, indent=1) + "\n")
+    LARGE.write_text(json.dumps(large_digests(), indent=1) + "\n")
     print(f"wrote {LARGE}: {len(LARGE_RUNS)} large runs")
 
 
+def differing(got: dict, want: dict) -> tuple[int, int]:
+    """(differing, compared): the keys on either side whose digests are not
+    equal, a key on one side only counting as differing, and all keys."""
+    keys = got.keys() | want.keys()
+    return sum(got.get(k) != want.get(k) for k in keys), len(keys)
+
+
+def check() -> int:
+    """Compare a fresh sweep with every stored digest, print the number of
+    differing digests per scheme and part, and write nothing. Returns the
+    exit status: 1 if any digest differs, else 0."""
+    stored = json.loads(GOLDEN.read_text())
+    rows = []
+    for scheme in SCHEMES:
+        got = sweep(scheme)
+        rows += [(f"{scheme} {part}", differing(got[part], stored[scheme][part])) for part in PARTS]
+    atlas, stored_atlas = atlas_digests(), json.loads(ATLAS_LABELS.read_text())
+    rows += [(f"{scheme} atlas labels", differing({0: atlas[scheme]}, {0: stored_atlas.get(scheme)}))
+             for scheme in schemes.SCHEMES]
+    rows.append(("large runs", differing(large_digests(), json.loads(LARGE.read_text()))))
+    for name, (bad, total) in rows:
+        print(f"{name}: {bad} of {total} differ")
+    return int(any(bad for _, (bad, _) in rows))
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     main()

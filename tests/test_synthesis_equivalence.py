@@ -23,8 +23,10 @@ the corpora, the lower-bound graphs and large paths, grids and stars, each
 bundle must equal the frozen builder's, `CoreSynthesis` stages included.
 The frozen builders still write the label fields that repeat another field
 or hold nothing (compact's root bit, the stripe labels' two Executor flags
-blocks, toprec's payload and id-mode blocks); one projection checks that
-each such block is empty or equals the field it repeats, and drops it.
+blocks, toprec's payload and id-mode blocks) or that no node reads (toprec's
+colour in id mode, beside the id); one projection checks that each such
+block is empty, equals the field it repeats or is the unread one, and drops
+it. toprec's colour and id blocks become its one slot block.
 """
 
 import math
@@ -1198,9 +1200,13 @@ def stripe_blocks(blocks):
 
 def toprec_blocks(blocks):
     """A frozen toprec label without its empty payload block and its id-mode
-    bit, which says whether the id block is non-empty."""
-    assert blocks[6] == "" and blocks[8] == ("1" if blocks[9] else "0"), blocks
-    return blocks[:6] + [blocks[7]] + blocks[9:]
+    bit, which says whether the id block is non-empty, and with its colour
+    and id blocks as the one slot. It drops the unread one: in id mode the
+    colour, which no node reads beside the id, else the empty id block."""
+    head, (payload, color, id_mode, uid, n_root) = blocks[:6], blocks[6:]
+    # the id-mode bit says the id block is empty exactly in colour mode
+    assert payload == "" and id_mode == ("1" if uid else "0"), blocks
+    return [*head, uid if id_mode == "1" else color, n_root]
 
 
 def in_blocks(project):
@@ -1223,9 +1229,14 @@ PROJECT["fastsd"] = behind_mode(in_blocks(stripe_blocks), PROJECT["general"])
 
 def flat_meta(meta):
     """A frozen bundle's meta merged as the builders merge it today: the
-    flat meta of the bundle in `meta["inner"]`, if any, plus the rest."""
+    flat meta of the bundle in `meta["inner"]`, if any, plus the rest. A
+    frozen toprec meta's `colors` become its `slots`: the ids 1..n in id
+    mode, else the colours."""
     inner = meta.get("inner")
     rest = {key: value for key, value in meta.items() if key != "inner"}
+    if "colors" in rest:
+        colors = rest.pop("colors")
+        rest["slots"] = list(range(1, len(colors) + 1)) if rest["id_mode"] else colors
     return {**flat_meta(inner.meta), **rest} if inner else rest
 
 

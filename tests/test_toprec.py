@@ -135,6 +135,17 @@ class TestBfsLabels:
             assert build_toprec_labels(g).max_label_bits() <= bound
 
 
+def slot_of(label: str) -> int:
+    return int(TopRecProgram.layout.parse(label)["slot"], 2)
+
+
+def with_block(label: str, name: str, bits: str) -> str:
+    """`label` with its block `name` replaced by `bits`."""
+    blocks = decode_blocks(label)
+    blocks[list(TopRecProgram.layout.widths).index(name)] = bits
+    return encode_blocks(blocks)
+
+
 def toprec_run(g):
     """A toprec run on `g`, checked exact, with the program of each node.
     `run` shares one program among the nodes of a behaviour class, so the
@@ -300,12 +311,51 @@ class TestTopRec:
         r = run_scheme("toprec", g)
         assert r.ok
 
-    def test_id_mode_thresholds(self):
-        assert build_toprec_labels(gen_star(5)).meta["id_mode"]  # 16+1 > 5
-        grid = gen_grid(4, 4)  # Delta=4, Delta^2+1 = 17 > 16
-        assert build_toprec_labels(grid).meta["id_mode"]
-        line = gen_path(9)  # Delta=2, 5 > 9 false
-        assert not build_toprec_labels(line).meta["id_mode"]
+    def test_id_mode_thresholds(self, monkeypatch):
+        """In id mode node v's slot is v+1 and no colouring runs; otherwise
+        the slots are the distance-two colours, in 1..Delta^2+1. The label's
+        slot block holds the slot."""
+        colourings = []
+        def counting(g):
+            colourings.append(g)
+            return distance_two_coloring(g)
+        monkeypatch.setattr(toprec_mod, "distance_two_coloring", counting)
+        # star: 16+1 > 5; grid: Delta=4, Delta^2+1 = 17 > 16
+        for g in (gen_star(5), gen_grid(4, 4), gen_star(2049)):
+            b = build_toprec_labels(g)
+            assert b.meta["id_mode"] and b.meta["stage2_window"] == g.n
+            assert b.meta["slots"] == list(range(1, g.n + 1))
+            assert [slot_of(label) for label in b.labels] == b.meta["slots"]
+        assert colourings == []
+        # path: Delta=2, 5 > 9 false; grid: 17 <= 18
+        for g in (gen_path(9), gen_grid(3, 6), gen_grid(8, 8)):
+            b = build_toprec_labels(g)
+            window = g.max_degree() ** 2 + 1
+            assert not b.meta["id_mode"] and b.meta["stage2_window"] == window
+            assert b.meta["slots"] == distance_two_coloring(g)
+            assert all(1 <= c <= window for c in b.meta["slots"])
+            assert [slot_of(label) for label in b.labels] == b.meta["slots"]
+        assert len(colourings) == 3
+
+    @pytest.mark.parametrize(
+        "g,node,block,value",
+        [
+            (gen_grid(3, 6), 4, "slot", 0),  # colour mode, window 17
+            (gen_path(9), 0, "slot", 6),  # colour mode, window 5, at the root
+            (gen_grid(3, 3), 4, "slot", 0),  # id mode, window 9
+            (gen_star(6), 3, "slot", 7),  # id mode, slot n + 1
+            (gen_star(6), 0, "slot", 7),  # the root, with n from its label
+            (gen_star(6), 0, "n", 0),  # n = 0 is a window of 0, not an unknown n
+        ],
+        ids=["grid3x6-0", "path9-root-6", "grid3x3-0", "star6-7", "star6-root-7", "star6-n0"],
+    )
+    def test_slot_outside_the_window_raises(self, g, node, block, value):
+        """Once a node knows its stage-2 window, a slot outside 1..window
+        raises ProtocolViolation."""
+        labels = build_toprec_labels(g).labels
+        labels[node] = with_block(labels[node], block, format(value, "b"))
+        with pytest.raises(ProtocolViolation, match=r"stage-2 slot \d+ outside 1\.\.\d+"):
+            run(g, labels, TopRecProgram)
 
     def test_stage2_every_neighbor_heard_once(self):
         g = gen_random_connected(26, 0.2, 31)
