@@ -19,9 +19,6 @@ from .errors import InvalidParams
 from .graphs import LBFamilyDescriptor
 from .sim import ExecutionTrace
 
-CANON_HASH = "#"
-CANON_SILENCE = "eps"
-
 
 def _component_index(
     trace: ExecutionTrace, partition: LBFamilyDescriptor
@@ -45,46 +42,49 @@ def _component_index(
     return comp_of
 
 
-def _departures(trace: ExecutionTrace, comp_of: dict[int, int]) -> dict[int, list[int]]:
+def _departures(
+    trace: ExecutionTrace, comp_of: dict[int, int], components: list[list[int]]
+) -> dict[int, list[int]]:
     """Sorted components leaving the canonical history, keyed by round.
 
     A component leaves in the first round in which one of its nodes' Def-3
     entry (CD semantics: transmitting and collision both give '#') differs
-    from the canonical entry. Each round is classified once from its
-    transmitter set: a node's entry is '#' if it transmits, its message if it
-    is in `heard`, '#' if under CD a neighbour transmits, else 'eps'. A round
-    with no transmitters and no deliveries gives every node 'eps', the
-    canonical entry, so it is skipped. Only nodes of components still on the
-    canonical history are visited."""
+    from the canonical entry: '#' if the node transmits, its message if it
+    is in `heard`, '#' if under CD a neighbour transmits, else 'eps'. The
+    live nodes (of components still on the canonical history) off it are
+    found by set operations, by the canonical entry. For one message m:
+    those that transmit or hear nothing, and the listeners of another
+    message. For '#': those that do not transmit, less under CD those that
+    a transmitter reaches without a delivery. For 'eps': those that hear a
+    message. A round with no transmitters and no deliveries is all 'eps',
+    so it is skipped."""
     adj = trace.graph.adj
-    live = sorted(comp_of)
+    live = set(comp_of)
     out: dict[int, list[int]] = {}
     for rnd, rec in enumerate(trace.rounds, start=1):
         txs, heard = rec.transmitters, rec.heard
-        if not txs and not heard:
-            continue
-        # raw entries: message bytes, or the '#'/'eps' strings
         if len(txs) == 1:
-            (expected,) = txs.values()
+            (m,) = txs.values()
+            off = live.difference(heard)
+            off.update(live.intersection(txs))
+            if set(heard.values()) != {m}:
+                off.update(v for v in live.intersection(heard) if heard[v] != m)
+        elif txs:
+            off = live.difference(txs)
+            if trace.cd:
+                hit: set[int] = set()
+                for u in txs:
+                    hit.update(adj[u])
+                off.difference_update(hit.difference(heard))
+        elif heard:
+            off = live.intersection(heard)
         else:
-            expected = CANON_HASH if txs else CANON_SILENCE
-        hit: set[int] = set()
-        if trace.cd:
-            for u in txs:
-                hit.update(adj[u])
-        leaving = set()
-        for v in live:
-            if v in txs:
-                entry = CANON_HASH
-            elif v in heard:
-                entry = heard[v]
-            else:
-                entry = CANON_HASH if v in hit else CANON_SILENCE
-            if entry != expected:
-                leaving.add(comp_of[v])
-        if leaving:
-            out[rnd] = sorted(leaving)
-            live = [v for v in live if comp_of[v] not in leaving]
+            continue
+        if off:
+            leaving = sorted(set(map(comp_of.__getitem__, off)))
+            out[rnd] = leaving
+            for c in leaving:
+                live.difference_update(components[c])
     return out
 
 
@@ -151,7 +151,7 @@ def audit_facts(
     InvalidParams if the partition does not cover the graph.
     """
     comp_of = _component_index(trace, partition)
-    departures = _departures(trace, comp_of)
+    departures = _departures(trace, comp_of, partition.components)
     report = AuditReport(graph_n=trace.graph.n, rounds=trace.num_rounds)
     violations = report.violations
     for rnd, rec in enumerate(trace.rounds, start=1):

@@ -216,6 +216,12 @@ def _lb_partition_for(g: Graph, partition_file: str | None):
 
 
 def cmd_audit(args) -> int:
+    # the CSV is written to --out with its suffix made .csv
+    if args.out and Path(args.out).suffix.lower() == ".csv":
+        raise InvalidParams(
+            f"--out {args.out} ends in .csv: it names the JSON report, "
+            "and the CSV written next to it would overwrite it"
+        )
     g = _read_graph(args.graph)
     desc = _lb_partition_for(g, args.partition)
     result = run_scheme(args.scheme, g, cd=True)

@@ -13,12 +13,17 @@ from __future__ import annotations
 import json
 import os
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .errors import InvalidParams, ProtocolViolation, RoundLimitExceeded
 from .graphs import Graph
 
 MAX_ROUNDS_ENV = "RADIOLAB_MAX_ROUNDS"
+
+# A one-transmitter round with more than DENSE listeners per class with a
+# log finds those classes' listeners class by class; below that, the fixed
+# cost of the set operations outweighs the per-listener loop it saves.
+DENSE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +254,9 @@ def run(
     one program object serves: `program` is called once per class, and
     members that hear different things split off into new classes whose
     fresh programs replay and check the class's calls (see `NodeProgram`).
-    The trace and the outputs stay per node.
+    The trace and the outputs stay per node. A round with one transmitter
+    and more than DENSE listeners per class with a log serves those classes
+    by set operations on their members; other rounds go listener by listener.
     """
     if len(labels) != g.n:
         raise InvalidParams(f"need one label per node: {len(labels)} != {g.n}")
@@ -274,6 +281,7 @@ def run(
     logs: dict[int, list] = {}
     cls = [0] * g.n
     pending: set[int] = set()  # classes whose output is not yet collected
+    solo: set[int] = set()  # the nodes of classes of one node
     for c, s in enumerate(members):
         if progs[c].output is None:
             pending.add(c)
@@ -283,7 +291,10 @@ def run(
                 outputs[v], output_round[v] = progs[c].output, 0
         if len(s) > 1:
             logs[c] = []
-        members[c] = set(s) if len(s) > 1 else s[0]
+            members[c] = set(s)
+        else:
+            members[c] = s[0]
+            solo.add(s[0])
 
     # Every class is called in round 1, unless the run is over before it
     # starts. Classes due next round are kept in a list; later wake rounds
@@ -348,15 +359,31 @@ def run(
             rounds.append(RoundRecord(transmitters, heard))
             woken = []
             # the listeners of each class with a log, by message
-            grouped: dict[int, dict[bytes, list[int]]] = {}
-            for w, m in heard.items():
-                c = cls[w]
-                if c < 0:
-                    grouped.setdefault(~c, {}).setdefault(m, []).append(w)
-                    continue
+            grouped: dict[int, dict[bytes, Collection[int]]] = {}
+            if logs and len(heard) > DENSE * len(logs) and len(transmitters) == 1:
+                # few classes with a log against many listeners, all of one
+                # message m: find each class's listeners by set operations
+                keys = heard.keys()
+                for c in logs:
+                    s = members[c]
+                    if keys >= s:
+                        grouped[c] = {m: s}
+                    elif not keys.isdisjoint(s):
+                        grouped[c] = {m: keys & s}
                 h = shared.get(m) or shared.setdefault(m, Heard(m))
-                if progs[c].receive(rnd, h) is not False and seen[c] != rnd:
-                    woken.append(c)
+                for w in keys & solo:
+                    c = cls[w]
+                    if progs[c].receive(rnd, h) is not False and seen[c] != rnd:
+                        woken.append(c)
+            else:
+                for w, m in heard.items():
+                    c = cls[w]
+                    if c < 0:
+                        grouped.setdefault(~c, {}).setdefault(m, []).append(w)
+                        continue
+                    h = shared.get(m) or shared.setdefault(m, Heard(m))
+                    if progs[c].receive(rnd, h) is not False and seen[c] != rnd:
+                        woken.append(c)
             for c, parts in grouped.items():
                 # the last group keeps c's program if no member of c is
                 # silent: it comes after the splits that replay c's calls
@@ -367,13 +394,16 @@ def run(
                     d = c
                     if group is not keep:  # split off into a new class
                         d = len(progs)
-                        progs.append(_replay(program, labels[group[0]], logs[c]))
-                        members.append(set(group) if len(group) > 1 else group[0])
-                        members[c].difference_update(group)
-                        for v in group:
+                        for v in group:  # v ends on a member of group
                             cls[v] = d if len(group) == 1 else ~d
+                        progs.append(_replay(program, labels[v], logs[c]))
+                        members[c].difference_update(group)
                         if len(group) > 1:
+                            members.append(set(group))
                             logs[d] = list(logs[c])
+                        else:
+                            members.append(v)
+                            solo.add(v)
                         seen.append(seen[c])
                         wake.append(wake[c])
                         if wake[c]:
@@ -392,6 +422,7 @@ def run(
                     del logs[c]
                     members[c] = members[c].pop()
                     cls[members[c]] = c
+                    solo.add(members[c])
             if woken:
                 touched = awake + woken
         else:

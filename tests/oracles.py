@@ -9,7 +9,7 @@ from typing import Mapping
 
 import networkx as nx
 
-from radiolab.audit import CANON_HASH, CANON_SILENCE, _component_index, _departures
+from radiolab.audit import _component_index, _departures
 from radiolab.broadcast import CoreSynthesis, ExecCore, PathMessageProgram
 from radiolab.graphs import Graph, LayerAssignment, LBFamilyDescriptor, bfs_layers, build_graph
 from radiolab.labels import SchemeBundle, split_mode
@@ -130,6 +130,18 @@ def reference_run(g, labels, program, cd=False, max_rounds=None):
                 f"{max_rounds} rounds: {sorted(pending_output)[:10]}"
             )
     return trace
+
+
+def history_keys(trace: ExecutionTrace, labels) -> list[tuple]:
+    """Each node's (label, heard history) at the end of the run, a heard
+    history being the (round, bytes) of every message the node heard. The
+    class engine builds one program per distinct key: nodes split into
+    classes only on what they hear, and every split builds one program."""
+    heard: list[list] = [[] for _ in labels]
+    for rnd, rec in enumerate(trace.rounds, start=1):
+        for w, m in rec.heard.items():
+            heard[w].append((rnd, m))
+    return [(label, tuple(h)) for label, h in zip(labels, heard)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +478,11 @@ def toprec_round_formula(dstar: int, delta: int, window: int) -> int:
 # Lower-bound audit
 # ---------------------------------------------------------------------------
 
+# Def-3 entries other than a message: transmitting or a collision under
+# CD, and silence
+CANON_HASH = "#"
+CANON_SILENCE = "eps"
+
 
 def canonical_history(trace: ExecutionTrace) -> list:
     """Per-round classification from the global transmitter sets: the message
@@ -482,6 +499,44 @@ def canonical_history(trace: ExecutionTrace) -> list:
     return out
 
 
+def reference_departures(trace: ExecutionTrace, comp_of: dict[int, int]) -> dict[int, list[int]]:
+    """`audit._departures` as a per-node scan: in each round with a
+    transmitter or a delivery, every node of a component still on the
+    canonical history is given its Def-3 entry ('#' if it transmits, its
+    message if it is in `heard`, '#' if under CD a neighbour transmits, else
+    'eps'), and the components of the nodes whose entry is not the
+    canonical one leave."""
+    adj = trace.graph.adj
+    live = sorted(comp_of)
+    out: dict[int, list[int]] = {}
+    for rnd, rec in enumerate(trace.rounds, start=1):
+        txs, heard = rec.transmitters, rec.heard
+        if not txs and not heard:
+            continue
+        if len(txs) == 1:
+            (expected,) = txs.values()
+        else:
+            expected = CANON_HASH if txs else CANON_SILENCE
+        hit: set[int] = set()
+        if trace.cd:
+            for u in txs:
+                hit.update(adj[u])
+        leaving = set()
+        for v in live:
+            if v in txs:
+                entry = CANON_HASH
+            elif v in heard:
+                entry = heard[v]
+            else:
+                entry = CANON_HASH if v in hit else CANON_SILENCE
+            if entry != expected:
+                leaving.add(comp_of[v])
+        if leaving:
+            out[rnd] = sorted(leaving)
+            live = [v for v in live if comp_of[v] not in leaving]
+    return out
+
+
 def canonical_components(
     trace: ExecutionTrace, partition: LBFamilyDescriptor
 ) -> list[list[int]]:
@@ -489,7 +544,7 @@ def canonical_components(
     components whose every node's history equals the canonical one after
     round i. Index 0 of the result corresponds to round 0 (all components).
     Raises InvalidParams if the partition does not cover the graph."""
-    departures = _departures(trace, _component_index(trace, partition))
+    departures = _departures(trace, _component_index(trace, partition), partition.components)
     current = list(range(len(partition.components)))
     out = [current]
     for rnd in range(1, trace.num_rounds + 1):

@@ -1,21 +1,24 @@
 import dataclasses
 import io
 import json
+import math
 import random
 
 import pytest
 
-from radiolab.audit import (
-    CANON_HASH,
-    CANON_SILENCE,
-    AuditReport,
-    audit_facts,
-)
+from radiolab.audit import AuditReport, _component_index, _departures, audit_facts
+from radiolab.corpus import corpus
 from radiolab.errors import InvalidParams
 from radiolab.graphs import LBFamilyDescriptor, gen_lb_family, gen_lb_general
 from radiolab.schemes import run_scheme
 from radiolab.sim import COLLISION, TX, ExecutionTrace, Heard, RoundRecord
-from oracles import canonical_components, canonical_history
+from oracles import (
+    CANON_HASH,
+    CANON_SILENCE,
+    canonical_components,
+    canonical_history,
+    reference_departures,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +279,91 @@ class TestReferenceEquivalence:
                 rounds.append((txs, heard))
             tr = make_trace(g, rounds, cd=rng.random() < 0.7)
             assert_matches_reference(tr, desc, [f"L{v % 5}" for v in range(16)])
+
+
+def assert_departures_match(trace, partition):
+    """`_departures` equals the per-node scan of `reference_departures`;
+    returns it."""
+    comp_of = _component_index(trace, partition)
+    got = _departures(trace, comp_of, partition.components)
+    assert got == reference_departures(trace, comp_of)
+    return got
+
+
+def blocks(n):
+    """A partition of nodes 0..n-1 into runs of isqrt(n) consecutive nodes."""
+    k = math.isqrt(n)
+    return LBFamilyDescriptor(n=n, components=[list(range(s, min(s + k, n))) for s in range(0, n, k)])
+
+
+class TestDepartureKernel:
+    """The set-based departure scan against the per-node reference."""
+
+    LB_RUNS = [
+        (scheme, n)
+        for n in (16, 36, 64, 100, 144, 576, 784)
+        for scheme in ("compact", "general", "fastsd", "toprec")
+        # toprec takes seconds on G_576 and G_784
+        if scheme != "toprec" or n <= 144
+    ]
+
+    @pytest.mark.parametrize("cd", [True, False])
+    @pytest.mark.parametrize("scheme,n", LB_RUNS)
+    def test_lower_bound_runs(self, scheme, n, cd):
+        g, desc = gen_lb_family(n)
+        res = run_scheme(scheme, g, cd=cd)
+        assert res.ok
+        assert assert_departures_match(res.trace, desc)
+
+    def test_size_corpus_sample(self):
+        """Every seventh size-corpus graph under CD, each cut into blocks of
+        consecutive nodes."""
+        left = 0
+        for i, (gid, g) in enumerate(corpus()[::7]):
+            res = run_scheme(("compact", "general", "fastsd")[i % 3], g, cd=True)
+            left += len(assert_departures_match(res.trace, blocks(g.n)))
+        assert left > 20
+
+    # G_16: components {0..3}, {4..7}, {8..11}, {12..15}; inside each, a_1 a_2
+    # b_1 b_2 with edges 0-2, 1-2, 1-3; every cross-component pair joined.
+    # Each case: its rounds, then its departures with CD and without.
+    OTHERS = range(4, 16)
+    EDGE_CASES = {
+        # nodes 0, 1 and 3 do not hear node 0, node 5 hears another message
+        "one transmitter, two messages heard": (
+            [({0: b"m"}, {2: b"m", **dict.fromkeys(OTHERS, b"m"), 5: b"x"}),
+             ({8: b"m"}, {v: b"m" for v in range(16) if v not in (8, 9, 11)})],
+            {1: [0, 1], 2: [2]},
+            {1: [0, 1], 2: [2]},
+        ),
+        "heard without transmitters": (
+            [({}, {}), ({}, {5: b"x"}), ({}, {9: b"y", 10: b"y"})],
+            {2: [1], 3: [2]},
+            {2: [1], 3: [2]},
+        ),
+        # under CD a node that transmits, or that a transmitter reaches
+        # without a delivery, stays; without CD only a transmitter does
+        "transmitter also in heard": (
+            [({0: b"m"}, {0: b"m", 2: b"m", **dict.fromkeys(OTHERS, b"m")}),
+             ({4: b"m", 8: b"n"}, {4: b"n", 12: b"m"})],
+            {1: [0], 2: [3]},
+            {1: [0], 2: [1, 2, 3]},
+        ),
+        # on G_n every node has a transmitting neighbour in another component
+        "several transmitters": (
+            [({0: b"a", 4: b"b"}, {}), ({8: b"a", 12: b"b"}, {})],
+            {},
+            {1: [0, 1, 2, 3]},
+        ),
+    }
+
+    @pytest.mark.parametrize("cd", [True, False])
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_cases(self, name, cd):
+        g, desc = gen_lb_family(16)
+        rounds, with_cd, without_cd = self.EDGE_CASES[name]
+        got = assert_departures_match(make_trace(g, rounds, cd=cd), desc)
+        assert got == (with_cd if cd else without_cd)
 
 
 class TestPartitionChecks:

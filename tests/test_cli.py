@@ -205,6 +205,18 @@ class TestAudit:
         assert report["ok"] and report["n"] == 16
         assert out.with_suffix(".csv").exists()
 
+    @pytest.mark.parametrize("name", ["report.csv", "report.CSV"])
+    def test_out_with_csv_suffix_exits_2(self, tmp_path, capsys, name):
+        """The CSV is written to --out with its suffix made .csv, so an
+        --out ending in .csv would lose the JSON report."""
+        el = tmp_path / "g16.el"
+        run_cli("gen", "--family", "lbG", "--n", "16", "--out", str(el))
+        out = tmp_path / name
+        code, _ = run_cli("audit", str(el), "--scheme", "general", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: InvalidParams: --out ")
+        assert not out.exists()
+
     def test_broadcast_bfs_is_not_a_scheme(self, tmp_path, capsys):
         """The layered broadcast runs only as a stage of toprec."""
         el = tmp_path / "g16.el"

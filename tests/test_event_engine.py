@@ -8,6 +8,7 @@ must produce the same trace on every scheme.
 """
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from radiolab.graphs import build_graph, gen_lb_family, gen_path, gen_star
 from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import Heard, NodeProgram, run
 from golden import SCHEMES, build
-from oracles import reference_run
+from oracles import history_keys, reference_run
 
 
 def assert_same_trace(gid, g, scheme, cd):
@@ -534,3 +535,68 @@ class TestBehaviourClasses:
         tr = run(g, labels, make, cd=True)
         assert tr.outputs == [g.n] * g.n
         assert len(calls) <= 10
+
+    def test_dense_round_splits_from_the_class_side(self):
+        """Node 0 has six listeners; five are in class a = {1..5, 7}, which
+        has a log, and node 6 is a class of one. Node 7 does not hear node 0,
+        so nodes 1..5 split off together; in round 3 they echo."""
+
+        class Prog(Scripted):
+            SENDS = {("s", 1): b"x", ("a", 3): b"="}
+
+        g = build_graph(8, [(0, v) for v in range(1, 7)] + [(6, 7)])
+        labels = ["s", "a", "a", "a", "a", "a", "b", "a"]
+        tr = assert_matches_reference("dense-split", g, labels, Prog)
+        assert tr.rounds[2].transmitters == dict.fromkeys(range(1, 6), b"x!")
+        make, calls = counted(Prog)
+        run(g, labels, make)
+        assert calls == ["s", "a", "b", "a"]
+
+
+def assert_one_program_per_history(g, labels, program, cd=False):
+    """`run` calls `program` once per distinct (label, heard history) of
+    its nodes, and as often per label; returns the trace."""
+    make, calls = counted(program)
+    tr = run(g, labels, make, cd=cd)
+    keys = set(history_keys(tr, labels))
+    assert Counter(calls) == Counter(label for label, _ in keys)
+    return tr
+
+
+class TestOneProgramPerHistory:
+    """The engine builds exactly one program per distinct (label, heard
+    history), whether a round serves the classes with a log listener by
+    listener or class by class."""
+
+    @pytest.mark.parametrize("n", [16, 36, 64, 100, 144, 576, 784])
+    def test_lower_bound_family(self, n):
+        g, _ = gen_lb_family(n)
+        for scheme in ("compact", "general", "fastsd") + (("toprec",) if n <= 36 else ()):
+            labels, program = build(scheme, g)
+            assert_one_program_per_history(g, labels, program, cd=True)
+
+    def test_compact_splits_classes_in_dense_rounds(self):
+        """compact on G_784 splits a class in a round with one transmitter
+        and hundreds of listeners."""
+        g, _ = gen_lb_family(784)
+        labels, program = build("compact", g)
+        tr = assert_one_program_per_history(g, labels, program, cd=True)
+        key = list(labels)
+        dense = 0
+        for rnd, rec in enumerate(tr.rounds, start=1):
+            before = len(set(key))
+            for w, m in rec.heard.items():
+                key[w] = (key[w], rnd, m)
+            if len(rec.transmitters) == 1 and len(rec.heard) >= 100:
+                dense += len(set(key)) - before
+        assert dense >= 5
+
+    @pytest.mark.parametrize("scheme", ["compact", "general", "fastsd"])
+    def test_paths_and_size_corpus(self, scheme):
+        graphs = [gen_path(n) for n in (160, 320, 640)] + [g for _, g in corpus()]
+        for g in graphs:
+            assert_one_program_per_history(g, *build(scheme, g))
+
+    def test_toprec_corpus(self):
+        for _, g in toprec_corpus():
+            assert_one_program_per_history(g, *build("toprec", g))
