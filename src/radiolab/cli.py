@@ -47,36 +47,33 @@ BENCH_FIELDS = (
 )
 
 
-def _gen_graph(args) -> Graph:
-    fam = args.family
-    if fam == "path":
-        return gen_path(args.n)
-    if fam == "cycle":
-        return gen_cycle(args.n)
-    if fam == "star":
-        return gen_star(args.n)
-    if fam == "grid":
-        if args.n < 1:
-            raise InvalidParams("grid needs n >= 1")
-        rows = math.isqrt(args.n)
-        while rows > 1 and args.n % rows:
-            rows -= 1
-        return gen_grid(rows, args.n // rows)
-    if fam == "gnp-connected":
-        return gen_random_connected(args.n, args.p, args.seed)
-    if fam == "tree":
-        return gen_tree(args.n, args.seed)
-    if fam == "lbG":
-        return gen_lb_family(args.n)[0]
-    if fam == "lbH":
-        return gen_lb_general(args.delta, args.n)[0]
-    if fam == "pair":
-        return gen_pair_gadget(args.n, args.tail)
-    raise RadiolabError(f"unknown family {fam!r}")
+def _gen_grid(args) -> Graph:
+    """The grid of `args.n` nodes with the most rows that divide n, at
+    most sqrt(n) (a prime n gives one row)."""
+    if args.n < 1:
+        raise InvalidParams("grid needs n >= 1")
+    rows = math.isqrt(args.n)
+    while rows > 1 and args.n % rows:
+        rows -= 1
+    return gen_grid(rows, args.n // rows)
+
+
+# gen --family name -> the graph it builds from the parsed arguments
+FAMILIES = {
+    "path": lambda a: gen_path(a.n),
+    "cycle": lambda a: gen_cycle(a.n),
+    "star": lambda a: gen_star(a.n),
+    "grid": _gen_grid,
+    "gnp-connected": lambda a: gen_random_connected(a.n, a.p, a.seed),
+    "tree": lambda a: gen_tree(a.n, a.seed),
+    "lbG": lambda a: gen_lb_family(a.n)[0],
+    "lbH": lambda a: gen_lb_general(a.delta, a.n)[0],
+    "pair": lambda a: gen_pair_gadget(a.n, a.tail),
+}
 
 
 def cmd_gen(args) -> int:
-    g = _gen_graph(args)
+    g = FAMILIES[args.family](args)
     if args.out:
         with open(args.out, "w") as fp:
             write_edge_list(g, fp)
@@ -130,41 +127,32 @@ def _toprec_outputs_json(outputs) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]"
 
 
+def _run_row(scheme: str, gid: str, g: Graph) -> dict:
+    return run_scheme(scheme, g).bench_record(gid, g)
+
+
+def _star_label_row(scheme: str, gid: str, g: Graph) -> dict:
+    """A star's labels only, no run: the round and output cells stay empty."""
+    return {"graph": gid, "n": g.n, "max_degree": g.max_degree(), "diameter": 2,
+            "scheme": scheme, "max_label_bits": build_bundle(scheme, g).max_label_bits()}
+
+
+# bench --suite name -> (its (graph id, graph) pairs, its schemes, the row
+# each pair and scheme gives); the corpora are looked up on each call, so a
+# test can stub them
+BENCH_SUITES = {
+    "size": (lambda: corpus_mod.corpus(), ("compact", "general", "fastsd"), _run_row),
+    "labels": (lambda: [(f"star-2^{k}", gen_star(2**k + 1)) for k in range(2, 13)],
+               ("compact", "toprec"), _star_label_row),
+    "toprec": (lambda: corpus_mod.toprec_corpus(), ("toprec",), _run_row),
+    "scaling": (lambda: [(f"path-2^{k}", gen_path(2**k)) for k in range(6, 12)],
+                ("fastsd", "general"), _run_row),
+}
+
+
 def _bench_rows(suite: str) -> list[dict]:
-    rows = []
-    if suite == "size":
-        for gid, g in corpus_mod.corpus():
-            for scheme in ("compact", "general", "fastsd"):
-                rows.append(run_scheme(scheme, g).bench_record(gid, g))
-    elif suite == "labels":
-        for k in range(2, 13):
-            n = 2**k + 1
-            g = gen_star(n)
-            for scheme in ("compact", "toprec"):
-                bundle = build_bundle(scheme, g)
-                # labels only, no run: the round and output cells stay empty
-                rows.append(
-                    {
-                        "graph": f"star-2^{k}",
-                        "n": n,
-                        "max_degree": g.max_degree(),
-                        "diameter": 2,
-                        "scheme": scheme,
-                        "max_label_bits": bundle.max_label_bits(),
-                    }
-                )
-    elif suite == "toprec":
-        for gid, g in corpus_mod.toprec_corpus():
-            rows.append(run_scheme("toprec", g).bench_record(gid, g))
-    elif suite == "scaling":
-        for k in range(6, 12):
-            n = 2**k
-            g = gen_path(n)
-            for scheme in ("fastsd", "general"):
-                rows.append(run_scheme(scheme, g).bench_record(f"path-2^{k}", g))
-    else:
-        raise RadiolabError(f"unknown bench suite {suite!r}")
-    return rows
+    graphs, names, row = BENCH_SUITES[suite]
+    return [row(scheme, gid, g) for gid, g in graphs() for scheme in names]
 
 
 def cmd_bench(args) -> int:
@@ -244,9 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph as an edge-list file")
-    p.add_argument("--family", required=True,
-                   choices=["path", "cycle", "star", "grid", "gnp-connected",
-                            "tree", "lbG", "lbH", "pair"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--n", type=int, required=True, help="node count; k for pair")
     p.add_argument("--tail", type=int, default=0, help="pair: path nodes hung on p_1")
     p.add_argument("--p", type=float, default=0.1)
@@ -262,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="run a pinned suite, write CSV records")
-    p.add_argument("--suite", required=True,
-                   choices=["size", "labels", "toprec", "scaling"])
+    p.add_argument("--suite", required=True, choices=list(BENCH_SUITES))
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

@@ -2,14 +2,15 @@
 
 Every scheme of the registry, and the path-message primitive (whose first
 t rounds are the Executor run that compact, general and fastsd embed), runs
-on the pinned corpora and on G_16..G_144, with and without collision
-detection; the size schemes and the path message also run on star-513,
-the smallest star on which general picks its compact branch. Each run is
-reduced to two short digests: a schedule digest of its transmitters, who
-heard whom, its round count and its outputs with their rounds, and a byte
-digest of its message bytes. A wire change that keeps the schedule moves
-only byte digests, and the unchanged schedule digests are its proof. Each
-label set gets a digest of its own. `tests/test_golden.py` compares a fresh
+on the pinned corpora and on G_16..G_144, without collision detection (which
+only marks the trace: a run with it gives the same schedule and bytes); the
+size schemes and the path message also run on star-513, the smallest star on
+which general picks its compact branch. Each run is reduced to two short
+digests: a schedule digest of its transmitters, who heard whom, its round
+count and its outputs with their rounds, and a byte digest of its message
+bytes. A wire change that keeps the schedule moves only byte digests, and
+the unchanged schedule digests are its proof. Each label set gets a digest
+of its own. `tests/test_golden.py` compares a fresh
 sweep against the digests stored in `tests/data/golden_digests.json`.
 
 The relabelled-atlas sweep (`tests/test_schemes.py`) checks outputs only,
@@ -23,28 +24,40 @@ trace digest each (bytes and schedule together) in
 `tests/data/large_digests.json`: fastsd on path-65536 and grid-128x128,
 general and compact on path-16384.
 
+Label synthesis has digests of its own, of its whole output in a canonical
+form (`canonical`): each bundle's labels and meta, `CoreSynthesis` stages
+included, on the size corpus (compact, general, fastsd), the toprec corpus
+(toprec), G_16..G_784, path-2048, grid-64x64 and star-2049 (all four
+schemes); on each of those graphs the path message "1011001" and the core
+from node 0; and 20 seeded multi-source cores. They are stored in
+`tests/data/synthesis_digests.json`, one group per input set.
+
 Regenerate the stored digests (only for a change that means to alter a
-trace, a label or an output, and say so) with:
+trace, a label, a synthesis output or an output, and say so) with:
 
     PYTHONPATH=src python tests/golden.py
 
-Before regenerating, `--check` runs the same fresh sweep, writes nothing
-and prints, per scheme and digest part, how many stored digests differ
-(exit status 1 if any does), so a change can show which parts it moved:
+Before regenerating, `--check` runs the same fresh sweeps, writes nothing
+and prints, per scheme and digest part and per synthesis group, how many
+stored digests differ (exit status 1 if any does), so a change can show
+which parts it moved:
 
     PYTHONPATH=src python tests/golden.py --check
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
-from radiolab.broadcast import PathMessageProgram, synthesize_path_message
+from radiolab.broadcast import PathMessageProgram, synthesize_core, synthesize_path_message
 from radiolab.corpus import corpus, toprec_corpus
-from radiolab.graphs import gen_grid, gen_lb_family, gen_path, gen_star
+from radiolab.graphs import Graph, gen_grid, gen_lb_family, gen_path, gen_random_connected, gen_star
+from radiolab.rng import SplitMix64
 from radiolab import schemes
 from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import run
@@ -54,6 +67,7 @@ from oracles import relabelled_atlas
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 ATLAS_LABELS = GOLDEN.with_name("atlas_label_digests.json")
 LARGE = GOLDEN.with_name("large_digests.json")
+SYNTHESIS = GOLDEN.with_name("synthesis_digests.json")
 
 # "scheme/graph id" -> graph generator
 LARGE_RUNS = {
@@ -64,20 +78,42 @@ LARGE_RUNS = {
 }
 
 # programs outside the scheme registry: (label builder, node factory)
+PATH_MESSAGE = "1011001"
 PRIMITIVES = {
-    "pathmsg": (lambda g: synthesize_path_message(g, 0, "1011001"), PathMessageProgram),
+    "pathmsg": (lambda g: synthesize_path_message(g, 0, PATH_MESSAGE), PathMessageProgram),
 }
 SCHEMES = (*schemes.SCHEMES, *PRIMITIVES)
 # the digest parts stored per scheme, each {graph id: digest}
-PARTS = ("labels", "schedule/nocd", "bytes/nocd", "schedule/cd", "bytes/cd")
+PARTS = ("labels", "schedule/nocd", "bytes/nocd")
+
+SIZE_SCHEMES = ("compact", "general", "fastsd")
+LB_SIZES = tuple((2 * k) ** 2 for k in range(2, 15))  # G_16 .. G_784
+MULTI_SOURCE_CORES = 20
+# the pinned corpora, built once per process
+CORPUS, TOPREC_CORPUS = cache(corpus), cache(toprec_corpus)
+LARGE_SYNTHESIS = {
+    "path-2048": lambda: gen_path(2048),
+    "grid-64x64": lambda: gen_grid(64, 64),
+    "star-2049": lambda: gen_star(2049),
+}
+# synthesis group -> (its (graph id, graph maker) pairs, the schemes built
+# on each graph besides the path message and the core from node 0)
+SYNTHESIS_GRAPHS = {
+    "size corpus": (lambda: [(gid, lambda g=g: g) for gid, g in CORPUS()], SIZE_SCHEMES),
+    "toprec corpus": (lambda: [(gid, lambda g=g: g) for gid, g in TOPREC_CORPUS()], ("toprec",)),
+    "lower bound": (lambda: [(f"G_{n}", lambda n=n: gen_lb_family(n)[0]) for n in LB_SIZES],
+                    schemes.SCHEMES),
+    "large": (lambda: list(LARGE_SYNTHESIS.items()), schemes.SCHEMES),
+}
+SYNTHESIS_GROUPS = (*SYNTHESIS_GRAPHS, "multi-source cores")
 
 
 def graphs_for(scheme: str) -> list:
     """(graph id, graph) pairs of a scheme's sweep."""
     lb = [(f"G_{n}", gen_lb_family(n)[0]) for n in (16, 36, 64, 100, 144)]
     if scheme == "toprec":
-        return toprec_corpus() + lb
-    return corpus() + lb + [("star-513", gen_star(513))]
+        return TOPREC_CORPUS() + lb
+    return CORPUS() + lb + [("star-513", gen_star(513))]
 
 
 def labels_digest(labels) -> str:
@@ -186,17 +222,76 @@ def build(scheme: str, g):
 
 
 def sweep(scheme: str) -> dict:
-    """{"labels": {gid: digest}, "schedule/nocd": {...}, "bytes/nocd": {...},
-    "schedule/cd": {...}, "bytes/cd": {...}} for one scheme."""
+    """{"labels": {gid: digest}, "schedule/nocd": {...}, "bytes/nocd": {...}}
+    for one scheme."""
     out: dict = {part: {} for part in PARTS}
     for gid, g in graphs_for(scheme):
         labels, program = build(scheme, g)
         out["labels"][gid] = labels_digest(labels)
-        for mode, cd in (("nocd", False), ("cd", True)):
-            trace = run(g, labels, program, cd=cd)
-            out[f"schedule/{mode}"][gid] = schedule_digest(trace, scheme)
-            out[f"bytes/{mode}"][gid] = byte_digest(trace)
+        trace = run(g, labels, program)
+        out["schedule/nocd"][gid] = schedule_digest(trace, scheme)
+        out["bytes/nocd"][gid] = byte_digest(trace)
     return out
+
+
+def canonical(x):
+    """The JSON form of what `json.dumps` cannot write itself: a dataclass
+    as its class name and its fields in order, a set as a sorted list, a
+    range as a list and a `Graph` as its node count and adjacency."""
+    if dataclasses.is_dataclass(x):
+        return [type(x).__name__, [getattr(x, f.name) for f in dataclasses.fields(x)]]
+    if isinstance(x, (set, frozenset)):
+        return sorted(x)
+    if isinstance(x, range):
+        return list(x)
+    if isinstance(x, Graph):
+        return ["Graph", x.n, x.adj]
+    raise TypeError(f"no canonical form for {type(x).__name__}")
+
+
+def synthesis_digest(x) -> str:
+    """Digest of `x` as JSON in canonical form: dicts with sorted keys,
+    tuples as lists and `canonical` for the rest."""
+    return hashlib.sha256(json.dumps(x, sort_keys=True, default=canonical).encode()).hexdigest()[:16]
+
+
+def multi_source_core(seed: int) -> tuple:
+    """(graph, sources) of seeded multi-source core `seed`: a sparse or
+    dense G(n, p) with one to eight sources."""
+    rng = SplitMix64(0xF402E + seed)
+    n = 2 + rng.randrange(300)
+    g = gen_random_connected(n, 0.01 + rng.randrange(60) / 100, rng.next_u64())
+    return g, {rng.randrange(n) for _ in range(1 + rng.randrange(8))}
+
+
+def synthesis_sweep(group: str, part: slice = slice(None)) -> dict[str, str]:
+    """{"<scheme, pathmsg or core>/<graph id>": digest} of the inputs `part`
+    of one group of `SYNTHESIS_GROUPS`; the multi-source group's inputs are
+    its seeds, and their keys "core/seed-<i>"."""
+    if group == "multi-source cores":
+        return {f"core/seed-{seed}": synthesis_digest(synthesize_core(*multi_source_core(seed)))
+                for seed in range(MULTI_SOURCE_CORES)[part]}
+    graphs, names = SYNTHESIS_GRAPHS[group]
+    out = {}
+    for gid, make in graphs()[part]:
+        g = make()
+        for scheme in names:
+            out[f"{scheme}/{gid}"] = synthesis_digest(build_bundle(scheme, g))
+        out[f"pathmsg/{gid}"] = synthesis_digest(synthesize_path_message(g, 0, PATH_MESSAGE))
+        out[f"core/{gid}"] = synthesis_digest(synthesize_core(g, {0}))
+    return out
+
+
+def synthesis_keys(group: str) -> set[str]:
+    """The keys of `synthesis_sweep(group)`, with no synthesis run."""
+    if group == "multi-source cores":
+        return {f"core/seed-{seed}" for seed in range(MULTI_SOURCE_CORES)}
+    graphs, names = SYNTHESIS_GRAPHS[group]
+    return {f"{kind}/{gid}" for gid, _ in graphs() for kind in (*names, "pathmsg", "core")}
+
+
+def synthesis_digests() -> dict[str, dict[str, str]]:
+    return {group: synthesis_sweep(group) for group in SYNTHESIS_GROUPS}
 
 
 def large_digest(key: str) -> str:
@@ -225,11 +320,14 @@ def main() -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     data = {scheme: sweep(scheme) for scheme in SCHEMES}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}: {sum(len(d['labels']) for d in data.values())} graphs x 2 modes")
+    print(f"wrote {GOLDEN}: {sum(len(d['labels']) for d in data.values())} runs")
     ATLAS_LABELS.write_text(json.dumps(atlas_digests(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {ATLAS_LABELS}: {len(relabelled_atlas())} label sets per scheme")
     LARGE.write_text(json.dumps(large_digests(), indent=1) + "\n")
     print(f"wrote {LARGE}: {len(LARGE_RUNS)} large runs")
+    synthesis = synthesis_digests()
+    SYNTHESIS.write_text(json.dumps(synthesis, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {SYNTHESIS}: {sum(map(len, synthesis.values()))} synthesis outputs")
 
 
 def differing(got: dict, want: dict) -> tuple[int, int]:
@@ -252,6 +350,9 @@ def check() -> int:
     rows += [(f"{scheme} atlas labels", differing({0: atlas[scheme]}, {0: stored_atlas.get(scheme)}))
              for scheme in schemes.SCHEMES]
     rows.append(("large runs", differing(large_digests(), json.loads(LARGE.read_text()))))
+    stored_synthesis = json.loads(SYNTHESIS.read_text())
+    rows += [(f"synthesis {group}", differing(synthesis_sweep(group), stored_synthesis.get(group, {})))
+             for group in SYNTHESIS_GROUPS]
     for name, (bad, total) in rows:
         print(f"{name}: {bad} of {total} differ")
     return int(any(bad for _, (bad, _) in rows))

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
 from radiolab.cli import main
+from radiolab.graphs import gen_grid, gen_lb_general, gen_path, gen_tree, write_edge_list
 
 
 def run_cli(*argv):
@@ -48,6 +50,25 @@ class TestGen:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("family,args,want", [
+        ("grid", ("--n", "12"), lambda: gen_grid(3, 4)),
+        ("grid", ("--n", "7"), lambda: gen_grid(1, 7)),  # a prime n is one row
+        ("tree", ("--n", "10", "--seed", "3"), lambda: gen_tree(10, 3)),
+        ("lbH", ("--n", "8", "--delta", "4"), lambda: gen_lb_general(4, 8)[0]),
+    ], ids=["grid-12", "grid-7", "tree", "lbH"])
+    def test_family_writes_its_generator(self, tmp_path, family, args, want):
+        out = tmp_path / "g.el"
+        code, _ = run_cli("gen", "--family", family, *args, "--out", str(out))
+        assert code == 0
+        expected = io.StringIO()
+        write_edge_list(want(), expected)
+        assert out.read_text() == expected.getvalue()
+
+    def test_unknown_family(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "--family", "nope", "--n", "4")
+        assert exc.value.code == 2
 
     def test_gen_deterministic(self, tmp_path):
         a, b = tmp_path / "a.el", tmp_path / "b.el"
@@ -175,11 +196,41 @@ class TestBench:
         with pytest.raises(SystemExit):
             run_cli("bench", "--suite", "nope")
 
+    def test_toprec_suite_rows_correct(self, tmp_path, monkeypatch):
+        """Every toprec-suite row reports correct = n (on a stub corpus)."""
+        import radiolab.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "toprec_corpus",
+                            lambda: [("p5", gen_path(5)), ("grid2x3", gen_grid(2, 3))])
+        out = tmp_path / "toprec.csv"
+        code, _ = run_cli("bench", "--suite", "toprec", "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["graph"], r["scheme"]) for r in rows] == [("p5", "toprec"), ("grid2x3", "toprec")]
+        assert all(r["correct_outputs"] == r["n"] for r in rows)
+
+    def test_scaling_suite_rows(self, tmp_path, monkeypatch):
+        """The scaling suite runs fastsd and general on path-2^6..path-2^11
+        (`run_scheme` stubbed to keep this quick)."""
+        import radiolab.cli as cli_mod
+
+        def run_scheme(scheme, g):
+            record = {"graph": None, "n": g.n, "scheme": scheme, "correct_outputs": g.n}
+            return SimpleNamespace(bench_record=lambda gid, g: {**record, "graph": gid})
+
+        monkeypatch.setattr(cli_mod, "run_scheme", run_scheme)
+        out = tmp_path / "scaling.csv"
+        code, _ = run_cli("bench", "--suite", "scaling", "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["graph"], r["n"], r["scheme"]) for r in rows] == [
+            (f"path-2^{k}", str(2**k), scheme) for k in range(6, 12) for scheme in ("fastsd", "general")
+        ]
+
     def test_size_suite_rows_correct(self, tmp_path, monkeypatch):
         """Every size-suite row reports correct = n (checked on a stub corpus
         to keep this quick; the acceptance suite covers the pinned one)."""
         import radiolab.cli as cli_mod
-        from radiolab.graphs import gen_grid, gen_path
 
         monkeypatch.setattr(
             cli_mod.corpus_mod,

@@ -1,7 +1,8 @@
 """Every scheme and primitive gives the schedules, message bytes, labels and
-outputs stored in `tests/data/golden_digests.json`, and the large runs the
-traces stored in `tests/data/large_digests.json` (see `golden.py` for the
-sweeps and the regeneration command)."""
+outputs stored in `tests/data/golden_digests.json`, the large runs the
+traces stored in `tests/data/large_digests.json`, and label synthesis the
+outputs stored in `tests/data/synthesis_digests.json` (see `golden.py` for
+the sweeps and the regeneration command)."""
 
 import json
 
@@ -11,20 +12,31 @@ from golden import (
     GOLDEN,
     LARGE,
     LARGE_RUNS,
+    LARGE_SYNTHESIS,
+    LB_SIZES,
+    MULTI_SOURCE_CORES,
     PARTS,
     SCHEMES,
+    SYNTHESIS,
+    SYNTHESIS_GROUPS,
+    build,
     byte_digest,
     large_digest,
     schedule_digest,
     sweep,
+    synthesis_digest,
+    synthesis_keys,
+    synthesis_sweep,
     trace_digest,
 )
-from radiolab.graphs import gen_grid
+from radiolab.broadcast import synthesize_core
+from radiolab.graphs import gen_grid, gen_lb_family
 from radiolab.schemes import build_bundle
 from radiolab.sim import RoundRecord, run
 from radiolab.toprec import TopRecProgram
 
 STORED = json.loads(GOLDEN.read_text())
+STORED_SYNTHESIS = json.loads(SYNTHESIS.read_text())
 
 
 def test_every_stored_scheme_is_swept():
@@ -42,6 +54,19 @@ def test_sweep_matches_golden(scheme):
         assert not changed, f"{scheme} {part}: {len(changed)} graph(s) differ: {changed[:10]}"
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_cd_run_keeps_the_nocd_digests(scheme):
+    """Collision detection only marks the trace: on G_16..G_144 a run with
+    it gives the stored schedule and byte digests of the run without."""
+    for n in (16, 36, 64, 100, 144):
+        g, gid = gen_lb_family(n)[0], f"G_{n}"
+        labels, program = build(scheme, g)
+        trace = run(g, labels, program, cd=True)
+        assert trace.cd
+        assert schedule_digest(trace, scheme) == STORED[scheme]["schedule/nocd"][gid], gid
+        assert byte_digest(trace) == STORED[scheme]["bytes/nocd"][gid], gid
+
+
 @pytest.mark.parametrize("key", LARGE_RUNS)
 def test_large_run_matches_golden(key):
     assert large_digest(key) == json.loads(LARGE.read_text())[key]
@@ -49,6 +74,59 @@ def test_large_run_matches_golden(key):
 
 def test_every_large_run_is_stored():
     assert sorted(json.loads(LARGE.read_text())) == sorted(LARGE_RUNS)
+
+
+# (test id, synthesis group, slice of its inputs): each corpus in four
+# parts, every other input on its own, so the parts cover every input
+SYNTHESIS_PARTS = [
+    *((f"size-{p}", "size corpus", slice(p, None, 4)) for p in range(4)),
+    *((f"toprec-{p}", "toprec corpus", slice(p, None, 4)) for p in range(4)),
+    *((f"G_{n}", "lower bound", slice(i, i + 1)) for i, n in enumerate(LB_SIZES)),
+    *((gid, "large", slice(i, i + 1)) for i, gid in enumerate(LARGE_SYNTHESIS)),
+    *((f"seed-{i}", "multi-source cores", slice(i, i + 1)) for i in range(MULTI_SOURCE_CORES)),
+]
+
+
+def test_every_synthesis_input_is_stored():
+    assert sorted(STORED_SYNTHESIS) == sorted(SYNTHESIS_GROUPS)
+    for group in SYNTHESIS_GROUPS:
+        assert STORED_SYNTHESIS[group].keys() == synthesis_keys(group), group
+
+
+@pytest.mark.parametrize("group,part", [case[1:] for case in SYNTHESIS_PARTS],
+                         ids=[case[0] for case in SYNTHESIS_PARTS])
+def test_synthesis_matches_golden(group, part):
+    got, want = synthesis_sweep(group, part), STORED_SYNTHESIS[group]
+    assert got and got.keys() <= want.keys()
+    changed = sorted(key for key in got if got[key] != want[key])
+    assert not changed, f"{group}: {len(changed)} output(s) differ: {changed[:10]}"
+
+
+class TestSynthesisDigest:
+    """The synthesis digest sees every label bit and every field of a stage
+    record, and nothing of a dict's insertion order."""
+
+    def test_label_bit_changes_digest(self):
+        bundle = build_bundle("compact", gen_grid(3, 3))
+        before = synthesis_digest(bundle)
+        label = bundle.labels[4]
+        bundle.labels[4] = label[:-1] + "10"[int(label[-1])]
+        assert synthesis_digest(bundle) != before
+
+    def test_stage_record_changes_digest(self):
+        syn = synthesize_core(gen_grid(3, 3), {0})
+        before = synthesis_digest(syn)
+        rec = next(rec for rec in syn.stages if rec.newly)
+        v = next(iter(rec.feedback))
+        rec.feedback[v] = max(u for u, p in rec.newly.items() if p == v) + 1
+        assert synthesis_digest(syn) != before
+
+    def test_dict_order_keeps_digest(self):
+        syn = synthesize_core(gen_grid(3, 3), {0})
+        before = synthesis_digest(syn)
+        for rec in syn.stages:
+            rec.newly = dict(reversed(rec.newly.items()))
+        assert synthesis_digest(syn) == before
 
 
 class TestDigest:
