@@ -44,6 +44,6 @@ def corpus() -> list[tuple[str, Graph]]:
     return out
 
 
-def toprec_corpus() -> list[tuple[str, Graph]]:
-    """Corpus restriction for topology recognition (n <= 150)."""
-    return [(gid, g) for gid, g in corpus() if g.n <= 150]
+def toprec_corpus(base: list[tuple[str, Graph]] | None = None) -> list[tuple[str, Graph]]:
+    """Corpus restriction for topology recognition (n <= 150), of `base` if given."""
+    return [(gid, g) for gid, g in (corpus() if base is None else base) if g.n <= 150]

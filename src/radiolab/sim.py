@@ -48,8 +48,8 @@ class Heard:
     def decode(self, fn: Callable[[bytes], object]):
         """`fn(self.message)`, computed on the first call and cached. `fn`
         must be a pure function of the bytes returning an immutable value
-        (tuples, ints, strings, read-only mapping views); callers must not
-        mutate the result."""
+        (tuples, ints, strings, read-only mapping views, read-only
+        `memoryview`s); callers must not mutate the result."""
         if self._fn is not fn:
             self._decoded = fn(self.message)
             self._fn = fn

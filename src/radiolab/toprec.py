@@ -230,21 +230,32 @@ def wire_to_id(wire: str) -> tuple[int, ...]:
     return tuple(bits_to_int(b) for b in decode_blocks(wire))
 
 
+_FIELDS = {"T1": (str,), "T3": (str,), "TA": (int,), "T2": (int, (int, type(None))), "T5": (list,)}
+
+
 def parse_message(message: bytes) -> tuple:
     """A TopRec message as an immutable tuple `(tag, ...)`: T1/T3 carry an
-    identifier in wire form, `(tag, wire)`, T4 its sender's wire and the
-    reports in wire form, `(tag, wire, ((wire_id, (wire_nbr, ...)), ...))`,
-    T5 the `topology` (edge tuple) of the reports and the read-only map
-    from each wire to its identifier (both from `decode_reports`); TA/T2 keep
-    their ints. A pure function of the bytes, for `Heard.decode`, so every
-    listener of a T5 shares one topology and one map. A T1/T3 identifier or
-    a T4 sender that is not a string raises ProtocolViolation."""
+    identifier in wire form, `(tag, wire)`, TA/T2 keep their ints, T5 the
+    `topology` (edge tuple) of the reports and the read-only map from each
+    wire to its identifier (both from `decode_reports`). A T4 is read by its
+    header `["T4","<sender wire>",[` alone: `("T4", wire, body)`, `body` a
+    read-only view of the report array's inner text, which only the root
+    decodes. A pure function of the bytes, for `Heard.decode`, so every
+    listener of a T5 shares one topology and one map. Any other JSON array,
+    or a T4 without that header, raises ProtocolViolation."""
+    if message.startswith(b'["T4",'):
+        end = message.find(b'",[', 7)
+        wire, body = message[7:end], memoryview(message)[end + 3 : -2]
+        if message[6:7] != b'"' or end < 0 or wire.strip(b"01") or not body or message[-2:] != b"]]":
+            raise ProtocolViolation(f"T4 {message[:40]!r} is not a bit string sender wire and reports")
+        return "T4", wire.decode(), body
     parts = unframe(message)
-    tag = parts[0]
-    if tag in ("T1", "T3", "T4") and type(parts[1]) is not str:
+    tag = parts[0] if type(parts) is list and parts else None
+    if tag in ("T1", "T3") and len(parts) == 2 and type(parts[1]) is not str:
         raise ProtocolViolation(f"{tag} identifier {parts[1]!r} is not a bit string")
-    if tag == "T4":
-        return tag, parts[1], tuple((wid, tuple(nbrs)) for wid, nbrs in parts[2])
+    want = _FIELDS.get(tag) if type(tag) is str else None
+    if want is None or len(parts) != len(want) + 1 or not all(map(isinstance, parts[1:], want)):
+        raise ProtocolViolation(f"{message[:40]!r} is not a toprec message")
     if tag == "T5":
         reports, ids = decode_reports(parts[1])
         return tag, topology(reports), MappingProxyType(ids)
@@ -252,13 +263,17 @@ def parse_message(message: bytes) -> tuple:
 
 
 def decode_reports(reports) -> tuple[tuple, dict[str, tuple[int, ...]]]:
-    """Wire reports `[(wire_id, (wire_nbr, ...)), ...]` as
+    """Wire reports `[[wire_id, [wire_nbr, ...]], ...]` as
     `((id, (nbr_id, ...)), ...)`, and the map from each distinct wire
-    identifier to its identifier, through which each is decoded once."""
+    identifier to its identifier, through which each is decoded once; any
+    other shape raises ProtocolViolation."""
     wires = set()
-    for wid, nbrs in reports:
-        wires.add(wid)
-        wires.update(nbrs)
+    for row in reports:
+        if not (type(row) is list and len(row) == 2 and type(row[1]) is list
+                and {type(row[0]), *map(type, row[1])} == {str}):
+            raise ProtocolViolation(f"report {row!r} is not a wire and a list of wires")
+        wires.add(row[0])
+        wires.update(row[1])
     ids = {w: wire_to_id(w) for w in wires}
     get = ids.__getitem__
     return tuple((get(wid), tuple(map(get, nbrs))) for wid, nbrs in reports), ids
@@ -316,15 +331,15 @@ class TopRecProgram(NodeProgram):
     node's own report lists them in wire order.
 
     Stage 3 is a convergecast up the BFS tree. A T4 carries its sender's
-    wire and the reports of the sender's subtree, in wire form (`_reports`
-    maps a wire to its neighbours' wires). Only the sender's parent merges
-    them: a child's wire is the listener's plus one block, and at the root
-    every sender is a child. Gather indices give each child of a parent a
-    slot of its own, so the root gets every report exactly once. No report
-    is decoded on the way up, and no T1 or T3. The root decodes the full
-    set once for its own output, and the T5 parse, which all listeners
-    share, decodes it once more; each node takes its own identifier
-    (`my_id`) from that decode's wire map when it finishes.
+    wire and the reports of the sender's subtree, in wire form. Only the
+    sender's parent keeps them, as the heard bytes of the report array
+    (`_bodies`): a child's wire is the listener's plus one block, and at
+    the root every sender is a child. Gather indices give each child of a
+    parent a slot of its own, so the root gets every report exactly once.
+    No report is decoded or re-encoded on the way up, and no T1 or T3. The
+    root decodes the full set once, by parsing the T5 it sends, and the T5
+    parse that all listeners share decodes it once more; each node takes
+    its own identifier (`my_id`) from that decode's wire map.
 
     Each pending transmission is a round attribute, None while unknown or
     once served: `_t1` (forward T1), `_ta` (start or relay the TA), `_t2`
@@ -354,7 +369,7 @@ class TopRecProgram(NodeProgram):
         self._t1 = self._ta = self._t2 = self._t3 = self._t4 = self._t5 = None
         self._relayed = self._sent2 = self._sent3 = self._sent4 = self._sent5 = False
         self.nbr_wires: set[str] = set()  # the announced neighbours' wires
-        self._reports: dict[str, tuple[str, ...]] = {}
+        self._bodies: list[memoryview] = []  # the children's T4 bodies, as heard
         self._final: bytes | None = None  # the T5 message, as heard
         if self.is_root:
             self.wire_id = id_to_wire(())
@@ -433,24 +448,23 @@ class TopRecProgram(NodeProgram):
             return frame("T3", self.wire_id)
         if rnd == self._t4:
             self._t4, self._sent4 = None, True
-            return frame("T4", self.wire_id, self._all_reports())
+            return self._with_reports(f'["T4","{self.wire_id}",'.encode())
         if rnd == self._t5:
             self._t5, self._sent5 = None, True
             if not self.is_root:
                 return self._final
-            reports = self._all_reports()
-            decoded, ids = decode_reports(reports)
-            self._finish(topology(decoded), ids)
-            if self.is_leaf:
-                return None
-            return frame("T5", reports)
+            final = self._with_reports(b'["T5",')
+            self._finish(*parse_message(final)[1:])
+            return None if self.is_leaf else final
         return None
 
-    def _all_reports(self) -> list[tuple[str, tuple[str, ...]]]:
-        """The children's gathered reports plus this node's own, all in
-        wire form; the own report lists the neighbours' wires in wire
-        order."""
-        return [*self._reports.items(), (self.wire_id, tuple(sorted(self.nbr_wires)))]
+    def _with_reports(self, head: bytes) -> bytes:
+        """`head` closed by the gathered report array: the children's T4
+        bodies as heard, then this node's own report, which lists the
+        neighbours' wires in wire order. The one place reports are coded,
+        so nothing is decoded or re-encoded on the way up."""
+        own = frame(self.wire_id, sorted(self.nbr_wires))
+        return b"".join((head, b"[", b",".join([*self._bodies, own]), b"]]"))
 
     def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse_message)
@@ -488,7 +502,7 @@ class TopRecProgram(NodeProgram):
             # only a child's reports; a node without a wire has no child
             mine = self.wire_id
             if mine is not None and (self.is_root or parts[1].startswith(mine + "00")):
-                self._reports.update(parts[2])
+                self._bodies.append(parts[2])
             return False
         elif tag == "T5":
             if self._final is not None:

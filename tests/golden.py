@@ -90,7 +90,8 @@ SIZE_SCHEMES = ("compact", "general", "fastsd")
 LB_SIZES = tuple((2 * k) ** 2 for k in range(2, 15))  # G_16 .. G_784
 MULTI_SOURCE_CORES = 20
 # the pinned corpora, built once per process
-CORPUS, TOPREC_CORPUS = cache(corpus), cache(toprec_corpus)
+CORPUS = cache(corpus)
+TOPREC_CORPUS = cache(lambda: toprec_corpus(CORPUS()))  # the same graph objects
 LARGE_SYNTHESIS = {
     "path-2048": lambda: gen_path(2048),
     "grid-64x64": lambda: gen_grid(64, 64),

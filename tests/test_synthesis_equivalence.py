@@ -26,6 +26,7 @@ pinned by digest instead: `golden.synthesis_sweep`, checked in
 import math
 import sys
 import zlib
+from functools import cache, partial
 
 import pytest
 
@@ -37,7 +38,7 @@ from radiolab.broadcast import (
     minimal_dominating_subset,
     synthesize_core,
 )
-from radiolab.corpus import corpus, toprec_corpus
+from radiolab.corpus import corpus
 from radiolab.errors import (
     EmptySourceSet,
     MessageTooLong,
@@ -68,6 +69,7 @@ from radiolab.size_discovery import (
     stripe_decomposition,
 )
 from radiolab.toprec import TOPREC_LEN_C, TOPREC_LEN_C0, oracle_ids
+from golden import CORPUS, TOPREC_CORPUS
 from oracles import postorder_concat, relabelled, tree_parent, verify_subtree_assignment
 
 SCHEMES = ("compact", "general", "fastsd", "toprec")
@@ -360,26 +362,26 @@ def caterpillar(spine, legs):
     return build_graph(n, edges)
 
 
-def _switching():
-    """Each graph as built and under one seeded relabelling, so the
-    one-node rule meets index tie-breaks in both orders."""
-    base = {
-        "broom-30-12": broom(30, 12),
-        "broom-5-40": broom(5, 40),
-        "path-20-grid-6x7": path_into_grid(20, 6, 7),
-        "path-3-grid-9x4": path_into_grid(3, 9, 4),
-        "caterpillar-40-0102": caterpillar(40, (0, 1, 0, 2)),
-        "caterpillar-25-3001": caterpillar(25, (3, 0, 0, 1)),
-    }
-    out = []
-    for gid, g in base.items():
-        out.append((gid, g))
-        out.append((f"{gid}/r", relabelled(g, zlib.crc32(gid.encode()))))
-    return out
+SWITCHING_BASE = {
+    "broom-30-12": partial(broom, 30, 12),
+    "broom-5-40": partial(broom, 5, 40),
+    "path-20-grid-6x7": partial(path_into_grid, 20, 6, 7),
+    "path-3-grid-9x4": partial(path_into_grid, 3, 9, 4),
+    "caterpillar-40-0102": partial(caterpillar, 40, (0, 1, 0, 2)),
+    "caterpillar-25-3001": partial(caterpillar, 25, (3, 0, 0, 1)),
+}
+SWITCHING_IDS = [gid + r for gid in SWITCHING_BASE for r in ("", "/r")]
 
 
-SWITCHING = _switching()
-SWITCHING_IDS = [gid for gid, _ in SWITCHING]
+@cache
+def switching_graph(gid):
+    """Each graph as built and under one seeded relabelling ("/r"), so the
+    one-node rule meets index tie-breaks in both orders. Built on first
+    use, so collecting the tests builds none."""
+    base, relabel, _ = gid.partition("/")
+    if relabel:
+        return relabelled(switching_graph(base), zlib.crc32(base.encode()))
+    return SWITCHING_BASE[gid]()
 
 
 def switching_sources(g):
@@ -391,17 +393,19 @@ def switching_sources(g):
     return out
 
 
-@pytest.mark.parametrize("gid,g", SWITCHING, ids=SWITCHING_IDS)
-def test_switching_cores_match_reference(gid, g):
+@pytest.mark.parametrize("gid", SWITCHING_IDS)
+def test_switching_cores_match_reference(gid):
+    g = switching_graph(gid)
     for sources in switching_sources(g):
         assert synthesize_core(g, sources) == reference_synthesize_core(g, sources), sources
 
 
-@pytest.mark.parametrize("gid,g", SWITCHING, ids=SWITCHING_IDS)
-def test_switching_layers_match_reference(gid, g):
+@pytest.mark.parametrize("gid", SWITCHING_IDS)
+def test_switching_layers_match_reference(gid):
     """Broadcast and gather indices from roots at both ends and in the
     middle, against the rescanning index passes and the per-child gather
     scan."""
+    g = switching_graph(gid)
     for r in (0, g.n - 1, g.n // 2):
         b, parent, la = toprec.assign_broadcast_indices(g, r)
         assert (b, parent, la) == reference_assign_broadcast_indices(g, r), r
@@ -410,10 +414,11 @@ def test_switching_layers_match_reference(gid, g):
         ), r
 
 
-@pytest.mark.parametrize("gid,g", SWITCHING, ids=SWITCHING_IDS)
-def test_switching_subtree_bits_match_reference(gid, g):
+@pytest.mark.parametrize("gid", SWITCHING_IDS)
+def test_switching_subtree_bits_match_reference(gid):
     """The packing over each graph's broadcast tree, as compact builds it,
     and over its BFS tree, from both ends and the middle."""
+    g = switching_graph(gid)
     message = int_to_bits(g.n)
     for root in (0, g.n - 1, g.n // 2):
         bfs = toprec.assign_broadcast_indices(g, root)[1]
@@ -439,22 +444,30 @@ def test_one_node_stages_make_no_dominating_subset_call():
 
 
 def _graphs():
-    size_sample = corpus()[::3]
+    """(graph id, graph maker) pairs. The corpus ids need the corpus built,
+    once per test run in `golden`'s cache; every other graph waits for its
+    test."""
+    size_sample = CORPUS()[::3]
     picked = {gid for gid, _ in size_sample}
     out = list(size_sample)
-    out += [(gid, g) for gid, g in toprec_corpus() if gid not in picked]
-    out += [(f"G_{n}", gen_lb_family(n)[0]) for n in (16, 36, 64, 100, 144, 256, 576)]
-    out += [(f"star-{n}", gen_star(n)) for n in (2, 3, 4, 9, 513, 1025)]
-    return out + SWITCHING
+    out += [(gid, g) for gid, g in TOPREC_CORPUS() if gid not in picked]
+    out = [(gid, lambda g=g: g) for gid, g in out]
+    out += [(f"G_{n}", partial(lb_graph, n)) for n in (16, 36, 64, 100, 144, 256, 576)]
+    out += [(f"star-{n}", partial(gen_star, n)) for n in (2, 3, 4, 9, 513, 1025)]
+    return out + [(gid, partial(switching_graph, gid)) for gid in SWITCHING_IDS]
+
+
+@cache
+def lb_graph(n):
+    return gen_lb_family(n)[0]
 
 
 GRAPHS = _graphs()
-LB_784 = gen_lb_family(784)[0]
-LB_2304 = gen_lb_family(2304)[0]
 
 
 @pytest.mark.parametrize("gid,g", GRAPHS, ids=[gid for gid, _ in GRAPHS])
 def test_bundles_match_reference(monkeypatch, gid, g):
+    g = g()
     for scheme in SCHEMES:
         new = build_bundle(scheme, g)
         ref = reference_bundle(monkeypatch, scheme, g)
@@ -469,7 +482,9 @@ def test_bundles_match_reference(monkeypatch, gid, g):
 # ---------------------------------------------------------------------------
 
 
-GRID_128 = gen_grid(128, 128)
+@cache
+def grid_128():
+    return gen_grid(128, 128)
 
 
 def check_covers(g, s=0):
@@ -504,13 +519,15 @@ def test_covers_match_reference_on_random_graphs(seed):
     "rows,cols", [(3, 40), (9, 9), (17, 31), (33, 33), (5, 300), (64, 64), (100, 77), (128, 128)]
 )
 def test_covers_match_reference_on_grids(rows, cols):
-    g = GRID_128 if rows == cols == 128 else gen_grid(rows, cols)
+    g = grid_128() if rows == cols == 128 else gen_grid(rows, cols)
     assert check_covers(g) >= 1
     assert check_covers(g, g.n - 1) >= 1
 
 
-@pytest.mark.parametrize("gid,g", [("grid-33x47", gen_grid(33, 47)), ("path-700", gen_path(700))])
+@pytest.mark.parametrize("gid,g", [("grid-33x47", partial(gen_grid, 33, 47)),
+                                   ("path-700", partial(gen_path, 700))])
 def test_fastsd_bundle_matches_with_reference_cover(monkeypatch, gid, g):
+    g = g()  # built when the test runs, not at collection
     new = build_bundle("fastsd", g)
     assert new.meta["mode"] == "stripes"
     with monkeypatch.context() as m:
@@ -542,17 +559,17 @@ def test_dense_core_matches_reference(seed):
 
 @pytest.mark.parametrize("sources", [{0}, {783}, {5, 400}, {0, 29, 56, 300, 700}])
 def test_lb_family_784_core_matches_reference(sources):
-    g = LB_784
+    g = lb_graph(784)
     assert synthesize_core(g, sources) == reference_synthesize_core(g, sources)
 
 
 def test_lb_family_784_bundles_match_reference(monkeypatch):
     for scheme in ("compact", "general", "fastsd"):
-        new = build_bundle(scheme, LB_784)
+        new = build_bundle(scheme, lb_graph(784))
         with monkeypatch.context() as m:
             m.setattr(broadcast, "synthesize_core", reference_synthesize_core)
             m.setattr(size_discovery, "synthesize_core", reference_synthesize_core)
-            ref = build_bundle(scheme, LB_784)
+            ref = build_bundle(scheme, lb_graph(784))
         assert new.labels == ref.labels, scheme
         assert new.meta == ref.meta, scheme
 
@@ -604,16 +621,17 @@ def synthesis_calls(g, sources):
 @pytest.mark.parametrize(
     "name,g,sources",
     [
-        ("G_2304", LB_2304, {0}),
-        ("G_2304", LB_2304, {0, 47, 500, 1201, 2303}),
-        ("H_9_40", gen_lb_general(9, 40)[0], {0}),
-        ("H_36_100", gen_lb_general(36, 100)[0], {3, 90}),
+        ("G_2304", partial(lb_graph, 2304), {0}),
+        ("G_2304", partial(lb_graph, 2304), {0, 47, 500, 1201, 2303}),
+        ("H_9_40", lambda: gen_lb_general(9, 40)[0], {0}),
+        ("H_36_100", lambda: gen_lb_general(36, 100)[0], {3, 90}),
     ],
     ids=["G_2304-0", "G_2304-5src", "H_9_40", "H_36_100"],
 )
 def test_dense_synthesis_calls_match_reference(name, g, sources):
     """Every stage's call on the lower-bound graphs: each candidate covers
     most targets, so only the lowest covers decide."""
+    g = g()
     calls = synthesis_calls(g, sources)
     assert len(calls) >= 2, name
     for candidates, targets in calls:
@@ -677,7 +695,8 @@ def clique_with_tail(m, tail):
 
 @pytest.mark.parametrize(
     "name,g",
-    [("path-3000", gen_path(3000)), ("clique-200-tail-300", clique_with_tail(200, 300))],
+    [("path-3000", partial(gen_path, 3000)),
+     ("clique-200-tail-300", partial(clique_with_tail, 200, 300))],
 )
 def test_synthesis_scans_the_smaller_side(name, g):
     """On a path the frontier grows from the newly informed node: a scan of
@@ -686,6 +705,7 @@ def test_synthesis_scans_the_smaller_side(name, g):
     uninformed side and count its coverage from the one target: any other
     side costs about 200^2 = 40,000 entries. On both graphs the smaller side
     stays under 8 n entries."""
+    g = g()
     cg = counting(g)
     SCANNED[0] = 0
     syn = synthesize_core(cg, {0})
@@ -696,10 +716,10 @@ def test_synthesis_scans_the_smaller_side(name, g):
 def test_bfs_stops_at_last_discovery():
     """On G_2304 every node is found within the first few rows, so BFS reads
     at most 4 n adjacency entries of the graph's 2 m = 5.2 M."""
-    g = counting(LB_2304)
+    g = counting(lb_graph(2304))
     SCANNED[0] = 0
     la = bfs_layers(g, 0)
-    assert la == bfs_layers(LB_2304, 0)
+    assert la == bfs_layers(lb_graph(2304), 0)
     assert la.depth == 2
     assert SCANNED[0] <= 4 * g.n, SCANNED[0]
 
@@ -709,7 +729,7 @@ def test_cover_reads_each_stripe_a_bounded_number_of_times():
     entries (one lowest-ancestor pass, then one reach per kept node); the
     greedy removal it replaced rereads the whole stripe for every node it
     tries, far over that bound."""
-    g = counting(GRID_128)
+    g = counting(grid_128())
     sd = stripe_decomposition(g, 0)
     ratios = {}
     for j in sd.stripes:

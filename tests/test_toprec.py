@@ -281,14 +281,48 @@ class TestConvergecast:
 
     def test_only_a_child_t4_is_merged(self):
         """A node with no wire yet, or that is not the sender's parent,
-        ignores a T4; the parent merges its child's reports."""
+        ignores a T4; the parent keeps its child's report bodies."""
         p = TopRecProgram(build_toprec_labels(gen_path(4)).labels[2])
         child, me, parent = (id_to_wire((0,) * k) for k in (3, 2, 1))
         t4 = {w: Heard(frame("T4", w, [[w, [me]]])) for w in (child, parent)}
-        assert p.receive(1, t4[child]) is False and p._reports == {}
+        assert p.receive(1, t4[child]) is False and p._bodies == []
         p.wire_id = me
-        assert p.receive(2, t4[parent]) is False and p._reports == {}
-        assert p.receive(3, t4[child]) is False and p._reports == {child: (me,)}
+        assert p.receive(2, t4[parent]) is False and p._bodies == []
+        assert p.receive(3, t4[child]) is False and p._bodies == [frame(child, [me])]
+
+    @pytest.mark.parametrize("gid", SWEEP)
+    def test_gathered_messages_are_canonical_json(self, gid):
+        """T4s and T5s are joined from the bytes heard, yet each is exactly
+        the compact JSON that `frame` gives for its value."""
+        tr = run(self.SWEEP[gid], build_toprec_labels(self.SWEEP[gid]).labels, TopRecProgram)
+        for tag in ("T4", "T5"):
+            for _, sent, _ in tagged_rounds(tr, tag):
+                for m in sent.values():
+                    assert m == frame(*unframe(m))
+
+    @pytest.mark.parametrize("g", [gen_path(40), gen_grid(10, 10), gen_star(129)],
+                             ids=["path40", "grid10x10", "star129"])
+    def test_no_report_is_decoded_below_the_root(self, g, monkeypatch):
+        """No T4 is JSON-decoded at all: parents keep its body as heard, and
+        only the joined report sets, the root's and the T5 everyone else
+        hears, go through `decode_reports`."""
+        unframed, decodes = [], []
+        real_unframe, real_decode = toprec_mod.unframe, toprec_mod.decode_reports
+
+        def counting_unframe(message):
+            unframed.append(message)
+            return real_unframe(message)
+
+        def counting_decode(reports):
+            decodes.append(len(reports))
+            return real_decode(reports)
+
+        monkeypatch.setattr(toprec_mod, "unframe", counting_unframe)
+        monkeypatch.setattr(toprec_mod, "decode_reports", counting_decode)
+        r = run_scheme("toprec", g)
+        assert r.ok
+        assert not [m for m in unframed if m.startswith(b'["T4"')]
+        assert decodes == [g.n] * len(decodes) and 1 <= len(decodes) <= 2
 
 
 class TestTopRec:
@@ -437,8 +471,10 @@ class TestParseMessage:
                     assert parsed[1] == topology(decoded)
                     continue
                 hash(parsed)
-                if parts[0] == "T4":
-                    assert parsed == ("T4", parts[1], tuple((w, tuple(ns)) for w, ns in parts[2]))
+                if parts[0] == "T4":  # the report array's inner text, as a read-only view
+                    assert isinstance(parsed[2], memoryview) and parsed[2].readonly
+                    assert parsed[:2] == ("T4", parts[1])
+                    assert unframe(b"[" + bytes(parsed[2]) + b"]") == parts[2]
                 else:  # T1/T3 carry their wire undecoded, TA/T2 their ints
                     assert list(parsed) == parts
         assert tags == {"T1", "TA", "T2", "T3", "T4", "T5"}
@@ -448,6 +484,22 @@ class TestParseMessage:
     def test_identifier_that_is_not_a_string_rejected(self, tag, wire):
         with pytest.raises(ProtocolViolation, match="not a bit string"):
             parse_message(frame(tag, wire))
+
+    @pytest.mark.parametrize("message", [
+        b'["T4","10"]', b'["T1"]', b'["T3"]', b'["T5"]', b'[]',
+        b'["T4","10",5]', b'["T5",5]', b'["T5",[["10"]]]', b'["TA"]', b'["T2",5]',
+        b'["T4","10",{"a":[]}]',  # no `",[` after the wire
+        b'["T4","1a",[["1a",[]]]]',  # a wire that is not a bit string
+        b'["T4",",[[]]]',  # the wire's opening quote read as its closing one
+        b'["T4","1\xff",[["1",[]]]]',  # not UTF-8
+    ])
+    def test_malformed_message_raises_protocol_violation(self, message):
+        """The parse, and so `receive`, rejects a message of the wrong shape
+        with a typed error, not an IndexError, TypeError or ValueError."""
+        with pytest.raises(ProtocolViolation):
+            parse_message(message)
+        with pytest.raises(ProtocolViolation):
+            TopRecProgram(build_toprec_labels(gen_path(4)).labels[2]).receive(1, Heard(message))
 
     def test_forwarders_resend_the_heard_bytes(self):
         g = gen_grid(3, 4)
