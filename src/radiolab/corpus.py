@@ -15,6 +15,7 @@ from .graphs import (
 )
 
 BASE_SEED = 20240901
+TOPREC_MAX_N = 150  # the toprec corpus keeps the graphs of at most this many nodes
 
 
 def corpus() -> list[tuple[str, Graph]]:
@@ -44,6 +45,6 @@ def corpus() -> list[tuple[str, Graph]]:
     return out
 
 
-def toprec_corpus(base: list[tuple[str, Graph]] | None = None) -> list[tuple[str, Graph]]:
-    """Corpus restriction for topology recognition (n <= 150), of `base` if given."""
-    return [(gid, g) for gid, g in (corpus() if base is None else base) if g.n <= 150]
+def toprec_corpus() -> list[tuple[str, Graph]]:
+    """Corpus restriction for topology recognition (n <= TOPREC_MAX_N)."""
+    return [(gid, g) for gid, g in corpus() if g.n <= TOPREC_MAX_N]

@@ -241,15 +241,18 @@ def parse_message(message: bytes) -> tuple:
     header `["T4","<sender wire>",[` alone: `("T4", wire, body)`, `body` a
     read-only view of the report array's inner text, which only the root
     decodes. A pure function of the bytes, for `Heard.decode`, so every
-    listener of a T5 shares one topology and one map. Any other JSON array,
-    or a T4 without that header, raises ProtocolViolation."""
+    listener of a T5 shares one topology and one map. Any other message,
+    bytes that are not JSON included, raises ProtocolViolation."""
     if message.startswith(b'["T4",'):
         end = message.find(b'",[', 7)
         wire, body = message[7:end], memoryview(message)[end + 3 : -2]
         if message[6:7] != b'"' or end < 0 or wire.strip(b"01") or not body or message[-2:] != b"]]":
             raise ProtocolViolation(f"T4 {message[:40]!r} is not a bit string sender wire and reports")
         return "T4", wire.decode(), body
-    parts = unframe(message)
+    try:
+        parts = unframe(message)
+    except ValueError as e:  # not UTF-8, or not one JSON value
+        raise ProtocolViolation(f"{message[:40]!r} is not a toprec message: {e}") from None
     tag = parts[0] if type(parts) is list and parts else None
     if tag in ("T1", "T3") and len(parts) == 2 and type(parts[1]) is not str:
         raise ProtocolViolation(f"{tag} identifier {parts[1]!r} is not a bit string")
@@ -263,10 +266,9 @@ def parse_message(message: bytes) -> tuple:
 
 
 def decode_reports(reports) -> tuple[tuple, dict[str, tuple[int, ...]]]:
-    """Wire reports `[[wire_id, [wire_nbr, ...]], ...]` as
-    `((id, (nbr_id, ...)), ...)`, and the map from each distinct wire
-    identifier to its identifier, through which each is decoded once; any
-    other shape raises ProtocolViolation."""
+    """Wire reports `[[wire_id, [wire_nbr, ...]], ...]` as `((id, (nbr_id,
+    ...)), ...)`, and the map from each distinct wire to its identifier,
+    each decoded once; any other shape raises ProtocolViolation."""
     wires = set()
     for row in reports:
         if not (type(row) is list and len(row) == 2 and type(row[1]) is list
@@ -459,10 +461,8 @@ class TopRecProgram(NodeProgram):
         return None
 
     def _with_reports(self, head: bytes) -> bytes:
-        """`head` closed by the gathered report array: the children's T4
-        bodies as heard, then this node's own report, which lists the
-        neighbours' wires in wire order. The one place reports are coded,
-        so nothing is decoded or re-encoded on the way up."""
+        """`head` closed by the report array: the children's T4 bodies as
+        heard, then this node's own; the one place reports are coded."""
         own = frame(self.wire_id, sorted(self.nbr_wires))
         return b"".join((head, b"[", b",".join([*self._bodies, own]), b"]]"))
 

@@ -55,7 +55,7 @@ from functools import cache
 from pathlib import Path
 
 from radiolab.broadcast import PathMessageProgram, synthesize_core, synthesize_path_message
-from radiolab.corpus import corpus, toprec_corpus
+from radiolab.corpus import TOPREC_MAX_N, corpus
 from radiolab.graphs import Graph, gen_grid, gen_lb_family, gen_path, gen_random_connected, gen_star
 from radiolab.rng import SplitMix64
 from radiolab import schemes
@@ -91,7 +91,7 @@ LB_SIZES = tuple((2 * k) ** 2 for k in range(2, 15))  # G_16 .. G_784
 MULTI_SOURCE_CORES = 20
 # the pinned corpora, built once per process
 CORPUS = cache(corpus)
-TOPREC_CORPUS = cache(lambda: toprec_corpus(CORPUS()))  # the same graph objects
+TOPREC_CORPUS = cache(lambda: [(gid, g) for gid, g in CORPUS() if g.n <= TOPREC_MAX_N])  # as toprec_corpus()
 LARGE_SYNTHESIS = {
     "path-2048": lambda: gen_path(2048),
     "grid-64x64": lambda: gen_grid(64, 64),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiolab.corpus import corpus, toprec_corpus
+from radiolab.corpus import TOPREC_MAX_N, corpus, toprec_corpus
 from radiolab.errors import (
     Disconnected,
     DuplicateEdge,
@@ -110,6 +110,11 @@ class TestBfsLayers:
     def test_root_out_of_range(self, root):
         with pytest.raises(IndexOutOfRange):
             bfs_layers(gen_path(4), root)
+
+    def test_toprec_corpus_is_the_corpus_up_to_toprec_max_n(self):
+        """`golden` filters its cached corpus by TOPREC_MAX_N in its place."""
+        small = [(gid, g.edges()) for gid, g in corpus() if g.n <= TOPREC_MAX_N]
+        assert [(gid, g.edges()) for gid, g in toprec_corpus()] == small
 
     def test_by_layer_buckets_in_index_order(self):
         """On the size and toprec corpora, G_16..G_144 and every connected

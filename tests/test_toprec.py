@@ -492,6 +492,7 @@ class TestParseMessage:
         b'["T4","1a",[["1a",[]]]]',  # a wire that is not a bit string
         b'["T4",",[[]]]',  # the wire's opening quote read as its closing one
         b'["T4","1\xff",[["1",[]]]]',  # not UTF-8
+        b'["T1",', b'\xff', b'["T5",[]]]',  # not JSON, not UTF-8, data after the value
     ])
     def test_malformed_message_raises_protocol_violation(self, message):
         """The parse, and so `receive`, rejects a message of the wrong shape
@@ -500,6 +501,24 @@ class TestParseMessage:
             parse_message(message)
         with pytest.raises(ProtocolViolation):
             TopRecProgram(build_toprec_labels(gen_path(4)).labels[2]).receive(1, Heard(message))
+
+    @pytest.mark.parametrize("tail", [b"]]]", b',"\xff"]]', b",5]]"],
+                             ids=["bracket", "not-utf8", "not-a-report"])
+    def test_a_broken_t4_body_fails_the_run_at_the_root(self, tail):
+        """A T4 whose header is sound is kept and forwarded unread, whatever
+        its body holds; the root, the first to decode the reports, raises
+        ProtocolViolation for it, not a JSON or UTF-8 error."""
+
+        class BrokenLeaf(TopRecProgram):
+            def action(self, rnd):
+                m = super().action(rnd)
+                if self.is_leaf and m is not None and m.startswith(b'["T4"'):
+                    m = m[:-2] + tail
+                return m
+
+        g = gen_path(5)
+        with pytest.raises(ProtocolViolation):
+            run(g, build_toprec_labels(g).labels, BrokenLeaf)
 
     def test_forwarders_resend_the_heard_bytes(self):
         g = gen_grid(3, 4)
