@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .errors import Disconnected, EmptySourceSet, Undominatable
 from .graphs import Graph
 from .labels import Layout, SchemeBundle
-from .sim import NodeProgram, frame, next_duty, parse
+from .sim import Bits, NodeProgram, message_kind, next_duty, parse
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +229,10 @@ class ExecCore:
     Relative rounds are learned from the round numbers attached to messages:
     a node informed at attached round r with global clock a derives the
     instance offset a - r, so no participant needs to know the start round
-    in advance. Message kinds: ("b", rel, sender_level, payload) for the
-    broadcast rounds, ("f", rel) for feedback (sent only by a node whose
-    stay bit is 1, so it carries no bit of its own); `action` frames them
-    after the core's tag. `js` is the node's two-bit join/stay label block.
+    in advance. Under its tag it sends a `broadcast` in its broadcast
+    rounds, with its relative round, its level and the payload, and a
+    `feedback` (sent only by a node whose stay bit is 1, so it carries no
+    bit of its own). `js` is the node's two-bit join/stay label block.
 
     The core keeps its duties as pending absolute rounds: `_tx` its next
     broadcast (a node informed with join = 1 transmits next stage, and a
@@ -248,6 +248,8 @@ class ExecCore:
         "tag", "join", "stay", "informed", "message", "level",
         "parent_level", "offset", "tx_rounds", "_tx", "_fb", "_end", "wake",
     )
+    broadcast = message_kind(tag=str, kind="b", rel=int, level=int, payload=int | Bits)
+    feedback = message_kind(tag=str, kind="f", rel=int)
 
     def __init__(self, tag: str, js: str):
         self.join, self.stay = _JOIN_STAY[js]
@@ -278,11 +280,11 @@ class ExecCore:
             self.wake = self._end = abs_rnd + 2
             rel = abs_rnd - self.offset
             self.tx_rounds.append(rel)
-            return frame(self.tag, "b", rel, self.level, self.message)
+            return self.broadcast.frame(self.tag, rel, self.level, self.message)
         if abs_rnd == self._fb:
             self._fb = None
             self.wake = self._tx
-            return frame(self.tag, "f", abs_rnd - self.offset)
+            return self.feedback.frame(self.tag, abs_rnd - self.offset)
         if abs_rnd == self._end:
             self._end = None
             self.wake = self._tx
@@ -292,15 +294,15 @@ class ExecCore:
         """Take a heard core message; True iff it gave the node a duty: it
         informed a node whose join or stay bit is 1, or re-armed its
         broadcast. A caller that acts on `informed` checks it itself."""
-        kind = parts[1]
+        kind = parts.kind
         if kind == "b":
             if not self.informed:
-                rel = parts[2]
+                rel = parts.rel
                 self.informed = True
                 self.level = rel
                 self.offset = abs_rnd - rel
-                self.parent_level = parts[3]
-                self.message = parts[4]
+                self.parent_level = parts.level
+                self.message = parts.payload
                 if self.join:
                     self.wake = self._tx = abs_rnd + 3
                 if self.stay:
@@ -386,6 +388,9 @@ class AckProgram(NodeProgram):
     in `_own_at` and serves it in its own `action`.
     """
 
+    # the relay of t: t, and the level of the sender's parent, which relays next
+    relay = message_kind(tag=str, kind="r", t=int, parent_level=int)
+
     def __init_subclass__(cls, tag: str | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
         if tag is not None:
@@ -442,7 +447,7 @@ class AckProgram(NodeProgram):
             if self.t is None:
                 self.t = rnd - self.core1.offset - 1
                 self._arm_collect()
-            return frame(self.taga, "r", self.t, self.core1.parent_level)
+            return self.relay.frame(self.taga, self.t, self.core1.parent_level)
         p = self.core2.action(rnd) or self.core3.action(rnd)
         if p or rnd != self._collect_at:
             return p
@@ -459,7 +464,7 @@ class AckProgram(NodeProgram):
         """True iff the message changed a core's duties, the relay, `t` at
         a node that still collects, or the output."""
         parts = heard.decode(parse)
-        tag = parts[0]
+        tag = parts.tag
         if tag == self.tag1:
             core = self.core1
             informed = core.informed
@@ -473,14 +478,14 @@ class AckProgram(NodeProgram):
                 self._relay_round = core.offset + 3 * ((core.level + 2) // 3) + 1
                 return True
             return changed
-        if tag == self.taga:
-            t = parts[2]
+        if tag == self.taga and parts.kind == "r":
+            t = parts.t
             changed = self.t is None and not self._collected
             if self.t is None:
                 self.t = t
                 self._arm_collect()
             if (self.on_path and not self._relayed and self.core1.informed
-                    and parts[3] == self.core1.level):
+                    and parts.parent_level == self.core1.level):
                 self._relayed = True
                 if self.is_source:
                     self.core2.start_source(rnd + 1, t, self.dom1)
@@ -589,6 +594,7 @@ class PathMessageProgram(AckProgram, tag="p"):
     level reading as empty. Output is `_result` of the message bit string."""
 
     layout = Layout("pathmsg", js=2, flags=2, path=2, mark=1, chunk=None)
+    chunks = message_kind(tag=str, kind="c", pairs=list[tuple[int, Bits]])
 
     def __init__(self, label: str):
         blocks = self.layout.parse(label)
@@ -611,7 +617,7 @@ class PathMessageProgram(AckProgram, tag="p"):
 
     def _slot_message(self) -> bytes:
         mine = [(self.core1.level, self.chunk)] if self.chunk else []
-        return frame("pc", "c", mine + self.pairs)
+        return self.chunks.frame("pc", mine + self.pairs)
 
     def _assemble(self) -> str:
         got = {0: self.chunk}
@@ -619,6 +625,6 @@ class PathMessageProgram(AckProgram, tag="p"):
         return "".join(got[k] for k in sorted(got))
 
     def _receive_own(self, rnd: int, parts) -> bool:
-        if parts[0] == "pc":
-            self.pairs.extend(parts[2])
+        if parts.kind == "c":
+            self.pairs.extend(parts.pairs)
         return False

@@ -331,7 +331,7 @@ def _int_pair(line: str, what: str) -> tuple[int, int]:
     script's digits or spaces."""
     parts = line.split()
     if line.isascii() and len(parts) == 2 and all(map(str.isdecimal, parts)):
-        return int(parts[0]), int(parts[1])
+        return tuple(map(int, parts))
     raise InvalidParams(f"{what} must be two non-negative integers, got {line.strip()!r}")
 
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from heapq import heappop, heappush
-from typing import Callable, Collection, Sequence
+from itertools import product
+from types import UnionType
+from typing import Callable, Collection, Sequence, get_args, get_origin
 
 from .errors import InvalidParams, ProtocolViolation, RoundLimitExceeded
 from .graphs import Graph
@@ -471,7 +474,8 @@ _decode = json.JSONDecoder().raw_decode
 
 def frame(*parts) -> bytes:
     """Encode a message as a compact JSON array; messages stay opaque bytes
-    at the engine level, programs define their own framing on top."""
+    at the engine level, and programs write theirs through their kinds'
+    tables (see `message_kind`)."""
     return "".join(_encode(parts, 0)).encode()
 
 
@@ -484,12 +488,51 @@ def unframe(message: bytes) -> list:
     return value
 
 
-def parse(message: bytes) -> tuple:
-    """`unframe` with every array as a tuple: the immutable parse that the
-    size and broadcast programs read through `Heard.decode`, so all
-    listeners of the same bytes share one parse."""
-    return _frozen(unframe(message))
+class Bits(str):
+    """A message table's type for a bit string, which arrives as a `str`."""
 
 
-def _frozen(array: list) -> tuple:
-    return tuple([_frozen(x) if type(x) is list else x for x in array])
+_KINDS: tuple[dict, dict] = ({}, {})  # each kind by its name, at its name's index
+
+
+def message_kind(**fields) -> type[tuple]:
+    """A message kind from its table: each field's name and type in wire
+    order, and at index 0 or 1 the kind's name in place of a type. A type
+    is a class, a union (`int | None`) or `list[tuple[...]]`, a list of
+    arrays, read as a tuple of tuples. The kind is a named tuple of its
+    fields; `kind.frame` writes a message from every field but the name."""
+    ((at, name),) = [(i, t) for i, t in enumerate(fields.values()) if type(t) is str]
+    kind = namedtuple(name, fields)
+    kind.name, kind.at, kind.fields = name, at, fields
+    kind.frame = staticmethod(  # calls `frame` by name, so a wrapper on `sim.frame` sees it
+        (lambda tag, *rest: frame(tag, name, *rest)) if at else (lambda *rest: frame(name, *rest)))
+    alts = [get_args(t) if type(t) is UnionType else (str if type(t) is str else get_origin(t) or t,)
+            for t in fields.values()]
+    kind.shapes = frozenset(product(*[[str if c is Bits else c for c in a] for a in alts]))
+    kind.rows = [(i, tuple(str if c is Bits else c for c in get_args(get_args(t)[0])))
+                 for i, t in enumerate(fields.values()) if get_origin(t) is list]
+    _KINDS[at][name] = kind
+    return kind
+
+
+def parse(message: bytes, at: int = 1) -> tuple:
+    """The message as a tuple of its kind, the one its field `at` names: 1
+    for the size kinds, behind their run's tag, 0 for toprec's. Bytes that
+    are not one JSON array of a kind's field count and types raise
+    ProtocolViolation. A pure function of the bytes, for `Heard.decode`."""
+    try:
+        parts = unframe(message)
+        kind = _KINDS[at][parts[at]]
+    except (ValueError, LookupError, TypeError):  # not UTF-8 JSON, too short, no kind
+        raise ProtocolViolation(f"{message[:40]!r} is not a message of a known kind") from None
+    if type(parts) is not list or tuple(map(type, parts)) not in kind.shapes:
+        bad = [f"{f} {v!r} is not {'a bit string' if t is Bits else getattr(t, '__name__', t)}"
+               for (f, t), v, ok in zip(kind.fields.items(), parts, zip(*kind.shapes))
+               if type(v) not in ok]
+        raise ProtocolViolation(
+            f"{message[:40]!r} is not a {kind.name} of {len(kind.fields)} fields: {bad}")
+    for i, item in kind.rows:
+        if not all(type(row) is list and tuple(map(type, row)) == item for row in parts[i]):
+            raise ProtocolViolation(f"{kind.name} {kind._fields[i]} {parts[i]!r} is not a list of {item}")
+        parts[i] = tuple(map(tuple, parts[i]))
+    return tuple.__new__(kind, parts)

@@ -42,7 +42,7 @@ from .labels import (
     int_to_bits,
     split_mode,
 )
-from .sim import NodeProgram, frame, next_duty, parse
+from .sim import Bits, NodeProgram, message_kind, next_duty, parse
 
 # Documented constant for the encoded compact-label length bound
 # max_bits <= COMPACT_LENGTH_C * (ceil(log2 log2 (Delta+2)) + 1).
@@ -193,6 +193,8 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
     the packed subtree, then a final broadcast of the assembled size."""
 
     layout = Layout("compact", a=None, b=1, js=2, flags=2, path=2, k=None, msg=None)
+    delta_bit = message_kind(tag=str, kind="d", bit=Bits)
+    subtree = message_kind(tag=str, kind="s", k=int, level=int, payload=Bits)
 
     def __init__(self, label: str):
         blocks = self.layout.parse(label)
@@ -214,7 +216,7 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
         return self.core1.message.bit_length(), self.k
 
     def _slot_message(self) -> bytes:
-        return frame("S", "s", self.k, self.core1.level, self._assemble())
+        return self.subtree.frame("S", self.k, self.core1.level, self._assemble())
 
     def _assemble(self) -> str:
         return "".join(self._payloads[k] for k in sorted(self._payloads)) + self.msgbits
@@ -226,21 +228,21 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
         if rnd == self._own_at:
             self._own_at = None
             if not self.is_source:
-                return frame("D", "d", self.b)
+                return self.delta_bit.frame("D", self.b)
             if not self.core1.informed:
                 bits = "".join(self._delta_bits.get(i, "0") for i in range(1, self.a + 1))
                 self._start(rnd, bits_to_int(bits))
         return super().action(rnd)
 
     def _receive_own(self, rnd: int, parts) -> bool:
-        tag = parts[0]
-        if tag == "D":
+        kind = parts.kind
+        if kind == "d":
             if self.is_source:
-                self._delta_bits[rnd] = parts[2]
-        elif tag == "S":
+                self._delta_bits[rnd] = parts.bit
+        elif kind == "s":
             # accept only payloads from nodes this node itself informed:
             # the sender's level must be one of our own transmit rounds
-            k_w, lvl_w, payload = parts[2], parts[3], parts[4]
+            k_w, lvl_w, payload = parts.k, parts.level, parts.payload
             if lvl_w in self.core1.tx_rounds:
                 if k_w in self._payloads:
                     raise ProtocolViolation(
@@ -524,6 +526,7 @@ class FastSDProgram(NodeProgram):
     blocks of phase 2 (sources: the cover) and stage 2."""
 
     layout = Layout("stripes", flags=5, m_v=1, phase2_js=2, stage2_js=2)
+    path_bits = message_kind(tag=str, kind="p", bits=Bits)
 
     def __init__(self, label: str):
         super().__init__(label)
@@ -561,11 +564,11 @@ class FastSDProgram(NodeProgram):
     def action(self, rnd: int):
         if self.supergreen and self.on_path and rnd == 1:
             self._relayed = True
-            return frame("F1", "p", self.m_v)
+            return self.path_bits.frame("F1", self.m_v)
         if self._relay_round == rnd:
             self._relay_round = None
             self._relayed = True
-            return frame("F1", "p", self.m_v + self._relay_payload)
+            return self.path_bits.frame("F1", self.m_v + self._relay_payload)
         return self.bcore.action(rnd) or self.s2core.action(rnd)
 
     def next_wake(self, rnd: int) -> int | None:
@@ -573,15 +576,15 @@ class FastSDProgram(NodeProgram):
 
     def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse)
-        tag = parts[0]
+        tag = parts.tag
         changed = False
-        if tag == "F1":
+        if parts.kind == "p":
             if self.on_path and not self._relayed and self._relay_round is None:
-                self._relay_payload = parts[2]
+                self._relay_payload = parts.bits
                 self._relay_round = rnd + 1
                 changed = True
             if self.cover:
-                changed |= self._learn(self.m_v + parts[2])
+                changed |= self._learn(self.m_v + parts.bits)
         elif tag == "F2":
             if self.reach:
                 changed = self.bcore.on_message(rnd, parts)

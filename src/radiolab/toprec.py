@@ -14,6 +14,7 @@ the root, and broadcasts the full edge set back.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import repeat
 from types import MappingProxyType
 
@@ -28,7 +29,7 @@ from .labels import (
     encode_blocks,
     int_to_bits,
 )
-from .sim import NodeProgram, frame, next_duty, unframe
+from .sim import Bits, NodeProgram, frame, message_kind, next_duty, parse
 
 # Documented constants for the acceptance bound on the total round count:
 # rounds <= TOPREC_C1 * D * Delta + TOPREC_C2 * min(n, Delta^2 + 1) + TOPREC_C3.
@@ -230,39 +231,31 @@ def wire_to_id(wire: str) -> tuple[int, ...]:
     return tuple(bits_to_int(b) for b in decode_blocks(wire))
 
 
-_FIELDS = {"T1": (str,), "T3": (str,), "TA": (int,), "T2": (int, (int, type(None))), "T5": (list,)}
+# a T5 as its parse reads it: its reports' topology and the map from each wire to its identifier
+Final = namedtuple("Final", "tag edges ids")
 
 
 def parse_message(message: bytes) -> tuple:
-    """A TopRec message as an immutable tuple `(tag, ...)`: T1/T3 carry an
-    identifier in wire form, `(tag, wire)`, TA/T2 keep their ints, T5 the
-    `topology` (edge tuple) of the reports and the read-only map from each
-    wire to its identifier (both from `decode_reports`). A T4 is read by its
-    header `["T4","<sender wire>",[` alone: `("T4", wire, body)`, `body` a
-    read-only view of the report array's inner text, which only the root
-    decodes. A pure function of the bytes, for `Heard.decode`, so every
-    listener of a T5 shares one topology and one map. Any other message,
-    bytes that are not JSON included, raises ProtocolViolation."""
+    """A TopRec message as its kind's value (`sim.parse`), but for a T4 and
+    a T5. A T4 is read by its header `["T4","<sender wire>",[` alone:
+    `reports` is a read-only view of the report array's inner text, which
+    only the root decodes, so no JSON array reads as a T4. A T5 is read as
+    a `Final`: the `topology` (edge tuple) of its reports and the read-only
+    map from each wire to its identifier (both from `decode_reports`). A
+    pure function of the bytes, for `Heard.decode`, so every listener of a
+    T5 shares one topology and one map. Any other message raises
+    ProtocolViolation."""
     if message.startswith(b'["T4",'):
         end = message.find(b'",[', 7)
         wire, body = message[7:end], memoryview(message)[end + 3 : -2]
         if message[6:7] != b'"' or end < 0 or wire.strip(b"01") or not body or message[-2:] != b"]]":
             raise ProtocolViolation(f"T4 {message[:40]!r} is not a bit string sender wire and reports")
-        return "T4", wire.decode(), body
-    try:
-        parts = unframe(message)
-    except ValueError as e:  # not UTF-8, or not one JSON value
-        raise ProtocolViolation(f"{message[:40]!r} is not a toprec message: {e}") from None
-    tag = parts[0] if type(parts) is list and parts else None
-    if tag in ("T1", "T3") and len(parts) == 2 and type(parts[1]) is not str:
-        raise ProtocolViolation(f"{tag} identifier {parts[1]!r} is not a bit string")
-    want = _FIELDS.get(tag) if type(tag) is str else None
-    if want is None or len(parts) != len(want) + 1 or not all(map(isinstance, parts[1:], want)):
-        raise ProtocolViolation(f"{message[:40]!r} is not a toprec message")
-    if tag == "T5":
-        reports, ids = decode_reports(parts[1])
-        return tag, topology(reports), MappingProxyType(ids)
-    return tuple(parts)
+        return tuple.__new__(TopRecProgram.T4, ("T4", wire.decode(), body))
+    parts = parse(message, 0)
+    if parts.tag != "T5":
+        return parts
+    reports, ids = decode_reports(parts.reports)
+    return Final("T5", topology(reports), MappingProxyType(ids))
 
 
 def decode_reports(reports) -> tuple[tuple, dict[str, tuple[int, ...]]]:
@@ -350,6 +343,12 @@ class TopRecProgram(NodeProgram):
     heard T5."""
 
     layout = Layout("toprec", root=1, leaf=1, apath=1, b=None, g=None, delta=None, slot=None, n=None)
+    T1 = message_kind(tag="T1", wire=Bits)
+    TA = message_kind(tag="TA", dstar=int)
+    T2 = message_kind(tag="T2", total=int, n=int | None)
+    T3 = message_kind(tag="T3", wire=Bits)
+    T4 = message_kind(tag="T4", wire=Bits, reports=memoryview)
+    T5 = message_kind(tag="T5", reports=list)
 
     def __init__(self, label: str):
         super().__init__(label)
@@ -434,20 +433,20 @@ class TopRecProgram(NodeProgram):
     def action(self, rnd: int):
         if rnd == self._t1:
             self._t1 = None
-            return frame("T1", self.wire_id)
+            return self.T1.frame(self.wire_id)
         if rnd == self._ta:
             self._ta = None
             if not self._relayed:  # the deepest leaf starts the relay
                 self._relayed = True
                 self.dstar = self.layer
                 self._schedule()
-            return frame("TA", self.dstar)
+            return self.TA.frame(self.dstar)
         if rnd == self._t2:
             self._t2, self._sent2 = None, True
-            return frame("T2", self.total, self.n_value)
+            return self.T2.frame(self.total, self.n_value)
         if rnd == self._t3:
             self._t3, self._sent3 = None, True
-            return frame("T3", self.wire_id)
+            return self.T3.frame(self.wire_id)
         if rnd == self._t4:
             self._t4, self._sent4 = None, True
             return self._with_reports(f'["T4","{self.wire_id}",'.encode())
@@ -468,12 +467,12 @@ class TopRecProgram(NodeProgram):
 
     def receive(self, rnd: int, heard) -> bool:
         parts = heard.decode(parse_message)
-        tag = parts[0]
+        tag = parts.tag
         if tag == "T1":
             if self.layer is not None:
                 return False
             # the parent's wire plus one block: id_to_wire(my_id), not re-encoded
-            parent_wire = parts[1]
+            parent_wire = parts.wire
             own = encode_blocks((int_to_bits(self.g),))
             self.wire_id = parent_wire + "00" + own if parent_wire else own
             self._place((rnd - 1) // self.width + 1)
@@ -481,7 +480,7 @@ class TopRecProgram(NodeProgram):
             if not self.on_apath or self._relayed:
                 return False
             self._relayed = True
-            self.dstar = parts[1]
+            self.dstar = parts.dstar
             if not self.is_root:
                 self._ta = rnd + 1
             elif self.total is None:
@@ -489,27 +488,27 @@ class TopRecProgram(NodeProgram):
         elif tag == "T2":
             total, n_value = self.total, self.n_value
             if total is None:
-                self.total = parts[1]
-                self.dstar = parts[1] // (2 * self.width + 1)
-            if parts[2] is not None:
-                self.n_value = parts[2]
+                self.total = parts.total
+                self.dstar = parts.total // (2 * self.width + 1)
+            if parts.n is not None:
+                self.n_value = parts.n
             if total is not None and self.n_value == n_value:
                 return False
         elif tag == "T3":
-            self.nbr_wires.add(parts[1])
+            self.nbr_wires.add(parts.wire)
             return False
         elif tag == "T4":
             # only a child's reports; a node without a wire has no child
             mine = self.wire_id
-            if mine is not None and (self.is_root or parts[1].startswith(mine + "00")):
-                self._bodies.append(parts[2])
+            if mine is not None and (self.is_root or parts.wire.startswith(mine + "00")):
+                self._bodies.append(parts.reports)
             return False
         elif tag == "T5":
             if self._final is not None:
                 return False
             self._final = heard.message
             if self.output is None:
-                self._finish(parts[1], parts[2])
+                self._finish(parts.edges, parts.ids)
         else:
             return False
         self._schedule()

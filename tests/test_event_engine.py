@@ -9,16 +9,16 @@ must produce the same trace on every scheme.
 
 import time
 from collections import Counter
+from functools import cache
 
 import pytest
 
 from radiolab import broadcast, size_discovery, toprec
-from radiolab.corpus import corpus, toprec_corpus
 from radiolab.errors import ProtocolViolation, RoundLimitExceeded
 from radiolab.graphs import build_graph, gen_lb_family, gen_path, gen_star
 from radiolab.schemes import build_bundle, program_for
 from radiolab.sim import Heard, NodeProgram, run
-from golden import SCHEMES, build
+from golden import CORPUS, SCHEMES, TOPREC_CORPUS, build
 from oracles import history_keys, reference_run
 
 
@@ -54,28 +54,29 @@ def family_sample(graphs, per_family):
 
 
 # toprec's stage-4 messages grow with the edge count times the depth, so
-# its sample stops at n = 65 to keep the polling reference affordable
-SIZE_SAMPLE = family_sample(corpus(), 5)
-TOPREC_SAMPLE = family_sample([(gid, g) for gid, g in toprec_corpus() if g.n <= 65], 3)
+# its sample stops at n = 65 to keep the polling reference affordable. Both
+# are built on first use, not when the module is collected.
+SIZE_SAMPLE = cache(lambda: family_sample(CORPUS(), 5))
+TOPREC_SAMPLE = cache(lambda: family_sample([(gid, g) for gid, g in TOPREC_CORPUS() if g.n <= 65], 3))
 
 
 @pytest.mark.parametrize("cd", [False, True])
 @pytest.mark.parametrize("scheme", ["compact", "general", "fastsd"])
 def test_size_schemes_match_reference(scheme, cd):
-    for gid, g in SIZE_SAMPLE:
+    for gid, g in SIZE_SAMPLE():
         assert_same_trace(gid, g, scheme, cd)
 
 
 @pytest.mark.parametrize("cd", [False, True])
 def test_toprec_matches_reference(cd):
-    for gid, g in TOPREC_SAMPLE:
+    for gid, g in TOPREC_SAMPLE():
         assert_same_trace(gid, g, "toprec", cd)
 
 
 @pytest.mark.parametrize("cd", [False, True])
 @pytest.mark.parametrize("scheme", ["pathmsg"])
 def test_primitives_match_reference(scheme, cd):
-    for gid, g in TOPREC_SAMPLE:
+    for gid, g in TOPREC_SAMPLE():
         assert_same_trace(gid, g, scheme, cd)
 
 
@@ -99,9 +100,9 @@ def test_single_node_matches_reference(scheme, rounds):
 
 
 def test_samples_cover_every_family():
-    families = {gid.split("-")[0] for gid, _ in corpus()}
-    assert {gid.split("-")[0] for gid, _ in SIZE_SAMPLE} == families
-    assert {gid.split("-")[0] for gid, _ in TOPREC_SAMPLE} == families
+    families = {gid.split("-")[0] for gid, _ in CORPUS()}
+    assert {gid.split("-")[0] for gid, _ in SIZE_SAMPLE()} == families
+    assert {gid.split("-")[0] for gid, _ in TOPREC_SAMPLE()} == families
 
 
 def node_programs():
@@ -162,7 +163,7 @@ def test_receive_false_only_when_nothing_changed():
     every program class answers with a bool."""
     seen = set()
     for scheme in SCHEMES:
-        for gid, g in SIZE_SAMPLE + TOPREC_SAMPLE + LB_SAMPLE:
+        for gid, g in SIZE_SAMPLE() + TOPREC_SAMPLE() + LB_SAMPLE:
             labels, program = build(scheme, g)
             tr = run(g, labels, contract_checked(program, seen))
             assert None not in tr.outputs, (scheme, gid)
@@ -593,10 +594,10 @@ class TestOneProgramPerHistory:
 
     @pytest.mark.parametrize("scheme", ["compact", "general", "fastsd"])
     def test_paths_and_size_corpus(self, scheme):
-        graphs = [gen_path(n) for n in (160, 320, 640)] + [g for _, g in corpus()]
+        graphs = [gen_path(n) for n in (160, 320, 640)] + [g for _, g in CORPUS()]
         for g in graphs:
             assert_one_program_per_history(g, *build(scheme, g))
 
     def test_toprec_corpus(self):
-        for _, g in toprec_corpus():
+        for _, g in TOPREC_CORPUS():
             assert_one_program_per_history(g, *build("toprec", g))

@@ -336,9 +336,9 @@ class TestTraceDump:
         assert unframe(msg) == ["tag", 3, "10", [1, 2]]
 
     def test_parse_is_a_hashable_tuple(self):
-        msg = frame("pc", "c", [[1, "01"], [4, "1"]], [])
+        msg = frame("pc", "c", [[1, "01"], [4, "1"]])
         parts = parse(msg)
-        assert parts == ("pc", "c", ((1, "01"), (4, "1")), ())
+        assert parts == ("pc", "c", ((1, "01"), (4, "1")))
         assert hash(parts) == hash(parse(msg))
         assert Heard(msg).decode(parse) == parts
 
@@ -383,7 +383,7 @@ class TestCodecBytes:
     def test_trailing_or_truncated_message_raises(self, message):
         with pytest.raises(json.JSONDecodeError):
             unframe(message)
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ProtocolViolation):
             parse(message)
 
 

@@ -95,3 +95,51 @@ def test_labels_are_read_and_written_only_through_their_layout():
         if scope not in exempt
     ]
     assert not found, f"labels coded outside their layout: {found}"
+
+
+def _calls(node, scope: str):
+    """(enclosing function, call) of each call under `node`; `scope` is the
+    function `node` is in."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if isinstance(child, ast.Call):
+            yield inner, child
+        yield from _calls(child, inner)
+
+
+def test_every_message_is_framed_through_its_kind():
+    """A message is written through its kind's table: each `.frame(...)`
+    call in `src/radiolab` is on a name or attribute bound to a
+    `message_kind(...)` table, and `frame(...)` itself is called only in
+    `message_kind`, by the tables' `frame`, and in
+    `TopRecProgram._with_reports`, which joins T4 and T5 bytes by hand."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    kinds = {target.id for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+             and getattr(node.value.func, "id", None) == "message_kind"
+             for target in node.targets}
+    framers = {("sim.py", "message_kind"), ("toprec.py", "_with_reports")}
+    found = []
+    for name, tree in trees.items():
+        for scope, call in _calls(tree, "<module>"):
+            f = call.func
+            if isinstance(f, ast.Name) and f.id == "frame" and (name, scope) not in framers:
+                found.append(f"{name}:{call.lineno} frame( in {scope}")
+            elif isinstance(f, ast.Attribute) and f.attr == "frame":
+                owner = getattr(f.value, "attr", getattr(f.value, "id", None))
+                if owner not in kinds:
+                    found.append(f"{name}:{call.lineno} {owner}.frame( in {scope}")
+    assert len(kinds) == 13 and not found, f"messages framed around their kind: {found}"
+
+
+def test_no_message_field_is_read_by_index():
+    """No `parts[<int>]` in `src/radiolab`: a heard message's fields are
+    read by the names of its kind's table."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "parts"
+        and isinstance(node.slice, ast.Constant) and type(node.slice.value) is int
+    ]
+    assert not found, f"message fields read by index: {found}"

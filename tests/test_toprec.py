@@ -3,6 +3,7 @@ from types import MappingProxyType
 import networkx as nx
 import pytest
 
+import radiolab.sim as sim_mod
 import radiolab.toprec as toprec_mod
 from radiolab.errors import InconsistentReports, MalformedCodeword, ProtocolViolation
 from radiolab.graphs import (
@@ -307,7 +308,7 @@ class TestConvergecast:
         only the joined report sets, the root's and the T5 everyone else
         hears, go through `decode_reports`."""
         unframed, decodes = [], []
-        real_unframe, real_decode = toprec_mod.unframe, toprec_mod.decode_reports
+        real_unframe, real_decode = sim_mod.unframe, toprec_mod.decode_reports
 
         def counting_unframe(message):
             unframed.append(message)
@@ -317,7 +318,7 @@ class TestConvergecast:
             decodes.append(len(reports))
             return real_decode(reports)
 
-        monkeypatch.setattr(toprec_mod, "unframe", counting_unframe)
+        monkeypatch.setattr(sim_mod, "unframe", counting_unframe)
         monkeypatch.setattr(toprec_mod, "decode_reports", counting_decode)
         r = run_scheme("toprec", g)
         assert r.ok
