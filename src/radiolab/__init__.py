@@ -2,7 +2,8 @@
 schemes for size discovery and topology recognition, plus the audit harness
 for the lower-bound graph families."""
 
-from . import errors
+# the program modules register their message kinds with `sim.parse` on import
+from . import broadcast, errors, size_discovery, toprec
 from .graphs import (
     Graph,
     LayerAssignment,
@@ -18,7 +19,10 @@ from .labels import SchemeBundle, decode_blocks, encode_blocks
 from .sim import ExecutionTrace, Heard, NodeProgram, run
 
 __all__ = [
+    "broadcast",
     "errors",
+    "size_discovery",
+    "toprec",
     "Graph",
     "LayerAssignment",
     "LBFamilyDescriptor",

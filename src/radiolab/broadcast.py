@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .errors import Disconnected, EmptySourceSet, Undominatable
+from .errors import Disconnected, EmptySourceSet, ProtocolViolation, Undominatable
 from .graphs import Graph
 from .labels import Layout, SchemeBundle
 from .sim import Bits, NodeProgram, message_kind, next_duty, parse
@@ -496,6 +496,8 @@ class AckProgram(NodeProgram):
         if tag == self.tag2:
             changed = self.core2.on_message(rnd, parts)
             if self.t is None and self.core2.informed:
+                if type(self.core2.message) is not int:
+                    raise ProtocolViolation(f"t {self.core2.message!r} of {tag} is not an int")
                 self.t = self.core2.message
                 self._arm_collect()
                 return changed or not self._collected

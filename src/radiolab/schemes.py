@@ -79,9 +79,9 @@ def verify_outputs(scheme: str, g: Graph, bundle: SchemeBundle, trace) -> int:
         expected_edges = tuple(sorted(
             (min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()
         ))
-        # The nodes that heard one T5 share one edge tuple, so each distinct
-        # tuple object is compared once. `trace.outputs` keeps every object
-        # alive for the call, so no two of them share an id().
+        # The root and every node that heard its T5 share one edge tuple,
+        # so each distinct tuple object is compared once. `trace.outputs`
+        # keeps every object alive for the call, so no two share an id().
         same: dict[int, bool] = {}
         correct = 0
         for out, own in zip(trace.outputs, ids):

@@ -212,8 +212,11 @@ class AuxiliarySDProgram(AckProgram, tag="A"):
     def _phase(self) -> tuple[int, int]:
         """Size-learning phases are K = floor(log Delta)+1 rounds long, Delta
         being the payload of the first Executor run, and a non-root sends in
-        slot self.k."""
-        return self.core1.message.bit_length(), self.k
+        slot self.k. A Delta that is not an int raises ProtocolViolation."""
+        delta = self.core1.message
+        if type(delta) is not int:
+            raise ProtocolViolation(f"Delta {delta!r} of the first Executor run is not an int")
+        return delta.bit_length(), self.k
 
     def _slot_message(self) -> bytes:
         return self.subtree.frame("S", self.k, self.core1.level, self._assemble())

@@ -15,6 +15,7 @@ the root, and broadcasts the full edge set back.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import repeat
 from types import MappingProxyType
 
@@ -240,21 +241,28 @@ def parse_message(message: bytes) -> tuple:
     a T5. A T4 is read by its header `["T4","<sender wire>",[` alone:
     `reports` is a read-only view of the report array's inner text, which
     only the root decodes, so no JSON array reads as a T4. A T5 is read as
-    a `Final`: the `topology` (edge tuple) of its reports and the read-only
-    map from each wire to its identifier (both from `decode_reports`). A
-    pure function of the bytes, for `Heard.decode`, so every listener of a
-    T5 shares one topology and one map. Any other message raises
-    ProtocolViolation."""
+    a `Final` (`_final`). A pure function of the bytes, for `Heard.decode`.
+    Any other message raises ProtocolViolation."""
     if message.startswith(b'["T4",'):
         end = message.find(b'",[', 7)
         wire, body = message[7:end], memoryview(message)[end + 3 : -2]
         if message[6:7] != b'"' or end < 0 or wire.strip(b"01") or not body or message[-2:] != b"]]":
             raise ProtocolViolation(f"T4 {message[:40]!r} is not a bit string sender wire and reports")
         return tuple.__new__(TopRecProgram.T4, ("T4", wire.decode(), body))
+    if message.startswith(b'["T5",'):
+        return _final(message)
     parts = parse(message, 0)
-    if parts.tag != "T5":
-        return parts
-    reports, ids = decode_reports(parts.reports)
+    return _final(message) if parts.tag == "T5" else parts  # a T5 not as `frame` writes it
+
+
+@lru_cache(maxsize=1)
+def _final(message: bytes) -> Final:
+    """A T5 as a `Final`: the `topology` (edge tuple) of its reports and the
+    read-only map from each wire to its identifier (both from
+    `decode_reports`). Memoized for the last T5, so the root's parse of the
+    T5 it sends and its listeners' parses of the same bytes are one decode,
+    and the root and every listener share one topology and one map."""
+    reports, ids = decode_reports(parse(message, 0).reports)
     return Final("T5", topology(reports), MappingProxyType(ids))
 
 
@@ -307,7 +315,7 @@ class TopRecProgram(NodeProgram):
     per-slot identifier announcement, adjacency-report
     gathering, and a final broadcast of the edge set. Output per node:
     (sorted edge tuple over identifiers, own identifier); the edge tuple is
-    one object shared by every node that heard the same T5.
+    one object shared by the root and every node that heard its T5.
 
     Stage 1 is the acknowledged layered broadcast AckBrBFS. The root's
     BroadcastBFS of its identifier goes out as T1: node v transmits once, in
@@ -332,9 +340,10 @@ class TopRecProgram(NodeProgram):
     the root every sender is a child. Gather indices give each child of a
     parent a slot of its own, so the root gets every report exactly once.
     No report is decoded or re-encoded on the way up, and no T1 or T3. The
-    root decodes the full set once, by parsing the T5 it sends, and the T5
-    parse that all listeners share decodes it once more; each node takes
-    its own identifier (`my_id`) from that decode's wire map.
+    full set is decoded once per run: the root parses the T5 it sends, and
+    its listeners' parse of the same bytes is that parse's memo (`_final`);
+    each node takes its own identifier (`my_id`) from that decode's wire
+    map.
 
     Each pending transmission is a round attribute, None while unknown or
     once served: `_t1` (forward T1), `_ta` (start or relay the TA), `_t2`

@@ -10,6 +10,9 @@ shared. README's "Message kinds" table must list the same kinds, fields
 and types.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -56,6 +59,20 @@ def test_every_kind_is_held_by_its_sender():
     assert {k for table in sim._KINDS for k in table.values()} == {k for _, k in found.values()}
     assert {name: kind.at for name, (_, kind) in found.items()} == {
         name: 0 if name.startswith("T") else 1 for name in found}
+
+
+def test_importing_any_module_registers_every_kind():
+    """`import radiolab` imports the program modules, so a process that
+    imports only `radiolab.sim` parses every kind."""
+    case = (
+        "import radiolab.sim as sim\n"
+        "print(sum(map(len, sim._KINDS)))\n"
+        "print(sim.parse(b'[\"p1\",\"b\",1,0,\"1\"]').payload)\n"
+    )
+    src = str(Path(sim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", case], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["13", "1"]
 
 
 def readme_kinds() -> dict[str, tuple[str, list[tuple[str, str]]]]:
@@ -113,3 +130,18 @@ def test_a_message_of_the_wrong_shape_raises_protocol_violation(program, message
     IndexError, TypeError or JSON error, and are not taken silently."""
     with pytest.raises(ProtocolViolation):
         PROGRAMS[program]().receive(1, Heard(message))
+
+
+@pytest.mark.parametrize("program, first, then", [
+    ("compact", b'["A1","b",1,0,"101"]', b'["Aa","r",5,0]'),  # Delta, read for the phase width
+    ("compact", b'["A1","b",1,0,3]', b'["A2","b",1,0,"101"]'),  # t, from the second run
+    ("pathmsg", b'["p1","b",1,0,"1"]', b'["p2","b",1,0,"101"]'),
+])
+def test_a_bit_string_where_a_count_belongs_raises_protocol_violation(program, first, then):
+    """An Executor payload may be an int or a bit string, so its kind's
+    table passes either; where the program reads a count from it, a bit
+    string raises ProtocolViolation, not an AttributeError or TypeError."""
+    p = PROGRAMS[program]()
+    p.receive(1, Heard(first))
+    with pytest.raises(ProtocolViolation, match="not an int"):
+        p.receive(2, Heard(then))

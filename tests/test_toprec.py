@@ -305,8 +305,9 @@ class TestConvergecast:
                              ids=["path40", "grid10x10", "star129"])
     def test_no_report_is_decoded_below_the_root(self, g, monkeypatch):
         """No T4 is JSON-decoded at all: parents keep its body as heard, and
-        only the joined report sets, the root's and the T5 everyone else
-        hears, go through `decode_reports`."""
+        only the joined report set goes through `decode_reports`, once per
+        run: the root's parse of its T5, whose memo its listeners share."""
+        toprec_mod._final.cache_clear()
         unframed, decodes = [], []
         real_unframe, real_decode = sim_mod.unframe, toprec_mod.decode_reports
 
@@ -323,7 +324,7 @@ class TestConvergecast:
         r = run_scheme("toprec", g)
         assert r.ok
         assert not [m for m in unframed if m.startswith(b'["T4"')]
-        assert decodes == [g.n] * len(decodes) and 1 <= len(decodes) <= 2
+        assert decodes == [g.n]
 
 
 class TestTopRec:
@@ -521,6 +522,11 @@ class TestParseMessage:
         with pytest.raises(ProtocolViolation):
             run(g, build_toprec_labels(g).labels, BrokenLeaf)
 
+    def test_a_t5_not_as_frame_writes_it_reads_as_a_final(self):
+        """A T5 is found by its compact prefix, and one with other JSON
+        spacing still reads as the same `Final`."""
+        assert parse_message(b'[ "T5", [["", []]]]') == parse_message(frame("T5", [["", []]]))
+
     def test_forwarders_resend_the_heard_bytes(self):
         g = gen_grid(3, 4)
         tr = run(g, build_toprec_labels(g).labels, TopRecProgram)
@@ -553,6 +559,7 @@ class TestSharedTopology:
     @pytest.mark.parametrize("g", [gen_grid(10, 10), gen_star(129)],
                              ids=["grid10x10", "star129"])
     def test_at_most_two_reconstructions_per_run(self, g, monkeypatch):
+        toprec_mod._final.cache_clear()
         calls = []
         real = toprec_mod.topology
 
@@ -568,16 +575,31 @@ class TestSharedTopology:
     @pytest.mark.parametrize("g", [gen_cycle(4), gen_grid(10, 10), gen_star(129)],
                              ids=["c4", "grid10x10", "star129"])
     def test_outputs_share_one_immutable_edge_tuple(self, g):
+        """The root's parse of the T5 it sends is the one its listeners
+        hear, so the root's output and every listener's hold the same
+        edge-tuple object."""
         r = run_scheme("toprec", g)
         assert r.ok
         outs = r.trace.outputs
-        root = r.bundle.meta["root"]
-        shared = outs[1 - root][0]
+        shared = outs[r.bundle.meta["root"]][0]
         assert isinstance(shared, tuple)
-        assert all(outs[v][0] is shared for v in range(g.n) if v != root)
-        assert outs[root][0] == shared
+        assert all(out[0] is shared for out in outs)
         for out in outs:
             hash(out)
+
+    def test_the_memo_holds_one_t5(self):
+        """`_final` keeps only the last T5 it parsed, and a cold parse of
+        those bytes equals the memoized `Final`."""
+        for g in (gen_grid(3, 4), gen_cycle(6)):
+            r = run(g, build_toprec_labels(g).labels, TopRecProgram)
+            assert toprec_mod._final.cache_info().currsize == 1
+        (t5,) = {m for _, sent, _ in tagged_rounds(r, "T5") for m in sent.values()}
+        memoized = parse_message(t5)
+        assert toprec_mod._final.cache_info().currsize == 1
+        toprec_mod._final.cache_clear()
+        cold = parse_message(t5)
+        assert cold == memoized and cold is not memoized
+        assert toprec_mod._final.cache_info().currsize == 1
 
     @pytest.mark.parametrize("g", [gen_star(1025), gen_grid(20, 20)],
                              ids=["star1025", "grid20x20"])
@@ -596,8 +618,9 @@ class TestSharedTopology:
 
 
 class TestDecodeOnce:
-    """Each decode of a report set (the T5 parse, the root's own) turns
-    each distinct wire identifier into an id once."""
+    """The one decode of a run's report set, the T5 parse that the root and
+    its listeners share, turns each distinct wire identifier into an id
+    once."""
 
     @staticmethod
     def count_wire_to_id(monkeypatch) -> list:
@@ -612,12 +635,15 @@ class TestDecodeOnce:
         return calls
 
     def test_grid_run_decode_count(self, monkeypatch):
-        """One decode per identifier in each of the two report-set decodes
-        (2 x 100), and none of a T1 or T3."""
+        """One decode per identifier in the run's one report-set decode, and
+        none of a T1 or T3."""
+        toprec_mod._final.cache_clear()
         calls = self.count_wire_to_id(monkeypatch)
         r = run_scheme("toprec", gen_grid(10, 10))
         assert r.ok
-        assert len(calls) == 200  # 399 when T1 and T3 were decoded, 1,119 before that
+        # 200 when the root and its listeners decoded the T5 apart, 399 when
+        # T1 and T3 were decoded too, 1,119 before that
+        assert len(calls) == 100
 
     @pytest.mark.parametrize("g", [gen_grid(10, 10), gen_star(129)],
                              ids=["grid10x10", "star129"])
@@ -654,6 +680,7 @@ class TestDecodeOnce:
                   if unframe(m)[0] == "T5")
         wires = [w for wid, nbrs in unframe(t5)[1] for w in (wid, *nbrs)]
         assert len(wires) > len(set(wires))
+        toprec_mod._final.cache_clear()  # the run's own parse left this T5 memoized
         calls = self.count_wire_to_id(monkeypatch)
         parse_message(t5)
         assert sorted(calls) == sorted(set(wires))
